@@ -19,7 +19,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import click
@@ -30,7 +30,14 @@ from .energy_bandwidth import (
     compute_energy_bandwidths,
     energy_results_to_csv,
 )
-from .grid_model import Season, ZoneValidationError, load_forecast, load_zone
+from .grid_model import (
+    ForecastSeries,
+    Season,
+    ZoneModel,
+    ZoneValidationError,
+    load_forecast,
+    load_zone,
+)
 from .lp_core import FEASIBILITY_TOL, PIVOT_TOL
 from .oracle import (
     GridSearchConfig,
@@ -44,6 +51,7 @@ from .power_bandwidth import (
     ObjectiveWeights,
     build_lp,
     compute_power_bandwidths,
+    fmt6,
     power_results_to_csv,
     solve_timestep,
 )
@@ -103,6 +111,16 @@ def _load_config(config_path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
+def _load_inputs(cfg: RunConfig) -> tuple[ZoneModel, ForecastSeries]:
+    """The zone and its forecast, with every row's season overridden if asked."""
+    zone = load_zone(cfg.zone)
+    forecast = load_forecast(cfg.forecast, zone)
+    if cfg.season is not None:
+        season = Season(cfg.season)
+        forecast = ForecastSeries(tuple(replace(r, season=season) for r in forecast))
+    return zone, forecast
+
+
 def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -128,14 +146,7 @@ def _common_options(f):
 
 
 def _run_compute(cfg: RunConfig) -> int:
-    zone = load_zone(cfg.zone)
-    forecast = load_forecast(cfg.forecast, zone)
-    if cfg.season is not None:
-        from dataclasses import replace
-
-        forecast = type(forecast)(
-            tuple(replace(r, season=Season(cfg.season)) for r in forecast)
-        )
+    zone, forecast = _load_inputs(cfg)
     horizon = cfg.horizon if cfg.horizon is not None else len(forecast)
     logger.info("computing %d timesteps with %d workers", horizon, cfg.workers)
 
@@ -188,14 +199,6 @@ def _run_compute(cfg: RunConfig) -> int:
     return EXIT_INFEASIBLE if failed else EXIT_OK
 
 
-def _fmt6(x: float) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    if abs(x) < 5e-7:
-        x = 0.0
-    return f"{x:.6f}"
-
-
 MERGED_HEADER = [
     "timestamp",
     "season",
@@ -216,19 +219,19 @@ def _merged_report(results, energy) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(MERGED_HEADER)
     for i, r in enumerate(results):
-        soc_lo = energy.soc_lower_mwh[i] if energy is not None else None
-        soc_hi = energy.soc_upper_mwh[i] if energy is not None else None
+        soc_lo = energy.soc_lower_mwh[i] if energy is not None else math.nan
+        soc_hi = energy.soc_upper_mwh[i] if energy is not None else math.nan
         writer.writerow(
             [
                 r.timestamp,
                 r.season,
-                _fmt6(r.lower_mw),
-                _fmt6(r.upper_mw),
-                _fmt6(soc_lo),
-                _fmt6(soc_hi),
-                _fmt6(r.curative_charge_worst_mw),
-                _fmt6(r.curative_discharge_worst_mw),
-                _fmt6(r.preventive_curtailment_mw),
+                fmt6(r.lower_mw),
+                fmt6(r.upper_mw),
+                fmt6(soc_lo),
+                fmt6(soc_hi),
+                fmt6(r.curative_charge_worst_mw),
+                fmt6(r.curative_discharge_worst_mw),
+                fmt6(r.preventive_curtailment_mw),
                 r.congestion_class.value,
                 r.binding_constraint or "",
             ]
@@ -283,8 +286,7 @@ def stats(config, zone, forecast, horizon, season, objective, c1, c2, c3, out, w
                     objective=objective, c1=c1, c2=c2, c3=c3, out=out, workers=workers,
                 ),
             )
-            z = load_zone(cfg.zone)
-            forecast_series = load_forecast(cfg.forecast, z)
+            z, forecast_series = _load_inputs(cfg)
             res = compute_power_bandwidths(
                 z,
                 forecast_series,
@@ -364,8 +366,7 @@ def verify(config, zone, forecast, horizon, season, objective, c1, c2, c3,
 
 
 def _verify_fixture(cfg, timesteps, power_res, curt_res, tolerance) -> int:
-    zone = load_zone(cfg.zone)
-    forecast = load_forecast(cfg.forecast, zone)
+    zone, forecast = _load_inputs(cfg)
     config = GridSearchConfig(power_res, curt_res)
     tol = tolerance if tolerance is not None else power_res + 1e-9
     indices = timesteps if timesteps is not None else range(len(forecast))
@@ -471,10 +472,9 @@ def export_lp(config, zone, forecast, horizon, season, objective, c1, c2, c3, ti
             dict(zone=zone, forecast=forecast, horizon=horizon, season=season,
                  objective=objective, c1=c1, c2=c2, c3=c3),
         )
-        z = load_zone(cfg.zone)
-        forecast_series = load_forecast(cfg.forecast, z)
+        z, forecast_series = _load_inputs(cfg)
         row = forecast_series[timestep]
-        problem = build_lp(z, row, cfg.season or row.season, Direction(direction), cfg.weights())
+        problem = build_lp(z, row, row.season, Direction(direction), cfg.weights())
         text = problem.lp.to_lp_format()
         if out:
             Path(out).write_text(text)

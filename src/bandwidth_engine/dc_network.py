@@ -69,12 +69,6 @@ class TopologyState:
             islands=tuple(frozenset(c) for c in islands),
         )
 
-    def island_of(self, bus: str) -> frozenset[str]:
-        for island in self.islands:
-            if bus in island:
-                return island
-        raise KeyError(bus)
-
 
 @dataclass(frozen=True)
 class PtdfMatrix:
@@ -82,11 +76,10 @@ class PtdfMatrix:
 
     ``line_factors`` cover the topology's active internal lines (signed in the
     line's from->to orientation); ``outbound_factors`` echo the zone's recorded
-    export sensitivities for the topology. ``slack_bus`` names the balancing
-    bus; zone-derived matrices balance at the surrounding grid's remote slack.
+    export sensitivities for the topology. Injections balance at the
+    surrounding grid's remote slack.
     """
 
-    slack_bus: str
     line_factors: dict[str, dict[str, float]]
     outbound_factors: dict[str, dict[str, float]]
 
@@ -233,7 +226,7 @@ def compute_ptdf(zone: ZoneModel, topology: TopologyState) -> PtdfMatrix:
         oid: dict(_outbound_ptdf(zone, oid, topology.contingency_id))
         for oid in topology.active_outbound
     }
-    return PtdfMatrix("__remote__", line_factors, outbound_factors)
+    return PtdfMatrix(line_factors, outbound_factors)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .grid_model import ZoneModel
-from .power_bandwidth import CongestionClass, PowerBandwidthResult
+from .power_bandwidth import CongestionClass, PowerBandwidthResult, fmt6
 
 SOC_TOL_MWH = 1e-9
 
@@ -140,14 +139,6 @@ def verify_trajectory_existence(
 ENERGY_CSV_HEADER = ["boundary", "timestamp", "soc_lower_mwh", "soc_upper_mwh"]
 
 
-def _fmt6(x: float) -> str:
-    if math.isnan(x):
-        return ""
-    if abs(x) < 5e-7:
-        x = 0.0
-    return f"{x:.6f}"
-
-
 def energy_results_to_csv(
     energy: EnergyBandwidthResult, timestamps: list[str]
 ) -> str:
@@ -159,7 +150,7 @@ def energy_results_to_csv(
     n = len(energy.soc_lower_mwh) - 1
     for t in range(n + 1):
         label = timestamps[t] if t < n else "end"
-        writer.writerow([t, label, _fmt6(energy.soc_lower_mwh[t]), _fmt6(energy.soc_upper_mwh[t])])
+        writer.writerow([t, label, fmt6(energy.soc_lower_mwh[t]), fmt6(energy.soc_upper_mwh[t])])
     return buf.getvalue()
 
 

@@ -431,8 +431,7 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
 
     rescaled = False
     if status == "stalled":
-        scaled, _ = _equilibrated_copy(lp)
-        sf2 = _StandardForm(scaled)
+        sf2 = _StandardForm(_equilibrated_copy(lp))
         status, x, basis, iters2 = _solve_standard(sf2)
         iters += iters2
         if status == "optimal":
@@ -455,21 +454,19 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     return LpSolution(SolveStatus.OPTIMAL, obj, values, duals, iters)
 
 
-def _equilibrated_copy(lp: LinearProgram) -> tuple[LinearProgram, dict[str, float]]:
+def _equilibrated_copy(lp: LinearProgram) -> LinearProgram:
     """Row-scaled copy of the LP (same solution set, same argmin)."""
     out = LinearProgram(lp.name + ":scaled")
     for v in lp.variables:
         out.add_variable(v.name, v.lower, v.upper)
-    scales: dict[str, float] = {}
     for con in lp.constraints:
         mx = max((abs(c) for c in con.coeffs.values()), default=1.0)
         s = 1.0 / mx if mx > 0 else 1.0
-        scales[con.name] = s
         out.add_constraint(
             {k: c * s for k, c in con.coeffs.items()}, con.relation, con.rhs * s, con.name
         )
     out.set_objective(dict(lp.objective), lp.objective_constant)
-    return out, scales
+    return out
 
 
 def check_solution(lp: LinearProgram, values: dict[str, float], tol: float = FEASIBILITY_TOL) -> list[Violation]:

@@ -12,6 +12,10 @@ states:
 * each contingency after all curative actions (battery plus curtailment) —
   flows within permanent ratings.
 
+Every state's rating rows are written directly in the controls, through the
+DC model of its topology: flow = base flow (:func:`dc_flows`) minus the line's
+PTDFs (:func:`compute_ptdf`) times the control withdrawn at each bus.
+
 Preventive controls (battery setpoint, curtailment) are shared by all states;
 curative controls exist per contingency. Battery sign convention: positive =
 charging. Curtailment is nonnegative and bounded by the forecasted curtailable
@@ -32,9 +36,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .dc_network import TopologyState
+from .dc_network import TopologyState, compute_ptdf, dc_flows
 from .grid_model import (
-    Contingency,
     ForecastSeries,
     Season,
     TimestepForecast,
@@ -110,7 +113,6 @@ class BandwidthProblem:
     curtailment_vars: dict[str, str]  # bus -> var
     curative_battery_vars: dict[str, tuple[str, str]]  # contingency -> (charge+, discharge+)
     curative_curtailment_vars: dict[tuple[str, str], str]  # (bus, contingency) -> var
-    flow_vars: dict[tuple[str, str, str], str]  # (stage, contingency|"", line) -> var
     rating_rows: dict[str, tuple[str, str, str, str]]  # row -> (line, stage, contingency|"", rating)
 
     def curative_battery_value(self, solution: LpSolution, contingency_id: str) -> float:
@@ -136,13 +138,6 @@ class PowerBandwidthResult:
     @property
     def preventive_curtailment_mw(self) -> float:
         return max(self.preventive_curtailment_lower_mw, self.preventive_curtailment_upper_mw)
-
-
-def _stages(zone: ZoneModel) -> list[tuple[str, Contingency | None]]:
-    stages: list[tuple[str, Contingency | None]] = [(NORMAL, None)]
-    for c in zone.contingencies:
-        stages.extend([(OUTAGE, c), (FAST_CURATIVE, c), (FULL_CURATIVE, c)])
-    return stages
 
 
 def build_lp(
@@ -205,105 +200,56 @@ def build_lp(
                 {curt[b]: 1.0, v: 1.0}, Relation.LE, cap, name=f"cur_curt_cap:{b}@{c.id}"
             )
 
-    flow_vars: dict[tuple[str, str, str], str] = {}
+    # one DC model per topology (intact, then each contingency): a stage's
+    # flow on an active line is base - sum_bus PTDF * control
     rating_rows: dict[str, tuple[str, str, str, str]] = {}
+    for contingency in (None, *zone.contingencies):
+        if contingency is None:
+            cid, stages = "", (NORMAL,)
+            topo = TopologyState.base(zone)
+            refs = row.ref_normal_mw
+        else:
+            cid, stages = contingency.id, (OUTAGE, FAST_CURATIVE, FULL_CURATIVE)
+            topo = TopologyState.for_contingency(zone, contingency)
+            refs = row.ref_contingency_mw[cid]
+        base = dc_flows(zone, topo, row.injections_mw, refs)
+        ptdf = compute_ptdf(zone, topo).line_factors
 
-    for stage, contingency in _stages(zone):
-        cid = contingency.id if contingency else ""
-        topo = (
-            TopologyState.base(zone)
-            if contingency is None
-            else TopologyState.for_contingency(zone, contingency)
-        )
-        tag = stage if not cid else f"{stage}[{cid}]"
+        for stage in stages:
+            tag = stage if not cid else f"{stage}[{cid}]"
 
-        theta = {
-            b: lp.add_variable(f"angle:{tag}:{b}", -INF, INF) for b in zone.bus_ids()
-        }
-        # one angle reference per electrical island
-        for island in topo.islands:
-            ref = min(island)
-            ref_var = theta[ref]
-            lp.add_constraint({ref_var: 1.0}, Relation.EQ, 0.0, name=f"angle_ref:{tag}:{ref}")
-
-        flows = {}
-        for lid in topo.active_lines:
-            line = zone.line(lid)
-            fv = lp.add_variable(f"flow:{tag}:{lid}", -INF, INF)
-            flows[lid] = fv
-            flow_vars[(stage, cid, lid)] = fv
-            lp.add_constraint(
-                {fv: line.reactance_pu, theta[line.from_bus]: -1.0, theta[line.to_bus]: 1.0},
-                Relation.EQ,
-                0.0,
-                name=f"flow_def:{tag}:{lid}",
-            )
-
-        # controls acting in this stage, per bus: +1 MW of control withdraws
-        # 1 MW of net injection
-        def control_terms(bus: str) -> dict[str, float]:
-            terms: dict[str, float] = {}
-            if bus == zone.battery_bus:
-                terms[batt] = 1.0
-                if stage in (FAST_CURATIVE, FULL_CURATIVE):
-                    plus, minus = cur_batt[cid]
-                    terms[plus] = 1.0
-                    terms[minus] = -1.0
-            terms[curt[bus]] = terms.get(curt[bus], 0.0) + 1.0
+            # controls acting in this stage, per bus: +1 MW of control withdraws
+            # 1 MW of net injection
+            controls = {b: {curt[b]: 1.0} for b in zone.bus_ids()}
+            controls[zone.battery_bus][batt] = 1.0
+            if stage in (FAST_CURATIVE, FULL_CURATIVE):
+                plus, minus = cur_batt[cid]
+                controls[zone.battery_bus].update({plus: 1.0, minus: -1.0})
             if stage == FULL_CURATIVE:
-                v = cur_curt[(bus, cid)]
-                terms[v] = terms.get(v, 0.0) + 1.0
-            return terms
+                for b in zone.bus_ids():
+                    controls[b][cur_curt[(b, cid)]] = 1.0
 
-        obound = {}
-        for oid in topo.active_outbound:
-            o = zone.outbound(oid)
-            ov = lp.add_variable(f"oflow:{tag}:{oid}", -INF, INF)
-            obound[oid] = ov
-            ref_flow = (
-                row.ref_normal_mw[oid]
-                if contingency is None
-                else row.ref_contingency_mw[cid][oid]
-            )
-            factors = o.ptdf_normal if contingency is None else o.ptdf_contingency[cid]
-            coeffs = {ov: 1.0}
-            for b in zone.bus_ids():
-                f = factors[b]
-                if f == 0.0:
-                    continue
-                for var, mult in control_terms(b).items():
-                    coeffs[var] = coeffs.get(var, 0.0) + f * mult
-            lp.add_constraint(coeffs, Relation.EQ, ref_flow, name=f"oflow_def:{tag}:{oid}")
-
-        for b in zone.bus_ids():
-            # net outflow on internal lines + exports = injection - controls
-            coeffs: dict[str, float] = {}
+            rating_name = _STAGE_RATING[stage]
             for lid in topo.active_lines:
-                line = zone.line(lid)
-                if line.from_bus == b:
-                    coeffs[flows[lid]] = coeffs.get(flows[lid], 0.0) + 1.0
-                elif line.to_bus == b:
-                    coeffs[flows[lid]] = coeffs.get(flows[lid], 0.0) - 1.0
-            for oid in topo.active_outbound:
-                o = zone.outbound(oid)
-                if o.boundary_bus == b:
-                    coeffs[obound[oid]] = coeffs.get(obound[oid], 0.0) + 1.0
-            for var, mult in control_terms(b).items():
-                coeffs[var] = coeffs.get(var, 0.0) + mult
-            lp.add_constraint(coeffs, Relation.EQ, row.injections_mw[b], name=f"balance:{tag}:{b}")
-
-        rating_name = _STAGE_RATING[stage]
-        for lid in topo.active_lines:
-            line = zone.line(lid)
-            limit = select_ratings(line, season).for_state(rating_name)
-            up = lp.add_constraint(
-                {flows[lid]: 1.0}, Relation.LE, limit, name=f"rating_hi:{tag}:{lid}"
-            )
-            dn = lp.add_constraint(
-                {flows[lid]: -1.0}, Relation.LE, limit, name=f"rating_lo:{tag}:{lid}"
-            )
-            rating_rows[up] = (lid, stage, cid, rating_name)
-            rating_rows[dn] = (lid, stage, cid, rating_name)
+                flow: dict[str, float] = {}  # flow - base, in the controls
+                for b in zone.bus_ids():
+                    f = ptdf[lid][b]
+                    if f == 0.0:
+                        continue
+                    for var, mult in controls[b].items():
+                        flow[var] = flow.get(var, 0.0) - f * mult
+                limit = select_ratings(zone.line(lid), season).for_state(rating_name)
+                up = lp.add_constraint(
+                    flow, Relation.LE, limit - base[lid], name=f"rating_hi:{tag}:{lid}"
+                )
+                dn = lp.add_constraint(
+                    {var: -c for var, c in flow.items()},
+                    Relation.LE,
+                    limit + base[lid],
+                    name=f"rating_lo:{tag}:{lid}",
+                )
+                rating_rows[up] = (lid, stage, cid, rating_name)
+                rating_rows[dn] = (lid, stage, cid, rating_name)
 
     sign = 1.0 if direction == Direction.LOWER else -1.0
     objective: dict[str, float] = {batt: sign}
@@ -325,7 +271,6 @@ def build_lp(
         curtailment_vars=curt,
         curative_battery_vars=cur_batt,
         curative_curtailment_vars=cur_curt,
-        flow_vars=flow_vars,
         rating_rows=rating_rows,
     )
 
@@ -352,18 +297,14 @@ def _solve_direction(
     lp = problem.lp
 
     if lexicographic:
-        # stage 1: minimize preventive curtailment alone, then pin it
-        stage1 = {problem.curtailment_vars[b]: 1.0 for b in zone.bus_ids()}
-        lp.set_objective(stage1)
+        # stage 1: minimize total preventive curtailment alone, then bound
+        # the total by that optimum (the split across buses stays free)
+        total = {problem.curtailment_vars[b]: 1.0 for b in zone.bus_ids()}
+        lp.set_objective(total)
         sol1 = solve(lp, compute_duals=False)
         if sol1.status != SolveStatus.OPTIMAL:
             return _infeasible_outcome(zone, row, season, direction, weights, sol1)
-        for b in zone.bus_ids():
-            var = problem.curtailment_vars[b]
-            val = sol1.value(var)
-            for v in lp.variables:
-                if v.name == var:
-                    v.lower = v.upper = val
+        lp.add_constraint(total, Relation.LE, sol1.objective, name="curt_total_cap")
         sign = 1.0 if direction == Direction.LOWER else -1.0
         objective: dict[str, float] = {problem.battery_var: sign}
         for c in zone.contingencies:
@@ -444,7 +385,7 @@ def _max_violation_diagnostic(
             worst.append((v, f"{lid}:{stage}{'[' + cid + ']' if cid else ''}:{rating} by {v:.3f} MW"))
     worst.sort(reverse=True)
     if not worst:
-        return "infeasible (inconsistent balance data)"
+        return "infeasible (the relaxed ratings need no overload: numerical tolerance)"
     return "unclearable overload: " + "; ".join(w[1] for w in worst[:4])
 
 
@@ -512,23 +453,7 @@ def solve_timestep(
 
 def _solve_timestep_job(args) -> PowerBandwidthResult:
     zone, row, weights, lexicographic = args
-    try:
-        return solve_timestep(zone, row, None, weights, lexicographic)
-    except Exception as exc:  # per-timestep failures must not abort the horizon
-        return PowerBandwidthResult(
-            index=row.index,
-            timestamp=row.timestamp,
-            season=row.season.value,
-            lower_mw=math.nan,
-            upper_mw=math.nan,
-            curative_charge_worst_mw=math.nan,
-            curative_discharge_worst_mw=math.nan,
-            preventive_curtailment_lower_mw=math.nan,
-            preventive_curtailment_upper_mw=math.nan,
-            congestion_class=CongestionClass.INFEASIBLE,
-            binding_constraint=None,
-            failure=f"error: {exc}",
-        )
+    return solve_timestep(zone, row, None, weights, lexicographic)
 
 
 def compute_power_bandwidths(
@@ -541,8 +466,10 @@ def compute_power_bandwidths(
 ) -> list[PowerBandwidthResult]:
     """Bandwidths for timesteps [0, horizon); independent and parallelizable.
 
-    Failed timesteps are reported in their result rows (class ``infeasible``
-    with a ``failure`` diagnostic) instead of aborting the horizon.
+    A timestep whose ratings cannot be met is reported in its result row
+    (class ``infeasible`` with a ``failure`` diagnostic). Any exception raised
+    while solving a timestep propagates to the caller: a crash is not a grid
+    finding.
     """
     rows = list(forecast)[: horizon if horizon is not None else len(forecast)]
     weights = weights or ObjectiveWeights()
@@ -614,11 +541,12 @@ POWER_CSV_HEADER = [
 ]
 
 
-def _fmt6(x: float) -> str:
+def fmt6(x: float) -> str:
+    """A report cell: six decimals, empty for NaN, never ``-0.000000``."""
     if math.isnan(x):
         return ""
     if abs(x) < 5e-7:
-        x = 0.0  # avoid "-0.000000"
+        x = 0.0
     return f"{x:.6f}"
 
 
@@ -630,11 +558,11 @@ def power_results_to_csv(results: list[PowerBandwidthResult]) -> str:
         writer.writerow(
             [
                 r.timestamp,
-                _fmt6(r.lower_mw),
-                _fmt6(r.upper_mw),
-                _fmt6(r.curative_charge_worst_mw),
-                _fmt6(r.curative_discharge_worst_mw),
-                _fmt6(r.preventive_curtailment_mw),
+                fmt6(r.lower_mw),
+                fmt6(r.upper_mw),
+                fmt6(r.curative_charge_worst_mw),
+                fmt6(r.curative_discharge_worst_mw),
+                fmt6(r.preventive_curtailment_mw),
                 r.congestion_class.value,
                 r.binding_constraint or "",
             ]

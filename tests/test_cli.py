@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -181,3 +182,10 @@ def test_export_lp(zone_path, forecast_paths, tmp_path):
 def test_export_lp_bad_timestep_exits_1(zone_path, forecast_paths):
     res = _run("export-lp", "--zone", zone_path, "--forecast", forecast_paths["summer_day"], "--timestep", 99)
     assert res.exit_code == 1
+
+
+def test_stats_season_override_is_applied(zone_path, forecast_paths):
+    res = _run("stats", "--zone", zone_path, "--forecast", forecast_paths["winter_day"],
+               "--season", "summer", "--json")
+    assert res.exit_code == 0, res.output
+    assert list(json.loads(res.output)["by_season"]) == ["summer"]

@@ -7,12 +7,14 @@ import math
 
 import pytest
 
+from bandwidth_engine.dc_network import TopologyState, dc_flows
 from bandwidth_engine.fixtures import random_instance, reference_full_network
 from bandwidth_engine.grid_model import (
     ForecastSeries,
     RatingSet,
     Season,
     TimestepForecast,
+    select_ratings,
 )
 from bandwidth_engine.lp_core import SolveStatus, solve
 from bandwidth_engine.oracle import GridSearchConfig, brute_force_power_bandwidth
@@ -309,6 +311,31 @@ def test_lexicographic_agrees_with_weighted(zone, summer_day, winter_day):
             assert lexi.upper_mw == pytest.approx(weighted.upper_mw, abs=1e-5)
 
 
+@pytest.mark.parametrize("seed, lower, upper", [(180, -6.793, 6.9), (476, 1.748, 3.489)])
+def test_lexicographic_bounds_total_curtailment_across_buses(seed, lower, upper):
+    """With curtailment at every bus, lexicographic mode bounds the total at
+    its stage-1 optimum and leaves the split free, so its band is the
+    weighted band."""
+    zone, row = random_instance(seed)
+    row = dataclasses.replace(row, curtailable_max_mw={b: 8.0 for b in zone.bus_ids()})
+    weighted = solve_timestep(zone, row)
+    lexi = solve_timestep(zone, row, lexicographic=True)
+    assert lexi.lower_mw == pytest.approx(weighted.lower_mw, abs=1e-6)
+    assert lexi.upper_mw == pytest.approx(weighted.upper_mw, abs=1e-6)
+    assert lexi.lower_mw == pytest.approx(lower, abs=1e-3)
+    assert lexi.upper_mw == pytest.approx(upper, abs=1e-3)
+    assert check_safety(zone, row, lexi) == []
+
+
+def test_solver_error_propagates_instead_of_infeasible_row(zone, winter_day):
+    """A crash is not a grid finding: it must not become an infeasible row."""
+    row = winter_day[0]
+    curt = {b: v for b, v in row.curtailable_max_mw.items() if b != "gamma"}
+    broken = dataclasses.replace(row, curtailable_max_mw=curt)
+    with pytest.raises(KeyError):
+        compute_power_bandwidths(zone, ForecastSeries((broken,)))
+
+
 def test_results_are_reproducible(zone, winter_day):
     a = solve_timestep(zone, winter_day[0])
     b = solve_timestep(zone, winter_day[0])
@@ -361,3 +388,73 @@ def test_csv_format_is_stable(zone, winter_day):
         "reduced,alpha-beta:outage[gamma-delta-outage]:immediate"
     )
     assert lines[4].split(",")[1] == "3.000000"
+
+
+# ---------------------------------------------------------------------------
+# independent check of the network model: re-solve each stage's DC flows
+# from the LP optimum's controls, without PTDFs or rating rows
+# ---------------------------------------------------------------------------
+
+_STAGE_LIMIT = {
+    "normal": "permanent",
+    "outage": "immediate",
+    "fast_curative": "long_term",
+    "full_curative": "permanent",
+}
+
+
+def _withdrawals(zone, problem, sol, stage, cid):
+    """Per bus, the MW withdrawn by the controls acting in ``stage``."""
+    out = {b: sol.value(problem.curtailment_vars[b]) for b in zone.bus_ids()}
+    out[zone.battery_bus] += sol.value(problem.battery_var)
+    if stage in ("fast_curative", "full_curative"):
+        out[zone.battery_bus] += problem.curative_battery_value(sol, cid)
+    if stage == "full_curative":
+        for b in zone.bus_ids():
+            out[b] += sol.value(problem.curative_curtailment_vars[(b, cid)])
+    return out
+
+
+def _optimum_flows_within_ratings(zone, row) -> bool:
+    """Assert every stage's re-solved flows respect its ratings, in both
+    directions; False if the timestep is infeasible."""
+    for direction in Direction:
+        problem = build_lp(zone, row, row.season, direction)
+        sol = solve(problem.lp, compute_duals=False)
+        if sol.status != SolveStatus.OPTIMAL:
+            return False
+        for c in (None, *zone.contingencies):
+            if c is None:
+                topo, refs, stages = TopologyState.base(zone), row.ref_normal_mw, ["normal"]
+            else:
+                topo = TopologyState.for_contingency(zone, c)
+                refs = row.ref_contingency_mw[c.id]
+                stages = ["outage", "fast_curative", "full_curative"]
+            for stage in stages:
+                w = _withdrawals(zone, problem, sol, stage, c.id if c else "")
+                injections = {b: row.injections_mw[b] - w[b] for b in zone.bus_ids()}
+                boundary = {}
+                for oid in topo.active_outbound:
+                    o = zone.outbound(oid)
+                    sens = o.ptdf_normal if c is None else o.ptdf_contingency[c.id]
+                    boundary[oid] = refs[oid] - sum(sens[b] * w[b] for b in zone.bus_ids())
+                for lid, flow in dc_flows(zone, topo, injections, boundary).items():
+                    limit = select_ratings(zone.line(lid), row.season).for_state(
+                        _STAGE_LIMIT[stage]
+                    )
+                    assert abs(flow) <= limit + 1e-6, (
+                        f"t={row.index} {direction.value} {stage} {lid}: {flow:.6f} > {limit}"
+                    )
+    return True
+
+
+def test_lp_optimum_respects_ratings_in_independent_dc_flows(zone, summer_day, winter_day):
+    for series in (summer_day, winter_day):
+        for row in series:
+            assert _optimum_flows_within_ratings(zone, row)
+    feasible = 0
+    seed = 0
+    while feasible < 50:
+        z, row = random_instance(seed)
+        feasible += _optimum_flows_within_ratings(z, row)
+        seed += 1
