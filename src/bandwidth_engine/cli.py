@@ -4,9 +4,9 @@ Subcommands: ``compute`` (bandwidths + reports), ``stats`` (availability
 summary), ``verify`` (brute-force cross-checks), ``export-lp`` (textual LP
 dump of one timestep problem).
 
-Exit codes: 0 success; 1 error; 2 infeasible timesteps present (files are
-still written); 3 verification disagreement. ``BANDWIDTH_ENGINE_LOG`` sets the
-log level.
+Exit codes: 0 success; 1 error (a numerically unstable LP included); 2
+infeasible timesteps present (files are still written); 3 verification
+disagreement. ``BANDWIDTH_ENGINE_LOG`` sets the log level.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .power_bandwidth import (
     CongestionClass,
     Direction,
     ObjectiveWeights,
+    UnstableLpError,
     build_lp,
     compute_power_bandwidths,
     fmt6,
@@ -99,6 +100,10 @@ class RunConfig:
 
     def weights(self) -> ObjectiveWeights:
         return ObjectiveWeights(self.c1, self.c2, self.c3)
+
+    @property
+    def lexicographic(self) -> bool:
+        return self.objective == "lexicographic"
 
 
 def _load_config(config_path: str | None, overrides: dict) -> RunConfig:
@@ -156,7 +161,7 @@ def _run_compute(cfg: RunConfig) -> int:
         horizon=horizon,
         workers=cfg.workers,
         weights=cfg.weights(),
-        lexicographic=(cfg.objective == "lexicographic"),
+        lexicographic=cfg.lexicographic,
     )
 
     out = Path(cfg.out)
@@ -254,7 +259,9 @@ def compute(config, zone, forecast, horizon, season, objective, c1, c2, c3, out,
             ),
         )
         sys.exit(_run_compute(cfg))
-    except (ZoneValidationError, EnergyBandwidthError, ValueError, TypeError, OSError) as exc:
+    except (
+        ZoneValidationError, EnergyBandwidthError, UnstableLpError, ValueError, TypeError, OSError
+    ) as exc:
         logger.error("%s", exc)
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)
@@ -293,14 +300,14 @@ def stats(config, zone, forecast, horizon, season, objective, c1, c2, c3, out, w
                 horizon=cfg.horizon,
                 workers=cfg.workers,
                 weights=cfg.weights(),
-                lexicographic=(cfg.objective == "lexicographic"),
+                lexicographic=cfg.lexicographic,
             )
             report = summarize(res)
         if binding_csv:
             Path(binding_csv).write_text(binding_lines_to_csv(report))
         click.echo(report.to_json() if as_json else report.to_text(), nl=False)
         sys.exit(EXIT_OK)
-    except (ZoneValidationError, ValueError, OSError) as exc:
+    except (ZoneValidationError, UnstableLpError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)
 
@@ -344,15 +351,15 @@ def verify(config, zone, forecast, horizon, season, objective, c1, c2, c3,
            timestep, power_resolution, curtailment_resolution, seeds, golden, tolerance):
     """Cross-check the engine against the brute-force oracles."""
     try:
-        if golden:
-            sys.exit(_verify_golden(zone, forecast, golden, horizon))
-        if seeds is not None:
+        if seeds is not None and not golden:
             sys.exit(_verify_seeds(seeds, power_resolution, curtailment_resolution))
         cfg = _load_config(
             config,
             dict(zone=zone, forecast=forecast, horizon=horizon, season=season,
                  objective=objective, c1=c1, c2=c2, c3=c3),
         )
+        if golden:
+            sys.exit(_verify_golden(cfg, golden))
         sys.exit(
             _verify_fixture(cfg, list(timestep) or None, power_resolution,
                              curtailment_resolution, tolerance)
@@ -360,7 +367,7 @@ def verify(config, zone, forecast, horizon, season, objective, c1, c2, c3,
     except OracleGuardError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)
-    except (ZoneValidationError, ValueError, OSError) as exc:
+    except (ZoneValidationError, UnstableLpError, ValueError, TypeError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_ERROR)
 
@@ -369,12 +376,13 @@ def _verify_fixture(cfg, timesteps, power_res, curt_res, tolerance) -> int:
     zone, forecast = _load_inputs(cfg)
     config = GridSearchConfig(power_res, curt_res)
     tol = tolerance if tolerance is not None else power_res + 1e-9
-    indices = timesteps if timesteps is not None else range(len(forecast))
+    horizon = cfg.horizon if cfg.horizon is not None else len(forecast)
+    indices = timesteps if timesteps is not None else range(horizon)
     disagreements = 0
     results = {}
     for t in indices:
         row = forecast[t]
-        engine = solve_timestep(zone, row, weights=cfg.weights())
+        engine = solve_timestep(zone, row, weights=cfg.weights(), lexicographic=cfg.lexicographic)
         results[t] = engine
         oracle = brute_force_power_bandwidth(zone, row, config=config)
         if engine.congestion_class == CongestionClass.INFEASIBLE:
@@ -444,12 +452,12 @@ def _verify_seeds(n: int, power_res: float, curt_res: float) -> int:
     return EXIT_DISAGREEMENT if disagreements else EXIT_OK
 
 
-def _verify_golden(zone_path, forecast_path, golden, horizon) -> int:
-    if not zone_path or not forecast_path:
-        raise ValueError("--golden needs --zone and --forecast")
-    zone = load_zone(zone_path)
-    forecast = load_forecast(forecast_path, zone)
-    results = compute_power_bandwidths(zone, forecast, horizon=horizon)
+def _verify_golden(cfg: RunConfig, golden) -> int:
+    zone, forecast = _load_inputs(cfg)
+    results = compute_power_bandwidths(
+        zone, forecast, horizon=cfg.horizon, weights=cfg.weights(),
+        lexicographic=cfg.lexicographic,
+    )
     fresh = power_results_to_csv(results)
     expected = Path(golden).read_text()
     if fresh == expected:

@@ -11,6 +11,10 @@ outbound sensitivities recorded on the zone. The effective sensitivity of an
 internal line to an injection therefore combines the zone network with the
 recorded boundary response — this is what :func:`compute_ptdf` evaluates.
 
+:class:`NetworkModel` holds, per topology of a zone, the PTDFs and a
+line-by-bus flow matrix, so that every hour's base flows are one
+matrix-vector product instead of a fresh network solve.
+
 :class:`FullNetwork` is a whole-grid helper for building synthetic test
 fixtures: it produces reference boundary flows and outbound sensitivities that
 are consistent by construction.
@@ -18,6 +22,7 @@ are consistent by construction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,21 +143,19 @@ def _solve_island_angles(
     return angles
 
 
-def dc_flows(
+def _net_injections(
     zone: ZoneModel,
     topology: TopologyState,
     injections_mw: dict[str, float],
     boundary_flows_mw: dict[str, float],
-) -> dict[str, float]:
-    """DC flows on the topology's active internal lines, in MW.
+    bus_pos: dict[str, int],
+) -> np.ndarray:
+    """Net nodal injections as an (n_buses, 1) column; every island must balance.
 
-    ``boundary_flows_mw`` are export-positive per active outbound line and are
-    treated as injections of the opposite sign at their boundary bus. Every
-    electrical island must balance to :data:`BALANCE_TOL_MW`.
+    Boundary flows (export-positive) enter as injections of the opposite sign
+    at their boundary bus.
     """
-    bus_ids = zone.bus_ids()
-    bus_pos = {b: i for i, b in enumerate(bus_ids)}
-    p = np.zeros((len(bus_ids), 1))
+    p = np.zeros((len(bus_pos), 1))
     for b, v in injections_mw.items():
         p[bus_pos[b], 0] += v
     for oid in topology.active_outbound:
@@ -166,18 +169,46 @@ def dc_flows(
                 f"island {{{','.join(sorted(island))}}} has {net:.6e} MW imbalance "
                 f"between injections and boundary flows"
             )
+    return p
 
+
+def _line_flows(
+    zone: ZoneModel,
+    topology: TopologyState,
+    injections: np.ndarray,
+    bus_pos: dict[str, int],
+) -> np.ndarray:
+    """Flows on the topology's active lines (rows) for each injection column."""
     angles: dict[str, np.ndarray] = {}
     for island in topology.islands:
-        angles.update(_solve_island_angles(zone, island, topology.active_lines, p, bus_pos))
-
-    flows = {}
-    for lid in topology.active_lines:
+        angles.update(_solve_island_angles(zone, island, topology.active_lines, injections, bus_pos))
+    flows = np.empty((len(topology.active_lines), injections.shape[1]))
+    for i, lid in enumerate(topology.active_lines):
         line = zone.line(lid)
-        flows[lid] = float(
-            (angles[line.from_bus][0] - angles[line.to_bus][0]) / line.reactance_pu
-        )
+        flows[i] = (angles[line.from_bus] - angles[line.to_bus]) / line.reactance_pu
     return flows
+
+
+def _bus_positions(zone: ZoneModel) -> dict[str, int]:
+    return {b: i for i, b in enumerate(zone.bus_ids())}
+
+
+def dc_flows(
+    zone: ZoneModel,
+    topology: TopologyState,
+    injections_mw: dict[str, float],
+    boundary_flows_mw: dict[str, float],
+) -> dict[str, float]:
+    """DC flows on the topology's active internal lines, in MW.
+
+    ``boundary_flows_mw`` are export-positive per active outbound line and are
+    treated as injections of the opposite sign at their boundary bus. Every
+    electrical island must balance to :data:`BALANCE_TOL_MW`.
+    """
+    bus_pos = _bus_positions(zone)
+    p = _net_injections(zone, topology, injections_mw, boundary_flows_mw, bus_pos)
+    flows = _line_flows(zone, topology, p, bus_pos)
+    return {lid: float(flows[i, 0]) for i, lid in enumerate(topology.active_lines)}
 
 
 def compute_ptdf(zone: ZoneModel, topology: TopologyState) -> PtdfMatrix:
@@ -189,7 +220,7 @@ def compute_ptdf(zone: ZoneModel, topology: TopologyState) -> PtdfMatrix:
     exact, and cheap at zone scale.
     """
     bus_ids = zone.bus_ids()
-    bus_pos = {b: i for i, b in enumerate(bus_ids)}
+    bus_pos = _bus_positions(zone)
     n = len(bus_ids)
     P = np.zeros((n, n))  # column k: net nodal injection pattern for bus k
     for k, bus in enumerate(bus_ids):
@@ -212,21 +243,63 @@ def compute_ptdf(zone: ZoneModel, topology: TopologyState) -> PtdfMatrix:
                     f"{bus!r} (residual {net:.3e}); outbound sensitivities are inconsistent"
                 )
 
-    angles: dict[str, np.ndarray] = {}
-    for island in topology.islands:
-        angles.update(_solve_island_angles(zone, island, topology.active_lines, P, bus_pos))
-
-    line_factors: dict[str, dict[str, float]] = {}
-    for lid in topology.active_lines:
-        line = zone.line(lid)
-        sens = (angles[line.from_bus] - angles[line.to_bus]) / line.reactance_pu
-        line_factors[lid] = {bus: float(sens[k]) for k, bus in enumerate(bus_ids)}
-
+    sens = _line_flows(zone, topology, P, bus_pos)
+    line_factors = {
+        lid: {bus: float(sens[i, k]) for k, bus in enumerate(bus_ids)}
+        for i, lid in enumerate(topology.active_lines)
+    }
     outbound_factors = {
         oid: dict(_outbound_ptdf(zone, oid, topology.contingency_id))
         for oid in topology.active_outbound
     }
     return PtdfMatrix(line_factors, outbound_factors)
+
+
+@dataclass(frozen=True)
+class TopologyModel:
+    """One topology's DC model: its state, PTDF line factors and flow matrix.
+
+    ``flow_matrix`` (active lines x zone buses) maps net nodal injections to
+    line flows; it is the network solve of :func:`dc_flows` done once for unit
+    injections.
+    """
+
+    state: TopologyState
+    line_factors: dict[str, dict[str, float]]
+    flow_matrix: np.ndarray
+
+
+class NetworkModel:
+    """A zone's DC model for a fixed set of topologies, reused for every hour.
+
+    Built from the topology states it is given (keyed by their contingency id,
+    ``None`` for the intact topology); it raises :class:`IslandingError` where
+    :func:`compute_ptdf` would. :meth:`flows` checks each island's balance as
+    :func:`dc_flows` does, then takes one matrix-vector product.
+    """
+
+    def __init__(self, zone: ZoneModel, topologies: Iterable[TopologyState]):
+        self.zone = zone
+        self._bus_pos = _bus_positions(zone)
+        unit = np.eye(len(self._bus_pos))
+        self.topologies: dict[str | None, TopologyModel] = {
+            t.contingency_id: TopologyModel(
+                t,
+                compute_ptdf(zone, t).line_factors,
+                _line_flows(zone, t, unit, self._bus_pos),
+            )
+            for t in topologies
+        }
+
+    def flows(
+        self,
+        topology: TopologyModel,
+        injections_mw: dict[str, float],
+        boundary_flows_mw: dict[str, float],
+    ) -> dict[str, float]:
+        """DC flows on the topology's active lines, in MW (see :func:`dc_flows`)."""
+        p = _net_injections(self.zone, topology.state, injections_mw, boundary_flows_mw, self._bus_pos)
+        return dict(zip(topology.state.active_lines, (topology.flow_matrix @ p)[:, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------

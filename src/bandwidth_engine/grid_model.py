@@ -124,33 +124,35 @@ class ZoneModel:
     timestep_hours: float
     curative_duration_hours: float
     base_mva: float = 100.0
+    # id -> element lookups, derived from the tuples above
+    _buses: dict[str, Bus] = field(init=False, repr=False, compare=False)
+    _lines: dict[str, Line] = field(init=False, repr=False, compare=False)
+    _outbound: dict[str, OutboundLine] = field(init=False, repr=False, compare=False)
+    _contingencies: dict[str, Contingency] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name, elements in (
+            ("_buses", self.buses),
+            ("_lines", self.lines),
+            ("_outbound", self.outbound_lines),
+            ("_contingencies", self.contingencies),
+        ):
+            object.__setattr__(self, name, {e.id: e for e in elements})
 
     def bus_ids(self) -> list[str]:
         return [b.id for b in self.buses]
 
     def bus(self, bus_id: str) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise KeyError(bus_id)
+        return self._buses[bus_id]
 
     def line(self, line_id: str) -> Line:
-        for l in self.lines:
-            if l.id == line_id:
-                return l
-        raise KeyError(line_id)
+        return self._lines[line_id]
 
     def outbound(self, oline_id: str) -> OutboundLine:
-        for o in self.outbound_lines:
-            if o.id == oline_id:
-                return o
-        raise KeyError(oline_id)
+        return self._outbound[oline_id]
 
     def contingency(self, cid: str) -> Contingency:
-        for c in self.contingencies:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self._contingencies[cid]
 
     @property
     def battery(self) -> Bus:

@@ -7,13 +7,19 @@ produces the identical pivot sequence and therefore the identical solution.
 
 External solvers can be plugged in by implementing the ``solve`` signature;
 everything downstream consumes only :class:`LpSolution`.
+
+A :class:`LinearProgram` changes only through its methods, so the standard
+form it is converted to for solving is kept until a variable, bound or row
+changes; solving again after a new objective alone reuses it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,17 +49,17 @@ class LpError(Exception):
     """Malformed linear program (bad coefficient, unknown variable, ...)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Variable:
     name: str
     lower: float
     upper: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constraint:
     name: str
-    coeffs: dict[str, float]
+    coeffs: Mapping[str, float]  # read-only
     relation: Relation
     rhs: float
 
@@ -73,22 +79,34 @@ class LinearProgram:
 
     def __init__(self, name: str = "lp"):
         self.name = name
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
+        self._variables: list[Variable] = []
+        self._constraints: list[Constraint] = []
         self.objective: dict[str, float] = {}
         self.objective_constant = 0.0
         self._var_index: dict[str, int] = {}
+        self._form: _StandardForm | None = None  # dropped by every change but the objective
+
+    @property
+    def variables(self) -> tuple[Variable, ...]:
+        return tuple(self._variables)
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        return tuple(self._constraints)
 
     def add_variable(self, name: str, lower: float = 0.0, upper: float = INF) -> str:
         if name in self._var_index:
             raise LpError(f"duplicate variable {name!r}")
-        if math.isnan(lower) or math.isnan(upper):
-            raise LpError(f"variable {name!r} has NaN bound")
-        if lower > upper:
-            raise LpError(f"variable {name!r} has lower > upper ({lower} > {upper})")
-        self._var_index[name] = len(self.variables)
-        self.variables.append(Variable(name, float(lower), float(upper)))
+        self._var_index[name] = len(self._variables)
+        self._variables.append(_variable(name, lower, upper))
+        self._form = None
         return name
+
+    def set_bounds(self, name: str, lower: float, upper: float) -> None:
+        if name not in self._var_index:
+            raise LpError(f"unknown variable {name!r}")
+        self._variables[self._var_index[name]] = _variable(name, lower, upper)
+        self._form = None
 
     def add_constraint(
         self,
@@ -107,7 +125,10 @@ class LinearProgram:
                 raise LpError(f"constraint {name!r} has non-finite coefficient on {var!r}")
         if not math.isfinite(rhs):
             raise LpError(f"constraint {name!r} has non-finite rhs")
-        self.constraints.append(Constraint(name, dict(coeffs), relation, float(rhs)))
+        self._constraints.append(
+            Constraint(name, MappingProxyType(dict(coeffs)), relation, float(rhs))
+        )
+        self._form = None
         return name
 
     def set_objective(self, coeffs: dict[str, float], constant: float = 0.0) -> None:
@@ -119,8 +140,11 @@ class LinearProgram:
         self.objective = dict(coeffs)
         self.objective_constant = float(constant)
 
-    def variable_index(self, name: str) -> int:
-        return self._var_index[name]
+    def _standard_form(self) -> _StandardForm:
+        """The standard form of the current variables and rows, built at most once."""
+        if self._form is None:
+            self._form = _StandardForm(self)
+        return self._form
 
     def to_lp_format(self) -> str:
         """Render in the textual LP file format (for debugging / export)."""
@@ -161,6 +185,14 @@ class LinearProgram:
         return "\n".join(out) + "\n"
 
 
+def _variable(name: str, lower: float, upper: float) -> Variable:
+    if math.isnan(lower) or math.isnan(upper):
+        raise LpError(f"variable {name!r} has NaN bound")
+    if lower > upper:
+        raise LpError(f"variable {name!r} has lower > upper ({lower} > {upper})")
+    return Variable(name, float(lower), float(upper))
+
+
 @dataclass
 class LpSolution:
     status: SolveStatus
@@ -178,18 +210,22 @@ class LpSolution:
 #
 # Every variable is shifted/flipped/split to a nonnegative column; finite upper
 # ranges become extra rows. Rows are sign-normalized to rhs >= 0 so phase one
-# can always seed a basis from slacks and artificials.
+# can always seed a basis from slacks and artificials. The objective is not
+# part of the form: :meth:`_StandardForm.costs` maps it onto the columns.
 # ---------------------------------------------------------------------------
 
 
 class _StandardForm:
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
+        variables, constraints = lp._variables, lp._constraints
+        self.var_names = [v.name for v in variables]
+        self.row_names = [con.name for con in constraints]
+        self._var_index = dict(lp._var_index)
         ncols = 0
         # per original var: ("shift", col, lb) | ("flip", col, ub) | ("split", col_pos, col_neg)
         self.var_map: list[tuple] = []
         extra_ub_rows: list[tuple[int, float]] = []  # (col, upper-range)
-        for v in lp.variables:
+        for v in variables:
             if v.lower == -INF and v.upper == INF:
                 self.var_map.append(("split", ncols, ncols + 1))
                 ncols += 2
@@ -202,17 +238,17 @@ class _StandardForm:
                     extra_ub_rows.append((ncols, v.upper - v.lower))
                 ncols += 1
 
-        nrows = len(lp.constraints) + len(extra_ub_rows)
+        n_user = len(constraints)
+        nrows = n_user + len(extra_ub_rows)
         A = np.zeros((nrows, ncols))
         b = np.zeros(nrows)
         rel: list[Relation] = []
-        self.row_sign = np.ones(len(lp.constraints))
+        self.row_sign = np.ones(n_user)
 
-        for i, con in enumerate(lp.constraints):
+        for i, con in enumerate(constraints):
             shift = 0.0
             for var, c in con.coeffs.items():
-                j = lp.variable_index(var)
-                kind = self.var_map[j]
+                kind = self.var_map[self._var_index[var]]
                 if kind[0] == "shift":
                     A[i, kind[1]] += c
                     shift += c * kind[2]
@@ -226,7 +262,7 @@ class _StandardForm:
             rel.append(con.relation)
 
         for k, (col, rng) in enumerate(extra_ub_rows):
-            i = len(lp.constraints) + k
+            i = n_user + k
             A[i, col] = 1.0
             b[i] = rng
             rel.append(Relation.LE)
@@ -236,42 +272,45 @@ class _StandardForm:
             if b[i] < 0:
                 A[i, :] *= -1.0
                 b[i] *= -1.0
-                if i < len(lp.constraints):
+                if i < n_user:
                     self.row_sign[i] = -1.0
                 if rel[i] == Relation.LE:
                     rel[i] = Relation.GE
                 elif rel[i] == Relation.GE:
                     rel[i] = Relation.LE
 
+        A.flags.writeable = False  # shared by every solve until the LP changes
+        b.flags.writeable = False
         self.A, self.b, self.rel = A, b, rel
         self.ncols = ncols
         self.nrows = nrows
 
-        c = np.zeros(ncols)
-        self.obj_shift = lp.objective_constant
-        for var, coef in lp.objective.items():
-            j = lp.variable_index(var)
-            kind = self.var_map[j]
+    def costs(self, objective: dict[str, float], constant: float) -> tuple[np.ndarray, float]:
+        """Column costs of an objective, and the constant the column shifts add."""
+        c = np.zeros(self.ncols)
+        shift = constant
+        for var, coef in objective.items():
+            kind = self.var_map[self._var_index[var]]
             if kind[0] == "shift":
                 c[kind[1]] += coef
-                self.obj_shift += coef * kind[2]
+                shift += coef * kind[2]
             elif kind[0] == "flip":
                 c[kind[1]] -= coef
-                self.obj_shift += coef * kind[2]
+                shift += coef * kind[2]
             else:
                 c[kind[1]] += coef
                 c[kind[2]] -= coef
-        self.c = c
+        return c, shift
 
     def recover(self, x_std: np.ndarray) -> dict[str, float]:
         values = {}
-        for v, kind in zip(self.lp.variables, self.var_map):
+        for name, kind in zip(self.var_names, self.var_map):
             if kind[0] == "shift":
-                values[v.name] = kind[2] + x_std[kind[1]]
+                values[name] = float(kind[2] + x_std[kind[1]])
             elif kind[0] == "flip":
-                values[v.name] = kind[2] - x_std[kind[1]]
+                values[name] = float(kind[2] - x_std[kind[1]])
             else:
-                values[v.name] = x_std[kind[1]] - x_std[kind[2]]
+                values[name] = float(x_std[kind[1]] - x_std[kind[2]])
         return values
 
 
@@ -358,7 +397,9 @@ class _Simplex:
             self._pivot(row, col)
 
 
-def _solve_standard(sf: _StandardForm) -> tuple[str, np.ndarray | None, np.ndarray | None, int]:
+def _solve_standard(
+    sf: _StandardForm, c: np.ndarray
+) -> tuple[str, np.ndarray | None, np.ndarray | None, int]:
     """Run two-phase simplex; returns (status, x, basis, iterations)."""
     sx = _Simplex(sf.A, sf.b, sf.rel)
     n_art = sx.total - sx.art_start
@@ -386,7 +427,7 @@ def _solve_standard(sf: _StandardForm) -> tuple[str, np.ndarray | None, np.ndarr
     allowed[sx.art_start :] = False
 
     cost2 = np.zeros(sx.total)
-    cost2[: sf.ncols] = sf.c
+    cost2[: sf.ncols] = c
     status = sx._run(cost2, allowed)
     if status == "stalled":
         return "stalled", None, None, sx.iterations
@@ -397,20 +438,19 @@ def _solve_standard(sf: _StandardForm) -> tuple[str, np.ndarray | None, np.ndarr
     return "optimal", x[: sf.ncols], sx.basis.copy(), sx.iterations
 
 
-def _compute_duals(sf: _StandardForm, basis: np.ndarray) -> dict[str, float] | None:
+def _compute_duals(sf: _StandardForm, c: np.ndarray, basis: np.ndarray) -> dict[str, float] | None:
     """Dual values per original constraint row from the optimal basis."""
     try:
-        n_user = len(sf.lp.constraints)
         # rebuild the full standard-form matrix with slack/artificial columns
         sx = _Simplex(sf.A, sf.b, sf.rel)
         full = sx.T[:, :-1]
         cost = np.zeros(sx.total)
-        cost[: sf.ncols] = sf.c
+        cost[: sf.ncols] = c
         B = full[:, basis]
         y = np.linalg.solve(B.T, cost[basis])
         duals = {}
-        for i in range(n_user):
-            duals[sf.lp.constraints[i].name] = float(y[i] * sf.row_sign[i])
+        for i, name in enumerate(sf.row_names):
+            duals[name] = float(y[i] * sf.row_sign[i])
         return duals
     except np.linalg.LinAlgError:
         return None
@@ -423,19 +463,21 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     retry on an equilibrated copy; if that also fails the status is
     ``numerically_unstable`` — deliberately distinct from ``infeasible``.
     """
-    if not lp.variables:
+    if not lp._variables:
         return LpSolution(SolveStatus.OPTIMAL, lp.objective_constant, {}, {}, 0)
 
-    sf = _StandardForm(lp)
-    status, x, basis, iters = _solve_standard(sf)
+    sf = lp._standard_form()
+    c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
+    status, x, basis, iters = _solve_standard(sf, c)
 
     rescaled = False
     if status == "stalled":
         sf2 = _StandardForm(_equilibrated_copy(lp))
-        status, x, basis, iters2 = _solve_standard(sf2)
+        c2, shift2 = sf2.costs(lp.objective, lp.objective_constant)
+        status, x, basis, iters2 = _solve_standard(sf2, c2)
         iters += iters2
         if status == "optimal":
-            sf = sf2
+            sf, c, obj_shift = sf2, c2, shift2
             rescaled = True
         elif status == "stalled":
             return LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan, {}, None, iters)
@@ -448,9 +490,9 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
         return LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan, {}, None, iters)
 
     values = sf.recover(x)
-    obj = sf.obj_shift + float(np.dot(sf.c, x))
+    obj = obj_shift + float(np.dot(c, x))
     # duals from a row-rescaled solve would need unscaling; skip them there
-    duals = _compute_duals(sf, basis) if compute_duals and not rescaled else None
+    duals = _compute_duals(sf, c, basis) if compute_duals and not rescaled else None
     return LpSolution(SolveStatus.OPTIMAL, obj, values, duals, iters)
 
 

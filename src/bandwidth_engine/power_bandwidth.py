@@ -1,9 +1,9 @@
 """Per-timestep power-bandwidth problems.
 
-Two LPs are solved per timestep; they differ only in the sign on the
-preventive battery setpoint in the objective (minimize it for the lower bound,
-maximize it for the upper bound). Each LP carries four families of network
-states:
+One LP is built per timestep and solved under two objectives that differ only
+in the sign on the preventive battery setpoint (minimize it for the lower
+bound, maximize it for the upper bound); the second solve reuses the first's
+standard form. The LP carries four families of network states:
 
 * normal state — flows within permanent ratings,
 * each contingency, before any recourse — flows within immediate ratings,
@@ -13,8 +13,10 @@ states:
   flows within permanent ratings.
 
 Every state's rating rows are written directly in the controls, through the
-DC model of its topology: flow = base flow (:func:`dc_flows`) minus the line's
-PTDFs (:func:`compute_ptdf`) times the control withdrawn at each bus.
+DC model of its topology: flow = base flow minus the line's PTDFs times the
+control withdrawn at each bus. The topologies, their PTDFs and flow matrices
+are built once per zone (:func:`network_model`) and shared by every timestep
+of a :func:`compute_power_bandwidths` call.
 
 Preventive controls (battery setpoint, curtailment) are shared by all states;
 curative controls exist per contingency. Battery sign convention: positive =
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .dc_network import TopologyState, compute_ptdf, dc_flows
+from .dc_network import NetworkModel, TopologyState
 from .grid_model import (
     ForecastSeries,
     Season,
@@ -55,6 +57,10 @@ from .lp_core import (
 )
 
 BOUND_TOL_MW = 1e-6
+
+
+class UnstableLpError(Exception):
+    """The solver could not solve a bandwidth LP reliably (not a grid finding)."""
 
 
 class Direction(str, Enum):
@@ -107,8 +113,6 @@ class BandwidthProblem:
     """A built LP plus the mapping from model symbols to LP variable names."""
 
     lp: LinearProgram
-    direction: Direction
-    timestep: int
     battery_var: str
     curtailment_vars: dict[str, str]  # bus -> var
     curative_battery_vars: dict[str, tuple[str, str]]  # contingency -> (charge+, discharge+)
@@ -119,8 +123,27 @@ class BandwidthProblem:
         plus, minus = self.curative_battery_vars[contingency_id]
         return solution.value(plus) - solution.value(minus)
 
+    def objective(
+        self, direction: Direction, weights: ObjectiveWeights, curtailment_bounded: bool = False
+    ) -> dict[str, float]:
+        """Minimize +-B by direction, plus the curtailment and curative terms.
 
-@dataclass(frozen=True)
+        ``curtailment_bounded`` drops the preventive curtailment term (the
+        lexicographic second stage bounds the total by a row instead).
+        """
+        objective = {self.battery_var: 1.0 if direction == Direction.LOWER else -1.0}
+        if not curtailment_bounded:
+            for v in self.curtailment_vars.values():
+                objective[v] = weights.preventive_curtailment
+        for plus, minus in self.curative_battery_vars.values():
+            objective[plus] = weights.curative_battery
+            objective[minus] = weights.curative_battery
+        for v in self.curative_curtailment_vars.values():
+            objective[v] = weights.curative_curtailment
+        return objective
+
+
+@dataclass(frozen=True, slots=True)
 class PowerBandwidthResult:
     index: int
     timestamp: str
@@ -140,6 +163,15 @@ class PowerBandwidthResult:
         return max(self.preventive_curtailment_lower_mw, self.preventive_curtailment_upper_mw)
 
 
+def network_model(zone: ZoneModel) -> NetworkModel:
+    """The zone's DC model for the intact topology and for each contingency."""
+    return NetworkModel(
+        zone,
+        [TopologyState.base(zone)]
+        + [TopologyState.for_contingency(zone, c) for c in zone.contingencies],
+    )
+
+
 def build_lp(
     zone: ZoneModel,
     row: TimestepForecast,
@@ -148,17 +180,21 @@ def build_lp(
     weights: ObjectiveWeights | None = None,
     battery_fixed_mw: float | None = None,
     forbid_preventive_curtailment: bool = False,
+    network: NetworkModel | None = None,
 ) -> BandwidthProblem:
     """Build one direction's LP for one timestep.
 
     ``battery_fixed_mw`` pins the preventive setpoint (used by the safety
     check); ``forbid_preventive_curtailment`` zeroes the curtailment budget
-    (used by the battery-priority check).
+    (used by the battery-priority check). ``network`` is the zone's
+    :func:`network_model`, built here when not given.
     """
     season = Season(season)
     direction = Direction(direction)
     weights = weights or ObjectiveWeights()
     weights.validate()
+    if network is None:
+        network = network_model(zone)
 
     battery = zone.battery
     lp = LinearProgram(f"bandwidth[t={row.index},{direction.value}]")
@@ -203,17 +239,15 @@ def build_lp(
     # one DC model per topology (intact, then each contingency): a stage's
     # flow on an active line is base - sum_bus PTDF * control
     rating_rows: dict[str, tuple[str, str, str, str]] = {}
-    for contingency in (None, *zone.contingencies):
-        if contingency is None:
+    for cid, topo in network.topologies.items():
+        if cid is None:
             cid, stages = "", (NORMAL,)
-            topo = TopologyState.base(zone)
             refs = row.ref_normal_mw
         else:
-            cid, stages = contingency.id, (OUTAGE, FAST_CURATIVE, FULL_CURATIVE)
-            topo = TopologyState.for_contingency(zone, contingency)
+            stages = (OUTAGE, FAST_CURATIVE, FULL_CURATIVE)
             refs = row.ref_contingency_mw[cid]
-        base = dc_flows(zone, topo, row.injections_mw, refs)
-        ptdf = compute_ptdf(zone, topo).line_factors
+        base = network.flows(topo, row.injections_mw, refs)
+        ptdf = topo.line_factors
 
         for stage in stages:
             tag = stage if not cid else f"{stage}[{cid}]"
@@ -230,7 +264,7 @@ def build_lp(
                     controls[b][cur_curt[(b, cid)]] = 1.0
 
             rating_name = _STAGE_RATING[stage]
-            for lid in topo.active_lines:
+            for lid in topo.state.active_lines:
                 flow: dict[str, float] = {}  # flow - base, in the controls
                 for b in zone.bus_ids():
                     f = ptdf[lid][b]
@@ -251,83 +285,26 @@ def build_lp(
                 rating_rows[up] = (lid, stage, cid, rating_name)
                 rating_rows[dn] = (lid, stage, cid, rating_name)
 
-    sign = 1.0 if direction == Direction.LOWER else -1.0
-    objective: dict[str, float] = {batt: sign}
-    for b in zone.bus_ids():
-        objective[curt[b]] = weights.preventive_curtailment
-    for c in zone.contingencies:
-        plus, minus = cur_batt[c.id]
-        objective[plus] = weights.curative_battery
-        objective[minus] = weights.curative_battery
-        for b in zone.bus_ids():
-            objective[cur_curt[(b, c.id)]] = weights.curative_curtailment
-    lp.set_objective(objective)
-
-    return BandwidthProblem(
+    problem = BandwidthProblem(
         lp=lp,
-        direction=direction,
-        timestep=row.index,
         battery_var=batt,
         curtailment_vars=curt,
         curative_battery_vars=cur_batt,
         curative_curtailment_vars=cur_curt,
         rating_rows=rating_rows,
     )
+    lp.set_objective(problem.objective(direction, weights))
+    return problem
 
 
-@dataclass(frozen=True)
-class _DirectionOutcome:
-    feasible: bool
-    battery_mw: float
-    curtailment_total_mw: float
-    curative_battery_mw: dict[str, float]
-    binding: list[str]
-    diagnostic: str | None
-
-
-def _solve_direction(
-    zone: ZoneModel,
-    row: TimestepForecast,
-    season: Season,
-    direction: Direction,
-    weights: ObjectiveWeights,
-    lexicographic: bool,
-) -> _DirectionOutcome:
-    problem = build_lp(zone, row, season, direction, weights)
-    lp = problem.lp
-
-    if lexicographic:
-        # stage 1: minimize total preventive curtailment alone, then bound
-        # the total by that optimum (the split across buses stays free)
-        total = {problem.curtailment_vars[b]: 1.0 for b in zone.bus_ids()}
-        lp.set_objective(total)
-        sol1 = solve(lp, compute_duals=False)
-        if sol1.status != SolveStatus.OPTIMAL:
-            return _infeasible_outcome(zone, row, season, direction, weights, sol1)
-        lp.add_constraint(total, Relation.LE, sol1.objective, name="curt_total_cap")
-        sign = 1.0 if direction == Direction.LOWER else -1.0
-        objective: dict[str, float] = {problem.battery_var: sign}
-        for c in zone.contingencies:
-            plus, minus = problem.curative_battery_vars[c.id]
-            objective[plus] = weights.curative_battery
-            objective[minus] = weights.curative_battery
-            for b in zone.bus_ids():
-                objective[problem.curative_curtailment_vars[(b, c.id)]] = (
-                    weights.curative_curtailment
-                )
-        lp.set_objective(objective)
-
+def _solve(lp: LinearProgram, row: TimestepForecast, what: str) -> LpSolution:
+    """Solve, treating a numerically unstable LP as an error, never a finding."""
     sol = solve(lp, compute_duals=False)
-    if sol.status != SolveStatus.OPTIMAL:
-        return _infeasible_outcome(zone, row, season, direction, weights, sol)
-
-    battery_mw = sol.value(problem.battery_var)
-    curt_total = sum(sol.value(problem.curtailment_vars[b]) for b in zone.bus_ids())
-    curative = {
-        c.id: problem.curative_battery_value(sol, c.id) for c in zone.contingencies
-    }
-    binding = _binding_ratings(problem, sol)
-    return _DirectionOutcome(True, battery_mw, curt_total, curative, binding, None)
+    if sol.status == SolveStatus.NUMERICALLY_UNSTABLE:
+        raise UnstableLpError(
+            f"timestep {row.index} ({row.timestamp}): the {what} LP is numerically unstable"
+        )
+    return sol
 
 
 def _binding_ratings(problem: BandwidthProblem, sol: LpSolution) -> list[str]:
@@ -344,37 +321,30 @@ def _binding_ratings(problem: BandwidthProblem, sol: LpSolution) -> list[str]:
     return binding
 
 
-def _infeasible_outcome(
-    zone: ZoneModel,
-    row: TimestepForecast,
-    season: Season,
-    direction: Direction,
-    weights: ObjectiveWeights,
-    sol: LpSolution,
-) -> _DirectionOutcome:
-    if sol.status == SolveStatus.NUMERICALLY_UNSTABLE:
-        return _DirectionOutcome(False, math.nan, math.nan, {}, [], "numerically unstable")
-    diag = _max_violation_diagnostic(zone, row, season, weights)
-    return _DirectionOutcome(False, math.nan, math.nan, {}, [], diag)
-
-
 def _max_violation_diagnostic(
     zone: ZoneModel,
     row: TimestepForecast,
     season: Season,
     weights: ObjectiveWeights,
+    network: NetworkModel,
 ) -> str:
     """Relax every rating row elastically and report the unavoidable overloads."""
-    problem = build_lp(zone, row, season, Direction.LOWER, weights)
-    lp = problem.lp
-    slack_of: dict[str, str] = {}
-    for con in list(lp.constraints):
-        if con.name in problem.rating_rows:
-            s = lp.add_variable(f"relax:{con.name}", 0.0, INF)
-            con.coeffs[s] = -1.0
-            slack_of[con.name] = s
+    problem = build_lp(zone, row, season, Direction.LOWER, weights, network=network)
+    lp = LinearProgram(problem.lp.name + ":relaxed")
+    for v in problem.lp.variables:
+        lp.add_variable(v.name, v.lower, v.upper)
+    slack_of = {
+        con.name: lp.add_variable(f"relax:{con.name}", 0.0, INF)
+        for con in problem.lp.constraints
+        if con.name in problem.rating_rows
+    }
+    for con in problem.lp.constraints:
+        coeffs = dict(con.coeffs)
+        if con.name in slack_of:
+            coeffs[slack_of[con.name]] = -1.0
+        lp.add_constraint(coeffs, con.relation, con.rhs, con.name)
     lp.set_objective({s: 1.0 for s in slack_of.values()})
-    sol = solve(lp, compute_duals=False)
+    sol = _solve(lp, row, "relaxed")
     if sol.status != SolveStatus.OPTIMAL:
         return "infeasible (no diagnostic: relaxed problem did not solve)"
     worst: list[tuple[float, str]] = []
@@ -395,39 +365,53 @@ def solve_timestep(
     season: Season | str | None = None,
     weights: ObjectiveWeights | None = None,
     lexicographic: bool = False,
+    network: NetworkModel | None = None,
 ) -> PowerBandwidthResult:
-    """Solve both directions for one timestep and classify the outcome."""
+    """Solve both directions for one timestep and classify the outcome.
+
+    One LP is built and solved for the lower bound, then for the upper bound.
+    In lexicographic mode a first solve minimizes total preventive curtailment
+    alone; the total is then bounded by that optimum (row ``curt_total_cap``)
+    for both directions. ``network`` is the zone's :func:`network_model`,
+    built here when not given. Raises :class:`UnstableLpError` if an LP is
+    numerically unstable.
+    """
     season = Season(season) if season is not None else row.season
     weights = weights or ObjectiveWeights()
+    if network is None:
+        network = network_model(zone)
 
-    lo = _solve_direction(zone, row, season, Direction.LOWER, weights, lexicographic)
-    hi = _solve_direction(zone, row, season, Direction.UPPER, weights, lexicographic)
+    problem = build_lp(zone, row, season, Direction.LOWER, weights, network=network)
+    lp = problem.lp
+    if lexicographic:
+        total = {v: 1.0 for v in problem.curtailment_vars.values()}
+        lp.set_objective(total)
+        sol = _solve(lp, row, "least-curtailment")
+        if sol.status != SolveStatus.OPTIMAL:
+            return _infeasible_result(zone, row, season, weights, network)
+        lp.add_constraint(total, Relation.LE, sol.objective, name="curt_total_cap")
+
+    sols: dict[Direction, LpSolution] = {}
+    for direction in Direction:
+        lp.set_objective(problem.objective(direction, weights, curtailment_bounded=lexicographic))
+        sol = _solve(lp, row, f"{direction.value}-bound")
+        if sol.status != SolveStatus.OPTIMAL:
+            return _infeasible_result(zone, row, season, weights, network)
+        sols[direction] = sol
+    lo, hi = sols[Direction.LOWER], sols[Direction.UPPER]
 
     battery = zone.battery
-    if not lo.feasible or not hi.feasible:
-        return PowerBandwidthResult(
-            index=row.index,
-            timestamp=row.timestamp,
-            season=season.value,
-            lower_mw=math.nan,
-            upper_mw=math.nan,
-            curative_charge_worst_mw=math.nan,
-            curative_discharge_worst_mw=math.nan,
-            preventive_curtailment_lower_mw=math.nan,
-            preventive_curtailment_upper_mw=math.nan,
-            congestion_class=CongestionClass.INFEASIBLE,
-            binding_constraint=None,
-            failure=lo.diagnostic or hi.diagnostic,
-        )
-
-    lower = lo.battery_mw
-    upper = hi.battery_mw
-    charge_worst = max([0.0, *lo.curative_battery_mw.values()]) if lo.curative_battery_mw else 0.0
-    discharge_worst = min([0.0, *hi.curative_battery_mw.values()]) if hi.curative_battery_mw else 0.0
+    lower = lo.value(problem.battery_var)
+    upper = hi.value(problem.battery_var)
+    curt_lo = sum(lo.value(v) for v in problem.curtailment_vars.values())
+    curt_hi = sum(hi.value(v) for v in problem.curtailment_vars.values())
+    cids = problem.curative_battery_vars
+    charge_worst = max([0.0, *(problem.curative_battery_value(lo, c) for c in cids)])
+    discharge_worst = min([0.0, *(problem.curative_battery_value(hi, c) for c in cids)])
 
     at_min = lower <= battery.battery_min_mw + BOUND_TOL_MW
     at_max = upper >= battery.battery_max_mw - BOUND_TOL_MW
-    no_curt = lo.curtailment_total_mw <= BOUND_TOL_MW and hi.curtailment_total_mw <= BOUND_TOL_MW
+    no_curt = curt_lo <= BOUND_TOL_MW and curt_hi <= BOUND_TOL_MW
     if lower >= battery.battery_max_mw - BOUND_TOL_MW or upper <= battery.battery_min_mw + BOUND_TOL_MW:
         cls = CongestionClass.STRONG
     elif at_min and at_max and no_curt:
@@ -435,7 +419,8 @@ def solve_timestep(
     else:
         cls = CongestionClass.REDUCED
 
-    binding = lo.binding + [b for b in hi.binding if b not in lo.binding]
+    lo_binding = _binding_ratings(problem, lo)
+    binding = lo_binding + [b for b in _binding_ratings(problem, hi) if b not in lo_binding]
     return PowerBandwidthResult(
         index=row.index,
         timestamp=row.timestamp,
@@ -444,16 +429,40 @@ def solve_timestep(
         upper_mw=upper,
         curative_charge_worst_mw=charge_worst,
         curative_discharge_worst_mw=discharge_worst,
-        preventive_curtailment_lower_mw=lo.curtailment_total_mw,
-        preventive_curtailment_upper_mw=hi.curtailment_total_mw,
+        preventive_curtailment_lower_mw=curt_lo,
+        preventive_curtailment_upper_mw=curt_hi,
         congestion_class=cls,
         binding_constraint=(binding[0] if cls != CongestionClass.FULLY_AVAILABLE and binding else None),
     )
 
 
-def _solve_timestep_job(args) -> PowerBandwidthResult:
-    zone, row, weights, lexicographic = args
-    return solve_timestep(zone, row, None, weights, lexicographic)
+def _infeasible_result(
+    zone: ZoneModel,
+    row: TimestepForecast,
+    season: Season,
+    weights: ObjectiveWeights,
+    network: NetworkModel,
+) -> PowerBandwidthResult:
+    return PowerBandwidthResult(
+        index=row.index,
+        timestamp=row.timestamp,
+        season=season.value,
+        lower_mw=math.nan,
+        upper_mw=math.nan,
+        curative_charge_worst_mw=math.nan,
+        curative_discharge_worst_mw=math.nan,
+        preventive_curtailment_lower_mw=math.nan,
+        preventive_curtailment_upper_mw=math.nan,
+        congestion_class=CongestionClass.INFEASIBLE,
+        binding_constraint=None,
+        failure=_max_violation_diagnostic(zone, row, season, weights, network),
+    )
+
+
+def _solve_rows(args) -> list[PowerBandwidthResult]:
+    zone, rows, weights, lexicographic = args
+    network = network_model(zone)
+    return [solve_timestep(zone, row, None, weights, lexicographic, network) for row in rows]
 
 
 def compute_power_bandwidths(
@@ -469,16 +478,17 @@ def compute_power_bandwidths(
     A timestep whose ratings cannot be met is reported in its result row
     (class ``infeasible`` with a ``failure`` diagnostic). Any exception raised
     while solving a timestep propagates to the caller: a crash is not a grid
-    finding.
+    finding. Each call (each worker job, with ``workers`` > 1) builds the
+    zone's network model once for all its timesteps.
     """
     rows = list(forecast)[: horizon if horizon is not None else len(forecast)]
     weights = weights or ObjectiveWeights()
-    jobs = [(zone, row, weights, lexicographic) for row in rows]
     if workers <= 1 or len(rows) <= 1:
-        return [_solve_timestep_job(j) for j in jobs]
-    chunk = max(1, len(jobs) // (workers * 8))
+        return _solve_rows((zone, rows, weights, lexicographic))
+    chunk = max(1, len(rows) // (workers * 8))
+    jobs = [(zone, rows[i : i + chunk], weights, lexicographic) for i in range(0, len(rows), chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_solve_timestep_job, jobs, chunksize=chunk))
+        return [r for part in pool.map(_solve_rows, jobs) for r in part]
 
 
 # ---------------------------------------------------------------------------
@@ -505,16 +515,15 @@ def check_safety(
     failures: list[tuple[float, str]] = []
     if result.congestion_class == CongestionClass.INFEASIBLE:
         return [(math.nan, "timestep infeasible")]
+    network = network_model(zone)
     span = result.upper_mw - result.lower_mw
     for i in range(n_points):
         b = result.lower_mw + span * (i / (n_points - 1) if n_points > 1 else 0.5)
-        problem = build_lp(zone, row, row.season, Direction.LOWER, weights, battery_fixed_mw=b)
-        if fix_curtailment_at is not None:
-            for bus, val in fix_curtailment_at.items():
-                var = problem.curtailment_vars[bus]
-                for v in problem.lp.variables:
-                    if v.name == var:
-                        v.lower = v.upper = val
+        problem = build_lp(
+            zone, row, row.season, Direction.LOWER, weights, battery_fixed_mw=b, network=network
+        )
+        for bus, val in (fix_curtailment_at or {}).items():
+            problem.lp.set_bounds(problem.curtailment_vars[bus], val, val)
         sol = solve(problem.lp, compute_duals=False)
         if sol.status != SolveStatus.OPTIMAL:
             failures.append((b, f"no feasible completion at setpoint {b:.4f} MW"))

@@ -189,3 +189,66 @@ def test_stats_season_override_is_applied(zone_path, forecast_paths):
                "--season", "summer", "--json")
     assert res.exit_code == 0, res.output
     assert list(json.loads(res.output)["by_season"]) == ["summer"]
+
+
+def test_compute_numerically_unstable_lp_exits_1(zone_path, forecast_paths, tmp_path, monkeypatch):
+    """A solver failure is an error, not an infeasible (strong congestion) row."""
+    import math
+
+    from bandwidth_engine import power_bandwidth
+    from bandwidth_engine.lp_core import LpSolution, SolveStatus
+
+    unstable = LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan)
+    monkeypatch.setattr(power_bandwidth, "solve", lambda lp, **kw: unstable)
+    res = _run("compute", "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
+               "--out", tmp_path / "o")
+    assert res.exit_code == 1
+    assert "numerically unstable" in res.output
+
+
+def test_verify_fixture_honours_horizon(zone_path, forecast_paths):
+    res = _run("verify", "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
+               "--horizon", 2, "--power-resolution", 0.05, "--curtailment-resolution", 0.5)
+    assert res.exit_code == 0, res.output
+    assert [line.split(":")[0] for line in res.output.splitlines() if line.startswith("t=")] == [
+        "t=0", "t=1",
+    ]
+
+
+@pytest.mark.parametrize("golden", [False, True], ids=["fixture", "golden"])
+def test_verify_honours_objective(zone_path, forecast_paths, monkeypatch, golden):
+    from bandwidth_engine import cli
+
+    seen = []
+    for name in ("solve_timestep", "compute_power_bandwidths"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, _real=real, **kw: seen.append(kw.get("lexicographic")) or _real(*a, **kw)
+        )
+    mode = (["--golden", GOLDENS / "summer_day_power.csv"] if golden
+            else ["--timestep", 7, "--power-resolution", 0.05, "--curtailment-resolution", 0.5])
+    res = _run("verify", "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
+               "--objective", "lexicographic", *mode)
+    assert res.exit_code == 0, res.output
+    assert seen and all(seen)
+
+
+@pytest.mark.parametrize("flag", ["config", "season", "weights"])
+def test_verify_golden_honours_flag(zone_path, forecast_paths, tmp_path, flag):
+    """A golden written by compute with a flag matches verify with that flag."""
+    if flag == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"zone": str(zone_path), "forecast": str(forecast_paths["winter_day"]), "horizon": 3}
+        ))
+        inputs = ["--config", cfg]
+    else:
+        inputs = ["--zone", zone_path, "--forecast", forecast_paths["winter_day"]]
+        inputs += {"season": ["--season", "summer"], "weights": ["--c1", 0.5]}[flag]
+    out = tmp_path / "run"
+    assert _run("compute", *inputs, "--out", out).exit_code in (0, 2)
+    golden = out / "power_bandwidth.csv"
+    assert golden.read_text() != (GOLDENS / "winter_day_power.csv").read_text()
+    res = _run("verify", *inputs, "--golden", golden)
+    assert res.exit_code == 0, res.output
+    assert "golden matches" in res.output

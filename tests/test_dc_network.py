@@ -12,11 +12,12 @@ from bandwidth_engine.dc_network import (
     FullLine,
     FullNetwork,
     IslandingError,
+    NetworkModel,
     TopologyState,
     compute_ptdf,
     dc_flows,
 )
-from bandwidth_engine.fixtures import reference_full_network, reference_zone_dict
+from bandwidth_engine.fixtures import random_instance, reference_full_network, reference_zone_dict
 from bandwidth_engine.grid_model import zone_from_dict
 
 
@@ -218,3 +219,52 @@ def test_full_network_component_balance():
         net.flows({"c": 1.0})
     with pytest.raises(IslandingError):
         net.injection_sensitivity("c")
+
+
+# ---------------------------------------------------------------------------
+# the per-zone network model: PTDFs and flow matrices built once
+# ---------------------------------------------------------------------------
+
+
+def _topology_states(zone):
+    return [TopologyState.base(zone)] + [
+        TopologyState.for_contingency(zone, c) for c in zone.contingencies
+    ]
+
+
+def test_network_model_matches_ptdf_and_dc_flows(zone, summer_day, winter_day):
+    cases = [(zone, row) for row in (*summer_day, *winter_day)]
+    cases += [random_instance(seed) for seed in range(40)]
+    for z, row in cases:
+        states = _topology_states(z)
+        model = NetworkModel(z, states)
+        assert list(model.topologies) == [s.contingency_id for s in states]
+        for state in states:
+            topo = model.topologies[state.contingency_id]
+            assert topo.line_factors == compute_ptdf(z, state).line_factors
+            cid = state.contingency_id
+            refs = row.ref_normal_mw if cid is None else row.ref_contingency_mw[cid]
+            got = model.flows(topo, row.injections_mw, refs)
+            want = dc_flows(z, state, row.injections_mw, refs)
+            assert list(got) == list(want)
+            for lid, flow in want.items():
+                assert got[lid] == pytest.approx(flow, abs=1e-9)
+
+
+def test_network_model_keeps_balance_and_islanding_checks(zone, winter_day):
+    row = winter_day[0]
+    model = NetworkModel(zone, _topology_states(zone))
+    refs = dict(row.ref_contingency_mw["gamma-delta-outage"])
+    refs["delta-east"] += 3.0  # break only the delta island
+    with pytest.raises(BalanceError, match="delta"):
+        model.flows(model.topologies["gamma-delta-outage"], row.injections_mw, refs)
+
+    # no line in service: every bus is an island the outbound data cannot serve
+    stranded = TopologyState(
+        active_lines=(),
+        active_outbound=("alpha-west", "delta-east"),
+        contingency_id=None,
+        islands=tuple(frozenset({b}) for b in zone.bus_ids()),
+    )
+    with pytest.raises(IslandingError, match="island"):
+        NetworkModel(zone, [stranded])

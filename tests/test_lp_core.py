@@ -236,3 +236,57 @@ def test_lp_format_export_roundtrips_key_content():
     lp.add_constraint({"x": 2.0}, Relation.LE, 12.0, name="cap")
     text = lp.to_lp_format()
     assert "Minimize" in text and "Subject To" in text and "cap:" in text and "Bounds" in text
+
+
+# ---------------------------------------------------------------------------
+# one standard form per LP: reused for a new objective, rebuilt on any change
+# ---------------------------------------------------------------------------
+
+
+def _reuse_lp():
+    """min x + 2y s.t. x + y >= 3, x in [0, 4], y in [-2, 6]: optimum (4, -1)."""
+    lp = LinearProgram("reuse")
+    lp.add_variable("x", 0.0, 4.0)
+    lp.add_variable("y", -2.0, 6.0)
+    lp.add_constraint({"x": 1.0, "y": 1.0}, Relation.GE, 3.0, name="sum")
+    lp.set_objective({"x": 1.0, "y": 2.0})
+    return lp
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda lp: lp.set_objective({"x": 2.0, "y": -1.0}),  # optimum (0, 6)
+        lambda lp: lp.set_bounds("x", 0.0, 2.0),  # optimum (2, 1)
+        lambda lp: lp.add_constraint({"x": 1.0, "y": -1.0}, Relation.LE, 0.5),  # (1.75, 1.25)
+    ],
+    ids=["objective", "bound", "row"],
+)
+def test_change_after_a_solve_gives_the_fresh_optimum(change):
+    solved = _reuse_lp()
+    before = solve(solved)
+    change(solved)
+    fresh = _reuse_lp()
+    change(fresh)
+    after, want = solve(solved), solve(fresh)
+    assert after.status == want.status == SolveStatus.OPTIMAL
+    assert after.values == want.values
+    assert after.objective == want.objective
+    assert after.values != before.values
+
+
+def test_lp_changes_only_through_its_methods():
+    """Rows and variables are read-only, so no change can bypass the form."""
+    import dataclasses
+
+    lp = _reuse_lp()
+    solve(lp)
+    with pytest.raises(TypeError):
+        lp.constraints[0].coeffs["x"] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lp.variables[0].upper = 1.0
+    assert isinstance(lp.constraints, tuple) and isinstance(lp.variables, tuple)
+    with pytest.raises(LpError):
+        lp.set_bounds("z", 0.0, 1.0)
+    with pytest.raises(LpError):
+        lp.set_bounds("x", 2.0, 1.0)

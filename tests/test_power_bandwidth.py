@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 
 import pytest
+
+from bandwidth_engine import power_bandwidth as pb
 
 from bandwidth_engine.dc_network import TopologyState, dc_flows
 from bandwidth_engine.fixtures import random_instance, reference_full_network
@@ -16,11 +19,13 @@ from bandwidth_engine.grid_model import (
     TimestepForecast,
     select_ratings,
 )
-from bandwidth_engine.lp_core import SolveStatus, solve
+from bandwidth_engine.lp_core import LpSolution, Relation, SolveStatus, solve
 from bandwidth_engine.oracle import GridSearchConfig, brute_force_power_bandwidth
 from bandwidth_engine.power_bandwidth import (
     CongestionClass,
     Direction,
+    ObjectiveWeights,
+    UnstableLpError,
     build_lp,
     check_safety,
     compute_power_bandwidths,
@@ -458,3 +463,114 @@ def test_lp_optimum_respects_ratings_in_independent_dc_flows(zone, summer_day, w
         z, row = random_instance(seed)
         feasible += _optimum_flows_within_ratings(z, row)
         seed += 1
+
+
+# ---------------------------------------------------------------------------
+# one LP per timestep: equal to one LP per direction, with fewer solves
+# ---------------------------------------------------------------------------
+
+_FLOAT_FIELDS = (
+    "lower_mw",
+    "upper_mw",
+    "curative_charge_worst_mw",
+    "curative_discharge_worst_mw",
+    "preventive_curtailment_lower_mw",
+    "preventive_curtailment_upper_mw",
+)
+
+
+def _per_direction_reference(zone, row, lexicographic: bool) -> dict | None:
+    """The band from one freshly built LP per direction (None if infeasible)."""
+    w = ObjectiveWeights()
+    out: dict = {"binding": []}
+    for direction in Direction:
+        problem = build_lp(zone, row, row.season, direction)
+        lp = problem.lp
+        if lexicographic:
+            total = {v: 1.0 for v in problem.curtailment_vars.values()}
+            lp.set_objective(total)
+            stage1 = solve(lp, compute_duals=False)
+            if stage1.status != SolveStatus.OPTIMAL:
+                return None
+            lp.add_constraint(total, Relation.LE, stage1.objective, name="curt_total_cap")
+            objective = {problem.battery_var: 1.0 if direction == Direction.LOWER else -1.0}
+            for plus, minus in problem.curative_battery_vars.values():
+                objective[plus] = objective[minus] = w.curative_battery
+            for v in problem.curative_curtailment_vars.values():
+                objective[v] = w.curative_curtailment
+            lp.set_objective(objective)
+        sol = solve(lp, compute_duals=False)
+        if sol.status != SolveStatus.OPTIMAL:
+            return None
+        curative = [problem.curative_battery_value(sol, c) for c in problem.curative_battery_vars]
+        curt = sum(sol.value(v) for v in problem.curtailment_vars.values())
+        if direction == Direction.LOWER:
+            out.update(lower_mw=sol.value(problem.battery_var), preventive_curtailment_lower_mw=curt,
+                       curative_charge_worst_mw=max([0.0, *curative]))
+        else:
+            out.update(upper_mw=sol.value(problem.battery_var), preventive_curtailment_upper_mw=curt,
+                       curative_discharge_worst_mw=min([0.0, *curative]))
+        for con in lp.constraints:
+            if con.name in problem.rating_rows:
+                lhs = sum(c * sol.value(v) for v, c in con.coeffs.items())
+                lid, stage, cid, rating = problem.rating_rows[con.name]
+                label = f"{lid}:{stage}{'[' + cid + ']' if cid else ''}:{rating}"
+                if lhs >= con.rhs - 1e-6 and label not in out["binding"]:
+                    out["binding"].append(label)
+    b = zone.battery
+    tol = pb.BOUND_TOL_MW
+    curtails = max(out["preventive_curtailment_lower_mw"], out["preventive_curtailment_upper_mw"]) > tol
+    if out["lower_mw"] >= b.battery_max_mw - tol or out["upper_mw"] <= b.battery_min_mw + tol:
+        out["class"] = CongestionClass.STRONG
+    elif out["lower_mw"] <= b.battery_min_mw + tol and out["upper_mw"] >= b.battery_max_mw - tol and not curtails:
+        out["class"] = CongestionClass.FULLY_AVAILABLE
+    else:
+        out["class"] = CongestionClass.REDUCED
+    return out
+
+
+@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+def test_solve_timestep_equals_per_direction_lps(zone, summer_day, winter_day, lexicographic):
+    cases = [(zone, row) for row in (*summer_day, *winter_day)]
+    cases += [random_instance(seed) for seed in range(100)]
+    for z, row in cases:
+        got = solve_timestep(z, row, lexicographic=lexicographic)
+        want = _per_direction_reference(z, row, lexicographic)
+        tag = f"t={row.index} {row.timestamp}"
+        if want is None:
+            assert got.congestion_class == CongestionClass.INFEASIBLE, tag
+            assert got.failure, tag
+            continue
+        for name in _FLOAT_FIELDS:
+            assert abs(getattr(got, name) - want[name]) <= 1e-9, (tag, name)
+        assert got.congestion_class == want["class"], tag
+        expected = want["binding"][0] if want["binding"] and want["class"] != CongestionClass.FULLY_AVAILABLE else None
+        assert got.binding_constraint == expected, tag
+
+
+@pytest.mark.parametrize("lexicographic, per_timestep", [(False, 2), (True, 3)], ids=["weighted", "lexicographic"])
+def test_one_lp_and_one_network_model_per_timestep(zone, winter_day, monkeypatch, lexicographic, per_timestep):
+    solved, networks = [], []
+    real_solve, real_network = pb.solve, pb.network_model
+    monkeypatch.setattr(pb, "solve", lambda lp, **kw: solved.append(lp) or real_solve(lp, **kw))
+    monkeypatch.setattr(pb, "network_model", lambda z: networks.append(z) or real_network(z))
+    results = compute_power_bandwidths(zone, winter_day, lexicographic=lexicographic)
+    assert all(r.congestion_class != CongestionClass.INFEASIBLE for r in results)
+    assert len(solved) == per_timestep * len(results)
+    assert len({id(lp) for lp in solved}) == len(results)
+    assert len(networks) == 1
+
+
+def test_numerically_unstable_lp_raises_instead_of_infeasible_row(zone, winter_day, monkeypatch):
+    unstable = LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan)
+    monkeypatch.setattr(pb, "solve", lambda lp, **kw: unstable)
+    with pytest.raises(UnstableLpError, match="numerically unstable"):
+        compute_power_bandwidths(zone, winter_day, horizon=1)
+
+
+def test_result_rows_hold_plain_floats_and_pickle(zone, winter_day):
+    """Rows cross the worker pool by pickle; they carry no per-row dict."""
+    row = solve_timestep(zone, winter_day[0])
+    assert not hasattr(row, "__dict__")
+    assert all(type(getattr(row, name)) is float for name in _FLOAT_FIELDS)
+    assert pickle.loads(pickle.dumps(row)) == row
