@@ -4,13 +4,18 @@ Subcommands: ``compute`` (bandwidths + reports), ``stats`` (availability
 summary), ``verify`` (brute-force cross-checks), ``export-lp`` (textual LP
 dump of one timestep problem).
 
-Exit codes: 0 success; 1 error (a numerically unstable LP included); 2
-infeasible timesteps present (files are still written); 3 verification
-disagreement. ``BANDWIDTH_ENGINE_LOG`` sets the log level.
+Each subcommand declares only the flags it reads, builds its run config with
+:func:`_load_config` and loads its zone and forecast with :func:`_load_inputs`.
+A flag given on the command line that the chosen mode cannot use is refused.
+
+Exit codes: 0 success; 1 error (a usage error and a numerically unstable LP
+included); 2 infeasible timesteps present (files are still written); 3
+verification disagreement. ``BANDWIDTH_ENGINE_LOG`` sets the log level.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -19,44 +24,26 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
-from .energy_bandwidth import (
-    EnergyBandwidthError,
-    compute_energy_bandwidths,
-    energy_results_to_csv,
-)
+from .energy_bandwidth import EnergyBandwidthError, compute_energy_bandwidths, energy_results_to_csv
 from .grid_model import (
-    ForecastSeries,
-    Season,
-    ZoneModel,
-    ZoneValidationError,
-    load_forecast,
-    load_zone,
+    ForecastSeries, Season, ZoneModel, ZoneValidationError, load_forecast, load_zone,
 )
 from .lp_core import FEASIBILITY_TOL, PIVOT_TOL
 from .oracle import (
-    GridSearchConfig,
-    OracleGuardError,
-    brute_force_power_bandwidth,
-    forward_soc_feasible_set,
+    GridSearchConfig, OracleGuardError, brute_force_power_bandwidth, forward_soc_feasible_set,
 )
 from .power_bandwidth import (
-    CongestionClass,
-    Direction,
-    ObjectiveWeights,
-    UnstableLpError,
-    build_lp,
-    compute_power_bandwidths,
-    fmt6,
-    power_results_to_csv,
-    solve_timestep,
+    CongestionClass, Direction, ObjectiveWeights, PowerBandwidthResult, UnstableLpError, build_lp,
+    compute_power_bandwidths, fmt6, power_results_to_csv, solve_timestep,
 )
-from .statistics import summarize
+from .statistics import binding_lines_to_csv, summarize
 
 logger = logging.getLogger("bandwidth_engine")
 
@@ -64,6 +51,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_DISAGREEMENT = 3
+
+# the errors a bad flag, a bad input or a solver failure raise
+_KNOWN_ERRORS = (
+    click.ClickException, ZoneValidationError, EnergyBandwidthError, UnstableLpError,
+    OracleGuardError, ValueError, OSError,
+)
 
 
 def _setup_logging(verbosity: int) -> None:
@@ -77,8 +70,8 @@ def _setup_logging(verbosity: int) -> None:
 
 @dataclass
 class RunConfig:
-    zone: str
-    forecast: str
+    zone: str | None = None
+    forecast: str | None = None
     out: str = "out"
     horizon: int | None = None
     workers: int = 1
@@ -106,63 +99,148 @@ class RunConfig:
         return self.objective == "lexicographic"
 
 
-def _load_config(config_path: str | None, overrides: dict) -> RunConfig:
-    base: dict = {}
-    if config_path:
-        base = json.loads(Path(config_path).read_text())
-    merged = {**base, **{k: v for k, v in overrides.items() if v is not None}}
-    cfg = RunConfig(**merged)
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+
+
+def _load_config(params: dict) -> RunConfig:
+    """The run config: the ``--config`` file, overridden by every flag given.
+
+    ``params`` is click's parameter dict; entries that are not config keys are
+    left to the subcommand.
+    """
+    base = json.loads(Path(params["config"]).read_text()) if params.get("config") else {}
+    if not isinstance(base, dict) or not set(base) <= _CONFIG_KEYS:
+        raise ValueError(
+            f"{params['config']}: a config file is a JSON object with keys among "
+            f"{', '.join(sorted(_CONFIG_KEYS))}"
+        )
+    base.update({k: v for k, v in params.items() if k in _CONFIG_KEYS and v is not None})
+    cfg = RunConfig(**base)
     cfg.validate()
     return cfg
 
 
 def _load_inputs(cfg: RunConfig) -> tuple[ZoneModel, ForecastSeries]:
-    """The zone and its forecast, with every row's season overridden if asked."""
+    """The zone and its forecast, cut to the horizon, every row's season
+    overridden if asked."""
+    for name in ("zone", "forecast"):
+        if getattr(cfg, name) is None:
+            raise click.UsageError(f"no {name} given: pass --{name} or set it in --config")
     zone = load_zone(cfg.zone)
     forecast = load_forecast(cfg.forecast, zone)
+    if cfg.horizon is not None:
+        if not 1 <= cfg.horizon <= len(forecast):
+            raise ValueError(
+                f"horizon {cfg.horizon} is outside the forecast's 1 to {len(forecast)} timesteps"
+            )
+        forecast = ForecastSeries(forecast.rows[: cfg.horizon])
     if cfg.season is not None:
         season = Season(cfg.season)
         forecast = ForecastSeries(tuple(replace(r, season=season) for r in forecast))
     return zone, forecast
 
 
+def _check_timesteps(timesteps, forecast: ForecastSeries) -> None:
+    for t in timesteps:
+        if not 0 <= t < len(forecast):
+            raise ValueError(f"timestep {t} is outside the forecast's 0 to {len(forecast) - 1}")
+
+
+def _power_bandwidths(cfg: RunConfig) -> tuple[ZoneModel, list[PowerBandwidthResult]]:
+    zone, forecast = _load_inputs(cfg)
+    logger.info("computing %d timesteps with %d workers", len(forecast), cfg.workers)
+    return zone, compute_power_bandwidths(
+        zone, forecast, workers=cfg.workers, weights=cfg.weights(), lexicographic=cfg.lexicographic
+    )
+
+
+def _refuse(names: tuple[str, ...], mode: str) -> None:
+    """Refuse each of ``names`` given on the command line: ``mode`` cannot use it.
+
+    Config-file keys are not refused: one config file serves every subcommand.
+    """
+    ctx = click.get_current_context()
+    for param in ctx.command.params:
+        if param.name in names and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"{param.opts[0]} has no effect with {mode}")
+
+
+@contextlib.contextmanager
+def _error_boundary():
+    """Turn every known error into one ``error:`` line and exit 1.
+
+    Click would exit 2 on a usage error, which here reads as "infeasible
+    timesteps present".
+    """
+    try:
+        yield
+    except _KNOWN_ERRORS as exc:
+        message = exc.format_message() if isinstance(exc, click.ClickException) else exc
+        click.echo(f"error: {message}", err=True)
+        sys.exit(EXIT_ERROR)
+
+
+class _Cli(click.Group):
+    """The command group; parsing and every subcommand run inside the error boundary."""
+
+    def make_context(self, *args, **kwargs):
+        with _error_boundary():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _error_boundary():
+            return super().invoke(ctx)
+
+
 def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@click.group()
+@click.group(cls=_Cli, no_args_is_help=False)
 @click.option("-v", "--verbose", count=True, help="Increase log verbosity.")
 def main(verbose: int) -> None:
     """Day-ahead battery operating bandwidths for congestion management."""
     _setup_logging(verbose)
 
 
-def _common_options(f):
-    f = click.option("--config", type=click.Path(exists=True), default=None, help="JSON run config.")(f)
-    f = click.option("--zone", type=click.Path(), default=None, help="Zone JSON file.")(f)
-    f = click.option("--forecast", type=click.Path(), default=None, help="Forecast CSV file.")(f)
-    f = click.option("--horizon", type=int, default=None, help="Number of timesteps (default: all).")(f)
-    f = click.option("--season", type=click.Choice(["summer", "winter"]), default=None, help="Override every row's season.")(f)
-    f = click.option("--objective", type=click.Choice(["weighted", "lexicographic"]), default=None)(f)
-    f = click.option("--c1", type=float, default=None, help="Preventive curtailment weight.")(f)
-    f = click.option("--c2", type=float, default=None, help="Curative battery weight.")(f)
-    f = click.option("--c3", type=float, default=None, help="Curative curtailment weight.")(f)
-    return f
+_OPTIONS = {
+    "config": click.option("--config", type=click.Path(exists=True),
+                           help="JSON run config (keys as the flags; flags win)."),
+    "zone": click.option("--zone", type=click.Path(), help="Zone JSON file."),
+    "forecast": click.option("--forecast", type=click.Path(), help="Forecast CSV file."),
+    "horizon": click.option("--horizon", type=int, help="Number of timesteps (default: all)."),
+    "season": click.option("--season", type=click.Choice(["summer", "winter"]),
+                           help="Override every row's season."),
+    "objective": click.option("--objective", type=click.Choice(["weighted", "lexicographic"])),
+    "c1": click.option("--c1", type=float, help="Preventive curtailment weight."),
+    "c2": click.option("--c2", type=float, help="Curative battery weight."),
+    "c3": click.option("--c3", type=float, help="Curative curtailment weight."),
+    "workers": click.option("--workers", type=int, help="Parallel workers."),
+}
+_RUN_FLAGS = ("config", "zone", "forecast", "horizon", "season", "objective", "c1", "c2", "c3")
+
+
+def _options(*names: str):
+    """Declare the shared options ``names``, listed in this order."""
+
+    def apply(f):
+        for name in reversed(names):
+            f = _OPTIONS[name](f)
+        return f
+
+    return apply
+
+
+@main.command()
+@_options(*_RUN_FLAGS, "workers")
+@click.option("--out", type=click.Path(), help="Output directory.")
+def compute(**params):
+    """Compute power and energy bandwidths and write reports."""
+    sys.exit(_run_compute(_load_config(params)))
 
 
 def _run_compute(cfg: RunConfig) -> int:
-    zone, forecast = _load_inputs(cfg)
-    horizon = cfg.horizon if cfg.horizon is not None else len(forecast)
-    logger.info("computing %d timesteps with %d workers", horizon, cfg.workers)
-
-    results = compute_power_bandwidths(
-        zone,
-        forecast,
-        horizon=horizon,
-        workers=cfg.workers,
-        weights=cfg.weights(),
-        lexicographic=cfg.lexicographic,
-    )
+    zone, results = _power_bandwidths(cfg)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,7 +267,7 @@ def _run_compute(cfg: RunConfig) -> int:
             "zone": {"path": str(cfg.zone), "sha256": _sha256(cfg.zone)},
             "forecast": {"path": str(cfg.forecast), "sha256": _sha256(cfg.forecast)},
         },
-        "horizon": horizon,
+        "horizon": len(results),
         "objective": cfg.objective,
         "weights": {"c1": cfg.c1, "c2": cfg.c2, "c3": cfg.c3},
         "season_override": cfg.season,
@@ -205,17 +283,9 @@ def _run_compute(cfg: RunConfig) -> int:
 
 
 MERGED_HEADER = [
-    "timestamp",
-    "season",
-    "B_lower_mw",
-    "B_upper_mw",
-    "soc_lower_start_mwh",
-    "soc_upper_start_mwh",
-    "curative_charge_worst_mw",
-    "curative_discharge_worst_mw",
-    "preventive_curtailment_mw",
-    "congestion_class",
-    "binding_constraint",
+    "timestamp", "season", "B_lower_mw", "B_upper_mw", "soc_lower_start_mwh",
+    "soc_upper_start_mwh", "curative_charge_worst_mw", "curative_discharge_worst_mw",
+    "preventive_curtailment_mw", "congestion_class", "binding_constraint",
 ]
 
 
@@ -226,99 +296,41 @@ def _merged_report(results, energy) -> str:
     for i, r in enumerate(results):
         soc_lo = energy.soc_lower_mwh[i] if energy is not None else math.nan
         soc_hi = energy.soc_upper_mwh[i] if energy is not None else math.nan
-        writer.writerow(
-            [
-                r.timestamp,
-                r.season,
-                fmt6(r.lower_mw),
-                fmt6(r.upper_mw),
-                fmt6(soc_lo),
-                fmt6(soc_hi),
-                fmt6(r.curative_charge_worst_mw),
-                fmt6(r.curative_discharge_worst_mw),
-                fmt6(r.preventive_curtailment_mw),
-                r.congestion_class.value,
-                r.binding_constraint or "",
-            ]
-        )
+        floats = (r.lower_mw, r.upper_mw, soc_lo, soc_hi, r.curative_charge_worst_mw,
+                  r.curative_discharge_worst_mw, r.preventive_curtailment_mw)
+        writer.writerow([r.timestamp, r.season, *map(fmt6, floats), r.congestion_class.value,
+                         r.binding_constraint or ""])
     return buf.getvalue()
 
 
 @main.command()
-@_common_options
-@click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@click.option("--workers", type=int, default=None, help="Parallel workers.")
-def compute(config, zone, forecast, horizon, season, objective, c1, c2, c3, out, workers):
-    """Compute power and energy bandwidths and write reports."""
-    try:
-        cfg = _load_config(
-            config,
-            dict(
-                zone=zone, forecast=forecast, horizon=horizon, season=season,
-                objective=objective, c1=c1, c2=c2, c3=c3, out=out, workers=workers,
-            ),
-        )
-        sys.exit(_run_compute(cfg))
-    except (
-        ZoneValidationError, EnergyBandwidthError, UnstableLpError, ValueError, TypeError, OSError
-    ) as exc:
-        logger.error("%s", exc)
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
-
-
-@main.command()
-@_common_options
-@click.option("--out", type=click.Path(), default=None, help="Output directory.")
-@click.option("--workers", type=int, default=None)
-@click.option("--results", type=click.Path(exists=True), default=None,
+@_options(*_RUN_FLAGS, "workers")
+@click.option("--results", type=click.Path(exists=True),
               help="Directory of a prior compute run (reads merged_report.csv).")
 @click.option("--json", "as_json", is_flag=True, help="Emit the JSON report.")
-@click.option("--binding-csv", type=click.Path(), default=None,
+@click.option("--binding-csv", type=click.Path(),
               help="Also write the per-line binding-constraint histogram CSV here.")
-def stats(config, zone, forecast, horizon, season, objective, c1, c2, c3, out, workers,
-          results, as_json, binding_csv):
+def stats(results, as_json, binding_csv, **params):
     """Availability statistics (runs compute, or summarizes a prior run)."""
-    from .statistics import binding_lines_to_csv
-
-    try:
-        if results:
-            rows = _read_merged(Path(results) / "merged_report.csv")
-            report = summarize(rows)
-        else:
-            cfg = _load_config(
-                config,
-                dict(
-                    zone=zone, forecast=forecast, horizon=horizon, season=season,
-                    objective=objective, c1=c1, c2=c2, c3=c3, out=out, workers=workers,
-                ),
-            )
-            z, forecast_series = _load_inputs(cfg)
-            res = compute_power_bandwidths(
-                z,
-                forecast_series,
-                horizon=cfg.horizon,
-                workers=cfg.workers,
-                weights=cfg.weights(),
-                lexicographic=cfg.lexicographic,
-            )
-            report = summarize(res)
-        if binding_csv:
-            Path(binding_csv).write_text(binding_lines_to_csv(report))
-        click.echo(report.to_json() if as_json else report.to_text(), nl=False)
-        sys.exit(EXIT_OK)
-    except (ZoneValidationError, UnstableLpError, ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    if results:
+        _refuse(tuple(params), "--results")
+        report = summarize(_read_merged(Path(results) / "merged_report.csv"))
+    else:
+        report = summarize(_power_bandwidths(_load_config(params))[1])
+    if binding_csv:
+        Path(binding_csv).write_text(binding_lines_to_csv(report))
+    click.echo(report.to_json() if as_json else report.to_text(), nl=False)
+    sys.exit(EXIT_OK)
 
 
-def _read_merged(path: Path):
+def _read_merged(path: Path) -> list[PowerBandwidthResult]:
     """Minimal result objects from a merged report, enough for summarize()."""
-    from .power_bandwidth import PowerBandwidthResult
-
     rows = []
     with path.open() as fh:
-        for i, rec in enumerate(csv.DictReader(fh)):
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != MERGED_HEADER:
+            raise ValueError(f"{path} is not a merged report")
+        for i, rec in enumerate(reader):
             rows.append(
                 PowerBandwidthResult(
                     index=i,
@@ -338,68 +350,55 @@ def _read_merged(path: Path):
 
 
 @main.command()
-@_common_options
+@_options(*_RUN_FLAGS)
 @click.option("--timestep", type=int, multiple=True, help="Restrict to these timesteps.")
 @click.option("--power-resolution", type=float, default=0.25, show_default=True)
 @click.option("--curtailment-resolution", type=float, default=0.05, show_default=True)
-@click.option("--seeds", type=int, default=None, help="Run N seeded random instances instead.")
-@click.option("--golden", type=click.Path(exists=True), default=None,
+@click.option("--seeds", type=click.IntRange(min=1), help="Run N seeded random instances instead.")
+@click.option("--golden", type=click.Path(exists=True),
               help="Compare a fresh compute run against this power CSV.")
-@click.option("--tolerance", type=float, default=None,
+@click.option("--tolerance", type=float,
               help="Agreement tolerance in MW (default: one power-resolution step).")
-def verify(config, zone, forecast, horizon, season, objective, c1, c2, c3,
-           timestep, power_resolution, curtailment_resolution, seeds, golden, tolerance):
+def verify(timestep, power_resolution, curtailment_resolution, seeds, golden, tolerance, **params):
     """Cross-check the engine against the brute-force oracles."""
-    try:
-        if seeds is not None and not golden:
-            sys.exit(_verify_seeds(seeds, power_resolution, curtailment_resolution))
-        cfg = _load_config(
-            config,
-            dict(zone=zone, forecast=forecast, horizon=horizon, season=season,
-                 objective=objective, c1=c1, c2=c2, c3=c3),
-        )
-        if golden:
-            sys.exit(_verify_golden(cfg, golden))
-        sys.exit(
-            _verify_fixture(cfg, list(timestep) or None, power_resolution,
-                             curtailment_resolution, tolerance)
-        )
-    except OracleGuardError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
-    except (ZoneValidationError, UnstableLpError, ValueError, TypeError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+    cfg = _load_config(params)
+    if golden:
+        _refuse(("timestep", "power_resolution", "curtailment_resolution", "tolerance", "seeds"),
+                "--golden")
+        sys.exit(_verify_golden(cfg, golden))
+    grid = GridSearchConfig(power_resolution, curtailment_resolution)
+    tol = tolerance if tolerance is not None else power_resolution + 1e-9
+    if seeds is not None:
+        _refuse(("zone", "forecast", "season", "horizon", "timestep"), "--seeds")
+        sys.exit(_verify_seeds(cfg, seeds, grid, tol))
+    sys.exit(_verify_fixture(cfg, list(timestep) or None, grid, tol))
 
 
-def _verify_fixture(cfg, timesteps, power_res, curt_res, tolerance) -> int:
+def _agreement(engine: PowerBandwidthResult, oracle, tol: float) -> tuple[bool, str]:
+    """Whether the engine's band matches the grid-search oracle's, and a verdict."""
+    if engine.congestion_class == CongestionClass.INFEASIBLE:
+        ok = oracle is None
+        return ok, "infeasible" if ok else "engine infeasible, oracle found a band"
+    if oracle is None:
+        return False, "oracle infeasible, engine found a band"
+    ok = abs(engine.lower_mw - oracle[0]) <= tol and abs(engine.upper_mw - oracle[1]) <= tol
+    return ok, (
+        f"engine [{engine.lower_mw:.4f}, {engine.upper_mw:.4f}] "
+        f"oracle [{oracle[0]:.4f}, {oracle[1]:.4f}]"
+    )
+
+
+def _verify_fixture(cfg: RunConfig, timesteps, grid: GridSearchConfig, tol: float) -> int:
     zone, forecast = _load_inputs(cfg)
-    config = GridSearchConfig(power_res, curt_res)
-    tol = tolerance if tolerance is not None else power_res + 1e-9
-    horizon = cfg.horizon if cfg.horizon is not None else len(forecast)
-    indices = timesteps if timesteps is not None else range(horizon)
+    if timesteps is not None:
+        _check_timesteps(timesteps, forecast)
     disagreements = 0
     results = {}
-    for t in indices:
+    for t in timesteps if timesteps is not None else range(len(forecast)):
         row = forecast[t]
         engine = solve_timestep(zone, row, weights=cfg.weights(), lexicographic=cfg.lexicographic)
         results[t] = engine
-        oracle = brute_force_power_bandwidth(zone, row, config=config)
-        if engine.congestion_class == CongestionClass.INFEASIBLE:
-            ok = oracle is None
-            verdict = "infeasible" if ok else "engine infeasible, oracle found a band"
-        elif oracle is None:
-            ok = False
-            verdict = "oracle infeasible, engine found a band"
-        else:
-            ok = (
-                abs(engine.lower_mw - oracle[0]) <= tol
-                and abs(engine.upper_mw - oracle[1]) <= tol
-            )
-            verdict = (
-                f"engine [{engine.lower_mw:.4f}, {engine.upper_mw:.4f}] "
-                f"oracle [{oracle[0]:.4f}, {oracle[1]:.4f}]"
-            )
+        ok, verdict = _agreement(engine, brute_force_power_bandwidth(zone, row, config=grid), tol)
         click.echo(f"t={t}: {'OK ' if ok else 'DISAGREE '}{verdict}")
         if not ok:
             disagreements += 1
@@ -426,26 +425,15 @@ def _verify_fixture(cfg, timesteps, power_res, curt_res, tolerance) -> int:
     return EXIT_DISAGREEMENT if disagreements else EXIT_OK
 
 
-def _verify_seeds(n: int, power_res: float, curt_res: float) -> int:
+def _verify_seeds(cfg: RunConfig, n: int, grid: GridSearchConfig, tol: float) -> int:
     from .fixtures import random_instance
 
-    config = GridSearchConfig(power_res, curt_res)
-    tol = power_res + 1e-9
     disagreements = 0
     for seed in range(n):
         zone, row = random_instance(seed)
-        engine = solve_timestep(zone, row)
-        oracle = brute_force_power_bandwidth(zone, row, config=config)
-        if engine.congestion_class == CongestionClass.INFEASIBLE:
-            ok = oracle is None
-        elif oracle is None:
-            ok = False
-        else:
-            ok = (
-                abs(engine.lower_mw - oracle[0]) <= tol
-                and abs(engine.upper_mw - oracle[1]) <= tol
-            )
-        if not ok:
+        engine = solve_timestep(zone, row, weights=cfg.weights(), lexicographic=cfg.lexicographic)
+        oracle = brute_force_power_bandwidth(zone, row, config=grid)
+        if not _agreement(engine, oracle, tol)[0]:
             disagreements += 1
             click.echo(f"seed {seed}: DISAGREE engine={engine.lower_mw},{engine.upper_mw} oracle={oracle}")
     click.echo(f"{n} seeds, {disagreements} disagreement(s)")
@@ -453,14 +441,8 @@ def _verify_seeds(n: int, power_res: float, curt_res: float) -> int:
 
 
 def _verify_golden(cfg: RunConfig, golden) -> int:
-    zone, forecast = _load_inputs(cfg)
-    results = compute_power_bandwidths(
-        zone, forecast, horizon=cfg.horizon, weights=cfg.weights(),
-        lexicographic=cfg.lexicographic,
-    )
-    fresh = power_results_to_csv(results)
-    expected = Path(golden).read_text()
-    if fresh == expected:
+    fresh = power_results_to_csv(_power_bandwidths(cfg)[1])
+    if fresh == Path(golden).read_text():
         click.echo("golden matches")
         return EXIT_OK
     click.echo("golden DIFFERS from fresh compute")
@@ -468,30 +450,23 @@ def _verify_golden(cfg: RunConfig, golden) -> int:
 
 
 @main.command("export-lp")
-@_common_options
+@_options("config", "zone", "forecast", "season", "c1", "c2", "c3")
 @click.option("--timestep", type=int, required=True)
 @click.option("--direction", type=click.Choice(["lower", "upper"]), default="lower", show_default=True)
-@click.option("--out", type=click.Path(), default=None, help="Output file (default: stdout).")
-def export_lp(config, zone, forecast, horizon, season, objective, c1, c2, c3, timestep, direction, out):
-    """Dump one timestep's LP in the textual LP format (debugging aid)."""
-    try:
-        cfg = _load_config(
-            config,
-            dict(zone=zone, forecast=forecast, horizon=horizon, season=season,
-                 objective=objective, c1=c1, c2=c2, c3=c3),
-        )
-        z, forecast_series = _load_inputs(cfg)
-        row = forecast_series[timestep]
-        problem = build_lp(z, row, row.season, Direction(direction), cfg.weights())
-        text = problem.lp.to_lp_format()
-        if out:
-            Path(out).write_text(text)
-        else:
-            click.echo(text, nl=False)
-        sys.exit(EXIT_OK)
-    except (ZoneValidationError, ValueError, IndexError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+@click.option("--out", "lp_file", type=click.Path(),
+              help="Output file (default: stdout).")
+def export_lp(timestep, direction, lp_file, **params):
+    """Dump one timestep's weighted LP in the textual LP format (debugging aid)."""
+    cfg = _load_config(params)
+    zone, forecast = _load_inputs(cfg)
+    _check_timesteps([timestep], forecast)
+    row = forecast[timestep]
+    text = build_lp(zone, row, row.season, Direction(direction), cfg.weights()).lp.to_lp_format()
+    if lp_file:
+        Path(lp_file).write_text(text)
+    else:
+        click.echo(text, nl=False)
+    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ import numpy as np
 from .grid_model import Contingency, ZoneModel, _connected_components
 
 BALANCE_TOL_MW = 1e-6
-FLOW_CONSISTENCY_TOL = 1e-8
 
 
 class IslandingError(Exception):
@@ -345,7 +344,7 @@ class FullNetwork:
         for b, v in injections_mw.items():
             p[pos[b]] += v
         for comp in comps:
-            resid = float(sum(p[pos[b]] for b in comp))
+            resid = float(sum(p[pos[b]] for b in sorted(comp)))  # fixed order: no hash-seed noise
             if self.slack in comp:
                 p[pos[self.slack]] -= resid
             elif abs(resid) > BALANCE_TOL_MW:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from pathlib import Path
 
 from .grid_model import ZoneModel
 from .power_bandwidth import CongestionClass, PowerBandwidthResult, fmt6
@@ -152,9 +151,3 @@ def energy_results_to_csv(
         label = timestamps[t] if t < n else "end"
         writer.writerow([t, label, fmt6(energy.soc_lower_mwh[t]), fmt6(energy.soc_upper_mwh[t])])
     return buf.getvalue()
-
-
-def write_energy_csv(
-    energy: EnergyBandwidthResult, timestamps: list[str], path: str | Path
-) -> None:
-    Path(path).write_text(energy_results_to_csv(energy, timestamps))

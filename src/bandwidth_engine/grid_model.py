@@ -534,10 +534,6 @@ def zone_to_dict(zone: ZoneModel) -> dict:
     }
 
 
-def save_zone(zone: ZoneModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(zone_to_dict(zone), indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # forecast loading
 # ---------------------------------------------------------------------------
@@ -564,17 +560,8 @@ def load_forecast(path: str | Path, zone: ZoneModel) -> ForecastSeries:
 
     bus_ids = zone.bus_ids()
     oline_ids = [o.id for o in zone.outbound_lines]
-    cont_ids = [c.id for c in zone.contingencies]
-
-    expected: list[str] = ["timestamp", "season"]
-    expected += [f"inj:{b}" for b in bus_ids]
-    expected += [f"curt_max:{b}" for b in bus_ids]
-    expected += [f"ref:{o}" for o in oline_ids]
-    required_pairs = []
-    for c in zone.contingencies:
-        for o in zone.active_outbound(c):
-            required_pairs.append((o.id, c.id))
-            expected.append(f"ref:{o.id}@{c.id}")
+    expected = forecast_header(zone)
+    required_pairs = [(o.id, c.id) for c in zone.contingencies for o in zone.active_outbound(c)]
 
     col: dict[str, int] = {}
     for i, name in enumerate(header):

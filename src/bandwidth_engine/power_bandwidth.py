@@ -36,7 +36,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 from .dc_network import NetworkModel, TopologyState
 from .grid_model import (
@@ -321,15 +320,9 @@ def _binding_ratings(problem: BandwidthProblem, sol: LpSolution) -> list[str]:
     return binding
 
 
-def _max_violation_diagnostic(
-    zone: ZoneModel,
-    row: TimestepForecast,
-    season: Season,
-    weights: ObjectiveWeights,
-    network: NetworkModel,
-) -> str:
-    """Relax every rating row elastically and report the unavoidable overloads."""
-    problem = build_lp(zone, row, season, Direction.LOWER, weights, network=network)
+def _max_violation_diagnostic(problem: BandwidthProblem, row: TimestepForecast) -> str:
+    """Relax every rating row of the timestep's LP elastically and report the
+    unavoidable overloads (the lexicographic ``curt_total_cap`` row is left out)."""
     lp = LinearProgram(problem.lp.name + ":relaxed")
     for v in problem.lp.variables:
         lp.add_variable(v.name, v.lower, v.upper)
@@ -339,6 +332,8 @@ def _max_violation_diagnostic(
         if con.name in problem.rating_rows
     }
     for con in problem.lp.constraints:
+        if con.name == "curt_total_cap":
+            continue
         coeffs = dict(con.coeffs)
         if con.name in slack_of:
             coeffs[slack_of[con.name]] = -1.0
@@ -388,7 +383,7 @@ def solve_timestep(
         lp.set_objective(total)
         sol = _solve(lp, row, "least-curtailment")
         if sol.status != SolveStatus.OPTIMAL:
-            return _infeasible_result(zone, row, season, weights, network)
+            return _infeasible_result(problem, row, season)
         lp.add_constraint(total, Relation.LE, sol.objective, name="curt_total_cap")
 
     sols: dict[Direction, LpSolution] = {}
@@ -396,7 +391,7 @@ def solve_timestep(
         lp.set_objective(problem.objective(direction, weights, curtailment_bounded=lexicographic))
         sol = _solve(lp, row, f"{direction.value}-bound")
         if sol.status != SolveStatus.OPTIMAL:
-            return _infeasible_result(zone, row, season, weights, network)
+            return _infeasible_result(problem, row, season)
         sols[direction] = sol
     lo, hi = sols[Direction.LOWER], sols[Direction.UPPER]
 
@@ -437,11 +432,7 @@ def solve_timestep(
 
 
 def _infeasible_result(
-    zone: ZoneModel,
-    row: TimestepForecast,
-    season: Season,
-    weights: ObjectiveWeights,
-    network: NetworkModel,
+    problem: BandwidthProblem, row: TimestepForecast, season: Season
 ) -> PowerBandwidthResult:
     return PowerBandwidthResult(
         index=row.index,
@@ -455,7 +446,7 @@ def _infeasible_result(
         preventive_curtailment_upper_mw=math.nan,
         congestion_class=CongestionClass.INFEASIBLE,
         binding_constraint=None,
-        failure=_max_violation_diagnostic(zone, row, season, weights, network),
+        failure=_max_violation_diagnostic(problem, row),
     )
 
 
@@ -577,7 +568,3 @@ def power_results_to_csv(results: list[PowerBandwidthResult]) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def write_power_csv(results: list[PowerBandwidthResult], path: str | Path) -> None:
-    Path(path).write_text(power_results_to_csv(results))

@@ -252,3 +252,124 @@ def test_verify_golden_honours_flag(zone_path, forecast_paths, tmp_path, flag):
     res = _run("verify", *inputs, "--golden", golden)
     assert res.exit_code == 0, res.output
     assert "golden matches" in res.output
+
+
+# ---------------------------------------------------------------------------
+# one CLI path: every flag given is either used or refused, every failure is
+# one `error:` line and exit 1
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["stats", "export-lp"])
+def test_missing_zone_is_an_error_line(forecast_paths, command):
+    extra = ["--timestep", 1] if command == "export-lp" else []
+    res = _run(command, "--forecast", forecast_paths["summer_day"], *extra)
+    assert res.exit_code == 1
+    assert "error: no zone given" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_verify_seeds_honours_objective_and_weights(monkeypatch):
+    from bandwidth_engine import cli
+
+    seen = []
+    real = cli.solve_timestep
+    monkeypatch.setattr(cli, "solve_timestep", lambda *a, **kw: seen.append(kw) or real(*a, **kw))
+    res = _run("verify", "--seeds", 2, "--objective", "lexicographic", "--c1", 0.5)
+    assert res.exit_code == 0, res.output
+    assert len(seen) == 2
+    for kw in seen:
+        assert kw["lexicographic"] is True
+        assert kw["weights"].preventive_curtailment == 0.5
+
+
+def test_verify_seeds_honours_tolerance():
+    assert _run("verify", "--seeds", 4).exit_code == 0
+    res = _run("verify", "--seeds", 4, "--tolerance", 1e-6)
+    assert res.exit_code == 3, res.output
+    assert "seed 1: DISAGREE" in res.output
+
+
+MODES = {
+    "--results": ["stats", "--results", "{run}"],
+    "--seeds": ["verify", "--seeds", 2],
+    "--golden": ["verify", "--zone", "{zone}", "--forecast", "{forecast}", "--golden", "{golden}"],
+}
+REFUSED = [
+    ("--results", "--zone", "{zone}"), ("--results", "--season", "summer"), ("--results", "--c1", 0.1),
+    ("--results", "--horizon", 2), ("--results", "--workers", 2),
+    ("--seeds", "--zone", "{zone}"), ("--seeds", "--forecast", "{forecast}"), ("--seeds", "--season", "winter"),
+    ("--seeds", "--horizon", 3), ("--seeds", "--timestep", 1),
+    ("--golden", "--timestep", 1), ("--golden", "--power-resolution", 0.25), ("--golden", "--tolerance", 0.1),
+    ("--golden", "--seeds", 2),
+]
+
+
+@pytest.fixture(scope="module")
+def prior_run(zone_path, forecast_paths, tmp_path_factory):
+    out = tmp_path_factory.mktemp("prior") / "run"
+    res = _run("compute", "--zone", zone_path, "--forecast", forecast_paths["summer_day"], "--out", out)
+    assert res.exit_code == 0, res.output
+    return out
+
+
+@pytest.mark.parametrize("mode, flag, value", REFUSED, ids=[f"{m} {f}" for m, f, _ in REFUSED])
+def test_flag_the_mode_cannot_use_is_refused(zone_path, forecast_paths, prior_run, mode, flag, value):
+    values = dict(run=prior_run, zone=zone_path, forecast=forecast_paths["summer_day"],
+                  golden=GOLDENS / "summer_day_power.csv")
+    res = _run(*(str(a).format(**values) for a in [*MODES[mode], flag, value]))
+    assert res.exit_code == 1, res.output
+    assert f"error: {flag} has no effect with {mode}" in res.output
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("compute", "--wrokers"), ("stats", "--wrokers"), ("verify", "--wrokers"), ("export-lp", "--wrokers"),
+    ("stats", "--out"), ("export-lp", "--objective"), ("export-lp", "--horizon"),
+])
+def test_unknown_or_removed_flag_exits_1(zone_path, forecast_paths, command, flag):
+    res = _run(command, "--zone", zone_path, "--forecast", forecast_paths["summer_day"], flag, 2)
+    assert res.exit_code == 1, res.output
+    assert f"error: No such option '{flag}'" in res.output
+
+
+@pytest.mark.parametrize("command", ["compute", "stats", "verify"])
+@pytest.mark.parametrize("horizon", [-3, 0, 25])
+def test_horizon_outside_the_forecast_is_refused(zone_path, forecast_paths, tmp_path, command, horizon):
+    extra = ["--out", tmp_path / "o"] if command == "compute" else []
+    res = _run(command, "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
+               "--horizon", horizon, *extra)
+    assert res.exit_code == 1, res.output
+    assert f"error: horizon {horizon} is outside the forecast's 1 to 24 timesteps" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_stats_results_without_a_merged_report_is_an_error_line(tmp_path):
+    (tmp_path / "merged_report.csv").write_text("timestamp,lower\nt0,1.0\n")
+    res = _run("stats", "--results", tmp_path)
+    assert res.exit_code == 1
+    assert "is not a merged report" in res.output
+
+
+@pytest.mark.parametrize("seeds", [0, -3])
+def test_verify_seeds_that_check_nothing_are_refused(seeds):
+    res = _run("verify", "--seeds", seeds)
+    assert res.exit_code == 1
+    assert "error: Invalid value for '--seeds'" in res.output
+
+
+def test_verify_seeds_takes_weights_from_config_and_ignores_its_input_keys(
+    zone_path, forecast_paths, tmp_path, monkeypatch
+):
+    """Config-file keys are never refused: one config file serves every subcommand."""
+    from bandwidth_engine import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"zone": str(zone_path), "forecast": str(forecast_paths["winter_day"]),
+                               "horizon": 3, "c1": 2.0e4}))
+    seen = []
+    real = cli.solve_timestep
+    monkeypatch.setattr(cli, "solve_timestep", lambda *a, **kw: seen.append(kw) or real(*a, **kw))
+    res = _run("verify", "--seeds", 2, "--config", cfg)
+    assert res.exit_code == 0, res.output
+    assert "2 seeds, 0 disagreement(s)" in res.output
+    assert [kw["weights"].preventive_curtailment for kw in seen] == [2.0e4, 2.0e4]

@@ -268,3 +268,24 @@ def test_network_model_keeps_balance_and_islanding_checks(zone, winter_day):
     )
     with pytest.raises(IslandingError, match="island"):
         NetworkModel(zone, [stranded])
+
+
+def test_random_instances_do_not_depend_on_the_hash_seed():
+    """Component residuals are summed in a fixed order, so a seeded instance's
+    reference flows are the same in every process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bandwidth_engine
+
+    src = str(Path(bandwidth_engine.__file__).resolve().parents[1])
+    code = "from bandwidth_engine.fixtures import random_instance as r; print([r(s)[1] for s in range(20)])"
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]

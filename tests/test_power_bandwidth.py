@@ -574,3 +574,16 @@ def test_result_rows_hold_plain_floats_and_pickle(zone, winter_day):
     assert not hasattr(row, "__dict__")
     assert all(type(getattr(row, name)) is float for name in _FLOAT_FIELDS)
     assert pickle.loads(pickle.dumps(row)) == row
+
+
+@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+def test_infeasible_diagnostic_reuses_the_timesteps_lp(monkeypatch, lexicographic):
+    built = []
+    real_build = pb.build_lp
+    monkeypatch.setattr(pb, "build_lp", lambda *a, **kw: built.append(a) or real_build(*a, **kw))
+    for seed in (0, 3, 4):
+        zone, row = random_instance(seed)
+        result = solve_timestep(zone, row, lexicographic=lexicographic)
+        assert result.congestion_class == CongestionClass.INFEASIBLE
+        assert result.failure.startswith("unclearable overload: ")
+    assert len(built) == 3
