@@ -24,6 +24,7 @@ import logging
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -86,8 +87,7 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
         if self.objective not in ("weighted", "lexicographic"):
             raise ValueError(f"unknown objective mode {self.objective!r}")
-        if min(self.c1, self.c2, self.c3) <= 0:
-            raise ValueError("objective weights must be > 0")
+        self.weights().validate()
         if self.season is not None:
             Season(self.season)
 
@@ -100,6 +100,7 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _load_config(params: dict) -> RunConfig:
@@ -114,6 +115,14 @@ def _load_config(params: dict) -> RunConfig:
             f"{params['config']}: a config file is a JSON object with keys among "
             f"{', '.join(sorted(_CONFIG_KEYS))}"
         )
+    for key, value in base.items():
+        want = _CONFIG_TYPES[key]
+        widened = want is float and isinstance(value, int)  # an int passes for a float
+        if isinstance(value, bool) or not (widened or isinstance(value, want)):
+            raise ValueError(
+                f"{params['config']}: {key} must be {getattr(want, '__name__', want)}, "
+                f"not {json.dumps(value)}"
+            )
     base.update({k: v for k, v in params.items() if k in _CONFIG_KEYS and v is not None})
     cfg = RunConfig(**base)
     cfg.validate()

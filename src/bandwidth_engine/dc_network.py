@@ -27,9 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_model import Contingency, ZoneModel, _connected_components
-
-BALANCE_TOL_MW = 1e-6
+from .grid_model import BALANCE_TOL_MW, Contingency, ZoneModel, _connected_components
 
 
 class IslandingError(Exception):

@@ -1,9 +1,14 @@
 """Linear-program container and a bundled exact solver.
 
-The solver is a dense two-phase simplex with a Bland's-rule fallback for
-anti-cycling. Dense is fine at zone scale (at most a few hundred variables per
-problem) and keeps results bit-reproducible across platforms: identical input
-produces the identical pivot sequence and therefore the identical solution.
+The solver is a dense two-phase tableau simplex. Dense is fine at zone scale
+(at most a few hundred variables per problem) and keeps results
+bit-reproducible across platforms: identical input produces the identical
+pivot sequence and therefore the identical solution. Two guards keep it
+finite: a switch to Bland's rule after ``DEGENERATE_STREAK`` degenerate
+pivots in a row (Beale's LP cycles without it), and one retry on a
+row-equilibrated copy for an LP that still reaches ``MAX_ITERATIONS`` (the
+Klee-Minty cube does). A second stall is ``numerically_unstable``, never
+``infeasible``. Duals come from the final tableau's reduced costs.
 
 External solvers can be plugged in by implementing the ``solve`` signature;
 everything downstream consumes only :class:`LpSolution`.
@@ -208,10 +213,12 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 # standard-form conversion
 #
-# Every variable is shifted/flipped/split to a nonnegative column; finite upper
-# ranges become extra rows. Rows are sign-normalized to rhs >= 0 so phase one
-# can always seed a basis from slacks and artificials. The objective is not
-# part of the form: :meth:`_StandardForm.costs` maps it onto the columns.
+# Every variable becomes nonnegative columns of one of two kinds: "shift"
+# (x = lb + col) when the lower bound is finite, "split" (x = pos - neg) when
+# it is not. Every finite upper bound becomes an extra range row. Rows are
+# sign-normalized to rhs >= 0 so phase one can always seed a basis from
+# slacks and artificials. The objective is not part of the form:
+# :meth:`_StandardForm.costs` maps it onto the columns.
 # ---------------------------------------------------------------------------
 
 
@@ -222,21 +229,21 @@ class _StandardForm:
         self.row_names = [con.name for con in constraints]
         self._var_index = dict(lp._var_index)
         ncols = 0
-        # per original var: ("shift", col, lb) | ("flip", col, ub) | ("split", col_pos, col_neg)
+        # per original var: ("shift", col, lb) | ("split", col_pos, col_neg)
         self.var_map: list[tuple] = []
-        extra_ub_rows: list[tuple[int, float]] = []  # (col, upper-range)
+        extra_ub_rows: list[tuple[tuple, float]] = []  # (var_map entry, upper range)
         for v in variables:
-            if v.lower == -INF and v.upper == INF:
-                self.var_map.append(("split", ncols, ncols + 1))
+            if v.lower == -INF:
+                kind = ("split", ncols, ncols + 1)
+                rng = v.upper
                 ncols += 2
-            elif v.lower == -INF:
-                self.var_map.append(("flip", ncols, v.upper))
-                ncols += 1
             else:
-                self.var_map.append(("shift", ncols, v.lower))
-                if v.upper < INF:
-                    extra_ub_rows.append((ncols, v.upper - v.lower))
+                kind = ("shift", ncols, v.lower)
+                rng = v.upper - v.lower
                 ncols += 1
+            self.var_map.append(kind)
+            if v.upper < INF:
+                extra_ub_rows.append((kind, rng))
 
         n_user = len(constraints)
         nrows = n_user + len(extra_ub_rows)
@@ -246,24 +253,14 @@ class _StandardForm:
         self.row_sign = np.ones(n_user)
 
         for i, con in enumerate(constraints):
-            shift = 0.0
-            for var, c in con.coeffs.items():
-                kind = self.var_map[self._var_index[var]]
-                if kind[0] == "shift":
-                    A[i, kind[1]] += c
-                    shift += c * kind[2]
-                elif kind[0] == "flip":
-                    A[i, kind[1]] -= c
-                    shift += c * kind[2]
-                else:
-                    A[i, kind[1]] += c
-                    A[i, kind[2]] -= c
-            b[i] = con.rhs - shift
+            b[i] = con.rhs - self._place(con.coeffs, A[i], 0.0)
             rel.append(con.relation)
 
-        for k, (col, rng) in enumerate(extra_ub_rows):
+        for k, (kind, rng) in enumerate(extra_ub_rows):
             i = n_user + k
-            A[i, col] = 1.0
+            A[i, kind[1]] = 1.0
+            if kind[0] == "split":
+                A[i, kind[2]] = -1.0
             b[i] = rng
             rel.append(Relation.LE)
 
@@ -285,30 +282,28 @@ class _StandardForm:
         self.ncols = ncols
         self.nrows = nrows
 
+    def _place(self, coeffs: Mapping[str, float], out: np.ndarray, shift: float) -> float:
+        """Add ``coeffs`` onto the columns in ``out``; return ``shift`` plus the
+        constant the shifted columns' lower bounds contribute."""
+        for var, coef in coeffs.items():
+            kind = self.var_map[self._var_index[var]]
+            out[kind[1]] += coef
+            if kind[0] == "shift":
+                shift += coef * kind[2]
+            else:
+                out[kind[2]] -= coef
+        return shift
+
     def costs(self, objective: dict[str, float], constant: float) -> tuple[np.ndarray, float]:
         """Column costs of an objective, and the constant the column shifts add."""
         c = np.zeros(self.ncols)
-        shift = constant
-        for var, coef in objective.items():
-            kind = self.var_map[self._var_index[var]]
-            if kind[0] == "shift":
-                c[kind[1]] += coef
-                shift += coef * kind[2]
-            elif kind[0] == "flip":
-                c[kind[1]] -= coef
-                shift += coef * kind[2]
-            else:
-                c[kind[1]] += coef
-                c[kind[2]] -= coef
-        return c, shift
+        return c, self._place(objective, c, constant)
 
     def recover(self, x_std: np.ndarray) -> dict[str, float]:
         values = {}
         for name, kind in zip(self.var_names, self.var_map):
             if kind[0] == "shift":
                 values[name] = float(kind[2] + x_std[kind[1]])
-            elif kind[0] == "flip":
-                values[name] = float(kind[2] - x_std[kind[1]])
             else:
                 values[name] = float(x_std[kind[1]] - x_std[kind[2]])
         return values
@@ -346,6 +341,9 @@ class _Simplex:
                 a += 1
         self.T = T
         self.basis = basis
+        # row i's unit column (its slack or artificial): its final reduced
+        # cost is -y_i, as phase two prices these columns at zero
+        self.unit_cols = basis.copy()
         self.m, self.n = m, n
         self.total = total
         self.iterations = 0
@@ -362,7 +360,13 @@ class _Simplex:
         self.basis[row] = col
 
     def _run(self, cost: np.ndarray, allowed: np.ndarray) -> str:
-        """Minimize cost over the current tableau; returns 'optimal'/'unbounded'/'stalled'."""
+        """Minimize cost over the current tableau; returns 'optimal'/'unbounded'/'stalled'.
+
+        Entering column: most negative reduced cost (Dantzig), or the lowest
+        index once DEGENERATE_STREAK degenerate pivots ran in a row (Bland).
+        Leaving row: the smallest basis column among ratio ties. Beale's LP
+        cycles under Dantzig's rule with this tie-break; Bland's rule cannot.
+        """
         T = self.T
         # reduced costs: c - c_B B^-1 A, maintained incrementally across pivots
         zrow = cost - cost[self.basis] @ T[:, :-1]
@@ -373,6 +377,7 @@ class _Simplex:
             self.iterations += 1
             cand = np.where(allowed & (zrow < -PIVOT_TOL))[0]
             if cand.size == 0:
+                self.zrow = zrow
                 return "optimal"
             if degenerate_streak >= DEGENERATE_STREAK:
                 col = int(cand[0])  # Bland: lowest index
@@ -396,11 +401,19 @@ class _Simplex:
             zrow[col] = 0.0
             self._pivot(row, col)
 
+    def primal(self, ncols: int) -> np.ndarray:
+        """The basic solution's first ``ncols`` columns."""
+        x = np.zeros(self.total)
+        x[self.basis] = self.T[:, -1]
+        return x[:ncols]
 
-def _solve_standard(
-    sf: _StandardForm, c: np.ndarray
-) -> tuple[str, np.ndarray | None, np.ndarray | None, int]:
-    """Run two-phase simplex; returns (status, x, basis, iterations)."""
+    def row_duals(self) -> np.ndarray:
+        """Each row's dual, read off the final reduced costs."""
+        return -self.zrow[self.unit_cols]
+
+
+def _solve_standard(sf: _StandardForm, c: np.ndarray) -> tuple[str, _Simplex]:
+    """Run two-phase simplex; returns the status and the final tableau."""
     sx = _Simplex(sf.A, sf.b, sf.rel)
     n_art = sx.total - sx.art_start
 
@@ -410,10 +423,10 @@ def _solve_standard(
         allowed = np.ones(sx.total, dtype=bool)
         status = sx._run(cost1, allowed)
         if status == "stalled":
-            return "stalled", None, None, sx.iterations
+            return status, sx
         phase1_obj = float(cost1[sx.basis] @ sx.T[:, -1])
         if phase1_obj > FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(sf.b))) if sf.b.size else 1.0):
-            return "infeasible", None, None, sx.iterations
+            return "infeasible", sx
         # drive remaining artificials out of the basis where possible
         for i in range(sx.m):
             if sx.basis[i] >= sx.art_start:
@@ -428,72 +441,44 @@ def _solve_standard(
 
     cost2 = np.zeros(sx.total)
     cost2[: sf.ncols] = c
-    status = sx._run(cost2, allowed)
-    if status == "stalled":
-        return "stalled", None, None, sx.iterations
-    if status == "unbounded":
-        return "unbounded", None, None, sx.iterations
-    x = np.zeros(sx.total)
-    x[sx.basis] = sx.T[:, -1]
-    return "optimal", x[: sf.ncols], sx.basis.copy(), sx.iterations
-
-
-def _compute_duals(sf: _StandardForm, c: np.ndarray, basis: np.ndarray) -> dict[str, float] | None:
-    """Dual values per original constraint row from the optimal basis."""
-    try:
-        # rebuild the full standard-form matrix with slack/artificial columns
-        sx = _Simplex(sf.A, sf.b, sf.rel)
-        full = sx.T[:, :-1]
-        cost = np.zeros(sx.total)
-        cost[: sf.ncols] = c
-        B = full[:, basis]
-        y = np.linalg.solve(B.T, cost[basis])
-        duals = {}
-        for i, name in enumerate(sf.row_names):
-            duals[name] = float(y[i] * sf.row_sign[i])
-        return duals
-    except np.linalg.LinAlgError:
-        return None
+    return sx._run(cost2, allowed), sx
 
 
 def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     """Solve a minimization LP exactly; deterministic for identical input.
 
-    Numerical trouble (cycling guard exhausted, singular bases) triggers one
-    retry on an equilibrated copy; if that also fails the status is
-    ``numerically_unstable`` — deliberately distinct from ``infeasible``.
+    Degenerate cycling is broken by the switch to Bland's rule. An LP that
+    still reaches ``MAX_ITERATIONS`` pivots (the Klee-Minty cube, say) is
+    retried once on a row-equilibrated copy, which changes the pivot path;
+    if that stalls too the status is ``numerically_unstable``, deliberately
+    distinct from ``infeasible``. Duals (one per row, d objective / d rhs)
+    are read off the final tableau's reduced costs on the rows' slack or
+    artificial columns; a rescaled solve returns none.
     """
-    if not lp._variables:
-        return LpSolution(SolveStatus.OPTIMAL, lp.objective_constant, {}, {}, 0)
-
     sf = lp._standard_form()
     c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
-    status, x, basis, iters = _solve_standard(sf, c)
+    status, sx = _solve_standard(sf, c)
+    iters = sx.iterations
+    rescaled = status == "stalled"
+    if rescaled:
+        sf = _StandardForm(_equilibrated_copy(lp))
+        c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
+        status, sx = _solve_standard(sf, c)
+        iters += sx.iterations
 
-    rescaled = False
     if status == "stalled":
-        sf2 = _StandardForm(_equilibrated_copy(lp))
-        c2, shift2 = sf2.costs(lp.objective, lp.objective_constant)
-        status, x, basis, iters2 = _solve_standard(sf2, c2)
-        iters += iters2
-        if status == "optimal":
-            sf, c, obj_shift = sf2, c2, shift2
-            rescaled = True
-        elif status == "stalled":
-            return LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan, {}, None, iters)
-
+        return LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan, {}, None, iters)
     if status == "infeasible":
         return LpSolution(SolveStatus.INFEASIBLE, math.nan, {}, None, iters)
     if status == "unbounded":
         return LpSolution(SolveStatus.UNBOUNDED, -math.inf, {}, None, iters)
-    if status != "optimal":
-        return LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan, {}, None, iters)
 
-    values = sf.recover(x)
-    obj = obj_shift + float(np.dot(c, x))
-    # duals from a row-rescaled solve would need unscaling; skip them there
-    duals = _compute_duals(sf, c, basis) if compute_duals and not rescaled else None
-    return LpSolution(SolveStatus.OPTIMAL, obj, values, duals, iters)
+    x = sx.primal(sf.ncols)
+    duals = None
+    if compute_duals and not rescaled:
+        y = sx.row_duals()[: len(sf.row_names)] * sf.row_sign
+        duals = dict(zip(sf.row_names, y.tolist()))
+    return LpSolution(SolveStatus.OPTIMAL, obj_shift + float(np.dot(c, x)), sf.recover(x), duals, iters)
 
 
 def _equilibrated_copy(lp: LinearProgram) -> LinearProgram:

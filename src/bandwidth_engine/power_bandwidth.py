@@ -89,8 +89,9 @@ class ObjectiveWeights:
     curative_curtailment: float = 1.0e-4
 
     def validate(self) -> None:
-        if min(self.preventive_curtailment, self.curative_battery, self.curative_curtailment) <= 0:
-            raise ValueError("objective weights must be positive")
+        weights = (self.preventive_curtailment, self.curative_battery, self.curative_curtailment)
+        if not all(0 < w < math.inf for w in weights):
+            raise ValueError("objective weights must be finite and positive")
 
 
 #: LP states: the normal state plus three stages per contingency.
@@ -177,16 +178,11 @@ def build_lp(
     season: Season | str,
     direction: Direction | str,
     weights: ObjectiveWeights | None = None,
-    battery_fixed_mw: float | None = None,
-    forbid_preventive_curtailment: bool = False,
     network: NetworkModel | None = None,
 ) -> BandwidthProblem:
     """Build one direction's LP for one timestep.
 
-    ``battery_fixed_mw`` pins the preventive setpoint (used by the safety
-    check); ``forbid_preventive_curtailment`` zeroes the curtailment budget
-    (used by the battery-priority check). ``network`` is the zone's
-    :func:`network_model`, built here when not given.
+    ``network`` is the zone's :func:`network_model`, built here when not given.
     """
     season = Season(season)
     direction = Direction(direction)
@@ -198,16 +194,11 @@ def build_lp(
     battery = zone.battery
     lp = LinearProgram(f"bandwidth[t={row.index},{direction.value}]")
 
-    if battery_fixed_mw is not None:
-        b_lo = b_hi = battery_fixed_mw
-    else:
-        b_lo, b_hi = battery.battery_min_mw, battery.battery_max_mw
-    batt = lp.add_variable("batt", b_lo, b_hi)
+    batt = lp.add_variable("batt", battery.battery_min_mw, battery.battery_max_mw)
 
     curt: dict[str, str] = {}
     for b in zone.bus_ids():
-        cap = 0.0 if forbid_preventive_curtailment else row.curtailable_max_mw[b]
-        curt[b] = lp.add_variable(f"curt:{b}", 0.0, cap)
+        curt[b] = lp.add_variable(f"curt:{b}", 0.0, row.curtailable_max_mw[b])
 
     cur_batt: dict[str, tuple[str, str]] = {}
     cur_curt: dict[tuple[str, str], str] = {}
@@ -230,7 +221,7 @@ def build_lp(
         for b in zone.bus_ids():
             v = lp.add_variable(f"cur_curt:{b}@{c.id}", 0.0, INF)
             cur_curt[(b, c.id)] = v
-            cap = 0.0 if forbid_preventive_curtailment else row.curtailable_max_mw[b]
+            cap = row.curtailable_max_mw[b]
             lp.add_constraint(
                 {curt[b]: 1.0, v: 1.0}, Relation.LE, cap, name=f"cur_curt_cap:{b}@{c.id}"
             )
@@ -306,6 +297,12 @@ def _solve(lp: LinearProgram, row: TimestepForecast, what: str) -> LpSolution:
     return sol
 
 
+def _rating_label(problem: BandwidthProblem, row_name: str) -> str:
+    """``line:stage[contingency]:rating`` of a rating row."""
+    lid, stage, cid, rating = problem.rating_rows[row_name]
+    return f"{lid}:{stage}{'[' + cid + ']' if cid else ''}:{rating}"
+
+
 def _binding_ratings(problem: BandwidthProblem, sol: LpSolution) -> list[str]:
     binding = []
     for con in problem.lp.constraints:
@@ -313,8 +310,7 @@ def _binding_ratings(problem: BandwidthProblem, sol: LpSolution) -> list[str]:
             continue
         lhs = sum(c * sol.values[v] for v, c in con.coeffs.items())
         if lhs >= con.rhs - 1e-6:
-            lid, stage, cid, rating = problem.rating_rows[con.name]
-            label = f"{lid}:{stage}{'[' + cid + ']' if cid else ''}:{rating}"
+            label = _rating_label(problem, con.name)
             if label not in binding:
                 binding.append(label)
     return binding
@@ -346,8 +342,7 @@ def _max_violation_diagnostic(problem: BandwidthProblem, row: TimestepForecast) 
     for row_name, s in slack_of.items():
         v = sol.value(s)
         if v > 1e-6:
-            lid, stage, cid, rating = problem.rating_rows[row_name]
-            worst.append((v, f"{lid}:{stage}{'[' + cid + ']' if cid else ''}:{rating} by {v:.3f} MW"))
+            worst.append((v, f"{_rating_label(problem, row_name)} by {v:.3f} MW"))
     worst.sort(reverse=True)
     if not worst:
         return "infeasible (the relaxed ratings need no overload: numerical tolerance)"
@@ -506,20 +501,19 @@ def check_safety(
     failures: list[tuple[float, str]] = []
     if result.congestion_class == CongestionClass.INFEASIBLE:
         return [(math.nan, "timestep infeasible")]
-    network = network_model(zone)
+    problem = build_lp(zone, row, row.season, Direction.LOWER, weights)
+    lp = problem.lp
+    for bus, val in (fix_curtailment_at or {}).items():
+        lp.set_bounds(problem.curtailment_vars[bus], val, val)
     span = result.upper_mw - result.lower_mw
     for i in range(n_points):
         b = result.lower_mw + span * (i / (n_points - 1) if n_points > 1 else 0.5)
-        problem = build_lp(
-            zone, row, row.season, Direction.LOWER, weights, battery_fixed_mw=b, network=network
-        )
-        for bus, val in (fix_curtailment_at or {}).items():
-            problem.lp.set_bounds(problem.curtailment_vars[bus], val, val)
-        sol = solve(problem.lp, compute_duals=False)
+        lp.set_bounds(problem.battery_var, b, b)
+        sol = solve(lp, compute_duals=False)
         if sol.status != SolveStatus.OPTIMAL:
             failures.append((b, f"no feasible completion at setpoint {b:.4f} MW"))
             continue
-        residual = check_solution(problem.lp, sol.values)
+        residual = check_solution(lp, sol.values)
         if residual:
             failures.append((b, f"completion violates {residual[0]}"))
     return failures

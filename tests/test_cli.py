@@ -373,3 +373,43 @@ def test_verify_seeds_takes_weights_from_config_and_ignores_its_input_keys(
     assert res.exit_code == 0, res.output
     assert "2 seeds, 0 disagreement(s)" in res.output
     assert [kw["weights"].preventive_curtailment for kw in seen] == [2.0e4, 2.0e4]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('{"horizon": "3"}', 'horizon must be int | None, not "3"'),
+        ('{"workers": "2"}', 'workers must be int, not "2"'),
+        ('{"horizon": true}', "horizon must be int | None, not true"),  # a bool is not an int
+    ],
+)
+def test_config_value_of_the_wrong_type_is_an_error_line(zone_path, forecast_paths, tmp_path, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    res = _run("compute", "--config", cfg, "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
+               "--out", tmp_path / "o")
+    assert res.exit_code == 1, res.output
+    assert f"error: {cfg}: {message}" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_int_for_a_float_weight_is_accepted(zone_path, forecast_paths, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"c1": 5000}')
+    res = _run("stats", "--config", cfg, "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
+               "--horizon", 2)
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("source", ["--c1 nan", "--c1 inf", '{"c1": NaN}'])
+def test_non_finite_weight_is_an_error_line(zone_path, forecast_paths, tmp_path, source):
+    if source.startswith("{"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(source)
+        flags = ["--config", cfg]
+    else:
+        flags = source.split()
+    res = _run("compute", *flags, "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
+               "--out", tmp_path / "o")
+    assert res.exit_code == 1, res.output
+    assert "error: objective weights must be finite and positive" in res.output

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandwidth_engine import lp_core
 from bandwidth_engine.lp_core import (
     INF,
     LinearProgram,
@@ -290,3 +291,219 @@ def test_lp_changes_only_through_its_methods():
         lp.set_bounds("z", 0.0, 1.0)
     with pytest.raises(LpError):
         lp.set_bounds("x", 2.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# guards against cycling and stalling, each reached by a real LP
+# ---------------------------------------------------------------------------
+
+
+def _beale() -> LinearProgram:
+    """Beale's (1955) LP, which cycles under Dantzig's rule with lowest-index
+    ties: optimum -5/4 at x4 = x6 = 1, x5 = x7 = 0."""
+    lp = LinearProgram("beale")
+    for v in ("x4", "x5", "x6", "x7"):
+        lp.add_variable(v)
+    lp.add_constraint({"x4": 0.25, "x5": -8.0, "x6": -1.0, "x7": 9.0}, Relation.LE, 0.0, name="r1")
+    lp.add_constraint({"x4": 0.5, "x5": -12.0, "x6": -0.5, "x7": 3.0}, Relation.LE, 0.0, name="r2")
+    lp.add_constraint({"x6": 1.0}, Relation.LE, 1.0, name="r3")
+    lp.set_objective({"x4": -0.75, "x5": 20.0, "x6": -0.5, "x7": 6.0})
+    return lp
+
+
+def test_bland_switch_breaks_beales_cycle(monkeypatch):
+    sol = solve(_beale())
+    assert sol.status == SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(-1.25, abs=1e-12)
+    assert sol.values == pytest.approx({"x4": 1.0, "x5": 0.0, "x6": 1.0, "x7": 0.0}, abs=1e-12)
+    # the cycle runs until the switch fires; Bland's rule then needs a few pivots
+    assert lp_core.DEGENERATE_STREAK < sol.iterations <= lp_core.DEGENERATE_STREAK + 10
+
+    # without the switch the same pivot rule cycles until the iteration cap
+    monkeypatch.setattr(lp_core, "DEGENERATE_STREAK", lp_core.MAX_ITERATIONS)
+    monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 500)
+    lp = _beale()
+    sf = lp._standard_form()
+    status, sx = lp_core._solve_standard(sf, sf.costs(lp.objective, 0.0)[0])
+    assert status == "stalled" and sx.iterations == 500
+
+
+def _klee_minty(n: int) -> LinearProgram:
+    """Chvatal's form of the Klee-Minty cube (base 2): min -sum 2^(n-1-j) x_j
+    s.t. x_i + 2 sum_{j<i} 2^(i-j) x_j <= 4^i; optimum -4^(n-1) at x_(n-1) = 4^(n-1).
+    Dantzig's rule pivots through thousands of its vertices."""
+    lp = LinearProgram("klee_minty")
+    for j in range(n):
+        lp.add_variable(f"x{j}")
+    for i in range(n):
+        coeffs = {f"x{j}": 2.0 * 2.0 ** (i - j) for j in range(i)}
+        coeffs[f"x{i}"] = 1.0
+        lp.add_constraint(coeffs, Relation.LE, 4.0**i)
+    lp.set_objective({f"x{j}": -(2.0 ** (n - 1 - j)) for j in range(n)})
+    return lp
+
+
+def test_equilibrated_retry_solves_an_lp_that_reaches_the_iteration_cap():
+    """The cube stalls at MAX_ITERATIONS with the Bland switch on (no pivot is
+    degenerate); the row-equilibrated copy takes another pivot path to the
+    optimum in 30 pivots."""
+    lp = _klee_minty(15)
+    sol = solve(lp)
+    assert sol.status == SolveStatus.OPTIMAL
+    assert sol.objective == pytest.approx(-(4.0**14), rel=1e-12)
+    assert sol.value("x14") == pytest.approx(4.0**14, rel=1e-12)
+    assert check_solution(lp, sol.values) == []
+    assert sol.iterations == lp_core.MAX_ITERATIONS + 30
+    assert sol.duals is None  # a rescaled solve reports no duals
+
+
+def _klee_minty_feasibility(n: int) -> LinearProgram:
+    """The cube with its objective turned into a >= row at the optimum, so
+    that phase one walks the vertices."""
+    lp = _klee_minty(n)
+    lp.add_constraint({v: -c for v, c in lp.objective.items()}, Relation.GE, 4.0 ** (n - 1))
+    lp.set_objective({})
+    return lp
+
+
+@pytest.mark.parametrize("build", [_klee_minty, _klee_minty_feasibility], ids=["phase2", "phase1"])
+def test_lp_that_stalls_after_the_retry_is_numerically_unstable(monkeypatch, build):
+    """Never infeasible: a stall is a solver failure, not a finding."""
+    monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 20)  # the rescaled cube needs 24
+    sol = solve(build(12))
+    assert sol.status == SolveStatus.NUMERICALLY_UNSTABLE
+    assert math.isnan(sol.objective) and sol.values == {} and sol.duals is None
+    assert sol.iterations == 40
+
+
+def test_rows_without_variables():
+    lp = LinearProgram()
+    lp.add_constraint({}, Relation.LE, 5.0)
+    assert solve(lp).status == SolveStatus.OPTIMAL
+    lp.add_constraint({}, Relation.GE, 5.0)
+    assert solve(lp).status == SolveStatus.INFEASIBLE
+
+
+# ---------------------------------------------------------------------------
+# variables bounded only above, and duals, against HiGHS
+# ---------------------------------------------------------------------------
+
+
+def _random_mixed_bounds_lp(rng: np.random.Generator) -> LinearProgram:
+    """Feasible random LP whose variables are bounded only above, only below,
+    on both sides or not at all. Inequalities hold with slack at a known
+    point, and there are fewer equalities than variables, so the optimum is
+    almost surely nondegenerate and its duals unique."""
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    lp = LinearProgram("mixed")
+    x0 = rng.uniform(-3, 3, size=n)
+    for j in range(n):
+        kind = int(rng.integers(0, 4))
+        lower = -INF if kind in (0, 3) else x0[j] - rng.uniform(0, 2)
+        upper = INF if kind in (1, 3) else x0[j] + rng.uniform(0, 2)
+        lp.add_variable(f"x{j}", lower, upper)
+    for i in range(m):
+        a = rng.uniform(-2, 2, size=n)
+        rel = [Relation.LE, Relation.GE, Relation.EQ][int(rng.integers(0, 3 if i < n - 1 else 2))]
+        margin = {Relation.LE: 1.0, Relation.GE: -1.0, Relation.EQ: 0.0}[rel] * rng.uniform(0, 1)
+        lp.add_constraint({f"x{j}": float(a[j]) for j in range(n)}, rel, float(a @ x0 + margin), name=f"r{i}")
+    lp.set_objective({f"x{j}": float(rng.uniform(-1, 1)) for j in range(n)})
+    return lp
+
+
+def _highs(lp: LinearProgram):
+    """The LP through scipy's HiGHS, and each row's d objective / d rhs."""
+    optimize = pytest.importorskip("scipy.optimize")
+    names = [v.name for v in lp.variables]
+
+    def row(con):
+        return [con.coeffs.get(v, 0.0) for v in names]
+
+    ub = [(con, 1.0) for con in lp.constraints if con.relation == Relation.LE]
+    ub += [(con, -1.0) for con in lp.constraints if con.relation == Relation.GE]
+    eq = [con for con in lp.constraints if con.relation == Relation.EQ]
+    res = optimize.linprog(
+        [lp.objective.get(v, 0.0) for v in names],
+        A_ub=[[s * a for a in row(con)] for con, s in ub] or None,
+        b_ub=[s * con.rhs for con, s in ub] or None,
+        A_eq=[row(con) for con in eq] or None,
+        b_eq=[con.rhs for con in eq] or None,
+        bounds=[(None if v.lower == -INF else v.lower, None if v.upper == INF else v.upper) for v in lp.variables],
+        method="highs",
+    )
+    duals = {}
+    if res.status == 0:
+        duals.update({con.name: s * y for (con, s), y in zip(ub, res.ineqlin.marginals)})
+        duals.update({con.name: y for con, y in zip(eq, res.eqlin.marginals)})
+    return res, duals
+
+
+def test_mixed_bound_lps_match_highs():
+    rng = np.random.default_rng(31)
+    counts = {"optimal": 0, "unbounded": 0}
+    upper_only = 0
+    for _ in range(150):
+        lp = _random_mixed_bounds_lp(rng)
+        res, _ = _highs(lp)
+        sol = solve(lp, compute_duals=False)
+        assert res.status in (0, 3)  # feasible by construction
+        if res.status == 3:
+            assert sol.status == SolveStatus.UNBOUNDED, lp.to_lp_format()
+            counts["unbounded"] += 1
+            continue
+        assert sol.status == SolveStatus.OPTIMAL, lp.to_lp_format()
+        assert sol.objective == pytest.approx(res.fun, abs=1e-7)
+        assert check_solution(lp, sol.values) == []
+        counts["optimal"] += 1
+        upper_only += any(v.lower == -INF and v.upper < INF for v in lp.variables)
+    assert counts["optimal"] > 60 and counts["unbounded"] > 10 and upper_only > 30
+
+
+def test_duals_meet_strong_duality_and_complementary_slackness():
+    """min c.x s.t. a_i.x (<=, >=, =) b_i, l <= x <= u: with y the duals and
+    d = c - A'y the reduced costs, each d_j is zero off the bounds and signed
+    by the bound it holds, each y_i is signed by its row and zero on a row
+    with slack, and c.x = b.y + d.x."""
+    rng = np.random.default_rng(8)
+    checked = 0
+    for _ in range(150):
+        lp = _random_mixed_bounds_lp(rng)
+        sol = solve(lp)
+        if sol.status != SolveStatus.OPTIMAL:
+            continue
+        checked += 1
+        x, y = sol.values, sol.duals
+        assert set(y) == {con.name for con in lp.constraints}
+        for con in lp.constraints:
+            slack = sum(c * x[v] for v, c in con.coeffs.items()) - con.rhs
+            assert y[con.name] * slack == pytest.approx(0.0, abs=1e-8)
+            if con.relation == Relation.LE:
+                assert y[con.name] <= 1e-9
+            elif con.relation == Relation.GE:
+                assert y[con.name] >= -1e-9
+        d = {v.name: lp.objective.get(v.name, 0.0) for v in lp.variables}
+        for con in lp.constraints:
+            for v, c in con.coeffs.items():
+                d[v] -= c * y[con.name]
+        for v in lp.variables:
+            if d[v.name] > 1e-9:
+                assert x[v.name] == pytest.approx(v.lower, abs=1e-9)
+            elif d[v.name] < -1e-9:
+                assert x[v.name] == pytest.approx(v.upper, abs=1e-9)
+        dual_obj = sum(con.rhs * y[con.name] for con in lp.constraints) + sum(d[v] * x[v] for v in d)
+        assert dual_obj == pytest.approx(sol.objective, abs=1e-8)
+    assert checked > 60
+
+
+def test_duals_match_highs_marginals():
+    rng = np.random.default_rng(8)
+    checked = 0
+    for _ in range(150):
+        lp = _random_mixed_bounds_lp(rng)
+        sol = solve(lp)
+        if sol.status != SolveStatus.OPTIMAL:
+            continue
+        _, highs_duals = _highs(lp)
+        assert sol.duals == pytest.approx(highs_duals, abs=1e-7), lp.to_lp_format()
+        checked += 1
+    assert checked > 60

@@ -230,6 +230,42 @@ def test_safety_with_pinned_curtailment(zone, winter_day):
         assert failures == []
 
 
+def test_safety_check_reports_setpoints_outside_the_band(zone, summer_day):
+    """Widened by 0.5 MW, the rating-limited upper bounds of summer hours
+    10-12 take in a setpoint with no feasible completion, and only it fails."""
+    for h in (10, 11, 12):
+        row = summer_day[h]
+        r = solve_timestep(zone, row)
+        wide = dataclasses.replace(r, lower_mw=r.lower_mw - 0.5, upper_mw=r.upper_mw + 0.5)
+        [(setpoint, message)] = check_safety(zone, row, wide, n_points=11)
+        assert setpoint == pytest.approx(wide.upper_mw, abs=1e-12)
+        assert message == f"no feasible completion at setpoint {setpoint:.4f} MW"
+
+
+def test_safety_check_of_an_infeasible_timestep():
+    zone, row = random_instance(0)
+    r = solve_timestep(zone, row)
+    assert r.congestion_class == CongestionClass.INFEASIBLE
+    [(setpoint, message)] = check_safety(zone, row, r)
+    assert math.isnan(setpoint) and message == "timestep infeasible"
+
+
+def test_safety_check_catches_a_completion_that_violates_the_lp(zone, summer_day, monkeypatch):
+    """A solver answer that breaks a row or bound is reported, not trusted."""
+    row = summer_day[7]
+    r = solve_timestep(zone, row)
+    zeros = {v.name: 0.0 for v in build_lp(zone, row, row.season, Direction.LOWER).lp.variables}
+    monkeypatch.setattr(pb, "solve", lambda lp, compute_duals: LpSolution(SolveStatus.OPTIMAL, 0.0, zeros))
+    failures = check_safety(zone, row, r, n_points=3)
+    assert [m.split(" violated")[0] for _, m in failures] == ["completion violates bound batt"] * 3
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_objective_weights_must_be_finite_and_positive(zone, summer_day, bad):
+    with pytest.raises(ValueError, match="finite and positive"):
+        build_lp(zone, summer_day[7], Season.SUMMER, Direction.LOWER, ObjectiveWeights(bad))
+
+
 def test_raising_ratings_weakly_widens_band():
     for seed in (1, 2, 5, 7, 9, 11):
         zone, row = random_instance(seed)
@@ -279,9 +315,8 @@ def _curtailment_forcing_row(zone):
 
 
 def _assert_curtailment_was_forced(zone, row):
-    problem = build_lp(
-        zone, row, row.season, Direction.LOWER, forbid_preventive_curtailment=True
-    )
+    no_curtailment = dataclasses.replace(row, curtailable_max_mw={b: 0.0 for b in zone.bus_ids()})
+    problem = build_lp(zone, no_curtailment, row.season, Direction.LOWER)
     sol = solve(problem.lp, compute_duals=False)
     assert sol.status != SolveStatus.OPTIMAL
 
