@@ -8,8 +8,8 @@ Each subcommand declares only the flags it reads, builds its run config with
 :func:`_load_config` and loads its zone and forecast with :func:`_load_inputs`.
 A flag given on the command line that the chosen mode cannot use is refused.
 
-Exit codes: 0 success; 1 error (a usage error and a numerically unstable LP
-included); 2 infeasible timesteps present (files are still written); 3
+Exit codes: 0 success; 1 error (a usage error and a numerically unstable or
+unbounded LP included); 2 infeasible timesteps present (files are still written); 3
 verification disagreement. ``BANDWIDTH_ENGINE_LOG`` sets the log level.
 """
 

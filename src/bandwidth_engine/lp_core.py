@@ -14,8 +14,14 @@ External solvers can be plugged in by implementing the ``solve`` signature;
 everything downstream consumes only :class:`LpSolution`.
 
 A :class:`LinearProgram` changes only through its methods, so the standard
-form it is converted to for solving is kept until a variable, bound or row
-changes; solving again after a new objective alone reuses it.
+form it is converted to for solving is kept across solves. Its matrix depends
+only on the coefficients and on which bounds are finite: it is rebuilt when a
+variable or row is added or a bound turns finite or infinite. A new
+right-hand side (:meth:`LinearProgram.set_rhs`) or a bound that stays finite
+(or infinite) only marks the form's right-hand side stale, and the next solve
+recomputes it with the same arithmetic as a fresh form. Phase one does not
+depend on the objective, so it runs once per right-hand side and every
+objective starts phase two from a copy of its final tableau.
 """
 
 from __future__ import annotations
@@ -89,7 +95,9 @@ class LinearProgram:
         self.objective: dict[str, float] = {}
         self.objective_constant = 0.0
         self._var_index: dict[str, int] = {}
-        self._form: _StandardForm | None = None  # dropped by every change but the objective
+        self._row_index: dict[str, int] = {}
+        self._form: _StandardForm | None = None  # dropped when the matrix changes
+        self._rhs_stale = False  # the form's right-hand side must be recomputed
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -110,8 +118,13 @@ class LinearProgram:
     def set_bounds(self, name: str, lower: float, upper: float) -> None:
         if name not in self._var_index:
             raise LpError(f"unknown variable {name!r}")
-        self._variables[self._var_index[name]] = _variable(name, lower, upper)
-        self._form = None
+        i = self._var_index[name]
+        old, new = self._variables[i], _variable(name, lower, upper)
+        self._variables[i] = new
+        if (old.lower == -INF, old.upper < INF) == (new.lower == -INF, new.upper < INF):
+            self._rhs_stale = True
+        else:
+            self._form = None
 
     def add_constraint(
         self,
@@ -123,6 +136,8 @@ class LinearProgram:
         relation = Relation(relation)
         if name is None:
             name = f"c{len(self.constraints)}"
+        if name in self._row_index:
+            raise LpError(f"duplicate constraint {name!r}")
         for var, c in coeffs.items():
             if var not in self._var_index:
                 raise LpError(f"constraint {name!r} references unknown variable {var!r}")
@@ -130,11 +145,22 @@ class LinearProgram:
                 raise LpError(f"constraint {name!r} has non-finite coefficient on {var!r}")
         if not math.isfinite(rhs):
             raise LpError(f"constraint {name!r} has non-finite rhs")
+        self._row_index[name] = len(self._constraints)
         self._constraints.append(
             Constraint(name, MappingProxyType(dict(coeffs)), relation, float(rhs))
         )
         self._form = None
         return name
+
+    def set_rhs(self, name: str, rhs: float) -> None:
+        if name not in self._row_index:
+            raise LpError(f"unknown constraint {name!r}")
+        if not math.isfinite(rhs):
+            raise LpError(f"constraint {name!r} has non-finite rhs")
+        i = self._row_index[name]
+        con = self._constraints[i]
+        self._constraints[i] = Constraint(name, con.coeffs, con.relation, float(rhs))
+        self._rhs_stale = True
 
     def set_objective(self, coeffs: dict[str, float], constant: float = 0.0) -> None:
         for var, c in coeffs.items():
@@ -146,9 +172,12 @@ class LinearProgram:
         self.objective_constant = float(constant)
 
     def _standard_form(self) -> _StandardForm:
-        """The standard form of the current variables and rows, built at most once."""
+        """The standard form of the current variables, rows and right-hand sides."""
         if self._form is None:
             self._form = _StandardForm(self)
+        elif self._rhs_stale:
+            self._form.load(self)
+        self._rhs_stale = False
         return self._form
 
     def to_lp_format(self) -> str:
@@ -200,6 +229,10 @@ def _variable(name: str, lower: float, upper: float) -> Variable:
 
 @dataclass
 class LpSolution:
+    """A solve's outcome. ``iterations`` counts both phases' simplex
+    iterations, so a solve that starts phase two from a kept phase-one
+    tableau still counts that tableau's phase-one iterations."""
+
     status: SolveStatus
     objective: float
     values: dict[str, float] = field(default_factory=dict)
@@ -221,89 +254,114 @@ class LpSolution:
 # :meth:`_StandardForm.costs` maps it onto the columns.
 # ---------------------------------------------------------------------------
 
+_REVERSED = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Relation.EQ}
+
 
 class _StandardForm:
+    """The unnormalized matrix is built once; :meth:`load` writes the
+    right-hand side, sign-normalizes the rows and drops the phase-one tableau."""
+
     def __init__(self, lp: LinearProgram):
         variables, constraints = lp._variables, lp._constraints
         self.var_names = [v.name for v in variables]
         self.row_names = [con.name for con in constraints]
         self._var_index = dict(lp._var_index)
         ncols = 0
-        # per original var: ("shift", col, lb) | ("split", col_pos, col_neg)
+        # per original var: ("shift", col) | ("split", col_pos, col_neg)
         self.var_map: list[tuple] = []
-        extra_ub_rows: list[tuple[tuple, float]] = []  # (var_map entry, upper range)
-        for v in variables:
+        self._ranged: list[int] = []  # variables with a finite upper bound
+        for j, v in enumerate(variables):
             if v.lower == -INF:
                 kind = ("split", ncols, ncols + 1)
-                rng = v.upper
                 ncols += 2
             else:
-                kind = ("shift", ncols, v.lower)
-                rng = v.upper - v.lower
+                kind = ("shift", ncols)
                 ncols += 1
             self.var_map.append(kind)
             if v.upper < INF:
-                extra_ub_rows.append((kind, rng))
+                self._ranged.append(j)
 
         n_user = len(constraints)
-        nrows = n_user + len(extra_ub_rows)
+        nrows = n_user + len(self._ranged)
         A = np.zeros((nrows, ncols))
-        b = np.zeros(nrows)
-        rel: list[Relation] = []
-        self.row_sign = np.ones(n_user)
-
-        for i, con in enumerate(constraints):
-            b[i] = con.rhs - self._place(con.coeffs, A[i], 0.0)
-            rel.append(con.relation)
-
-        for k, (kind, rng) in enumerate(extra_ub_rows):
-            i = n_user + k
-            A[i, kind[1]] = 1.0
+        self._row_shifts = [self._place(con.coeffs, A[i]) for i, con in enumerate(constraints)]
+        for k, j in enumerate(self._ranged):
+            kind = self.var_map[j]
+            A[n_user + k, kind[1]] = 1.0
             if kind[0] == "split":
-                A[i, kind[2]] = -1.0
-            b[i] = rng
-            rel.append(Relation.LE)
-
-        # normalize rhs >= 0
-        for i in range(nrows):
-            if b[i] < 0:
-                A[i, :] *= -1.0
-                b[i] *= -1.0
-                if i < n_user:
-                    self.row_sign[i] = -1.0
-                if rel[i] == Relation.LE:
-                    rel[i] = Relation.GE
-                elif rel[i] == Relation.GE:
-                    rel[i] = Relation.LE
-
-        A.flags.writeable = False  # shared by every solve until the LP changes
-        b.flags.writeable = False
-        self.A, self.b, self.rel = A, b, rel
+                A[n_user + k, kind[2]] = -1.0
+        A.flags.writeable = False
+        self._A = A
+        self._rel = [con.relation for con in constraints] + [Relation.LE] * len(self._ranged)
         self.ncols = ncols
         self.nrows = nrows
+        self.load(lp)
 
-    def _place(self, coeffs: Mapping[str, float], out: np.ndarray, shift: float) -> float:
-        """Add ``coeffs`` onto the columns in ``out``; return ``shift`` plus the
-        constant the shifted columns' lower bounds contribute."""
+    def load(self, lp: LinearProgram) -> None:
+        """Write the LP's current right-hand sides and lower bounds."""
+        variables, constraints = lp._variables, lp._constraints
+        self._lower = [v.lower for v in variables]
+        rhs = [con.rhs - self._shift(terms, 0.0) for con, terms in zip(constraints, self._row_shifts)]
+        for j in self._ranged:
+            v = variables[j]
+            rhs.append(v.upper if v.lower == -INF else v.upper - v.lower)
+
+        # normalize rhs >= 0
+        n_user = len(constraints)
+        A, rel, self.row_sign = self._A, self._rel, np.ones(n_user)
+        flip = [i for i, x in enumerate(rhs) if x < 0]
+        if flip:
+            A, rel = A.copy(), list(rel)
+            for i in flip:
+                A[i, :] *= -1.0
+                rhs[i] *= -1.0
+                rel[i] = _REVERSED[rel[i]]
+                if i < n_user:
+                    self.row_sign[i] = -1.0
+            A.flags.writeable = False
+        b = np.array(rhs, dtype=float)
+        self.rel = rel
+        b.flags.writeable = False  # A and b are shared by every solve until the next load
+        self.A, self.b = A, b
+        self._after_phase_one: tuple[str, _Simplex] | None = None
+
+    def _place(self, coeffs: Mapping[str, float], out: np.ndarray) -> list[tuple[float, int]]:
+        """Add ``coeffs`` onto the columns in ``out``; return the (coefficient,
+        variable) pairs on shifted columns, in coefficient order."""
+        shifted = []
         for var, coef in coeffs.items():
-            kind = self.var_map[self._var_index[var]]
+            j = self._var_index[var]
+            kind = self.var_map[j]
             out[kind[1]] += coef
             if kind[0] == "shift":
-                shift += coef * kind[2]
+                shifted.append((coef, j))
             else:
                 out[kind[2]] -= coef
+        return shifted
+
+    def _shift(self, terms: list[tuple[float, int]], shift: float) -> float:
+        """``shift`` plus the constant the terms' lower bounds add."""
+        for coef, j in terms:
+            shift += coef * self._lower[j]
         return shift
 
     def costs(self, objective: dict[str, float], constant: float) -> tuple[np.ndarray, float]:
         """Column costs of an objective, and the constant the column shifts add."""
         c = np.zeros(self.ncols)
-        return c, self._place(objective, c, constant)
+        return c, self._shift(self._place(objective, c), constant)
+
+    def phase_one(self) -> tuple[str, _Simplex]:
+        """Phase one's status ('feasible', 'infeasible' or 'stalled') and final
+        tableau, computed once per :meth:`load`."""
+        if self._after_phase_one is None:
+            self._after_phase_one = _phase_one(self)
+        return self._after_phase_one
 
     def recover(self, x_std: np.ndarray) -> dict[str, float]:
         values = {}
-        for name, kind in zip(self.var_names, self.var_map):
+        for name, kind, lb in zip(self.var_names, self.var_map, self._lower):
             if kind[0] == "shift":
-                values[name] = float(kind[2] + x_std[kind[1]])
+                values[name] = float(lb + x_std[kind[1]])
             else:
                 values[name] = float(x_std[kind[1]] - x_std[kind[2]])
         return values
@@ -401,6 +459,12 @@ class _Simplex:
             zrow[col] = 0.0
             self._pivot(row, col)
 
+    def copy(self) -> _Simplex:
+        out = object.__new__(_Simplex)
+        out.__dict__.update(self.__dict__)
+        out.T, out.basis = self.T.copy(), self.basis.copy()
+        return out
+
     def primal(self, ncols: int) -> np.ndarray:
         """The basic solution's first ``ncols`` columns."""
         x = np.zeros(self.total)
@@ -412,22 +476,18 @@ class _Simplex:
         return -self.zrow[self.unit_cols]
 
 
-def _solve_standard(sf: _StandardForm, c: np.ndarray) -> tuple[str, _Simplex]:
-    """Run two-phase simplex; returns the status and the final tableau."""
+def _phase_one(sf: _StandardForm) -> tuple[str, _Simplex]:
+    """Drive the artificials to zero and, where possible, out of the basis."""
     sx = _Simplex(sf.A, sf.b, sf.rel)
-    n_art = sx.total - sx.art_start
-
-    if n_art > 0:
+    if sx.total > sx.art_start:
         cost1 = np.zeros(sx.total)
         cost1[sx.art_start :] = 1.0
-        allowed = np.ones(sx.total, dtype=bool)
-        status = sx._run(cost1, allowed)
+        status = sx._run(cost1, np.ones(sx.total, dtype=bool))
         if status == "stalled":
             return status, sx
         phase1_obj = float(cost1[sx.basis] @ sx.T[:, -1])
         if phase1_obj > FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(sf.b))) if sf.b.size else 1.0):
             return "infeasible", sx
-        # drive remaining artificials out of the basis where possible
         for i in range(sx.m):
             if sx.basis[i] >= sx.art_start:
                 row = sx.T[i, : sx.art_start]
@@ -435,10 +495,19 @@ def _solve_standard(sf: _StandardForm, c: np.ndarray) -> tuple[str, _Simplex]:
                 if nz.size:
                     sx._pivot(i, int(nz[0]))
         # any artificial still basic sits on a redundant zero row and simply
-        # stays there; it can never re-enter once blocked below
+        # stays there; it can never re-enter once blocked in phase two
+    return "feasible", sx
+
+
+def _solve_standard(sf: _StandardForm, c: np.ndarray) -> tuple[str, _Simplex]:
+    """Run phase two from a copy of the form's phase-one tableau; returns the
+    status and the final tableau."""
+    status, sx = sf.phase_one()
+    if status != "feasible":
+        return status, sx
+    sx = sx.copy()
     allowed = np.ones(sx.total, dtype=bool)
     allowed[sx.art_start :] = False
-
     cost2 = np.zeros(sx.total)
     cost2[: sf.ncols] = c
     return sx._run(cost2, allowed), sx

@@ -1,9 +1,13 @@
 """Per-timestep power-bandwidth problems.
 
-One LP is built per timestep and solved under two objectives that differ only
-in the sign on the preventive battery setpoint (minimize it for the lower
-bound, maximize it for the upper bound); the second solve reuses the first's
-standard form. The LP carries four families of network states:
+Each timestep's LP is solved under two objectives that differ only in the
+sign on the preventive battery setpoint (minimize it for the lower bound,
+maximize it for the upper bound). The LP's variables, rows and coefficients
+depend only on the zone, so one :class:`BandwidthProblem` is built per
+:func:`compute_power_bandwidths` call (per worker job) and each timestep
+writes only its curtailment bounds and right-hand sides into it; the LP layer
+keeps the standard form and runs phase one once for both objectives. The LP
+carries four families of network states:
 
 * normal state — flows within permanent ratings,
 * each contingency, before any recourse — flows within immediate ratings,
@@ -40,6 +44,7 @@ from enum import Enum
 from .dc_network import NetworkModel, TopologyState
 from .grid_model import (
     ForecastSeries,
+    Line,
     Season,
     TimestepForecast,
     ZoneModel,
@@ -108,16 +113,163 @@ _STAGE_RATING = {
 }
 
 
-@dataclass(frozen=True)
 class BandwidthProblem:
-    """A built LP plus the mapping from model symbols to LP variable names."""
+    """A zone's bandwidth LP plus the mapping from model symbols to LP
+    variable names.
 
-    lp: LinearProgram
-    battery_var: str
-    curtailment_vars: dict[str, str]  # bus -> var
-    curative_battery_vars: dict[str, tuple[str, str]]  # contingency -> (charge+, discharge+)
-    curative_curtailment_vars: dict[tuple[str, str], str]  # (bus, contingency) -> var
-    rating_rows: dict[str, tuple[str, str, str, str]]  # row -> (line, stage, contingency|"", rating)
+    The LP's variables, rows and coefficients depend only on the zone, so it
+    is built once, with one timestep's values; :meth:`set_hour` writes
+    another timestep's curtailment bounds and right-hand sides into it.
+    """
+
+    def __init__(self, zone: ZoneModel, network: NetworkModel, row: TimestepForecast, season: Season):
+        self.network = network
+        battery = zone.battery
+        lp = LinearProgram("bandwidth")
+
+        batt = lp.add_variable("batt", battery.battery_min_mw, battery.battery_max_mw)
+
+        curt: dict[str, str] = {}
+        for b in zone.bus_ids():
+            curt[b] = lp.add_variable(f"curt:{b}", 0.0, row.curtailable_max_mw[b])
+
+        cur_batt: dict[str, tuple[str, str]] = {}
+        cur_curt: dict[tuple[str, str], str] = {}
+        self._curt_caps: list[tuple[str, str]] = []  # (row, bus)
+        for c in zone.contingencies:
+            plus = lp.add_variable(f"cur_batt+:{c.id}", 0.0, INF)
+            minus = lp.add_variable(f"cur_batt-:{c.id}", 0.0, INF)
+            cur_batt[c.id] = (plus, minus)
+            lp.add_constraint(
+                {batt: 1.0, plus: 1.0, minus: -1.0},
+                Relation.LE,
+                battery.battery_max_mw,
+                name=f"cur_batt_cap_hi:{c.id}",
+            )
+            lp.add_constraint(
+                {batt: 1.0, plus: 1.0, minus: -1.0},
+                Relation.GE,
+                battery.battery_min_mw,
+                name=f"cur_batt_cap_lo:{c.id}",
+            )
+            for b in zone.bus_ids():
+                v = lp.add_variable(f"cur_curt:{b}@{c.id}", 0.0, INF)
+                cur_curt[(b, c.id)] = v
+                cap = lp.add_constraint(
+                    {curt[b]: 1.0, v: 1.0},
+                    Relation.LE,
+                    row.curtailable_max_mw[b],
+                    name=f"cur_curt_cap:{b}@{c.id}",
+                )
+                self._curt_caps.append((cap, b))
+
+        # one DC model per topology (intact, then each contingency): a stage's
+        # flow on an active line is base - sum_bus PTDF * control
+        self._pairs: list[tuple[str | None, str, str, Line, str]] = []  # per (hi, lo) row pair
+        flows: list[tuple[str, dict[str, float]]] = []  # (name suffix, flow - base) per pair
+        for cid, topo in network.topologies.items():
+            stages = (NORMAL,) if cid is None else (OUTAGE, FAST_CURATIVE, FULL_CURATIVE)
+            ptdf = topo.line_factors
+            for stage in stages:
+                tag = stage if cid is None else f"{stage}[{cid}]"
+
+                # controls acting in this stage, per bus: +1 MW of control
+                # withdraws 1 MW of net injection
+                controls = {b: {curt[b]: 1.0} for b in zone.bus_ids()}
+                controls[zone.battery_bus][batt] = 1.0
+                if stage in (FAST_CURATIVE, FULL_CURATIVE):
+                    plus, minus = cur_batt[cid]
+                    controls[zone.battery_bus].update({plus: 1.0, minus: -1.0})
+                if stage == FULL_CURATIVE:
+                    for b in zone.bus_ids():
+                        controls[b][cur_curt[(b, cid)]] = 1.0
+
+                for lid in topo.state.active_lines:
+                    flow: dict[str, float] = {}
+                    for b in zone.bus_ids():
+                        f = ptdf[lid][b]
+                        if f == 0.0:
+                            continue
+                        for var, mult in controls[b].items():
+                            flow[var] = flow.get(var, 0.0) - f * mult
+                    self._pairs.append((cid, lid, stage, zone.line(lid), _STAGE_RATING[stage]))
+                    flows.append((f"{tag}:{lid}", flow))
+
+        self._limits: dict[Season, list[float]] = {}
+        self._rating_rhs = self._rating_values(row, season)
+        self.rating_rows: dict[str, tuple[str, str, str, str]] = {}
+        self._ratings: list[tuple[str, dict[str, float]]] = []  # (row, coefficients) per row
+        rhs = iter(self._rating_rhs)
+        for (cid, lid, stage, _, rating), (suffix, flow) in zip(self._pairs, flows):
+            for side, coeffs in (("hi", flow), ("lo", {var: -c for var, c in flow.items()})):
+                name = lp.add_constraint(coeffs, Relation.LE, next(rhs), name=f"rating_{side}:{suffix}")
+                self.rating_rows[name] = (lid, stage, cid or "", rating)
+                self._ratings.append((name, coeffs))
+
+        self.lp = lp
+        self.battery_var = batt
+        self.curtailment_vars = curt
+        self.curative_battery_vars = cur_batt
+        self.curative_curtailment_vars = cur_curt
+        self._capped: LinearProgram | None = None
+
+    def _rating_values(self, row: TimestepForecast, season: Season) -> list[float]:
+        """Each rating row's rhs, in row order: limit - base flow for the upper
+        row of a pair, limit + base flow for the lower one."""
+        if season not in self._limits:
+            self._limits[season] = [
+                select_ratings(line, season).for_state(rating) for *_, line, rating in self._pairs
+            ]
+        base = {
+            cid: self.network.flows(
+                topo, row.injections_mw, row.ref_normal_mw if cid is None else row.ref_contingency_mw[cid]
+            )
+            for cid, topo in self.network.topologies.items()
+        }
+        rhs = []
+        for (cid, lid, *_), limit in zip(self._pairs, self._limits[season]):
+            rhs += (limit - base[cid][lid], limit + base[cid][lid])
+        return rhs
+
+    def set_hour(self, row: TimestepForecast, season: Season) -> None:
+        """Write one timestep's curtailment bounds and right-hand sides."""
+        lps = [self.lp] if self._capped is None else [self.lp, self._capped]
+        for b, v in self.curtailment_vars.items():
+            for lp in lps:
+                lp.set_bounds(v, 0.0, row.curtailable_max_mw[b])
+        for name, b in self._curt_caps:
+            for lp in lps:
+                lp.set_rhs(name, row.curtailable_max_mw[b])
+        self._rating_rhs = self._rating_values(row, season)
+        for (name, _), value in zip(self._ratings, self._rating_rhs):
+            for lp in lps:
+                lp.set_rhs(name, value)
+
+    def binding_ratings(self, solution: LpSolution) -> list[str]:
+        """Labels of the rating rows a solution meets with equality, in row order."""
+        binding = []
+        for (name, coeffs), rhs in zip(self._ratings, self._rating_rhs):
+            lhs = sum(c * solution.values[v] for v, c in coeffs.items())
+            if lhs >= rhs - 1e-6:
+                label = _rating_label(self, name)
+                if label not in binding:
+                    binding.append(label)
+        return binding
+
+    def capped_lp(self) -> LinearProgram:
+        """The LP plus row ``curt_total_cap`` bounding the total preventive
+        curtailment (lexicographic mode), built on first use and written by
+        every later :meth:`set_hour`."""
+        if self._capped is None:
+            capped = LinearProgram(self.lp.name)
+            for v in self.lp.variables:
+                capped.add_variable(v.name, v.lower, v.upper)
+            for con in self.lp.constraints:
+                capped.add_constraint(con.coeffs, con.relation, con.rhs, con.name)
+            total = {v: 1.0 for v in self.curtailment_vars.values()}
+            capped.add_constraint(total, Relation.LE, 0.0, name="curt_total_cap")
+            self._capped = capped
+        return self._capped
 
     def curative_battery_value(self, solution: LpSolution, contingency_id: str) -> float:
         plus, minus = self.curative_battery_vars[contingency_id]
@@ -184,115 +336,25 @@ def build_lp(
 
     ``network`` is the zone's :func:`network_model`, built here when not given.
     """
-    season = Season(season)
     direction = Direction(direction)
     weights = weights or ObjectiveWeights()
     weights.validate()
     if network is None:
         network = network_model(zone)
-
-    battery = zone.battery
-    lp = LinearProgram(f"bandwidth[t={row.index},{direction.value}]")
-
-    batt = lp.add_variable("batt", battery.battery_min_mw, battery.battery_max_mw)
-
-    curt: dict[str, str] = {}
-    for b in zone.bus_ids():
-        curt[b] = lp.add_variable(f"curt:{b}", 0.0, row.curtailable_max_mw[b])
-
-    cur_batt: dict[str, tuple[str, str]] = {}
-    cur_curt: dict[tuple[str, str], str] = {}
-    for c in zone.contingencies:
-        plus = lp.add_variable(f"cur_batt+:{c.id}", 0.0, INF)
-        minus = lp.add_variable(f"cur_batt-:{c.id}", 0.0, INF)
-        cur_batt[c.id] = (plus, minus)
-        lp.add_constraint(
-            {batt: 1.0, plus: 1.0, minus: -1.0},
-            Relation.LE,
-            battery.battery_max_mw,
-            name=f"cur_batt_cap_hi:{c.id}",
-        )
-        lp.add_constraint(
-            {batt: 1.0, plus: 1.0, minus: -1.0},
-            Relation.GE,
-            battery.battery_min_mw,
-            name=f"cur_batt_cap_lo:{c.id}",
-        )
-        for b in zone.bus_ids():
-            v = lp.add_variable(f"cur_curt:{b}@{c.id}", 0.0, INF)
-            cur_curt[(b, c.id)] = v
-            cap = row.curtailable_max_mw[b]
-            lp.add_constraint(
-                {curt[b]: 1.0, v: 1.0}, Relation.LE, cap, name=f"cur_curt_cap:{b}@{c.id}"
-            )
-
-    # one DC model per topology (intact, then each contingency): a stage's
-    # flow on an active line is base - sum_bus PTDF * control
-    rating_rows: dict[str, tuple[str, str, str, str]] = {}
-    for cid, topo in network.topologies.items():
-        if cid is None:
-            cid, stages = "", (NORMAL,)
-            refs = row.ref_normal_mw
-        else:
-            stages = (OUTAGE, FAST_CURATIVE, FULL_CURATIVE)
-            refs = row.ref_contingency_mw[cid]
-        base = network.flows(topo, row.injections_mw, refs)
-        ptdf = topo.line_factors
-
-        for stage in stages:
-            tag = stage if not cid else f"{stage}[{cid}]"
-
-            # controls acting in this stage, per bus: +1 MW of control withdraws
-            # 1 MW of net injection
-            controls = {b: {curt[b]: 1.0} for b in zone.bus_ids()}
-            controls[zone.battery_bus][batt] = 1.0
-            if stage in (FAST_CURATIVE, FULL_CURATIVE):
-                plus, minus = cur_batt[cid]
-                controls[zone.battery_bus].update({plus: 1.0, minus: -1.0})
-            if stage == FULL_CURATIVE:
-                for b in zone.bus_ids():
-                    controls[b][cur_curt[(b, cid)]] = 1.0
-
-            rating_name = _STAGE_RATING[stage]
-            for lid in topo.state.active_lines:
-                flow: dict[str, float] = {}  # flow - base, in the controls
-                for b in zone.bus_ids():
-                    f = ptdf[lid][b]
-                    if f == 0.0:
-                        continue
-                    for var, mult in controls[b].items():
-                        flow[var] = flow.get(var, 0.0) - f * mult
-                limit = select_ratings(zone.line(lid), season).for_state(rating_name)
-                up = lp.add_constraint(
-                    flow, Relation.LE, limit - base[lid], name=f"rating_hi:{tag}:{lid}"
-                )
-                dn = lp.add_constraint(
-                    {var: -c for var, c in flow.items()},
-                    Relation.LE,
-                    limit + base[lid],
-                    name=f"rating_lo:{tag}:{lid}",
-                )
-                rating_rows[up] = (lid, stage, cid, rating_name)
-                rating_rows[dn] = (lid, stage, cid, rating_name)
-
-    problem = BandwidthProblem(
-        lp=lp,
-        battery_var=batt,
-        curtailment_vars=curt,
-        curative_battery_vars=cur_batt,
-        curative_curtailment_vars=cur_curt,
-        rating_rows=rating_rows,
-    )
-    lp.set_objective(problem.objective(direction, weights))
+    problem = BandwidthProblem(zone, network, row, Season(season))
+    problem.lp.name = f"bandwidth[t={row.index},{direction.value}]"
+    problem.lp.set_objective(problem.objective(direction, weights))
     return problem
 
 
 def _solve(lp: LinearProgram, row: TimestepForecast, what: str) -> LpSolution:
-    """Solve, treating a numerically unstable LP as an error, never a finding."""
+    """Solve; a status other than optimal or infeasible is a solver failure,
+    never a grid finding (every bandwidth LP has a bounded objective)."""
     sol = solve(lp, compute_duals=False)
-    if sol.status == SolveStatus.NUMERICALLY_UNSTABLE:
+    if sol.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
         raise UnstableLpError(
-            f"timestep {row.index} ({row.timestamp}): the {what} LP is numerically unstable"
+            f"timestep {row.index} ({row.timestamp}): the {what} LP is "
+            f"{sol.status.value.replace('_', ' ')}"
         )
     return sol
 
@@ -303,22 +365,9 @@ def _rating_label(problem: BandwidthProblem, row_name: str) -> str:
     return f"{lid}:{stage}{'[' + cid + ']' if cid else ''}:{rating}"
 
 
-def _binding_ratings(problem: BandwidthProblem, sol: LpSolution) -> list[str]:
-    binding = []
-    for con in problem.lp.constraints:
-        if con.name not in problem.rating_rows:
-            continue
-        lhs = sum(c * sol.values[v] for v, c in con.coeffs.items())
-        if lhs >= con.rhs - 1e-6:
-            label = _rating_label(problem, con.name)
-            if label not in binding:
-                binding.append(label)
-    return binding
-
-
 def _max_violation_diagnostic(problem: BandwidthProblem, row: TimestepForecast) -> str:
     """Relax every rating row of the timestep's LP elastically and report the
-    unavoidable overloads (the lexicographic ``curt_total_cap`` row is left out)."""
+    unavoidable overloads."""
     lp = LinearProgram(problem.lp.name + ":relaxed")
     for v in problem.lp.variables:
         lp.add_variable(v.name, v.lower, v.upper)
@@ -328,8 +377,6 @@ def _max_violation_diagnostic(problem: BandwidthProblem, row: TimestepForecast) 
         if con.name in problem.rating_rows
     }
     for con in problem.lp.constraints:
-        if con.name == "curt_total_cap":
-            continue
         coeffs = dict(con.coeffs)
         if con.name in slack_of:
             coeffs[slack_of[con.name]] = -1.0
@@ -355,23 +402,25 @@ def solve_timestep(
     season: Season | str | None = None,
     weights: ObjectiveWeights | None = None,
     lexicographic: bool = False,
-    network: NetworkModel | None = None,
+    problem: BandwidthProblem | None = None,
 ) -> PowerBandwidthResult:
     """Solve both directions for one timestep and classify the outcome.
 
-    One LP is built and solved for the lower bound, then for the upper bound.
-    In lexicographic mode a first solve minimizes total preventive curtailment
-    alone; the total is then bounded by that optimum (row ``curt_total_cap``)
-    for both directions. ``network`` is the zone's :func:`network_model`,
-    built here when not given. Raises :class:`UnstableLpError` if an LP is
-    numerically unstable.
+    One LP is solved for the lower bound, then for the upper bound. In
+    lexicographic mode a first solve minimizes total preventive curtailment
+    alone; the total is then bounded by that optimum (row ``curt_total_cap``
+    of :meth:`BandwidthProblem.capped_lp`) for both directions. ``problem``
+    is the zone's LP, written with this timestep's values here; it is built
+    when not given. Raises :class:`UnstableLpError` if an LP is neither
+    optimal nor infeasible.
     """
     season = Season(season) if season is not None else row.season
     weights = weights or ObjectiveWeights()
-    if network is None:
-        network = network_model(zone)
+    if problem is None:
+        problem = build_lp(zone, row, season, Direction.LOWER, weights)
+    else:
+        problem.set_hour(row, season)
 
-    problem = build_lp(zone, row, season, Direction.LOWER, weights, network=network)
     lp = problem.lp
     if lexicographic:
         total = {v: 1.0 for v in problem.curtailment_vars.values()}
@@ -379,7 +428,8 @@ def solve_timestep(
         sol = _solve(lp, row, "least-curtailment")
         if sol.status != SolveStatus.OPTIMAL:
             return _infeasible_result(problem, row, season)
-        lp.add_constraint(total, Relation.LE, sol.objective, name="curt_total_cap")
+        lp = problem.capped_lp()
+        lp.set_rhs("curt_total_cap", sol.objective)
 
     sols: dict[Direction, LpSolution] = {}
     for direction in Direction:
@@ -409,8 +459,8 @@ def solve_timestep(
     else:
         cls = CongestionClass.REDUCED
 
-    lo_binding = _binding_ratings(problem, lo)
-    binding = lo_binding + [b for b in _binding_ratings(problem, hi) if b not in lo_binding]
+    lo_binding = problem.binding_ratings(lo)
+    binding = lo_binding + [b for b in problem.binding_ratings(hi) if b not in lo_binding]
     return PowerBandwidthResult(
         index=row.index,
         timestamp=row.timestamp,
@@ -447,8 +497,10 @@ def _infeasible_result(
 
 def _solve_rows(args) -> list[PowerBandwidthResult]:
     zone, rows, weights, lexicographic = args
-    network = network_model(zone)
-    return [solve_timestep(zone, row, None, weights, lexicographic, network) for row in rows]
+    if not rows:
+        return []
+    problem = build_lp(zone, rows[0], rows[0].season, Direction.LOWER, weights, network_model(zone))
+    return [solve_timestep(zone, row, None, weights, lexicographic, problem) for row in rows]
 
 
 def compute_power_bandwidths(
@@ -505,11 +557,16 @@ def check_safety(
     lp = problem.lp
     for bus, val in (fix_curtailment_at or {}).items():
         lp.set_bounds(problem.curtailment_vars[bus], val, val)
+    battery = zone.battery
     span = result.upper_mw - result.lower_mw
     for i in range(n_points):
         b = result.lower_mw + span * (i / (n_points - 1) if n_points > 1 else 0.5)
+        # the tolerance absorbs the rounding of lower + span * 1.0
+        if not battery.battery_min_mw - BOUND_TOL_MW <= b <= battery.battery_max_mw + BOUND_TOL_MW:
+            failures.append((b, f"setpoint {b:.4f} MW outside the battery range"))
+            continue
         lp.set_bounds(problem.battery_var, b, b)
-        sol = solve(lp, compute_duals=False)
+        sol = _solve(lp, row, "safety-check")
         if sol.status != SolveStatus.OPTIMAL:
             failures.append((b, f"no feasible completion at setpoint {b:.4f} MW"))
             continue

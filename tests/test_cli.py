@@ -206,6 +206,22 @@ def test_compute_numerically_unstable_lp_exits_1(zone_path, forecast_paths, tmp_
     assert "numerically unstable" in res.output
 
 
+def test_compute_unbounded_lp_exits_1(zone_path, forecast_paths, tmp_path, monkeypatch):
+    """Every bandwidth LP has a bounded objective: ``unbounded`` is a solver
+    failure, not an infeasible row."""
+    import math
+
+    from bandwidth_engine import power_bandwidth
+    from bandwidth_engine.lp_core import LpSolution, SolveStatus
+
+    unbounded = LpSolution(SolveStatus.UNBOUNDED, -math.inf)
+    monkeypatch.setattr(power_bandwidth, "solve", lambda lp, **kw: unbounded)
+    res = _run("compute", "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
+               "--out", tmp_path / "o")
+    assert res.exit_code == 1
+    assert "error: timestep 0 (2023-06-14T00:00): the lower-bound LP is unbounded" in res.output
+
+
 def test_verify_fixture_honours_horizon(zone_path, forecast_paths):
     res = _run("verify", "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
                "--horizon", 2, "--power-resolution", 0.05, "--curtailment-resolution", 0.5)

@@ -240,7 +240,8 @@ def test_lp_format_export_roundtrips_key_content():
 
 
 # ---------------------------------------------------------------------------
-# one standard form per LP: reused for a new objective, rebuilt on any change
+# one standard form per LP: kept across objectives, right-hand sides and
+# finite bounds, rebuilt when the matrix changes
 # ---------------------------------------------------------------------------
 
 
@@ -255,17 +256,22 @@ def _reuse_lp():
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, keeps_form",
     [
-        lambda lp: lp.set_objective({"x": 2.0, "y": -1.0}),  # optimum (0, 6)
-        lambda lp: lp.set_bounds("x", 0.0, 2.0),  # optimum (2, 1)
-        lambda lp: lp.add_constraint({"x": 1.0, "y": -1.0}, Relation.LE, 0.5),  # (1.75, 1.25)
+        (lambda lp: lp.set_objective({"x": 2.0, "y": -1.0}), True),  # optimum (0, 6)
+        (lambda lp: lp.set_bounds("x", 0.0, 2.0), True),  # optimum (2, 1)
+        (lambda lp: lp.set_bounds("y", 0.0, 6.0), True),  # optimum (3, 0)
+        (lambda lp: lp.set_rhs("sum", 5.0), True),  # optimum (4, 1)
+        (lambda lp: lp.set_rhs("sum", -7.0), True),  # b = -7 - (-2) < 0 flips the row: (0, -2)
+        (lambda lp: lp.set_bounds("x", 0.0, INF), False),  # no range row: (5, -2)
+        (lambda lp: lp.add_constraint({"x": 1.0, "y": -1.0}, Relation.LE, 0.5), False),  # (1.75, 1.25)
     ],
-    ids=["objective", "bound", "row"],
+    ids=["objective", "bound", "lower_bound", "rhs", "rhs_flips_row", "bound_turns_infinite", "row"],
 )
-def test_change_after_a_solve_gives_the_fresh_optimum(change):
+def test_change_after_a_solve_gives_the_fresh_optimum(change, keeps_form):
     solved = _reuse_lp()
     before = solve(solved)
+    form = solved._standard_form()
     change(solved)
     fresh = _reuse_lp()
     change(fresh)
@@ -273,7 +279,85 @@ def test_change_after_a_solve_gives_the_fresh_optimum(change):
     assert after.status == want.status == SolveStatus.OPTIMAL
     assert after.values == want.values
     assert after.objective == want.objective
+    assert after.duals == want.duals
+    assert after.iterations == want.iterations
     assert after.values != before.values
+    assert (solved._standard_form() is form) == keeps_form
+
+
+def _rebuilt(lp: LinearProgram) -> LinearProgram:
+    """A freshly built LP with the same variables, rows and objective."""
+    out = LinearProgram(lp.name)
+    for v in lp.variables:
+        out.add_variable(v.name, v.lower, v.upper)
+    for con in lp.constraints:
+        out.add_constraint(dict(con.coeffs), con.relation, con.rhs, con.name)
+    out.set_objective(dict(lp.objective), lp.objective_constant)
+    return out
+
+
+def test_rewritten_lps_solve_exactly_as_fresh_ones():
+    """New right-hand sides (some flipping their row's sign) and finite bounds
+    written into a solved LP give the fresh LP's solve bit for bit."""
+    rng = np.random.default_rng(11)
+    flipped = 0
+    for _ in range(150):
+        lp = _random_bounded_lp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 5)))
+        solve(lp)
+        signs = np.sign(lp._standard_form().row_sign)
+        for con in lp.constraints:
+            lp.set_rhs(con.name, float(np.round(rng.uniform(-4, 4), 3)))
+        for v in lp.variables:
+            lo = v.lower + rng.uniform(-1, 1)
+            lp.set_bounds(v.name, lo, lo + rng.uniform(0, 6))
+        got, want = solve(lp), solve(_rebuilt(lp))
+        flipped += int(np.any(np.sign(lp._standard_form().row_sign) != signs))
+        assert got.status == want.status
+        assert got.iterations == want.iterations
+        if want.status == SolveStatus.OPTIMAL:
+            assert got.values == want.values and got.objective == want.objective
+            assert got.duals == want.duals
+    assert flipped > 10
+
+
+def test_phase_one_runs_once_per_right_hand_side(monkeypatch):
+    """Objectives share phase one, whose pivots every solve still counts."""
+    runs = []
+    real = lp_core._phase_one
+    monkeypatch.setattr(lp_core, "_phase_one", lambda sf: runs.append(sf) or real(sf))
+    lp = _reuse_lp()  # the >= row needs an artificial
+    first = solve(lp)
+    lp.set_objective({"x": 2.0, "y": -1.0})
+    second = solve(lp)
+    assert len(runs) == 1
+    assert second.iterations == solve(_rebuilt(lp)).iterations
+    assert first.iterations > 1 and second.iterations > 1
+    lp.set_rhs("sum", 4.0)
+    solve(lp)
+    assert len(runs) == 3  # the rewritten LP, and the rebuilt one above
+
+
+@pytest.mark.parametrize("objective", [{}, {"x": 1.0}, {"x": -1.0, "y": 3.0}, {"y": -2.0}])
+def test_phase_one_infeasible_form_is_infeasible_under_every_objective(objective):
+    lp = LinearProgram("infeasible")
+    lp.add_variable("x", 0.0, 2.0)
+    lp.add_variable("y", -1.0, 2.0)
+    lp.add_constraint({"x": 1.0, "y": 1.0}, Relation.GE, 10.0, name="big")
+    solve(lp)
+    lp.set_objective(objective)
+    sol = solve(lp)
+    assert sol.status == SolveStatus.INFEASIBLE
+    assert sol.iterations == solve(_rebuilt(lp)).iterations
+
+
+def test_set_rhs_validates_its_input():
+    lp = _reuse_lp()
+    with pytest.raises(LpError, match="unknown constraint"):
+        lp.set_rhs("nope", 1.0)
+    with pytest.raises(LpError, match="non-finite"):
+        lp.set_rhs("sum", math.nan)
+    with pytest.raises(LpError, match="duplicate constraint"):
+        lp.add_constraint({"x": 1.0}, Relation.LE, 1.0, name="sum")
 
 
 def test_lp_changes_only_through_its_methods():

@@ -11,7 +11,7 @@ import pytest
 from bandwidth_engine import power_bandwidth as pb
 
 from bandwidth_engine.dc_network import TopologyState, dc_flows
-from bandwidth_engine.fixtures import random_instance, reference_full_network
+from bandwidth_engine.fixtures import random_instance, reference_full_network, synthetic_year_rows
 from bandwidth_engine.grid_model import (
     ForecastSeries,
     RatingSet,
@@ -240,6 +240,21 @@ def test_safety_check_reports_setpoints_outside_the_band(zone, summer_day):
         [(setpoint, message)] = check_safety(zone, row, wide, n_points=11)
         assert setpoint == pytest.approx(wide.upper_mw, abs=1e-12)
         assert message == f"no feasible completion at setpoint {setpoint:.4f} MW"
+
+
+def test_safety_check_reports_setpoints_outside_the_battery_range(zone, summer_day):
+    """A fully available band widened to [-12.5, 12.5] MW passes the LP probe
+    (the curative step can bring the battery back), but its ends lie outside
+    the battery's [-12, 12] MW."""
+    row = summer_day[0]
+    r = solve_timestep(zone, row)
+    assert r.congestion_class == CongestionClass.FULLY_AVAILABLE
+    wide = dataclasses.replace(r, lower_mw=-12.5, upper_mw=12.5)
+    failures = check_safety(zone, row, wide, n_points=11)
+    assert failures == [
+        (-12.5, "setpoint -12.5000 MW outside the battery range"),
+        (12.5, "setpoint 12.5000 MW outside the battery range"),
+    ]
 
 
 def test_safety_check_of_an_infeasible_timestep():
@@ -583,8 +598,35 @@ def test_solve_timestep_equals_per_direction_lps(zone, summer_day, winter_day, l
         assert got.binding_constraint == expected, tag
 
 
-@pytest.mark.parametrize("lexicographic, per_timestep", [(False, 2), (True, 3)], ids=["weighted", "lexicographic"])
-def test_one_lp_and_one_network_model_per_timestep(zone, winter_day, monkeypatch, lexicographic, per_timestep):
+def _same_result(a, b) -> bool:
+    """Every field equal, NaN matching NaN (infeasible rows)."""
+    return all(
+        x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y))
+        for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b))
+    )
+
+
+@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+def test_reused_problem_equals_a_fresh_lp_per_timestep(zone, summer_day, winter_day, lexicographic):
+    """One problem written hour after hour gives every field of a fresh
+    per-hour build exactly, across the fixture days and both season changes
+    of the synthetic year (the rating limits change with the season)."""
+    year = synthetic_year_rows(zone)
+    season_changes = [year[2148:2172], year[7284:7308]]
+    assert all({r.season for r in rows} == set(Season) for rows in season_changes)
+    for rows in (summer_day, winter_day, *season_changes):
+        problem = build_lp(zone, rows[0], rows[0].season, Direction.LOWER)
+        for row in rows:
+            reused = solve_timestep(zone, row, lexicographic=lexicographic, problem=problem)
+            fresh = solve_timestep(zone, row, lexicographic=lexicographic)
+            assert _same_result(reused, fresh), f"t={row.index} {row.timestamp}"
+
+
+@pytest.mark.parametrize(
+    "lexicographic, per_timestep, lps", [(False, 2, 1), (True, 3, 2)], ids=["weighted", "lexicographic"]
+)
+def test_one_lp_and_one_network_model_per_call(zone, winter_day, monkeypatch, lexicographic, per_timestep, lps):
+    """One LP per call (plus its ``curt_total_cap`` copy in lexicographic mode)."""
     solved, networks = [], []
     real_solve, real_network = pb.solve, pb.network_model
     monkeypatch.setattr(pb, "solve", lambda lp, **kw: solved.append(lp) or real_solve(lp, **kw))
@@ -592,7 +634,7 @@ def test_one_lp_and_one_network_model_per_timestep(zone, winter_day, monkeypatch
     results = compute_power_bandwidths(zone, winter_day, lexicographic=lexicographic)
     assert all(r.congestion_class != CongestionClass.INFEASIBLE for r in results)
     assert len(solved) == per_timestep * len(results)
-    assert len({id(lp) for lp in solved}) == len(results)
+    assert len({id(lp) for lp in solved}) == lps
     assert len(networks) == 1
 
 
@@ -601,6 +643,31 @@ def test_numerically_unstable_lp_raises_instead_of_infeasible_row(zone, winter_d
     monkeypatch.setattr(pb, "solve", lambda lp, **kw: unstable)
     with pytest.raises(UnstableLpError, match="numerically unstable"):
         compute_power_bandwidths(zone, winter_day, horizon=1)
+
+
+def _unbounded_when(monkeypatch, pick):
+    """Make ``pb.solve`` report ``unbounded`` for the LPs ``pick`` selects."""
+    real_solve = pb.solve
+    unbounded = LpSolution(SolveStatus.UNBOUNDED, -math.inf)
+    monkeypatch.setattr(pb, "solve", lambda lp, **kw: unbounded if pick(lp) else real_solve(lp, **kw))
+
+
+def test_unbounded_lp_raises_instead_of_a_grid_finding(zone, winter_day, monkeypatch):
+    """Every bandwidth LP has a bounded objective, so ``unbounded`` is a solver
+    failure in the band solves, the safety check and the relaxed diagnostic."""
+    row = winter_day[0]
+    result = solve_timestep(zone, row)
+    _unbounded_when(monkeypatch, lambda lp: True)
+    with pytest.raises(UnstableLpError, match="the lower-bound LP is unbounded"):
+        compute_power_bandwidths(zone, winter_day, horizon=1)
+    with pytest.raises(UnstableLpError, match="the safety-check LP is unbounded"):
+        check_safety(zone, row, result)
+
+    monkeypatch.undo()
+    _unbounded_when(monkeypatch, lambda lp: lp.name.endswith(":relaxed"))
+    zone0, row0 = random_instance(0)  # infeasible: reaches the diagnostic
+    with pytest.raises(UnstableLpError, match="the relaxed LP is unbounded"):
+        solve_timestep(zone0, row0)
 
 
 def test_result_rows_hold_plain_floats_and_pickle(zone, winter_day):
