@@ -25,8 +25,6 @@ from .grid_model import (
 )
 from .dc_network import (
     BalanceError,
-    FullLine,
-    FullNetwork,
     IslandingError,
     PtdfMatrix,
     TopologyState,
@@ -75,8 +73,6 @@ __all__ = [
     "load_zone",
     "select_ratings",
     "BalanceError",
-    "FullLine",
-    "FullNetwork",
     "IslandingError",
     "PtdfMatrix",
     "TopologyState",

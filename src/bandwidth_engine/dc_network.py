@@ -14,10 +14,6 @@ recorded boundary response — this is what :func:`compute_ptdf` evaluates.
 :class:`NetworkModel` holds, per topology of a zone, the PTDFs and a
 line-by-bus flow matrix, so that every hour's base flows are one
 matrix-vector product instead of a fresh network solve.
-
-:class:`FullNetwork` is a whole-grid helper for building synthetic test
-fixtures: it produces reference boundary flows and outbound sensitivities that
-are consistent by construction.
 """
 
 from __future__ import annotations
@@ -152,21 +148,21 @@ def _net_injections(
     Boundary flows (export-positive) enter as injections of the opposite sign
     at their boundary bus.
     """
-    p = np.zeros((len(bus_pos), 1))
+    p = [0.0] * len(bus_pos)  # Python floats: the same additions as float64 entries
     for b, v in injections_mw.items():
-        p[bus_pos[b], 0] += v
+        p[bus_pos[b]] += v
     for oid in topology.active_outbound:
         o = zone.outbound(oid)
-        p[bus_pos[o.boundary_bus], 0] -= boundary_flows_mw[oid]
+        p[bus_pos[o.boundary_bus]] -= boundary_flows_mw[oid]
 
     for island in topology.islands:
-        net = float(sum(p[bus_pos[b], 0] for b in island))
+        net = sum(p[bus_pos[b]] for b in island)
         if abs(net) > BALANCE_TOL_MW:
             raise BalanceError(
                 f"island {{{','.join(sorted(island))}}} has {net:.6e} MW imbalance "
                 f"between injections and boundary flows"
             )
-    return p
+    return np.array(p, dtype=float).reshape(-1, 1)
 
 
 def _line_flows(
@@ -297,97 +293,3 @@ class NetworkModel:
         """DC flows on the topology's active lines, in MW (see :func:`dc_flows`)."""
         p = _net_injections(self.zone, topology.state, injections_mw, boundary_flows_mw, self._bus_pos)
         return dict(zip(topology.state.active_lines, (topology.flow_matrix @ p)[:, 0].tolist()))
-
-
-# ---------------------------------------------------------------------------
-# whole-grid helper for synthetic fixtures
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FullLine:
-    id: str
-    from_bus: str
-    to_bus: str
-    reactance_pu: float
-
-
-@dataclass(frozen=True)
-class FullNetwork:
-    """A complete synthetic grid used to derive consistent zone boundary data."""
-
-    buses: tuple[str, ...]
-    lines: tuple[FullLine, ...]
-    slack: str
-
-    def without(self, line_id: str) -> "FullNetwork":
-        kept = tuple(l for l in self.lines if l.id != line_id)
-        if len(kept) == len(self.lines):
-            raise KeyError(line_id)
-        return FullNetwork(self.buses, kept, self.slack)
-
-    def _components(self) -> list[set[str]]:
-        return _connected_components(
-            list(self.buses), [(l.from_bus, l.to_bus) for l in self.lines]
-        )
-
-    def flows(self, injections_mw: dict[str, float]) -> dict[str, float]:
-        """Flows with the slack absorbing each component's residual.
-
-        Components not containing the slack must balance on their own.
-        """
-        comps = self._components()
-        pos = {b: i for i, b in enumerate(self.buses)}
-        p = np.zeros(len(self.buses))
-        for b, v in injections_mw.items():
-            p[pos[b]] += v
-        for comp in comps:
-            resid = float(sum(p[pos[b]] for b in sorted(comp)))  # fixed order: no hash-seed noise
-            if self.slack in comp:
-                p[pos[self.slack]] -= resid
-            elif abs(resid) > BALANCE_TOL_MW:
-                raise BalanceError(
-                    f"component {{{','.join(sorted(comp))}}} without slack has "
-                    f"{resid:.6e} MW imbalance"
-                )
-        angles: dict[str, float] = {}
-        for comp in comps:
-            members = sorted(comp)
-            npos = {b: i for i, b in enumerate(members)}
-            B = np.zeros((len(members), len(members)))
-            for l in self.lines:
-                if l.from_bus not in comp:
-                    continue
-                b = 1.0 / l.reactance_pu
-                i, j = npos[l.from_bus], npos[l.to_bus]
-                B[i, i] += b
-                B[j, j] += b
-                B[i, j] -= b
-                B[j, i] -= b
-            if len(members) == 1:
-                angles[members[0]] = 0.0
-                continue
-            keep = list(range(1, len(members)))
-            theta = np.linalg.solve(
-                B[np.ix_(keep, keep)], np.array([p[pos[b]] for b in members[1:]])
-            )
-            angles[members[0]] = 0.0
-            for b, t in zip(members[1:], theta):
-                angles[b] = float(t)
-        return {
-            l.id: (angles[l.from_bus] - angles[l.to_bus]) / l.reactance_pu
-            for l in self.lines
-        }
-
-    def injection_sensitivity(self, bus: str) -> dict[str, float]:
-        """Per-line flow change for +1 MW at ``bus``, -1 MW at the slack."""
-        if bus == self.slack:
-            return {l.id: 0.0 for l in self.lines}
-        comps = self._components()
-        comp = next(c for c in comps if bus in c)
-        if self.slack not in comp:
-            raise IslandingError(
-                f"bus {bus!r} is disconnected from the slack {self.slack!r}; "
-                f"injection sensitivity is undefined"
-            )
-        return self.flows({bus: 1.0})

@@ -29,19 +29,117 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dc_network import FullLine, FullNetwork
+from .dc_network import BalanceError, IslandingError
 from .grid_model import (
+    BALANCE_TOL_MW,
     ForecastSeries,
     Season,
     TimestepForecast,
     ZoneModel,
+    _connected_components,
     forecast_header,
     zone_from_dict,
 )
+
+# ---------------------------------------------------------------------------
+# whole-grid helper: reference boundary flows and outbound sensitivities that
+# are consistent by construction
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FullLine:
+    id: str
+    from_bus: str
+    to_bus: str
+    reactance_pu: float
+
+
+@dataclass(frozen=True)
+class FullNetwork:
+    """A complete synthetic grid used to derive consistent zone boundary data."""
+
+    buses: tuple[str, ...]
+    lines: tuple[FullLine, ...]
+    slack: str
+
+    def without(self, line_id: str) -> "FullNetwork":
+        kept = tuple(l for l in self.lines if l.id != line_id)
+        if len(kept) == len(self.lines):
+            raise KeyError(line_id)
+        return FullNetwork(self.buses, kept, self.slack)
+
+    def _components(self) -> list[set[str]]:
+        return _connected_components(
+            list(self.buses), [(l.from_bus, l.to_bus) for l in self.lines]
+        )
+
+    def flows(self, injections_mw: dict[str, float]) -> dict[str, float]:
+        """Flows with the slack absorbing each component's residual.
+
+        Components not containing the slack must balance on their own.
+        """
+        comps = self._components()
+        pos = {b: i for i, b in enumerate(self.buses)}
+        p = np.zeros(len(self.buses))
+        for b, v in injections_mw.items():
+            p[pos[b]] += v
+        for comp in comps:
+            resid = float(sum(p[pos[b]] for b in sorted(comp)))  # fixed order: no hash-seed noise
+            if self.slack in comp:
+                p[pos[self.slack]] -= resid
+            elif abs(resid) > BALANCE_TOL_MW:
+                raise BalanceError(
+                    f"component {{{','.join(sorted(comp))}}} without slack has "
+                    f"{resid:.6e} MW imbalance"
+                )
+        angles: dict[str, float] = {}
+        for comp in comps:
+            members = sorted(comp)
+            npos = {b: i for i, b in enumerate(members)}
+            B = np.zeros((len(members), len(members)))
+            for l in self.lines:
+                if l.from_bus not in comp:
+                    continue
+                b = 1.0 / l.reactance_pu
+                i, j = npos[l.from_bus], npos[l.to_bus]
+                B[i, i] += b
+                B[j, j] += b
+                B[i, j] -= b
+                B[j, i] -= b
+            if len(members) == 1:
+                angles[members[0]] = 0.0
+                continue
+            keep = list(range(1, len(members)))
+            theta = np.linalg.solve(
+                B[np.ix_(keep, keep)], np.array([p[pos[b]] for b in members[1:]])
+            )
+            angles[members[0]] = 0.0
+            for b, t in zip(members[1:], theta):
+                angles[b] = float(t)
+        return {
+            l.id: (angles[l.from_bus] - angles[l.to_bus]) / l.reactance_pu
+            for l in self.lines
+        }
+
+    def injection_sensitivity(self, bus: str) -> dict[str, float]:
+        """Per-line flow change for +1 MW at ``bus``, -1 MW at the slack."""
+        if bus == self.slack:
+            return {l.id: 0.0 for l in self.lines}
+        comps = self._components()
+        comp = next(c for c in comps if bus in c)
+        if self.slack not in comp:
+            raise IslandingError(
+                f"bus {bus!r} is disconnected from the slack {self.slack!r}; "
+                f"injection sensitivity is undefined"
+            )
+        return self.flows({bus: 1.0})
+
 
 ZONE_BUSES = ["alpha", "beta", "gamma", "delta"]
 OUTAGE_ID = "gamma-delta-outage"

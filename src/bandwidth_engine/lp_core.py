@@ -8,7 +8,9 @@ finite: a switch to Bland's rule after ``DEGENERATE_STREAK`` degenerate
 pivots in a row (Beale's LP cycles without it), and one retry on a
 row-equilibrated copy for an LP that still reaches ``MAX_ITERATIONS`` (the
 Klee-Minty cube does). A second stall is ``numerically_unstable``, never
-``infeasible``. Duals come from the final tableau's reduced costs.
+``infeasible``. Duals come from the final tableau's reduced costs. Every
+:class:`LpSolution` counts its pivots per phase and says whether either
+guard fired.
 
 External solvers can be plugged in by implementing the ``solve`` signature;
 everything downstream consumes only :class:`LpSolution`.
@@ -16,18 +18,34 @@ everything downstream consumes only :class:`LpSolution`.
 A :class:`LinearProgram` changes only through its methods, so the standard
 form it is converted to for solving is kept across solves. Its matrix depends
 only on the coefficients and on which bounds are finite: it is rebuilt when a
-variable or row is added or a bound turns finite or infinite. A new
-right-hand side (:meth:`LinearProgram.set_rhs`) or a bound that stays finite
-(or infinite) only marks the form's right-hand side stale, and the next solve
-recomputes it with the same arithmetic as a fresh form. Phase one does not
-depend on the objective, so it runs once per right-hand side and every
-objective starts phase two from a copy of its final tableau.
+variable or row is added or a bound turns finite or infinite. New right-hand
+sides (:meth:`LinearProgram.set_rhs_many` writes a whole set in one call) or
+a bound that stays finite (or infinite) only mark the form's right-hand side
+stale, and the next solve recomputes it with the same arithmetic as a fresh
+form. Phase one does not depend on the objective, so it runs once per
+right-hand side and every objective starts phase two from a copy of its
+final tableau.
+
+A form that is reloaded keeps what does not change from one right-hand side
+to the next, each piece computed exactly as a fresh form computes it:
+
+* the row shifts (each row's ``sum coef * lower``, in coefficient order) and
+  every objective's column costs, until a lower bound changes bit pattern;
+* per row-flip pattern (the rows whose shifted right-hand side is negative and
+  so are sign-normalized), the normalized matrix and phase one's initial
+  tableau. Phase one starts from a copy of that tableau with only ``b``
+  written, which equals the tableau a fresh build makes.
+
+So a reloaded LP takes the same pivots as a fresh one, through the same
+floating-point operations, and gives the same bits. A form solved for one
+right-hand side only keeps no tableau.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -39,6 +57,8 @@ PIVOT_TOL = 1e-9
 # consecutive degenerate pivots tolerated before switching to Bland's rule
 DEGENERATE_STREAK = 50
 MAX_ITERATIONS = 20000
+# row-flip patterns and objectives a reloaded standard form keeps at most
+KEPT_PER_FORM = 32
 
 INF = math.inf
 
@@ -91,7 +111,9 @@ class LinearProgram:
     def __init__(self, name: str = "lp"):
         self.name = name
         self._variables: list[Variable] = []
-        self._constraints: list[Constraint] = []
+        self._rows: list[tuple[str, Mapping[str, float], Relation]] = []
+        self._rhs: list[float] = []  # every row's right-hand side, in row order
+        self._constraints: tuple[Constraint, ...] | None = None  # built on demand
         self.objective: dict[str, float] = {}
         self.objective_constant = 0.0
         self._var_index: dict[str, int] = {}
@@ -105,7 +127,12 @@ class LinearProgram:
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
-        return tuple(self._constraints)
+        """Every row, with its current right-hand side."""
+        if self._constraints is None:
+            self._constraints = tuple(
+                Constraint(name, coeffs, rel, rhs) for (name, coeffs, rel), rhs in zip(self._rows, self._rhs)
+            )
+        return self._constraints
 
     def add_variable(self, name: str, lower: float = 0.0, upper: float = INF) -> str:
         if name in self._var_index:
@@ -135,7 +162,7 @@ class LinearProgram:
     ) -> str:
         relation = Relation(relation)
         if name is None:
-            name = f"c{len(self.constraints)}"
+            name = f"c{len(self._rows)}"
         if name in self._row_index:
             raise LpError(f"duplicate constraint {name!r}")
         for var, c in coeffs.items():
@@ -145,22 +172,29 @@ class LinearProgram:
                 raise LpError(f"constraint {name!r} has non-finite coefficient on {var!r}")
         if not math.isfinite(rhs):
             raise LpError(f"constraint {name!r} has non-finite rhs")
-        self._row_index[name] = len(self._constraints)
-        self._constraints.append(
-            Constraint(name, MappingProxyType(dict(coeffs)), relation, float(rhs))
-        )
+        self._row_index[name] = len(self._rows)
+        self._rows.append((name, MappingProxyType(dict(coeffs)), relation))
+        self._rhs.append(float(rhs))
+        self._constraints = None
         self._form = None
         return name
 
     def set_rhs(self, name: str, rhs: float) -> None:
-        if name not in self._row_index:
-            raise LpError(f"unknown constraint {name!r}")
-        if not math.isfinite(rhs):
-            raise LpError(f"constraint {name!r} has non-finite rhs")
-        i = self._row_index[name]
-        con = self._constraints[i]
-        self._constraints[i] = Constraint(name, con.coeffs, con.relation, float(rhs))
+        self.set_rhs_many((name,), (rhs,))
+
+    def set_rhs_many(self, names: Sequence[str], values: Sequence[float]) -> None:
+        """Write several rows' right-hand sides in one call, each checked as
+        :meth:`set_rhs` checks it."""
+        self._constraints = None
         self._rhs_stale = True
+        index, rhs = self._row_index, self._rhs
+        for name, value in zip(names, values, strict=True):
+            i = index.get(name)
+            if i is None:
+                raise LpError(f"unknown constraint {name!r}")
+            if not math.isfinite(value):
+                raise LpError(f"constraint {name!r} has non-finite rhs")
+            rhs[i] = float(value)
 
     def set_objective(self, coeffs: dict[str, float], constant: float = 0.0) -> None:
         for var, c in coeffs.items():
@@ -227,17 +261,30 @@ def _variable(name: str, lower: float, upper: float) -> Variable:
     return Variable(name, float(lower), float(upper))
 
 
+def _bits(values) -> bytes:
+    """The floats' IEEE-754 bit patterns: equal only for identical floats,
+    so 0.0 and -0.0 differ."""
+    return array("d", values).tobytes()
+
+
 @dataclass
 class LpSolution:
     """A solve's outcome. ``iterations`` counts both phases' simplex
     iterations, so a solve that starts phase two from a kept phase-one
-    tableau still counts that tableau's phase-one iterations."""
+    tableau still counts that tableau's phase-one iterations;
+    ``phase_one_iterations`` is phase one's share. Each loop of the simplex
+    counts, including the last, which finds no entering column. ``bland`` is
+    set when the switch to Bland's rule fired, ``retried`` when the solve
+    went on to the row-equilibrated copy (whose iterations are added)."""
 
     status: SolveStatus
     objective: float
     values: dict[str, float] = field(default_factory=dict)
     duals: dict[str, float] | None = None
     iterations: int = 0
+    phase_one_iterations: int = 0
+    bland: bool = False
+    retried: bool = False
 
     def value(self, name: str) -> float:
         return self.values[name]
@@ -257,14 +304,27 @@ class LpSolution:
 _REVERSED = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Relation.EQ}
 
 
+class _Pattern:
+    """One row-flip pattern: the sign-normalized matrix, relations and row
+    signs, and (once the form is reloaded) phase one's initial tableau."""
+
+    __slots__ = ("A", "rel", "row_sign", "tableau")
+
+    def __init__(self, A: np.ndarray, rel: list[Relation], row_sign: np.ndarray):
+        self.A, self.rel, self.row_sign = A, rel, row_sign
+        self.tableau: _Simplex | None = None
+
+
 class _StandardForm:
     """The unnormalized matrix is built once; :meth:`load` writes the
-    right-hand side, sign-normalizes the rows and drops the phase-one tableau."""
+    right-hand side, sign-normalizes the rows and drops the phase-one tableau.
+    The row shifts, costs and per-pattern tableaus are kept as the module
+    docstring describes."""
 
     def __init__(self, lp: LinearProgram):
-        variables, constraints = lp._variables, lp._constraints
+        variables, rows = lp._variables, lp._rows
         self.var_names = [v.name for v in variables]
-        self.row_names = [con.name for con in constraints]
+        self.row_names = [name for name, _, _ in rows]
         self._var_index = dict(lp._var_index)
         ncols = 0
         # per original var: ("shift", col) | ("split", col_pos, col_neg)
@@ -281,10 +341,10 @@ class _StandardForm:
             if v.upper < INF:
                 self._ranged.append(j)
 
-        n_user = len(constraints)
+        n_user = len(rows)
         nrows = n_user + len(self._ranged)
         A = np.zeros((nrows, ncols))
-        self._row_shifts = [self._place(con.coeffs, A[i]) for i, con in enumerate(constraints)]
+        self._row_terms = [self._place(coeffs, A[i]) for i, (_, coeffs, _) in enumerate(rows)]
         for k, j in enumerate(self._ranged):
             kind = self.var_map[j]
             A[n_user + k, kind[1]] = 1.0
@@ -292,38 +352,74 @@ class _StandardForm:
                 A[n_user + k, kind[2]] = -1.0
         A.flags.writeable = False
         self._A = A
-        self._rel = [con.relation for con in constraints] + [Relation.LE] * len(self._ranged)
+        self._rel = [rel for _, _, rel in rows] + [Relation.LE] * len(self._ranged)
         self.ncols = ncols
         self.nrows = nrows
+        self._loads = 0
+        self._lower_bits: bytes | None = None
+        self._costs: dict[tuple, tuple[np.ndarray, float]] = {}
+        self._patterns: dict[tuple[int, ...], _Pattern] = {}
         self.load(lp)
 
     def load(self, lp: LinearProgram) -> None:
         """Write the LP's current right-hand sides and lower bounds."""
-        variables, constraints = lp._variables, lp._constraints
-        self._lower = [v.lower for v in variables]
-        rhs = [con.rhs - self._shift(terms, 0.0) for con, terms in zip(constraints, self._row_shifts)]
+        variables = lp._variables
+        self._loads += 1
+        lower = [v.lower for v in variables]
+        bits = _bits(lower)
+        if bits != self._lower_bits:  # the shifts and costs depend on the lower bounds
+            self._lower, self._lower_bits = lower, bits
+            self._row_shifts = [self._shift(terms, 0.0) for terms in self._row_terms]
+            self._costs.clear()
+        rhs = [b - shift for b, shift in zip(lp._rhs, self._row_shifts)]
         for j in self._ranged:
             v = variables[j]
             rhs.append(v.upper if v.lower == -INF else v.upper - v.lower)
 
         # normalize rhs >= 0
-        n_user = len(constraints)
-        A, rel, self.row_sign = self._A, self._rel, np.ones(n_user)
-        flip = [i for i, x in enumerate(rhs) if x < 0]
+        flip = tuple(i for i, x in enumerate(rhs) if x < 0)
+        for i in flip:
+            rhs[i] *= -1.0
+        pattern = self._patterns.get(flip)
+        if pattern is None:
+            pattern = self._pattern(flip)
+        b = np.array(rhs, dtype=float)
+        b.flags.writeable = False  # A and b are shared by every solve until the next load
+        self._current = pattern
+        self.A, self.rel, self.row_sign, self.b = pattern.A, pattern.rel, pattern.row_sign, b
+        self._after_phase_one: tuple[str, _Simplex] | None = None
+
+    def _pattern(self, flip: tuple[int, ...]) -> _Pattern:
+        """The matrix, relations and row signs with the ``flip`` rows negated."""
+        n_user = len(self.row_names)
+        A, rel, row_sign = self._A, self._rel, np.ones(n_user)
         if flip:
             A, rel = A.copy(), list(rel)
             for i in flip:
                 A[i, :] *= -1.0
-                rhs[i] *= -1.0
                 rel[i] = _REVERSED[rel[i]]
                 if i < n_user:
-                    self.row_sign[i] = -1.0
+                    row_sign[i] = -1.0
             A.flags.writeable = False
-        b = np.array(rhs, dtype=float)
-        self.rel = rel
-        b.flags.writeable = False  # A and b are shared by every solve until the next load
-        self.A, self.b = A, b
-        self._after_phase_one: tuple[str, _Simplex] | None = None
+        row_sign.flags.writeable = False
+        pattern = _Pattern(A, rel, row_sign)
+        if len(self._patterns) < KEPT_PER_FORM:
+            self._patterns[flip] = pattern
+        return pattern
+
+    def initial_tableau(self) -> _Simplex:
+        """Phase one's starting tableau for the loaded right-hand side. From
+        the second load on, each pattern's first one is kept, and later loads
+        copy it and write only ``b``."""
+        pattern = self._current
+        if pattern.tableau is None:
+            sx = _Simplex(self.A, self.b, self.rel)
+            if self._loads > 1:
+                pattern.tableau = sx.copy()
+            return sx
+        sx = pattern.tableau.copy()
+        sx.T[:, -1] = self.b
+        return sx
 
     def _place(self, coeffs: Mapping[str, float], out: np.ndarray) -> list[tuple[float, int]]:
         """Add ``coeffs`` onto the columns in ``out``; return the (coefficient,
@@ -346,9 +442,17 @@ class _StandardForm:
         return shift
 
     def costs(self, objective: dict[str, float], constant: float) -> tuple[np.ndarray, float]:
-        """Column costs of an objective, and the constant the column shifts add."""
-        c = np.zeros(self.ncols)
-        return c, self._shift(self._place(objective, c), constant)
+        """Column costs of an objective, and the constant the column shifts
+        add; a reloaded form keeps them per objective."""
+        key = (tuple(objective), _bits([*objective.values(), constant]))
+        hit = self._costs.get(key)
+        if hit is None:
+            c = np.zeros(self.ncols)
+            hit = c, self._shift(self._place(objective, c), constant)
+            c.flags.writeable = False
+            if self._loads > 1 and len(self._costs) < KEPT_PER_FORM:
+                self._costs[key] = hit
+        return hit
 
     def phase_one(self) -> tuple[str, _Simplex]:
         """Phase one's status ('feasible', 'infeasible' or 'stalled') and final
@@ -405,57 +509,60 @@ class _Simplex:
         self.m, self.n = m, n
         self.total = total
         self.iterations = 0
+        self.phase_one_iterations = 0
+        self.bland = False  # the switch to Bland's rule fired
 
     def _pivot(self, row: int, col: int) -> None:
         T = self.T
-        T[row, :] /= T[row, col]
+        prow = T[row]
+        prow /= prow[col]
         factors = T[:, col].copy()
         factors[row] = 0.0
-        T -= np.outer(factors, T[row, :])
+        T -= factors[:, None] * prow  # the products np.outer forms
         # keep the pivot column numerically clean
         T[:, col] = 0.0
         T[row, col] = 1.0
         self.basis[row] = col
 
-    def _run(self, cost: np.ndarray, allowed: np.ndarray) -> str:
-        """Minimize cost over the current tableau; returns 'optimal'/'unbounded'/'stalled'.
+    def _run(self, cost: np.ndarray, n_allowed: int) -> str:
+        """Minimize cost over the current tableau, letting only the first
+        ``n_allowed`` columns enter; returns 'optimal'/'unbounded'/'stalled'.
 
-        Entering column: most negative reduced cost (Dantzig), or the lowest
-        index once DEGENERATE_STREAK degenerate pivots ran in a row (Bland).
-        Leaving row: the smallest basis column among ratio ties. Beale's LP
-        cycles under Dantzig's rule with this tie-break; Bland's rule cannot.
+        Entering column: most negative reduced cost (Dantzig), the first one
+        among ties, or the lowest index once DEGENERATE_STREAK degenerate
+        pivots ran in a row (Bland). Leaving row: the smallest basis column
+        among ratio ties. Beale's LP cycles under Dantzig's rule with this
+        tie-break; Bland's rule cannot.
         """
         T = self.T
         # reduced costs: c - c_B B^-1 A, maintained incrementally across pivots
         zrow = cost - cost[self.basis] @ T[:, :-1]
+        # a view: the pivots below update it in place (no column may enter
+        # when n_allowed is 0)
+        z = zrow[:n_allowed] if n_allowed else np.zeros(1)
         degenerate_streak = 0
         while True:
             if self.iterations >= MAX_ITERATIONS:
                 return "stalled"
             self.iterations += 1
-            cand = np.where(allowed & (zrow < -PIVOT_TOL))[0]
-            if cand.size == 0:
+            col = int(z.argmin())
+            if not z[col] < -PIVOT_TOL:
                 self.zrow = zrow
                 return "optimal"
             if degenerate_streak >= DEGENERATE_STREAK:
-                col = int(cand[0])  # Bland: lowest index
-            else:
-                col = int(cand[np.argmin(zrow[cand])])
+                col = int((z < -PIVOT_TOL).nonzero()[0][0])  # Bland: lowest index
+                self.bland = True
             colvals = T[:, col]
-            pos = np.where(colvals > PIVOT_TOL)[0]
+            pos = (colvals > PIVOT_TOL).nonzero()[0]
             if pos.size == 0:
                 return "unbounded"
             ratios = T[pos, -1] / colvals[pos]
-            best = np.min(ratios)
-            ties = pos[np.where(ratios <= best + 1e-12)[0]]
+            best = ratios.min()
+            ties = pos[ratios <= best + 1e-12]
             # deterministic leave rule: smallest basis column among ratio ties
-            row = int(ties[np.argmin(self.basis[ties])])
-            if best <= 1e-12:
-                degenerate_streak += 1
-            else:
-                degenerate_streak = 0
-            piv = T[row, col]
-            zrow = zrow - (zrow[col] / piv) * T[row, :-1]
+            row = int(ties[self.basis[ties].argmin()])
+            degenerate_streak = degenerate_streak + 1 if best <= 1e-12 else 0
+            zrow -= (zrow[col] / T[row, col]) * T[row, :-1]
             zrow[col] = 0.0
             self._pivot(row, col)
 
@@ -478,22 +585,23 @@ class _Simplex:
 
 def _phase_one(sf: _StandardForm) -> tuple[str, _Simplex]:
     """Drive the artificials to zero and, where possible, out of the basis."""
-    sx = _Simplex(sf.A, sf.b, sf.rel)
+    sx = sf.initial_tableau()
     if sx.total > sx.art_start:
         cost1 = np.zeros(sx.total)
         cost1[sx.art_start :] = 1.0
-        status = sx._run(cost1, np.ones(sx.total, dtype=bool))
+        status = sx._run(cost1, sx.total)
+        sx.phase_one_iterations = sx.iterations
         if status == "stalled":
             return status, sx
         phase1_obj = float(cost1[sx.basis] @ sx.T[:, -1])
         if phase1_obj > FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(sf.b))) if sf.b.size else 1.0):
             return "infeasible", sx
-        for i in range(sx.m):
-            if sx.basis[i] >= sx.art_start:
-                row = sx.T[i, : sx.art_start]
-                nz = np.where(np.abs(row) > PIVOT_TOL)[0]
-                if nz.size:
-                    sx._pivot(i, int(nz[0]))
+        # a pivot changes only its own row's basis entry, so the artificials
+        # basic now are the rows to visit
+        for i in (sx.basis >= sx.art_start).nonzero()[0].tolist():
+            nz = (np.abs(sx.T[i, : sx.art_start]) > PIVOT_TOL).nonzero()[0]
+            if nz.size:
+                sx._pivot(i, int(nz[0]))
         # any artificial still basic sits on a redundant zero row and simply
         # stays there; it can never re-enter once blocked in phase two
     return "feasible", sx
@@ -506,11 +614,9 @@ def _solve_standard(sf: _StandardForm, c: np.ndarray) -> tuple[str, _Simplex]:
     if status != "feasible":
         return status, sx
     sx = sx.copy()
-    allowed = np.ones(sx.total, dtype=bool)
-    allowed[sx.art_start :] = False
     cost2 = np.zeros(sx.total)
     cost2[: sf.ncols] = c
-    return sx._run(cost2, allowed), sx
+    return sx._run(cost2, sx.art_start), sx
 
 
 def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
@@ -522,32 +628,35 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     if that stalls too the status is ``numerically_unstable``, deliberately
     distinct from ``infeasible``. Duals (one per row, d objective / d rhs)
     are read off the final tableau's reduced costs on the rows' slack or
-    artificial columns; a rescaled solve returns none.
+    artificial columns; a retried solve returns none.
     """
     sf = lp._standard_form()
     c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
     status, sx = _solve_standard(sf, c)
-    iters = sx.iterations
-    rescaled = status == "stalled"
-    if rescaled:
+    iters, phase_one, bland = sx.iterations, sx.phase_one_iterations, sx.bland
+    retried = status == "stalled"
+    if retried:
         sf = _StandardForm(_equilibrated_copy(lp))
         c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
         status, sx = _solve_standard(sf, c)
         iters += sx.iterations
+        phase_one += sx.phase_one_iterations
+        bland = bland or sx.bland
+    counters = {"iterations": iters, "phase_one_iterations": phase_one, "bland": bland, "retried": retried}
 
     if status == "stalled":
-        return LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan, {}, None, iters)
+        return LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan, {}, None, **counters)
     if status == "infeasible":
-        return LpSolution(SolveStatus.INFEASIBLE, math.nan, {}, None, iters)
+        return LpSolution(SolveStatus.INFEASIBLE, math.nan, {}, None, **counters)
     if status == "unbounded":
-        return LpSolution(SolveStatus.UNBOUNDED, -math.inf, {}, None, iters)
+        return LpSolution(SolveStatus.UNBOUNDED, -math.inf, {}, None, **counters)
 
     x = sx.primal(sf.ncols)
     duals = None
-    if compute_duals and not rescaled:
+    if compute_duals and not retried:
         y = sx.row_duals()[: len(sf.row_names)] * sf.row_sign
         duals = dict(zip(sf.row_names, y.tolist()))
-    return LpSolution(SolveStatus.OPTIMAL, obj_shift + float(np.dot(c, x)), sf.recover(x), duals, iters)
+    return LpSolution(SolveStatus.OPTIMAL, obj_shift + float(np.dot(c, x)), sf.recover(x), duals, **counters)
 
 
 def _equilibrated_copy(lp: LinearProgram) -> LinearProgram:

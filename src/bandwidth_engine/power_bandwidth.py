@@ -4,10 +4,14 @@ Each timestep's LP is solved under two objectives that differ only in the
 sign on the preventive battery setpoint (minimize it for the lower bound,
 maximize it for the upper bound). The LP's variables, rows and coefficients
 depend only on the zone, so one :class:`BandwidthProblem` is built per
-:func:`compute_power_bandwidths` call (per worker job) and each timestep
-writes only its curtailment bounds and right-hand sides into it; the LP layer
-keeps the standard form and runs phase one once for both objectives. The LP
-carries four families of network states:
+:func:`compute_power_bandwidths` call (per worker job) and each later
+timestep writes only its curtailment bounds and right-hand sides into it, in
+one call per LP; the LP layer keeps the standard form and runs phase one once
+for both objectives. From its first reuse on, a problem also keeps its
+rating rows as one matrix, so that the binding rows of a solution come from
+one matrix product: a row within a proven rounding margin of the cut is
+decided again by the row-by-row sum, so every label equals that sum's. The
+LP carries four families of network states:
 
 * normal state — flows within permanent ratings,
 * each contingency, before any recourse — flows within immediate ratings,
@@ -40,6 +44,8 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .dc_network import NetworkModel, TopologyState
 from .grid_model import (
@@ -119,7 +125,9 @@ class BandwidthProblem:
 
     The LP's variables, rows and coefficients depend only on the zone, so it
     is built once, with one timestep's values; :meth:`set_hour` writes
-    another timestep's curtailment bounds and right-hand sides into it.
+    another timestep's curtailment bounds and right-hand sides into it. The
+    first such write also builds the rating-row matrix that
+    :meth:`binding_ratings` uses from then on.
     """
 
     def __init__(self, zone: ZoneModel, network: NetworkModel, row: TimestepForecast, season: Season):
@@ -205,13 +213,19 @@ class BandwidthProblem:
                 name = lp.add_constraint(coeffs, Relation.LE, next(rhs), name=f"rating_{side}:{suffix}")
                 self.rating_rows[name] = (lid, stage, cid or "", rating)
                 self._ratings.append((name, coeffs))
+        # every row set_hour writes: the curtailment caps, then the ratings
+        self._rhs_rows = [name for name, _ in self._curt_caps] + [name for name, _ in self._ratings]
 
         self.lp = lp
         self.battery_var = batt
         self.curtailment_vars = curt
         self.curative_battery_vars = cur_batt
         self.curative_curtailment_vars = cur_curt
+        self.total_curtailment = {v: 1.0 for v in curt.values()}
         self._capped: LinearProgram | None = None
+        self._objectives: dict[tuple[Direction, ObjectiveWeights, bool], dict[str, float]] = {}
+        self._hour = (row, season)  # the timestep whose values the LP holds
+        self._R: np.ndarray | None = None  # rating rows x variables, built on first reuse
 
     def _rating_values(self, row: TimestepForecast, season: Season) -> list[float]:
         """Each rating row's rhs, in row order: limit - base flow for the upper
@@ -232,29 +246,66 @@ class BandwidthProblem:
         return rhs
 
     def set_hour(self, row: TimestepForecast, season: Season) -> None:
-        """Write one timestep's curtailment bounds and right-hand sides."""
-        lps = [self.lp] if self._capped is None else [self.lp, self._capped]
-        for b, v in self.curtailment_vars.items():
-            for lp in lps:
-                lp.set_bounds(v, 0.0, row.curtailable_max_mw[b])
-        for name, b in self._curt_caps:
-            for lp in lps:
-                lp.set_rhs(name, row.curtailable_max_mw[b])
+        """Write one timestep's curtailment bounds and right-hand sides, unless
+        the LP already holds that timestep's values."""
+        if self._hour[0] is row and self._hour[1] == season:
+            return
+        self._hour = (row, season)
+        caps = row.curtailable_max_mw
         self._rating_rhs = self._rating_values(row, season)
-        for (name, _), value in zip(self._ratings, self._rating_rhs):
-            for lp in lps:
-                lp.set_rhs(name, value)
+        values = [caps[b] for _, b in self._curt_caps] + self._rating_rhs
+        for lp in [self.lp] if self._capped is None else [self.lp, self._capped]:
+            for b, v in self.curtailment_vars.items():
+                lp.set_bounds(v, 0.0, caps[b])
+            lp.set_rhs_many(self._rhs_rows, values)
+        if self._R is None:  # the problem is reused: test its rating rows as a matrix
+            self._variables = [v.name for v in self.lp.variables]
+            column = {v: j for j, v in enumerate(self._variables)}
+            self._R = np.zeros((len(self._ratings), len(column)))
+            for i, (_, coeffs) in enumerate(self._ratings):
+                for v, c in coeffs.items():
+                    self._R[i, column[v]] = c
+            self._absR = np.abs(self._R)
+        self._cut = np.subtract(self._rating_rhs, 1e-6)  # the same subtraction as _meets
+
+    def _meets(self, i: int, values: dict[str, float]) -> bool:
+        """The binding rule for rating row ``i``: lhs >= rhs - 1e-6, with the
+        lhs summed over the row's coefficients in their order."""
+        lhs = sum(c * values[v] for v, c in self._ratings[i][1].items())
+        return lhs >= self._rating_rhs[i] - 1e-6
 
     def binding_ratings(self, solution: LpSolution) -> list[str]:
-        """Labels of the rating rows a solution meets with equality, in row order."""
-        binding = []
-        for (name, coeffs), rhs in zip(self._ratings, self._rating_rhs):
-            lhs = sum(c * solution.values[v] for v, c in coeffs.items())
-            if lhs >= rhs - 1e-6:
-                label = _rating_label(self, name)
-                if label not in binding:
-                    binding.append(label)
-        return binding
+        """Labels of the rating rows a solution meets with equality, in row order.
+
+        Once the rating-row matrix R exists, every row is tested at once,
+        R x >= rhs - 1e-6. The product and the row-by-row sum of
+        :meth:`_meets` each lie within gamma_n sum |c x| of the exact lhs
+        (n terms, gamma_n ~ n times the unit roundoff, whatever the summation
+        order), so they differ by under 3e-15 sum |c x| for the at most 12
+        terms of a rating row. A row farther than the margin 1e-12 (|R| |x|)
+        from the cut is therefore on the same side under both sums; a row
+        within it is decided by :meth:`_meets` itself. The margin's 1e-300
+        covers products that underflow.
+        """
+        values = solution.values
+        if self._R is None:
+            rows = [i for i in range(len(self._ratings)) if self._meets(i, values)]
+        else:
+            x = np.fromiter(map(values.__getitem__, self._variables), float, len(self._variables))
+            gap = self._R @ x - self._cut
+            margin = 1e-12 * (self._absR @ np.abs(x)) + 1e-300
+            binding = gap > margin
+            near = np.abs(gap) <= margin
+            if near.any():
+                for i in near.nonzero()[0].tolist():
+                    binding[i] = self._meets(i, values)
+            rows = binding.nonzero()[0].tolist()
+        labels: list[str] = []
+        for i in rows:
+            label = _rating_label(self, self._ratings[i][0])
+            if label not in labels:
+                labels.append(label)
+        return labels
 
     def capped_lp(self) -> LinearProgram:
         """The LP plus row ``curt_total_cap`` bounding the total preventive
@@ -266,8 +317,7 @@ class BandwidthProblem:
                 capped.add_variable(v.name, v.lower, v.upper)
             for con in self.lp.constraints:
                 capped.add_constraint(con.coeffs, con.relation, con.rhs, con.name)
-            total = {v: 1.0 for v in self.curtailment_vars.values()}
-            capped.add_constraint(total, Relation.LE, 0.0, name="curt_total_cap")
+            capped.add_constraint(self.total_curtailment, Relation.LE, 0.0, name="curt_total_cap")
             self._capped = capped
         return self._capped
 
@@ -281,18 +331,22 @@ class BandwidthProblem:
         """Minimize +-B by direction, plus the curtailment and curative terms.
 
         ``curtailment_bounded`` drops the preventive curtailment term (the
-        lexicographic second stage bounds the total by a row instead).
+        lexicographic second stage bounds the total by a row instead). The
+        same arguments return the same dict, which callers must not change.
         """
-        objective = {self.battery_var: 1.0 if direction == Direction.LOWER else -1.0}
-        if not curtailment_bounded:
-            for v in self.curtailment_vars.values():
-                objective[v] = weights.preventive_curtailment
-        for plus, minus in self.curative_battery_vars.values():
-            objective[plus] = weights.curative_battery
-            objective[minus] = weights.curative_battery
-        for v in self.curative_curtailment_vars.values():
-            objective[v] = weights.curative_curtailment
-        return objective
+        key = (direction, weights, curtailment_bounded)
+        if key not in self._objectives:
+            objective = {self.battery_var: 1.0 if direction == Direction.LOWER else -1.0}
+            if not curtailment_bounded:
+                for v in self.curtailment_vars.values():
+                    objective[v] = weights.preventive_curtailment
+            for plus, minus in self.curative_battery_vars.values():
+                objective[plus] = weights.curative_battery
+                objective[minus] = weights.curative_battery
+            for v in self.curative_curtailment_vars.values():
+                objective[v] = weights.curative_curtailment
+            self._objectives[key] = objective
+        return self._objectives[key]
 
 
 @dataclass(frozen=True, slots=True)
@@ -423,8 +477,7 @@ def solve_timestep(
 
     lp = problem.lp
     if lexicographic:
-        total = {v: 1.0 for v in problem.curtailment_vars.values()}
-        lp.set_objective(total)
+        lp.set_objective(problem.total_curtailment)
         sol = _solve(lp, row, "least-curtailment")
         if sol.status != SolveStatus.OPTIMAL:
             return _infeasible_result(problem, row, season)

@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 
 from bandwidth_engine.dc_network import (
     BalanceError,
-    FullLine,
-    FullNetwork,
     IslandingError,
     NetworkModel,
     TopologyState,
     compute_ptdf,
     dc_flows,
 )
-from bandwidth_engine.fixtures import random_instance, reference_full_network, reference_zone_dict
+from bandwidth_engine.fixtures import (
+    FullLine,
+    FullNetwork,
+    random_instance,
+    reference_full_network,
+    reference_zone_dict,
+)
 from bandwidth_engine.grid_model import zone_from_dict
 
 

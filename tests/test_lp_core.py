@@ -296,7 +296,16 @@ def _rebuilt(lp: LinearProgram) -> LinearProgram:
     return out
 
 
-def test_rewritten_lps_solve_exactly_as_fresh_ones():
+def _same_solve(got, want) -> None:
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    assert got.phase_one_iterations == want.phase_one_iterations
+    if want.status == SolveStatus.OPTIMAL:
+        assert got.values == want.values and got.objective == want.objective
+        assert got.duals == want.duals
+
+
+def test_rewritten_lps_solve_exactly_as_fresh_ones(monkeypatch):
     """New right-hand sides (some flipping their row's sign) and finite bounds
     written into a solved LP give the fresh LP's solve bit for bit."""
     rng = np.random.default_rng(11)
@@ -312,12 +321,27 @@ def test_rewritten_lps_solve_exactly_as_fresh_ones():
             lp.set_bounds(v.name, lo, lo + rng.uniform(0, 6))
         got, want = solve(lp), solve(_rebuilt(lp))
         flipped += int(np.any(np.sign(lp._standard_form().row_sign) != signs))
-        assert got.status == want.status
-        assert got.iterations == want.iterations
-        if want.status == SolveStatus.OPTIMAL:
-            assert got.values == want.values and got.objective == want.objective
-            assert got.duals == want.duals
+        _same_solve(got, want)
     assert flipped > 10
+
+    # a row that flips and flips back starts phase one from its pattern's
+    # kept tableau: no new build, and still the fresh LP's solve
+    builds = []
+    real_init = lp_core._Simplex.__init__
+    monkeypatch.setattr(lp_core._Simplex, "__init__", lambda sx, *a: builds.append(a) or real_init(sx, *a))
+    lp = _reuse_lp()
+    reused_builds = solves = 0
+    for rhs in (3.0, 5.0, -7.0, 4.0, -6.0, 3.5, -7.5, 3.0):  # b = rhs + 2 flips the row below -2
+        lp.set_rhs("sum", rhs)
+        before = len(builds)
+        got = solve(lp)
+        reused_builds += len(builds) - before
+        solves += 1
+        _same_solve(got, solve(_rebuilt(lp)))
+    # the first solve, then the first reload of each pattern
+    assert reused_builds == 3 < solves
+    lp.set_bounds("y", -1.0, 6.0)  # a new lower bound: new row shifts and costs
+    _same_solve(solve(lp), solve(_rebuilt(lp)))
 
 
 def test_phase_one_runs_once_per_right_hand_side(monkeypatch):
@@ -427,6 +451,18 @@ def _klee_minty(n: int) -> LinearProgram:
     return lp
 
 
+def test_counters_say_which_guard_fired():
+    beale = solve(_beale())
+    assert beale.bland and not beale.retried
+    cube = solve(_klee_minty(15))
+    assert cube.retried and not cube.bland
+    # every row is <= with rhs >= 0: no artificial, so phase one never loops
+    assert cube.phase_one_iterations == 0
+    plain = solve(_reuse_lp())  # the >= row needs an artificial
+    assert not plain.bland and not plain.retried
+    assert 1 <= plain.phase_one_iterations < plain.iterations
+
+
 def test_equilibrated_retry_solves_an_lp_that_reaches_the_iteration_cap():
     """The cube stalls at MAX_ITERATIONS with the Bland switch on (no pivot is
     degenerate); the row-equilibrated copy takes another pivot path to the
@@ -458,6 +494,9 @@ def test_lp_that_stalls_after_the_retry_is_numerically_unstable(monkeypatch, bui
     assert sol.status == SolveStatus.NUMERICALLY_UNSTABLE
     assert math.isnan(sol.objective) and sol.values == {} and sol.duals is None
     assert sol.iterations == 40
+    assert sol.retried
+    # both attempts stall in the phase the cube's vertices are walked in
+    assert sol.phase_one_iterations == (40 if build is _klee_minty_feasibility else 0)
 
 
 def test_rows_without_variables():

@@ -19,7 +19,7 @@ from bandwidth_engine.grid_model import (
     TimestepForecast,
     select_ratings,
 )
-from bandwidth_engine.lp_core import LpSolution, Relation, SolveStatus, solve
+from bandwidth_engine.lp_core import LinearProgram, LpSolution, Relation, SolveStatus, solve
 from bandwidth_engine.oracle import GridSearchConfig, brute_force_power_bandwidth
 from bandwidth_engine.power_bandwidth import (
     CongestionClass,
@@ -689,3 +689,128 @@ def test_infeasible_diagnostic_reuses_the_timesteps_lp(monkeypatch, lexicographi
         assert result.congestion_class == CongestionClass.INFEASIBLE
         assert result.failure.startswith("unclearable overload: ")
     assert len(built) == 3
+
+
+def test_first_timestep_is_written_once(zone, winter_day, monkeypatch):
+    """``build_lp`` writes the first timestep; ``set_hour`` writes each later
+    one, so an N-hour call makes N - 1 writes, with unchanged results."""
+    writes = []
+    real = LinearProgram.set_rhs_many
+    monkeypatch.setattr(LinearProgram, "set_rhs_many", lambda lp, *a: writes.append(lp) or real(lp, *a))
+    results = compute_power_bandwidths(zone, winter_day)
+    assert len(writes) == len(winter_day) - 1
+    monkeypatch.undo()
+    for row, got in zip(winter_day, results):
+        assert _same_result(got, solve_timestep(zone, row)), row.timestamp
+
+
+def test_bandwidth_lps_fire_no_solver_guard(zone, summer_day, winter_day):
+    for row in (*summer_day, *winter_day):
+        for direction in Direction:
+            sol = solve(build_lp(zone, row, row.season, direction).lp, compute_duals=False)
+            assert sol.status == SolveStatus.OPTIMAL
+            assert not sol.bland and not sol.retried
+            assert 1 <= sol.phase_one_iterations < sol.iterations
+
+
+def _row_sum_labels(problem, solution, rows=None) -> list[str]:
+    """The binding rule, row by row: lhs (summed over the row's coefficients
+    in order) >= rhs - 1e-6, labels in row order without repeats."""
+    labels = []
+    for con in rows if rows is not None else problem.lp.constraints:
+        if con.name in problem.rating_rows:
+            lhs = sum(c * solution.values[v] for v, c in con.coeffs.items())
+            lid, stage, cid, rating = problem.rating_rows[con.name]
+            label = f"{lid}:{stage}{'[' + cid + ']' if cid else ''}:{rating}"
+            if lhs >= con.rhs - 1e-6 and label not in labels:
+                labels.append(label)
+    return labels
+
+
+@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+def test_binding_labels_equal_the_row_sums(zone, monkeypatch, lexicographic):
+    """With and without the rating-row matrix (built on a problem's first
+    reuse), every solution's binding labels are the row-sum rule's."""
+    paths = []
+    real = pb.BandwidthProblem.binding_ratings
+
+    def checked(problem, solution):
+        got = real(problem, solution)
+        assert got == _row_sum_labels(problem, solution)
+        paths.append(problem._R is not None)
+        return got
+
+    monkeypatch.setattr(pb.BandwidthProblem, "binding_ratings", checked)
+    year = synthetic_year_rows(zone)
+    for day in range(0, 365, 12):
+        compute_power_bandwidths(zone, year[24 * day : 24 * (day + 1)], lexicographic=lexicographic)
+    for seed in range(400):
+        z, row = random_instance(seed)
+        problem = build_lp(z, row, row.season, Direction.LOWER)
+        solve_timestep(z, row, lexicographic=lexicographic, problem=problem)
+        # an equal row in a new object is a new timestep: the matrix is built
+        solve_timestep(z, dataclasses.replace(row), lexicographic=lexicographic, problem=problem)
+    assert sum(paths) > 1000 and len(paths) - sum(paths) > 500
+
+
+def _crossing(lhs_of, guess: float, cut: float) -> tuple[float, float]:
+    """Adjacent floats around ``guess`` with ``lhs_of(b) >= cut`` differing
+    between them (``lhs_of`` is monotone in b)."""
+    step = 1e-9
+    lo, hi = guess - step, guess + step
+    while (lhs_of(lo) >= cut) == (lhs_of(hi) >= cut):
+        step *= 2
+        lo, hi = guess - step, guess + step
+    side = lhs_of(lo) >= cut
+    while True:
+        mid = lo + (hi - lo) / 2
+        if mid in (lo, hi):
+            return lo, hi
+        if (lhs_of(mid) >= cut) == side:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_binding_row_at_the_cut_follows_the_row_sum(zone, summer_day, winter_day, monkeypatch):
+    """A rating row whose lhs sits within the rounding margin just above or
+    just below rhs - 1e-6 is decided again by the row-by-row sum, and its
+    label follows that sum."""
+    redecided = []
+    real_meets = pb.BandwidthProblem._meets
+    monkeypatch.setattr(
+        pb.BandwidthProblem, "_meets", lambda p, i, x: redecided.append(i) or real_meets(p, i, x)
+    )
+    checked = 0
+    for rows in (summer_day, winter_day):
+        problem = build_lp(zone, rows[0], rows[0].season, Direction.LOWER)
+        solve_timestep(zone, rows[1], problem=problem)  # a reuse: the matrix exists
+        assert problem._R is not None
+        problem.lp.set_objective(problem.objective(Direction.LOWER, ObjectiveWeights()))
+        sol = solve(problem.lp, compute_duals=False)
+        ratings = [con for con in problem.lp.constraints if con.name in problem.rating_rows]
+        for i, con in enumerate(ratings):
+            coef = con.coeffs.get(problem.battery_var)
+            if not coef:
+                continue
+            values, cut = dict(sol.values), con.rhs - 1e-6
+
+            def lhs_of(b, values=values, con=con):
+                values[problem.battery_var] = b
+                return sum(c * values[v] for v, c in con.coeffs.items())
+
+            guess = values[problem.battery_var] + (cut - lhs_of(values[problem.battery_var])) / coef
+            for b in _crossing(lhs_of, guess, cut):  # one on each side of the cut
+                lhs = lhs_of(b)
+                assert abs(lhs - cut) <= 1e-12 * sum(abs(c * values[v]) for v, c in con.coeffs.items())
+                at_cut = LpSolution(SolveStatus.OPTIMAL, 0.0, dict(values))
+                redecided.clear()
+                labels = problem.binding_ratings(at_cut)
+                assert i in redecided
+                assert labels == _row_sum_labels(problem, at_cut)
+                label = problem.rating_rows[con.name]
+                twins = [o for o in ratings if o is not con and problem.rating_rows[o.name] == label]
+                if not _row_sum_labels(problem, at_cut, twins):  # no other row carries the label
+                    assert (pb._rating_label(problem, con.name) in labels) == (lhs >= cut)
+            checked += 1
+    assert checked >= 8
