@@ -22,23 +22,42 @@ variable or row is added or a bound turns finite or infinite. New right-hand
 sides (:meth:`LinearProgram.set_rhs_many` writes a whole set in one call) or
 a bound that stays finite (or infinite) only mark the form's right-hand side
 stale, and the next solve recomputes it with the same arithmetic as a fresh
-form. Phase one does not depend on the objective, so it runs once per
-right-hand side and every objective starts phase two from a copy of its
-final tableau.
+form. A reloaded form also keeps its row shifts (each row's
+``sum coef * lower``, in coefficient order) and every objective's column
+costs until a lower bound changes bit pattern.
 
-A form that is reloaded keeps what does not change from one right-hand side
-to the next, each piece computed exactly as a fresh form computes it:
+Every solve walks a pivot-path tree of its form. The matrix and the costs do
+not change with the right-hand side b, so neither does anything that picks a
+pivot's column or builds the next tableau. A node holds what depends only on
+the pivots that reached it:
 
-* the row shifts (each row's ``sum coef * lower``, in coefficient order) and
-  every objective's column costs, until a lower bound changes bit pattern;
-* per row-flip pattern (the rows whose shifted right-hand side is negative and
-  so are sign-normalized), the normalized matrix and phase one's initial
-  tableau. Phase one starts from a copy of that tableau with only ``b``
-  written, which equals the tableau a fresh build makes.
+* the tableau matrix, the basis and the reduced-cost row, the last updated
+  pivot by pivot as a fresh tableau updates it;
+* the entering column under Dantzig's rule and under Bland's, and that
+  column's positive rows and their values.
 
-So a reloaded LP takes the same pivots as a fresh one, through the same
-floating-point operations, and gives the same bits. A form solved for one
-right-hand side only keeps no tableau.
+A node's children are keyed by their pivot, (entering column, leaving row).
+b takes part only in the ratio test, the degenerate streak, phase one's
+feasibility test and the final values, so each solve carries only its own b
+and streak down the tree. At each node it runs the ratio test on
+``b[pos] / colpos`` and applies the pivot's row operation to b,
+``b[row] = b[row] / pivot`` then ``b -= factors * b[row]`` (``factors`` is
+the pivot column with a zero in the pivot row): the elementwise operations
+the pivot applies to the tableau's b column. A child not yet in the tree is
+built by the full pivot. So a solve takes the same pivots as a fresh one,
+through the same floating-point operations, and gives the same bits.
+
+The tree's roots are phase one's initial tableaus, one per row-flip pattern
+(the rows whose shifted right-hand side is negative, and so are
+sign-normalized). Where phase one ends, a node keeps the pivots that drive
+basic artificials out of the basis, which depend only on its tableau; below
+them phase two has one root per cost vector. Phase one does not depend on
+the objective, so it runs once per right-hand side, and every objective
+starts phase two where it ended.
+
+A form keeps at most ``NODES_PER_FORM`` nodes (a reused Klee-Minty cube
+would otherwise keep one per pivot). Past that, and on a form solved for one
+right-hand side only, the walk builds each node it visits and keeps none.
 """
 
 from __future__ import annotations
@@ -57,8 +76,11 @@ PIVOT_TOL = 1e-9
 # consecutive degenerate pivots tolerated before switching to Bland's rule
 DEGENERATE_STREAK = 50
 MAX_ITERATIONS = 20000
-# row-flip patterns and objectives a reloaded standard form keeps at most
-KEPT_PER_FORM = 32
+# tree nodes (with row-flip patterns and objectives' costs) a reloaded
+# standard form keeps at most
+NODES_PER_FORM = 1000
+# checked objectives a linear program keeps at most
+KEPT_OBJECTIVES = 8
 
 INF = math.inf
 
@@ -116,6 +138,7 @@ class LinearProgram:
         self._constraints: tuple[Constraint, ...] | None = None  # built on demand
         self.objective: dict[str, float] = {}
         self.objective_constant = 0.0
+        self._checked: dict[int, tuple[dict, dict[str, float]]] = {}  # id -> (objective, copy)
         self._var_index: dict[str, int] = {}
         self._row_index: dict[str, int] = {}
         self._form: _StandardForm | None = None  # dropped when the matrix changes
@@ -197,12 +220,19 @@ class LinearProgram:
             rhs[i] = float(value)
 
     def set_objective(self, coeffs: dict[str, float], constant: float = 0.0) -> None:
-        for var, c in coeffs.items():
-            if var not in self._var_index:
-                raise LpError(f"objective references unknown variable {var!r}")
-            if not math.isfinite(c):
-                raise LpError(f"objective has non-finite coefficient on {var!r}")
-        self.objective = dict(coeffs)
+        """Set the objective. A dict set before, and equal to the copy taken
+        then, is not checked or copied again."""
+        kept = self._checked.get(id(coeffs))  # holds coeffs, so the id is not reused
+        if kept is None or kept[1] != coeffs:
+            for var, c in coeffs.items():
+                if var not in self._var_index:
+                    raise LpError(f"objective references unknown variable {var!r}")
+                if not math.isfinite(c):
+                    raise LpError(f"objective has non-finite coefficient on {var!r}")
+            if len(self._checked) >= KEPT_OBJECTIVES:
+                self._checked.clear()
+            kept = self._checked[id(coeffs)] = (coeffs, dict(coeffs))
+        self.objective = kept[1]
         self.objective_constant = float(constant)
 
     def _standard_form(self) -> _StandardForm:
@@ -305,21 +335,56 @@ _REVERSED = {Relation.LE: Relation.GE, Relation.GE: Relation.LE, Relation.EQ: Re
 
 
 class _Pattern:
-    """One row-flip pattern: the sign-normalized matrix, relations and row
-    signs, and (once the form is reloaded) phase one's initial tableau."""
+    """One row-flip pattern: the row signs, where the artificial columns
+    start, each row's unit column (its slack or artificial) and the root of
+    the pattern's tree, phase one's initial tableau."""
 
-    __slots__ = ("A", "rel", "row_sign", "tableau")
+    __slots__ = ("row_sign", "art_start", "unit_cols", "root")
 
     def __init__(self, A: np.ndarray, rel: list[Relation], row_sign: np.ndarray):
-        self.A, self.rel, self.row_sign = A, rel, row_sign
-        self.tableau: _Simplex | None = None
+        m, n = A.shape
+        n_slack = sum(1 for r in rel if r != Relation.EQ)
+        n_art = sum(1 for r in rel if r != Relation.LE)
+        total = n + n_slack + n_art
+        # the last column is b's place, unused: each solve carries its own b,
+        # and the products over T[:, :-1] see a tableau's layout
+        T = np.zeros((m, total + 1))
+        T[:, :n] = A
+        basis = np.empty(m, dtype=int)
+        s = n
+        a = n + n_slack
+        self.art_start = a
+        for i, r in enumerate(rel):
+            if r == Relation.LE:
+                T[i, s] = 1.0
+                basis[i] = s
+                s += 1
+            elif r == Relation.GE:
+                T[i, s] = -1.0
+                T[i, a] = 1.0
+                basis[i] = a
+                s += 1
+                a += 1
+            else:
+                T[i, a] = 1.0
+                basis[i] = a
+                a += 1
+        # row i's final reduced cost on its unit column is -y_i, as phase two
+        # prices these columns at zero
+        self.unit_cols = basis.copy()
+        self.row_sign = row_sign
+        zrow = None
+        if total > self.art_start:  # phase one minimizes the artificials' sum
+            cost1 = np.zeros(total)
+            cost1[self.art_start :] = 1.0
+            zrow = cost1 - cost1[basis] @ T[:, :-1]
+        self.root = _Node(T, basis, zrow, total, ())
 
 
 class _StandardForm:
     """The unnormalized matrix is built once; :meth:`load` writes the
-    right-hand side, sign-normalizes the rows and drops the phase-one tableau.
-    The row shifts, costs and per-pattern tableaus are kept as the module
-    docstring describes."""
+    right-hand side and picks its row-flip pattern. The row shifts, costs,
+    patterns and tree nodes are kept as the module docstring describes."""
 
     def __init__(self, lp: LinearProgram):
         variables, rows = lp._variables, lp._rows
@@ -356,6 +421,7 @@ class _StandardForm:
         self.ncols = ncols
         self.nrows = nrows
         self._loads = 0
+        self._kept = 0  # nodes, patterns and costs kept
         self._lower_bits: bytes | None = None
         self._costs: dict[tuple, tuple[np.ndarray, float]] = {}
         self._patterns: dict[tuple[int, ...], _Pattern] = {}
@@ -370,6 +436,7 @@ class _StandardForm:
         if bits != self._lower_bits:  # the shifts and costs depend on the lower bounds
             self._lower, self._lower_bits = lower, bits
             self._row_shifts = [self._shift(terms, 0.0) for terms in self._row_terms]
+            self._kept -= len(self._costs)
             self._costs.clear()
         rhs = [b - shift for b, shift in zip(lp._rhs, self._row_shifts)]
         for j in self._ranged:
@@ -384,13 +451,12 @@ class _StandardForm:
         if pattern is None:
             pattern = self._pattern(flip)
         b = np.array(rhs, dtype=float)
-        b.flags.writeable = False  # A and b are shared by every solve until the next load
-        self._current = pattern
-        self.A, self.rel, self.row_sign, self.b = pattern.A, pattern.rel, pattern.row_sign, b
-        self._after_phase_one: tuple[str, _Simplex] | None = None
+        b.flags.writeable = False  # shared by every solve until the next load
+        self.pattern, self.row_sign, self.b = pattern, pattern.row_sign, b
+        self._after_phase_one: tuple[str, _Walk] | None = None
 
     def _pattern(self, flip: tuple[int, ...]) -> _Pattern:
-        """The matrix, relations and row signs with the ``flip`` rows negated."""
+        """The pattern with the ``flip`` rows negated."""
         n_user = len(self.row_names)
         A, rel, row_sign = self._A, self._rel, np.ones(n_user)
         if flip:
@@ -400,26 +466,66 @@ class _StandardForm:
                 rel[i] = _REVERSED[rel[i]]
                 if i < n_user:
                     row_sign[i] = -1.0
-            A.flags.writeable = False
         row_sign.flags.writeable = False
         pattern = _Pattern(A, rel, row_sign)
-        if len(self._patterns) < KEPT_PER_FORM:
+        if self._keep():
             self._patterns[flip] = pattern
         return pattern
 
-    def initial_tableau(self) -> _Simplex:
-        """Phase one's starting tableau for the loaded right-hand side. From
-        the second load on, each pattern's first one is kept, and later loads
-        copy it and write only ``b``."""
-        pattern = self._current
-        if pattern.tableau is None:
-            sx = _Simplex(self.A, self.b, self.rel)
-            if self._loads > 1:
-                pattern.tableau = sx.copy()
-            return sx
-        sx = pattern.tableau.copy()
-        sx.T[:, -1] = self.b
-        return sx
+    def _keep(self) -> bool:
+        """Whether the form keeps one more node, pattern or cost vector (from
+        its second load on, up to NODES_PER_FORM), counting it if so."""
+        if self._loads > 1 and self._kept < NODES_PER_FORM:
+            self._kept += 1
+            return True
+        return False
+
+    def _adopt(self, parent: _Node, key, child: _Node) -> _Node:
+        if self._keep():
+            parent.children[key] = child
+        return child
+
+    def child(self, node: _Node, col: int, row: int) -> _Node:
+        """The node a pivot on (row, col) leads to, built on first visit."""
+        child = node.children.get((col, row))
+        if child is None:
+            T, zrow = node.T, node.zrow
+            # reduced costs: maintained incrementally across pivots
+            zrow = zrow - (zrow[col] / T[row, col]) * T[row, :-1]
+            zrow[col] = 0.0
+            T, basis, step = _pivoted(T, node.basis, row, col)
+            child = self._adopt(node, (col, row), _Node(T, basis, zrow, node.n_allowed, (step,)))
+        return child
+
+    def drive_out(self, node: _Node) -> _Node:
+        """Where phase two starts from phase one's final tableau ``node``: past
+        the pivots that drive basic artificials out of the basis. Any
+        artificial still basic sits on a redundant zero row and simply stays
+        there; it can never re-enter once blocked in phase two."""
+        after = node.children.get(None)
+        if after is None:
+            art = self.pattern.art_start
+            T, basis, steps = node.T, node.basis, []
+            # a pivot changes only its own row's basis entry, so the
+            # artificials basic now are the rows to visit
+            for i in (basis >= art).nonzero()[0].tolist():
+                nz = (np.abs(T[i, :art]) > PIVOT_TOL).nonzero()[0]
+                if nz.size:
+                    T, basis, step = _pivoted(T, basis, i, int(nz[0]))
+                    steps.append(step)
+            after = self._adopt(node, None, _Node(T, basis, None, 0, tuple(steps)))
+        return after
+
+    def phase_two_root(self, after: _Node, c: np.ndarray) -> _Node:
+        """Phase two's first node for column costs ``c`` below ``after``."""
+        key = c.tobytes()
+        root = after.children.get(key)
+        if root is None:
+            cost2 = np.zeros(after.T.shape[1] - 1)
+            cost2[: self.ncols] = c
+            zrow = cost2 - cost2[after.basis] @ after.T[:, :-1]
+            root = self._adopt(after, key, _Node(after.T, after.basis, zrow, self.pattern.art_start, ()))
+        return root
 
     def _place(self, coeffs: Mapping[str, float], out: np.ndarray) -> list[tuple[float, int]]:
         """Add ``coeffs`` onto the columns in ``out``; return the (coefficient,
@@ -450,13 +556,13 @@ class _StandardForm:
             c = np.zeros(self.ncols)
             hit = c, self._shift(self._place(objective, c), constant)
             c.flags.writeable = False
-            if self._loads > 1 and len(self._costs) < KEPT_PER_FORM:
+            if self._keep():
                 self._costs[key] = hit
         return hit
 
-    def phase_one(self) -> tuple[str, _Simplex]:
-        """Phase one's status ('feasible', 'infeasible' or 'stalled') and final
-        tableau, computed once per :meth:`load`."""
+    def phase_one(self) -> tuple[str, _Walk]:
+        """Phase one's status ('feasible', 'infeasible' or 'stalled') and
+        walk, computed once per :meth:`load`."""
         if self._after_phase_one is None:
             self._after_phase_one = _phase_one(self)
         return self._after_phase_one
@@ -471,152 +577,162 @@ class _StandardForm:
         return values
 
 
-class _Simplex:
-    """Tableau simplex over A x = b, x >= 0, b >= 0."""
+# ---------------------------------------------------------------------------
+# the pivot-path tree and the walk down it
+# ---------------------------------------------------------------------------
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, rel: list[Relation]):
-        m, n = A.shape
-        n_slack = sum(1 for r in rel if r != Relation.EQ)
-        n_art = sum(1 for r in rel if r != Relation.LE)
-        total = n + n_slack + n_art
-        T = np.zeros((m, total + 1))
-        T[:, :n] = A
-        T[:, -1] = b
-        basis = np.empty(m, dtype=int)
-        s = n
-        a = n + n_slack
-        self.art_start = a
-        for i, r in enumerate(rel):
-            if r == Relation.LE:
-                T[i, s] = 1.0
-                basis[i] = s
-                s += 1
-            elif r == Relation.GE:
-                T[i, s] = -1.0
-                T[i, a] = 1.0
-                basis[i] = a
-                s += 1
-                a += 1
-            else:
-                T[i, a] = 1.0
-                basis[i] = a
-                a += 1
-        self.T = T
-        self.basis = basis
-        # row i's unit column (its slack or artificial): its final reduced
-        # cost is -y_i, as phase two prices these columns at zero
-        self.unit_cols = basis.copy()
-        self.m, self.n = m, n
-        self.total = total
+
+def _pivoted(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The tableau and basis after a pivot on (row, col), and the pivot's
+    row operation on b: (row, pivot, factors)."""
+    T = T.copy()
+    prow = T[row]
+    pivot = prow[col]
+    prow /= pivot
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= factors[:, None] * prow  # the products np.outer forms
+    # keep the pivot column numerically clean
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis = basis.copy()
+    basis[row] = col
+    return T, basis, (row, pivot, factors)
+
+
+class _Node:
+    """A tableau on a pivot path, with the reduced costs of the phase it is
+    in (none where phase one hands over to phase two). ``steps`` are the row
+    operations on b of the pivots from the parent to here. Its arrays never
+    change once built."""
+
+    __slots__ = ("T", "basis", "zrow", "n_allowed", "steps", "children", "col", "_entering")
+
+    def __init__(self, T: np.ndarray, basis: np.ndarray, zrow: np.ndarray | None, n_allowed: int, steps: tuple):
+        self.T, self.basis, self.zrow, self.n_allowed, self.steps = T, basis, zrow, n_allowed, steps
+        self.children: dict = {}
+        self._entering: dict[bool, tuple[int, list[tuple[int, float, int]]]] = {}
+        self.col: int | None = None  # Dantzig's entering column; None at an optimum
+        if zrow is not None and n_allowed:  # only the first n_allowed columns may enter
+            z = zrow[:n_allowed]
+            col = int(z.argmin())
+            if z[col] < -PIVOT_TOL:
+                self.col = col
+
+    def entering(self, bland: bool) -> tuple[int, list[tuple[int, float, int]]]:
+        """The entering column under Dantzig's rule (the most negative reduced
+        cost, the first among ties) or Bland's (the lowest index with a
+        negative one), and its positive rows: (row, value, basis column)."""
+        hit = self._entering.get(bland)
+        if hit is None:
+            col = self.col
+            if bland:
+                col = int((self.zrow[: self.n_allowed] < -PIVOT_TOL).nonzero()[0][0])
+            colvals = self.T[:, col]
+            pos = (colvals > PIVOT_TOL).nonzero()[0]
+            hit = self._entering[bland] = (col, list(zip(pos.tolist(), colvals[pos].tolist(), self.basis[pos].tolist())))
+        return hit
+
+
+def _column(values: np.ndarray) -> np.ndarray:
+    """A copy of ``values`` laid out like a tableau's b column, as a strided
+    view: NumPy's dot sums a contiguous vector in another order, and the
+    phase-one objective would not keep its bits."""
+    out = np.empty((len(values), 2))[:, 0]
+    out[:] = values
+    return out
+
+
+class _Walk:
+    """One right-hand side on its way down a form's tree: the node it has
+    reached, its own b and its counters."""
+
+    __slots__ = ("node", "b", "iterations", "phase_one_iterations", "bland")
+
+    def __init__(self, node: _Node, b: np.ndarray):
+        self.node, self.b = node, _column(b)
         self.iterations = 0
         self.phase_one_iterations = 0
         self.bland = False  # the switch to Bland's rule fired
 
-    def _pivot(self, row: int, col: int) -> None:
-        T = self.T
-        prow = T[row]
-        prow /= prow[col]
-        factors = T[:, col].copy()
-        factors[row] = 0.0
-        T -= factors[:, None] * prow  # the products np.outer forms
-        # keep the pivot column numerically clean
-        T[:, col] = 0.0
-        T[row, col] = 1.0
-        self.basis[row] = col
+    def copy(self) -> _Walk:
+        out = _Walk(self.node, self.b)
+        out.iterations, out.phase_one_iterations, out.bland = self.iterations, self.phase_one_iterations, self.bland
+        return out
 
-    def _run(self, cost: np.ndarray, n_allowed: int) -> str:
-        """Minimize cost over the current tableau, letting only the first
-        ``n_allowed`` columns enter; returns 'optimal'/'unbounded'/'stalled'.
+    def move(self, node: _Node) -> None:
+        """Go to ``node``, applying its pivots' row operations to b."""
+        b = self.b
+        for row, pivot, factors in node.steps:
+            b[row] = b[row] / pivot
+            b -= factors * b[row]
+        self.node = node
 
-        Entering column: most negative reduced cost (Dantzig), the first one
-        among ties, or the lowest index once DEGENERATE_STREAK degenerate
-        pivots ran in a row (Bland). Leaving row: the smallest basis column
-        among ratio ties. Beale's LP cycles under Dantzig's rule with this
-        tie-break; Bland's rule cannot.
+    def run(self, sf: _StandardForm) -> str:
+        """Pivot down the tree until no column may enter; returns 'optimal',
+        'unbounded' or 'stalled'. This is the solver's one pivot loop.
+
+        Dantzig's entering column, or Bland's once DEGENERATE_STREAK
+        degenerate pivots ran in a row. Leaving row: the smallest basis
+        column among ratio ties. Beale's LP cycles under Dantzig's rule with
+        this tie-break; Bland's rule cannot.
         """
-        T = self.T
-        # reduced costs: c - c_B B^-1 A, maintained incrementally across pivots
-        zrow = cost - cost[self.basis] @ T[:, :-1]
-        # a view: the pivots below update it in place (no column may enter
-        # when n_allowed is 0)
-        z = zrow[:n_allowed] if n_allowed else np.zeros(1)
-        degenerate_streak = 0
+        node = self.node
+        streak = 0  # degenerate pivots in a row
         while True:
             if self.iterations >= MAX_ITERATIONS:
                 return "stalled"
             self.iterations += 1
-            col = int(z.argmin())
-            if not z[col] < -PIVOT_TOL:
-                self.zrow = zrow
+            if node.col is None:
                 return "optimal"
-            if degenerate_streak >= DEGENERATE_STREAK:
-                col = int((z < -PIVOT_TOL).nonzero()[0][0])  # Bland: lowest index
-                self.bland = True
-            colvals = T[:, col]
-            pos = (colvals > PIVOT_TOL).nonzero()[0]
-            if pos.size == 0:
+            bland = streak >= DEGENERATE_STREAK
+            self.bland = self.bland or bland
+            col, positive = node.entering(bland)
+            if not positive:
                 return "unbounded"
-            ratios = T[pos, -1] / colvals[pos]
-            best = ratios.min()
-            ties = pos[ratios <= best + 1e-12]
+            # the ratio test, in Python floats: the same IEEE divisions NumPy makes
+            b = self.b.tolist()
+            ratios = [b[i] / value for i, value, _ in positive]
+            best = min(ratios)
+            cut = best + 1e-12
             # deterministic leave rule: smallest basis column among ratio ties
-            row = int(ties[self.basis[ties].argmin()])
-            degenerate_streak = degenerate_streak + 1 if best <= 1e-12 else 0
-            zrow -= (zrow[col] / T[row, col]) * T[row, :-1]
-            zrow[col] = 0.0
-            self._pivot(row, col)
-
-    def copy(self) -> _Simplex:
-        out = object.__new__(_Simplex)
-        out.__dict__.update(self.__dict__)
-        out.T, out.basis = self.T.copy(), self.basis.copy()
-        return out
+            row = min((k, i) for (i, _, k), ratio in zip(positive, ratios) if ratio <= cut)[1]
+            streak = streak + 1 if best <= 1e-12 else 0
+            node = sf.child(node, col, row)
+            self.move(node)
 
     def primal(self, ncols: int) -> np.ndarray:
         """The basic solution's first ``ncols`` columns."""
-        x = np.zeros(self.total)
-        x[self.basis] = self.T[:, -1]
+        x = np.zeros(self.node.T.shape[1] - 1)
+        x[self.node.basis] = self.b
         return x[:ncols]
 
-    def row_duals(self) -> np.ndarray:
-        """Each row's dual, read off the final reduced costs."""
-        return -self.zrow[self.unit_cols]
 
-
-def _phase_one(sf: _StandardForm) -> tuple[str, _Simplex]:
+def _phase_one(sf: _StandardForm) -> tuple[str, _Walk]:
     """Drive the artificials to zero and, where possible, out of the basis."""
-    sx = sf.initial_tableau()
-    if sx.total > sx.art_start:
-        cost1 = np.zeros(sx.total)
-        cost1[sx.art_start :] = 1.0
-        status = sx._run(cost1, sx.total)
-        sx.phase_one_iterations = sx.iterations
+    walk = _Walk(sf.pattern.root, sf.b)
+    if walk.node.zrow is not None:
+        status = walk.run(sf)
+        walk.phase_one_iterations = walk.iterations
         if status == "stalled":
-            return status, sx
-        phase1_obj = float(cost1[sx.basis] @ sx.T[:, -1])
+            return status, walk
+        costs = (walk.node.basis >= sf.pattern.art_start).astype(float)  # phase one's, per basic column
+        phase1_obj = float(costs @ walk.b)
         if phase1_obj > FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(sf.b))) if sf.b.size else 1.0):
-            return "infeasible", sx
-        # a pivot changes only its own row's basis entry, so the artificials
-        # basic now are the rows to visit
-        for i in (sx.basis >= sx.art_start).nonzero()[0].tolist():
-            nz = (np.abs(sx.T[i, : sx.art_start]) > PIVOT_TOL).nonzero()[0]
-            if nz.size:
-                sx._pivot(i, int(nz[0]))
-        # any artificial still basic sits on a redundant zero row and simply
-        # stays there; it can never re-enter once blocked in phase two
-    return "feasible", sx
+            return "infeasible", walk
+    walk.move(sf.drive_out(walk.node))
+    return "feasible", walk
 
 
-def _solve_standard(sf: _StandardForm, c: np.ndarray) -> tuple[str, _Simplex]:
-    """Run phase two from a copy of the form's phase-one tableau; returns the
-    status and the final tableau."""
-    status, sx = sf.phase_one()
+def _solve_standard(sf: _StandardForm, c: np.ndarray) -> tuple[str, _Walk]:
+    """Run phase two from a copy of the form's phase-one walk; returns the
+    status and the walk."""
+    status, walk = sf.phase_one()
     if status != "feasible":
-        return status, sx
-    sx = sx.copy()
-    cost2 = np.zeros(sx.total)
-    cost2[: sf.ncols] = c
-    return sx._run(cost2, sx.art_start), sx
+        return status, walk
+    walk = walk.copy()
+    walk.move(sf.phase_two_root(walk.node, c))
+    return walk.run(sf), walk
 
 
 def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
@@ -632,16 +748,16 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     """
     sf = lp._standard_form()
     c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
-    status, sx = _solve_standard(sf, c)
-    iters, phase_one, bland = sx.iterations, sx.phase_one_iterations, sx.bland
+    status, walk = _solve_standard(sf, c)
+    iters, phase_one, bland = walk.iterations, walk.phase_one_iterations, walk.bland
     retried = status == "stalled"
     if retried:
         sf = _StandardForm(_equilibrated_copy(lp))
         c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
-        status, sx = _solve_standard(sf, c)
-        iters += sx.iterations
-        phase_one += sx.phase_one_iterations
-        bland = bland or sx.bland
+        status, walk = _solve_standard(sf, c)
+        iters += walk.iterations
+        phase_one += walk.phase_one_iterations
+        bland = bland or walk.bland
     counters = {"iterations": iters, "phase_one_iterations": phase_one, "bland": bland, "retried": retried}
 
     if status == "stalled":
@@ -651,10 +767,10 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     if status == "unbounded":
         return LpSolution(SolveStatus.UNBOUNDED, -math.inf, {}, None, **counters)
 
-    x = sx.primal(sf.ncols)
+    x = walk.primal(sf.ncols)
     duals = None
     if compute_duals and not retried:
-        y = sx.row_duals()[: len(sf.row_names)] * sf.row_sign
+        y = -walk.node.zrow[sf.pattern.unit_cols][: len(sf.row_names)] * sf.row_sign
         duals = dict(zip(sf.row_names, y.tolist()))
     return LpSolution(SolveStatus.OPTIMAL, obj_shift + float(np.dot(c, x)), sf.recover(x), duals, **counters)
 

@@ -207,12 +207,15 @@ class BandwidthProblem:
         self._rating_rhs = self._rating_values(row, season)
         self.rating_rows: dict[str, tuple[str, str, str, str]] = {}
         self._ratings: list[tuple[str, dict[str, float]]] = []  # (row, coefficients) per row
+        self._labels: list[str] = []  # per rating row, shared by the rows of a pair
         rhs = iter(self._rating_rhs)
         for (cid, lid, stage, _, rating), (suffix, flow) in zip(self._pairs, flows):
             for side, coeffs in (("hi", flow), ("lo", {var: -c for var, c in flow.items()})):
                 name = lp.add_constraint(coeffs, Relation.LE, next(rhs), name=f"rating_{side}:{suffix}")
                 self.rating_rows[name] = (lid, stage, cid or "", rating)
                 self._ratings.append((name, coeffs))
+            label = _rating_label(self, name)
+            self._labels += (label, label)
         # every row set_hour writes: the curtailment caps, then the ratings
         self._rhs_rows = [name for name, _ in self._curt_caps] + [name for name, _ in self._ratings]
 
@@ -224,7 +227,6 @@ class BandwidthProblem:
         self.total_curtailment = {v: 1.0 for v in curt.values()}
         self._capped: LinearProgram | None = None
         self._objectives: dict[tuple[Direction, ObjectiveWeights, bool], dict[str, float]] = {}
-        self._hour = (row, season)  # the timestep whose values the LP holds
         self._R: np.ndarray | None = None  # rating rows x variables, built on first reuse
 
     def _rating_values(self, row: TimestepForecast, season: Season) -> list[float]:
@@ -246,11 +248,7 @@ class BandwidthProblem:
         return rhs
 
     def set_hour(self, row: TimestepForecast, season: Season) -> None:
-        """Write one timestep's curtailment bounds and right-hand sides, unless
-        the LP already holds that timestep's values."""
-        if self._hour[0] is row and self._hour[1] == season:
-            return
-        self._hour = (row, season)
+        """Write one timestep's curtailment bounds and right-hand sides."""
         caps = row.curtailable_max_mw
         self._rating_rhs = self._rating_values(row, season)
         values = [caps[b] for _, b in self._curt_caps] + self._rating_rhs
@@ -302,7 +300,7 @@ class BandwidthProblem:
             rows = binding.nonzero()[0].tolist()
         labels: list[str] = []
         for i in rows:
-            label = _rating_label(self, self._ratings[i][0])
+            label = self._labels[i]
             if label not in labels:
                 labels.append(label)
         return labels
@@ -474,7 +472,18 @@ def solve_timestep(
         problem = build_lp(zone, row, season, Direction.LOWER, weights)
     else:
         problem.set_hour(row, season)
+    return _solve_written(zone, row, season, weights, lexicographic, problem)
 
+
+def _solve_written(
+    zone: ZoneModel,
+    row: TimestepForecast,
+    season: Season,
+    weights: ObjectiveWeights,
+    lexicographic: bool,
+    problem: BandwidthProblem,
+) -> PowerBandwidthResult:
+    """:func:`solve_timestep` for a problem that holds the timestep's values."""
     lp = problem.lp
     if lexicographic:
         lp.set_objective(problem.total_curtailment)
@@ -553,7 +562,12 @@ def _solve_rows(args) -> list[PowerBandwidthResult]:
     if not rows:
         return []
     problem = build_lp(zone, rows[0], rows[0].season, Direction.LOWER, weights, network_model(zone))
-    return [solve_timestep(zone, row, None, weights, lexicographic, problem) for row in rows]
+    results = []
+    for i, row in enumerate(rows):
+        if i:  # build_lp wrote the first timestep
+            problem.set_hour(row, row.season)
+        results.append(_solve_written(zone, row, row.season, weights, lexicographic, problem))
+    return results
 
 
 def compute_power_bandwidths(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -324,41 +325,45 @@ def test_rewritten_lps_solve_exactly_as_fresh_ones(monkeypatch):
         _same_solve(got, want)
     assert flipped > 10
 
-    # a row that flips and flips back starts phase one from its pattern's
-    # kept tableau: no new build, and still the fresh LP's solve
-    builds = []
-    real_init = lp_core._Simplex.__init__
-    monkeypatch.setattr(lp_core._Simplex, "__init__", lambda sx, *a: builds.append(a) or real_init(sx, *a))
+    # a row that flips and flips back walks its pattern's kept tree: a node is
+    # built on its first visit only, and the solve is still the fresh LP's
+    built = []
+    real_init = lp_core._Node.__init__
+    monkeypatch.setattr(lp_core._Node, "__init__", lambda node, *a: built.append(a) or real_init(node, *a))
     lp = _reuse_lp()
-    reused_builds = solves = 0
+    per_solve = []
     for rhs in (3.0, 5.0, -7.0, 4.0, -6.0, 3.5, -7.5, 3.0):  # b = rhs + 2 flips the row below -2
         lp.set_rhs("sum", rhs)
-        before = len(builds)
+        before = len(built)
         got = solve(lp)
-        reused_builds += len(builds) - before
-        solves += 1
+        per_solve.append(len(built) - before)
         _same_solve(got, solve(_rebuilt(lp)))
-    # the first solve, then the first reload of each pattern
-    assert reused_builds == 3 < solves
+    # the first load keeps nothing; the second load of each pattern builds its
+    # path, and every later solve replays it
+    assert per_solve[0] == per_solve[1] > 0 and per_solve[2] > 0
+    assert per_solve[3:] == [0] * 5
     lp.set_bounds("y", -1.0, 6.0)  # a new lower bound: new row shifts and costs
     _same_solve(solve(lp), solve(_rebuilt(lp)))
 
 
 def test_phase_one_runs_once_per_right_hand_side(monkeypatch):
-    """Objectives share phase one, whose pivots every solve still counts."""
-    runs = []
-    real = lp_core._phase_one
-    monkeypatch.setattr(lp_core, "_phase_one", lambda sf: runs.append(sf) or real(sf))
+    """Objectives share phase one's walk from the pattern's root, whose pivots
+    every solve still counts."""
+    from_root = []
+    real = lp_core._Walk.run
+    monkeypatch.setattr(
+        lp_core._Walk, "run", lambda walk, sf: from_root.append(walk.node is sf.pattern.root) or real(walk, sf)
+    )
     lp = _reuse_lp()  # the >= row needs an artificial
     first = solve(lp)
     lp.set_objective({"x": 2.0, "y": -1.0})
     second = solve(lp)
-    assert len(runs) == 1
+    assert from_root == [True, False, False]  # phase one, then phase two per objective
     assert second.iterations == solve(_rebuilt(lp)).iterations
     assert first.iterations > 1 and second.iterations > 1
     lp.set_rhs("sum", 4.0)
     solve(lp)
-    assert len(runs) == 3  # the rewritten LP, and the rebuilt one above
+    assert sum(from_root) == 3  # the rewritten LP, and the rebuilt one above
 
 
 @pytest.mark.parametrize("objective", [{}, {"x": 1.0}, {"x": -1.0, "y": 3.0}, {"y": -2.0}])
@@ -427,13 +432,17 @@ def test_bland_switch_breaks_beales_cycle(monkeypatch):
     # the cycle runs until the switch fires; Bland's rule then needs a few pivots
     assert lp_core.DEGENERATE_STREAK < sol.iterations <= lp_core.DEGENERATE_STREAK + 10
 
-    # without the switch the same pivot rule cycles until the iteration cap
+    # without the switch the same pivot rule cycles down the tree until the
+    # iteration cap; only the row-equilibrated retry gets past it
     monkeypatch.setattr(lp_core, "DEGENERATE_STREAK", lp_core.MAX_ITERATIONS)
     monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 500)
     lp = _beale()
     sf = lp._standard_form()
-    status, sx = lp_core._solve_standard(sf, sf.costs(lp.objective, 0.0)[0])
-    assert status == "stalled" and sx.iterations == 500
+    status, walk = lp_core._solve_standard(sf, sf.costs(lp.objective, 0.0)[0])
+    assert status == "stalled" and walk.iterations == 500 and not walk.bland
+    sol = solve(lp)
+    assert sol.status == SolveStatus.OPTIMAL and sol.retried and not sol.bland
+    assert sol.iterations > 500
 
 
 def _klee_minty(n: int) -> LinearProgram:
@@ -497,6 +506,121 @@ def test_lp_that_stalls_after_the_retry_is_numerically_unstable(monkeypatch, bui
     assert sol.retried
     # both attempts stall in the phase the cube's vertices are walked in
     assert sol.phase_one_iterations == (40 if build is _klee_minty_feasibility else 0)
+
+
+def _bits_of(sol) -> tuple:
+    """A solve's counters and the bit patterns of its objective and values."""
+    return (
+        sol.status,
+        sol.iterations,
+        sol.phase_one_iterations,
+        sol.bland,
+        sol.retried,
+        struct.pack("<d", sol.objective),
+        {name: struct.pack("<d", value) for name, value in sol.values.items()},
+    )
+
+
+def _count_nodes(monkeypatch) -> list:
+    built = []
+    real_init = lp_core._Node.__init__
+    monkeypatch.setattr(lp_core._Node, "__init__", lambda node, *a: built.append(a) or real_init(node, *a))
+    return built
+
+
+def test_reused_beale_replays_blands_pivots_bit_for_bit(monkeypatch):
+    """Beale's LP cycles until the Bland switch at every right-hand side; a
+    reused form walks the switch's pivots inside its tree, with no new node
+    for a path it took before, and solves as a fresh LP does."""
+    built = _count_nodes(monkeypatch)
+    lp = _beale()
+    new_nodes = []
+    for r3 in (1.0, 2.0, 0.5, 2.0, 1.0, 3.0, 0.5):
+        lp.set_rhs("r3", r3)
+        before = len(built)
+        got = solve(lp)
+        new_nodes.append(len(built) - before)
+        assert got.bland and got.status == SolveStatus.OPTIMAL
+        assert _bits_of(got) == _bits_of(solve(_rebuilt(lp)))
+        assert got.duals == solve(_rebuilt(lp)).duals
+    assert new_nodes[1] > lp_core.DEGENERATE_STREAK  # the first kept walk
+    assert new_nodes[2:] == [0] * 5
+
+
+def test_reused_degenerate_lps_take_either_rule_at_a_shared_node(monkeypatch):
+    """With the switch after one degenerate pivot, whether a right-hand side
+    reaches a node under Dantzig's rule or Bland's depends on its own streak;
+    the node holds both entering columns, and every reused solve is the fresh
+    LP's."""
+    monkeypatch.setattr(lp_core, "DEGENERATE_STREAK", 1)
+    rng = np.random.default_rng(5)
+    blands = 0
+    for _ in range(150):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        lp = LinearProgram("degenerate")
+        for j in range(n):
+            lp.add_variable(f"x{j}", 0.0, float(rng.integers(1, 4)))
+        for i in range(m):
+            lp.add_constraint({f"x{j}": float(rng.integers(-3, 4)) for j in range(n)}, Relation.LE, 0.0, name=f"r{i}")
+        lp.set_objective({f"x{j}": float(rng.integers(-3, 2)) for j in range(n)})
+        for _ in range(6):  # zero right-hand sides make pivots degenerate
+            lp.set_rhs_many([f"r{i}" for i in range(m)], [float(rng.choice([0.0, 0.0, 1.0, 2.0])) for _ in range(m)])
+            got = solve(lp)
+            assert _bits_of(got) == _bits_of(solve(_rebuilt(lp)))
+            blands += got.bland
+    assert blands > 300
+
+
+def test_reused_klee_minty_cube_at_the_node_cap_retries_as_a_fresh_one(monkeypatch):
+    """A reused cube keeps nodes up to the cap, walks on past it without
+    keeping any, stalls at MAX_ITERATIONS and retries to the fresh result."""
+    monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 100)  # the rescaled cube needs 24
+    monkeypatch.setattr(lp_core, "NODES_PER_FORM", 40)
+    lp = _klee_minty(12)
+    for scale in (1.0, 1.0, 2.0, 1.0):
+        for con in lp.constraints:
+            lp.set_rhs(con.name, 4.0 ** int(con.name[1:]) * scale)
+        got = solve(lp)
+        assert got.retried and got.status == SolveStatus.OPTIMAL
+        assert _bits_of(got) == _bits_of(solve(_rebuilt(lp)))
+    assert lp._standard_form()._kept == lp_core.NODES_PER_FORM
+
+
+def test_reused_infeasible_form_matches_a_fresh_one():
+    """Right-hand sides that make the LP infeasible, feasible and infeasible
+    again, each solved under two objectives: every reused solve ends as the
+    fresh LP's, in the same phase-one iterations."""
+    lp = LinearProgram("sometimes_infeasible")
+    lp.add_variable("x", 0.0, 2.0)
+    lp.add_variable("y", -1.0, 2.0)
+    lp.add_constraint({"x": 1.0, "y": 1.0}, Relation.GE, 10.0, name="big")
+    lp.add_constraint({"x": 1.0, "y": -1.0}, Relation.EQ, 0.5, name="gap")
+    objectives = ({"x": 1.0, "y": 2.0}, {"x": 1.0, "y": -3.0})  # x is least, then most
+    statuses = []
+    for big, gap in ((10.0, 0.5), (2.0, 0.5), (10.0, 0.5), (1.0, -0.5), (5.0, 0.0), (2.0, 0.5)):
+        lp.set_rhs_many(("big", "gap"), (big, gap))
+        for objective in objectives:
+            lp.set_objective(objective)
+            got = solve(lp)
+            assert _bits_of(got) == _bits_of(solve(_rebuilt(lp)))
+            statuses.append(got.status)
+    assert statuses.count(SolveStatus.INFEASIBLE) == 6 and statuses.count(SolveStatus.OPTIMAL) == 6
+
+
+def test_set_objective_checks_a_new_or_changed_objective_once():
+    lp = _reuse_lp()
+    objective = {"x": 1.0, "y": 2.0}
+    lp.set_objective(objective)
+    kept = lp.objective
+    lp.set_objective(objective)
+    assert lp.objective is kept and lp.objective == objective  # checked once, not copied again
+    for bad, message in (({"z": 1.0}, "unknown variable"), ({"x": math.nan}, "non-finite")):
+        with pytest.raises(LpError, match=message):
+            lp.set_objective(bad)
+    objective["x"] = math.inf  # a kept objective changed in place is checked again
+    with pytest.raises(LpError, match="non-finite"):
+        lp.set_objective(objective)
+    assert lp.objective is kept and kept == {"x": 1.0, "y": 2.0}
 
 
 def test_rows_without_variables():

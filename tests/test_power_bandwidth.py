@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import pickle
+import struct
 
 import pytest
 
@@ -746,10 +747,10 @@ def test_binding_labels_equal_the_row_sums(zone, monkeypatch, lexicographic):
         compute_power_bandwidths(zone, year[24 * day : 24 * (day + 1)], lexicographic=lexicographic)
     for seed in range(400):
         z, row = random_instance(seed)
+        solve_timestep(z, row, lexicographic=lexicographic)  # a fresh problem: no matrix
+        # a problem given to solve_timestep is written again: the matrix is built
         problem = build_lp(z, row, row.season, Direction.LOWER)
         solve_timestep(z, row, lexicographic=lexicographic, problem=problem)
-        # an equal row in a new object is a new timestep: the matrix is built
-        solve_timestep(z, dataclasses.replace(row), lexicographic=lexicographic, problem=problem)
     assert sum(paths) > 1000 and len(paths) - sum(paths) > 500
 
 
@@ -814,3 +815,86 @@ def test_binding_row_at_the_cut_follows_the_row_sum(zone, summer_day, winter_day
                     assert (pb._rating_label(problem, con.name) in labels) == (lhs >= cut)
             checked += 1
     assert checked >= 8
+
+
+def _fresh_copy(lp: LinearProgram) -> LinearProgram:
+    """A newly built LP with the same variables, rows and objective."""
+    out = LinearProgram(lp.name)
+    for v in lp.variables:
+        out.add_variable(v.name, v.lower, v.upper)
+    for con in lp.constraints:
+        out.add_constraint(dict(con.coeffs), con.relation, con.rhs, con.name)
+    out.set_objective(dict(lp.objective), lp.objective_constant)
+    return out
+
+
+def _solve_bits(sol) -> tuple:
+    return (
+        sol.status,
+        sol.iterations,
+        sol.phase_one_iterations,
+        sol.bland,
+        sol.retried,
+        struct.pack("<d", sol.objective),
+        {name: struct.pack("<d", value) for name, value in sol.values.items()},
+    )
+
+
+def _hours_of(zone_row, n: int) -> list[TimestepForecast]:
+    """``n`` consistent hours of a random zone: the row's injections and
+    boundary flows scaled together (the DC flows are linear in them), its
+    curtailment budget scaled apart, and the seasons alternating."""
+    row = zone_row
+    hours = []
+    for h in range(n):
+        k, c = 1.0 - 0.15 * (h % 4), 0.5 * (h % 3)
+        hours.append(
+            dataclasses.replace(
+                row,
+                index=h,
+                season=(Season.SUMMER, Season.WINTER)[h % 2],
+                injections_mw={b: v * k for b, v in row.injections_mw.items()},
+                curtailable_max_mw={b: v * c for b, v in row.curtailable_max_mw.items()},
+                ref_normal_mw={o: v * k for o, v in row.ref_normal_mw.items()},
+                ref_contingency_mw={
+                    cid: {o: v * k for o, v in refs.items()} for cid, refs in row.ref_contingency_mw.items()
+                },
+            )
+        )
+    return hours
+
+
+@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+def test_reused_problem_solves_as_fresh_lps_bit_for_bit(zone, monkeypatch, lexicographic):
+    """Solve by solve, a reused problem's LP gives a freshly built LP's
+    counters and the bits of its objective and values: over a winter and a
+    summer week of the synthetic year, and over random zones solved for
+    several hours each."""
+    compared = []
+    real_solve = pb.solve
+
+    def both(lp, **kw):
+        fresh = real_solve(_fresh_copy(lp), **kw)
+        got = real_solve(lp, **kw)
+        assert _solve_bits(got) == _solve_bits(fresh), lp.name
+        compared.append(got.status)
+        return got
+
+    monkeypatch.setattr(pb, "solve", both)
+    year = synthetic_year_rows(zone)
+    for week in (2, 28):  # January, July
+        compute_power_bandwidths(zone, year[168 * week : 168 * (week + 1)], lexicographic=lexicographic)
+    for seed in range(0, 400, 10):
+        z, row = random_instance(seed)
+        compute_power_bandwidths(z, ForecastSeries(tuple(_hours_of(row, 6))), lexicographic=lexicographic)
+    assert len(compared) > 1000
+    assert SolveStatus.INFEASIBLE in compared
+
+
+def test_binding_labels_are_built_once_per_problem(zone, winter_day):
+    """Results of one call share each rating row's label string."""
+    labels = [r.binding_constraint for r in compute_power_bandwidths(zone, winter_day) if r.binding_constraint]
+    first: dict[str, str] = {}
+    for label in labels:
+        assert first.setdefault(label, label) is label
+    assert len(labels) > len(first)
