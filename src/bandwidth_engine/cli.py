@@ -10,7 +10,8 @@ A flag given on the command line that the chosen mode cannot use is refused.
 
 Exit codes: 0 success; 1 error (a usage error and a numerically unstable or
 unbounded LP included); 2 infeasible timesteps present (files are still written); 3
-verification disagreement. ``BANDWIDTH_ENGINE_LOG`` sets the log level.
+verification disagreement. ``BANDWIDTH_ENGINE_LOG`` sets the log level (a standard
+level name, any case).
 """
 
 from __future__ import annotations
@@ -63,7 +64,10 @@ _KNOWN_ERRORS = (
 def _setup_logging(verbosity: int) -> None:
     env = os.environ.get("BANDWIDTH_ENGINE_LOG")
     if env:
-        level = getattr(logging, env.upper(), logging.INFO)
+        names = ("debug", "info", "warning", "error", "critical")
+        if env.lower() not in names:
+            raise click.ClickException(f"BANDWIDTH_ENGINE_LOG must be one of {', '.join(names)}, not {env!r}")
+        level = getattr(logging, env.upper())
     else:
         level = {0: logging.WARNING, 1: logging.INFO}.get(verbosity, logging.DEBUG)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")

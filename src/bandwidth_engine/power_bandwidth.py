@@ -7,11 +7,9 @@ depend only on the zone, so one :class:`BandwidthProblem` is built per
 :func:`compute_power_bandwidths` call (per worker job) and each later
 timestep writes only its curtailment bounds and right-hand sides into it, in
 one call per LP; the LP layer keeps the standard form and runs phase one once
-for both objectives. From its first reuse on, a problem also keeps its
-rating rows as one matrix, so that the binding rows of a solution come from
-one matrix product: a row within a proven rounding margin of the cut is
-decided again by the row-by-row sum, so every label equals that sum's. The
-LP carries four families of network states:
+for both objectives. A result's binding label is the first rating row, in
+row order, that the lower-bound solution meets with equality, else the
+upper-bound solution's first. The LP carries four families of network states:
 
 * normal state — flows within permanent ratings,
 * each contingency, before any recourse — flows within immediate ratings,
@@ -44,8 +42,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .dc_network import NetworkModel, TopologyState
 from .grid_model import (
@@ -125,9 +121,7 @@ class BandwidthProblem:
 
     The LP's variables, rows and coefficients depend only on the zone, so it
     is built once, with one timestep's values; :meth:`set_hour` writes
-    another timestep's curtailment bounds and right-hand sides into it. The
-    first such write also builds the rating-row matrix that
-    :meth:`binding_ratings` uses from then on.
+    another timestep's curtailment bounds and right-hand sides into it.
     """
 
     def __init__(self, zone: ZoneModel, network: NetworkModel, row: TimestepForecast, season: Season):
@@ -227,7 +221,6 @@ class BandwidthProblem:
         self.total_curtailment = {v: 1.0 for v in curt.values()}
         self._capped: LinearProgram | None = None
         self._objectives: dict[tuple[Direction, ObjectiveWeights, bool], dict[str, float]] = {}
-        self._R: np.ndarray | None = None  # rating rows x variables, built on first reuse
 
     def _rating_values(self, row: TimestepForecast, season: Season) -> list[float]:
         """Each rating row's rhs, in row order: limit - base flow for the upper
@@ -256,54 +249,16 @@ class BandwidthProblem:
             for b, v in self.curtailment_vars.items():
                 lp.set_bounds(v, 0.0, caps[b])
             lp.set_rhs_many(self._rhs_rows, values)
-        if self._R is None:  # the problem is reused: test its rating rows as a matrix
-            self._variables = [v.name for v in self.lp.variables]
-            column = {v: j for j, v in enumerate(self._variables)}
-            self._R = np.zeros((len(self._ratings), len(column)))
-            for i, (_, coeffs) in enumerate(self._ratings):
-                for v, c in coeffs.items():
-                    self._R[i, column[v]] = c
-            self._absR = np.abs(self._R)
-        self._cut = np.subtract(self._rating_rhs, 1e-6)  # the same subtraction as _meets
 
-    def _meets(self, i: int, values: dict[str, float]) -> bool:
-        """The binding rule for rating row ``i``: lhs >= rhs - 1e-6, with the
-        lhs summed over the row's coefficients in their order."""
-        lhs = sum(c * values[v] for v, c in self._ratings[i][1].items())
-        return lhs >= self._rating_rhs[i] - 1e-6
-
-    def binding_ratings(self, solution: LpSolution) -> list[str]:
-        """Labels of the rating rows a solution meets with equality, in row order.
-
-        Once the rating-row matrix R exists, every row is tested at once,
-        R x >= rhs - 1e-6. The product and the row-by-row sum of
-        :meth:`_meets` each lie within gamma_n sum |c x| of the exact lhs
-        (n terms, gamma_n ~ n times the unit roundoff, whatever the summation
-        order), so they differ by under 3e-15 sum |c x| for the at most 12
-        terms of a rating row. A row farther than the margin 1e-12 (|R| |x|)
-        from the cut is therefore on the same side under both sums; a row
-        within it is decided by :meth:`_meets` itself. The margin's 1e-300
-        covers products that underflow.
-        """
+    def first_binding(self, solution: LpSolution) -> str | None:
+        """The label of the first rating row, in row order, that a solution
+        meets with equality: lhs >= rhs - 1e-6, the lhs summed over the row's
+        coefficients in their order. None if no rating row binds."""
         values = solution.values
-        if self._R is None:
-            rows = [i for i in range(len(self._ratings)) if self._meets(i, values)]
-        else:
-            x = np.fromiter(map(values.__getitem__, self._variables), float, len(self._variables))
-            gap = self._R @ x - self._cut
-            margin = 1e-12 * (self._absR @ np.abs(x)) + 1e-300
-            binding = gap > margin
-            near = np.abs(gap) <= margin
-            if near.any():
-                for i in near.nonzero()[0].tolist():
-                    binding[i] = self._meets(i, values)
-            rows = binding.nonzero()[0].tolist()
-        labels: list[str] = []
-        for i in rows:
-            label = self._labels[i]
-            if label not in labels:
-                labels.append(label)
-        return labels
+        for (_, coeffs), rhs, label in zip(self._ratings, self._rating_rhs, self._labels):
+            if sum(c * values[v] for v, c in coeffs.items()) >= rhs - 1e-6:
+                return label
+        return None
 
     def capped_lp(self) -> LinearProgram:
         """The LP plus row ``curt_total_cap`` bounding the total preventive
@@ -454,24 +409,18 @@ def solve_timestep(
     season: Season | str | None = None,
     weights: ObjectiveWeights | None = None,
     lexicographic: bool = False,
-    problem: BandwidthProblem | None = None,
 ) -> PowerBandwidthResult:
     """Solve both directions for one timestep and classify the outcome.
 
     One LP is solved for the lower bound, then for the upper bound. In
     lexicographic mode a first solve minimizes total preventive curtailment
     alone; the total is then bounded by that optimum (row ``curt_total_cap``
-    of :meth:`BandwidthProblem.capped_lp`) for both directions. ``problem``
-    is the zone's LP, written with this timestep's values here; it is built
-    when not given. Raises :class:`UnstableLpError` if an LP is neither
-    optimal nor infeasible.
+    of :meth:`BandwidthProblem.capped_lp`) for both directions. Raises
+    :class:`UnstableLpError` if an LP is neither optimal nor infeasible.
     """
     season = Season(season) if season is not None else row.season
     weights = weights or ObjectiveWeights()
-    if problem is None:
-        problem = build_lp(zone, row, season, Direction.LOWER, weights)
-    else:
-        problem.set_hour(row, season)
+    problem = build_lp(zone, row, season, Direction.LOWER, weights)
     return _solve_written(zone, row, season, weights, lexicographic, problem)
 
 
@@ -521,8 +470,9 @@ def _solve_written(
     else:
         cls = CongestionClass.REDUCED
 
-    lo_binding = problem.binding_ratings(lo)
-    binding = lo_binding + [b for b in problem.binding_ratings(hi) if b not in lo_binding]
+    binding = None
+    if cls != CongestionClass.FULLY_AVAILABLE:
+        binding = problem.first_binding(lo) or problem.first_binding(hi)
     return PowerBandwidthResult(
         index=row.index,
         timestamp=row.timestamp,
@@ -534,7 +484,7 @@ def _solve_written(
         preventive_curtailment_lower_mw=curt_lo,
         preventive_curtailment_upper_mw=curt_hi,
         congestion_class=cls,
-        binding_constraint=(binding[0] if cls != CongestionClass.FULLY_AVAILABLE and binding else None),
+        binding_constraint=binding,
     )
 
 

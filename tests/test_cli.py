@@ -429,3 +429,18 @@ def test_non_finite_weight_is_an_error_line(zone_path, forecast_paths, tmp_path,
                "--out", tmp_path / "o")
     assert res.exit_code == 1, res.output
     assert "error: objective weights must be finite and positive" in res.output
+
+
+@pytest.mark.parametrize("value", ["verbose", "basic_format", "Debug"])
+def test_log_level_is_a_standard_name(zone_path, forecast_paths, value):
+    """``BANDWIDTH_ENGINE_LOG`` takes a standard level name in any case; any
+    other value is one ``error:`` line and exit 1, never a silent default."""
+    args = ["stats", "--zone", zone_path, "--forecast", forecast_paths["summer_day"], "--horizon", 1]
+    res = CliRunner().invoke(main, [str(a) for a in args], env={"BANDWIDTH_ENGINE_LOG": value})
+    if value == "Debug":
+        assert res.exit_code == 0, res.output
+        return
+    assert res.exit_code == 1, res.output
+    assert res.output.splitlines() == [
+        f"error: BANDWIDTH_ENGINE_LOG must be one of debug, info, warning, error, critical, not {value!r}"
+    ]

@@ -609,18 +609,19 @@ def _same_result(a, b) -> bool:
 
 @pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
 def test_reused_problem_equals_a_fresh_lp_per_timestep(zone, summer_day, winter_day, lexicographic):
-    """One problem written hour after hour gives every field of a fresh
-    per-hour build exactly, across the fixture days and both season changes
-    of the synthetic year (the rating limits change with the season)."""
+    """One problem written hour after hour (one per ``compute_power_bandwidths``
+    call) gives every field of a fresh per-hour build exactly, across the
+    fixture days and both season changes of the synthetic year (the rating
+    limits change with the season)."""
     year = synthetic_year_rows(zone)
     season_changes = [year[2148:2172], year[7284:7308]]
     assert all({r.season for r in rows} == set(Season) for rows in season_changes)
     for rows in (summer_day, winter_day, *season_changes):
-        problem = build_lp(zone, rows[0], rows[0].season, Direction.LOWER)
-        for row in rows:
-            reused = solve_timestep(zone, row, lexicographic=lexicographic, problem=problem)
+        reused = compute_power_bandwidths(zone, rows, lexicographic=lexicographic)
+        assert len(reused) == len(rows)
+        for row, got in zip(rows, reused):
             fresh = solve_timestep(zone, row, lexicographic=lexicographic)
-            assert _same_result(reused, fresh), f"t={row.index} {row.timestamp}"
+            assert _same_result(got, fresh), f"t={row.index} {row.timestamp}"
 
 
 @pytest.mark.parametrize(
@@ -730,28 +731,42 @@ def _row_sum_labels(problem, solution, rows=None) -> list[str]:
 
 @pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
 def test_binding_labels_equal_the_row_sums(zone, monkeypatch, lexicographic):
-    """With and without the rating-row matrix (built on a problem's first
-    reuse), every solution's binding labels are the row-sum rule's."""
-    paths = []
-    real = pb.BandwidthProblem.binding_ratings
+    """Every result's label is the first one the row-by-row rule finds in the
+    rows of the LP as solved: the lower-bound solution's first, else the
+    upper-bound solution's, and none for a fully available or infeasible
+    hour. Reused problems (year days) and fresh ones (random zones)."""
+    solved, counts = {}, {"labelled": 0, "from_upper": 0, "unlabelled": 0}
+    real_solve, real_written = pb._solve, pb._solve_written
 
-    def checked(problem, solution):
-        got = real(problem, solution)
-        assert got == _row_sum_labels(problem, solution)
-        paths.append(problem._R is not None)
-        return got
+    def solve_and_label(lp, row, what):
+        sol = real_solve(lp, row, what)
+        if sol.status == SolveStatus.OPTIMAL:
+            solved[what] = (sol, lp.constraints)
+        return sol
 
-    monkeypatch.setattr(pb.BandwidthProblem, "binding_ratings", checked)
+    def checked(zone, row, season, weights, lexicographic, problem):
+        solved.clear()
+        result = real_written(zone, row, season, weights, lexicographic, problem)
+        tag = f"t={row.index} {row.timestamp}"
+        if result.congestion_class in (CongestionClass.FULLY_AVAILABLE, CongestionClass.INFEASIBLE):
+            assert result.binding_constraint is None, tag
+            counts["unlabelled"] += 1
+            return result
+        lo = _row_sum_labels(problem, *solved["lower-bound"])
+        hi = _row_sum_labels(problem, *solved["upper-bound"])
+        assert result.binding_constraint == (lo or hi or [None])[0], tag
+        counts["labelled"] += 1
+        counts["from_upper"] += not lo and bool(hi)
+        return result
+
+    monkeypatch.setattr(pb, "_solve", solve_and_label)
+    monkeypatch.setattr(pb, "_solve_written", checked)
     year = synthetic_year_rows(zone)
     for day in range(0, 365, 12):
         compute_power_bandwidths(zone, year[24 * day : 24 * (day + 1)], lexicographic=lexicographic)
     for seed in range(400):
-        z, row = random_instance(seed)
-        solve_timestep(z, row, lexicographic=lexicographic)  # a fresh problem: no matrix
-        # a problem given to solve_timestep is written again: the matrix is built
-        problem = build_lp(z, row, row.season, Direction.LOWER)
-        solve_timestep(z, row, lexicographic=lexicographic, problem=problem)
-    assert sum(paths) > 1000 and len(paths) - sum(paths) > 500
+        solve_timestep(*random_instance(seed), lexicographic=lexicographic)
+    assert counts["labelled"] > 200 and counts["unlabelled"] > 200 and counts["from_upper"] > 20, counts
 
 
 def _crossing(lhs_of, guess: float, cut: float) -> tuple[float, float]:
@@ -773,21 +788,12 @@ def _crossing(lhs_of, guess: float, cut: float) -> tuple[float, float]:
             hi = mid
 
 
-def test_binding_row_at_the_cut_follows_the_row_sum(zone, summer_day, winter_day, monkeypatch):
-    """A rating row whose lhs sits within the rounding margin just above or
-    just below rhs - 1e-6 is decided again by the row-by-row sum, and its
-    label follows that sum."""
-    redecided = []
-    real_meets = pb.BandwidthProblem._meets
-    monkeypatch.setattr(
-        pb.BandwidthProblem, "_meets", lambda p, i, x: redecided.append(i) or real_meets(p, i, x)
-    )
-    checked = 0
+def test_binding_row_at_the_cut_follows_the_row_sum(zone, summer_day, winter_day):
+    """A rating row whose lhs sits just above or just below rhs - 1e-6 is
+    labelled exactly when its row-by-row sum meets the cut."""
+    checked = reached = 0
     for rows in (summer_day, winter_day):
-        problem = build_lp(zone, rows[0], rows[0].season, Direction.LOWER)
-        solve_timestep(zone, rows[1], problem=problem)  # a reuse: the matrix exists
-        assert problem._R is not None
-        problem.lp.set_objective(problem.objective(Direction.LOWER, ObjectiveWeights()))
+        problem = build_lp(zone, rows[1], rows[1].season, Direction.LOWER)
         sol = solve(problem.lp, compute_duals=False)
         ratings = [con for con in problem.lp.constraints if con.name in problem.rating_rows]
         for i, con in enumerate(ratings):
@@ -801,20 +807,20 @@ def test_binding_row_at_the_cut_follows_the_row_sum(zone, summer_day, winter_day
                 return sum(c * values[v] for v, c in con.coeffs.items())
 
             guess = values[problem.battery_var] + (cut - lhs_of(values[problem.battery_var])) / coef
+            label = problem.rating_rows[con.name]
+            # the rows that could label the solution before this one does
+            others = ratings[:i] + [o for o in ratings[i + 1 :] if problem.rating_rows[o.name] == label]
             for b in _crossing(lhs_of, guess, cut):  # one on each side of the cut
                 lhs = lhs_of(b)
                 assert abs(lhs - cut) <= 1e-12 * sum(abs(c * values[v]) for v, c in con.coeffs.items())
                 at_cut = LpSolution(SolveStatus.OPTIMAL, 0.0, dict(values))
-                redecided.clear()
-                labels = problem.binding_ratings(at_cut)
-                assert i in redecided
-                assert labels == _row_sum_labels(problem, at_cut)
-                label = problem.rating_rows[con.name]
-                twins = [o for o in ratings if o is not con and problem.rating_rows[o.name] == label]
-                if not _row_sum_labels(problem, at_cut, twins):  # no other row carries the label
-                    assert (pb._rating_label(problem, con.name) in labels) == (lhs >= cut)
+                first = problem.first_binding(at_cut)
+                assert first == (_row_sum_labels(problem, at_cut) or [None])[0]
+                if not _row_sum_labels(problem, at_cut, others):
+                    assert (first == pb._rating_label(problem, con.name)) == (lhs >= cut)
+                    reached += 1
             checked += 1
-    assert checked >= 8
+    assert checked >= 8 and reached >= 20, (checked, reached)
 
 
 def _fresh_copy(lp: LinearProgram) -> LinearProgram:
