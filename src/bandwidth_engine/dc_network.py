@@ -289,7 +289,8 @@ class NetworkModel:
         topology: TopologyModel,
         injections_mw: dict[str, float],
         boundary_flows_mw: dict[str, float],
-    ) -> dict[str, float]:
-        """DC flows on the topology's active lines, in MW (see :func:`dc_flows`)."""
+    ) -> list[float]:
+        """DC flows on the topology's active lines, in MW and in
+        ``topology.state.active_lines`` order (see :func:`dc_flows`)."""
         p = _net_injections(self.zone, topology.state, injections_mw, boundary_flows_mw, self._bus_pos)
-        return dict(zip(topology.state.active_lines, (topology.flow_matrix @ p)[:, 0].tolist()))
+        return (topology.flow_matrix @ p)[:, 0].tolist()

@@ -28,8 +28,8 @@ costs until a lower bound changes bit pattern.
 
 Every solve walks a pivot-path tree of its form. The matrix and the costs do
 not change with the right-hand side b, so neither does anything that picks a
-pivot's column or builds the next tableau. A node holds what depends only on
-the pivots that reached it:
+pivot's column or builds the next tableau. A node stands for what depends
+only on the pivots that reached it:
 
 * the tableau matrix, the basis and the reduced-cost row, the last updated
   pivot by pivot as a fresh tableau updates it;
@@ -37,6 +37,15 @@ the pivots that reached it:
   column's positive rows and their values.
 
 A node's children are keyed by their pivot, (entering column, leaving row).
+A kept node holds everything but the matrix: its parent, the (row, column)
+pivots from there, the basis, the reduced costs, the pivots' row operations
+on b and the entering columns, about 2.6 kB where the bundled zone's
+29 x 46 matrix takes 11 kB. Only a pattern's root, and a node the form does
+not keep, holds its matrix. Where a kept node's matrix is needed (to build a
+new child, the drive-out or a phase-two root, or to find Bland's column), it
+is rebuilt by replaying the pivots from the nearest ancestor that holds one,
+or from the last tableau built; a pivot is a pure function of the matrix,
+so the rebuilt one has the bits the node was first built with.
 b takes part only in the ratio test, the degenerate streak, phase one's
 feasibility test and the final values, so each solve carries only its own b
 and streak down the tree. At each node it runs the ratio test on
@@ -57,7 +66,8 @@ starts phase two where it ended.
 
 A form keeps at most ``NODES_PER_FORM`` nodes (a reused Klee-Minty cube
 would otherwise keep one per pivot). Past that, and on a form solved for one
-right-hand side only, the walk builds each node it visits and keeps none.
+right-hand side only, the walk builds each node it visits and keeps none. A
+form lives as long as its :class:`LinearProgram` keeps the same matrix.
 """
 
 from __future__ import annotations
@@ -378,7 +388,7 @@ class _Pattern:
             cost1 = np.zeros(total)
             cost1[self.art_start :] = 1.0
             zrow = cost1 - cost1[basis] @ T[:, :-1]
-        self.root = _Node(T, basis, zrow, total, ())
+        self.root = _Node(T, basis, zrow, total, (), ())
 
 
 class _StandardForm:
@@ -425,6 +435,7 @@ class _StandardForm:
         self._lower_bits: bytes | None = None
         self._costs: dict[tuple, tuple[np.ndarray, float]] = {}
         self._patterns: dict[tuple[int, ...], _Pattern] = {}
+        self._last: tuple[_Node | None, np.ndarray | None] = (None, None)  # the last tableau built
         self.load(lp)
 
     def load(self, lp: LinearProgram) -> None:
@@ -481,20 +492,43 @@ class _StandardForm:
         return False
 
     def _adopt(self, parent: _Node, key, child: _Node) -> _Node:
+        """Keep ``child`` under ``parent`` if the form keeps one more node; a
+        kept node gives its matrix up as the last tableau built."""
         if self._keep():
             parent.children[key] = child
+            child.parent = parent
+            self._last, child.T = (child, child.T), None
         return child
+
+    def tableau(self, node: _Node) -> np.ndarray:
+        """The node's tableau matrix: its own, the last one built, or rebuilt
+        by replaying the pivots down from the nearest ancestor that has one
+        (:func:`_pivoted` is pure, so the bits are the ones first built)."""
+        path, start = [], node
+        while start.T is None and start is not self._last[0]:
+            path.append(start)
+            start = start.parent
+        T = start.T if start.T is not None else self._last[1]
+        for n in reversed(path):
+            for row, col in n.pivots:
+                T = _pivoted(T, row, col)[0]
+        if path:
+            self._last = (node, T)
+        return T
 
     def child(self, node: _Node, col: int, row: int) -> _Node:
         """The node a pivot on (row, col) leads to, built on first visit."""
         child = node.children.get((col, row))
         if child is None:
-            T, zrow = node.T, node.zrow
+            T, zrow = self.tableau(node), node.zrow
             # reduced costs: maintained incrementally across pivots
             zrow = zrow - (zrow[col] / T[row, col]) * T[row, :-1]
             zrow[col] = 0.0
-            T, basis, step = _pivoted(T, node.basis, row, col)
-            child = self._adopt(node, (col, row), _Node(T, basis, zrow, node.n_allowed, (step,)))
+            T, step = _pivoted(T, row, col)
+            basis = node.basis.copy()
+            basis[row] = col
+            child = _Node(T, basis, zrow, node.n_allowed, (step,), ((row, col),))
+            child = self._adopt(node, (col, row), child)
         return child
 
     def drive_out(self, node: _Node) -> _Node:
@@ -505,15 +539,18 @@ class _StandardForm:
         after = node.children.get(None)
         if after is None:
             art = self.pattern.art_start
-            T, basis, steps = node.T, node.basis, []
+            T, basis, steps, pivots = self.tableau(node), node.basis.copy(), [], []
             # a pivot changes only its own row's basis entry, so the
             # artificials basic now are the rows to visit
             for i in (basis >= art).nonzero()[0].tolist():
                 nz = (np.abs(T[i, :art]) > PIVOT_TOL).nonzero()[0]
                 if nz.size:
-                    T, basis, step = _pivoted(T, basis, i, int(nz[0]))
+                    col = int(nz[0])
+                    T, step = _pivoted(T, i, col)
+                    basis[i] = col
                     steps.append(step)
-            after = self._adopt(node, None, _Node(T, basis, None, 0, tuple(steps)))
+                    pivots.append((i, col))
+            after = self._adopt(node, None, _Node(T, basis, None, 0, tuple(steps), tuple(pivots)))
         return after
 
     def phase_two_root(self, after: _Node, c: np.ndarray) -> _Node:
@@ -521,11 +558,26 @@ class _StandardForm:
         key = c.tobytes()
         root = after.children.get(key)
         if root is None:
-            cost2 = np.zeros(after.T.shape[1] - 1)
+            T = self.tableau(after)
+            cost2 = np.zeros(after.width)
             cost2[: self.ncols] = c
-            zrow = cost2 - cost2[after.basis] @ after.T[:, :-1]
-            root = self._adopt(after, key, _Node(after.T, after.basis, zrow, self.pattern.art_start, ()))
+            zrow = cost2 - cost2[after.basis] @ T[:, :-1]
+            root = self._adopt(after, key, _Node(T, after.basis, zrow, self.pattern.art_start, (), ()))
         return root
+
+    def entering(self, node: _Node, bland: bool) -> tuple[int, list[tuple[int, float, int]]]:
+        """The node's entering column under Dantzig's rule (the most negative
+        reduced cost, the first among ties) or Bland's (the lowest index with
+        a negative one), and its positive rows: (row, value, basis column)."""
+        hit = node.entering.get(bland)
+        if hit is None:
+            col = node.col
+            if bland:
+                col = int((node.zrow[: node.n_allowed] < -PIVOT_TOL).nonzero()[0][0])
+            colvals = self.tableau(node)[:, col]
+            pos = (colvals > PIVOT_TOL).nonzero()[0]
+            hit = node.entering[bland] = (col, list(zip(pos.tolist(), colvals[pos].tolist(), node.basis[pos].tolist())))
+        return hit
 
     def _place(self, coeffs: Mapping[str, float], out: np.ndarray) -> list[tuple[float, int]]:
         """Add ``coeffs`` onto the columns in ``out``; return the (coefficient,
@@ -582,9 +634,9 @@ class _StandardForm:
 # ---------------------------------------------------------------------------
 
 
-def _pivoted(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The tableau and basis after a pivot on (row, col), and the pivot's
-    row operation on b: (row, pivot, factors)."""
+def _pivoted(T: np.ndarray, row: int, col: int) -> tuple[np.ndarray, tuple]:
+    """The tableau after a pivot on (row, col), and the pivot's row operation
+    on b: (row, pivot, factors)."""
     T = T.copy()
     prow = T[row]
     pivot = prow[col]
@@ -595,43 +647,42 @@ def _pivoted(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> tuple[np.n
     # keep the pivot column numerically clean
     T[:, col] = 0.0
     T[row, col] = 1.0
-    basis = basis.copy()
-    basis[row] = col
-    return T, basis, (row, pivot, factors)
+    return T, (row, pivot, factors)
 
 
 class _Node:
     """A tableau on a pivot path, with the reduced costs of the phase it is
-    in (none where phase one hands over to phase two). ``steps`` are the row
-    operations on b of the pivots from the parent to here. Its arrays never
-    change once built."""
+    in (none where phase one hands over to phase two). ``pivots`` are the
+    (row, column) pivots from the parent node to here and ``steps`` their
+    row operations on b. The matrix ``T`` is held by a pattern's root and by
+    a node the form does not keep; a kept node holds none but its parent,
+    and :meth:`_StandardForm.tableau` rebuilds it. Its arrays never change
+    once built."""
 
-    __slots__ = ("T", "basis", "zrow", "n_allowed", "steps", "children", "col", "_entering")
+    __slots__ = ("T", "parent", "pivots", "basis", "zrow", "width", "n_allowed", "steps", "children", "col", "entering")
 
-    def __init__(self, T: np.ndarray, basis: np.ndarray, zrow: np.ndarray | None, n_allowed: int, steps: tuple):
+    def __init__(
+        self,
+        T: np.ndarray,
+        basis: np.ndarray,
+        zrow: np.ndarray | None,
+        n_allowed: int,
+        steps: tuple,
+        pivots: tuple[tuple[int, int], ...],
+    ):
         self.T, self.basis, self.zrow, self.n_allowed, self.steps = T, basis, zrow, n_allowed, steps
+        self.pivots = pivots
+        self.parent: _Node | None = None  # set once kept: a kept node's matrix is rebuilt from it
+        self.width = T.shape[1] - 1  # columns, without b's place
         self.children: dict = {}
-        self._entering: dict[bool, tuple[int, list[tuple[int, float, int]]]] = {}
+        # per rule (Bland's or not): :meth:`_StandardForm.entering`
+        self.entering: dict[bool, tuple[int, list[tuple[int, float, int]]]] = {}
         self.col: int | None = None  # Dantzig's entering column; None at an optimum
         if zrow is not None and n_allowed:  # only the first n_allowed columns may enter
             z = zrow[:n_allowed]
             col = int(z.argmin())
             if z[col] < -PIVOT_TOL:
                 self.col = col
-
-    def entering(self, bland: bool) -> tuple[int, list[tuple[int, float, int]]]:
-        """The entering column under Dantzig's rule (the most negative reduced
-        cost, the first among ties) or Bland's (the lowest index with a
-        negative one), and its positive rows: (row, value, basis column)."""
-        hit = self._entering.get(bland)
-        if hit is None:
-            col = self.col
-            if bland:
-                col = int((self.zrow[: self.n_allowed] < -PIVOT_TOL).nonzero()[0][0])
-            colvals = self.T[:, col]
-            pos = (colvals > PIVOT_TOL).nonzero()[0]
-            hit = self._entering[bland] = (col, list(zip(pos.tolist(), colvals[pos].tolist(), self.basis[pos].tolist())))
-        return hit
 
 
 def _column(values: np.ndarray) -> np.ndarray:
@@ -687,7 +738,7 @@ class _Walk:
                 return "optimal"
             bland = streak >= DEGENERATE_STREAK
             self.bland = self.bland or bland
-            col, positive = node.entering(bland)
+            col, positive = sf.entering(node, bland)
             if not positive:
                 return "unbounded"
             # the ratio test, in Python floats: the same IEEE divisions NumPy makes
@@ -703,7 +754,7 @@ class _Walk:
 
     def primal(self, ncols: int) -> np.ndarray:
         """The basic solution's first ``ncols`` columns."""
-        x = np.zeros(self.node.T.shape[1] - 1)
+        x = np.zeros(self.node.width)
         x[self.node.basis] = self.b
         return x[:ncols]
 

@@ -3,12 +3,20 @@
 Each timestep's LP is solved under two objectives that differ only in the
 sign on the preventive battery setpoint (minimize it for the lower bound,
 maximize it for the upper bound). The LP's variables, rows and coefficients
-depend only on the zone, so one :class:`BandwidthProblem` is built per
-:func:`compute_power_bandwidths` call (per worker job) and each later
-timestep writes only its curtailment bounds and right-hand sides into it, in
-one call per LP; the LP layer keeps the standard form and runs phase one once
-for both objectives. A result's binding label is the first rating row, in
-row order, that the lower-bound solution meets with equality, else the
+depend only on the zone, so a :class:`BandwidthProblem` is built once per
+zone and each timestep writes only its curtailment bounds and right-hand
+sides into it, in one call per LP; the LP layer keeps the standard form and
+runs phase one once for both objectives. The problem of the last zone that
+:func:`compute_power_bandwidths` solved is kept until a call on another
+zone: its network model, its LP and capped copy, and their standard forms
+with their pivot-path trees (at most ``lp_core.NODES_PER_FORM`` nodes each,
+about 2.6 kB per node; after the bundled zone's 8,760 h year the weighted
+LP's form holds about 1.5 MB). With workers, each worker process keeps its
+own for the jobs it runs. It is keyed by the zone's ``repr``, so a zone
+edited in place, or one that differs only by a -0.0, gets a new problem.
+:func:`solve_timestep`, :func:`check_safety` and the LP export build their
+own LP every time. A result's binding label is the first rating row, in row
+order, that the lower-bound solution meets with equality, else the
 upper-bound solution's first. The LP carries four families of network states:
 
 * normal state — flows within permanent ratings,
@@ -21,8 +29,7 @@ upper-bound solution's first. The LP carries four families of network states:
 Every state's rating rows are written directly in the controls, through the
 DC model of its topology: flow = base flow minus the line's PTDFs times the
 control withdrawn at each bus. The topologies, their PTDFs and flow matrices
-are built once per zone (:func:`network_model`) and shared by every timestep
-of a :func:`compute_power_bandwidths` call.
+are built once per zone (:func:`network_model`) and kept with the problem.
 
 Preventive controls (battery setpoint, curtailment) are shared by all states;
 curative controls exist per contingency. Battery sign convention: positive =
@@ -39,6 +46,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -167,9 +175,10 @@ class BandwidthProblem:
 
         # one DC model per topology (intact, then each contingency): a stage's
         # flow on an active line is base - sum_bus PTDF * control
-        self._pairs: list[tuple[str | None, str, str, Line, str]] = []  # per (hi, lo) row pair
-        flows: list[tuple[str, dict[str, float]]] = []  # (name suffix, flow - base) per pair
-        for cid, topo in network.topologies.items():
+        # per (hi, lo) row pair: the topology's and the line's positions, the line, its rating
+        self._pairs: list[tuple[int, int, Line, str]] = []
+        flows: list[tuple[str, tuple, dict[str, float]]] = []  # (name suffix, rating row, flow - base) per pair
+        for t, (cid, topo) in enumerate(network.topologies.items()):
             stages = (NORMAL,) if cid is None else (OUTAGE, FAST_CURATIVE, FULL_CURATIVE)
             ptdf = topo.line_factors
             for stage in stages:
@@ -186,7 +195,7 @@ class BandwidthProblem:
                     for b in zone.bus_ids():
                         controls[b][cur_curt[(b, cid)]] = 1.0
 
-                for lid in topo.state.active_lines:
+                for k, lid in enumerate(topo.state.active_lines):
                     flow: dict[str, float] = {}
                     for b in zone.bus_ids():
                         f = ptdf[lid][b]
@@ -194,8 +203,8 @@ class BandwidthProblem:
                             continue
                         for var, mult in controls[b].items():
                             flow[var] = flow.get(var, 0.0) - f * mult
-                    self._pairs.append((cid, lid, stage, zone.line(lid), _STAGE_RATING[stage]))
-                    flows.append((f"{tag}:{lid}", flow))
+                    self._pairs.append((t, k, zone.line(lid), _STAGE_RATING[stage]))
+                    flows.append((f"{tag}:{lid}", (lid, stage, cid or "", _STAGE_RATING[stage]), flow))
 
         self._limits: dict[Season, list[float]] = {}
         self._rating_rhs = self._rating_values(row, season)
@@ -203,10 +212,10 @@ class BandwidthProblem:
         self._ratings: list[tuple[str, dict[str, float]]] = []  # (row, coefficients) per row
         self._labels: list[str] = []  # per rating row, shared by the rows of a pair
         rhs = iter(self._rating_rhs)
-        for (cid, lid, stage, _, rating), (suffix, flow) in zip(self._pairs, flows):
+        for suffix, rating_row, flow in flows:
             for side, coeffs in (("hi", flow), ("lo", {var: -c for var, c in flow.items()})):
                 name = lp.add_constraint(coeffs, Relation.LE, next(rhs), name=f"rating_{side}:{suffix}")
-                self.rating_rows[name] = (lid, stage, cid or "", rating)
+                self.rating_rows[name] = rating_row
                 self._ratings.append((name, coeffs))
             label = _rating_label(self, name)
             self._labels += (label, label)
@@ -220,7 +229,8 @@ class BandwidthProblem:
         self.curative_curtailment_vars = cur_curt
         self.total_curtailment = {v: 1.0 for v in curt.values()}
         self._capped: LinearProgram | None = None
-        self._objectives: dict[tuple[Direction, ObjectiveWeights, bool], dict[str, float]] = {}
+        self._weights: ObjectiveWeights | None = None  # the weights of the objectives kept
+        self._objectives: dict[tuple[Direction, bool], dict[str, float]] = {}
 
     def _rating_values(self, row: TimestepForecast, season: Season) -> list[float]:
         """Each rating row's rhs, in row order: limit - base flow for the upper
@@ -229,15 +239,16 @@ class BandwidthProblem:
             self._limits[season] = [
                 select_ratings(line, season).for_state(rating) for *_, line, rating in self._pairs
             ]
-        base = {
-            cid: self.network.flows(
+        base = [
+            self.network.flows(
                 topo, row.injections_mw, row.ref_normal_mw if cid is None else row.ref_contingency_mw[cid]
             )
             for cid, topo in self.network.topologies.items()
-        }
+        ]
         rhs = []
-        for (cid, lid, *_), limit in zip(self._pairs, self._limits[season]):
-            rhs += (limit - base[cid][lid], limit + base[cid][lid])
+        for (t, k, *_), limit in zip(self._pairs, self._limits[season]):
+            flow = base[t][k]
+            rhs += (limit - flow, limit + flow)
         return rhs
 
     def set_hour(self, row: TimestepForecast, season: Season) -> None:
@@ -285,9 +296,12 @@ class BandwidthProblem:
 
         ``curtailment_bounded`` drops the preventive curtailment term (the
         lexicographic second stage bounds the total by a row instead). The
-        same arguments return the same dict, which callers must not change.
+        same arguments return the same dict, which callers must not change;
+        only the last weights' objectives are kept.
         """
-        key = (direction, weights, curtailment_bounded)
+        if weights != self._weights:
+            self._weights, self._objectives = weights, {}
+        key = (direction, curtailment_bounded)
         if key not in self._objectives:
             objective = {self.battery_var: 1.0 if direction == Direction.LOWER else -1.0}
             if not curtailment_bounded:
@@ -507,16 +521,34 @@ def _infeasible_result(
     )
 
 
+# The last zone's problem, kept from one _solve_rows call to the next under
+# the zone's repr: OutboundLine's PTDF maps are dicts that can be edited in
+# place, and a repr tells every float apart (-0.0 from 0.0), so an equal key
+# means an equal zone. A call takes the problem out while it uses it and puts
+# it back when it finishes, so one that raises leaves none half-written and
+# two threads never share one.
+_kept: dict[str, BandwidthProblem] = {}
+_kept_lock = threading.Lock()
+
+
 def _solve_rows(args) -> list[PowerBandwidthResult]:
     zone, rows, weights, lexicographic = args
     if not rows:
         return []
-    problem = build_lp(zone, rows[0], rows[0].season, Direction.LOWER, weights, network_model(zone))
+    key = repr(zone)
+    with _kept_lock:
+        problem = _kept.pop(key, None)
+    fresh = problem is None
+    if fresh:
+        problem = build_lp(zone, rows[0], rows[0].season, Direction.LOWER, weights, network_model(zone))
     results = []
     for i, row in enumerate(rows):
-        if i:  # build_lp wrote the first timestep
+        if i or not fresh:  # build_lp wrote the first timestep
             problem.set_hour(row, row.season)
         results.append(_solve_written(zone, row, row.season, weights, lexicographic, problem))
+    with _kept_lock:
+        _kept.clear()  # a different zone's problem is released
+        _kept[key] = problem
     return results
 
 
@@ -533,8 +565,9 @@ def compute_power_bandwidths(
     A timestep whose ratings cannot be met is reported in its result row
     (class ``infeasible`` with a ``failure`` diagnostic). Any exception raised
     while solving a timestep propagates to the caller: a crash is not a grid
-    finding. Each call (each worker job, with ``workers`` > 1) builds the
-    zone's network model once for all its timesteps.
+    finding. The zone's network model and LP are built once and kept for
+    later calls on an equal zone (see the module docstring); with
+    ``workers`` > 1 each worker process keeps its own for its jobs.
     """
     rows = list(forecast)[: horizon if horizon is not None else len(forecast)]
     weights = weights or ObjectiveWeights()

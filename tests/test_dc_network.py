@@ -248,7 +248,7 @@ def test_network_model_matches_ptdf_and_dc_flows(zone, summer_day, winter_day):
             assert topo.line_factors == compute_ptdf(z, state).line_factors
             cid = state.contingency_id
             refs = row.ref_normal_mw if cid is None else row.ref_contingency_mw[cid]
-            got = model.flows(topo, row.injections_mw, refs)
+            got = dict(zip(state.active_lines, model.flows(topo, row.injections_mw, refs)))
             want = dc_flows(z, state, row.injections_mw, refs)
             assert list(got) == list(want)
             for lid, flow in want.items():

@@ -754,3 +754,46 @@ def test_duals_match_highs_marginals():
         assert sol.duals == pytest.approx(highs_duals, abs=1e-7), lp.to_lp_format()
         checked += 1
     assert checked > 60
+
+
+def _kept_nodes(sf) -> list:
+    """Every node a form keeps, from its patterns' roots down."""
+    nodes, stack = [], [p.root for p in sf._patterns.values()]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children.values())
+    return nodes
+
+
+def test_kept_nodes_hold_no_tableau_and_rebuild_it_bit_for_bit(monkeypatch):
+    """Of a form's kept nodes only the patterns' roots hold their matrix.
+    Every other kept node's tableau, rebuilt in any order (from its pattern's
+    root or from the last tableau built), is byte-equal to the one built
+    first, and reused solves stay the fresh LP's, Bland's pivots included."""
+    built = {}
+    real_init = lp_core._Node.__init__
+
+    def init(node, *a):
+        built[id(node)] = (node, a[0].tobytes())  # holds the node, so ids stay unique
+        real_init(node, *a)
+
+    monkeypatch.setattr(lp_core._Node, "__init__", init)
+    rng = np.random.default_rng(14)
+    lps = [_beale()] + [_random_bounded_lp(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5))) for _ in range(60)]
+    for lp in lps:
+        names = [con.name for con in lp.constraints]
+        for _ in range(8):
+            lp.set_rhs_many(names, [float(np.round(rng.uniform(-4, 4), 3)) for _ in names])
+            _same_solve(solve(lp), solve(_rebuilt(lp)))
+    lean = 0
+    for lp in lps:
+        sf = lp._standard_form()
+        roots = {id(p.root) for p in sf._patterns.values()}
+        nodes = _kept_nodes(sf)
+        for i in rng.permutation(len(nodes)):
+            node = nodes[i]
+            assert (node.T is not None) == (id(node) in roots)
+            assert sf.tableau(node).tobytes() == built[id(node)][1]
+            lean += node.T is None
+    assert lean > 500

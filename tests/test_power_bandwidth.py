@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
 import math
 import pickle
+import random
 import struct
+import sys
+import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from bandwidth_engine import lp_core
 from bandwidth_engine import power_bandwidth as pb
 
 from bandwidth_engine.dc_network import TopologyState, dc_flows
@@ -18,6 +26,7 @@ from bandwidth_engine.grid_model import (
     RatingSet,
     Season,
     TimestepForecast,
+    load_zone,
     select_ratings,
 )
 from bandwidth_engine.lp_core import LinearProgram, LpSolution, Relation, SolveStatus, solve
@@ -627,17 +636,170 @@ def test_reused_problem_equals_a_fresh_lp_per_timestep(zone, summer_day, winter_
 @pytest.mark.parametrize(
     "lexicographic, per_timestep, lps", [(False, 2, 1), (True, 3, 2)], ids=["weighted", "lexicographic"]
 )
-def test_one_lp_and_one_network_model_per_call(zone, winter_day, monkeypatch, lexicographic, per_timestep, lps):
-    """One LP per call (plus its ``curt_total_cap`` copy in lexicographic mode)."""
-    solved, networks = [], []
-    real_solve, real_network = pb.solve, pb.network_model
+def test_one_lp_and_one_network_model_per_call(
+    zone_path, winter_day, monkeypatch, lexicographic, per_timestep, lps
+):
+    """A cold call builds one network model and one LP (plus its
+    ``curt_total_cap`` copy in lexicographic mode); a second call on the zone
+    loaded from file again builds neither and solves the same LPs."""
+    solved, networks, built = [], [], []
+    real_solve, real_network, real_lp = pb.solve, pb.network_model, pb.LinearProgram
     monkeypatch.setattr(pb, "solve", lambda lp, **kw: solved.append(lp) or real_solve(lp, **kw))
     monkeypatch.setattr(pb, "network_model", lambda z: networks.append(z) or real_network(z))
-    results = compute_power_bandwidths(zone, winter_day, lexicographic=lexicographic)
+    monkeypatch.setattr(pb, "LinearProgram", lambda name: built.append(name) or real_lp(name))
+    pb._kept.clear()
+    results = compute_power_bandwidths(load_zone(zone_path), winter_day, lexicographic=lexicographic)
     assert all(r.congestion_class != CongestionClass.INFEASIBLE for r in results)
     assert len(solved) == per_timestep * len(results)
-    assert len({id(lp) for lp in solved}) == lps
+    assert len({id(lp) for lp in solved}) == len(built) == lps
     assert len(networks) == 1
+
+    again = compute_power_bandwidths(load_zone(zone_path), winter_day, lexicographic=lexicographic)
+    assert len(networks) == 1 and len(built) == lps
+    assert len({id(lp) for lp in solved}) == lps
+    assert repr(again) == repr(results)
+
+
+def _cold(zone, rows, **kw):
+    """``compute_power_bandwidths`` with nothing kept from an earlier call,
+    leaving the kept problem as it found it."""
+    kept = dict(pb._kept)
+    pb._kept.clear()
+    try:
+        return compute_power_bandwidths(zone, rows, **kw)
+    finally:
+        pb._kept.clear()
+        pb._kept.update(kept)
+
+
+def test_kept_problem_follows_the_zones_value(zone, winter_day):
+    """An edit in place of a kept zone's PTDF map, or a zone that differs
+    only by a -0.0, builds a new problem, with a cold build's results."""
+    edited = copy.deepcopy(zone)
+    before = compute_power_bandwidths(edited, winter_day)
+    assert repr(before) == repr(_cold(zone, winter_day))
+    west, east = (o.ptdf_normal for o in edited.outbound_lines)
+    west["beta"] += 0.1  # the buses' sensitivities still sum to 1
+    east["beta"] -= 0.1
+    after = compute_power_bandwidths(edited, winter_day)
+    assert repr(after) != repr(before)
+    assert repr(after) == repr(_cold(edited, winter_day))
+
+    signed = copy.deepcopy(zone)
+    signed.outbound_lines[0].ptdf_contingency[OUTAGE]["delta"] = -0.0
+    assert signed == zone and repr(signed) != repr(zone)
+    compute_power_bandwidths(zone, winter_day)
+    kept = next(iter(pb._kept.values()))
+    got = compute_power_bandwidths(signed, winter_day)
+    assert next(iter(pb._kept.values())) is not kept
+    assert repr(got) == repr(_cold(signed, winter_day))
+
+
+def test_call_that_raises_keeps_nothing(zone, winter_day, monkeypatch):
+    """A call that raises half-way through its hours has taken the problem
+    out; the next call builds a new one and gives a cold call's results."""
+    compute_power_bandwidths(zone, winter_day)
+    solves = []
+    real_solve = pb.solve
+    unbounded = LpSolution(SolveStatus.UNBOUNDED, -math.inf)
+    monkeypatch.setattr(
+        pb, "solve", lambda lp, **kw: unbounded if len(solves) > 20 else solves.append(lp) or real_solve(lp, **kw)
+    )
+    with pytest.raises(UnstableLpError, match="unbounded"):
+        compute_power_bandwidths(zone, winter_day)
+    assert pb._kept == {}
+    monkeypatch.undo()
+    assert repr(compute_power_bandwidths(zone, winter_day)) == repr(_cold(zone, winter_day))
+
+
+def test_threads_on_one_zone_match_serial_calls(zone):
+    """More threads than cores, switching often, each taking the kept problem
+    or building its own: every day's results equal a serial call's."""
+    year = synthetic_year_rows(zone)
+    days = [year[24 * d : 24 * (d + 1)] for d in range(0, 365, 12)]
+    serial = [repr(compute_power_bandwidths(zone, day)) for day in days]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda day: repr(compute_power_bandwidths(zone, day)), day) for day in days]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+    assert len(pb._kept) == 1
+
+
+def test_a_different_zone_releases_the_kept_problem(zone, winter_day):
+    compute_power_bandwidths(zone, winter_day)
+    first = weakref.ref(next(iter(pb._kept.values())))
+    other, row = random_instance(1)
+    compute_power_bandwidths(other, [row])
+    gc.collect()
+    assert first() is None
+    assert len(pb._kept) == 1
+
+
+def test_objectives_of_many_weights_stay_bounded(zone, summer_day):
+    """Fifty weightings on one zone keep only the last weights' objectives,
+    and each call still gives a cold call's results."""
+    for k in range(50):
+        weights = ObjectiveWeights(preventive_curtailment=1.0e4 + k, curative_battery=1.0e-3 * (1 + k % 7))
+        got = compute_power_bandwidths(zone, summer_day, horizon=3, weights=weights)
+        if k % 10 == 9:
+            assert repr(got) == repr(_cold(zone, summer_day, horizon=3, weights=weights))
+    problem = next(iter(pb._kept.values()))
+    assert problem._weights == weights and len(problem._objectives) <= 2
+    assert len(problem.lp._checked) <= lp_core.KEPT_OBJECTIVES
+
+
+def _solve_counters(sol) -> tuple:
+    return (sol.status, sol.iterations, sol.phase_one_iterations, sol.bland, sol.retried, struct.pack("<d", sol.objective))
+
+
+@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+def test_kept_problem_equals_a_cold_call(zone, monkeypatch, lexicographic):
+    """Shuffled synthetic-year days, with random zones between them that evict
+    the kept problem: every call's results and every solve's counters and
+    objective bits equal a cold call's."""
+    solves = []
+    real_solve = pb.solve
+    monkeypatch.setattr(pb, "solve", lambda lp, **kw: solves.append(real_solve(lp, **kw)) or solves[-1])
+    year = synthetic_year_rows(zone)
+    days = list(range(0, 365, 5))
+    random.Random(14).shuffle(days)
+    hits = 0
+    for i, day in enumerate(days):
+        rows = year[24 * day : 24 * (day + 1)]
+        hits += bool(pb._kept) and repr(zone) in pb._kept
+        solves.clear()
+        got = compute_power_bandwidths(zone, rows, lexicographic=lexicographic)
+        warm = [_solve_counters(sol) for sol in solves]
+        solves.clear()
+        assert repr(got) == repr(_cold(zone, rows, lexicographic=lexicographic)), day
+        assert warm == [_solve_counters(sol) for sol in solves], day
+        if i % 9 == 8:
+            z, row = random_instance(i)
+            compute_power_bandwidths(z, _hours_of(row, 3), lexicographic=lexicographic)
+    assert 50 < hits < len(days)
+
+
+def test_kept_forms_of_a_year_stay_small(zone):
+    """After the 8,760 h synthetic year in one call, the standard form the
+    kept problem holds (its tree included) takes at most 2.5 MB: the memory
+    tracemalloc sees a deep copy of it allocate."""
+    pb._kept.clear()
+    compute_power_bandwidths(zone, synthetic_year_rows(zone))
+    form = next(iter(pb._kept.values())).lp._form
+    assert form._kept > 400
+    tracemalloc.start()
+    try:
+        copied = copy.deepcopy(form)
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(copied._patterns) == len(form._patterns)
+    assert size <= 2.5e6, size
 
 
 def test_numerically_unstable_lp_raises_instead_of_infeasible_row(zone, winter_day, monkeypatch):
@@ -695,7 +857,8 @@ def test_infeasible_diagnostic_reuses_the_timesteps_lp(monkeypatch, lexicographi
 
 def test_first_timestep_is_written_once(zone, winter_day, monkeypatch):
     """``build_lp`` writes the first timestep; ``set_hour`` writes each later
-    one, so an N-hour call makes N - 1 writes, with unchanged results."""
+    one, so an N-hour cold call makes N - 1 writes, with unchanged results."""
+    pb._kept.clear()
     writes = []
     real = LinearProgram.set_rhs_many
     monkeypatch.setattr(LinearProgram, "set_rhs_many", lambda lp, *a: writes.append(lp) or real(lp, *a))
