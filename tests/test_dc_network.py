@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,3 +295,24 @@ def test_random_instances_do_not_depend_on_the_hash_seed():
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
+
+
+def _network_digest() -> str:
+    """The sha256 of every topology's PTDF dicts (as :class:`NetworkModel` and
+    :func:`compute_ptdf` give them) and flow-matrix bytes, over the bundled
+    zone and ``random_instance`` 0-399."""
+    from bandwidth_engine.fixtures import reference_zone
+
+    h = hashlib.sha256()
+    for z in [reference_zone()] + [random_instance(seed)[0] for seed in range(400)]:
+        for cid, topo in NetworkModel(z, _topology_states(z)).topologies.items():
+            ptdf = compute_ptdf(z, topo.state)
+            h.update(repr((cid, topo.line_factors, ptdf.line_factors, ptdf.outbound_factors)).encode())
+            h.update(repr(topo.flow_matrix.shape).encode() + topo.flow_matrix.tobytes())
+    return h.hexdigest()
+
+
+def test_network_models_keep_their_bits():
+    """The PTDFs and flow matrices of 671 topologies, to the bit; the
+    digest was taken before their island solves were merged into one."""
+    assert _network_digest() == "f88ce8080ffa931f073801f6743aa01f22d1bf6b8f059119b7a3fffd61d331b3"

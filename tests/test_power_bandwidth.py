@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import copy
+import csv
 import dataclasses
 import gc
+import hashlib
+import io
 import math
 import pickle
 import random
@@ -13,6 +16,7 @@ import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -453,6 +457,57 @@ def test_csv_format_is_stable(zone, winter_day):
         "reduced,alpha-beta:outage[gamma-delta-outage]:immediate"
     )
     assert lines[4].split(",")[1] == "3.000000"
+
+
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+
+
+def _random_zones_csv() -> str:
+    """``random_instance`` 0-199 under both objectives: each zone's power-CSV
+    row, keyed by seed and objective, plus the infeasibility diagnostic."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["seed", "objective", *pb.POWER_CSV_HEADER, "failure"])
+    for seed in range(200):
+        zone, row = random_instance(seed)
+        for objective in ("weighted", "lexicographic"):
+            result = solve_timestep(zone, row, lexicographic=objective == "lexicographic")
+            cells = next(csv.reader(power_results_to_csv([result]).splitlines()[1:]))
+            writer.writerow([seed, objective, *cells, result.failure or ""])
+    return buf.getvalue()
+
+
+def _standard_form_digest(zone, summer_day) -> str:
+    """The sha256 of the standard forms' matrix, right-hand side, phase-one
+    root and column costs of the bandwidth LP and its capped copy, for the
+    summer day's hour 7 and ``random_instance`` 0-399."""
+    h = hashlib.sha256()
+    for z, row in [(zone, summer_day[7])] + [random_instance(seed) for seed in range(400)]:
+        problem = build_lp(z, row, row.season, Direction.LOWER)
+        objectives = [problem.total_curtailment] + [
+            problem.objective(d, ObjectiveWeights(), bounded) for d in Direction for bounded in (False, True)
+        ]
+        for lp in (problem.lp, problem.capped_lp()):
+            sf = lp._standard_form()
+            root = sf.pattern.root
+            for a in (sf._A, sf.b, sf.row_sign, root.T, root.basis, root.zrow):
+                h.update(repr(None if a is None else (a.dtype.str, a.shape)).encode())
+                h.update(b"" if a is None else a.tobytes())
+            for objective in objectives:
+                c, shift = sf.costs(objective, 0.0)
+                h.update(c.tobytes() + shift.hex().encode())
+    return h.hexdigest()
+
+
+def test_standard_forms_keep_their_bits(zone, summer_day):
+    """The digest was taken before the forms were built from Python floats."""
+    assert _standard_form_digest(zone, summer_day) == "2c36c0e63b56fb63d197d4b82bd6c380b8278bc94965e6afa83857851f60b183"
+
+
+def test_fresh_zones_match_their_golden():
+    """Pins the cold path bit for bit, down to the CSV: each fresh zone's
+    network model, standard form and relaxed-LP diagnostic."""
+    assert _random_zones_csv() == (GOLDENS / "random_zones.csv").read_text()
 
 
 # ---------------------------------------------------------------------------
