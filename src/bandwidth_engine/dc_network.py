@@ -100,40 +100,35 @@ def _solve_island_angles(
     active_line_ids: tuple[str, ...],
     injections: np.ndarray,
     bus_pos: dict[str, int],
-) -> dict[str, np.ndarray]:
-    """Angles (base-folded) for one island, reference fixed at its lowest bus id.
+    angles: np.ndarray,
+) -> None:
+    """Write one island's angles (base-folded) into ``angles``' bus rows,
+    with the reference, its lowest bus id, left at zero.
 
     ``injections`` is (n_buses, k) — k right-hand sides solved at once.
-    Returns per-bus angle rows for the island.
     """
     members = sorted(island)
     if len(members) == 1:
-        return {members[0]: np.zeros(injections.shape[1])}
+        return
     pos = {b: i for i, b in enumerate(members)}
-    n = len(members)
-    B = np.zeros((n, n))
+    B = [[0.0] * len(members) for _ in members]  # Python floats: the same additions
     for lid in active_line_ids:
         line = zone.line(lid)
         if line.from_bus not in island:
             continue
         b = 1.0 / line.reactance_pu
         i, j = pos[line.from_bus], pos[line.to_bus]
-        B[i, i] += b
-        B[j, j] += b
-        B[i, j] -= b
-        B[j, i] -= b
-    keep = list(range(1, n))  # members[0] is the reference
-    rhs = np.stack([injections[bus_pos[b]] for b in members[1:]])
+        B[i][i] += b
+        B[j][j] += b
+        B[i][j] -= b
+        B[j][i] -= b
+    rows = [bus_pos[b] for b in members[1:]]
     try:
-        theta_red = np.linalg.solve(B[np.ix_(keep, keep)], rhs)
+        angles[rows] = np.linalg.solve(np.array([r[1:] for r in B[1:]]), injections[rows])
     except np.linalg.LinAlgError:
         raise IslandingError(
             f"singular network matrix on island {{{','.join(members)}}}"
         ) from None
-    angles = {members[0]: np.zeros(injections.shape[1])}
-    for b, row in zip(members[1:], theta_red):
-        angles[b] = row
-    return angles
 
 
 def _net_injections(
@@ -172,14 +167,12 @@ def _line_flows(
     bus_pos: dict[str, int],
 ) -> np.ndarray:
     """Flows on the topology's active lines (rows) for each injection column."""
-    angles: dict[str, np.ndarray] = {}
+    angles = np.zeros(injections.shape)
     for island in topology.islands:
-        angles.update(_solve_island_angles(zone, island, topology.active_lines, injections, bus_pos))
-    flows = np.empty((len(topology.active_lines), injections.shape[1]))
-    for i, lid in enumerate(topology.active_lines):
-        line = zone.line(lid)
-        flows[i] = (angles[line.from_bus] - angles[line.to_bus]) / line.reactance_pu
-    return flows
+        _solve_island_angles(zone, island, topology.active_lines, injections, bus_pos, angles)
+    lines = [zone.line(lid) for lid in topology.active_lines]
+    ends = [bus_pos[line.from_bus] for line in lines], [bus_pos[line.to_bus] for line in lines]
+    return (angles[ends[0]] - angles[ends[1]]) / np.array([line.reactance_pu for line in lines])[:, None]
 
 
 def _bus_positions(zone: ZoneModel) -> dict[str, int]:
@@ -212,40 +205,11 @@ def compute_ptdf(zone: ZoneModel, topology: TopologyState) -> PtdfMatrix:
     the outage is internal the matrix is recomputed on the reduced topology —
     exact, and cheap at zone scale.
     """
-    bus_ids = zone.bus_ids()
-    bus_pos = _bus_positions(zone)
-    n = len(bus_ids)
-    P = np.zeros((n, n))  # column k: net nodal injection pattern for bus k
-    for k, bus in enumerate(bus_ids):
-        P[bus_pos[bus], k] += 1.0
-        for oid in topology.active_outbound:
-            o = zone.outbound(oid)
-            P[bus_pos[o.boundary_bus], k] -= _outbound_ptdf(zone, oid, topology.contingency_id)[bus]
-
-    for island in topology.islands:
-        if not any(zone.outbound(oid).boundary_bus in island for oid in topology.active_outbound):
-            raise IslandingError(
-                f"island {{{','.join(sorted(island))}}} has no outbound line; "
-                f"injection sensitivities are undefined there"
-            )
-        for k, bus in enumerate(bus_ids):
-            net = float(sum(P[bus_pos[b], k] for b in island))
-            if abs(net) > 1e-9 * max(1.0, 1.0):
-                raise IslandingError(
-                    f"island {{{','.join(sorted(island))}}} cannot absorb injection at "
-                    f"{bus!r} (residual {net:.3e}); outbound sensitivities are inconsistent"
-                )
-
-    sens = _line_flows(zone, topology, P, bus_pos)
-    line_factors = {
-        lid: {bus: float(sens[i, k]) for k, bus in enumerate(bus_ids)}
-        for i, lid in enumerate(topology.active_lines)
-    }
     outbound_factors = {
         oid: dict(_outbound_ptdf(zone, oid, topology.contingency_id))
         for oid in topology.active_outbound
     }
-    return PtdfMatrix(line_factors, outbound_factors)
+    return PtdfMatrix(_topology_model(zone, topology, _bus_positions(zone)).line_factors, outbound_factors)
 
 
 @dataclass(frozen=True)
@@ -262,6 +226,46 @@ class TopologyModel:
     flow_matrix: np.ndarray
 
 
+def _topology_model(zone: ZoneModel, topology: TopologyState, bus_pos: dict[str, int]) -> TopologyModel:
+    """The topology's PTDF line factors and flow matrix from one network
+    solve per island, over the stacked injection columns [P | I]: column k of
+    P is a +1 MW injection at bus k less the recorded outbound sensitivities
+    at their boundary buses, I the unit injections. Raises
+    :class:`IslandingError` where an island cannot absorb an injection."""
+    bus_ids = list(bus_pos)
+    n = len(bus_ids)
+    outbound = [
+        (bus_pos[zone.outbound(oid).boundary_bus], _outbound_ptdf(zone, oid, topology.contingency_id))
+        for oid in topology.active_outbound
+    ]
+    P = [[0.0] * n for _ in range(n)]  # Python floats: the same arithmetic as float64 entries
+    for k, bus in enumerate(bus_ids):
+        P[k][k] += 1.0
+        for at, ptdf in outbound:
+            P[at][k] -= ptdf[bus]
+
+    for island in topology.islands:
+        if not any(zone.outbound(oid).boundary_bus in island for oid in topology.active_outbound):
+            raise IslandingError(
+                f"island {{{','.join(sorted(island))}}} has no outbound line; "
+                f"injection sensitivities are undefined there"
+            )
+        for k, bus in enumerate(bus_ids):
+            net = sum(P[bus_pos[b]][k] for b in island)
+            if abs(net) > 1e-9:
+                raise IslandingError(
+                    f"island {{{','.join(sorted(island))}}} cannot absorb injection at "
+                    f"{bus!r} (residual {net:.3e}); outbound sensitivities are inconsistent"
+                )
+
+    stacked = np.array([row + [float(i == k) for k in range(n)] for i, row in enumerate(P)])
+    flows = _line_flows(zone, topology, stacked, bus_pos)
+    line_factors = {
+        lid: dict(zip(bus_ids, row[:n])) for lid, row in zip(topology.active_lines, flows.tolist())
+    }
+    return TopologyModel(topology, line_factors, flows[:, n:].copy())
+
+
 class NetworkModel:
     """A zone's DC model for a fixed set of topologies, reused for every hour.
 
@@ -274,14 +278,8 @@ class NetworkModel:
     def __init__(self, zone: ZoneModel, topologies: Iterable[TopologyState]):
         self.zone = zone
         self._bus_pos = _bus_positions(zone)
-        unit = np.eye(len(self._bus_pos))
         self.topologies: dict[str | None, TopologyModel] = {
-            t.contingency_id: TopologyModel(
-                t,
-                compute_ptdf(zone, t).line_factors,
-                _line_flows(zone, t, unit, self._bus_pos),
-            )
-            for t in topologies
+            t.contingency_id: _topology_model(zone, t, self._bus_pos) for t in topologies
         }
 
     def flows(

@@ -55,6 +55,10 @@ def compute_energy_bandwidths(
     Requires every covered timestep to be feasible; boundaries where the lower
     bound exceeds the upper one are reported, not raised.
     """
+    if horizon is not None and horizon < 0:
+        raise EnergyBandwidthError(
+            f"horizon {horizon} is outside the power results' 0 to {len(power_results)} timesteps"
+        )
     results = power_results[: horizon if horizon is not None else len(power_results)]
     if horizon is not None and len(results) < horizon:
         raise EnergyBandwidthError(

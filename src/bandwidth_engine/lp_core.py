@@ -193,7 +193,8 @@ class LinearProgram:
         rhs: float,
         name: str | None = None,
     ) -> str:
-        relation = Relation(relation)
+        if not isinstance(relation, Relation):
+            relation = Relation(relation)
         if name is None:
             name = f"c{len(self._rows)}"
         if name in self._row_index:
@@ -241,6 +242,8 @@ class LinearProgram:
                     raise LpError(f"objective has non-finite coefficient on {var!r}")
             if len(self._checked) >= KEPT_OBJECTIVES:
                 self._checked.clear()
+                if self._form is not None:
+                    self._form.drop_objectives()
             kept = self._checked[id(coeffs)] = (coeffs, dict(coeffs))
         self.objective = kept[1]
         self.objective_constant = float(constant)
@@ -353,8 +356,9 @@ class _Pattern:
 
     def __init__(self, A: np.ndarray, rel: list[Relation], row_sign: np.ndarray):
         m, n = A.shape
-        n_slack = sum(1 for r in rel if r != Relation.EQ)
-        n_art = sum(1 for r in rel if r != Relation.LE)
+        le, ge = Relation.LE, Relation.GE  # an enum member's lookup is slow
+        n_slack = m - rel.count(Relation.EQ)
+        n_art = m - rel.count(le)
         total = n + n_slack + n_art
         # the last column is b's place, unused: each solve carries its own b,
         # and the products over T[:, :-1] see a tableau's layout
@@ -365,11 +369,11 @@ class _Pattern:
         a = n + n_slack
         self.art_start = a
         for i, r in enumerate(rel):
-            if r == Relation.LE:
+            if r == le:
                 T[i, s] = 1.0
                 basis[i] = s
                 s += 1
-            elif r == Relation.GE:
+            elif r == ge:
                 T[i, s] = -1.0
                 T[i, a] = 1.0
                 basis[i] = a
@@ -398,33 +402,31 @@ class _StandardForm:
 
     def __init__(self, lp: LinearProgram):
         variables, rows = lp._variables, lp._rows
-        self.var_names = [v.name for v in variables]
         self.row_names = [name for name, _, _ in rows]
-        self._var_index = dict(lp._var_index)
         ncols = 0
-        # per original var: ("shift", col) | ("split", col_pos, col_neg)
-        self.var_map: list[tuple] = []
+        # per variable by name: its index and column, and the column of its
+        # negative part if its lower bound is infinite (x = col - neg), else
+        # None (x = lower + col)
+        self._columns: dict[str, tuple[int, int, int | None]] = {}
         self._ranged: list[int] = []  # variables with a finite upper bound
         for j, v in enumerate(variables):
-            if v.lower == -INF:
-                kind = ("split", ncols, ncols + 1)
-                ncols += 2
-            else:
-                kind = ("shift", ncols)
-                ncols += 1
-            self.var_map.append(kind)
+            neg = ncols + 1 if v.lower == -INF else None
+            self._columns[v.name] = (j, ncols, neg)
+            ncols += 1 if neg is None else 2
             if v.upper < INF:
                 self._ranged.append(j)
 
         n_user = len(rows)
         nrows = n_user + len(self._ranged)
-        A = np.zeros((nrows, ncols))
-        self._row_terms = [self._place(coeffs, A[i]) for i, (_, coeffs, _) in enumerate(rows)]
-        for k, j in enumerate(self._ranged):
-            kind = self.var_map[j]
-            A[n_user + k, kind[1]] = 1.0
-            if kind[0] == "split":
-                A[n_user + k, kind[2]] = -1.0
+        A = [0.0] * (nrows * ncols)  # row by row, in Python floats, converted once
+        self._row_terms = [self._place(coeffs, A, i * ncols) for i, (_, coeffs, _) in enumerate(rows)]
+        columns = list(self._columns.values())
+        for i, j in enumerate(self._ranged, n_user):
+            _, col, neg = columns[j]
+            A[i * ncols + col] = 1.0
+            if neg is not None:
+                A[i * ncols + neg] = -1.0
+        A = np.array(A, dtype=float).reshape(nrows, ncols)
         A.flags.writeable = False
         self._A = A
         self._rel = [rel for _, _, rel in rows] + [Relation.LE] * len(self._ranged)
@@ -434,6 +436,7 @@ class _StandardForm:
         self._kept = 0  # nodes, patterns and costs kept
         self._lower_bits: bytes | None = None
         self._costs: dict[tuple, tuple[np.ndarray, float]] = {}
+        self._phase_two: list[tuple[_Node, bytes]] = []  # the kept phase-two roots: (parent, key)
         self._patterns: dict[tuple[int, ...], _Pattern] = {}
         self._last: tuple[_Node | None, np.ndarray | None] = (None, None)  # the last tableau built
         self.load(lp)
@@ -468,15 +471,15 @@ class _StandardForm:
 
     def _pattern(self, flip: tuple[int, ...]) -> _Pattern:
         """The pattern with the ``flip`` rows negated."""
-        n_user = len(self.row_names)
-        A, rel, row_sign = self._A, self._rel, np.ones(n_user)
+        A, rel, row_sign = self._A, self._rel, [1.0] * len(self.row_names)
         if flip:
             A, rel = A.copy(), list(rel)
+            A[list(flip)] *= -1.0
             for i in flip:
-                A[i, :] *= -1.0
                 rel[i] = _REVERSED[rel[i]]
-                if i < n_user:
+                if i < len(row_sign):
                     row_sign[i] = -1.0
+        row_sign = np.array(row_sign)
         row_sign.flags.writeable = False
         pattern = _Pattern(A, rel, row_sign)
         if self._keep():
@@ -563,7 +566,23 @@ class _StandardForm:
             cost2[: self.ncols] = c
             zrow = cost2 - cost2[after.basis] @ T[:, :-1]
             root = self._adopt(after, key, _Node(T, after.basis, zrow, self.pattern.art_start, (), ()))
+            if root.parent is not None:
+                self._phase_two.append((after, key))
         return root
+
+    def drop_objectives(self) -> None:
+        """Forget every objective's column costs and phase-two subtrees, and
+        their count toward NODES_PER_FORM: the LP no longer holds those
+        objectives."""
+        self._kept -= len(self._costs)
+        self._costs.clear()
+        for after, key in self._phase_two:
+            stack = [after.children.pop(key)]
+            while stack:
+                node = stack.pop()
+                self._kept -= 1
+                stack.extend(node.children.values())
+        self._phase_two.clear()
 
     def entering(self, node: _Node, bland: bool) -> tuple[int, list[tuple[int, float, int]]]:
         """The node's entering column under Dantzig's rule (the most negative
@@ -579,18 +598,19 @@ class _StandardForm:
             hit = node.entering[bland] = (col, list(zip(pos.tolist(), colvals[pos].tolist(), node.basis[pos].tolist())))
         return hit
 
-    def _place(self, coeffs: Mapping[str, float], out: np.ndarray) -> list[tuple[float, int]]:
-        """Add ``coeffs`` onto the columns in ``out``; return the (coefficient,
-        variable) pairs on shifted columns, in coefficient order."""
-        shifted = []
+    def _place(self, coeffs: Mapping[str, float], out: list[float], at: int) -> list[tuple[float, int]]:
+        """Add ``coeffs`` onto the columns in ``out`` from index ``at`` on
+        (Python floats: the same additions as float64 entries); return the
+        (coefficient, variable) pairs on shifted columns, in coefficient
+        order."""
+        shifted, columns = [], self._columns
         for var, coef in coeffs.items():
-            j = self._var_index[var]
-            kind = self.var_map[j]
-            out[kind[1]] += coef
-            if kind[0] == "shift":
+            j, col, neg = columns[var]
+            out[at + col] += coef
+            if neg is None:
                 shifted.append((coef, j))
             else:
-                out[kind[2]] -= coef
+                out[at + neg] -= coef
         return shifted
 
     def _shift(self, terms: list[tuple[float, int]], shift: float) -> float:
@@ -605,9 +625,10 @@ class _StandardForm:
         key = (tuple(objective), _bits([*objective.values(), constant]))
         hit = self._costs.get(key)
         if hit is None:
-            c = np.zeros(self.ncols)
-            hit = c, self._shift(self._place(objective, c), constant)
-            c.flags.writeable = False
+            c = [0.0] * self.ncols
+            shift = self._shift(self._place(objective, c, 0), constant)
+            hit = np.array(c, dtype=float), shift
+            hit[0].flags.writeable = False
             if self._keep():
                 self._costs[key] = hit
         return hit
@@ -620,13 +641,11 @@ class _StandardForm:
         return self._after_phase_one
 
     def recover(self, x_std: np.ndarray) -> dict[str, float]:
-        values = {}
-        for name, kind, lb in zip(self.var_names, self.var_map, self._lower):
-            if kind[0] == "shift":
-                values[name] = float(lb + x_std[kind[1]])
-            else:
-                values[name] = float(x_std[kind[1]] - x_std[kind[2]])
-        return values
+        x, lower = x_std.tolist(), self._lower  # Python floats: the same IEEE sums
+        return {
+            name: lower[j] + x[col] if neg is None else x[col] - x[neg]
+            for name, (j, col, neg) in self._columns.items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +788,7 @@ def _phase_one(sf: _StandardForm) -> tuple[str, _Walk]:
             return status, walk
         costs = (walk.node.basis >= sf.pattern.art_start).astype(float)  # phase one's, per basic column
         phase1_obj = float(costs @ walk.b)
-        if phase1_obj > FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(sf.b))) if sf.b.size else 1.0):
+        if phase1_obj > FEASIBILITY_TOL * max(1.0, float(np.abs(sf.b).max()) if sf.b.size else 1.0):
             return "infeasible", walk
     walk.move(sf.drive_out(walk.node))
     return "feasible", walk

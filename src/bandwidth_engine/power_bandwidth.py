@@ -47,7 +47,6 @@ import csv
 import io
 import math
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -562,6 +561,8 @@ def compute_power_bandwidths(
 ) -> list[PowerBandwidthResult]:
     """Bandwidths for timesteps [0, horizon); independent and parallelizable.
 
+    A ``horizon`` below 0 or beyond the forecast raises :class:`ValueError`.
+
     A timestep whose ratings cannot be met is reported in its result row
     (class ``infeasible`` with a ``failure`` diagnostic). Any exception raised
     while solving a timestep propagates to the caller: a crash is not a grid
@@ -569,10 +570,16 @@ def compute_power_bandwidths(
     later calls on an equal zone (see the module docstring); with
     ``workers`` > 1 each worker process keeps its own for its jobs.
     """
-    rows = list(forecast)[: horizon if horizon is not None else len(forecast)]
+    rows = list(forecast)
+    if horizon is not None:
+        if not 0 <= horizon <= len(rows):
+            raise ValueError(f"horizon {horizon} is outside the forecast's 0 to {len(rows)} timesteps")
+        rows = rows[:horizon]
     weights = weights or ObjectiveWeights()
     if workers <= 1 or len(rows) <= 1:
         return _solve_rows((zone, rows, weights, lexicographic))
+    from concurrent.futures import ProcessPoolExecutor  # imported only here: it costs every process ~10 ms
+
     chunk = max(1, len(rows) // (workers * 8))
     jobs = [(zone, rows[i : i + chunk], weights, lexicographic) for i in range(0, len(rows), chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -122,6 +122,13 @@ def test_missing_coverage_rejected(zone):
         compute_energy_bandwidths(_series([(0.0, 1.0)]), zone, horizon=2)
 
 
+@pytest.mark.parametrize("horizon", [-1, -3])
+def test_negative_horizon_rejected(zone, horizon):
+    """A negative horizon is refused, not read as a slice that drops steps."""
+    with pytest.raises(EnergyBandwidthError, match=f"horizon {horizon} is outside the power results' 0 to 4 timesteps"):
+        compute_energy_bandwidths(_series([(0.0, 1.0)] * 4), zone, horizon=horizon)
+
+
 def test_winter_day_boundary_three(zone, winter_day):
     results = compute_power_bandwidths(zone, winter_day)
     energy = compute_energy_bandwidths(results, zone)

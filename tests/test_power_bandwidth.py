@@ -459,6 +459,31 @@ def test_csv_format_is_stable(zone, winter_day):
     assert lines[4].split(",")[1] == "3.000000"
 
 
+@pytest.mark.parametrize("horizon", [-1, -24, 25, 99])
+def test_horizon_outside_the_forecast_raises(zone, summer_day, horizon):
+    """A horizon is never silently sliced: a negative one would drop the last
+    hours, one beyond the forecast would pass unnoticed."""
+    with pytest.raises(ValueError, match=f"horizon {horizon} is outside the forecast's 0 to 24 timesteps"):
+        compute_power_bandwidths(zone, summer_day, horizon=horizon)
+
+
+def test_horizon_within_the_forecast_is_a_prefix(zone, summer_day):
+    assert compute_power_bandwidths(zone, summer_day, horizon=0) == []
+    assert repr(compute_power_bandwidths(zone, summer_day, horizon=24)) == repr(compute_power_bandwidths(zone, summer_day))
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    """``ProcessPoolExecutor`` is imported only by a call with workers."""
+    import os
+    import subprocess
+
+    src = str(Path(pb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, bandwidth_engine.cli; print('concurrent.futures.process' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
+
+
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
@@ -793,6 +818,23 @@ def test_a_different_zone_releases_the_kept_problem(zone, winter_day):
     gc.collect()
     assert first() is None
     assert len(pb._kept) == 1
+
+
+def test_many_weightings_keep_the_last_weights_tree(zone, summer_day, monkeypatch):
+    """After 100 weightings on one zone, the objectives the LP no longer holds
+    have left its standard form with their phase-two subtrees: a repeated call
+    builds no tree node, and its results equal a cold call's."""
+    pb._kept.clear()
+    for k in range(100):
+        weights = ObjectiveWeights(preventive_curtailment=1.0e4 + k)
+        compute_power_bandwidths(zone, summer_day, weights=weights)
+    built = []
+    real_node = lp_core._Node
+    monkeypatch.setattr(lp_core, "_Node", lambda *args: built.append(args) or real_node(*args))
+    again = compute_power_bandwidths(zone, summer_day, weights=weights)
+    assert built == []
+    monkeypatch.undo()
+    assert repr(again) == repr(_cold(zone, summer_day, weights=weights))
 
 
 def test_objectives_of_many_weights_stay_bounded(zone, summer_day):
