@@ -13,7 +13,10 @@ recorded boundary response — this is what :func:`compute_ptdf` evaluates.
 
 :class:`NetworkModel` holds, per topology of a zone, the PTDFs and a
 line-by-bus flow matrix, so that every hour's base flows are one
-matrix-vector product instead of a fresh network solve.
+matrix-vector product instead of a fresh network solve. Both come from one
+solve per island over the PTDFs' injection patterns and the unit injections
+side by side; :func:`compute_ptdf` is the one-topology case of the same
+solve.
 """
 
 from __future__ import annotations
@@ -227,11 +230,9 @@ class TopologyModel:
 
 
 def _topology_model(zone: ZoneModel, topology: TopologyState, bus_pos: dict[str, int]) -> TopologyModel:
-    """The topology's PTDF line factors and flow matrix from one network
-    solve per island, over the stacked injection columns [P | I]: column k of
-    P is a +1 MW injection at bus k less the recorded outbound sensitivities
-    at their boundary buses, I the unit injections. Raises
-    :class:`IslandingError` where an island cannot absorb an injection."""
+    """The PTDF line factors and flow matrix from one solve per island over
+    the injection columns [P | I]: P's column k is +1 MW at bus k less the
+    outbound sensitivities at their boundary buses, I the unit injections."""
     bus_ids = list(bus_pos)
     n = len(bus_ids)
     outbound = [

@@ -24,7 +24,8 @@ a bound that stays finite (or infinite) only mark the form's right-hand side
 stale, and the next solve recomputes it with the same arithmetic as a fresh
 form. A reloaded form also keeps its row shifts (each row's
 ``sum coef * lower``, in coefficient order) and every objective's column
-costs until a lower bound changes bit pattern.
+costs until a lower bound changes bit pattern. Both are summed in Python
+floats, in coefficient order, and converted to arrays once.
 
 Every solve walks a pivot-path tree of its form. The matrix and the costs do
 not change with the right-hand side b, so neither does anything that picks a
@@ -66,8 +67,12 @@ starts phase two where it ended.
 
 A form keeps at most ``NODES_PER_FORM`` nodes (a reused Klee-Minty cube
 would otherwise keep one per pivot). Past that, and on a form solved for one
-right-hand side only, the walk builds each node it visits and keeps none. A
-form lives as long as its :class:`LinearProgram` keeps the same matrix.
+right-hand side only, the walk builds each node it visits and keeps none.
+When the LP lets go of its checked objectives (``KEPT_OBJECTIVES``), the form
+drops their costs and phase-two subtrees, and with them their count, so a
+zone solved under many weightings keeps room for the tree of the weights in
+use. A form lives as long as its :class:`LinearProgram` keeps the same
+matrix.
 """
 
 from __future__ import annotations
@@ -193,8 +198,7 @@ class LinearProgram:
         rhs: float,
         name: str | None = None,
     ) -> str:
-        if not isinstance(relation, Relation):
-            relation = Relation(relation)
+        relation = relation if isinstance(relation, Relation) else Relation(relation)
         if name is None:
             name = f"c{len(self._rows)}"
         if name in self._row_index:
