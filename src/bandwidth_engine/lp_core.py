@@ -792,7 +792,7 @@ def _phase_one(sf: _StandardForm) -> tuple[str, _Walk]:
             return status, walk
         costs = (walk.node.basis >= sf.pattern.art_start).astype(float)  # phase one's, per basic column
         phase1_obj = float(costs @ walk.b)
-        if phase1_obj > FEASIBILITY_TOL * max(1.0, float(np.abs(sf.b).max()) if sf.b.size else 1.0):
+        if phase1_obj > FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(sf.b))) if sf.b.size else 1.0):
             return "infeasible", walk
     walk.move(sf.drive_out(walk.node))
     return "feasible", walk
