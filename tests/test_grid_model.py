@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -231,3 +233,180 @@ def test_committed_bundle_matches_regeneration(zone, tmp_path):
     fresh = write_bundle(tmp_path)
     for name in ("zone90kv.json", "forecast_summer_day.csv", "forecast_winter_day.csv"):
         assert (tmp_path / name).read_text() == (data_dir / name).read_text(), name
+
+
+# ---------------------------------------------------------------------------
+# every zone-validation message, word for word: one hand edit of the bundled
+# zone file per check
+# ---------------------------------------------------------------------------
+
+DELETE = object()  # the edit removes the field
+_DOC = reference_zone_dict()  # the bundled file's content
+C0 = _DOC["contingencies"][0]
+OUTBOUND_OUTAGE = {"id": "west-outage", "outaged_element": "alpha-west", "modifies_zone_topology": True}
+DOC_LINES, DOC_OUTBOUND = _DOC["lines"], _DOC["outbound_lines"]
+
+# (case, [(path into the document, new value or DELETE)], the exact message)
+VALIDATION_MESSAGES = [
+    ("missing-buses", [(("buses",), DELETE)], "zone file missing field 'buses'"),
+    ("missing-lines", [(("lines",), DELETE)], "zone file missing field 'lines'"),
+    ("missing-outbound_lines", [(("outbound_lines",), DELETE)], "zone file missing field 'outbound_lines'"),
+    ("missing-contingencies", [(("contingencies",), DELETE)], "zone file missing field 'contingencies'"),
+    ("missing-battery", [(("battery",), DELETE)], "zone file missing field 'battery'"),
+    ("missing-timestep_hours", [(("timestep_hours",), DELETE)], "zone file missing field 'timestep_hours'"),
+    ("missing-curative_duration_hours", [(("curative_duration_hours",), DELETE)],
+     "zone file missing field 'curative_duration_hours'"),
+    ("battery-missing-bus", [(("battery", "bus"), DELETE)], "battery block missing field 'bus'"),
+    ("battery-missing-pmin_mw", [(("battery", "pmin_mw"), DELETE)], "battery block missing field 'pmin_mw'"),
+    ("battery-missing-pmax_mw", [(("battery", "pmax_mw"), DELETE)], "battery block missing field 'pmax_mw'"),
+    ("battery-missing-capacity_mwh", [(("battery", "capacity_mwh"), DELETE)],
+     "battery block missing field 'capacity_mwh'"),
+    ("bus-missing-id", [(("buses", 1, "id"), DELETE)], "bus entry missing field 'id'"),
+    ("duplicate-bus", [(("buses", 1, "id"), "alpha")], "duplicate bus id 'alpha'"),
+    ("battery-bus-unknown", [(("battery", "bus"), "omega")], "battery bus 'omega' not among buses"),
+    ("pmin-not-a-number", [(("battery", "pmin_mw"), "low")], "battery pmin_mw is not a number: 'low'"),
+    ("pmin-nan", [(("battery", "pmin_mw"), math.nan)], 'battery pmin_mw is NaN'),
+    ("pmax-not-a-number", [(("battery", "pmax_mw"), [12])], 'battery pmax_mw is not a number: [12]'),
+    ("pmax-nan", [(("battery", "pmax_mw"), math.nan)], 'battery pmax_mw is NaN'),
+    ("battery-bounds", [(("battery", "pmax_mw"), -0.5)],
+     'battery bounds must satisfy pmin <= 0 <= pmax, got [-12.0, -0.5]'),
+    ("line-missing-id", [(("lines", 1, "id"), DELETE)], "line entry missing field 'id'"),
+    ("line-missing-from_bus", [(("lines", 1, "from_bus"), DELETE)], "line entry missing field 'from_bus'"),
+    ("line-missing-to_bus", [(("lines", 1, "to_bus"), DELETE)], "line entry missing field 'to_bus'"),
+    ("line-missing-reactance_pu", [(("lines", 1, "reactance_pu"), DELETE)],
+     "line entry missing field 'reactance_pu'"),
+    ("line-missing-ratings_summer", [(("lines", 1, "ratings_summer"), DELETE)],
+     "line entry missing field 'ratings_summer'"),
+    ("line-missing-ratings_winter", [(("lines", 1, "ratings_winter"), DELETE)],
+     "line entry missing field 'ratings_winter'"),
+    ("duplicate-line", [(("lines", 2, "id"), "alpha-beta")], "duplicate line id 'alpha-beta'"),
+    ("reactance-not-a-number", [(("lines", 0, "reactance_pu"), "x")],
+     "line 'alpha-beta' reactance_pu is not a number: 'x'"),
+    ("reactance-nan", [(("lines", 0, "reactance_pu"), math.nan)], "line 'alpha-beta' reactance_pu is NaN"),
+    ("reactance-negative", [(("lines", 0, "reactance_pu"), -0.04)],
+     "line 'alpha-beta' reactance_pu must be > 0, got -0.04"),
+    ("line-self-loop", [(("lines", 1, "to_bus"), "beta")], "line 'beta-gamma' connects bus 'beta' to itself"),
+    ("from-bus-unknown", [(("lines", 1, "from_bus"), "omega")],
+     "line 'beta-gamma' from_bus 'omega' not among buses"),
+    ("to-bus-unknown", [(("lines", 1, "to_bus"), "omega")],
+     "line 'beta-gamma' to_bus 'omega' not among buses"),
+    ("ratings-missing-permanent_mw", [(("lines", 2, "ratings_winter", "permanent_mw"), DELETE)],
+     "line 'gamma-delta' ratings_winter missing field 'permanent_mw'"),
+    ("ratings-missing-long_term_mw", [(("lines", 2, "ratings_winter", "long_term_mw"), DELETE)],
+     "line 'gamma-delta' ratings_winter missing field 'long_term_mw'"),
+    ("ratings-missing-immediate_mw", [(("lines", 2, "ratings_winter", "immediate_mw"), DELETE)],
+     "line 'gamma-delta' ratings_winter missing field 'immediate_mw'"),
+    ("rating-not-a-number-permanent_mw", [(("lines", 2, "ratings_summer", "permanent_mw"), "hot")],
+     "line 'gamma-delta' summer permanent_mw is not a number: 'hot'"),
+    ("rating-not-a-number-long_term_mw", [(("lines", 2, "ratings_summer", "long_term_mw"), "hot")],
+     "line 'gamma-delta' summer long_term_mw is not a number: 'hot'"),
+    ("rating-not-a-number-immediate_mw", [(("lines", 2, "ratings_summer", "immediate_mw"), "hot")],
+     "line 'gamma-delta' summer immediate_mw is not a number: 'hot'"),
+    ("rating-not-a-number-short_term_mw", [(("lines", 2, "ratings_summer", "short_term_mw"), "hot")],
+     "line 'gamma-delta' summer short_term_mw is not a number: 'hot'"),
+    ("rating-nan", [(("lines", 2, "ratings_winter", "immediate_mw"), math.nan)],
+     "line 'gamma-delta' winter immediate_mw is NaN"),
+    ("rating-order-summer", [(("lines", 0, "ratings_summer", "long_term_mw"), 60.0)],
+     "line 'alpha-beta' summer ratings must satisfy 0 < permanent <= long_term <= immediate, got (70.0, 60.0, 101.0)"),
+    ("rating-order-winter", [(("lines", 1, "ratings_winter", "permanent_mw"), 0.0)],
+     "line 'beta-gamma' winter ratings must satisfy 0 < permanent <= long_term <= immediate, got (0.0, 101.0, 101.0)"),
+    ("no-lines", [(("lines",), [])], 'zone has no internal lines (degenerate topology)'),
+    ("disconnected", [(("lines",), [DOC_LINES[0], DOC_LINES[2]])],
+     'zone base topology is disconnected; islands: alpha,beta; delta,gamma'),
+    ("contingency-missing-element", [(("contingencies", 0, "outaged_element"), DELETE)],
+     "contingency entry missing 'id' or 'outaged_element'"),
+    ("duplicate-contingency", [(("contingencies",), [C0, C0])],
+     "duplicate contingency id 'gamma-delta-outage'"),
+    ("contingency-unknown-element", [(("contingencies", 0, "outaged_element"), "omega")],
+     "contingency 'gamma-delta-outage' outages unknown element 'omega'"),
+    ("contingency-flag-internal", [(("contingencies", 0, "modifies_zone_topology"), False)],
+     "contingency 'gamma-delta-outage': modifies_zone_topology=False inconsistent with outaged element 'gamma-delta' (internal)"),
+    ("contingency-flag-outbound", [(("contingencies",), [C0, OUTBOUND_OUTAGE])],
+     "contingency 'west-outage': modifies_zone_topology=True inconsistent with outaged element 'alpha-west' (outbound)"),
+    ("outbound-missing-id", [(("outbound_lines", 1, "id"), DELETE)],
+     "outbound line entry missing field 'id'"),
+    ("outbound-missing-boundary_bus", [(("outbound_lines", 1, "boundary_bus"), DELETE)],
+     "outbound line entry missing field 'boundary_bus'"),
+    ("outbound-missing-ptdf_normal", [(("outbound_lines", 1, "ptdf_normal"), DELETE)],
+     "outbound line entry missing field 'ptdf_normal'"),
+    ("duplicate-outbound", [(("outbound_lines", 1, "id"), "alpha-west")],
+     "duplicate outbound line id 'alpha-west'"),
+    ("boundary-bus-unknown", [(("outbound_lines", 1, "boundary_bus"), "omega")],
+     "outbound line 'delta-east' boundary_bus 'omega' not among buses"),
+    ("ptdf-unknown-bus", [(("outbound_lines", 0, "ptdf_normal", "omega"), 0.0)],
+     "outbound 'alpha-west' ptdf_normal references unknown bus 'omega'"),
+    ("ptdf-not-a-number", [(("outbound_lines", 0, "ptdf_normal", "beta"), None)],
+     "outbound 'alpha-west' ptdf_normal factor for bus 'beta' is not a number: None"),
+    ("ptdf-nan", [(("outbound_lines", 0, "ptdf_normal", "beta"), math.nan)],
+     "outbound 'alpha-west' ptdf_normal factor for bus 'beta' is NaN"),
+    ("ptdf-infinite", [(("outbound_lines", 0, "ptdf_normal", "beta"), -math.inf)],
+     "outbound 'alpha-west' ptdf_normal factor for bus 'beta' is not finite"),
+    ("ptdf-magnitude", [(("outbound_lines", 0, "ptdf_normal", "gamma"), 1.4)],
+     "outbound 'alpha-west' ptdf_normal factor for bus 'gamma' has magnitude 1.4 > 1"),
+    ("ptdf-unknown-contingency", [(("outbound_lines", 1, "ptdf_contingency", "omega-outage"), {})],
+     "outbound 'delta-east' ptdf_contingency references unknown contingency 'omega-outage'"),
+    ("ptdf-contingency-magnitude", [(("outbound_lines", 1, "ptdf_contingency", "gamma-delta-outage", "delta"), -1.25)],
+     "outbound 'delta-east' ptdf_contingency['gamma-delta-outage'] factor for bus 'delta' has magnitude 1.25 > 1"),
+    ("ptdf-contingency-not-a-number", [(("outbound_lines", 1, "ptdf_contingency", "gamma-delta-outage", "alpha"), "zero")],
+     "outbound 'delta-east' ptdf_contingency['gamma-delta-outage'] factor for bus 'alpha' is not a number: 'zero'"),
+    ("no-outbound", [(("outbound_lines",), []), (("contingencies",), [])],
+     'zone has no outbound lines; boundary flows are required'),
+    ("capacity-not-a-number", [(("battery", "capacity_mwh"), {})],
+     'battery capacity_mwh is not a number: {}'),
+    ("capacity-zero", [(("battery", "capacity_mwh"), 0.0)], 'battery capacity_mwh must be > 0, got 0.0'),
+    ("soc-min-not-a-number", [(("battery", "soc_min_mwh"), "empty")],
+     "battery soc_min_mwh is not a number: 'empty'"),
+    ("soc-min-at-capacity", [(("battery", "soc_min_mwh"), 24.0)],
+     'battery soc_min_mwh must lie in [0, capacity), got 24.0'),
+    ("timestep-not-a-number", [(("timestep_hours",), "1h")], "timestep_hours is not a number: '1h'"),
+    ("timestep-zero", [(("timestep_hours",), 0)], 'timestep_hours must be > 0, got 0.0'),
+    ("curative-not-a-number", [(("curative_duration_hours",), math.nan)], 'curative_duration_hours is NaN'),
+    ("curative-too-long", [(("curative_duration_hours",), 1.5)],
+     'curative_duration_hours must lie in (0, timestep_hours], got 1.5'),
+    ("base-mva-not-a-number", [(("base_mva",), "100 MVA")], "base_mva is not a number: '100 MVA'"),
+    ("base-mva-negative", [(("base_mva",), -100.0)], 'base_mva must be > 0, got -100.0'),
+    ("outage-strands-battery", [(("battery", "bus"), "delta")],
+     "contingency 'gamma-delta-outage' disconnects battery bus 'delta' from every rated line"),
+    (
+        "island-without-outbound",
+        [
+            (("outbound_lines",), [DOC_OUTBOUND[0]]),
+            (("outbound_lines", 0, "ptdf_normal"), {"alpha": 1.0, "beta": 1.0, "gamma": 1.0, "delta": 1.0}),
+        ],
+        "contingency 'gamma-delta-outage' leaves island {delta} without any outbound line",
+    ),
+    ("no-ptdf-contingency-entry", [(("outbound_lines", 0, "ptdf_contingency"), DELETE)],
+     "outbound 'alpha-west' has no ptdf_contingency entry for 'gamma-delta-outage'"),
+    (
+        "sensitivity-in-another-island",
+        [(("outbound_lines", 0, "ptdf_contingency", "gamma-delta-outage", "delta"), 0.3)],
+        "contingency 'gamma-delta-outage': bus 'delta' has nonzero sensitivity 0.3 on outbound 'alpha-west' in a different island",
+    ),
+    ("partition-base", [(("outbound_lines", 0, "ptdf_normal", "gamma"), 0.55)],
+     "base topology: outbound sensitivities of bus 'gamma' sum to 1.15, expected 1 (export-positive convention)"),
+    ("partition-contingency", [(("outbound_lines", 1, "ptdf_contingency", "gamma-delta-outage", "delta"), 0.9)],
+     "contingency 'gamma-delta-outage': outbound sensitivities of bus 'delta' sum to 0.9, expected 1 (export-positive convention)"),
+]
+
+
+def _edited(doc: dict, edits) -> dict:
+    doc = copy.deepcopy(doc)
+    for path, value in edits:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is DELETE:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edits, message", [case[1:] for case in VALIDATION_MESSAGES], ids=[case[0] for case in VALIDATION_MESSAGES]
+)
+def test_validation_message_is_exact(zone_path, edits, message):
+    doc = json.loads(zone_path.read_text())
+    with pytest.raises(ZoneValidationError) as err:
+        zone_from_dict(_edited(doc, edits))
+    assert str(err.value) == message

@@ -529,6 +529,47 @@ def test_standard_forms_keep_their_bits(zone, summer_day):
     assert _standard_form_digest(zone, summer_day) == "2c36c0e63b56fb63d197d4b82bd6c380b8278bc94965e6afa83857851f60b183"
 
 
+def _elastic_digest() -> tuple[int, str]:
+    """The unclearable zones among ``random_instance`` 0-399 (both objectives)
+    and the sha256 of their relaxed LPs: each one's standard form (matrix,
+    right-hand side, row signs, phase-one root, column costs) and its solve's
+    ``(status, iterations, phase_one_iterations, objective.hex())`` and value
+    bits."""
+    h, relaxed = hashlib.sha256(), []
+    real_solve = pb.solve
+
+    def recording(lp, **kw):
+        sol = real_solve(lp, **kw)
+        if lp.name.endswith(":relaxed"):
+            relaxed.append(lp.name)
+            sf = lp._standard_form()
+            root = sf.pattern.root
+            for a in (sf._A, sf.b, sf.row_sign, root.T, root.basis, root.zrow):
+                h.update(repr(None if a is None else (a.dtype.str, a.shape)).encode())
+                h.update(b"" if a is None else a.tobytes())
+            c, shift = sf.costs(lp.objective, lp.objective_constant)
+            h.update(c.tobytes() + shift.hex().encode())
+            h.update(repr((sol.status.value, sol.iterations, sol.phase_one_iterations, sol.objective.hex())).encode())
+            h.update(struct.pack(f"<{len(sol.values)}d", *sol.values.values()))
+        return sol
+
+    pb.solve = recording
+    try:
+        for seed in range(400):
+            zone, row = random_instance(seed)
+            for lexicographic in (False, True):
+                solve_timestep(zone, row, lexicographic=lexicographic)
+    finally:
+        pb.solve = real_solve
+    return len(relaxed), h.hexdigest()
+
+
+def test_elastic_lps_keep_their_bits():
+    """The digest was taken while the relaxed LP was still copied row by row
+    into a fresh standard form."""
+    assert _elastic_digest() == (172, "e3b867f2ccd0a13d931f417a92c61c812c2229f58ac1e8c76b4ff83bc7d4334b")
+
+
 def test_fresh_zones_match_their_golden():
     """Pins the cold path bit for bit, down to the CSV: each fresh zone's
     network model, standard form and relaxed-LP diagnostic."""
