@@ -231,65 +231,104 @@ def _connected_components(nodes: list[str], edges: list[tuple[str, str]]) -> lis
     return comps
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ZoneValidationError(msg)
+# what a JSON value is, as a message names it
+_KINDS = {type(None): "null", bool: "a boolean", int: "a number", float: "a number", str: "a string", list: "a list", dict: "an object"}
 
 
-def _as_float(raw: object, what: str) -> float:
+def _kind(raw: object) -> str:
+    return _KINDS.get(type(raw), type(raw).__name__)
+
+
+# Every check below formats its message only when it fails: a zone is
+# validated on every load, and most messages format floats. A ``what``
+# argument is a str.format template for the arguments after it.
+
+
+def _fields(raw: object, keys: tuple[str, ...], what: str, *args: object) -> dict:
+    """``raw``, an object holding every key of ``keys``. A string or a list
+    is searched for the keys first."""
+    try:
+        for key in keys:
+            if key not in raw:  # type: ignore[operator]
+                raise ZoneValidationError(f"{what.format(*args)} missing field {key!r}")
+    except TypeError:  # null, a number or a boolean
+        pass
+    if not isinstance(raw, dict):
+        raise ZoneValidationError(f"{what.format(*args)} must be an object, got {_kind(raw)}")
+    return raw
+
+
+def _entries(doc: dict, key: str):
+    """The zone file's ``key`` list; null, a number or a boolean is none."""
+    raw = doc[key]
+    if raw is None or isinstance(raw, (int, float)):
+        raise ZoneValidationError(f"zone field {key!r} must be a list, got {_kind(raw)}")
+    return raw
+
+
+def _as_float(raw: object, what: str, *args: object) -> float:
     try:
         val = float(raw)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        raise ZoneValidationError(f"{what} is not a number: {raw!r}") from None
+        raise ZoneValidationError(f"{what.format(*args)} is not a number: {raw!r}") from None
     if math.isnan(val):
-        raise ZoneValidationError(f"{what} is NaN")
+        raise ZoneValidationError(f"{what.format(*args)} is NaN")
     return val
 
 
-def _rating_set(raw: dict, line_id: str, season: str) -> RatingSet:
-    for key in ("permanent_mw", "long_term_mw", "immediate_mw"):
-        _require(key in raw, f"line {line_id!r} ratings_{season} missing field {key!r}")
+def _rating_set(raw: object, line_id: str, season: str) -> RatingSet:
+    raw = _fields(raw, ("permanent_mw", "long_term_mw", "immediate_mw"), "line {!r} ratings_{}", line_id, season)
+    short_term = raw.get("short_term_mw")
     rs = RatingSet(
-        permanent_mw=_as_float(raw["permanent_mw"], f"line {line_id!r} {season} permanent_mw"),
-        long_term_mw=_as_float(raw["long_term_mw"], f"line {line_id!r} {season} long_term_mw"),
-        immediate_mw=_as_float(raw["immediate_mw"], f"line {line_id!r} {season} immediate_mw"),
+        permanent_mw=_as_float(raw["permanent_mw"], "line {!r} {} permanent_mw", line_id, season),
+        long_term_mw=_as_float(raw["long_term_mw"], "line {!r} {} long_term_mw", line_id, season),
+        immediate_mw=_as_float(raw["immediate_mw"], "line {!r} {} immediate_mw", line_id, season),
         short_term_mw=(
-            _as_float(raw["short_term_mw"], f"line {line_id!r} {season} short_term_mw")
-            if raw.get("short_term_mw") is not None
-            else None
+            None if short_term is None else _as_float(short_term, "line {!r} {} short_term_mw", line_id, season)
         ),
     )
     rs.validate(line_id, season)
     return rs
 
 
-def zone_from_dict(doc: dict) -> ZoneModel:
-    for key in (
-        "buses",
-        "lines",
-        "outbound_lines",
-        "contingencies",
-        "battery",
-        "timestep_hours",
-        "curative_duration_hours",
-    ):
-        _require(key in doc, f"zone file missing field {key!r}")
+def _ptdf_map(raw_map: object, bus_ids: list[str], what: str, *args: object) -> dict[str, float]:
+    """One outbound line's bus -> factor map, every zone bus in it."""
+    if not isinstance(raw_map, dict):
+        raise ZoneValidationError(f"{what.format(*args)} must be an object, got {_kind(raw_map)}")
+    out, factor = {}, what + " factor for bus {!r}"
+    for k, val in raw_map.items():
+        if k not in bus_ids:
+            raise ZoneValidationError(f"{what.format(*args)} references unknown bus {k!r}")
+        f = _as_float(val, factor, *args, k)
+        if not abs(f) <= 1.0 + PTDF_MAGNITUDE_TOL:  # NaN is caught above
+            if not math.isfinite(f):
+                raise ZoneValidationError(f"{what.format(*args)} factor for bus {k!r} is not finite")
+            raise ZoneValidationError(f"{what.format(*args)} factor for bus {k!r} has magnitude {abs(f)} > 1")
+        out[k] = f
+    for k in bus_ids:
+        out.setdefault(k, 0.0)
+    return out
 
-    battery = doc["battery"]
-    for key in ("bus", "pmin_mw", "pmax_mw", "capacity_mwh"):
-        _require(key in battery, f"battery block missing field {key!r}")
+
+def zone_from_dict(doc: dict) -> ZoneModel:
+    keys = ("buses", "lines", "outbound_lines", "contingencies", "battery", "timestep_hours", "curative_duration_hours")
+    doc = _fields(doc, keys, "zone file")
+    battery = _fields(doc["battery"], ("bus", "pmin_mw", "pmax_mw", "capacity_mwh"), "battery block")
 
     bus_ids: list[str] = []
-    for raw in doc["buses"]:
-        _require("id" in raw, "bus entry missing field 'id'")
-        _require(raw["id"] not in bus_ids, f"duplicate bus id {raw['id']!r}")
+    for raw in _entries(doc, "buses"):
+        raw = _fields(raw, ("id",), "bus entry")
+        if raw["id"] in bus_ids:
+            raise ZoneValidationError(f"duplicate bus id {raw['id']!r}")
         bus_ids.append(str(raw["id"]))
 
     battery_bus = str(battery["bus"])
-    _require(battery_bus in bus_ids, f"battery bus {battery_bus!r} not among buses")
+    if battery_bus not in bus_ids:
+        raise ZoneValidationError(f"battery bus {battery_bus!r} not among buses")
     pmin = _as_float(battery["pmin_mw"], "battery pmin_mw")
     pmax = _as_float(battery["pmax_mw"], "battery pmax_mw")
-    _require(pmin <= 0.0 <= pmax, f"battery bounds must satisfy pmin <= 0 <= pmax, got [{pmin}, {pmax}]")
+    if not pmin <= 0.0 <= pmax:
+        raise ZoneValidationError(f"battery bounds must satisfy pmin <= 0 <= pmax, got [{pmin}, {pmax}]")
 
     buses = tuple(
         Bus(b, battery_min_mw=pmin if b == battery_bus else 0.0,
@@ -298,17 +337,24 @@ def zone_from_dict(doc: dict) -> ZoneModel:
     )
 
     lines: list[Line] = []
-    for raw in doc["lines"]:
-        for key in ("id", "from_bus", "to_bus", "reactance_pu", "ratings_summer", "ratings_winter"):
-            _require(key in raw, f"line entry missing field {key!r}")
+    line_ids: set[str] = set()
+    for raw in _entries(doc, "lines"):
+        raw = _fields(
+            raw, ("id", "from_bus", "to_bus", "reactance_pu", "ratings_summer", "ratings_winter"), "line entry"
+        )
         lid = str(raw["id"])
-        _require(lid not in [l.id for l in lines], f"duplicate line id {lid!r}")
-        x = _as_float(raw["reactance_pu"], f"line {lid!r} reactance_pu")
-        _require(x > 0.0, f"line {lid!r} reactance_pu must be > 0, got {x}")
+        if lid in line_ids:
+            raise ZoneValidationError(f"duplicate line id {lid!r}")
+        x = _as_float(raw["reactance_pu"], "line {!r} reactance_pu", lid)
+        if not x > 0.0:
+            raise ZoneValidationError(f"line {lid!r} reactance_pu must be > 0, got {x}")
         u, v = str(raw["from_bus"]), str(raw["to_bus"])
-        _require(u != v, f"line {lid!r} connects bus {u!r} to itself")
-        _require(u in bus_ids, f"line {lid!r} from_bus {u!r} not among buses")
-        _require(v in bus_ids, f"line {lid!r} to_bus {v!r} not among buses")
+        if u == v:
+            raise ZoneValidationError(f"line {lid!r} connects bus {u!r} to itself")
+        if u not in bus_ids:
+            raise ZoneValidationError(f"line {lid!r} from_bus {u!r} not among buses")
+        if v not in bus_ids:
+            raise ZoneValidationError(f"line {lid!r} to_bus {v!r} not among buses")
         lines.append(
             Line(
                 id=lid,
@@ -319,81 +365,78 @@ def zone_from_dict(doc: dict) -> ZoneModel:
                 ratings_winter=_rating_set(raw["ratings_winter"], lid, "winter"),
             )
         )
+        line_ids.add(lid)
 
-    _require(len(lines) > 0, "zone has no internal lines (degenerate topology)")
+    if not lines:
+        raise ZoneValidationError("zone has no internal lines (degenerate topology)")
     comps = _connected_components(bus_ids, [(l.from_bus, l.to_bus) for l in lines])
-    _require(
-        len(comps) == 1,
-        "zone base topology is disconnected; islands: "
-        + "; ".join(",".join(sorted(c)) for c in comps),
-    )
+    if len(comps) != 1:
+        raise ZoneValidationError(
+            "zone base topology is disconnected; islands: " + "; ".join(",".join(sorted(c)) for c in comps)
+        )
 
     contingencies: list[Contingency] = []
-    line_ids = {l.id for l in lines}
-    raw_outbound_ids = [str(o.get("id")) for o in doc["outbound_lines"]]
-    for raw in doc["contingencies"]:
-        _require("id" in raw and "outaged_element" in raw, "contingency entry missing 'id' or 'outaged_element'")
+    raw_outbound = _entries(doc, "outbound_lines")
+    raw_outbound_ids = [str(_fields(o, (), "outbound line entry").get("id")) for o in raw_outbound]
+    for raw in _entries(doc, "contingencies"):
+        if not (isinstance(raw, dict) and "id" in raw and "outaged_element" in raw):
+            raise ZoneValidationError("contingency entry missing 'id' or 'outaged_element'")
         cid = str(raw["id"])
-        _require(cid not in [c.id for c in contingencies], f"duplicate contingency id {cid!r}")
+        if any(c.id == cid for c in contingencies):
+            raise ZoneValidationError(f"duplicate contingency id {cid!r}")
         element = str(raw["outaged_element"])
         is_internal = element in line_ids
-        _require(
-            is_internal or element in raw_outbound_ids,
-            f"contingency {cid!r} outages unknown element {element!r}",
-        )
+        if not (is_internal or element in raw_outbound_ids):
+            raise ZoneValidationError(f"contingency {cid!r} outages unknown element {element!r}")
         declared = raw.get("modifies_zone_topology")
-        if declared is not None:
-            _require(
-                bool(declared) == is_internal,
+        if declared is not None and bool(declared) != is_internal:
+            raise ZoneValidationError(
                 f"contingency {cid!r}: modifies_zone_topology={declared} inconsistent "
-                f"with outaged element {element!r} ({'internal' if is_internal else 'outbound'})",
+                f"with outaged element {element!r} ({'internal' if is_internal else 'outbound'})"
             )
         contingencies.append(Contingency(cid, element, is_internal))
 
     cont_ids = [c.id for c in contingencies]
     outbound: list[OutboundLine] = []
-    for raw in doc["outbound_lines"]:
-        for key in ("id", "boundary_bus", "ptdf_normal"):
-            _require(key in raw, f"outbound line entry missing field {key!r}")
+    for raw in raw_outbound:
+        raw = _fields(raw, ("id", "boundary_bus", "ptdf_normal"), "outbound line entry")
         oid = str(raw["id"])
-        _require(oid not in [o.id for o in outbound], f"duplicate outbound line id {oid!r}")
+        if any(o.id == oid for o in outbound):
+            raise ZoneValidationError(f"duplicate outbound line id {oid!r}")
         bb = str(raw["boundary_bus"])
-        _require(bb in bus_ids, f"outbound line {oid!r} boundary_bus {bb!r} not among buses")
-
-        def ptdf_map(raw_map: dict, what: str) -> dict[str, float]:
-            out = {}
-            for k, val in raw_map.items():
-                _require(k in bus_ids, f"{what} references unknown bus {k!r}")
-                f = _as_float(val, f"{what} factor for bus {k!r}")
-                _require(math.isfinite(f), f"{what} factor for bus {k!r} is not finite")
-                _require(
-                    abs(f) <= 1.0 + PTDF_MAGNITUDE_TOL,
-                    f"{what} factor for bus {k!r} has magnitude {abs(f)} > 1",
-                )
-                out[k] = f
-            for k in bus_ids:
-                out.setdefault(k, 0.0)
-            return out
-
-        p_normal = ptdf_map(raw["ptdf_normal"], f"outbound {oid!r} ptdf_normal")
+        if bb not in bus_ids:
+            raise ZoneValidationError(f"outbound line {oid!r} boundary_bus {bb!r} not among buses")
+        p_normal = _ptdf_map(raw["ptdf_normal"], bus_ids, "outbound {!r} ptdf_normal", oid)
         p_cont: dict[str, dict[str, float]] = {}
-        for cid, m in (raw.get("ptdf_contingency") or {}).items():
-            _require(cid in cont_ids, f"outbound {oid!r} ptdf_contingency references unknown contingency {cid!r}")
-            p_cont[cid] = ptdf_map(m, f"outbound {oid!r} ptdf_contingency[{cid!r}]")
+        raw_cont = raw.get("ptdf_contingency") or {}
+        if not isinstance(raw_cont, dict):
+            raise ZoneValidationError(f"outbound {oid!r} ptdf_contingency must be an object, got {_kind(raw_cont)}")
+        for cid, m in raw_cont.items():
+            if cid not in cont_ids:
+                raise ZoneValidationError(
+                    f"outbound {oid!r} ptdf_contingency references unknown contingency {cid!r}"
+                )
+            p_cont[cid] = _ptdf_map(m, bus_ids, "outbound {!r} ptdf_contingency[{!r}]", oid, cid)
         outbound.append(OutboundLine(oid, bb, p_normal, p_cont))
 
-    _require(len(outbound) > 0, "zone has no outbound lines; boundary flows are required")
+    if not outbound:
+        raise ZoneValidationError("zone has no outbound lines; boundary flows are required")
 
     capacity = _as_float(battery["capacity_mwh"], "battery capacity_mwh")
-    _require(capacity > 0.0, f"battery capacity_mwh must be > 0, got {capacity}")
+    if not capacity > 0.0:
+        raise ZoneValidationError(f"battery capacity_mwh must be > 0, got {capacity}")
     soc_min = _as_float(battery.get("soc_min_mwh", 0.0), "battery soc_min_mwh")
-    _require(0.0 <= soc_min < capacity, f"battery soc_min_mwh must lie in [0, capacity), got {soc_min}")
+    if not 0.0 <= soc_min < capacity:
+        raise ZoneValidationError(f"battery soc_min_mwh must lie in [0, capacity), got {soc_min}")
     dt = _as_float(doc["timestep_hours"], "timestep_hours")
-    _require(dt > 0.0, f"timestep_hours must be > 0, got {dt}")
+    if not dt > 0.0:
+        raise ZoneValidationError(f"timestep_hours must be > 0, got {dt}")
     dt_cur = _as_float(doc["curative_duration_hours"], "curative_duration_hours")
-    _require(0.0 < dt_cur <= dt, f"curative_duration_hours must lie in (0, timestep_hours], got {dt_cur}")
+    if not 0.0 < dt_cur <= dt:
+        raise ZoneValidationError(f"curative_duration_hours must lie in (0, timestep_hours], got {dt_cur}")
     base_mva = _as_float(doc.get("base_mva", 100.0), "base_mva")
-    _require(base_mva > 0.0, f"base_mva must be > 0, got {base_mva}")
+    if not base_mva > 0.0:
+        raise ZoneValidationError(f"base_mva must be > 0, got {base_mva}")
 
     zone = ZoneModel(
         buses=buses,
@@ -407,33 +450,33 @@ def zone_from_dict(doc: dict) -> ZoneModel:
         curative_duration_hours=dt_cur,
         base_mva=base_mva,
     )
-    _validate_topologies(zone)
+    _validate_topologies(zone, bus_ids)
     return zone
 
 
-def _validate_topologies(zone: ZoneModel) -> None:
+def _validate_topologies(zone: ZoneModel, bus_ids: list[str]) -> None:
     """Per-contingency structural checks and PTDF partition-of-unity."""
-    bus_ids = zone.bus_ids()
+
+    def tag() -> str:
+        return "base topology" if contingency is None else f"contingency {contingency.id!r}"
+
     for contingency in [None, *zone.contingencies]:
         lines = zone.active_lines(contingency)
         olines = zone.active_outbound(contingency)
-        tag = "base topology" if contingency is None else f"contingency {contingency.id!r}"
         islands = _connected_components(bus_ids, [(l.from_bus, l.to_bus) for l in lines])
 
         if contingency is not None:
             battery_island = next(c for c in islands if zone.battery_bus in c)
-            has_rated = any(l.from_bus in battery_island for l in lines)
-            _require(
-                has_rated,
-                f"{tag} disconnects battery bus {zone.battery_bus!r} from every rated line",
-            )
+            if not any(l.from_bus in battery_island for l in lines):
+                raise ZoneValidationError(
+                    f"{tag()} disconnects battery bus {zone.battery_bus!r} from every rated line"
+                )
 
         for island in islands:
-            at_island = [o for o in olines if o.boundary_bus in island]
-            _require(
-                len(at_island) > 0,
-                f"{tag} leaves island {{{','.join(sorted(island))}}} without any outbound line",
-            )
+            if not any(o.boundary_bus in island for o in olines):
+                raise ZoneValidationError(
+                    f"{tag()} leaves island {{{','.join(sorted(island))}}} without any outbound line"
+                )
         # partition-of-unity per island
         for island in islands:
             for k in sorted(island):
@@ -443,24 +486,23 @@ def _validate_topologies(zone: ZoneModel) -> None:
                         factors = o.ptdf_normal
                     else:
                         factors = o.ptdf_contingency.get(contingency.id)
-                        _require(
-                            factors is not None,
-                            f"outbound {o.id!r} has no ptdf_contingency entry for {contingency.id!r}",
-                        )
+                        if factors is None:
+                            raise ZoneValidationError(
+                                f"outbound {o.id!r} has no ptdf_contingency entry for {contingency.id!r}"
+                            )
                     f = factors[k]
                     if o.boundary_bus in island:
                         total += f
-                    else:
-                        _require(
-                            abs(f) <= PTDF_PARTITION_TOL,
-                            f"{tag}: bus {k!r} has nonzero sensitivity {f} on outbound {o.id!r} "
-                            f"in a different island",
+                    elif not abs(f) <= PTDF_PARTITION_TOL:
+                        raise ZoneValidationError(
+                            f"{tag()}: bus {k!r} has nonzero sensitivity {f} on outbound {o.id!r} "
+                            f"in a different island"
                         )
-                _require(
-                    abs(total - 1.0) <= PTDF_PARTITION_TOL,
-                    f"{tag}: outbound sensitivities of bus {k!r} sum to {total}, expected 1 "
-                    f"(export-positive convention)",
-                )
+                if not abs(total - 1.0) <= PTDF_PARTITION_TOL:
+                    raise ZoneValidationError(
+                        f"{tag()}: outbound sensitivities of bus {k!r} sum to {total}, expected 1 "
+                        f"(export-positive convention)"
+                    )
 
 
 def load_zone(path: str | Path) -> ZoneModel:

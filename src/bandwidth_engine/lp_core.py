@@ -255,11 +255,50 @@ class LinearProgram:
     def _standard_form(self) -> _StandardForm:
         """The standard form of the current variables, rows and right-hand sides."""
         if self._form is None:
-            self._form = _StandardForm(self)
-        elif self._rhs_stale:
+            self._form, self._rhs_stale = _StandardForm(self), True
+        if self._rhs_stale:
             self._form.load(self)
-        self._rhs_stale = False
+            self._rhs_stale = False
         return self._form
+
+    def extended(
+        self,
+        name: str,
+        columns: Mapping[str, Mapping[str, float]] = MappingProxyType({}),
+        rows: Sequence[tuple[Mapping[str, float], Relation, float, str]] = (),
+    ) -> LinearProgram:
+        """A new LP: this one's variables and rows, as they stand, then a
+        variable in [0, inf) per ``columns`` entry, with its coefficients in
+        rows of this LP, then ``rows`` ((coefficients, relation, rhs, name)
+        each), and no objective. Its standard form is derived from this LP's
+        (see :class:`_StandardForm`)."""
+        if self._form is None:
+            self._form, self._rhs_stale = _StandardForm(self), True
+        out = LinearProgram(name)
+        out._variables, out._var_index = list(self._variables), dict(self._var_index)
+        out._rows, out._rhs, out._row_index = list(self._rows), list(self._rhs), dict(self._row_index)
+        extra: dict[int, dict[str, float]] = {}  # per row of this LP: its coefficients on the new columns
+        for var, coeffs in columns.items():
+            if var in out._var_index:
+                raise LpError(f"duplicate variable {var!r}")
+            out._var_index[var] = len(out._variables)
+            out._variables.append(Variable(var, 0.0, INF))
+            for row, c in coeffs.items():
+                i = self._row_index.get(row)
+                if i is None:
+                    raise LpError(f"unknown constraint {row!r}")
+                if not math.isfinite(c):
+                    raise LpError(f"constraint {row!r} has non-finite coefficient on {var!r}")
+                extra.setdefault(i, {})[var] = c
+        for i, coeffs in extra.items():
+            row, old, relation = out._rows[i]
+            merged = old.copy()  # the proxied dict's copy
+            merged.update(coeffs)
+            out._rows[i] = (row, MappingProxyType(merged), relation)
+        for coeffs, relation, rhs, row in rows:
+            out.add_constraint(coeffs, relation, rhs, row)
+        out._form, out._rhs_stale = _StandardForm(out, (self._form, extra)), True
+        return out
 
     def to_lp_format(self) -> str:
         """Render in the textual LP file format (for debugging / export)."""
@@ -402,18 +441,31 @@ class _Pattern:
 class _StandardForm:
     """The unnormalized matrix is built once; :meth:`load` writes the
     right-hand side and picks its row-flip pattern. The row shifts, costs,
-    patterns and tree nodes are kept as the module docstring describes."""
+    patterns and tree nodes are kept as the module docstring describes.
 
-    def __init__(self, lp: LinearProgram):
+    The form of an LP made by :meth:`LinearProgram.extended` is derived from
+    the form of the LP it extends (``base``: that form, and each of its rows'
+    coefficients on the new columns): the base's matrix and row terms are
+    copied, and only the new columns, rows and range rows are placed, by the
+    same :meth:`_place`. Each matrix entry is the one coefficient placed
+    there (0.0 plus it, or minus it), so the order of placing does not
+    matter, and the rows keep their order (the new rows after the base's,
+    every range row after them) and so their flips: the derived form has the
+    bits of a fresh one."""
+
+    def __init__(self, lp: LinearProgram, base: tuple[_StandardForm, dict[int, dict[str, float]]] | None = None):
         variables, rows = lp._variables, lp._rows
+        form, extra = base or (None, {})
         self.row_names = [name for name, _, _ in rows]
-        ncols = 0
         # per variable by name: its index and column, and the column of its
         # negative part if its lower bound is infinite (x = col - neg), else
         # None (x = lower + col)
-        self._columns: dict[str, tuple[int, int, int | None]] = {}
-        self._ranged: list[int] = []  # variables with a finite upper bound
-        for j, v in enumerate(variables):
+        self._columns: dict[str, tuple[int, int, int | None]] = {} if form is None else dict(form._columns)
+        self._ranged: list[int] = [] if form is None else list(form._ranged)  # variables with a finite upper bound
+        old_cols, old_rows, old_ranged = (0, 0, 0) if form is None else (form.ncols, len(form._row_terms), len(form._ranged))
+        ncols = old_cols
+        for j in range(len(self._columns), len(variables)):
+            v = variables[j]
             neg = ncols + 1 if v.lower == -INF else None
             self._columns[v.name] = (j, ncols, neg)
             ncols += 1 if neg is None else 2
@@ -422,15 +474,29 @@ class _StandardForm:
 
         n_user = len(rows)
         nrows = n_user + len(self._ranged)
-        A = [0.0] * (nrows * ncols)  # row by row, in Python floats, converted once
-        self._row_terms = [self._place(coeffs, A, i * ncols) for i, (_, coeffs, _) in enumerate(rows)]
+        # the rows the base does not have (new rows, then new range rows), row
+        # by row, in Python floats, converted once
+        n_new = nrows - old_rows - old_ranged
+        A = [0.0] * (n_new * ncols)
+        self._row_terms = [] if form is None else list(form._row_terms)
+        self._row_terms += [self._place(rows[i][1], A, (i - old_rows) * ncols) for i in range(old_rows, n_user)]
         columns = list(self._columns.values())
-        for i, j in enumerate(self._ranged, n_user):
+        for i, j in enumerate(self._ranged[old_ranged:], n_user - old_rows):
             _, col, neg = columns[j]
             A[i * ncols + col] = 1.0
             if neg is not None:
                 A[i * ncols + neg] = -1.0
-        A = np.array(A, dtype=float).reshape(nrows, ncols)
+        A = np.array(A, dtype=float).reshape(n_new, ncols)
+        if form is not None:
+            new = A
+            A = np.zeros((nrows, ncols))
+            A[:old_rows, :old_cols] = form._A[:old_rows]
+            A[old_rows:n_user] = new[: n_user - old_rows]
+            A[n_user : n_user + old_ranged, :old_cols] = form._A[old_rows:]
+            A[n_user + old_ranged :] = new[n_user - old_rows :]
+            flat = A.reshape(-1)  # a view
+            for i, coeffs in extra.items():
+                self._row_terms[i] = self._row_terms[i] + self._place(coeffs, flat, i * ncols)
         A.flags.writeable = False
         self._A = A
         self._rel = [rel for _, _, rel in rows] + [Relation.LE] * len(self._ranged)
@@ -443,7 +509,6 @@ class _StandardForm:
         self._phase_two: list[tuple[_Node, bytes]] = []  # the kept phase-two roots: (parent, key)
         self._patterns: dict[tuple[int, ...], _Pattern] = {}
         self._last: tuple[_Node | None, np.ndarray | None] = (None, None)  # the last tableau built
-        self.load(lp)
 
     def load(self, lp: LinearProgram) -> None:
         """Write the LP's current right-hand sides and lower bounds."""
@@ -602,9 +667,10 @@ class _StandardForm:
             hit = node.entering[bland] = (col, list(zip(pos.tolist(), colvals[pos].tolist(), node.basis[pos].tolist())))
         return hit
 
-    def _place(self, coeffs: Mapping[str, float], out: list[float], at: int) -> list[tuple[float, int]]:
-        """Add ``coeffs`` onto the columns in ``out`` from index ``at`` on
-        (Python floats: the same additions as float64 entries); return the
+    def _place(self, coeffs: Mapping[str, float], out, at: int) -> list[tuple[float, int]]:
+        """Add ``coeffs`` onto the columns in ``out``, a flat list or array,
+        from index ``at`` on (Python floats: the same additions as float64
+        entries); return the
         (coefficient, variable) pairs on shifted columns, in coefficient
         order."""
         shifted, columns = [], self._columns
@@ -826,7 +892,7 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     iters, phase_one, bland = walk.iterations, walk.phase_one_iterations, walk.bland
     retried = status == "stalled"
     if retried:
-        sf = _StandardForm(_equilibrated_copy(lp))
+        sf = _equilibrated_copy(lp)._standard_form()
         c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
         status, walk = _solve_standard(sf, c)
         iters += walk.iterations

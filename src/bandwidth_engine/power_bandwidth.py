@@ -133,13 +133,13 @@ class BandwidthProblem:
 
     def __init__(self, zone: ZoneModel, network: NetworkModel, row: TimestepForecast, season: Season):
         self.network = network
-        battery = zone.battery
+        battery, bus_ids = zone.battery, zone.bus_ids()
         lp = LinearProgram("bandwidth")
 
         batt = lp.add_variable("batt", battery.battery_min_mw, battery.battery_max_mw)
 
         curt: dict[str, str] = {}
-        for b in zone.bus_ids():
+        for b in bus_ids:
             curt[b] = lp.add_variable(f"curt:{b}", 0.0, row.curtailable_max_mw[b])
 
         cur_batt: dict[str, tuple[str, str]] = {}
@@ -161,7 +161,7 @@ class BandwidthProblem:
                 battery.battery_min_mw,
                 name=f"cur_batt_cap_lo:{c.id}",
             )
-            for b in zone.bus_ids():
+            for b in bus_ids:
                 v = lp.add_variable(f"cur_curt:{b}@{c.id}", 0.0, INF)
                 cur_curt[(b, c.id)] = v
                 cap = lp.add_constraint(
@@ -185,19 +185,20 @@ class BandwidthProblem:
 
                 # controls acting in this stage, per bus: +1 MW of control
                 # withdraws 1 MW of net injection
-                controls = {b: {curt[b]: 1.0} for b in zone.bus_ids()}
+                controls = {b: {curt[b]: 1.0} for b in bus_ids}
                 controls[zone.battery_bus][batt] = 1.0
                 if stage in (FAST_CURATIVE, FULL_CURATIVE):
                     plus, minus = cur_batt[cid]
                     controls[zone.battery_bus].update({plus: 1.0, minus: -1.0})
                 if stage == FULL_CURATIVE:
-                    for b in zone.bus_ids():
+                    for b in bus_ids:
                         controls[b][cur_curt[(b, cid)]] = 1.0
 
                 for k, lid in enumerate(topo.state.active_lines):
                     flow: dict[str, float] = {}
-                    for b in zone.bus_ids():
-                        f = ptdf[lid][b]
+                    factors = ptdf[lid]
+                    for b in bus_ids:
+                        f = factors[b]
                         if f == 0.0:
                             continue
                         for var, mult in controls[b].items():
@@ -209,15 +210,13 @@ class BandwidthProblem:
         self._rating_rhs = self._rating_values(row, season)
         self.rating_rows: dict[str, tuple[str, str, str, str]] = {}
         self._ratings: list[tuple[str, dict[str, float]]] = []  # (row, coefficients) per row
-        self._labels: list[str] = []  # per rating row, shared by the rows of a pair
+        self._labels: list[str] | None = None  # per rating row, formatted on first use
         rhs = iter(self._rating_rhs)
         for suffix, rating_row, flow in flows:
             for side, coeffs in (("hi", flow), ("lo", {var: -c for var, c in flow.items()})):
                 name = lp.add_constraint(coeffs, Relation.LE, next(rhs), name=f"rating_{side}:{suffix}")
                 self.rating_rows[name] = rating_row
                 self._ratings.append((name, coeffs))
-            label = _rating_label(self, name)
-            self._labels += (label, label)
         # every row set_hour writes: the curtailment caps, then the ratings
         self._rhs_rows = [name for name, _ in self._curt_caps] + [name for name, _ in self._ratings]
 
@@ -228,6 +227,7 @@ class BandwidthProblem:
         self.curative_curtailment_vars = cur_curt
         self.total_curtailment = {v: 1.0 for v in curt.values()}
         self._capped: LinearProgram | None = None
+        self._elastic: LinearProgram | None = None
         self._weights: ObjectiveWeights | None = None  # the weights of the objectives kept
         self._objectives: dict[tuple[Direction, bool], dict[str, float]] = {}
 
@@ -255,34 +255,55 @@ class BandwidthProblem:
         caps = row.curtailable_max_mw
         self._rating_rhs = self._rating_values(row, season)
         values = [caps[b] for _, b in self._curt_caps] + self._rating_rhs
-        for lp in [self.lp] if self._capped is None else [self.lp, self._capped]:
+        for lp in (self.lp, self._capped, self._elastic):
+            if lp is None:
+                continue
             for b, v in self.curtailment_vars.items():
                 lp.set_bounds(v, 0.0, caps[b])
             lp.set_rhs_many(self._rhs_rows, values)
+
+    def rating_labels(self) -> list[str]:
+        """Each rating row's label (:func:`_rating_label`), one string shared
+        by the two rows of a pair; formatted on first use."""
+        if self._labels is None:
+            self._labels = []
+            for name, _ in self._ratings[::2]:
+                label = _rating_label(self, name)
+                self._labels += (label, label)
+        return self._labels
 
     def first_binding(self, solution: LpSolution) -> str | None:
         """The label of the first rating row, in row order, that a solution
         meets with equality: lhs >= rhs - 1e-6, the lhs summed over the row's
         coefficients in their order. None if no rating row binds."""
         values = solution.values
-        for (_, coeffs), rhs, label in zip(self._ratings, self._rating_rhs, self._labels):
+        for i, ((_, coeffs), rhs) in enumerate(zip(self._ratings, self._rating_rhs)):
             if sum(c * values[v] for v, c in coeffs.items()) >= rhs - 1e-6:
-                return label
+                return self.rating_labels()[i]
         return None
 
     def capped_lp(self) -> LinearProgram:
         """The LP plus row ``curt_total_cap`` bounding the total preventive
-        curtailment (lexicographic mode), built on first use and written by
-        every later :meth:`set_hour`."""
+        curtailment (lexicographic mode), derived from the LP on first use
+        and written by every later :meth:`set_hour`."""
         if self._capped is None:
-            capped = LinearProgram(self.lp.name)
-            for v in self.lp.variables:
-                capped.add_variable(v.name, v.lower, v.upper)
-            for con in self.lp.constraints:
-                capped.add_constraint(con.coeffs, con.relation, con.rhs, con.name)
-            capped.add_constraint(self.total_curtailment, Relation.LE, 0.0, name="curt_total_cap")
-            self._capped = capped
+            cap = (self.total_curtailment, Relation.LE, 0.0, "curt_total_cap")
+            self._capped = self.lp.extended(self.lp.name, rows=[cap])
         return self._capped
+
+    def elastic_lp(self) -> tuple[LinearProgram, list[str]]:
+        """The elastic LP of the infeasibility diagnostic (Chinneck,
+        "Feasibility and Infeasibility in Optimization", 2008): the LP plus a
+        slack ``relax:<row>`` in [0, inf) entering every rating row with
+        coefficient -1, and the slacks' sum to minimize; and the slacks, in
+        row order. Derived from the LP on first use and written by every
+        later :meth:`set_hour`, so a kept problem's infeasible hours walk one
+        pivot-path tree."""
+        if self._elastic is None:
+            slacks = {f"relax:{name}": {name: -1.0} for name, _ in self._ratings}
+            self._elastic = self.lp.extended(self.lp.name + ":relaxed", slacks)
+            self._elastic.set_objective(dict.fromkeys(slacks, 1.0))
+        return self._elastic, list(self._elastic.objective)
 
     def curative_battery_value(self, solution: LpSolution, contingency_id: str) -> float:
         plus, minus = self.curative_battery_vars[contingency_id]
@@ -386,30 +407,18 @@ def _rating_label(problem: BandwidthProblem, row_name: str) -> str:
 
 
 def _max_violation_diagnostic(problem: BandwidthProblem, row: TimestepForecast) -> str:
-    """Relax every rating row of the timestep's LP elastically and report the
-    unavoidable overloads."""
-    lp = LinearProgram(problem.lp.name + ":relaxed")
-    for v in problem.lp.variables:
-        lp.add_variable(v.name, v.lower, v.upper)
-    slack_of = {
-        con.name: lp.add_variable(f"relax:{con.name}", 0.0, INF)
-        for con in problem.lp.constraints
-        if con.name in problem.rating_rows
-    }
-    for con in problem.lp.constraints:
-        coeffs = dict(con.coeffs)
-        if con.name in slack_of:
-            coeffs[slack_of[con.name]] = -1.0
-        lp.add_constraint(coeffs, con.relation, con.rhs, con.name)
-    lp.set_objective({s: 1.0 for s in slack_of.values()})
+    """Relax every rating row of the timestep's LP elastically
+    (:meth:`BandwidthProblem.elastic_lp`) and report the unavoidable
+    overloads."""
+    lp, slacks = problem.elastic_lp()
     sol = _solve(lp, row, "relaxed")
     if sol.status != SolveStatus.OPTIMAL:
         return "infeasible (no diagnostic: relaxed problem did not solve)"
     worst: list[tuple[float, str]] = []
-    for row_name, s in slack_of.items():
+    for s, label in zip(slacks, problem.rating_labels()):
         v = sol.value(s)
         if v > 1e-6:
-            worst.append((v, f"{_rating_label(problem, row_name)} by {v:.3f} MW"))
+            worst.append((v, f"{label} by {v:.3f} MW"))
     worst.sort(reverse=True)
     if not worst:
         return "infeasible (the relaxed ratings need no overload: numerical tolerance)"

@@ -444,3 +444,14 @@ def test_log_level_is_a_standard_name(zone_path, forecast_paths, value):
     assert res.output.splitlines() == [
         f"error: BANDWIDTH_ENGINE_LOG must be one of debug, info, warning, error, critical, not {value!r}"
     ]
+
+
+def test_malformed_zone_is_an_error_line(zone_path, forecast_paths, tmp_path):
+    """A zone whose battery block is null is refused with one error line."""
+    doc = json.loads(zone_path.read_text())
+    doc["battery"] = None
+    bad = tmp_path / "zone.json"
+    bad.write_text(json.dumps(doc))
+    res = _run("compute", "--zone", bad, "--forecast", forecast_paths["summer_day"], "--out", tmp_path / "run")
+    assert res.exit_code == 1
+    assert res.output == "error: battery block must be an object, got null\n"

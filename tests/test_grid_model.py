@@ -410,3 +410,31 @@ def test_validation_message_is_exact(zone_path, edits, message):
     with pytest.raises(ZoneValidationError) as err:
         zone_from_dict(_edited(doc, edits))
     assert str(err.value) == message
+
+
+# values of the wrong JSON type: each raised TypeError or AttributeError
+# from inside the validator before
+WRONG_TYPES = [
+    ("lines-null", [(("lines",), None)], "zone field 'lines' must be a list, got null"),
+    ("battery-null", [(("battery",), None)], "battery block must be an object, got null"),
+    ("ratings-null", [(("lines", 0, "ratings_summer"), None)],
+     "line 'alpha-beta' ratings_summer must be an object, got null"),
+    ("buses-a-number", [(("buses",), 3)], "zone field 'buses' must be a list, got a number"),
+    ("ptdf-a-string", [(("outbound_lines", 0, "ptdf_normal"), "0.72")],
+     "outbound 'alpha-west' ptdf_normal must be an object, got a string"),
+    ("ptdf-contingency-a-list", [(("outbound_lines", 1, "ptdf_contingency"), [0.0, 1.0])],
+     "outbound 'delta-east' ptdf_contingency must be an object, got a list"),
+    ("bus-null", [(("buses", 2), None)], "bus entry must be an object, got null"),
+    ("line-a-number", [(("lines", 1), 7)], "line entry must be an object, got a number"),
+    ("outbound-null", [(("outbound_lines", 0), None)], "outbound line entry must be an object, got null"),
+    ("contingency-null", [(("contingencies", 0), None)], "contingency entry missing 'id' or 'outaged_element'"),
+    ("contingencies-a-boolean", [(("contingencies",), True)], "zone field 'contingencies' must be a list, got a boolean"),
+]
+
+
+@pytest.mark.parametrize("edits, message", [case[1:] for case in WRONG_TYPES], ids=[case[0] for case in WRONG_TYPES])
+def test_value_of_the_wrong_type_is_a_validation_error(zone_path, edits, message):
+    doc = json.loads(zone_path.read_text())
+    with pytest.raises(ZoneValidationError) as err:
+        zone_from_dict(_edited(doc, edits))
+    assert str(err.value) == message

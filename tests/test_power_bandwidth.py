@@ -764,10 +764,11 @@ def test_one_lp_and_one_network_model_per_call(
     ``curt_total_cap`` copy in lexicographic mode); a second call on the zone
     loaded from file again builds neither and solves the same LPs."""
     solved, networks, built = [], [], []
-    real_solve, real_network, real_lp = pb.solve, pb.network_model, pb.LinearProgram
+    real_solve, real_network, real_init = pb.solve, pb.network_model, LinearProgram.__init__
     monkeypatch.setattr(pb, "solve", lambda lp, **kw: solved.append(lp) or real_solve(lp, **kw))
     monkeypatch.setattr(pb, "network_model", lambda z: networks.append(z) or real_network(z))
-    monkeypatch.setattr(pb, "LinearProgram", lambda name: built.append(name) or real_lp(name))
+    # every LP built, in this module or in lp_core
+    monkeypatch.setattr(LinearProgram, "__init__", lambda lp, name="lp": built.append(name) or real_init(lp, name))
     pb._kept.clear()
     results = compute_power_bandwidths(load_zone(zone_path), winter_day, lexicographic=lexicographic)
     assert all(r.congestion_class != CongestionClass.INFEASIBLE for r in results)
@@ -991,6 +992,32 @@ def test_infeasible_diagnostic_reuses_the_timesteps_lp(monkeypatch, lexicographi
         assert result.congestion_class == CongestionClass.INFEASIBLE
         assert result.failure.startswith("unclearable overload: ")
     assert len(built) == 3
+
+
+@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+def test_kept_elastic_lp_serves_every_unclearable_hour(monkeypatch, lexicographic):
+    """One call over hours of which several are unclearable derives the
+    elastic LP and its standard form once, reloads that form for each later
+    unclearable hour, walking its kept tree, and reports every hour as a
+    fresh ``solve_timestep`` does."""
+    for seed in (3, 12):  # unclearable hours between clearable ones; every hour unclearable
+        zone, row = random_instance(seed)
+        hours = _hours_of(row, 12)
+        expected = [solve_timestep(zone, h, lexicographic=lexicographic) for h in hours]
+        forms = []
+        real_init = lp_core._StandardForm.__init__
+        monkeypatch.setattr(
+            lp_core._StandardForm, "__init__", lambda sf, lp, *a: forms.append(lp.name) or real_init(sf, lp, *a)
+        )
+        pb._kept.clear()
+        got = compute_power_bandwidths(zone, ForecastSeries(tuple(hours)), lexicographic=lexicographic)
+        monkeypatch.undo()
+        assert all(_same_result(a, b) for a, b in zip(got, expected, strict=True))
+        unclearable = sum(r.failure is not None for r in got)
+        assert unclearable >= 6 and any(r.failure is None for r in got) == (seed == 3)
+        assert sum(name.endswith(":relaxed") for name in forms) == 1
+        form = pb._kept[repr(zone)]._elastic._form
+        assert form._loads == unclearable and form._kept > 0
 
 
 def test_first_timestep_is_written_once(zone, winter_day, monkeypatch):
