@@ -232,7 +232,10 @@ def _connected_components(nodes: list[str], edges: list[tuple[str, str]]) -> lis
 
 
 # what a JSON value is, as a message names it
-_KINDS = {type(None): "null", bool: "a boolean", int: "a number", float: "a number", str: "a string", list: "a list", dict: "an object"}
+_KINDS = {
+    type(None): "null", bool: "a boolean", int: "a number", float: "a number", str: "a string", list: "a list",
+    dict: "an object",
+}
 
 
 def _kind(raw: object) -> str:
@@ -240,8 +243,13 @@ def _kind(raw: object) -> str:
 
 
 # Every check below formats its message only when it fails: a zone is
-# validated on every load, and most messages format floats. A ``what``
-# argument is a str.format template for the arguments after it.
+# validated on every load, and most messages format floats. A ``msg`` or
+# ``what`` argument is a str.format template for the arguments after it.
+
+
+def _require(cond: bool, msg: str, *args: object) -> None:
+    if not cond:
+        raise ZoneValidationError(msg.format(*args))
 
 
 def _fields(raw: object, keys: tuple[str, ...], what: str, *args: object) -> dict:
@@ -318,17 +326,14 @@ def zone_from_dict(doc: dict) -> ZoneModel:
     bus_ids: list[str] = []
     for raw in _entries(doc, "buses"):
         raw = _fields(raw, ("id",), "bus entry")
-        if raw["id"] in bus_ids:
-            raise ZoneValidationError(f"duplicate bus id {raw['id']!r}")
+        _require(raw["id"] not in bus_ids, "duplicate bus id {!r}", raw["id"])
         bus_ids.append(str(raw["id"]))
 
     battery_bus = str(battery["bus"])
-    if battery_bus not in bus_ids:
-        raise ZoneValidationError(f"battery bus {battery_bus!r} not among buses")
+    _require(battery_bus in bus_ids, "battery bus {!r} not among buses", battery_bus)
     pmin = _as_float(battery["pmin_mw"], "battery pmin_mw")
     pmax = _as_float(battery["pmax_mw"], "battery pmax_mw")
-    if not pmin <= 0.0 <= pmax:
-        raise ZoneValidationError(f"battery bounds must satisfy pmin <= 0 <= pmax, got [{pmin}, {pmax}]")
+    _require(pmin <= 0.0 <= pmax, "battery bounds must satisfy pmin <= 0 <= pmax, got [{}, {}]", pmin, pmax)
 
     buses = tuple(
         Bus(b, battery_min_mw=pmin if b == battery_bus else 0.0,
@@ -343,18 +348,13 @@ def zone_from_dict(doc: dict) -> ZoneModel:
             raw, ("id", "from_bus", "to_bus", "reactance_pu", "ratings_summer", "ratings_winter"), "line entry"
         )
         lid = str(raw["id"])
-        if lid in line_ids:
-            raise ZoneValidationError(f"duplicate line id {lid!r}")
+        _require(lid not in line_ids, "duplicate line id {!r}", lid)
         x = _as_float(raw["reactance_pu"], "line {!r} reactance_pu", lid)
-        if not x > 0.0:
-            raise ZoneValidationError(f"line {lid!r} reactance_pu must be > 0, got {x}")
+        _require(x > 0.0, "line {!r} reactance_pu must be > 0, got {}", lid, x)
         u, v = str(raw["from_bus"]), str(raw["to_bus"])
-        if u == v:
-            raise ZoneValidationError(f"line {lid!r} connects bus {u!r} to itself")
-        if u not in bus_ids:
-            raise ZoneValidationError(f"line {lid!r} from_bus {u!r} not among buses")
-        if v not in bus_ids:
-            raise ZoneValidationError(f"line {lid!r} to_bus {v!r} not among buses")
+        _require(u != v, "line {!r} connects bus {!r} to itself", lid, u)
+        _require(u in bus_ids, "line {!r} from_bus {!r} not among buses", lid, u)
+        _require(v in bus_ids, "line {!r} to_bus {!r} not among buses", lid, v)
         lines.append(
             Line(
                 id=lid,
@@ -367,8 +367,7 @@ def zone_from_dict(doc: dict) -> ZoneModel:
         )
         line_ids.add(lid)
 
-    if not lines:
-        raise ZoneValidationError("zone has no internal lines (degenerate topology)")
+    _require(bool(lines), "zone has no internal lines (degenerate topology)")
     comps = _connected_components(bus_ids, [(l.from_bus, l.to_bus) for l in lines])
     if len(comps) != 1:
         raise ZoneValidationError(
@@ -379,21 +378,23 @@ def zone_from_dict(doc: dict) -> ZoneModel:
     raw_outbound = _entries(doc, "outbound_lines")
     raw_outbound_ids = [str(_fields(o, (), "outbound line entry").get("id")) for o in raw_outbound]
     for raw in _entries(doc, "contingencies"):
-        if not (isinstance(raw, dict) and "id" in raw and "outaged_element" in raw):
-            raise ZoneValidationError("contingency entry missing 'id' or 'outaged_element'")
+        _require(
+            isinstance(raw, dict) and "id" in raw and "outaged_element" in raw,
+            "contingency entry missing 'id' or 'outaged_element'",
+        )
         cid = str(raw["id"])
-        if any(c.id == cid for c in contingencies):
-            raise ZoneValidationError(f"duplicate contingency id {cid!r}")
+        _require(all(c.id != cid for c in contingencies), "duplicate contingency id {!r}", cid)
         element = str(raw["outaged_element"])
         is_internal = element in line_ids
-        if not (is_internal or element in raw_outbound_ids):
-            raise ZoneValidationError(f"contingency {cid!r} outages unknown element {element!r}")
+        _require(
+            is_internal or element in raw_outbound_ids, "contingency {!r} outages unknown element {!r}", cid, element
+        )
         declared = raw.get("modifies_zone_topology")
-        if declared is not None and bool(declared) != is_internal:
-            raise ZoneValidationError(
-                f"contingency {cid!r}: modifies_zone_topology={declared} inconsistent "
-                f"with outaged element {element!r} ({'internal' if is_internal else 'outbound'})"
-            )
+        _require(
+            declared is None or bool(declared) == is_internal,
+            "contingency {!r}: modifies_zone_topology={} inconsistent with outaged element {!r} ({})",
+            cid, declared, element, "internal" if is_internal else "outbound",
+        )
         contingencies.append(Contingency(cid, element, is_internal))
 
     cont_ids = [c.id for c in contingencies]
@@ -401,42 +402,32 @@ def zone_from_dict(doc: dict) -> ZoneModel:
     for raw in raw_outbound:
         raw = _fields(raw, ("id", "boundary_bus", "ptdf_normal"), "outbound line entry")
         oid = str(raw["id"])
-        if any(o.id == oid for o in outbound):
-            raise ZoneValidationError(f"duplicate outbound line id {oid!r}")
+        _require(all(o.id != oid for o in outbound), "duplicate outbound line id {!r}", oid)
         bb = str(raw["boundary_bus"])
-        if bb not in bus_ids:
-            raise ZoneValidationError(f"outbound line {oid!r} boundary_bus {bb!r} not among buses")
+        _require(bb in bus_ids, "outbound line {!r} boundary_bus {!r} not among buses", oid, bb)
         p_normal = _ptdf_map(raw["ptdf_normal"], bus_ids, "outbound {!r} ptdf_normal", oid)
         p_cont: dict[str, dict[str, float]] = {}
         raw_cont = raw.get("ptdf_contingency") or {}
-        if not isinstance(raw_cont, dict):
-            raise ZoneValidationError(f"outbound {oid!r} ptdf_contingency must be an object, got {_kind(raw_cont)}")
+        _require(
+            isinstance(raw_cont, dict), "outbound {!r} ptdf_contingency must be an object, got {}", oid, _kind(raw_cont)
+        )
         for cid, m in raw_cont.items():
-            if cid not in cont_ids:
-                raise ZoneValidationError(
-                    f"outbound {oid!r} ptdf_contingency references unknown contingency {cid!r}"
-                )
+            _require(cid in cont_ids, "outbound {!r} ptdf_contingency references unknown contingency {!r}", oid, cid)
             p_cont[cid] = _ptdf_map(m, bus_ids, "outbound {!r} ptdf_contingency[{!r}]", oid, cid)
         outbound.append(OutboundLine(oid, bb, p_normal, p_cont))
 
-    if not outbound:
-        raise ZoneValidationError("zone has no outbound lines; boundary flows are required")
+    _require(bool(outbound), "zone has no outbound lines; boundary flows are required")
 
     capacity = _as_float(battery["capacity_mwh"], "battery capacity_mwh")
-    if not capacity > 0.0:
-        raise ZoneValidationError(f"battery capacity_mwh must be > 0, got {capacity}")
+    _require(capacity > 0.0, "battery capacity_mwh must be > 0, got {}", capacity)
     soc_min = _as_float(battery.get("soc_min_mwh", 0.0), "battery soc_min_mwh")
-    if not 0.0 <= soc_min < capacity:
-        raise ZoneValidationError(f"battery soc_min_mwh must lie in [0, capacity), got {soc_min}")
+    _require(0.0 <= soc_min < capacity, "battery soc_min_mwh must lie in [0, capacity), got {}", soc_min)
     dt = _as_float(doc["timestep_hours"], "timestep_hours")
-    if not dt > 0.0:
-        raise ZoneValidationError(f"timestep_hours must be > 0, got {dt}")
+    _require(dt > 0.0, "timestep_hours must be > 0, got {}", dt)
     dt_cur = _as_float(doc["curative_duration_hours"], "curative_duration_hours")
-    if not 0.0 < dt_cur <= dt:
-        raise ZoneValidationError(f"curative_duration_hours must lie in (0, timestep_hours], got {dt_cur}")
+    _require(0.0 < dt_cur <= dt, "curative_duration_hours must lie in (0, timestep_hours], got {}", dt_cur)
     base_mva = _as_float(doc.get("base_mva", 100.0), "base_mva")
-    if not base_mva > 0.0:
-        raise ZoneValidationError(f"base_mva must be > 0, got {base_mva}")
+    _require(base_mva > 0.0, "base_mva must be > 0, got {}", base_mva)
 
     zone = ZoneModel(
         buses=buses,

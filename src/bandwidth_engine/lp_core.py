@@ -65,6 +65,12 @@ them phase two has one root per cost vector. Phase one does not depend on
 the objective, so it runs once per right-hand side, and every objective
 starts phase two where it ended.
 
+:meth:`LinearProgram.extended` makes an LP from another one plus new
+columns and rows (an elastic LP, a copy with one more row) and derives its
+standard form from the other's: the base matrix and row terms are copied and
+only the new columns, rows and range rows are placed (see
+:class:`_StandardForm`). The derived form has a fresh form's bits.
+
 A form keeps at most ``NODES_PER_FORM`` nodes (a reused Klee-Minty cube
 would otherwise keep one per pivot). Past that, and on a form solved for one
 right-hand side only, the walk builds each node it visits and keeps none.
@@ -453,7 +459,9 @@ class _StandardForm:
     every range row after them) and so their flips: the derived form has the
     bits of a fresh one."""
 
-    def __init__(self, lp: LinearProgram, base: tuple[_StandardForm, dict[int, dict[str, float]]] | None = None):
+    def __init__(
+        self, lp: LinearProgram, base: tuple[_StandardForm, dict[int, dict[str, float]]] | None = None
+    ):
         variables, rows = lp._variables, lp._rows
         form, extra = base or (None, {})
         self.row_names = [name for name, _, _ in rows]
@@ -462,8 +470,10 @@ class _StandardForm:
         # None (x = lower + col)
         self._columns: dict[str, tuple[int, int, int | None]] = {} if form is None else dict(form._columns)
         self._ranged: list[int] = [] if form is None else list(form._ranged)  # variables with a finite upper bound
-        old_cols, old_rows, old_ranged = (0, 0, 0) if form is None else (form.ncols, len(form._row_terms), len(form._ranged))
-        ncols = old_cols
+        # per row: its (coefficient, variable) pairs on shifted columns
+        self._row_terms: list[list[tuple[float, int]]] = [] if form is None else list(form._row_terms)
+        old_cols = ncols = 0 if form is None else form.ncols
+        old_rows, old_ranged = len(self._row_terms), len(self._ranged)
         for j in range(len(self._columns), len(variables)):
             v = variables[j]
             neg = ncols + 1 if v.lower == -INF else None
@@ -478,7 +488,6 @@ class _StandardForm:
         # by row, in Python floats, converted once
         n_new = nrows - old_rows - old_ranged
         A = [0.0] * (n_new * ncols)
-        self._row_terms = [] if form is None else list(form._row_terms)
         self._row_terms += [self._place(rows[i][1], A, (i - old_rows) * ncols) for i in range(old_rows, n_user)]
         columns = list(self._columns.values())
         for i, j in enumerate(self._ranged[old_ranged:], n_user - old_rows):
@@ -670,9 +679,8 @@ class _StandardForm:
     def _place(self, coeffs: Mapping[str, float], out, at: int) -> list[tuple[float, int]]:
         """Add ``coeffs`` onto the columns in ``out``, a flat list or array,
         from index ``at`` on (Python floats: the same additions as float64
-        entries); return the
-        (coefficient, variable) pairs on shifted columns, in coefficient
-        order."""
+        entries); return the (coefficient, variable) pairs on shifted
+        columns, in coefficient order."""
         shifted, columns = [], self._columns
         for var, coef in coeffs.items():
             j, col, neg = columns[var]

@@ -8,16 +8,22 @@ zone and each timestep writes only its curtailment bounds and right-hand
 sides into it, in one call per LP; the LP layer keeps the standard form and
 runs phase one once for both objectives. The problem of the last zone that
 :func:`compute_power_bandwidths` solved is kept until a call on another
-zone: its network model, its LP and capped copy, and their standard forms
-with their pivot-path trees (at most ``lp_core.NODES_PER_FORM`` nodes each,
-about 2.6 kB per node; after the bundled zone's 8,760 h year the weighted
-LP's form holds about 1.5 MB). With workers, each worker process keeps its
-own for the jobs it runs. It is keyed by the zone's ``repr``, so a zone
-edited in place, or one that differs only by a -0.0, gets a new problem.
+zone: its network model, its LP, capped copy and elastic LP, and their
+standard forms with their pivot-path trees (at most
+``lp_core.NODES_PER_FORM`` nodes each, about 2.6 kB per node; after the
+bundled zone's 8,760 h year the weighted LP's form holds about 1.5 MB).
+With workers, each worker process keeps its own for the jobs it runs. It is
+keyed by the zone's ``repr``, so a zone edited in place, or one that differs
+only by a -0.0, gets a new problem.
 :func:`solve_timestep`, :func:`check_safety` and the LP export build their
 own LP every time. A result's binding label is the first rating row, in row
 order, that the lower-bound solution meets with equality, else the
-upper-bound solution's first. The LP carries four families of network states:
+upper-bound solution's first. An infeasible timestep's diagnostic solves the
+elastic LP (:meth:`BandwidthProblem.elastic_lp`), and lexicographic mode the
+capped copy (:meth:`BandwidthProblem.capped_lp`); both are derived from the
+LP with :meth:`lp_core.LinearProgram.extended`, which places only their new
+slack columns or row into the LP's standard form. The LP carries four
+families of network states:
 
 * normal state — flows within permanent ratings,
 * each contingency, before any recourse — flows within immediate ratings,
@@ -291,19 +297,19 @@ class BandwidthProblem:
             self._capped = self.lp.extended(self.lp.name, rows=[cap])
         return self._capped
 
-    def elastic_lp(self) -> tuple[LinearProgram, list[str]]:
+    def elastic_lp(self) -> LinearProgram:
         """The elastic LP of the infeasibility diagnostic (Chinneck,
         "Feasibility and Infeasibility in Optimization", 2008): the LP plus a
         slack ``relax:<row>`` in [0, inf) entering every rating row with
-        coefficient -1, and the slacks' sum to minimize; and the slacks, in
-        row order. Derived from the LP on first use and written by every
-        later :meth:`set_hour`, so a kept problem's infeasible hours walk one
+        coefficient -1, and the slacks' sum, in row order, as its objective.
+        Derived from the LP on first use and written by every later
+        :meth:`set_hour`, so a kept problem's infeasible hours walk one
         pivot-path tree."""
         if self._elastic is None:
             slacks = {f"relax:{name}": {name: -1.0} for name, _ in self._ratings}
             self._elastic = self.lp.extended(self.lp.name + ":relaxed", slacks)
             self._elastic.set_objective(dict.fromkeys(slacks, 1.0))
-        return self._elastic, list(self._elastic.objective)
+        return self._elastic
 
     def curative_battery_value(self, solution: LpSolution, contingency_id: str) -> float:
         plus, minus = self.curative_battery_vars[contingency_id]
@@ -410,12 +416,12 @@ def _max_violation_diagnostic(problem: BandwidthProblem, row: TimestepForecast) 
     """Relax every rating row of the timestep's LP elastically
     (:meth:`BandwidthProblem.elastic_lp`) and report the unavoidable
     overloads."""
-    lp, slacks = problem.elastic_lp()
+    lp = problem.elastic_lp()
     sol = _solve(lp, row, "relaxed")
     if sol.status != SolveStatus.OPTIMAL:
         return "infeasible (no diagnostic: relaxed problem did not solve)"
     worst: list[tuple[float, str]] = []
-    for s, label in zip(slacks, problem.rating_labels()):
+    for s, label in zip(lp.objective, problem.rating_labels()):  # a slack per rating row
         v = sol.value(s)
         if v > 1e-6:
             worst.append((v, f"{label} by {v:.3f} MW"))

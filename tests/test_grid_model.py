@@ -402,18 +402,7 @@ def _edited(doc: dict, edits) -> dict:
     return doc
 
 
-@pytest.mark.parametrize(
-    "edits, message", [case[1:] for case in VALIDATION_MESSAGES], ids=[case[0] for case in VALIDATION_MESSAGES]
-)
-def test_validation_message_is_exact(zone_path, edits, message):
-    doc = json.loads(zone_path.read_text())
-    with pytest.raises(ZoneValidationError) as err:
-        zone_from_dict(_edited(doc, edits))
-    assert str(err.value) == message
-
-
-# values of the wrong JSON type: each raised TypeError or AttributeError
-# from inside the validator before
+# values of the wrong JSON type where a list or an object belongs
 WRONG_TYPES = [
     ("lines-null", [(("lines",), None)], "zone field 'lines' must be a list, got null"),
     ("battery-null", [(("battery",), None)], "battery block must be an object, got null"),
@@ -432,8 +421,11 @@ WRONG_TYPES = [
 ]
 
 
-@pytest.mark.parametrize("edits, message", [case[1:] for case in WRONG_TYPES], ids=[case[0] for case in WRONG_TYPES])
-def test_value_of_the_wrong_type_is_a_validation_error(zone_path, edits, message):
+CASES = VALIDATION_MESSAGES + WRONG_TYPES
+
+
+@pytest.mark.parametrize("edits, message", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_validation_message_is_exact(zone_path, edits, message):
     doc = json.loads(zone_path.read_text())
     with pytest.raises(ZoneValidationError) as err:
         zone_from_dict(_edited(doc, edits))

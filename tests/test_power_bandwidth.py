@@ -1016,7 +1016,7 @@ def test_kept_elastic_lp_serves_every_unclearable_hour(monkeypatch, lexicographi
         unclearable = sum(r.failure is not None for r in got)
         assert unclearable >= 6 and any(r.failure is None for r in got) == (seed == 3)
         assert sum(name.endswith(":relaxed") for name in forms) == 1
-        form = pb._kept[repr(zone)]._elastic._form
+        form = pb._kept[repr(zone)]._elastic._form  # as the last hour left it
         assert form._loads == unclearable and form._kept > 0
 
 
