@@ -441,12 +441,13 @@ def zone_from_dict(doc: dict) -> ZoneModel:
         curative_duration_hours=dt_cur,
         base_mva=base_mva,
     )
-    _validate_topologies(zone, bus_ids)
+    _validate_topologies(zone, bus_ids, comps)
     return zone
 
 
-def _validate_topologies(zone: ZoneModel, bus_ids: list[str]) -> None:
-    """Per-contingency structural checks and PTDF partition-of-unity."""
+def _validate_topologies(zone: ZoneModel, bus_ids: list[str], base_islands: list[set[str]]) -> None:
+    """Per-contingency structural checks and PTDF partition-of-unity.
+    ``base_islands`` are the islands of the zone's lines."""
 
     def tag() -> str:
         return "base topology" if contingency is None else f"contingency {contingency.id!r}"
@@ -454,7 +455,10 @@ def _validate_topologies(zone: ZoneModel, bus_ids: list[str]) -> None:
     for contingency in [None, *zone.contingencies]:
         lines = zone.active_lines(contingency)
         olines = zone.active_outbound(contingency)
-        islands = _connected_components(bus_ids, [(l.from_bus, l.to_bus) for l in lines])
+        if lines is zone.lines:
+            islands = base_islands
+        else:
+            islands = _connected_components(bus_ids, [(l.from_bus, l.to_bus) for l in lines])
 
         if contingency is not None:
             battery_island = next(c for c in islands if zone.battery_bus in c)
