@@ -16,8 +16,9 @@ zone:
 Each ``--src`` tree (default: this checkout's ``src/``) is imported under a
 name of its own, so one process can hold a parent and a change and time them
 in interleaved passes; each figure is the minimum over the passes of the
-mean per zone, in microseconds. The trees' results must be repr-equal; the
-tool says so. Run from anywhere:
+mean per zone, in microseconds. Two copies of one tree can read a few per
+cent apart by import order, so compare two trees in both orders. The trees'
+results must be repr-equal; the tool says so. Run from anywhere:
 
     python3 tools/coldzone.py [--zones 600] [--first 9000000] [--passes 21] [--src DIR ...] [--json]
 """
@@ -137,9 +138,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     print(f"{args.zones} zones from {args.first}, {unclearable} unclearable, min of {args.passes} passes, us per zone")
     names = list(report["trees"][0]["us"])
-    print(f"{'tree':<40}" + "".join(f"{n[:12]:>13}" for n in names))
+    heads = [n.replace("diagnostic_per_unclearable", "diagnostic*") for n in names]
+    print(f"{'tree':<40}" + "".join(f"{h:>12}" for h in heads))
     for tree in report["trees"]:
-        print(f"{tree['src'][-40:]:<40}" + "".join(f"{tree['us'][n]:>13.1f}" for n in names))
+        print(f"{tree['src'][-40:]:<40}" + "".join(f"{tree['us'][n]:>12.1f}" for n in names))
+    print("* per unclearable zone")
     print(f"results equal: {'yes' if report['results_equal'] else 'NO'}")
     return 0
 
