@@ -243,13 +243,9 @@ def _kind(raw: object) -> str:
 
 
 # Every check below formats its message only when it fails: a zone is
-# validated on every load, and most messages format floats. A ``msg`` or
-# ``what`` argument is a str.format template for the arguments after it.
-
-
-def _require(cond: bool, msg: str, *args: object) -> None:
-    if not cond:
-        raise ZoneValidationError(msg.format(*args))
+# validated on every load, and most messages format floats. A check raises
+# inline; a helper's ``what`` argument is a str.format template for the
+# arguments after it.
 
 
 def _fields(raw: object, keys: tuple[str, ...], what: str, *args: object) -> dict:
@@ -326,14 +322,17 @@ def zone_from_dict(doc: dict) -> ZoneModel:
     bus_ids: list[str] = []
     for raw in _entries(doc, "buses"):
         raw = _fields(raw, ("id",), "bus entry")
-        _require(raw["id"] not in bus_ids, "duplicate bus id {!r}", raw["id"])
+        if raw["id"] in bus_ids:
+            raise ZoneValidationError(f"duplicate bus id {raw['id']!r}")
         bus_ids.append(str(raw["id"]))
 
     battery_bus = str(battery["bus"])
-    _require(battery_bus in bus_ids, "battery bus {!r} not among buses", battery_bus)
+    if battery_bus not in bus_ids:
+        raise ZoneValidationError(f"battery bus {battery_bus!r} not among buses")
     pmin = _as_float(battery["pmin_mw"], "battery pmin_mw")
     pmax = _as_float(battery["pmax_mw"], "battery pmax_mw")
-    _require(pmin <= 0.0 <= pmax, "battery bounds must satisfy pmin <= 0 <= pmax, got [{}, {}]", pmin, pmax)
+    if not pmin <= 0.0 <= pmax:
+        raise ZoneValidationError(f"battery bounds must satisfy pmin <= 0 <= pmax, got [{pmin}, {pmax}]")
 
     buses = tuple(
         Bus(b, battery_min_mw=pmin if b == battery_bus else 0.0,
@@ -348,13 +347,18 @@ def zone_from_dict(doc: dict) -> ZoneModel:
             raw, ("id", "from_bus", "to_bus", "reactance_pu", "ratings_summer", "ratings_winter"), "line entry"
         )
         lid = str(raw["id"])
-        _require(lid not in line_ids, "duplicate line id {!r}", lid)
+        if lid in line_ids:
+            raise ZoneValidationError(f"duplicate line id {lid!r}")
         x = _as_float(raw["reactance_pu"], "line {!r} reactance_pu", lid)
-        _require(x > 0.0, "line {!r} reactance_pu must be > 0, got {}", lid, x)
+        if not x > 0.0:
+            raise ZoneValidationError(f"line {lid!r} reactance_pu must be > 0, got {x}")
         u, v = str(raw["from_bus"]), str(raw["to_bus"])
-        _require(u != v, "line {!r} connects bus {!r} to itself", lid, u)
-        _require(u in bus_ids, "line {!r} from_bus {!r} not among buses", lid, u)
-        _require(v in bus_ids, "line {!r} to_bus {!r} not among buses", lid, v)
+        if u == v:
+            raise ZoneValidationError(f"line {lid!r} connects bus {u!r} to itself")
+        if u not in bus_ids:
+            raise ZoneValidationError(f"line {lid!r} from_bus {u!r} not among buses")
+        if v not in bus_ids:
+            raise ZoneValidationError(f"line {lid!r} to_bus {v!r} not among buses")
         lines.append(
             Line(
                 id=lid,
@@ -367,7 +371,8 @@ def zone_from_dict(doc: dict) -> ZoneModel:
         )
         line_ids.add(lid)
 
-    _require(bool(lines), "zone has no internal lines (degenerate topology)")
+    if not lines:
+        raise ZoneValidationError("zone has no internal lines (degenerate topology)")
     comps = _connected_components(bus_ids, [(l.from_bus, l.to_bus) for l in lines])
     if len(comps) != 1:
         raise ZoneValidationError(
@@ -378,23 +383,21 @@ def zone_from_dict(doc: dict) -> ZoneModel:
     raw_outbound = _entries(doc, "outbound_lines")
     raw_outbound_ids = [str(_fields(o, (), "outbound line entry").get("id")) for o in raw_outbound]
     for raw in _entries(doc, "contingencies"):
-        _require(
-            isinstance(raw, dict) and "id" in raw and "outaged_element" in raw,
-            "contingency entry missing 'id' or 'outaged_element'",
-        )
+        if not (isinstance(raw, dict) and "id" in raw and "outaged_element" in raw):
+            raise ZoneValidationError("contingency entry missing 'id' or 'outaged_element'")
         cid = str(raw["id"])
-        _require(all(c.id != cid for c in contingencies), "duplicate contingency id {!r}", cid)
+        if any(c.id == cid for c in contingencies):
+            raise ZoneValidationError(f"duplicate contingency id {cid!r}")
         element = str(raw["outaged_element"])
         is_internal = element in line_ids
-        _require(
-            is_internal or element in raw_outbound_ids, "contingency {!r} outages unknown element {!r}", cid, element
-        )
+        if not (is_internal or element in raw_outbound_ids):
+            raise ZoneValidationError(f"contingency {cid!r} outages unknown element {element!r}")
         declared = raw.get("modifies_zone_topology")
-        _require(
-            declared is None or bool(declared) == is_internal,
-            "contingency {!r}: modifies_zone_topology={} inconsistent with outaged element {!r} ({})",
-            cid, declared, element, "internal" if is_internal else "outbound",
-        )
+        if not (declared is None or bool(declared) == is_internal):
+            raise ZoneValidationError(
+                f"contingency {cid!r}: modifies_zone_topology={declared} inconsistent with outaged element "
+                f"{element!r} ({'internal' if is_internal else 'outbound'})"
+            )
         contingencies.append(Contingency(cid, element, is_internal))
 
     cont_ids = [c.id for c in contingencies]
@@ -402,32 +405,40 @@ def zone_from_dict(doc: dict) -> ZoneModel:
     for raw in raw_outbound:
         raw = _fields(raw, ("id", "boundary_bus", "ptdf_normal"), "outbound line entry")
         oid = str(raw["id"])
-        _require(all(o.id != oid for o in outbound), "duplicate outbound line id {!r}", oid)
+        if any(o.id == oid for o in outbound):
+            raise ZoneValidationError(f"duplicate outbound line id {oid!r}")
         bb = str(raw["boundary_bus"])
-        _require(bb in bus_ids, "outbound line {!r} boundary_bus {!r} not among buses", oid, bb)
+        if bb not in bus_ids:
+            raise ZoneValidationError(f"outbound line {oid!r} boundary_bus {bb!r} not among buses")
         p_normal = _ptdf_map(raw["ptdf_normal"], bus_ids, "outbound {!r} ptdf_normal", oid)
         p_cont: dict[str, dict[str, float]] = {}
         raw_cont = raw.get("ptdf_contingency") or {}
-        _require(
-            isinstance(raw_cont, dict), "outbound {!r} ptdf_contingency must be an object, got {}", oid, _kind(raw_cont)
-        )
+        if not isinstance(raw_cont, dict):
+            raise ZoneValidationError(f"outbound {oid!r} ptdf_contingency must be an object, got {_kind(raw_cont)}")
         for cid, m in raw_cont.items():
-            _require(cid in cont_ids, "outbound {!r} ptdf_contingency references unknown contingency {!r}", oid, cid)
+            if cid not in cont_ids:
+                raise ZoneValidationError(f"outbound {oid!r} ptdf_contingency references unknown contingency {cid!r}")
             p_cont[cid] = _ptdf_map(m, bus_ids, "outbound {!r} ptdf_contingency[{!r}]", oid, cid)
         outbound.append(OutboundLine(oid, bb, p_normal, p_cont))
 
-    _require(bool(outbound), "zone has no outbound lines; boundary flows are required")
+    if not outbound:
+        raise ZoneValidationError("zone has no outbound lines; boundary flows are required")
 
     capacity = _as_float(battery["capacity_mwh"], "battery capacity_mwh")
-    _require(capacity > 0.0, "battery capacity_mwh must be > 0, got {}", capacity)
+    if not capacity > 0.0:
+        raise ZoneValidationError(f"battery capacity_mwh must be > 0, got {capacity}")
     soc_min = _as_float(battery.get("soc_min_mwh", 0.0), "battery soc_min_mwh")
-    _require(0.0 <= soc_min < capacity, "battery soc_min_mwh must lie in [0, capacity), got {}", soc_min)
+    if not 0.0 <= soc_min < capacity:
+        raise ZoneValidationError(f"battery soc_min_mwh must lie in [0, capacity), got {soc_min}")
     dt = _as_float(doc["timestep_hours"], "timestep_hours")
-    _require(dt > 0.0, "timestep_hours must be > 0, got {}", dt)
+    if not dt > 0.0:
+        raise ZoneValidationError(f"timestep_hours must be > 0, got {dt}")
     dt_cur = _as_float(doc["curative_duration_hours"], "curative_duration_hours")
-    _require(0.0 < dt_cur <= dt, "curative_duration_hours must lie in (0, timestep_hours], got {}", dt_cur)
+    if not 0.0 < dt_cur <= dt:
+        raise ZoneValidationError(f"curative_duration_hours must lie in (0, timestep_hours], got {dt_cur}")
     base_mva = _as_float(doc.get("base_mva", 100.0), "base_mva")
-    _require(base_mva > 0.0, "base_mva must be > 0, got {}", base_mva)
+    if not base_mva > 0.0:
+        raise ZoneValidationError(f"base_mva must be > 0, got {base_mva}")
 
     zone = ZoneModel(
         buses=buses,
@@ -448,10 +459,6 @@ def zone_from_dict(doc: dict) -> ZoneModel:
 def _validate_topologies(zone: ZoneModel, bus_ids: list[str], base_islands: list[set[str]]) -> None:
     """Per-contingency structural checks and PTDF partition-of-unity.
     ``base_islands`` are the islands of the zone's lines."""
-
-    def tag() -> str:
-        return "base topology" if contingency is None else f"contingency {contingency.id!r}"
-
     for contingency in [None, *zone.contingencies]:
         lines = zone.active_lines(contingency)
         olines = zone.active_outbound(contingency)
@@ -464,13 +471,15 @@ def _validate_topologies(zone: ZoneModel, bus_ids: list[str], base_islands: list
             battery_island = next(c for c in islands if zone.battery_bus in c)
             if not any(l.from_bus in battery_island for l in lines):
                 raise ZoneValidationError(
-                    f"{tag()} disconnects battery bus {zone.battery_bus!r} from every rated line"
+                    f"{_topology_name(contingency)} disconnects battery bus {zone.battery_bus!r} "
+                    f"from every rated line"
                 )
 
         for island in islands:
             if not any(o.boundary_bus in island for o in olines):
                 raise ZoneValidationError(
-                    f"{tag()} leaves island {{{','.join(sorted(island))}}} without any outbound line"
+                    f"{_topology_name(contingency)} leaves island {{{','.join(sorted(island))}}} "
+                    f"without any outbound line"
                 )
         # partition-of-unity per island
         for island in islands:
@@ -490,14 +499,18 @@ def _validate_topologies(zone: ZoneModel, bus_ids: list[str], base_islands: list
                         total += f
                     elif not abs(f) <= PTDF_PARTITION_TOL:
                         raise ZoneValidationError(
-                            f"{tag()}: bus {k!r} has nonzero sensitivity {f} on outbound {o.id!r} "
-                            f"in a different island"
+                            f"{_topology_name(contingency)}: bus {k!r} has nonzero sensitivity {f} "
+                            f"on outbound {o.id!r} in a different island"
                         )
                 if not abs(total - 1.0) <= PTDF_PARTITION_TOL:
                     raise ZoneValidationError(
-                        f"{tag()}: outbound sensitivities of bus {k!r} sum to {total}, expected 1 "
-                        f"(export-positive convention)"
+                        f"{_topology_name(contingency)}: outbound sensitivities of bus {k!r} sum to {total}, "
+                        f"expected 1 (export-positive convention)"
                     )
+
+
+def _topology_name(contingency: Contingency | None) -> str:
+    return "base topology" if contingency is None else f"contingency {contingency.id!r}"
 
 
 def load_zone(path: str | Path) -> ZoneModel:

@@ -285,10 +285,7 @@ class LinearProgram:
         out._rows, out._rhs, out._row_index = list(self._rows), list(self._rhs), dict(self._row_index)
         extra: dict[int, dict[str, float]] = {}  # per row of this LP: its coefficients on the new columns
         for var, coeffs in columns.items():
-            if var in out._var_index:
-                raise LpError(f"duplicate variable {var!r}")
-            out._var_index[var] = len(out._variables)
-            out._variables.append(Variable(var, 0.0, INF))
+            out.add_variable(var)
             for row, c in coeffs.items():
                 i = self._row_index.get(row)
                 if i is None:

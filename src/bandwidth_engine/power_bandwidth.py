@@ -8,8 +8,8 @@ zone and each timestep writes only its curtailment bounds and right-hand
 sides into it, in one call per LP; the LP layer keeps the standard form and
 runs phase one once for both objectives. The problem of the last zone that
 :func:`compute_power_bandwidths` solved is kept until a call on another
-zone: its network model, its LP, capped copy and elastic LP, and their
-standard forms with their pivot-path trees (at most
+zone: its network model, its LP and capped copy, and their standard forms
+with their pivot-path trees (at most
 ``lp_core.NODES_PER_FORM`` nodes each, about 2.6 kB per node; after the
 bundled zone's 8,760 h year the weighted LP's form holds about 1.5 MB).
 With workers, each worker process keeps its own for the jobs it runs. It is
@@ -233,7 +233,6 @@ class BandwidthProblem:
         self.curative_curtailment_vars = cur_curt
         self.total_curtailment = {v: 1.0 for v in curt.values()}
         self._capped: LinearProgram | None = None
-        self._elastic: LinearProgram | None = None
         self._weights: ObjectiveWeights | None = None  # the weights of the objectives kept
         self._objectives: dict[tuple[Direction, bool], dict[str, float]] = {}
 
@@ -261,9 +260,7 @@ class BandwidthProblem:
         caps = row.curtailable_max_mw
         self._rating_rhs = self._rating_values(row, season)
         values = [caps[b] for _, b in self._curt_caps] + self._rating_rhs
-        for lp in (self.lp, self._capped, self._elastic):
-            if lp is None:
-                continue
+        for lp in [self.lp] if self._capped is None else [self.lp, self._capped]:
             for b, v in self.curtailment_vars.items():
                 lp.set_bounds(v, 0.0, caps[b])
             lp.set_rhs_many(self._rhs_rows, values)
@@ -302,14 +299,11 @@ class BandwidthProblem:
         "Feasibility and Infeasibility in Optimization", 2008): the LP plus a
         slack ``relax:<row>`` in [0, inf) entering every rating row with
         coefficient -1, and the slacks' sum, in row order, as its objective.
-        Derived from the LP on first use and written by every later
-        :meth:`set_hour`, so a kept problem's infeasible hours walk one
-        pivot-path tree."""
-        if self._elastic is None:
-            slacks = {f"relax:{name}": {name: -1.0} for name, _ in self._ratings}
-            self._elastic = self.lp.extended(self.lp.name + ":relaxed", slacks)
-            self._elastic.set_objective(dict.fromkeys(slacks, 1.0))
-        return self._elastic
+        Derived from the LP, with the hour it holds, on every call."""
+        slacks = {f"relax:{name}": {name: -1.0} for name, _ in self._ratings}
+        elastic = self.lp.extended(self.lp.name + ":relaxed", slacks)
+        elastic.set_objective(dict.fromkeys(slacks, 1.0))
+        return elastic
 
     def curative_battery_value(self, solution: LpSolution, contingency_id: str) -> float:
         plus, minus = self.curative_battery_vars[contingency_id]
@@ -421,8 +415,8 @@ def _max_violation_diagnostic(problem: BandwidthProblem, row: TimestepForecast) 
     if sol.status != SolveStatus.OPTIMAL:
         return "infeasible (no diagnostic: relaxed problem did not solve)"
     worst: list[tuple[float, str]] = []
-    for s, label in zip(lp.objective, problem.rating_labels()):  # a slack per rating row
-        v = sol.value(s)
+    for (name, _), label in zip(problem._ratings, problem.rating_labels(), strict=True):
+        v = sol.value(f"relax:{name}")
         if v > 1e-6:
             worst.append((v, f"{label} by {v:.3f} MW"))
     worst.sort(reverse=True)
