@@ -9,9 +9,9 @@ Each subcommand declares only the flags it reads, builds its run config with
 A flag given on the command line that the chosen mode cannot use is refused.
 
 Exit codes: 0 success; 1 error (a usage error and a numerically unstable or
-unbounded LP included); 2 infeasible timesteps present (files are still written); 3
-verification disagreement. ``BANDWIDTH_ENGINE_LOG`` sets the log level (a standard
-level name, any case).
+unbounded LP included); 2 infeasible timesteps or an empty state-of-charge
+corridor present (files are still written); 3 verification disagreement.
+``BANDWIDTH_ENGINE_LOG`` sets the log level (a standard level name, any case).
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ import click
 from click.core import ParameterSource
 
 from . import __version__
-from .energy_bandwidth import EnergyBandwidthError, compute_energy_bandwidths, energy_results_to_csv
+from .energy_bandwidth import (
+    SOC_TOL_MWH, EnergyBandwidthError, EnergyBandwidthResult, compute_energy_bandwidths, energy_results_to_csv,
+)
 from .grid_model import (
     ForecastSeries, Season, ZoneModel, ZoneValidationError, load_forecast, load_zone,
 )
@@ -252,6 +254,15 @@ def compute(**params):
     sys.exit(_run_compute(_load_config(params)))
 
 
+def _energy(results: list[PowerBandwidthResult], zone: ZoneModel) -> tuple[EnergyBandwidthResult | None, list[int]]:
+    """The energy bandwidths and the boundaries whose state-of-charge
+    corridor is empty; none of either if a timestep is infeasible."""
+    if any(r.congestion_class == CongestionClass.INFEASIBLE for r in results):
+        return None, []
+    energy = compute_energy_bandwidths(results, zone)
+    return energy, list(energy.infeasible_boundaries)
+
+
 def _run_compute(cfg: RunConfig) -> int:
     zone, results = _power_bandwidths(cfg)
 
@@ -260,16 +271,22 @@ def _run_compute(cfg: RunConfig) -> int:
     (out / "power_bandwidth.csv").write_text(power_results_to_csv(results))
 
     failed = [r for r in results if r.congestion_class == CongestionClass.INFEASIBLE]
-    energy = None
-    if not failed:
-        energy = compute_energy_bandwidths(results, zone)
+    energy, empty = _energy(results, zone)
+    if energy is not None:
         timestamps = [r.timestamp for r in results]
         (out / "energy_bandwidth.csv").write_text(energy_results_to_csv(energy, timestamps))
     else:
+        (out / "energy_bandwidth.csv").unlink(missing_ok=True)  # an earlier run's
         logger.warning(
             "%d infeasible timestep(s): %s — energy bandwidths skipped",
             len(failed),
             ", ".join(str(r.index) for r in failed[:10]),
+        )
+    if empty:
+        logger.warning(
+            "empty state-of-charge corridor at %d boundary(ies): %s — no trajectory stays inside the bandwidths",
+            len(empty),
+            ", ".join(map(str, empty[:10])),
         )
 
     (out / "merged_report.csv").write_text(_merged_report(results, energy))
@@ -289,10 +306,11 @@ def _run_compute(cfg: RunConfig) -> int:
         + (["energy_bandwidth.csv"] if energy is not None else [])
         + ["merged_report.csv"],
         "infeasible_timesteps": [r.index for r in failed],
+        "empty_soc_boundaries": empty,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    return EXIT_INFEASIBLE if failed else EXIT_OK
+    return EXIT_INFEASIBLE if failed or empty else EXIT_OK
 
 
 MERGED_HEADER = [
@@ -327,18 +345,25 @@ def stats(results, as_json, binding_csv, **params):
     """Availability statistics (runs compute, or summarizes a prior run)."""
     if results:
         _refuse(tuple(params), "--results")
-        report = summarize(_read_merged(Path(results) / "merged_report.csv"))
+        rows, empty = _read_merged(Path(results) / "merged_report.csv")
     else:
-        report = summarize(_power_bandwidths(_load_config(params))[1])
+        zone, rows = _power_bandwidths(_load_config(params))
+        empty = _energy(rows, zone)[1]
+    report = summarize(rows)
     if binding_csv:
         Path(binding_csv).write_text(binding_lines_to_csv(report))
-    click.echo(report.to_json() if as_json else report.to_text(), nl=False)
+    if as_json:
+        click.echo(json.dumps({**report.to_dict(), "empty_soc_boundaries": empty}, indent=2))
+    else:
+        listed = f": {', '.join(map(str, empty))}" if empty else ""
+        click.echo(f"{report.to_text()}Empty state-of-charge corridor at {len(empty)} boundaries{listed}")
     sys.exit(EXIT_OK)
 
 
-def _read_merged(path: Path) -> list[PowerBandwidthResult]:
-    """Minimal result objects from a merged report, enough for summarize()."""
-    rows = []
+def _read_merged(path: Path) -> tuple[list[PowerBandwidthResult], list[int]]:
+    """Minimal result objects from a merged report, enough for summarize(),
+    and the boundaries whose state-of-charge columns cross."""
+    rows, empty = [], []
     with path.open() as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != MERGED_HEADER:
@@ -359,7 +384,10 @@ def _read_merged(path: Path) -> list[PowerBandwidthResult]:
                     binding_constraint=rec["binding_constraint"] or None,
                 )
             )
-    return rows
+            soc_lo, soc_hi = rec["soc_lower_start_mwh"], rec["soc_upper_start_mwh"]
+            if soc_lo and soc_hi and float(soc_lo) > float(soc_hi) + SOC_TOL_MWH:
+                empty.append(i)
+    return rows, empty
 
 
 @main.command()

@@ -262,10 +262,10 @@ def _fields(raw: object, keys: tuple[str, ...], what: str, *args: object) -> dic
     return raw
 
 
-def _entries(doc: dict, key: str):
-    """The zone file's ``key`` list; null, a number or a boolean is none."""
+def _entries(doc: dict, key: str) -> list:
+    """The zone file's ``key`` list."""
     raw = doc[key]
-    if raw is None or isinstance(raw, (int, float)):
+    if not isinstance(raw, list):
         raise ZoneValidationError(f"zone field {key!r} must be a list, got {_kind(raw)}")
     return raw
 

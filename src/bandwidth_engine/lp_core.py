@@ -3,14 +3,13 @@
 The solver is a dense two-phase tableau simplex. Dense is fine at zone scale
 (at most a few hundred variables per problem) and keeps results
 bit-reproducible across platforms: identical input produces the identical
-pivot sequence and therefore the identical solution. Two guards keep it
-finite: a switch to Bland's rule after ``DEGENERATE_STREAK`` degenerate
-pivots in a row (Beale's LP cycles without it), and one retry on a
-row-equilibrated copy for an LP that still reaches ``MAX_ITERATIONS`` (the
-Klee-Minty cube does). A second stall is ``numerically_unstable``, never
-``infeasible``. Duals come from the final tableau's reduced costs. Every
-:class:`LpSolution` counts its pivots per phase and says whether either
-guard fired.
+pivot sequence and therefore the identical solution. One guard breaks
+cycling: a switch to Bland's rule after ``DEGENERATE_STREAK`` degenerate
+pivots in a row (Beale's LP cycles without it). An LP that still reaches
+``MAX_ITERATIONS`` pivots (the base-2 Klee-Minty cube in 15 dimensions does)
+is ``numerically_unstable``, never ``infeasible``. Duals come from the final
+tableau's reduced costs. Every :class:`LpSolution` counts its pivots per
+phase and says whether the switch fired.
 
 External solvers can be plugged in by implementing the ``solve`` signature;
 everything downstream consumes only :class:`LpSolution`.
@@ -363,8 +362,7 @@ class LpSolution:
     tableau still counts that tableau's phase-one iterations;
     ``phase_one_iterations`` is phase one's share. Each loop of the simplex
     counts, including the last, which finds no entering column. ``bland`` is
-    set when the switch to Bland's rule fired, ``retried`` when the solve
-    went on to the row-equilibrated copy (whose iterations are added)."""
+    set when the switch to Bland's rule fired."""
 
     status: SolveStatus
     objective: float
@@ -373,7 +371,6 @@ class LpSolution:
     iterations: int = 0
     phase_one_iterations: int = 0
     bland: bool = False
-    retried: bool = False
 
     def value(self, name: str) -> float:
         return self.values[name]
@@ -885,25 +882,14 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
 
     Degenerate cycling is broken by the switch to Bland's rule. An LP that
     still reaches ``MAX_ITERATIONS`` pivots (the Klee-Minty cube, say) is
-    retried once on a row-equilibrated copy, which changes the pivot path;
-    if that stalls too the status is ``numerically_unstable``, deliberately
-    distinct from ``infeasible``. Duals (one per row, d objective / d rhs)
-    are read off the final tableau's reduced costs on the rows' slack or
-    artificial columns; a retried solve returns none.
+    ``numerically_unstable``, deliberately distinct from ``infeasible``.
+    Duals (one per row, d objective / d rhs) are read off the final tableau's
+    reduced costs on the rows' slack or artificial columns.
     """
     sf = lp._standard_form()
     c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
     status, walk = _solve_standard(sf, c)
-    iters, phase_one, bland = walk.iterations, walk.phase_one_iterations, walk.bland
-    retried = status == "stalled"
-    if retried:
-        sf = _equilibrated_copy(lp)._standard_form()
-        c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
-        status, walk = _solve_standard(sf, c)
-        iters += walk.iterations
-        phase_one += walk.phase_one_iterations
-        bland = bland or walk.bland
-    counters = {"iterations": iters, "phase_one_iterations": phase_one, "bland": bland, "retried": retried}
+    counters = {"iterations": walk.iterations, "phase_one_iterations": walk.phase_one_iterations, "bland": walk.bland}
 
     if status == "stalled":
         return LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan, {}, None, **counters)
@@ -914,25 +900,10 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
 
     x = walk.primal(sf.ncols)
     duals = None
-    if compute_duals and not retried:
+    if compute_duals:
         y = -walk.node.zrow[sf.pattern.unit_cols][: len(sf.row_names)] * sf.row_sign
         duals = dict(zip(sf.row_names, y.tolist()))
     return LpSolution(SolveStatus.OPTIMAL, obj_shift + float(np.dot(c, x)), sf.recover(x), duals, **counters)
-
-
-def _equilibrated_copy(lp: LinearProgram) -> LinearProgram:
-    """Row-scaled copy of the LP (same solution set, same argmin)."""
-    out = LinearProgram(lp.name + ":scaled")
-    for v in lp.variables:
-        out.add_variable(v.name, v.lower, v.upper)
-    for con in lp.constraints:
-        mx = max((abs(c) for c in con.coeffs.values()), default=1.0)
-        s = 1.0 / mx if mx > 0 else 1.0
-        out.add_constraint(
-            {k: c * s for k, c in con.coeffs.items()}, con.relation, con.rhs * s, con.name
-        )
-    out.set_objective(dict(lp.objective), lp.objective_constant)
-    return out
 
 
 def check_solution(lp: LinearProgram, values: dict[str, float], tol: float = FEASIBILITY_TOL) -> list[Violation]:

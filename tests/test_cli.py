@@ -47,6 +47,7 @@ def test_compute_writes_reports(zone_path, forecast_paths, tmp_path):
     assert (out / "energy_bandwidth.csv").read_text() == (GOLDENS / "winter_day_energy.csv").read_text()
     manifest = (out / "manifest.json").read_text()
     assert "sha256" in manifest and "weights" in manifest
+    assert json.loads(manifest)["empty_soc_boundaries"] == []
 
 
 def test_compute_summer_matches_golden(zone_path, forecast_paths, tmp_path):
@@ -54,6 +55,8 @@ def test_compute_summer_matches_golden(zone_path, forecast_paths, tmp_path):
     res = _run("compute", "--zone", zone_path, "--forecast", forecast_paths["summer_day"], "--out", out)
     assert res.exit_code == 0, res.output
     assert (out / "power_bandwidth.csv").read_text() == (GOLDENS / "summer_day_power.csv").read_text()
+    assert (out / "energy_bandwidth.csv").read_text() == (GOLDENS / "summer_day_energy.csv").read_text()
+    assert json.loads((out / "manifest.json").read_text())["empty_soc_boundaries"] == []
 
 
 def test_compute_is_deterministic(zone_path, forecast_paths, tmp_path):
@@ -80,7 +83,9 @@ def test_compute_empty_forecast_exits_1(zone_path, tmp_path):
     assert res.exit_code == 1
 
 
-def test_compute_infeasible_exits_2(zone_path, tmp_path):
+def test_compute_infeasible_exits_2(zone_path, forecast_paths, tmp_path):
+    """Also into a directory that holds an earlier run's energy file, which
+    the infeasible run removes: it writes no energy bandwidths."""
     from bandwidth_engine.fixtures import reference_zone
 
     zone = reference_zone()
@@ -105,12 +110,47 @@ def test_compute_infeasible_exits_2(zone_path, tmp_path):
     fc = tmp_path / "hot.csv"
     write_forecast_csv(zone, ForecastSeries((row,)), fc)
     out = tmp_path / "o"
+    assert _run("compute", "--zone", zone_path, "--forecast", forecast_paths["winter_day"], "--out", out).exit_code == 0
+    assert (out / "energy_bandwidth.csv").exists()
     res = _run("compute", "--zone", zone_path, "--forecast", fc, "--out", out)
     assert res.exit_code == 2
     # power CSV still written, with the infeasible class recorded
     text = (out / "power_bandwidth.csv").read_text()
     assert "infeasible" in text
     assert not (out / "energy_bandwidth.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["power_bandwidth.csv", "merged_report.csv"]
+    assert manifest["infeasible_timesteps"] == [0] and manifest["empty_soc_boundaries"] == []
+
+
+def test_empty_soc_corridor_is_reported(zone_path, tmp_path, caplog):
+    """Synthetic-year day 2023-01-02: every hour has a band, but mandatory
+    charge leaves no state-of-charge trajectory at boundaries 17-19. compute
+    still writes every file, lists the boundaries in the manifest, logs one
+    warning and exits 2; stats counts them, from a fresh run and from the
+    merged report."""
+    from bandwidth_engine.fixtures import reference_zone, synthetic_year_rows
+
+    zone = reference_zone()
+    fc = tmp_path / "day.csv"
+    write_forecast_csv(zone, ForecastSeries(synthetic_year_rows(zone).rows[24:48]), fc)
+    out = tmp_path / "o"
+    res = _run("compute", "--zone", zone_path, "--forecast", fc, "--out", out)
+    assert res.exit_code == 2, res.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["empty_soc_boundaries"] == [17, 18, 19] and manifest["infeasible_timesteps"] == []
+    assert manifest["outputs"] == ["power_bandwidth.csv", "energy_bandwidth.csv", "merged_report.csv"]
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [
+        "empty state-of-charge corridor at 3 boundary(ies): 17, 18, 19 — no trajectory stays inside the bandwidths"
+    ]
+    line = "Empty state-of-charge corridor at 3 boundaries: 17, 18, 19"
+    for args in (("--zone", zone_path, "--forecast", fc), ("--results", out)):
+        res = _run("stats", *args)
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[-1] == line
+    res = _run("stats", "--results", out, "--json")
+    assert json.loads(res.output)["empty_soc_boundaries"] == [17, 18, 19]
 
 
 def test_config_file_with_flag_overrides(zone_path, forecast_paths, tmp_path):
@@ -138,6 +178,7 @@ def test_stats_from_prior_run(zone_path, forecast_paths, tmp_path):
     res = _run("stats", "--results", out)
     assert res.exit_code == 0, res.output
     assert "winter" in res.output and "fully available" in res.output
+    assert res.output.splitlines()[-1] == "Empty state-of-charge corridor at 0 boundaries"
 
 
 def test_verify_fixture_timesteps(zone_path, forecast_paths):
@@ -204,6 +245,21 @@ def test_compute_numerically_unstable_lp_exits_1(zone_path, forecast_paths, tmp_
                "--out", tmp_path / "o")
     assert res.exit_code == 1
     assert "numerically unstable" in res.output
+
+
+def test_compute_stalled_lp_exits_1(zone_path, forecast_paths, tmp_path, monkeypatch):
+    """The real solver, capped at one pivot, stalls in the first LP's phase
+    one: one error line, exit 1 and no output written."""
+    from bandwidth_engine import lp_core
+
+    monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 1)
+    out = tmp_path / "o"
+    res = _run("compute", "--zone", zone_path, "--forecast", forecast_paths["summer_day"], "--out", out)
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        "error: timestep 0 (2023-06-14T00:00): the lower-bound LP is numerically unstable"
+    ]
+    assert not out.exists()
 
 
 def test_compute_unbounded_lp_exits_1(zone_path, forecast_paths, tmp_path, monkeypatch):

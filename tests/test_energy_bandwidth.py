@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandwidth_engine.energy_bandwidth import (
+    SOC_TOL_MWH,
     EnergyBandwidthError,
     TrajectoryViolation,
     TrajectoryWitness,
@@ -109,6 +110,26 @@ def test_infeasible_horizon_reported(zone):
     energy = compute_energy_bandwidths(results, zone)
     assert not energy.feasible
     assert 0 in energy.infeasible_boundaries
+
+
+def test_forward_oracle_finds_the_same_empty_days_of_the_year(zone):
+    """Day by day over the synthetic year, the forward oracle's corridor is
+    empty on the 13 days whose backward recursion reports empty boundaries,
+    and on no other."""
+    from bandwidth_engine.fixtures import synthetic_year_rows
+
+    results = compute_power_bandwidths(zone, synthetic_year_rows(zone))
+    recursion, oracle = [], []
+    for day in range(365):
+        series = results[24 * day : 24 * (day + 1)]
+        if compute_energy_bandwidths(series, zone).infeasible_boundaries:
+            recursion.append(series[0].timestamp[:10])
+        lower, upper = forward_soc_feasible_set(series, zone)
+        if any(lo > hi + SOC_TOL_MWH for lo, hi in zip(lower, upper)):
+            oracle.append(series[0].timestamp[:10])
+    assert recursion == oracle
+    assert len(recursion) == 13
+    assert {"2023-01-02", "2023-01-12", "2023-02-04", "2023-02-15"} <= set(recursion)
 
 
 def test_infeasible_power_timestep_rejected(zone):

@@ -418,6 +418,11 @@ WRONG_TYPES = [
     ("outbound-null", [(("outbound_lines", 0), None)], "outbound line entry must be an object, got null"),
     ("contingency-null", [(("contingencies", 0), None)], "contingency entry missing 'id' or 'outaged_element'"),
     ("contingencies-a-boolean", [(("contingencies",), True)], "zone field 'contingencies' must be a list, got a boolean"),
+    *(
+        (f"{key}-{kind}", [((key,), value)], f"zone field {key!r} must be a list, got {message}")
+        for key in ("buses", "lines", "outbound_lines", "contingencies")
+        for kind, value, message in (("an-object", {}, "an object"), ("a-string", "", "a string"))
+    ),
 ]
 
 

@@ -433,16 +433,12 @@ def test_bland_switch_breaks_beales_cycle(monkeypatch):
     assert lp_core.DEGENERATE_STREAK < sol.iterations <= lp_core.DEGENERATE_STREAK + 10
 
     # without the switch the same pivot rule cycles down the tree until the
-    # iteration cap; only the row-equilibrated retry gets past it
+    # iteration cap: a solver failure, not a finding
     monkeypatch.setattr(lp_core, "DEGENERATE_STREAK", lp_core.MAX_ITERATIONS)
     monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 500)
-    lp = _beale()
-    sf = lp._standard_form()
-    status, walk = lp_core._solve_standard(sf, sf.costs(lp.objective, 0.0)[0])
-    assert status == "stalled" and walk.iterations == 500 and not walk.bland
-    sol = solve(lp)
-    assert sol.status == SolveStatus.OPTIMAL and sol.retried and not sol.bland
-    assert sol.iterations > 500
+    sol = solve(_beale())
+    assert sol.status == SolveStatus.NUMERICALLY_UNSTABLE and not sol.bland
+    assert sol.iterations == 500
 
 
 def _klee_minty(n: int) -> LinearProgram:
@@ -462,28 +458,23 @@ def _klee_minty(n: int) -> LinearProgram:
 
 def test_counters_say_which_guard_fired():
     beale = solve(_beale())
-    assert beale.bland and not beale.retried
+    assert beale.bland and beale.status == SolveStatus.OPTIMAL
     cube = solve(_klee_minty(15))
-    assert cube.retried and not cube.bland
+    assert cube.iterations == lp_core.MAX_ITERATIONS and not cube.bland
     # every row is <= with rhs >= 0: no artificial, so phase one never loops
     assert cube.phase_one_iterations == 0
     plain = solve(_reuse_lp())  # the >= row needs an artificial
-    assert not plain.bland and not plain.retried
+    assert not plain.bland
     assert 1 <= plain.phase_one_iterations < plain.iterations
 
 
-def test_equilibrated_retry_solves_an_lp_that_reaches_the_iteration_cap():
-    """The cube stalls at MAX_ITERATIONS with the Bland switch on (no pivot is
-    degenerate); the row-equilibrated copy takes another pivot path to the
-    optimum in 30 pivots."""
-    lp = _klee_minty(15)
-    sol = solve(lp)
-    assert sol.status == SolveStatus.OPTIMAL
-    assert sol.objective == pytest.approx(-(4.0**14), rel=1e-12)
-    assert sol.value("x14") == pytest.approx(4.0**14, rel=1e-12)
-    assert check_solution(lp, sol.values) == []
-    assert sol.iterations == lp_core.MAX_ITERATIONS + 30
-    assert sol.duals is None  # a rescaled solve reports no duals
+def test_lp_that_reaches_the_iteration_cap_is_numerically_unstable():
+    """The cube reaches MAX_ITERATIONS with the Bland switch on (no pivot is
+    degenerate), and a stall is a solver failure: no values, no duals."""
+    sol = solve(_klee_minty(15))
+    assert sol.status == SolveStatus.NUMERICALLY_UNSTABLE
+    assert sol.iterations == lp_core.MAX_ITERATIONS
+    assert math.isnan(sol.objective) and sol.values == {} and sol.duals is None
 
 
 def _klee_minty_feasibility(n: int) -> LinearProgram:
@@ -496,16 +487,15 @@ def _klee_minty_feasibility(n: int) -> LinearProgram:
 
 
 @pytest.mark.parametrize("build", [_klee_minty, _klee_minty_feasibility], ids=["phase2", "phase1"])
-def test_lp_that_stalls_after_the_retry_is_numerically_unstable(monkeypatch, build):
+def test_lp_that_stalls_in_either_phase_is_numerically_unstable(monkeypatch, build):
     """Never infeasible: a stall is a solver failure, not a finding."""
-    monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 20)  # the rescaled cube needs 24
+    monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 20)
     sol = solve(build(12))
     assert sol.status == SolveStatus.NUMERICALLY_UNSTABLE
     assert math.isnan(sol.objective) and sol.values == {} and sol.duals is None
-    assert sol.iterations == 40
-    assert sol.retried
-    # both attempts stall in the phase the cube's vertices are walked in
-    assert sol.phase_one_iterations == (40 if build is _klee_minty_feasibility else 0)
+    assert sol.iterations == 20
+    # the solve stalls in the phase the cube's vertices are walked in
+    assert sol.phase_one_iterations == (20 if build is _klee_minty_feasibility else 0)
 
 
 def _bits_of(sol) -> tuple:
@@ -515,7 +505,6 @@ def _bits_of(sol) -> tuple:
         sol.iterations,
         sol.phase_one_iterations,
         sol.bland,
-        sol.retried,
         struct.pack("<d", sol.objective),
         {name: struct.pack("<d", value) for name, value in sol.values.items()},
     )
@@ -571,17 +560,17 @@ def test_reused_degenerate_lps_take_either_rule_at_a_shared_node(monkeypatch):
     assert blands > 300
 
 
-def test_reused_klee_minty_cube_at_the_node_cap_retries_as_a_fresh_one(monkeypatch):
+def test_reused_klee_minty_cube_at_the_node_cap_stalls_as_a_fresh_one(monkeypatch):
     """A reused cube keeps nodes up to the cap, walks on past it without
-    keeping any, stalls at MAX_ITERATIONS and retries to the fresh result."""
-    monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 100)  # the rescaled cube needs 24
+    keeping any and stalls at MAX_ITERATIONS, as the fresh cube does."""
+    monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 100)
     monkeypatch.setattr(lp_core, "NODES_PER_FORM", 40)
     lp = _klee_minty(12)
     for scale in (1.0, 1.0, 2.0, 1.0):
         for con in lp.constraints:
             lp.set_rhs(con.name, 4.0 ** int(con.name[1:]) * scale)
         got = solve(lp)
-        assert got.retried and got.status == SolveStatus.OPTIMAL
+        assert got.status == SolveStatus.NUMERICALLY_UNSTABLE and got.iterations == 100
         assert _bits_of(got) == _bits_of(solve(_rebuilt(lp)))
     assert lp._standard_form()._kept == lp_core.NODES_PER_FORM
 

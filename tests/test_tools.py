@@ -6,23 +6,23 @@ import importlib.util
 import re
 from pathlib import Path
 
-from bandwidth_engine import lp_core
-from bandwidth_engine import power_bandwidth as pb
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "exactness.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "exactness.py"
 
 
 def test_exactness_digests_repeat(capsys):
     """Two runs over the fixture days print equal digests, one per objective;
-    the first starts cold, the second on the kept problem."""
+    the first starts cold, the second on the kept problem. A third run, with
+    ``--src`` naming this checkout's ``src/``, prints them too."""
     spec = importlib.util.spec_from_file_location("exactness", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     outputs = []
-    pb._kept.clear()
-    for _ in range(2):
-        assert tool.main(["--part", "fixture"]) == 0
+    for argv in (["--part", "fixture"], ["--part", "fixture"], ["--part", "fixture", "--src", str(ROOT / "src")]):
+        assert tool.main(argv) == 0
         outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert re.fullmatch(r"fixture weighted [0-9a-f]{64}\nfixture lexicographic [0-9a-f]{64}\n", outputs[0])
-    assert pb.solve is lp_core.solve  # the recording wrapper is gone
+    engine = tool.engine()
+    assert engine is tool.engine(ROOT / "src")
+    assert engine.power_bandwidth.solve is engine.lp_core.solve  # the recording wrapper is gone

@@ -36,7 +36,7 @@ from pathlib import Path
 PIECES = ("parse", "network", "build", "form", "solves", "diagnostic")
 
 
-def _engine(src: Path, alias: str):
+def import_engine(src: Path, alias: str):
     """The ``bandwidth_engine`` package under ``src``, imported as ``alias``."""
     spec = importlib.util.spec_from_file_location(
         alias, src / "bandwidth_engine" / "__init__.py", submodule_search_locations=[str(src / "bandwidth_engine")]
@@ -101,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--json", action="store_true", help="print one JSON object instead of a table")
     args = p.parse_args(argv)
     srcs = [s.resolve() for s in args.src or [Path(__file__).resolve().parent.parent / "src"]]
-    engines = [_engine(src, f"_coldzone_engine{i}") for i, src in enumerate(srcs)]
+    engines = [import_engine(src, f"_coldzone_engine{i}") for i, src in enumerate(srcs)]
 
     first = engines[0]
     docs, rows = [], []
