@@ -26,7 +26,6 @@ from .grid_model import (
 from .dc_network import (
     BalanceError,
     IslandingError,
-    PtdfMatrix,
     TopologyState,
     compute_ptdf,
     dc_flows,
@@ -74,7 +73,6 @@ __all__ = [
     "select_ratings",
     "BalanceError",
     "IslandingError",
-    "PtdfMatrix",
     "TopologyState",
     "compute_ptdf",
     "dc_flows",

@@ -51,9 +51,7 @@ class TopologyState:
         return TopologyState._build(zone, None)
 
     @staticmethod
-    def for_contingency(zone: ZoneModel, contingency: Contingency | str) -> "TopologyState":
-        if isinstance(contingency, str):
-            contingency = zone.contingency(contingency)
+    def for_contingency(zone: ZoneModel, contingency: Contingency) -> "TopologyState":
         return TopologyState._build(zone, contingency)
 
     @staticmethod
@@ -69,25 +67,6 @@ class TopologyState:
             contingency_id=contingency.id if contingency else None,
             islands=tuple(frozenset(c) for c in islands),
         )
-
-
-@dataclass(frozen=True)
-class PtdfMatrix:
-    """Sensitivities of line flows to +1 MW bus injections (remote slack).
-
-    ``line_factors`` cover the topology's active internal lines (signed in the
-    line's from->to orientation); ``outbound_factors`` echo the zone's recorded
-    export sensitivities for the topology. Injections balance at the
-    surrounding grid's remote slack.
-    """
-
-    line_factors: dict[str, dict[str, float]]
-    outbound_factors: dict[str, dict[str, float]]
-
-    def factor(self, element_id: str, bus: str) -> float:
-        if element_id in self.line_factors:
-            return self.line_factors[element_id][bus]
-        return self.outbound_factors[element_id][bus]
 
 
 def _outbound_ptdf(zone: ZoneModel, oline_id: str, contingency_id: str | None) -> dict[str, float]:
@@ -200,19 +179,17 @@ def dc_flows(
     return {lid: float(flows[i, 0]) for i, lid in enumerate(topology.active_lines)}
 
 
-def compute_ptdf(zone: ZoneModel, topology: TopologyState) -> PtdfMatrix:
-    """Effective sensitivities of active internal lines to zone-bus injections.
+def compute_ptdf(zone: ZoneModel, topology: TopologyState) -> dict[str, dict[str, float]]:
+    """Effective sensitivities of active internal lines to zone-bus injections,
+    per line and bus, signed in the line's from->to orientation.
 
     A +1 MW injection at bus k raises each active outbound export by the
-    recorded sensitivity; the zone network redistributes the remainder. When
-    the outage is internal the matrix is recomputed on the reduced topology —
-    exact, and cheap at zone scale.
+    recorded sensitivity and balances at the surrounding grid's remote slack;
+    the zone network redistributes the remainder. When the outage is internal
+    the factors are recomputed on the reduced topology — exact, and cheap at
+    zone scale.
     """
-    outbound_factors = {
-        oid: dict(_outbound_ptdf(zone, oid, topology.contingency_id))
-        for oid in topology.active_outbound
-    }
-    return PtdfMatrix(_topology_model(zone, topology, _bus_positions(zone)).line_factors, outbound_factors)
+    return _topology_model(zone, topology, _bus_positions(zone)).line_factors
 
 
 @dataclass(frozen=True)

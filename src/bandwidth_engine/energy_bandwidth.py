@@ -48,23 +48,13 @@ class EnergyBandwidthResult:
 def compute_energy_bandwidths(
     power_results: list[PowerBandwidthResult],
     zone: ZoneModel,
-    horizon: int | None = None,
 ) -> EnergyBandwidthResult:
-    """Backward recursion over [0, horizon) power results.
+    """Backward recursion over every given power result.
 
-    Requires every covered timestep to be feasible; boundaries where the lower
-    bound exceeds the upper one are reported, not raised.
+    Requires every timestep to be feasible; boundaries where the lower bound
+    exceeds the upper one are reported, not raised.
     """
-    if horizon is not None and horizon < 0:
-        raise EnergyBandwidthError(
-            f"horizon {horizon} is outside the power results' 0 to {len(power_results)} timesteps"
-        )
-    results = power_results[: horizon if horizon is not None else len(power_results)]
-    if horizon is not None and len(results) < horizon:
-        raise EnergyBandwidthError(
-            f"power results cover {len(results)} timesteps, horizon needs {horizon}"
-        )
-    for r in results:
+    for r in power_results:
         if r.congestion_class == CongestionClass.INFEASIBLE:
             raise EnergyBandwidthError(f"timestep {r.index} is infeasible: {r.failure}")
 
@@ -72,16 +62,17 @@ def compute_energy_bandwidths(
     floor = zone.battery_soc_min_mwh
     dt = zone.timestep_hours
     dt_cur = zone.curative_duration_hours
-    n = len(results)
+    n = len(power_results)
 
     upper = [0.0] * (n + 1)
     lower = [0.0] * (n + 1)
     upper[n] = cap
     lower[n] = floor
     for t in range(n - 1, -1, -1):
-        charge_need = dt * results[t].lower_mw + dt_cur * max(0.0, results[t].curative_charge_worst_mw)
+        r = power_results[t]
+        charge_need = dt * r.lower_mw + dt_cur * max(0.0, r.curative_charge_worst_mw)
         upper[t] = min(cap, upper[t + 1] - charge_need)
-        discharge_room = dt * results[t].upper_mw + dt_cur * min(0.0, results[t].curative_discharge_worst_mw)
+        discharge_room = dt * r.upper_mw + dt_cur * min(0.0, r.curative_discharge_worst_mw)
         lower[t] = max(floor, lower[t + 1] - discharge_room)
 
     bad = tuple(t for t in range(n + 1) if lower[t] > upper[t] + SOC_TOL_MWH)

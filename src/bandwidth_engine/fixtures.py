@@ -14,7 +14,7 @@ balance- and partition-consistent by construction.
 
 Generators:
 
-* :func:`reference_zone` / :func:`write_reference_zone` — zone90kv.
+* :func:`reference_zone` / :func:`reference_zone_dict` — zone90kv.
 * :func:`day_forecast_rows` — the two 24 h worked-example days
   ("summer_day": congestion under normal conditions, "winter_day": congestion
   under contingency).

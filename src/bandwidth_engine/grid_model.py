@@ -8,7 +8,8 @@ File formats (documented in the README):
 
 * zone file — one JSON document with ``buses``, ``lines``, ``outbound_lines``,
   ``contingencies``, ``battery``, ``base_mva``, ``timestep_hours`` and
-  ``curative_duration_hours``.
+  ``curative_duration_hours``; every id, and every reference to one, is a
+  string.
 * forecast file — CSV, one row per timestep: ``timestamp``, ``season``, then
   ``inj:<bus>``, ``curt_max:<bus>``, ``ref:<outbound>`` and
   ``ref:<outbound>@<contingency>`` columns.
@@ -270,6 +271,13 @@ def _entries(doc: dict, key: str) -> list:
     return raw
 
 
+def _id(raw: object, what: str, *args: object) -> str:
+    """An element id, or a reference to one: a JSON string."""
+    if not isinstance(raw, str):
+        raise ZoneValidationError(f"{what.format(*args)} must be a string, got {_kind(raw)}")
+    return raw
+
+
 def _as_float(raw: object, what: str, *args: object) -> float:
     try:
         val = float(raw)  # type: ignore[arg-type]
@@ -321,12 +329,12 @@ def zone_from_dict(doc: dict) -> ZoneModel:
 
     bus_ids: list[str] = []
     for raw in _entries(doc, "buses"):
-        raw = _fields(raw, ("id",), "bus entry")
-        if raw["id"] in bus_ids:
-            raise ZoneValidationError(f"duplicate bus id {raw['id']!r}")
-        bus_ids.append(str(raw["id"]))
+        bid = _id(_fields(raw, ("id",), "bus entry")["id"], "bus entry id")
+        if bid in bus_ids:
+            raise ZoneValidationError(f"duplicate bus id {bid!r}")
+        bus_ids.append(bid)
 
-    battery_bus = str(battery["bus"])
+    battery_bus = _id(battery["bus"], "battery bus")
     if battery_bus not in bus_ids:
         raise ZoneValidationError(f"battery bus {battery_bus!r} not among buses")
     pmin = _as_float(battery["pmin_mw"], "battery pmin_mw")
@@ -346,13 +354,14 @@ def zone_from_dict(doc: dict) -> ZoneModel:
         raw = _fields(
             raw, ("id", "from_bus", "to_bus", "reactance_pu", "ratings_summer", "ratings_winter"), "line entry"
         )
-        lid = str(raw["id"])
+        lid = _id(raw["id"], "line entry id")
         if lid in line_ids:
             raise ZoneValidationError(f"duplicate line id {lid!r}")
         x = _as_float(raw["reactance_pu"], "line {!r} reactance_pu", lid)
         if not x > 0.0:
             raise ZoneValidationError(f"line {lid!r} reactance_pu must be > 0, got {x}")
-        u, v = str(raw["from_bus"]), str(raw["to_bus"])
+        u = _id(raw["from_bus"], "line {!r} from_bus", lid)
+        v = _id(raw["to_bus"], "line {!r} to_bus", lid)
         if u == v:
             raise ZoneValidationError(f"line {lid!r} connects bus {u!r} to itself")
         if u not in bus_ids:
@@ -385,10 +394,10 @@ def zone_from_dict(doc: dict) -> ZoneModel:
     for raw in _entries(doc, "contingencies"):
         if not (isinstance(raw, dict) and "id" in raw and "outaged_element" in raw):
             raise ZoneValidationError("contingency entry missing 'id' or 'outaged_element'")
-        cid = str(raw["id"])
+        cid = _id(raw["id"], "contingency entry id")
         if any(c.id == cid for c in contingencies):
             raise ZoneValidationError(f"duplicate contingency id {cid!r}")
-        element = str(raw["outaged_element"])
+        element = _id(raw["outaged_element"], "contingency {!r} outaged_element", cid)
         is_internal = element in line_ids
         if not (is_internal or element in raw_outbound_ids):
             raise ZoneValidationError(f"contingency {cid!r} outages unknown element {element!r}")
@@ -404,10 +413,10 @@ def zone_from_dict(doc: dict) -> ZoneModel:
     outbound: list[OutboundLine] = []
     for raw in raw_outbound:
         raw = _fields(raw, ("id", "boundary_bus", "ptdf_normal"), "outbound line entry")
-        oid = str(raw["id"])
+        oid = _id(raw["id"], "outbound line entry id")
         if any(o.id == oid for o in outbound):
             raise ZoneValidationError(f"duplicate outbound line id {oid!r}")
-        bb = str(raw["boundary_bus"])
+        bb = _id(raw["boundary_bus"], "outbound line {!r} boundary_bus", oid)
         if bb not in bus_ids:
             raise ZoneValidationError(f"outbound line {oid!r} boundary_bus {bb!r} not among buses")
         p_normal = _ptdf_map(raw["ptdf_normal"], bus_ids, "outbound {!r} ptdf_normal", oid)
@@ -592,9 +601,10 @@ def zone_to_dict(zone: ZoneModel) -> dict:
 def load_forecast(path: str | Path, zone: ZoneModel) -> ForecastSeries:
     """Load a forecast CSV and validate it against the zone.
 
-    Checks the header naming convention, value sanity (curtailable >= 0) and
-    MW balance of every row: injections must equal total exports in the base
-    case and, island by island, under every contingency.
+    Checks the header naming convention, value sanity (every number finite,
+    curtailable >= 0) and MW balance of every row: injections must equal
+    total exports in the base case and, island by island, under every
+    contingency.
     """
     path = Path(path)
     try:
@@ -650,9 +660,12 @@ def load_forecast(path: str | Path, zone: ZoneModel) -> ForecastSeries:
 
         def num(name: str) -> float:
             try:
-                return float(cell(name))
+                val = float(cell(name))
             except ValueError:
                 raise ZoneValidationError(f"forecast row {idx} column {name!r} is not a number: {cell(name)!r}") from None
+            if not math.isfinite(val):
+                raise ZoneValidationError(f"forecast row {idx} column {name!r} is not finite: {cell(name)!r}")
+            return val
 
         try:
             season = Season(cell("season"))

@@ -11,8 +11,8 @@ is ``numerically_unstable``, never ``infeasible``. Duals come from the final
 tableau's reduced costs. Every :class:`LpSolution` counts its pivots per
 phase and says whether the switch fired.
 
-External solvers can be plugged in by implementing the ``solve`` signature;
-everything downstream consumes only :class:`LpSolution`.
+Everything downstream reads only :class:`LpSolution`; the pipeline calls
+this module's :func:`solve` and has no hook for another solver.
 
 A :class:`LinearProgram` changes only through its methods, so the standard
 form it is converted to for solving is kept across solves. Its matrix depends
@@ -906,8 +906,10 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     return LpSolution(SolveStatus.OPTIMAL, obj_shift + float(np.dot(c, x)), sf.recover(x), duals, **counters)
 
 
-def check_solution(lp: LinearProgram, values: dict[str, float], tol: float = FEASIBILITY_TOL) -> list[Violation]:
-    """Every bound/constraint violated beyond tol (scaled); empty list = feasible."""
+def check_solution(lp: LinearProgram, values: dict[str, float]) -> list[Violation]:
+    """Every bound/constraint violated beyond :data:`FEASIBILITY_TOL` (scaled);
+    empty list = feasible."""
+    tol = FEASIBILITY_TOL
     report: list[Violation] = []
     for v in lp.variables:
         if v.name not in values:

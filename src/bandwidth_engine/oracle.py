@@ -24,11 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dc_network import TopologyState, compute_ptdf, dc_flows
-from .grid_model import Season, TimestepForecast, ZoneModel, select_ratings
+from .grid_model import TimestepForecast, ZoneModel, select_ratings
 from .lp_core import INF, LinearProgram, Relation
 from .power_bandwidth import PowerBandwidthResult
 
 COMBO_CAP = 400_000  # enumeration guard for the LP oracle
+VERTEX_TOL = 1e-7  # the LP oracle's feasibility tolerance, scaled
 
 
 class OracleGuardError(Exception):
@@ -40,7 +41,7 @@ class OracleGuardError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_lp_optimum(lp: LinearProgram, tol: float = 1e-7) -> tuple[str, float]:
+def enumerate_lp_optimum(lp: LinearProgram) -> tuple[str, float]:
     """Brute-force optimum by enumerating candidate vertices.
 
     Every vertex activates n constraints: all equality rows, a subset of the
@@ -48,7 +49,8 @@ def enumerate_lp_optimum(lp: LinearProgram, tol: float = 1e-7) -> tuple[str, flo
     for pointed feasible regions with a bounded optimum (or infeasible LPs);
     callers guard unbounded shapes themselves.
 
-    Returns ("optimal", best objective) or ("infeasible", nan).
+    A candidate is feasible within :data:`VERTEX_TOL`, scaled. Returns
+    ("optimal", best objective) or ("infeasible", nan).
     """
     n = len(lp.variables)
     eq_rows = [c for c in lp.constraints if c.relation == Relation.EQ]
@@ -126,7 +128,7 @@ def enumerate_lp_optimum(lp: LinearProgram, tol: float = 1e-7) -> tuple[str, flo
                     else:
                         if A_rows.size and np.max(np.abs(A_rows @ x - b_rows)) > 1e-6:
                             continue
-                    if _feasible_point(x, lowers, uppers, eq_A, eq_b, ineq_A, ineq_b, ineq_sign, tol):
+                    if _feasible_point(x, lowers, uppers, eq_A, eq_b, ineq_A, ineq_b, ineq_sign, VERTEX_TOL):
                         obj = float(cvec @ x) + lp.objective_constant
                         if best is None or obj < best:
                             best = obj
@@ -206,17 +208,16 @@ def _interval_for_lines(
 def brute_force_power_bandwidth(
     zone: ZoneModel,
     row: TimestepForecast,
-    season: Season | str | None = None,
     config: GridSearchConfig | None = None,
 ) -> tuple[float, float] | None:
-    """Grid-search bandwidth, independent of the LP path.
+    """Grid-search bandwidth, independent of the LP path, under the row's
+    season's ratings.
 
     Preventive curtailment is prioritized exactly like the engine: first the
     smallest total curtailment over the grid, then the extreme battery
     setpoints among combinations achieving it. ``None`` means no feasible
     combination exists. Guarded to <= 5 buses and <= 3 contingencies.
     """
-    season = Season(season) if season is not None else row.season
     config = config or GridSearchConfig()
     config.validate()
     if len(zone.buses) > 5 or len(zone.contingencies) > 3:
@@ -254,7 +255,7 @@ def brute_force_power_bandwidth(
             else row.ref_contingency_mw[contingency.id]
         )
         base = dc_flows(zone, topo, row.injections_mw, refs)
-        eff = compute_ptdf(zone, topo).line_factors
+        eff = compute_ptdf(zone, topo)
         lids = list(topo.active_lines)
         base_v = np.array([base[l] for l in lids])
         batt_s = np.array([eff[l][zone.battery_bus] for l in lids])
@@ -263,20 +264,20 @@ def brute_force_power_bandwidth(
 
     lids_n, base_n, batt_n, curt_n = stage_data(None)
     lim_n = np.array(
-        [select_ratings(zone.line(l), season).for_state("permanent") for l in lids_n]
+        [select_ratings(zone.line(l), row.season).for_state("permanent") for l in lids_n]
     )
 
     conts = []
     for c in zone.contingencies:
         lids_c, base_c, batt_c, curt_c = stage_data(c)
         lim_imm = np.array(
-            [select_ratings(zone.line(l), season).for_state("immediate") for l in lids_c]
+            [select_ratings(zone.line(l), row.season).for_state("immediate") for l in lids_c]
         )
         lim_long = np.array(
-            [select_ratings(zone.line(l), season).for_state("long_term") for l in lids_c]
+            [select_ratings(zone.line(l), row.season).for_state("long_term") for l in lids_c]
         )
         lim_perm = np.array(
-            [select_ratings(zone.line(l), season).for_state("permanent") for l in lids_c]
+            [select_ratings(zone.line(l), row.season).for_state("permanent") for l in lids_c]
         )
         conts.append((c, lids_c, base_c, batt_c, curt_c, lim_imm, lim_long, lim_perm))
 
@@ -361,7 +362,6 @@ def brute_force_power_bandwidth(
 def forward_soc_feasible_set(
     power_results: list[PowerBandwidthResult],
     zone: ZoneModel,
-    horizon: int | None = None,
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-boundary SoC intervals by forward accumulation of obligations.
 
@@ -372,18 +372,17 @@ def forward_soc_feasible_set(
     step-by-step clamped recursion. Returns (lower, upper) tuples of length
     n+1 that certify the backward recursion.
     """
-    results = power_results[: horizon if horizon is not None else len(power_results)]
-    n = len(results)
+    n = len(power_results)
     dt = zone.timestep_hours
     dt_cur = zone.curative_duration_hours
     cap = zone.battery_capacity_mwh
     floor = zone.battery_soc_min_mwh
 
     charge_need = np.array(
-        [dt * r.lower_mw + dt_cur * max(0.0, r.curative_charge_worst_mw) for r in results]
+        [dt * r.lower_mw + dt_cur * max(0.0, r.curative_charge_worst_mw) for r in power_results]
     )
     discharge_room = np.array(
-        [dt * r.upper_mw + dt_cur * min(0.0, r.curative_discharge_worst_mw) for r in results]
+        [dt * r.upper_mw + dt_cur * min(0.0, r.curative_discharge_worst_mw) for r in power_results]
     )
 
     p = np.concatenate([[0.0], np.cumsum(charge_need)])  # prefix sums, length n+1

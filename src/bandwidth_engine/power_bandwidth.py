@@ -371,18 +371,12 @@ def build_lp(
     season: Season | str,
     direction: Direction | str,
     weights: ObjectiveWeights | None = None,
-    network: NetworkModel | None = None,
 ) -> BandwidthProblem:
-    """Build one direction's LP for one timestep.
-
-    ``network`` is the zone's :func:`network_model`, built here when not given.
-    """
+    """Build one direction's LP for one timestep, on the zone's :func:`network_model`."""
     direction = Direction(direction)
     weights = weights or ObjectiveWeights()
     weights.validate()
-    if network is None:
-        network = network_model(zone)
-    problem = BandwidthProblem(zone, network, row, Season(season))
+    problem = BandwidthProblem(zone, network_model(zone), row, Season(season))
     problem.lp.name = f"bandwidth[t={row.index},{direction.value}]"
     problem.lp.set_objective(problem.objective(direction, weights))
     return problem
@@ -409,11 +403,14 @@ def _rating_label(problem: BandwidthProblem, row_name: str) -> str:
 def _max_violation_diagnostic(problem: BandwidthProblem, row: TimestepForecast) -> str:
     """Relax every rating row of the timestep's LP elastically
     (:meth:`BandwidthProblem.elastic_lp`) and report the unavoidable
-    overloads."""
-    lp = problem.elastic_lp()
-    sol = _solve(lp, row, "relaxed")
+    overloads. The elastic LP is feasible (the battery at 0 MW, no
+    curtailment or curative action, slacks covering every rating row) and
+    bounded below, so any status but optimal is a solver failure."""
+    sol = solve(problem.elastic_lp(), compute_duals=False)
     if sol.status != SolveStatus.OPTIMAL:
-        return "infeasible (no diagnostic: relaxed problem did not solve)"
+        raise UnstableLpError(
+            f"timestep {row.index} ({row.timestamp}): the relaxed LP is {sol.status.value.replace('_', ' ')}"
+        )
     worst: list[tuple[float, str]] = []
     for (name, _), label in zip(problem._ratings, problem.rating_labels(), strict=True):
         v = sol.value(f"relax:{name}")
@@ -428,11 +425,11 @@ def _max_violation_diagnostic(problem: BandwidthProblem, row: TimestepForecast) 
 def solve_timestep(
     zone: ZoneModel,
     row: TimestepForecast,
-    season: Season | str | None = None,
     weights: ObjectiveWeights | None = None,
     lexicographic: bool = False,
 ) -> PowerBandwidthResult:
-    """Solve both directions for one timestep and classify the outcome.
+    """Solve both directions for one timestep, under its own season's
+    ratings, and classify the outcome.
 
     One LP is solved for the lower bound, then for the upper bound. In
     lexicographic mode a first solve minimizes total preventive curtailment
@@ -440,10 +437,9 @@ def solve_timestep(
     of :meth:`BandwidthProblem.capped_lp`) for both directions. Raises
     :class:`UnstableLpError` if an LP is neither optimal nor infeasible.
     """
-    season = Season(season) if season is not None else row.season
     weights = weights or ObjectiveWeights()
-    problem = build_lp(zone, row, season, Direction.LOWER, weights)
-    return _solve_written(zone, row, season, weights, lexicographic, problem)
+    problem = build_lp(zone, row, row.season, Direction.LOWER, weights)
+    return _solve_written(zone, row, row.season, weights, lexicographic, problem)
 
 
 def _solve_written(
@@ -548,7 +544,7 @@ def _solve_rows(args) -> list[PowerBandwidthResult]:
         problem = _kept.pop(key, None)
     fresh = problem is None
     if fresh:
-        problem = build_lp(zone, rows[0], rows[0].season, Direction.LOWER, weights, network_model(zone))
+        problem = build_lp(zone, rows[0], rows[0].season, Direction.LOWER, weights)
     results = []
     for i, row in enumerate(rows):
         if i or not fresh:  # build_lp wrote the first timestep
@@ -563,14 +559,12 @@ def _solve_rows(args) -> list[PowerBandwidthResult]:
 def compute_power_bandwidths(
     zone: ZoneModel,
     forecast: ForecastSeries,
-    horizon: int | None = None,
     workers: int = 1,
     weights: ObjectiveWeights | None = None,
     lexicographic: bool = False,
 ) -> list[PowerBandwidthResult]:
-    """Bandwidths for timesteps [0, horizon); independent and parallelizable.
-
-    A ``horizon`` below 0 or beyond the forecast raises :class:`ValueError`.
+    """Bandwidths for every row of the forecast, each under its own season's
+    ratings; independent and parallelizable.
 
     A timestep whose ratings cannot be met is reported in its result row
     (class ``infeasible`` with a ``failure`` diagnostic). Any exception raised
@@ -580,10 +574,6 @@ def compute_power_bandwidths(
     ``workers`` > 1 each worker process keeps its own for its jobs.
     """
     rows = list(forecast)
-    if horizon is not None:
-        if not 0 <= horizon <= len(rows):
-            raise ValueError(f"horizon {horizon} is outside the forecast's 0 to {len(rows)} timesteps")
-        rows = rows[:horizon]
     weights = weights or ObjectiveWeights()
     if workers <= 1 or len(rows) <= 1:
         return _solve_rows((zone, rows, weights, lexicographic))
@@ -605,24 +595,18 @@ def check_safety(
     row: TimestepForecast,
     result: PowerBandwidthResult,
     n_points: int = 21,
-    weights: ObjectiveWeights | None = None,
-    fix_curtailment_at: dict[str, float] | None = None,
 ) -> list[tuple[float, str]]:
     """Probe the reported bandwidth: every setpoint inside it must admit a
     feasible curative completion for every contingency.
 
     Returns a list of (setpoint, diagnostic) for failures; empty = safe. The
-    completion keeps preventive curtailment free within its forecast budget
-    (pass ``fix_curtailment_at`` to pin it instead).
+    completion keeps preventive curtailment free within its forecast budget.
     """
-    weights = weights or ObjectiveWeights()
     failures: list[tuple[float, str]] = []
     if result.congestion_class == CongestionClass.INFEASIBLE:
         return [(math.nan, "timestep infeasible")]
-    problem = build_lp(zone, row, row.season, Direction.LOWER, weights)
+    problem = build_lp(zone, row, row.season, Direction.LOWER)
     lp = problem.lp
-    for bus, val in (fix_curtailment_at or {}).items():
-        lp.set_bounds(problem.curtailment_vars[bus], val, val)
     battery = zone.battery
     span = result.upper_mw - result.lower_mw
     for i in range(n_points):

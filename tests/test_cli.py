@@ -511,3 +511,20 @@ def test_malformed_zone_is_an_error_line(zone_path, forecast_paths, tmp_path):
     res = _run("compute", "--zone", bad, "--forecast", forecast_paths["summer_day"], "--out", tmp_path / "run")
     assert res.exit_code == 1
     assert res.output == "error: battery block must be an object, got null\n"
+
+
+@pytest.mark.parametrize("column, value", [("inj:alpha", "nan"), ("curt_max:alpha", "inf"), ("ref:delta-east", "-inf")])
+def test_non_finite_forecast_cell_is_an_error_line(zone_path, forecast_paths, tmp_path, column, value):
+    """A NaN or infinite forecast cell is refused with one error line naming
+    its row and column; nothing is written."""
+    lines = forecast_paths["summer_day"].read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[4].split(",")
+    cells[header.index(column)] = value
+    lines[4] = ",".join(cells)
+    bad = tmp_path / "forecast.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    res = _run("compute", "--zone", zone_path, "--forecast", bad, "--out", tmp_path / "run")
+    assert res.exit_code == 1
+    assert res.output == f"error: forecast row 3 column {column!r} is not finite: {value!r}\n"
+    assert not (tmp_path / "run").exists()

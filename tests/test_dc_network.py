@@ -87,7 +87,7 @@ def test_imbalance_rejected(zone):
 
 def test_island_imbalance_names_island(zone, winter_day):
     row = winter_day[0]
-    topo = TopologyState.for_contingency(zone, "gamma-delta-outage")
+    topo = TopologyState.for_contingency(zone, zone.contingency("gamma-delta-outage"))
     refs = dict(row.ref_contingency_mw["gamma-delta-outage"])
     refs["delta-east"] += 3.0  # break only the delta island
     with pytest.raises(BalanceError, match="delta"):
@@ -96,18 +96,17 @@ def test_island_imbalance_names_island(zone, winter_day):
 
 def test_effective_sensitivity_base(zone):
     ptdf = compute_ptdf(zone, TopologyState.base(zone))
-    assert ptdf.factor("gamma-delta", "gamma") == pytest.approx(0.6, abs=1e-9)
-    assert ptdf.factor("beta-gamma", "gamma") == pytest.approx(-0.4, abs=1e-9)
-    assert ptdf.factor("alpha-beta", "gamma") == pytest.approx(-0.4, abs=1e-9)
-    # outbound factors echo the recorded zone data
-    assert ptdf.factor("delta-east", "gamma") == pytest.approx(0.6, abs=1e-9)
+    assert ptdf["gamma-delta"]["gamma"] == pytest.approx(0.6, abs=1e-9)
+    assert ptdf["beta-gamma"]["gamma"] == pytest.approx(-0.4, abs=1e-9)
+    assert ptdf["alpha-beta"]["gamma"] == pytest.approx(-0.4, abs=1e-9)
+    assert list(ptdf) == ["alpha-beta", "beta-gamma", "gamma-delta"]  # internal lines only
 
 
 def test_effective_sensitivity_after_outage(zone):
-    ptdf = compute_ptdf(zone, TopologyState.for_contingency(zone, "gamma-delta-outage"))
+    ptdf = compute_ptdf(zone, TopologyState.for_contingency(zone, zone.contingency("gamma-delta-outage")))
     # all battery power exits through alpha once gamma-delta is out
-    assert abs(ptdf.factor("alpha-beta", "gamma")) == pytest.approx(1.0, abs=1e-9)
-    assert abs(ptdf.factor("beta-gamma", "gamma")) == pytest.approx(1.0, abs=1e-9)
+    assert abs(ptdf["alpha-beta"]["gamma"]) == pytest.approx(1.0, abs=1e-9)
+    assert abs(ptdf["beta-gamma"]["gamma"]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_slack_self_transfer_is_zero():
@@ -134,18 +133,18 @@ def test_ptdf_consistency_with_flow_resolve(zone, summer_day):
         }
         resolved = dc_flows(zone, topo, inj, refs)
         for lid in resolved:
-            predicted = base[lid] + ptdf.factor(lid, bus) * delta
+            predicted = base[lid] + ptdf[lid][bus] * delta
             assert resolved[lid] == pytest.approx(predicted, abs=1e-6)
 
 
 def test_outage_ptdf_matches_full_network_difference(zone):
     """Recomputed outage sensitivities equal brute-force full-grid differences."""
     full = reference_full_network().without("gamma-delta")
-    ptdf = compute_ptdf(zone, TopologyState.for_contingency(zone, "gamma-delta-outage"))
+    ptdf = compute_ptdf(zone, TopologyState.for_contingency(zone, zone.contingency("gamma-delta-outage")))
     for bus in zone.bus_ids():
         sens = full.injection_sensitivity(bus)
         for lid in ("alpha-beta", "beta-gamma"):
-            assert ptdf.factor(lid, bus) == pytest.approx(sens[lid], abs=1e-8)
+            assert ptdf[lid][bus] == pytest.approx(sens[lid], abs=1e-8)
 
 
 @settings(max_examples=30, deadline=None)
@@ -247,7 +246,7 @@ def test_network_model_matches_ptdf_and_dc_flows(zone, summer_day, winter_day):
         assert list(model.topologies) == [s.contingency_id for s in states]
         for state in states:
             topo = model.topologies[state.contingency_id]
-            assert topo.line_factors == compute_ptdf(z, state).line_factors
+            assert topo.line_factors == compute_ptdf(z, state)
             cid = state.contingency_id
             refs = row.ref_normal_mw if cid is None else row.ref_contingency_mw[cid]
             got = dict(zip(state.active_lines, model.flows(topo, row.injections_mw, refs)))
@@ -306,13 +305,13 @@ def _network_digest() -> str:
     h = hashlib.sha256()
     for z in [reference_zone()] + [random_instance(seed)[0] for seed in range(400)]:
         for cid, topo in NetworkModel(z, _topology_states(z)).topologies.items():
-            ptdf = compute_ptdf(z, topo.state)
-            h.update(repr((cid, topo.line_factors, ptdf.line_factors, ptdf.outbound_factors)).encode())
+            h.update(repr((cid, topo.line_factors, compute_ptdf(z, topo.state))).encode())
             h.update(repr(topo.flow_matrix.shape).encode() + topo.flow_matrix.tobytes())
     return h.hexdigest()
 
 
 def test_network_models_keep_their_bits():
-    """The PTDFs and flow matrices of 671 topologies, to the bit; the
-    digest was taken before their island solves were merged into one."""
-    assert _network_digest() == "f88ce8080ffa931f073801f6743aa01f22d1bf6b8f059119b7a3fffd61d331b3"
+    """The PTDFs and flow matrices of 671 topologies, to the bit. The tree
+    before ``compute_ptdf`` returned a dict gives the same digest, and its
+    bits were pinned before the island solves were merged into one."""
+    assert _network_digest() == "a1c01fff8de3ef084ea0946fa82f733aa611d923f280ed1089477003973664f7"

@@ -138,18 +138,6 @@ def test_infeasible_power_timestep_rejected(zone):
         compute_energy_bandwidths([bad], zone)
 
 
-def test_missing_coverage_rejected(zone):
-    with pytest.raises(EnergyBandwidthError, match="horizon"):
-        compute_energy_bandwidths(_series([(0.0, 1.0)]), zone, horizon=2)
-
-
-@pytest.mark.parametrize("horizon", [-1, -3])
-def test_negative_horizon_rejected(zone, horizon):
-    """A negative horizon is refused, not read as a slice that drops steps."""
-    with pytest.raises(EnergyBandwidthError, match=f"horizon {horizon} is outside the power results' 0 to 4 timesteps"):
-        compute_energy_bandwidths(_series([(0.0, 1.0)] * 4), zone, horizon=horizon)
-
-
 def test_winter_day_boundary_three(zone, winter_day):
     results = compute_power_bandwidths(zone, winter_day)
     energy = compute_energy_bandwidths(results, zone)
@@ -254,7 +242,7 @@ def test_many_random_feasible_witnesses(zone):
 
 
 def test_energy_csv_format(zone, winter_day):
-    results = compute_power_bandwidths(zone, winter_day, horizon=4)
+    results = compute_power_bandwidths(zone, winter_day[:4])
     energy = compute_energy_bandwidths(results, zone)
     text = energy_results_to_csv(energy, [r.timestamp for r in results])
     lines = text.splitlines()

@@ -418,6 +418,20 @@ WRONG_TYPES = [
     ("outbound-null", [(("outbound_lines", 0), None)], "outbound line entry must be an object, got null"),
     ("contingency-null", [(("contingencies", 0), None)], "contingency entry missing 'id' or 'outaged_element'"),
     ("contingencies-a-boolean", [(("contingencies",), True)], "zone field 'contingencies' must be a list, got a boolean"),
+    # ids and the references to them are JSON strings: a number is not read as its text
+    ("bus-id-a-number", [(("buses", 1, "id"), 1)], "bus entry id must be a string, got a number"),
+    ("bus-id-a-number-after-its-text", [(("buses",), [*_DOC["buses"], {"id": "1"}, {"id": 1}])],
+     "bus entry id must be a string, got a number"),
+    ("battery-bus-a-number", [(("battery", "bus"), 2)], "battery bus must be a string, got a number"),
+    ("line-id-a-number", [(("lines", 1, "id"), 7)], "line entry id must be a string, got a number"),
+    ("from-bus-a-number", [(("lines", 1, "from_bus"), 1)], "line 'beta-gamma' from_bus must be a string, got a number"),
+    ("to-bus-null", [(("lines", 1, "to_bus"), None)], "line 'beta-gamma' to_bus must be a string, got null"),
+    ("contingency-id-a-number", [(("contingencies", 0, "id"), 1)], "contingency entry id must be a string, got a number"),
+    ("outaged-element-a-boolean", [(("contingencies", 0, "outaged_element"), True)],
+     "contingency 'gamma-delta-outage' outaged_element must be a string, got a boolean"),
+    ("outbound-id-a-number", [(("outbound_lines", 1, "id"), 2)], "outbound line entry id must be a string, got a number"),
+    ("boundary-bus-a-number", [(("outbound_lines", 1, "boundary_bus"), 4)],
+     "outbound line 'delta-east' boundary_bus must be a string, got a number"),
     *(
         (f"{key}-{kind}", [((key,), value)], f"zone field {key!r} must be a list, got {message}")
         for key in ("buses", "lines", "outbound_lines", "contingencies")

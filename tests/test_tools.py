@@ -1,22 +1,28 @@
-"""The exactness tool: its digests are stable from one run to the next."""
+"""The tools: the exactness tool's digests are stable from one run to the
+next, and the cold-zone timer runs."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TOOL = ROOT / "tools" / "exactness.py"
+
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def test_exactness_digests_repeat(capsys):
     """Two runs over the fixture days print equal digests, one per objective;
     the first starts cold, the second on the kept problem. A third run, with
     ``--src`` naming this checkout's ``src/``, prints them too."""
-    spec = importlib.util.spec_from_file_location("exactness", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool("exactness")
     outputs = []
     for argv in (["--part", "fixture"], ["--part", "fixture"], ["--part", "fixture", "--src", str(ROOT / "src")]):
         assert tool.main(argv) == 0
@@ -26,3 +32,13 @@ def test_exactness_digests_repeat(capsys):
     engine = tool.engine()
     assert engine is tool.engine(ROOT / "src")
     assert engine.power_bandwidth.solve is engine.lp_core.solve  # the recording wrapper is gone
+
+
+def test_coldzone_times_five_zones(capsys):
+    """The cold-zone timer reaches into ``BandwidthProblem``, ``_solve_written``,
+    ``network_model`` and ``_max_violation_diagnostic``; on five zones, one
+    pass, it prints a JSON report of one tree."""
+    assert _tool("coldzone").main(["--zones", "5", "--passes", "1", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results_equal"] is True
+    assert report["zones"] == 5 and len(report["trees"]) == 1
