@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_model import BALANCE_TOL_MW, Contingency, ZoneModel, _connected_components
+from .grid_model import BALANCE_TOL_MW, PTDF_PARTITION_TOL, Contingency, ZoneModel, _connected_components
 
 
 class IslandingError(Exception):
@@ -223,14 +223,18 @@ def _topology_model(zone: ZoneModel, topology: TopologyState, bus_pos: dict[str,
             P[at][k] -= ptdf[bus]
 
     for island in topology.islands:
-        if not any(zone.outbound(oid).boundary_bus in island for oid in topology.active_outbound):
+        n_out = sum(zone.outbound(oid).boundary_bus in island for oid in topology.active_outbound)
+        if not n_out:
             raise IslandingError(
                 f"island {{{','.join(sorted(island))}}} has no outbound line; "
                 f"injection sensitivities are undefined there"
             )
         for k, bus in enumerate(bus_ids):
             net = sum(P[bus_pos[b]][k] for b in island)
-            if abs(net) > 1e-9:
+            # the zone check's bounds: a bus of the island has sensitivities
+            # summing to 1, another bus one on each of the island's outbound
+            # lines, each within PTDF_PARTITION_TOL
+            if abs(net) > PTDF_PARTITION_TOL * (1 if bus in island else n_out):
                 raise IslandingError(
                     f"island {{{','.join(sorted(island))}}} cannot absorb injection at "
                     f"{bus!r} (residual {net:.3e}); outbound sensitivities are inconsistent"

@@ -70,14 +70,13 @@ standard form from the other's: the base matrix and row terms are copied and
 only the new columns, rows and range rows are placed (see
 :class:`_StandardForm`). The derived form has a fresh form's bits.
 
-A form keeps at most ``NODES_PER_FORM`` nodes (a reused Klee-Minty cube
-would otherwise keep one per pivot). Past that, and on a form solved for one
-right-hand side only, the walk builds each node it visits and keeps none.
-When the LP lets go of its checked objectives (``KEPT_OBJECTIVES``), the form
-drops their costs and phase-two subtrees, and with them their count, so a
-zone solved under many weightings keeps room for the tree of the weights in
-use. A form lives as long as its :class:`LinearProgram` keeps the same
-matrix.
+A form keeps at most ``NODES_PER_FORM`` nodes, row-flip patterns and cost
+vectors together (a reused Klee-Minty cube would otherwise keep one node per
+pivot). Past that, and on a form solved for one right-hand side only, the
+walk builds each node it visits and keeps none. A form lives as long as its
+:class:`LinearProgram` keeps the same matrix; the pipeline gives each LP the
+objectives of one weighting, so its form keeps the costs and phase-two
+subtrees of those alone.
 """
 
 from __future__ import annotations
@@ -99,8 +98,6 @@ MAX_ITERATIONS = 20000
 # tree nodes (with row-flip patterns and objectives' costs) a reloaded
 # standard form keeps at most
 NODES_PER_FORM = 1000
-# checked objectives a linear program keeps at most
-KEPT_OBJECTIVES = 8
 
 INF = math.inf
 
@@ -158,7 +155,6 @@ class LinearProgram:
         self._constraints: tuple[Constraint, ...] | None = None  # built on demand
         self.objective: dict[str, float] = {}
         self.objective_constant = 0.0
-        self._checked: dict[int, tuple[dict, dict[str, float]]] = {}  # id -> (objective, copy)
         self._var_index: dict[str, int] = {}
         self._row_index: dict[str, int] = {}
         self._form: _StandardForm | None = None  # dropped when the matrix changes
@@ -240,21 +236,13 @@ class LinearProgram:
             rhs[i] = float(value)
 
     def set_objective(self, coeffs: dict[str, float], constant: float = 0.0) -> None:
-        """Set the objective. A dict set before, and equal to the copy taken
-        then, is not checked or copied again."""
-        kept = self._checked.get(id(coeffs))  # holds coeffs, so the id is not reused
-        if kept is None or kept[1] != coeffs:
-            for var, c in coeffs.items():
-                if var not in self._var_index:
-                    raise LpError(f"objective references unknown variable {var!r}")
-                if not math.isfinite(c):
-                    raise LpError(f"objective has non-finite coefficient on {var!r}")
-            if len(self._checked) >= KEPT_OBJECTIVES:
-                self._checked.clear()
-                if self._form is not None:
-                    self._form.drop_objectives()
-            kept = self._checked[id(coeffs)] = (coeffs, dict(coeffs))
-        self.objective = kept[1]
+        """Set the objective to a checked copy of ``coeffs``."""
+        for var, c in coeffs.items():
+            if var not in self._var_index:
+                raise LpError(f"objective references unknown variable {var!r}")
+            if not math.isfinite(c):
+                raise LpError(f"objective has non-finite coefficient on {var!r}")
+        self.objective = dict(coeffs)
         self.objective_constant = float(constant)
 
     def _standard_form(self) -> _StandardForm:
@@ -509,7 +497,6 @@ class _StandardForm:
         self._kept = 0  # nodes, patterns and costs kept
         self._lower_bits: bytes | None = None
         self._costs: dict[tuple, tuple[np.ndarray, float]] = {}
-        self._phase_two: list[tuple[_Node, bytes]] = []  # the kept phase-two roots: (parent, key)
         self._patterns: dict[tuple[int, ...], _Pattern] = {}
         self._last: tuple[_Node | None, np.ndarray | None] = (None, None)  # the last tableau built
 
@@ -638,23 +625,7 @@ class _StandardForm:
             cost2[: self.ncols] = c
             zrow = cost2 - cost2[after.basis] @ T[:, :-1]
             root = self._adopt(after, key, _Node(T, after.basis, zrow, self.pattern.art_start, (), ()))
-            if root.parent is not None:
-                self._phase_two.append((after, key))
         return root
-
-    def drop_objectives(self) -> None:
-        """Forget every objective's column costs and phase-two subtrees, and
-        their count toward NODES_PER_FORM: the LP no longer holds those
-        objectives."""
-        self._kept -= len(self._costs)
-        self._costs.clear()
-        for after, key in self._phase_two:
-            stack = [after.children.pop(key)]
-            while stack:
-                node = stack.pop()
-                self._kept -= 1
-                stack.extend(node.children.values())
-        self._phase_two.clear()
 
     def entering(self, node: _Node, bland: bool) -> tuple[int, list[tuple[int, float, int]]]:
         """The node's entering column under Dantzig's rule (the most negative

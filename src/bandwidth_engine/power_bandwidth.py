@@ -4,17 +4,18 @@ Each timestep's LP is solved under two objectives that differ only in the
 sign on the preventive battery setpoint (minimize it for the lower bound,
 maximize it for the upper bound). The LP's variables, rows and coefficients
 depend only on the zone, so a :class:`BandwidthProblem` is built once per
-zone and each timestep writes only its curtailment bounds and right-hand
-sides into it, in one call per LP; the LP layer keeps the standard form and
-runs phase one once for both objectives. The problem of the last zone that
-:func:`compute_power_bandwidths` solved is kept until a call on another
-zone: its network model, its LP and capped copy, and their standard forms
-with their pivot-path trees (at most
+zone and weighting, with its objectives, and each timestep writes only its
+curtailment bounds and right-hand sides into it, in one call per LP; the LP
+layer keeps the standard form and runs phase one once for both objectives.
+The problem of the last zone and weighting that
+:func:`compute_power_bandwidths` solved is kept until a call on another zone
+or with other weights: its network model, its LP and capped copy, and their
+standard forms with their pivot-path trees (at most
 ``lp_core.NODES_PER_FORM`` nodes each, about 2.6 kB per node; after the
 bundled zone's 8,760 h year the weighted LP's form holds about 1.5 MB).
 With workers, each worker process keeps its own for the jobs it runs. It is
-keyed by the zone's ``repr``, so a zone edited in place, or one that differs
-only by a -0.0, gets a new problem.
+keyed by the zone's ``repr`` and the weights, so a zone edited in place, or
+one that differs only by a -0.0, gets a new problem.
 :func:`solve_timestep`, :func:`check_safety` and the LP export build their
 own LP every time. A result's binding label is the first rating row, in row
 order, that the lower-bound solution meets with equality, else the
@@ -53,7 +54,7 @@ import csv
 import io
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .dc_network import NetworkModel, TopologyState
@@ -133,13 +134,17 @@ class BandwidthProblem:
     variable names.
 
     The LP's variables, rows and coefficients depend only on the zone, so it
-    is built once, with one timestep's values; :meth:`set_hour` writes
-    another timestep's curtailment bounds and right-hand sides into it.
+    is built once, with one timestep's values under its row's season;
+    :meth:`set_hour` writes another timestep's curtailment bounds and
+    right-hand sides into it. Its objectives are those of one weighting
+    (:meth:`objective`).
     """
 
-    def __init__(self, zone: ZoneModel, network: NetworkModel, row: TimestepForecast, season: Season):
-        self.network = network
-        battery, bus_ids = zone.battery, zone.bus_ids()
+    def __init__(self, zone: ZoneModel, network: NetworkModel, row: TimestepForecast, weights: ObjectiveWeights):
+        weights.validate()
+        self.network, self.weights = network, weights
+        self.battery = battery = zone.battery
+        bus_ids = zone.bus_ids()
         lp = LinearProgram("bandwidth")
 
         batt = lp.add_variable("batt", battery.battery_min_mw, battery.battery_max_mw)
@@ -213,7 +218,7 @@ class BandwidthProblem:
                     flows.append((f"{tag}:{lid}", (lid, stage, cid or "", _STAGE_RATING[stage]), flow))
 
         self._limits: dict[Season, list[float]] = {}
-        self._rating_rhs = self._rating_values(row, season)
+        self._rating_rhs = self._rating_values(row)
         self.rating_rows: dict[str, tuple[str, str, str, str]] = {}
         self._ratings: list[tuple[str, dict[str, float]]] = []  # (row, coefficients) per row
         self._labels: list[str] | None = None  # per rating row, formatted on first use
@@ -233,12 +238,14 @@ class BandwidthProblem:
         self.curative_curtailment_vars = cur_curt
         self.total_curtailment = {v: 1.0 for v in curt.values()}
         self._capped: LinearProgram | None = None
-        self._weights: ObjectiveWeights | None = None  # the weights of the objectives kept
         self._objectives: dict[tuple[Direction, bool], dict[str, float]] = {}
+        self._add_objectives(curtailment_bounded=False)
 
-    def _rating_values(self, row: TimestepForecast, season: Season) -> list[float]:
-        """Each rating row's rhs, in row order: limit - base flow for the upper
-        row of a pair, limit + base flow for the lower one."""
+    def _rating_values(self, row: TimestepForecast) -> list[float]:
+        """Each rating row's rhs under the row's season, in row order: limit -
+        base flow for the upper row of a pair, limit + base flow for the lower
+        one."""
+        season = row.season
         if season not in self._limits:
             self._limits[season] = [
                 select_ratings(line, season).for_state(rating) for *_, line, rating in self._pairs
@@ -255,10 +262,11 @@ class BandwidthProblem:
             rhs += (limit - flow, limit + flow)
         return rhs
 
-    def set_hour(self, row: TimestepForecast, season: Season) -> None:
-        """Write one timestep's curtailment bounds and right-hand sides."""
+    def set_hour(self, row: TimestepForecast) -> None:
+        """Write one timestep's curtailment bounds and right-hand sides, under
+        its own season's ratings."""
         caps = row.curtailable_max_mw
-        self._rating_rhs = self._rating_values(row, season)
+        self._rating_rhs = self._rating_values(row)
         values = [caps[b] for _, b in self._curt_caps] + self._rating_rhs
         for lp in [self.lp] if self._capped is None else [self.lp, self._capped]:
             for b, v in self.curtailment_vars.items():
@@ -287,11 +295,13 @@ class BandwidthProblem:
 
     def capped_lp(self) -> LinearProgram:
         """The LP plus row ``curt_total_cap`` bounding the total preventive
-        curtailment (lexicographic mode), derived from the LP on first use
-        and written by every later :meth:`set_hour`."""
+        curtailment (lexicographic mode), derived from the LP on first use,
+        with its curtailment-bounded objectives, and written by every later
+        :meth:`set_hour`."""
         if self._capped is None:
             cap = (self.total_curtailment, Relation.LE, 0.0, "curt_total_cap")
             self._capped = self.lp.extended(self.lp.name, rows=[cap])
+            self._add_objectives(curtailment_bounded=True)
         return self._capped
 
     def elastic_lp(self) -> LinearProgram:
@@ -309,20 +319,23 @@ class BandwidthProblem:
         plus, minus = self.curative_battery_vars[contingency_id]
         return solution.value(plus) - solution.value(minus)
 
-    def objective(
-        self, direction: Direction, weights: ObjectiveWeights, curtailment_bounded: bool = False
-    ) -> dict[str, float]:
-        """Minimize +-B by direction, plus the curtailment and curative terms.
+    def objective(self, direction: Direction, curtailment_bounded: bool = False) -> dict[str, float]:
+        """Minimize +-B by direction, plus the curtailment and curative terms
+        under the problem's weights.
 
         ``curtailment_bounded`` drops the preventive curtailment term (the
-        lexicographic second stage bounds the total by a row instead). The
-        same arguments return the same dict, which callers must not change;
-        only the last weights' objectives are kept.
+        lexicographic second stage bounds the total by a row of
+        :meth:`capped_lp` instead, which is built first). The same arguments
+        return the same dict, which callers must not change.
         """
-        if weights != self._weights:
-            self._weights, self._objectives = weights, {}
-        key = (direction, curtailment_bounded)
-        if key not in self._objectives:
+        if curtailment_bounded:
+            self.capped_lp()
+        return self._objectives[direction, curtailment_bounded]
+
+    def _add_objectives(self, curtailment_bounded: bool) -> None:
+        """Build both directions' :meth:`objective` for ``curtailment_bounded``."""
+        weights = self.weights
+        for direction in Direction:
             objective = {self.battery_var: 1.0 if direction == Direction.LOWER else -1.0}
             if not curtailment_bounded:
                 for v in self.curtailment_vars.values():
@@ -332,8 +345,7 @@ class BandwidthProblem:
                 objective[minus] = weights.curative_battery
             for v in self.curative_curtailment_vars.values():
                 objective[v] = weights.curative_curtailment
-            self._objectives[key] = objective
-        return self._objectives[key]
+            self._objectives[direction, curtailment_bounded] = objective
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,13 +384,14 @@ def build_lp(
     direction: Direction | str,
     weights: ObjectiveWeights | None = None,
 ) -> BandwidthProblem:
-    """Build one direction's LP for one timestep, on the zone's :func:`network_model`."""
-    direction = Direction(direction)
-    weights = weights or ObjectiveWeights()
-    weights.validate()
-    problem = BandwidthProblem(zone, network_model(zone), row, Season(season))
+    """Build one direction's LP for one timestep, under ``season``'s ratings,
+    on the zone's :func:`network_model`."""
+    direction, season = Direction(direction), Season(season)
+    if season != row.season:
+        row = replace(row, season=season)
+    problem = BandwidthProblem(zone, network_model(zone), row, weights or ObjectiveWeights())
     problem.lp.name = f"bandwidth[t={row.index},{direction.value}]"
-    problem.lp.set_objective(problem.objective(direction, weights))
+    problem.lp.set_objective(problem.objective(direction))
     return problem
 
 
@@ -437,39 +450,31 @@ def solve_timestep(
     of :meth:`BandwidthProblem.capped_lp`) for both directions. Raises
     :class:`UnstableLpError` if an LP is neither optimal nor infeasible.
     """
-    weights = weights or ObjectiveWeights()
     problem = build_lp(zone, row, row.season, Direction.LOWER, weights)
-    return _solve_written(zone, row, row.season, weights, lexicographic, problem)
+    return _solve_written(problem, row, lexicographic)
 
 
-def _solve_written(
-    zone: ZoneModel,
-    row: TimestepForecast,
-    season: Season,
-    weights: ObjectiveWeights,
-    lexicographic: bool,
-    problem: BandwidthProblem,
-) -> PowerBandwidthResult:
+def _solve_written(problem: BandwidthProblem, row: TimestepForecast, lexicographic: bool) -> PowerBandwidthResult:
     """:func:`solve_timestep` for a problem that holds the timestep's values."""
     lp = problem.lp
     if lexicographic:
         lp.set_objective(problem.total_curtailment)
         sol = _solve(lp, row, "least-curtailment")
         if sol.status != SolveStatus.OPTIMAL:
-            return _infeasible_result(problem, row, season)
+            return _infeasible_result(problem, row)
         lp = problem.capped_lp()
         lp.set_rhs("curt_total_cap", sol.objective)
 
     sols: dict[Direction, LpSolution] = {}
     for direction in Direction:
-        lp.set_objective(problem.objective(direction, weights, curtailment_bounded=lexicographic))
+        lp.set_objective(problem.objective(direction, curtailment_bounded=lexicographic))
         sol = _solve(lp, row, f"{direction.value}-bound")
         if sol.status != SolveStatus.OPTIMAL:
-            return _infeasible_result(problem, row, season)
+            return _infeasible_result(problem, row)
         sols[direction] = sol
     lo, hi = sols[Direction.LOWER], sols[Direction.UPPER]
 
-    battery = zone.battery
+    battery = problem.battery
     lower = lo.value(problem.battery_var)
     upper = hi.value(problem.battery_var)
     curt_lo = sum(lo.value(v) for v in problem.curtailment_vars.values())
@@ -494,7 +499,7 @@ def _solve_written(
     return PowerBandwidthResult(
         index=row.index,
         timestamp=row.timestamp,
-        season=season.value,
+        season=row.season.value,
         lower_mw=lower,
         upper_mw=upper,
         curative_charge_worst_mw=charge_worst,
@@ -506,13 +511,11 @@ def _solve_written(
     )
 
 
-def _infeasible_result(
-    problem: BandwidthProblem, row: TimestepForecast, season: Season
-) -> PowerBandwidthResult:
+def _infeasible_result(problem: BandwidthProblem, row: TimestepForecast) -> PowerBandwidthResult:
     return PowerBandwidthResult(
         index=row.index,
         timestamp=row.timestamp,
-        season=season.value,
+        season=row.season.value,
         lower_mw=math.nan,
         upper_mw=math.nan,
         curative_charge_worst_mw=math.nan,
@@ -526,12 +529,12 @@ def _infeasible_result(
 
 
 # The last zone's problem, kept from one _solve_rows call to the next under
-# the zone's repr: OutboundLine's PTDF maps are dicts that can be edited in
-# place, and a repr tells every float apart (-0.0 from 0.0), so an equal key
-# means an equal zone. A call takes the problem out while it uses it and puts
-# it back when it finishes, so one that raises leaves none half-written and
-# two threads never share one.
-_kept: dict[str, BandwidthProblem] = {}
+# the zone's repr and the weights: OutboundLine's PTDF maps are dicts that can
+# be edited in place, and a repr tells every float apart (-0.0 from 0.0), so
+# an equal key means an equal zone. A call takes the problem out while it uses
+# it and puts it back when it finishes, so one that raises leaves none
+# half-written and two threads never share one.
+_kept: dict[tuple[str, ObjectiveWeights], BandwidthProblem] = {}
 _kept_lock = threading.Lock()
 
 
@@ -539,7 +542,7 @@ def _solve_rows(args) -> list[PowerBandwidthResult]:
     zone, rows, weights, lexicographic = args
     if not rows:
         return []
-    key = repr(zone)
+    key = (repr(zone), weights)
     with _kept_lock:
         problem = _kept.pop(key, None)
     fresh = problem is None
@@ -548,10 +551,10 @@ def _solve_rows(args) -> list[PowerBandwidthResult]:
     results = []
     for i, row in enumerate(rows):
         if i or not fresh:  # build_lp wrote the first timestep
-            problem.set_hour(row, row.season)
-        results.append(_solve_written(zone, row, row.season, weights, lexicographic, problem))
+            problem.set_hour(row)
+        results.append(_solve_written(problem, row, lexicographic))
     with _kept_lock:
-        _kept.clear()  # a different zone's problem is released
+        _kept.clear()  # a different zone's or weighting's problem is released
         _kept[key] = problem
     return results
 

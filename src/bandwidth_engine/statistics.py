@@ -10,7 +10,6 @@ their own.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -62,9 +61,6 @@ class AvailabilityReport:
             "binding_lines": dict(sorted(self.binding_lines.items())),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
     def to_text(self) -> str:
         lines = ["Battery availability by season:"]
         for name, s in sorted(self.by_season.items()):
@@ -90,24 +86,15 @@ def binding_lines_to_csv(report: AvailabilityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summarize(
-    results: list[PowerBandwidthResult],
-    season_tags: list[str] | None = None,
-) -> AvailabilityReport:
-    """Availability fractions per season.
-
-    ``season_tags`` overrides the per-result season labels (same length).
-    """
+def summarize(results: list[PowerBandwidthResult]) -> AvailabilityReport:
+    """Availability fractions per season, by each result's own season."""
     if not results:
         raise ValueError("cannot summarize an empty result series")
-    if season_tags is not None and len(season_tags) != len(results):
-        raise ValueError("season_tags length does not match results")
 
     counts: dict[str, Counter] = {}
     binding: Counter = Counter()
-    for i, r in enumerate(results):
-        season = season_tags[i] if season_tags is not None else r.season
-        c = counts.setdefault(season, Counter())
+    for r in results:
+        c = counts.setdefault(r.season, Counter())
         c["timesteps"] += 1
         cls = r.congestion_class
         if cls == CongestionClass.INFEASIBLE:

@@ -513,6 +513,30 @@ def test_malformed_zone_is_an_error_line(zone_path, forecast_paths, tmp_path):
     assert res.output == "error: battery block must be an object, got null\n"
 
 
+@pytest.mark.parametrize(
+    "outbound, topology, bus",
+    [(0, None, "beta"), (1, "gamma-delta-outage", "alpha")],
+    ids=["sum-of-a-bus-of-the-island", "factor-of-a-bus-of-another-island"],
+)
+def test_zone_within_the_partition_tolerance_computes(zone_path, forecast_paths, tmp_path, outbound, topology, bus):
+    """Sensitivities 5e-7 off the partition of unity, inside the zone
+    check's PTDF_PARTITION_TOL, pass the DC model's own check too: alpha-west's
+    intact-topology factor of beta (its sum is 1 + 5e-7), and delta-east's
+    factor of alpha after the gamma-delta outage, which leaves alpha in
+    another island. ``compute`` exits 0 with every hour's bandwidth."""
+    doc = json.loads(zone_path.read_text())
+    line = doc["outbound_lines"][outbound]
+    factors = line["ptdf_normal"] if topology is None else line["ptdf_contingency"][topology]
+    factors[bus] += 5e-7
+    edited = tmp_path / "zone.json"
+    edited.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    res = _run("compute", "--zone", edited, "--forecast", forecast_paths["summer_day"], "--out", out)
+    assert res.exit_code == 0, res.output
+    rows = (out / "power_bandwidth.csv").read_text().splitlines()
+    assert len(rows) == 25 and not any(",infeasible," in r for r in rows)
+
+
 @pytest.mark.parametrize("column, value", [("inj:alpha", "nan"), ("curt_max:alpha", "inf"), ("ref:delta-east", "-inf")])
 def test_non_finite_forecast_cell_is_an_error_line(zone_path, forecast_paths, tmp_path, column, value):
     """A NaN or infinite forecast cell is refused with one error line naming

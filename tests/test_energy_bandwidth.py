@@ -115,15 +115,22 @@ def test_infeasible_horizon_reported(zone):
 def test_forward_oracle_finds_the_same_empty_days_of_the_year(zone):
     """Day by day over the synthetic year, the forward oracle's corridor is
     empty on the 13 days whose backward recursion reports empty boundaries,
-    and on no other."""
+    and on no other. On each of those days no trajectory exists: from both
+    ends and the midpoint of interval 0 the greedy construction reports a
+    violation."""
     from bandwidth_engine.fixtures import synthetic_year_rows
 
     results = compute_power_bandwidths(zone, synthetic_year_rows(zone))
     recursion, oracle = [], []
     for day in range(365):
         series = results[24 * day : 24 * (day + 1)]
-        if compute_energy_bandwidths(series, zone).infeasible_boundaries:
+        energy = compute_energy_bandwidths(series, zone)
+        if energy.infeasible_boundaries:
             recursion.append(series[0].timestamp[:10])
+            lo, hi = energy.interval(0)
+            for soc in (lo, 0.5 * (lo + hi), hi):
+                got = verify_trajectory_existence(series, energy, zone, soc)
+                assert isinstance(got, TrajectoryViolation), (recursion[-1], soc)
         lower, upper = forward_soc_feasible_set(series, zone)
         if any(lo > hi + SOC_TOL_MWH for lo, hi in zip(lower, upper)):
             oracle.append(series[0].timestamp[:10])

@@ -596,17 +596,21 @@ def test_reused_infeasible_form_matches_a_fresh_one():
     assert statuses.count(SolveStatus.INFEASIBLE) == 6 and statuses.count(SolveStatus.OPTIMAL) == 6
 
 
-def test_set_objective_checks_a_new_or_changed_objective_once():
+def test_set_objective_checks_and_copies_every_call():
+    """Every call checks the objective and keeps a copy of it; a refused one
+    leaves the objective as it was."""
     lp = _reuse_lp()
     objective = {"x": 1.0, "y": 2.0}
     lp.set_objective(objective)
-    kept = lp.objective
+    first = lp.objective
+    assert first == objective and first is not objective
     lp.set_objective(objective)
-    assert lp.objective is kept and lp.objective == objective  # checked once, not copied again
+    assert lp.objective == objective and lp.objective is not first
+    kept = lp.objective
     for bad, message in (({"z": 1.0}, "unknown variable"), ({"x": math.nan}, "non-finite")):
         with pytest.raises(LpError, match=message):
             lp.set_objective(bad)
-    objective["x"] = math.inf  # a kept objective changed in place is checked again
+    objective["x"] = math.inf  # the same dict, changed in place, is checked again
     with pytest.raises(LpError, match="non-finite"):
         lp.set_objective(objective)
     assert lp.objective is kept and kept == {"x": 1.0, "y": 2.0}

@@ -544,7 +544,7 @@ def _standard_form_digest(zone, summer_day) -> str:
     for z, row in [(zone, summer_day[7])] + [random_instance(seed) for seed in range(400)]:
         problem = build_lp(z, row, row.season, Direction.LOWER)
         objectives = [problem.total_curtailment] + [
-            problem.objective(d, ObjectiveWeights(), bounded) for d in Direction for bounded in (False, True)
+            problem.objective(d, bounded) for d in Direction for bounded in (False, True)
         ]
         for lp in (problem.lp, problem.capped_lp()):
             sf = lp._standard_form()
@@ -913,17 +913,16 @@ def test_many_weightings_keep_the_last_weights_tree(zone, summer_day, monkeypatc
     assert repr(again) == repr(_cold(zone, summer_day, weights=weights))
 
 
-def test_objectives_of_many_weights_stay_bounded(zone, summer_day):
-    """Fifty weightings on one zone keep only the last weights' objectives,
+def test_many_weightings_keep_only_the_last_problem(zone, summer_day):
+    """Fifty weightings on one zone keep only the last weighting's problem,
     and each call still gives a cold call's results."""
     for k in range(50):
         weights = ObjectiveWeights(preventive_curtailment=1.0e4 + k, curative_battery=1.0e-3 * (1 + k % 7))
         got = compute_power_bandwidths(zone, summer_day[:3], weights=weights)
         if k % 10 == 9:
             assert repr(got) == repr(_cold(zone, summer_day[:3], weights=weights))
-    problem = next(iter(pb._kept.values()))
-    assert problem._weights == weights and len(problem._objectives) <= 2
-    assert len(problem.lp._checked) <= lp_core.KEPT_OBJECTIVES
+    assert list(pb._kept) == [(repr(zone), weights)]
+    assert pb._kept[repr(zone), weights].weights is weights
 
 
 def _solve_counters(sol) -> tuple:
@@ -944,7 +943,7 @@ def test_kept_problem_equals_a_cold_call(zone, monkeypatch, lexicographic):
     hits = 0
     for i, day in enumerate(days):
         rows = year[24 * day : 24 * (day + 1)]
-        hits += bool(pb._kept) and repr(zone) in pb._kept
+        hits += (repr(zone), ObjectiveWeights()) in pb._kept
         solves.clear()
         got = compute_power_bandwidths(zone, rows, lexicographic=lexicographic)
         warm = [_solve_counters(sol) for sol in solves]
@@ -1139,9 +1138,9 @@ def test_binding_labels_equal_the_row_sums(zone, monkeypatch, lexicographic):
             solved[what] = (sol, lp.constraints)
         return sol
 
-    def checked(zone, row, season, weights, lexicographic, problem):
+    def checked(problem, row, lexicographic):
         solved.clear()
-        result = real_written(zone, row, season, weights, lexicographic, problem)
+        result = real_written(problem, row, lexicographic)
         tag = f"t={row.index} {row.timestamp}"
         if result.congestion_class in (CongestionClass.FULLY_AVAILABLE, CongestionClass.INFEASIBLE):
             assert result.binding_constraint is None, tag

@@ -86,13 +86,6 @@ def test_binding_histogram():
     }
 
 
-def test_season_tags_override():
-    rows = [_res(i, CongestionClass.REDUCED, "summer") for i in range(2)]
-    report = summarize(rows, season_tags=["winter", "summer"])
-    assert report.season("winter").timesteps == 1
-    assert report.season("summer").timesteps == 1
-
-
 def test_empty_series_rejected():
     with pytest.raises(ValueError):
         summarize([])
@@ -103,7 +96,6 @@ def test_report_serialization():
     d = report.to_dict()
     assert d["by_season"]["summer"]["fraction_congestion"] == 1.0
     assert "x:normal:permanent" in report.to_text()
-    assert report.to_json().endswith("\n")
 
 
 def test_binding_lines_csv():

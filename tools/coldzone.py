@@ -6,8 +6,8 @@ zone:
 
 * ``parse``: ``zone_from_dict`` on the zone's document;
 * ``network``: the zone's network model (``network_model``);
-* ``build``: the bandwidth LP built on it (``BandwidthProblem``), with its
-  objective set;
+* ``build``: the bandwidth LP built on it under the default weights
+  (``BandwidthProblem``), with its lower-bound objective set;
 * ``form``: the LP's standard form;
 * ``solves``: ``solve_timestep``'s solves on that problem, without the
   diagnostic;
@@ -18,7 +18,9 @@ name of its own, so one process can hold a parent and a change and time them
 in interleaved passes; each figure is the minimum over the passes of the
 mean per zone, in microseconds. Two copies of one tree can read a few per
 cent apart by import order, so compare two trees in both orders. The trees'
-results must be repr-equal; the tool says so. Run from anywhere:
+results must be repr-equal; the tool says so. A tree must take the calls this
+tool makes: ``BandwidthProblem(zone, network, row, weights)`` and
+``_solve_written(problem, row, lexicographic)``. Run from anywhere:
 
     python3 tools/coldzone.py [--zones 600] [--first 9000000] [--passes 21] [--src DIR ...] [--json]
 """
@@ -37,7 +39,11 @@ PIECES = ("parse", "network", "build", "form", "solves", "diagnostic")
 
 
 def import_engine(src: Path, alias: str):
-    """The ``bandwidth_engine`` package under ``src``, imported as ``alias``."""
+    """The ``bandwidth_engine`` package under ``src``, imported afresh as
+    ``alias``: modules left under ``alias`` by an earlier import are dropped
+    first, so each import binds its own submodules."""
+    for name in [m for m in sys.modules if m == alias or m.startswith(alias + ".")]:
+        del sys.modules[name]
     spec = importlib.util.spec_from_file_location(
         alias, src / "bandwidth_engine" / "__init__.py", submodule_search_locations=[str(src / "bandwidth_engine")]
     )
@@ -72,13 +78,12 @@ def _pass(engine, docs, rows) -> tuple[dict[str, float], list[str]]:
             t1 = clock()
             network = pb.network_model(zone)
             t2 = clock()
-            problem = pb.BandwidthProblem(zone, network, row, row.season)
-            weights = pb.ObjectiveWeights()
-            problem.lp.set_objective(problem.objective(pb.Direction.LOWER, weights))
+            problem = pb.BandwidthProblem(zone, network, row, pb.ObjectiveWeights())
+            problem.lp.set_objective(problem.objective(pb.Direction.LOWER))
             t3 = clock()
             problem.lp._standard_form()
             t4 = clock()
-            result = pb._solve_written(zone, row, row.season, weights, False, problem)
+            result = pb._solve_written(problem, row, False)
             t5 = clock()
             totals["parse"] += t1 - t0
             totals["network"] += t2 - t1
