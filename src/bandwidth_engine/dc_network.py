@@ -12,16 +12,16 @@ internal line to an injection therefore combines the zone network with the
 recorded boundary response — this is what :func:`compute_ptdf` evaluates.
 
 :class:`NetworkModel` holds, per topology of a zone, the PTDFs and a
-line-by-bus flow matrix, so that every hour's base flows are one
-matrix-vector product instead of a fresh network solve. Both come from one
-solve per island over the PTDFs' injection patterns and the unit injections
-side by side; :func:`compute_ptdf` is the one-topology case of the same
-solve.
+line-by-bus flow matrix, so that an hour's base flows are one call that
+sums the bus injections once and takes one matrix-vector product per
+topology, instead of a fresh network solve. Both come from one solve per
+island over the PTDFs' injection patterns and the unit injections side by
+side; :func:`compute_ptdf` is the one-topology case of the same solve.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,24 +113,35 @@ def _solve_island_angles(
         ) from None
 
 
-def _net_injections(
-    zone: ZoneModel,
-    topology: TopologyState,
-    injections_mw: dict[str, float],
-    boundary_flows_mw: dict[str, float],
-    bus_pos: dict[str, int],
-) -> np.ndarray:
-    """Net nodal injections as an (n_buses, 1) column; every island must balance.
-
-    Boundary flows (export-positive) enter as injections of the opposite sign
-    at their boundary bus.
-    """
+def _bus_injections(injections_mw: dict[str, float], bus_pos: dict[str, int]) -> list[float]:
+    """Each bus's injections summed, in bus order."""
     p = [0.0] * len(bus_pos)  # Python floats: the same additions as float64 entries
     for b, v in injections_mw.items():
         p[bus_pos[b]] += v
-    for oid in topology.active_outbound:
-        o = zone.outbound(oid)
-        p[bus_pos[o.boundary_bus]] -= boundary_flows_mw[oid]
+    return p
+
+
+def _boundary(zone: ZoneModel, topology: TopologyState, bus_pos: dict[str, int]) -> tuple[tuple[int, str], ...]:
+    """(boundary bus position, outbound id) per active outbound line, in order."""
+    return tuple((bus_pos[zone.outbound(oid).boundary_bus], oid) for oid in topology.active_outbound)
+
+
+def _net_injections(
+    p: list[float],
+    topology: TopologyState,
+    boundary: tuple[tuple[int, str], ...],
+    boundary_flows_mw: dict[str, float],
+    bus_pos: dict[str, int],
+) -> np.ndarray:
+    """Net nodal injections as an (n_buses, 1) column, from the buses'
+    injections ``p``; every island must balance.
+
+    Boundary flows (export-positive) enter as injections of the opposite sign
+    at their boundary bus (``boundary``: :func:`_boundary`).
+    """
+    p = p.copy()
+    for at, oid in boundary:
+        p[at] -= boundary_flows_mw[oid]
 
     for island in topology.islands:
         net = sum(p[bus_pos[b]] for b in island)
@@ -174,7 +185,8 @@ def dc_flows(
     electrical island must balance to :data:`BALANCE_TOL_MW`.
     """
     bus_pos = _bus_positions(zone)
-    p = _net_injections(zone, topology, injections_mw, boundary_flows_mw, bus_pos)
+    boundary = _boundary(zone, topology, bus_pos)
+    p = _net_injections(_bus_injections(injections_mw, bus_pos), topology, boundary, boundary_flows_mw, bus_pos)
     flows = _line_flows(zone, topology, p, bus_pos)
     return {lid: float(flows[i, 0]) for i, lid in enumerate(topology.active_lines)}
 
@@ -198,12 +210,14 @@ class TopologyModel:
 
     ``flow_matrix`` (active lines x zone buses) maps net nodal injections to
     line flows; it is the network solve of :func:`dc_flows` done once for unit
-    injections.
+    injections. ``boundary`` holds each active outbound line's boundary bus
+    position and id, in order.
     """
 
     state: TopologyState
     line_factors: dict[str, dict[str, float]]
     flow_matrix: np.ndarray
+    boundary: tuple[tuple[int, str], ...]
 
 
 def _topology_model(zone: ZoneModel, topology: TopologyState, bus_pos: dict[str, int]) -> TopologyModel:
@@ -212,10 +226,8 @@ def _topology_model(zone: ZoneModel, topology: TopologyState, bus_pos: dict[str,
     outbound sensitivities at their boundary buses, I the unit injections."""
     bus_ids = list(bus_pos)
     n = len(bus_ids)
-    outbound = [
-        (bus_pos[zone.outbound(oid).boundary_bus], _outbound_ptdf(zone, oid, topology.contingency_id))
-        for oid in topology.active_outbound
-    ]
+    boundary = _boundary(zone, topology, bus_pos)
+    outbound = [(at, _outbound_ptdf(zone, oid, topology.contingency_id)) for at, oid in boundary]
     P = [[0.0] * n for _ in range(n)]  # Python floats: the same arithmetic as float64 entries
     for k, bus in enumerate(bus_ids):
         P[k][k] += 1.0
@@ -245,7 +257,7 @@ def _topology_model(zone: ZoneModel, topology: TopologyState, bus_pos: dict[str,
     line_factors = {
         lid: dict(zip(bus_ids, row[:n])) for lid, row in zip(topology.active_lines, flows.tolist())
     }
-    return TopologyModel(topology, line_factors, flows[:, n:].copy())
+    return TopologyModel(topology, line_factors, flows[:, n:].copy(), boundary)
 
 
 class NetworkModel:
@@ -253,24 +265,31 @@ class NetworkModel:
 
     Built from the topology states it is given (keyed by their contingency id,
     ``None`` for the intact topology); it raises :class:`IslandingError` where
-    :func:`compute_ptdf` would. :meth:`flows` checks each island's balance as
-    :func:`dc_flows` does, then takes one matrix-vector product.
+    :func:`compute_ptdf` would. :meth:`base_flows` gives every topology's
+    flows for one hour in one call: it sums the buses' injections once, then
+    per topology subtracts its boundary flows and checks each island's
+    balance as :func:`dc_flows` does, and takes one matrix-vector product.
     """
 
     def __init__(self, zone: ZoneModel, topologies: Iterable[TopologyState]):
-        self.zone = zone
         self._bus_pos = _bus_positions(zone)
         self.topologies: dict[str | None, TopologyModel] = {
             t.contingency_id: _topology_model(zone, t, self._bus_pos) for t in topologies
         }
 
-    def flows(
+    def base_flows(
         self,
-        topology: TopologyModel,
         injections_mw: dict[str, float],
-        boundary_flows_mw: dict[str, float],
-    ) -> list[float]:
-        """DC flows on the topology's active lines, in MW and in
-        ``topology.state.active_lines`` order (see :func:`dc_flows`)."""
-        p = _net_injections(self.zone, topology.state, injections_mw, boundary_flows_mw, self._bus_pos)
-        return (topology.flow_matrix @ p)[:, 0].tolist()
+        ref_normal_mw: dict[str, float],
+        ref_contingency_mw: Mapping[str, dict[str, float]],
+    ) -> list[list[float]]:
+        """Each topology's DC flows (see :func:`dc_flows`) in MW, in
+        :attr:`topologies` and ``state.active_lines`` order: the intact one's
+        under ``ref_normal_mw``, a contingency's under its ``ref_contingency_mw``."""
+        p = _bus_injections(injections_mw, self._bus_pos)
+        out = []
+        for cid, topo in self.topologies.items():
+            refs = ref_normal_mw if cid is None else ref_contingency_mw[cid]
+            net = _net_injections(p, topo.state, topo.boundary, refs, self._bus_pos)
+            out.append((topo.flow_matrix @ net)[:, 0].tolist())
+        return out

@@ -14,8 +14,10 @@ phase and says whether the switch fired.
 Everything downstream reads only :class:`LpSolution`; the pipeline calls
 this module's :func:`solve` and has no hook for another solver.
 
-A :class:`LinearProgram` changes only through its methods, so the standard
-form it is converted to for solving is kept across solves. Its matrix depends
+A :class:`LinearProgram` holds its bounds and right-hand sides in float
+lists (``variables`` and ``constraints`` build their tuples on demand) and
+changes only through its methods, so the standard form it is converted to
+for solving is kept across solves. Its matrix depends
 only on the coefficients and on which bounds are finite: it is rebuilt when a
 variable or row is added or a bound turns finite or infinite. New right-hand
 sides (:meth:`LinearProgram.set_rhs_many` writes a whole set in one call) or
@@ -23,8 +25,9 @@ a bound that stays finite (or infinite) only mark the form's right-hand side
 stale, and the next solve recomputes it with the same arithmetic as a fresh
 form. A reloaded form also keeps its row shifts (each row's
 ``sum coef * lower``, in coefficient order) and every objective's column
-costs until a lower bound changes bit pattern. Both are summed in Python
-floats, in coefficient order, and converted to arrays once.
+costs until a lower bound changes bit pattern; it keeps a copy of the lower
+bounds they were summed from. Both are summed in Python floats, in
+coefficient order, and converted to arrays once.
 
 Every solve walks a pivot-path tree of its form. The matrix and the costs do
 not change with the right-hand side b, so neither does anything that picks a
@@ -62,7 +65,9 @@ sign-normalized). Where phase one ends, a node keeps the pivots that drive
 basic artificials out of the basis, which depend only on its tableau; below
 them phase two has one root per cost vector. Phase one does not depend on
 the objective, so it runs once per right-hand side, and every objective
-starts phase two where it ended.
+starts phase two where it ended. Its feasibility test weighs b with the
+artificial costs kept on the node where it ends, against a tolerance scaled
+by the largest sign-normalized right-hand side, taken at the form's load.
 
 :meth:`LinearProgram.extended` makes an LP from another one plus new
 columns and rows (an elastic LP, a copy with one more row) and derives its
@@ -149,7 +154,7 @@ class LinearProgram:
 
     def __init__(self, name: str = "lp"):
         self.name = name
-        self._variables: list[Variable] = []
+        self._names, self._lower, self._upper = [], [], []  # every variable's name and bounds, in order
         self._rows: list[tuple[str, Mapping[str, float], Relation]] = []
         self._rhs: list[float] = []  # every row's right-hand side, in row order
         self._constraints: tuple[Constraint, ...] | None = None  # built on demand
@@ -162,7 +167,8 @@ class LinearProgram:
 
     @property
     def variables(self) -> tuple[Variable, ...]:
-        return tuple(self._variables)
+        """Every variable, with its current bounds."""
+        return tuple(map(Variable, self._names, self._lower, self._upper))
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
@@ -176,21 +182,24 @@ class LinearProgram:
     def add_variable(self, name: str, lower: float = 0.0, upper: float = INF) -> str:
         if name in self._var_index:
             raise LpError(f"duplicate variable {name!r}")
-        self._var_index[name] = len(self._variables)
-        self._variables.append(_variable(name, lower, upper))
+        lower, upper = _bounds(name, lower, upper)
+        self._var_index[name] = len(self._names)
+        self._names.append(name)
+        self._lower.append(lower)
+        self._upper.append(upper)
         self._form = None
         return name
 
     def set_bounds(self, name: str, lower: float, upper: float) -> None:
-        if name not in self._var_index:
+        i = self._var_index.get(name)
+        if i is None:
             raise LpError(f"unknown variable {name!r}")
-        i = self._var_index[name]
-        old, new = self._variables[i], _variable(name, lower, upper)
-        self._variables[i] = new
-        if (old.lower == -INF, old.upper < INF) == (new.lower == -INF, new.upper < INF):
+        lower, upper = _bounds(name, lower, upper)
+        if (self._lower[i] == -INF, self._upper[i] < INF) == (lower == -INF, upper < INF):
             self._rhs_stale = True
         else:
             self._form = None
+        self._lower[i], self._upper[i] = lower, upper
 
     def add_constraint(
         self,
@@ -268,7 +277,8 @@ class LinearProgram:
         if self._form is None:
             self._form, self._rhs_stale = _StandardForm(self), True
         out = LinearProgram(name)
-        out._variables, out._var_index = list(self._variables), dict(self._var_index)
+        out._names, out._lower, out._upper = list(self._names), list(self._lower), list(self._upper)
+        out._var_index = dict(self._var_index)
         out._rows, out._rhs, out._row_index = list(self._rows), list(self._rhs), dict(self._row_index)
         extra: dict[int, dict[str, float]] = {}  # per row of this LP: its coefficients on the new columns
         for var, coeffs in columns.items():
@@ -298,10 +308,11 @@ class LinearProgram:
             mag = abs(c)
             return f"{sign} {mag:.12g} {v} ".replace("  ", " ")
 
+        variables = self.variables
         out = ["\\ " + self.name, "Minimize", " obj:"]
         line = " "
         first = True
-        for v in self.variables:
+        for v in variables:
             c = self.objective.get(v.name, 0.0)
             if c != 0.0:
                 line += term(c, v.name, first)
@@ -311,7 +322,7 @@ class LinearProgram:
         for con in self.constraints:
             line = f" {con.name}:"
             first = True
-            for v in self.variables:
+            for v in variables:
                 c = con.coeffs.get(v.name, 0.0)
                 if c != 0.0:
                     line += " " + term(c, v.name, first).strip()
@@ -321,7 +332,7 @@ class LinearProgram:
             line += f" {con.relation.value} {con.rhs:.12g}"
             out.append(line)
         out.append("Bounds")
-        for v in self.variables:
+        for v in variables:
             lo = "-inf" if v.lower == -INF else f"{v.lower:.12g}"
             hi = "+inf" if v.upper == INF else f"{v.upper:.12g}"
             out.append(f" {lo} <= {v.name} <= {hi}")
@@ -329,12 +340,13 @@ class LinearProgram:
         return "\n".join(out) + "\n"
 
 
-def _variable(name: str, lower: float, upper: float) -> Variable:
+def _bounds(name: str, lower: float, upper: float) -> tuple[float, float]:
+    """A variable's checked bounds, as floats."""
     if math.isnan(lower) or math.isnan(upper):
         raise LpError(f"variable {name!r} has NaN bound")
     if lower > upper:
         raise LpError(f"variable {name!r} has lower > upper ({lower} > {upper})")
-    return Variable(name, float(lower), float(upper))
+    return float(lower), float(upper)
 
 
 def _bits(values) -> bytes:
@@ -444,7 +456,7 @@ class _StandardForm:
     def __init__(
         self, lp: LinearProgram, base: tuple[_StandardForm, dict[int, dict[str, float]]] | None = None
     ):
-        variables, rows = lp._variables, lp._rows
+        names, lower, upper, rows = lp._names, lp._lower, lp._upper, lp._rows
         form, extra = base or (None, {})
         self.row_names = [name for name, _, _ in rows]
         # per variable by name: its index and column, and the column of its
@@ -456,12 +468,11 @@ class _StandardForm:
         self._row_terms: list[list[tuple[float, int]]] = [] if form is None else list(form._row_terms)
         old_cols = ncols = 0 if form is None else form.ncols
         old_rows, old_ranged = len(self._row_terms), len(self._ranged)
-        for j in range(len(self._columns), len(variables)):
-            v = variables[j]
-            neg = ncols + 1 if v.lower == -INF else None
-            self._columns[v.name] = (j, ncols, neg)
+        for j in range(len(self._columns), len(names)):
+            neg = ncols + 1 if lower[j] == -INF else None
+            self._columns[names[j]] = (j, ncols, neg)
             ncols += 1 if neg is None else 2
-            if v.upper < INF:
+            if upper[j] < INF:
                 self._ranged.append(j)
 
         n_user = len(rows)
@@ -502,19 +513,17 @@ class _StandardForm:
 
     def load(self, lp: LinearProgram) -> None:
         """Write the LP's current right-hand sides and lower bounds."""
-        variables = lp._variables
+        lower, upper = lp._lower, lp._upper
         self._loads += 1
-        lower = [v.lower for v in variables]
         bits = _bits(lower)
         if bits != self._lower_bits:  # the shifts and costs depend on the lower bounds
-            self._lower, self._lower_bits = lower, bits
+            self._lower, self._lower_bits = list(lower), bits  # a copy: the LP's list changes with its bounds
             self._row_shifts = [self._shift(terms, 0.0) for terms in self._row_terms]
             self._kept -= len(self._costs)
             self._costs.clear()
         rhs = [b - shift for b, shift in zip(lp._rhs, self._row_shifts)]
         for j in self._ranged:
-            v = variables[j]
-            rhs.append(v.upper if v.lower == -INF else v.upper - v.lower)
+            rhs.append(upper[j] if lower[j] == -INF else upper[j] - lower[j])
 
         # normalize rhs >= 0
         flip = tuple(i for i, x in enumerate(rhs) if x < 0)
@@ -526,6 +535,9 @@ class _StandardForm:
         b = np.array(rhs, dtype=float)
         b.flags.writeable = False  # shared by every solve until the next load
         self.pattern, self.row_sign, self.b = pattern, pattern.row_sign, b
+        # phase one's objective above this is infeasible: b is sign-normalized,
+        # so its largest entry is max|b|
+        self.infeasible_above = FEASIBILITY_TOL * max(1.0, max(rhs, default=1.0))
         self._after_phase_one: tuple[str, _Walk] | None = None
 
     def _pattern(self, flip: tuple[int, ...]) -> _Pattern:
@@ -721,7 +733,10 @@ class _Node:
     and :meth:`_StandardForm.tableau` rebuilds it. Its arrays never change
     once built."""
 
-    __slots__ = ("T", "parent", "pivots", "basis", "zrow", "width", "n_allowed", "steps", "children", "col", "entering")
+    __slots__ = (
+        "T", "parent", "pivots", "basis", "zrow", "width", "n_allowed", "steps", "children", "col", "entering",
+        "art_costs",
+    )
 
     def __init__(
         self,
@@ -740,6 +755,8 @@ class _Node:
         # per rule (Bland's or not): :meth:`_StandardForm.entering`
         self.entering: dict[bool, tuple[int, list[tuple[int, float, int]]]] = {}
         self.col: int | None = None  # Dantzig's entering column; None at an optimum
+        # where phase one ends here: its costs per basic column, built on first use
+        self.art_costs: np.ndarray | None = None
         if zrow is not None and n_allowed:  # only the first n_allowed columns may enter
             z = zrow[:n_allowed]
             col = int(z.argmin())
@@ -763,13 +780,14 @@ class _Walk:
     __slots__ = ("node", "b", "iterations", "phase_one_iterations", "bland")
 
     def __init__(self, node: _Node, b: np.ndarray):
-        self.node, self.b = node, _column(b)
+        self.node, self.b = node, b
         self.iterations = 0
         self.phase_one_iterations = 0
         self.bland = False  # the switch to Bland's rule fired
 
     def copy(self) -> _Walk:
-        out = _Walk(self.node, self.b)
+        """A copy with b contiguous: only phase one's dot needs its layout."""
+        out = _Walk(self.node, self.b.copy())
         out.iterations, out.phase_one_iterations, out.bland = self.iterations, self.phase_one_iterations, self.bland
         return out
 
@@ -823,15 +841,16 @@ class _Walk:
 
 def _phase_one(sf: _StandardForm) -> tuple[str, _Walk]:
     """Drive the artificials to zero and, where possible, out of the basis."""
-    walk = _Walk(sf.pattern.root, sf.b)
+    walk = _Walk(sf.pattern.root, _column(sf.b))
     if walk.node.zrow is not None:
         status = walk.run(sf)
         walk.phase_one_iterations = walk.iterations
         if status == "stalled":
             return status, walk
-        costs = (walk.node.basis >= sf.pattern.art_start).astype(float)  # phase one's, per basic column
-        phase1_obj = float(costs @ walk.b)
-        if phase1_obj > FEASIBILITY_TOL * max(1.0, float(np.max(np.abs(sf.b))) if sf.b.size else 1.0):
+        node = walk.node
+        if node.art_costs is None:
+            node.art_costs = (node.basis >= sf.pattern.art_start).astype(float)
+        if float(node.art_costs @ walk.b) > sf.infeasible_above:
             return "infeasible", walk
     walk.move(sf.drive_out(walk.node))
     return "feasible", walk
@@ -860,21 +879,21 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     sf = lp._standard_form()
     c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
     status, walk = _solve_standard(sf, c)
-    counters = {"iterations": walk.iterations, "phase_one_iterations": walk.phase_one_iterations, "bland": walk.bland}
+    counters = walk.iterations, walk.phase_one_iterations, walk.bland
 
     if status == "stalled":
-        return LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan, {}, None, **counters)
+        return LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan, {}, None, *counters)
     if status == "infeasible":
-        return LpSolution(SolveStatus.INFEASIBLE, math.nan, {}, None, **counters)
+        return LpSolution(SolveStatus.INFEASIBLE, math.nan, {}, None, *counters)
     if status == "unbounded":
-        return LpSolution(SolveStatus.UNBOUNDED, -math.inf, {}, None, **counters)
+        return LpSolution(SolveStatus.UNBOUNDED, -math.inf, {}, None, *counters)
 
     x = walk.primal(sf.ncols)
     duals = None
     if compute_duals:
         y = -walk.node.zrow[sf.pattern.unit_cols][: len(sf.row_names)] * sf.row_sign
         duals = dict(zip(sf.row_names, y.tolist()))
-    return LpSolution(SolveStatus.OPTIMAL, obj_shift + float(np.dot(c, x)), sf.recover(x), duals, **counters)
+    return LpSolution(SolveStatus.OPTIMAL, obj_shift + float(np.dot(c, x)), sf.recover(x), duals, *counters)
 
 
 def check_solution(lp: LinearProgram, values: dict[str, float]) -> list[Violation]:

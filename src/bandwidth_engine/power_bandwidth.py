@@ -250,14 +250,9 @@ class BandwidthProblem:
             self._limits[season] = [
                 select_ratings(line, season).for_state(rating) for *_, line, rating in self._pairs
             ]
-        base = [
-            self.network.flows(
-                topo, row.injections_mw, row.ref_normal_mw if cid is None else row.ref_contingency_mw[cid]
-            )
-            for cid, topo in self.network.topologies.items()
-        ]
+        base = self.network.base_flows(row.injections_mw, row.ref_normal_mw, row.ref_contingency_mw)
         rhs = []
-        for (t, k, *_), limit in zip(self._pairs, self._limits[season]):
+        for (t, k, _, _), limit in zip(self._pairs, self._limits[season]):
             flow = base[t][k]
             rhs += (limit - flow, limit + flow)
         return rhs
@@ -473,15 +468,16 @@ def _solve_written(problem: BandwidthProblem, row: TimestepForecast, lexicograph
             return _infeasible_result(problem, row)
         sols[direction] = sol
     lo, hi = sols[Direction.LOWER], sols[Direction.UPPER]
+    lo_x, hi_x = lo.values, hi.values
 
     battery = problem.battery
-    lower = lo.value(problem.battery_var)
-    upper = hi.value(problem.battery_var)
-    curt_lo = sum(lo.value(v) for v in problem.curtailment_vars.values())
-    curt_hi = sum(hi.value(v) for v in problem.curtailment_vars.values())
-    cids = problem.curative_battery_vars
-    charge_worst = max([0.0, *(problem.curative_battery_value(lo, c) for c in cids)])
-    discharge_worst = min([0.0, *(problem.curative_battery_value(hi, c) for c in cids)])
+    lower = lo_x[problem.battery_var]
+    upper = hi_x[problem.battery_var]
+    curt_lo = sum(lo_x[v] for v in problem.curtailment_vars.values())
+    curt_hi = sum(hi_x[v] for v in problem.curtailment_vars.values())
+    pairs = problem.curative_battery_vars.values()
+    charge_worst = max([0.0, *(lo_x[plus] - lo_x[minus] for plus, minus in pairs)])
+    discharge_worst = min([0.0, *(hi_x[plus] - hi_x[minus] for plus, minus in pairs)])
 
     at_min = lower <= battery.battery_min_mw + BOUND_TOL_MW
     at_max = upper >= battery.battery_max_mw - BOUND_TOL_MW

@@ -238,18 +238,22 @@ def _topology_states(zone):
 
 
 def test_network_model_matches_ptdf_and_dc_flows(zone, summer_day, winter_day):
+    """One ``base_flows`` call per hour gives every topology's flows, each
+    equal to a fresh ``dc_flows`` solve of that topology."""
     cases = [(zone, row) for row in (*summer_day, *winter_day)]
     cases += [random_instance(seed) for seed in range(40)]
     for z, row in cases:
         states = _topology_states(z)
         model = NetworkModel(z, states)
         assert list(model.topologies) == [s.contingency_id for s in states]
-        for state in states:
+        base = model.base_flows(row.injections_mw, row.ref_normal_mw, row.ref_contingency_mw)
+        assert len(base) == len(states)
+        for state, flows in zip(states, base):
             topo = model.topologies[state.contingency_id]
             assert topo.line_factors == compute_ptdf(z, state)
             cid = state.contingency_id
             refs = row.ref_normal_mw if cid is None else row.ref_contingency_mw[cid]
-            got = dict(zip(state.active_lines, model.flows(topo, row.injections_mw, refs)))
+            got = dict(zip(state.active_lines, flows, strict=True))
             want = dc_flows(z, state, row.injections_mw, refs)
             assert list(got) == list(want)
             for lid, flow in want.items():
@@ -257,12 +261,14 @@ def test_network_model_matches_ptdf_and_dc_flows(zone, summer_day, winter_day):
 
 
 def test_network_model_keeps_balance_and_islanding_checks(zone, winter_day):
+    """A contingency island that does not balance fails the hour's call with
+    that island named, although the intact topology balances."""
     row = winter_day[0]
     model = NetworkModel(zone, _topology_states(zone))
-    refs = dict(row.ref_contingency_mw["gamma-delta-outage"])
-    refs["delta-east"] += 3.0  # break only the delta island
-    with pytest.raises(BalanceError, match="delta"):
-        model.flows(model.topologies["gamma-delta-outage"], row.injections_mw, refs)
+    refs = {cid: dict(flows) for cid, flows in row.ref_contingency_mw.items()}
+    refs["gamma-delta-outage"]["delta-east"] += 3.0  # break only the delta island
+    with pytest.raises(BalanceError, match=r"^island \{delta\} has"):
+        model.base_flows(row.injections_mw, row.ref_normal_mw, refs)
 
     # no line in service: every bus is an island the outbound data cannot serve
     stranded = TopologyState(

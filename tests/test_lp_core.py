@@ -616,6 +616,70 @@ def test_set_objective_checks_and_copies_every_call():
     assert lp.objective is kept and kept == {"x": 1.0, "y": 2.0}
 
 
+def _pack(*values: float) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def test_variables_follow_every_bound_write():
+    """``variables`` is built from the LP's bounds on every read, so it shows
+    each ``set_bounds`` (as floats, -0.0 kept), whether the write keeps the
+    form or drops it."""
+    lp = _reuse_lp()
+    solve(lp)
+    for name, lower, upper in (("x", 1, 2), ("y", -INF, 6.0), ("x", -0.0, INF), ("y", -2.0, 0.0), ("x", 0.0, 4.0)):
+        lp.set_bounds(name, lower, upper)
+        got = {v.name: v for v in lp.variables}
+        assert list(got) == ["x", "y"]
+        assert type(got[name].lower) is float and type(got[name].upper) is float
+        assert _pack(got[name].lower, got[name].upper) == _pack(lower, upper)
+        assert _bits_of(solve(lp)) == _bits_of(solve(_rebuilt(lp)))
+
+
+def test_extended_lp_and_its_base_keep_their_bounds_apart():
+    """Bound writes on an extended LP never reach the LP it extends (its
+    ``variables`` or its next solve), and the base's never reach the extended
+    LP: each solves as a fresh LP with its own bounds."""
+    base = _reuse_lp()
+    base_solution = solve(base)
+    ext = base.extended("ext", {"s": {"sum": 1.0}})
+    ext.set_objective({"x": 1.0, "y": 2.0, "s": 1.0})
+    assert ext.variables[-1] == lp_core.Variable("s", 0.0, INF)
+    base_variables = base.variables
+
+    ext.set_bounds("x", 1.0, 3.0)  # keeps the extended LP's form
+    ext.set_bounds("y", -INF, 6.0)  # drops it
+    ext.set_bounds("s", 0.0, 0.5)
+    assert base.variables == base_variables and len(base.variables) == 2
+    assert _bits_of(solve(base)) == _bits_of(base_solution) == _bits_of(solve(_rebuilt(base)))
+    ext_variables, ext_solution = ext.variables, solve(ext)
+    assert _bits_of(ext_solution) == _bits_of(solve(_rebuilt(ext)))
+
+    base.set_bounds("x", 2.0, 4.0)
+    base.set_bounds("y", -1.0, INF)
+    assert ext.variables == ext_variables
+    assert _bits_of(solve(ext)) == _bits_of(ext_solution)
+    assert _bits_of(solve(base)) == _bits_of(solve(_rebuilt(base)))
+
+
+def test_kept_form_holds_its_own_lower_bounds():
+    """A kept form copies the LP's lower bounds when a load finds their bits
+    changed, so a bound write reaches it only through the next load. Moving
+    a lower bound from 0.0 to -0.0 and back is such a change, and every
+    solve on the kept form has a fresh LP's bits."""
+    lp = _reuse_lp()  # x in [0, 4], y in [-2, 6]
+    solve(lp)
+    form = lp._standard_form()
+    assert form._lower is not lp._lower
+    for lower in (-0.0, 0.0, -0.0, 0.0):
+        loaded = _pack(*form._lower)
+        lp.set_bounds("x", lower, 4.0)
+        assert _pack(*form._lower) == loaded  # not before the next load
+        got = solve(lp)
+        assert lp._standard_form() is form and form._lower is not lp._lower
+        assert _pack(*form._lower) == _pack(lower, -2.0)
+        assert _bits_of(got) == _bits_of(solve(_rebuilt(lp)))
+
+
 def test_rows_without_variables():
     lp = LinearProgram()
     lp.add_constraint({}, Relation.LE, 5.0)

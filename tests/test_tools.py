@@ -1,5 +1,5 @@
 """The tools: the exactness tool's digests are stable from one run to the
-next, and the cold-zone timer runs."""
+next, and the cold-zone and warm-hour timers run."""
 
 from __future__ import annotations
 
@@ -48,3 +48,16 @@ def test_coldzone_times_five_zones(capsys):
         assert report["results_equal"] is True
         assert report["zones"] == 5 and len(report["trees"]) == 1
     assert reports[0]["unclearable"] == reports[1]["unclearable"]
+
+
+def test_warmhour_times_three_days(capsys):
+    """The warm-hour timer reaches into ``compute_power_bandwidths`` and the
+    fixtures' synthetic year; on three days, one pass, it prints a JSON report
+    of one tree imported twice, whose copies' results are equal."""
+    tool = _tool("warmhour")
+    assert tool.main(["--days", "3", "--passes", "1", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results_equal"] is True
+    assert report["days"] == 3 and report["hours"] == 72 and len(report["trees"]) == 1
+    tree = report["trees"][0]
+    assert len(tree["by_import"]) == 2 and tree["us_per_hour"] == min(tree["by_import"]) > 0
