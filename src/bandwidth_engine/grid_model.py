@@ -652,7 +652,7 @@ def load_forecast(path: str | Path, zone: ZoneModel) -> ForecastSeries:
     for idx, raw in enumerate(reader):
         if not raw or all(not cell.strip() for cell in raw):
             continue
-        if len(raw) < len(header):
+        if len(raw) != len(header):
             raise ZoneValidationError(f"forecast row {idx} has {len(raw)} cells, header has {len(header)}")
 
         def cell(name: str) -> str:

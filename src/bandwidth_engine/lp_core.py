@@ -69,12 +69,6 @@ starts phase two where it ended. Its feasibility test weighs b with the
 artificial costs kept on the node where it ends, against a tolerance scaled
 by the largest sign-normalized right-hand side, taken at the form's load.
 
-:meth:`LinearProgram.extended` makes an LP from another one plus new
-columns and rows (an elastic LP, a copy with one more row) and derives its
-standard form from the other's: the base matrix and row terms are copied and
-only the new columns, rows and range rows are placed (see
-:class:`_StandardForm`). The derived form has a fresh form's bits.
-
 A form keeps at most ``NODES_PER_FORM`` nodes, row-flip patterns and cost
 vectors together (a reused Klee-Minty cube would otherwise keep one node per
 pivot). Past that, and on a form solved for one right-hand side only, the
@@ -272,15 +266,12 @@ class LinearProgram:
         """A new LP: this one's variables and rows, as they stand, then a
         variable in [0, inf) per ``columns`` entry, with its coefficients in
         rows of this LP, then ``rows`` ((coefficients, relation, rhs, name)
-        each), and no objective. Its standard form is derived from this LP's
-        (see :class:`_StandardForm`)."""
-        if self._form is None:
-            self._form, self._rhs_stale = _StandardForm(self), True
+        each), and no objective. Its standard form is built at its first
+        solve, as any LP's is."""
         out = LinearProgram(name)
         out._names, out._lower, out._upper = list(self._names), list(self._lower), list(self._upper)
         out._var_index = dict(self._var_index)
         out._rows, out._rhs, out._row_index = list(self._rows), list(self._rhs), dict(self._row_index)
-        extra: dict[int, dict[str, float]] = {}  # per row of this LP: its coefficients on the new columns
         for var, coeffs in columns.items():
             out.add_variable(var)
             for row, c in coeffs.items():
@@ -289,15 +280,10 @@ class LinearProgram:
                     raise LpError(f"unknown constraint {row!r}")
                 if not math.isfinite(c):
                     raise LpError(f"constraint {row!r} has non-finite coefficient on {var!r}")
-                extra.setdefault(i, {})[var] = c
-        for i, coeffs in extra.items():
-            row, old, relation = out._rows[i]
-            merged = old.copy()  # the proxied dict's copy
-            merged.update(coeffs)
-            out._rows[i] = (row, MappingProxyType(merged), relation)
+                _, old, relation = out._rows[i]
+                out._rows[i] = (row, MappingProxyType({**old, var: c}), relation)
         for coeffs, relation, rhs, row in rows:
             out.add_constraint(coeffs, relation, rhs, row)
-        out._form, out._rhs_stale = _StandardForm(out, (self._form, extra)), True
         return out
 
     def to_lp_format(self) -> str:
@@ -441,64 +427,37 @@ class _Pattern:
 class _StandardForm:
     """The unnormalized matrix is built once; :meth:`load` writes the
     right-hand side and picks its row-flip pattern. The row shifts, costs,
-    patterns and tree nodes are kept as the module docstring describes.
+    patterns and tree nodes are kept as the module docstring describes."""
 
-    The form of an LP made by :meth:`LinearProgram.extended` is derived from
-    the form of the LP it extends (``base``: that form, and each of its rows'
-    coefficients on the new columns): the base's matrix and row terms are
-    copied, and only the new columns, rows and range rows are placed, by the
-    same :meth:`_place`. Each matrix entry is the one coefficient placed
-    there (0.0 plus it, or minus it), so the order of placing does not
-    matter, and the rows keep their order (the new rows after the base's,
-    every range row after them) and so their flips: the derived form has the
-    bits of a fresh one."""
-
-    def __init__(
-        self, lp: LinearProgram, base: tuple[_StandardForm, dict[int, dict[str, float]]] | None = None
-    ):
+    def __init__(self, lp: LinearProgram):
         names, lower, upper, rows = lp._names, lp._lower, lp._upper, lp._rows
-        form, extra = base or (None, {})
         self.row_names = [name for name, _, _ in rows]
         # per variable by name: its index and column, and the column of its
         # negative part if its lower bound is infinite (x = col - neg), else
         # None (x = lower + col)
-        self._columns: dict[str, tuple[int, int, int | None]] = {} if form is None else dict(form._columns)
-        self._ranged: list[int] = [] if form is None else list(form._ranged)  # variables with a finite upper bound
-        # per row: its (coefficient, variable) pairs on shifted columns
-        self._row_terms: list[list[tuple[float, int]]] = [] if form is None else list(form._row_terms)
-        old_cols = ncols = 0 if form is None else form.ncols
-        old_rows, old_ranged = len(self._row_terms), len(self._ranged)
-        for j in range(len(self._columns), len(names)):
+        self._columns: dict[str, tuple[int, int, int | None]] = {}
+        self._ranged: list[int] = []  # variables with a finite upper bound
+        ncols = 0
+        for j, name in enumerate(names):
             neg = ncols + 1 if lower[j] == -INF else None
-            self._columns[names[j]] = (j, ncols, neg)
+            self._columns[name] = (j, ncols, neg)
             ncols += 1 if neg is None else 2
             if upper[j] < INF:
                 self._ranged.append(j)
 
         n_user = len(rows)
         nrows = n_user + len(self._ranged)
-        # the rows the base does not have (new rows, then new range rows), row
-        # by row, in Python floats, converted once
-        n_new = nrows - old_rows - old_ranged
-        A = [0.0] * (n_new * ncols)
-        self._row_terms += [self._place(rows[i][1], A, (i - old_rows) * ncols) for i in range(old_rows, n_user)]
+        # row by row, in Python floats, converted once
+        A = [0.0] * (nrows * ncols)
+        # per row: its (coefficient, variable) pairs on shifted columns
+        self._row_terms = [self._place(coeffs, A, i * ncols) for i, (_, coeffs, _) in enumerate(rows)]
         columns = list(self._columns.values())
-        for i, j in enumerate(self._ranged[old_ranged:], n_user - old_rows):
+        for i, j in enumerate(self._ranged, n_user):
             _, col, neg = columns[j]
             A[i * ncols + col] = 1.0
             if neg is not None:
                 A[i * ncols + neg] = -1.0
-        A = np.array(A, dtype=float).reshape(n_new, ncols)
-        if form is not None:
-            new = A
-            A = np.zeros((nrows, ncols))
-            A[:old_rows, :old_cols] = form._A[:old_rows]
-            A[old_rows:n_user] = new[: n_user - old_rows]
-            A[n_user : n_user + old_ranged, :old_cols] = form._A[old_rows:]
-            A[n_user + old_ranged :] = new[n_user - old_rows :]
-            flat = A.reshape(-1)  # a view
-            for i, coeffs in extra.items():
-                self._row_terms[i] = self._row_terms[i] + self._place(coeffs, flat, i * ncols)
+        A = np.array(A, dtype=float).reshape(nrows, ncols)
         A.flags.writeable = False
         self._A = A
         self._rel = [rel for _, _, rel in rows] + [Relation.LE] * len(self._ranged)
@@ -653,9 +612,9 @@ class _StandardForm:
             hit = node.entering[bland] = (col, list(zip(pos.tolist(), colvals[pos].tolist(), node.basis[pos].tolist())))
         return hit
 
-    def _place(self, coeffs: Mapping[str, float], out, at: int) -> list[tuple[float, int]]:
-        """Add ``coeffs`` onto the columns in ``out``, a flat list or array,
-        from index ``at`` on (Python floats: the same additions as float64
+    def _place(self, coeffs: Mapping[str, float], out: list[float], at: int) -> list[tuple[float, int]]:
+        """Add ``coeffs`` onto the columns in the flat list ``out``, from
+        index ``at`` on (Python floats: the same additions as float64
         entries); return the (coefficient, variable) pairs on shifted
         columns, in coefficient order."""
         shifted, columns = [], self._columns
@@ -764,15 +723,6 @@ class _Node:
                 self.col = col
 
 
-def _column(values: np.ndarray) -> np.ndarray:
-    """A copy of ``values`` laid out like a tableau's b column, as a strided
-    view: NumPy's dot sums a contiguous vector in another order, and the
-    phase-one objective would not keep its bits."""
-    out = np.empty((len(values), 2))[:, 0]
-    out[:] = values
-    return out
-
-
 class _Walk:
     """One right-hand side on its way down a form's tree: the node it has
     reached, its own b and its counters."""
@@ -786,7 +736,7 @@ class _Walk:
         self.bland = False  # the switch to Bland's rule fired
 
     def copy(self) -> _Walk:
-        """A copy with b contiguous: only phase one's dot needs its layout."""
+        """A copy, with its own b."""
         out = _Walk(self.node, self.b.copy())
         out.iterations, out.phase_one_iterations, out.bland = self.iterations, self.phase_one_iterations, self.bland
         return out
@@ -841,7 +791,7 @@ class _Walk:
 
 def _phase_one(sf: _StandardForm) -> tuple[str, _Walk]:
     """Drive the artificials to zero and, where possible, out of the basis."""
-    walk = _Walk(sf.pattern.root, _column(sf.b))
+    walk = _Walk(sf.pattern.root, sf.b.copy())
     if walk.node.zrow is not None:
         status = walk.run(sf)
         walk.phase_one_iterations = walk.iterations

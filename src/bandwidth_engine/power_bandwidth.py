@@ -21,10 +21,10 @@ own LP every time. A result's binding label is the first rating row, in row
 order, that the lower-bound solution meets with equality, else the
 upper-bound solution's first. An infeasible timestep's diagnostic solves the
 elastic LP (:meth:`BandwidthProblem.elastic_lp`), and lexicographic mode the
-capped copy (:meth:`BandwidthProblem.capped_lp`); both are derived from the
-LP with :meth:`lp_core.LinearProgram.extended`, which places only their new
-slack columns or row into the LP's standard form. The LP carries four
-families of network states:
+capped copy (:meth:`BandwidthProblem.capped_lp`); both are made from the
+LP with :meth:`lp_core.LinearProgram.extended`, which adds their slack
+columns or row, and get a standard form of their own at their first solve.
+The LP carries four families of network states:
 
 * normal state — flows within permanent ratings,
 * each contingency, before any recourse — flows within immediate ratings,
@@ -290,7 +290,7 @@ class BandwidthProblem:
 
     def capped_lp(self) -> LinearProgram:
         """The LP plus row ``curt_total_cap`` bounding the total preventive
-        curtailment (lexicographic mode), derived from the LP on first use,
+        curtailment (lexicographic mode), made from the LP on first use,
         with its curtailment-bounded objectives, and written by every later
         :meth:`set_hour`."""
         if self._capped is None:
@@ -304,7 +304,7 @@ class BandwidthProblem:
         "Feasibility and Infeasibility in Optimization", 2008): the LP plus a
         slack ``relax:<row>`` in [0, inf) entering every rating row with
         coefficient -1, and the slacks' sum, in row order, as its objective.
-        Derived from the LP, with the hour it holds, on every call."""
+        Made from the LP, with the hour it holds, on every call."""
         slacks = {f"relax:{name}": {name: -1.0} for name, _ in self._ratings}
         elastic = self.lp.extended(self.lp.name + ":relaxed", slacks)
         elastic.set_objective(dict.fromkeys(slacks, 1.0))
@@ -599,8 +599,12 @@ def check_safety(
     feasible curative completion for every contingency.
 
     Returns a list of (setpoint, diagnostic) for failures; empty = safe. The
-    completion keeps preventive curtailment free within its forecast budget.
+    ``n_points`` setpoints span the band evenly; one is its midpoint, and
+    fewer than one raises ``ValueError``. The completion keeps preventive
+    curtailment free within its forecast budget.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     failures: list[tuple[float, str]] = []
     if result.congestion_class == CongestionClass.INFEASIBLE:
         return [(math.nan, "timestep infeasible")]

@@ -552,3 +552,17 @@ def test_non_finite_forecast_cell_is_an_error_line(zone_path, forecast_paths, tm
     assert res.exit_code == 1
     assert res.output == f"error: forecast row 3 column {column!r} is not finite: {value!r}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_forecast_row_with_extra_cells_is_an_error_line(zone_path, forecast_paths, tmp_path):
+    """A winter-day row with two cells more than the header is refused with
+    one error line naming its row; nothing is written."""
+    lines = forecast_paths["winter_day"].read_text().splitlines()
+    lines[4] += ",999,junk"
+    bad = tmp_path / "forecast.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    res = _run("compute", "--zone", zone_path, "--forecast", bad, "--out", tmp_path / "run")
+    n = len(lines[0].split(","))
+    assert res.exit_code == 1
+    assert res.output == f"error: forecast row 3 has {n + 2} cells, header has {n}\n"
+    assert not (tmp_path / "run").exists()

@@ -8,6 +8,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bandwidth_engine.fixtures import (
     day_forecast_rows,
@@ -449,3 +451,46 @@ def test_validation_message_is_exact(zone_path, edits, message):
     with pytest.raises(ZoneValidationError) as err:
         zone_from_dict(_edited(doc, edits))
     assert str(err.value) == message
+
+
+_WINTER_CSV = Path(__file__).resolve().parent.parent / "data" / "forecast_winter_day.csv"
+# cell text without quotes or line breaks, so csv reads a line as its split on ","
+_CELL = st.one_of(
+    st.sampled_from(["", "999", "junk", "nan", "-inf", "1e400", "-1", "winter", "spring"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"), blacklist_characters='"'), max_size=4),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(["replace", "add", "drop"]), st.integers(0, 24), st.integers(0, 15), _CELL),
+        min_size=1,
+        max_size=3,
+    )
+)
+@example(edits=[("add", 4, 14, "999"), ("add", 4, 15, "junk")])  # a row ending ",999,junk"
+def test_mutated_forecast_loads_or_raises_zone_validation_error(zone, tmp_path_factory, edits):
+    """The bundled winter-day forecast with cells replaced, added or dropped
+    (in the header or a data row) either loads or raises
+    ``ZoneValidationError``, never another exception, and a non-blank row
+    whose cell count differs from the header's never loads."""
+    lines = _WINTER_CSV.read_text().splitlines()
+    for op, line, at, text in edits:
+        cells = lines[line].split(",")
+        if op == "replace":
+            cells[at % len(cells)] = text
+        elif op == "add":
+            cells.insert(at, text)
+        else:
+            del cells[at % len(cells)]
+        lines[line] = ",".join(cells)
+    p = tmp_path_factory.mktemp("forecast") / "forecast.csv"
+    p.write_text("\n".join(lines) + "\n")
+    width = len(lines[0].split(","))
+    ragged = any(len(cells) != width for cells in (l.split(",") for l in lines[1:]) if any(c.strip() for c in cells))
+    try:
+        load_forecast(p, zone)
+    except ZoneValidationError:
+        return
+    assert not ragged

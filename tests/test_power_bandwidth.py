@@ -279,6 +279,22 @@ def test_safety_check_reports_setpoints_outside_the_battery_range(zone, summer_d
     ]
 
 
+def test_safety_check_probes_at_least_one_setpoint(zone, summer_day):
+    """A check over no setpoint would call any band safe: fewer than one
+    point is refused, even for a band that fails when probed at 3 points,
+    and one point probes the band's midpoint."""
+    row = summer_day[0]
+    r = solve_timestep(zone, row)
+    wide = dataclasses.replace(r, lower_mw=-12.5, upper_mw=12.5)
+    assert len(check_safety(zone, row, wide, n_points=3)) == 2
+    for n_points in (0, -3):
+        with pytest.raises(ValueError, match=f"n_points must be at least 1, got {n_points}"):
+            check_safety(zone, row, wide, n_points=n_points)
+    assert check_safety(zone, row, wide, n_points=1) == []  # the midpoint, 0 MW
+    high = dataclasses.replace(r, lower_mw=12.5, upper_mw=13.5)
+    assert check_safety(zone, row, high, n_points=1) == [(13.0, "setpoint 13.0000 MW outside the battery range")]
+
+
 def test_safety_check_of_an_infeasible_timestep():
     zone, row = random_instance(0)
     r = solve_timestep(zone, row)
@@ -1062,28 +1078,26 @@ def test_infeasible_diagnostic_reuses_the_timesteps_lp(monkeypatch, lexicographi
 
 
 @pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
-def test_every_unclearable_hour_of_a_call_derives_its_elastic_lp(monkeypatch, lexicographic):
-    """One call over hours of which several are unclearable derives each
-    unclearable hour's elastic LP and its standard form from the kept LP,
-    as it holds that hour, and reports every hour as a fresh
-    ``solve_timestep`` does."""
+def test_every_unclearable_hour_builds_its_elastic_lp_afresh(monkeypatch, lexicographic):
+    """One call over hours of which several are unclearable builds each
+    unclearable hour's elastic LP from the kept LP, as it holds that hour,
+    with one fresh standard form of its own, and reports every hour as a
+    fresh ``solve_timestep`` does."""
     for seed in (3, 12):  # unclearable hours between clearable ones; every hour unclearable
         zone, row = random_instance(seed)
         hours = _hours_of(row, 12)
         expected = [solve_timestep(zone, h, lexicographic=lexicographic) for h in hours]
         forms = []
         real_init = lp_core._StandardForm.__init__
-        monkeypatch.setattr(
-            lp_core._StandardForm, "__init__", lambda sf, lp, *a: forms.append((lp.name, a)) or real_init(sf, lp, *a)
-        )
+        monkeypatch.setattr(lp_core._StandardForm, "__init__", lambda sf, lp: forms.append(lp) or real_init(sf, lp))
         pb._kept.clear()
         got = compute_power_bandwidths(zone, ForecastSeries(tuple(hours)), lexicographic=lexicographic)
         monkeypatch.undo()
         assert all(_same_result(a, b) for a, b in zip(got, expected, strict=True))
         unclearable = sum(r.failure is not None for r in got)
         assert unclearable >= 6 and any(r.failure is None for r in got) == (seed == 3)
-        relaxed = [base for name, base in forms if name.endswith(":relaxed")]
-        assert len(relaxed) == unclearable and all(relaxed)  # each derived from a base form
+        relaxed = [lp for lp in forms if lp.name.endswith(":relaxed")]
+        assert len(relaxed) == len({id(lp) for lp in relaxed}) == unclearable  # one form per elastic LP
 
 
 def test_first_timestep_is_written_once(zone, winter_day, monkeypatch):

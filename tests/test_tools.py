@@ -34,6 +34,20 @@ def test_exactness_digests_repeat(capsys):
     assert engine.power_bandwidth.solve is engine.lp_core.solve  # the recording wrapper is gone
 
 
+# The fixture days' digests, pinned: a change that moves them on purpose
+# re-pins them and says why, as it would for the goldens.
+FIXTURE_DIGESTS = (
+    "fixture weighted 88db774385e166b113ec0bfe06e76d1d3244287d732d9da2335795bd94b77d0e\n"
+    "fixture lexicographic b29dcbe86ffbf0858761dd1549499f948f41cc993721d86519dc17eaf0eaef83\n"
+)
+
+
+def test_exactness_fixture_digests_are_pinned(capsys):
+    """The fixture days' results and solver counters keep their bits."""
+    assert _tool("exactness").main(["--part", "fixture"]) == 0
+    assert capsys.readouterr().out == FIXTURE_DIGESTS
+
+
 def test_coldzone_times_five_zones(capsys):
     """The cold-zone timer reaches into ``BandwidthProblem``, ``_solve_written``,
     ``network_model`` and ``_max_violation_diagnostic``; on five zones, one
