@@ -9,27 +9,24 @@ states, across the applicable thermal-rating regimes) and creates none.
 __version__ = "0.1.0"
 
 from .grid_model import (
+    BalanceError,
     Bus,
     Contingency,
     ForecastSeries,
+    IslandingError,
     Line,
     OutboundLine,
     RatingSet,
     Season,
     TimestepForecast,
+    TopologyState,
     ZoneModel,
     ZoneValidationError,
     load_forecast,
     load_zone,
     select_ratings,
 )
-from .dc_network import (
-    BalanceError,
-    IslandingError,
-    TopologyState,
-    compute_ptdf,
-    dc_flows,
-)
+from .dc_network import compute_ptdf, dc_flows
 from .lp_core import LinearProgram, LpSolution, SolveStatus, check_solution, solve
 from .power_bandwidth import (
     CongestionClass,

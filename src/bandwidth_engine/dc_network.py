@@ -17,6 +17,14 @@ sums the bus injections once and takes one matrix-vector product per
 topology, instead of a fresh network solve. Both come from one solve per
 island over the PTDFs' injection patterns and the unit injections side by
 side; :func:`compute_ptdf` is the one-topology case of the same solve.
+
+The topologies (:class:`TopologyState`, derived once per zone) and the rules
+that tie their islands to the boundary data live in :mod:`.grid_model`: every
+island has an outbound line and the outbound sensitivities partition unity
+(:func:`~.grid_model.check_sensitivities`), and every island balances
+(:func:`~.grid_model.check_balance`). This module calls the same functions
+for each topology it models and each hour it solves, so an input the loaders
+accept is never refused here.
 """
 
 from __future__ import annotations
@@ -26,47 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_model import BALANCE_TOL_MW, PTDF_PARTITION_TOL, Contingency, ZoneModel, _connected_components
-
-
-class IslandingError(Exception):
-    """A topology island cannot be solved (no boundary, singular matrix)."""
-
-
-class BalanceError(Exception):
-    """Injections and boundary flows do not balance."""
-
-
-@dataclass(frozen=True)
-class TopologyState:
-    """Active internal/outbound elements under an (optional) contingency."""
-
-    active_lines: tuple[str, ...]
-    active_outbound: tuple[str, ...]
-    contingency_id: str | None
-    islands: tuple[frozenset[str], ...]
-
-    @staticmethod
-    def base(zone: ZoneModel) -> "TopologyState":
-        return TopologyState._build(zone, None)
-
-    @staticmethod
-    def for_contingency(zone: ZoneModel, contingency: Contingency) -> "TopologyState":
-        return TopologyState._build(zone, contingency)
-
-    @staticmethod
-    def _build(zone: ZoneModel, contingency: Contingency | None) -> "TopologyState":
-        lines = zone.active_lines(contingency)
-        olines = zone.active_outbound(contingency)
-        islands = _connected_components(
-            zone.bus_ids(), [(l.from_bus, l.to_bus) for l in lines]
-        )
-        return TopologyState(
-            active_lines=tuple(l.id for l in lines),
-            active_outbound=tuple(o.id for o in olines),
-            contingency_id=contingency.id if contingency else None,
-            islands=tuple(frozenset(c) for c in islands),
-        )
+# re-exported: callers import BalanceError, IslandingError and TopologyState from here too
+from .grid_model import (
+    BalanceError, IslandingError, TopologyState, ZoneModel, check_balance, check_sensitivities,
+)
 
 
 def _outbound_ptdf(zone: ZoneModel, oline_id: str, contingency_id: str | None) -> dict[str, float]:
@@ -78,7 +49,7 @@ def _outbound_ptdf(zone: ZoneModel, oline_id: str, contingency_id: str | None) -
 
 def _solve_island_angles(
     zone: ZoneModel,
-    island: frozenset[str],
+    island: tuple[str, ...],
     active_line_ids: tuple[str, ...],
     injections: np.ndarray,
     bus_pos: dict[str, int],
@@ -127,14 +98,10 @@ def _boundary(zone: ZoneModel, topology: TopologyState, bus_pos: dict[str, int])
 
 
 def _net_injections(
-    p: list[float],
-    topology: TopologyState,
-    boundary: tuple[tuple[int, str], ...],
-    boundary_flows_mw: dict[str, float],
-    bus_pos: dict[str, int],
+    p: list[float], boundary: tuple[tuple[int, str], ...], boundary_flows_mw: dict[str, float]
 ) -> np.ndarray:
     """Net nodal injections as an (n_buses, 1) column, from the buses'
-    injections ``p``; every island must balance.
+    injections ``p``.
 
     Boundary flows (export-positive) enter as injections of the opposite sign
     at their boundary bus (``boundary``: :func:`_boundary`).
@@ -142,14 +109,6 @@ def _net_injections(
     p = p.copy()
     for at, oid in boundary:
         p[at] -= boundary_flows_mw[oid]
-
-    for island in topology.islands:
-        net = sum(p[bus_pos[b]] for b in island)
-        if abs(net) > BALANCE_TOL_MW:
-            raise BalanceError(
-                f"island {{{','.join(sorted(island))}}} has {net:.6e} MW imbalance "
-                f"between injections and boundary flows"
-            )
     return np.array(p, dtype=float).reshape(-1, 1)
 
 
@@ -182,11 +141,12 @@ def dc_flows(
 
     ``boundary_flows_mw`` are export-positive per active outbound line and are
     treated as injections of the opposite sign at their boundary bus. Every
-    electrical island must balance to :data:`BALANCE_TOL_MW`.
+    electrical island must balance (:func:`~.grid_model.check_balance`).
     """
+    check_balance(zone, topology, injections_mw, boundary_flows_mw)
     bus_pos = _bus_positions(zone)
     boundary = _boundary(zone, topology, bus_pos)
-    p = _net_injections(_bus_injections(injections_mw, bus_pos), topology, boundary, boundary_flows_mw, bus_pos)
+    p = _net_injections(_bus_injections(injections_mw, bus_pos), boundary, boundary_flows_mw)
     flows = _line_flows(zone, topology, p, bus_pos)
     return {lid: float(flows[i, 0]) for i, lid in enumerate(topology.active_lines)}
 
@@ -223,7 +183,9 @@ class TopologyModel:
 def _topology_model(zone: ZoneModel, topology: TopologyState, bus_pos: dict[str, int]) -> TopologyModel:
     """The PTDF line factors and flow matrix from one solve per island over
     the injection columns [P | I]: P's column k is +1 MW at bus k less the
-    outbound sensitivities at their boundary buses, I the unit injections."""
+    outbound sensitivities at their boundary buses, I the unit injections.
+    A topology the zone's rules refuse raises their error."""
+    check_sensitivities(zone, topology)
     bus_ids = list(bus_pos)
     n = len(bus_ids)
     boundary = _boundary(zone, topology, bus_pos)
@@ -233,24 +195,6 @@ def _topology_model(zone: ZoneModel, topology: TopologyState, bus_pos: dict[str,
         P[k][k] += 1.0
         for at, ptdf in outbound:
             P[at][k] -= ptdf[bus]
-
-    for island in topology.islands:
-        n_out = sum(zone.outbound(oid).boundary_bus in island for oid in topology.active_outbound)
-        if not n_out:
-            raise IslandingError(
-                f"island {{{','.join(sorted(island))}}} has no outbound line; "
-                f"injection sensitivities are undefined there"
-            )
-        for k, bus in enumerate(bus_ids):
-            net = sum(P[bus_pos[b]][k] for b in island)
-            # the zone check's bounds: a bus of the island has sensitivities
-            # summing to 1, another bus one on each of the island's outbound
-            # lines, each within PTDF_PARTITION_TOL
-            if abs(net) > PTDF_PARTITION_TOL * (1 if bus in island else n_out):
-                raise IslandingError(
-                    f"island {{{','.join(sorted(island))}}} cannot absorb injection at "
-                    f"{bus!r} (residual {net:.3e}); outbound sensitivities are inconsistent"
-                )
 
     stacked = np.array([row + [float(i == k) for k in range(n)] for i, row in enumerate(P)])
     flows = _line_flows(zone, topology, stacked, bus_pos)
@@ -267,11 +211,12 @@ class NetworkModel:
     ``None`` for the intact topology); it raises :class:`IslandingError` where
     :func:`compute_ptdf` would. :meth:`base_flows` gives every topology's
     flows for one hour in one call: it sums the buses' injections once, then
-    per topology subtracts its boundary flows and checks each island's
-    balance as :func:`dc_flows` does, and takes one matrix-vector product.
+    per topology checks each island's balance as :func:`dc_flows` does,
+    subtracts its boundary flows and takes one matrix-vector product.
     """
 
     def __init__(self, zone: ZoneModel, topologies: Iterable[TopologyState]):
+        self._zone = zone
         self._bus_pos = _bus_positions(zone)
         self.topologies: dict[str | None, TopologyModel] = {
             t.contingency_id: _topology_model(zone, t, self._bus_pos) for t in topologies
@@ -290,6 +235,7 @@ class NetworkModel:
         out = []
         for cid, topo in self.topologies.items():
             refs = ref_normal_mw if cid is None else ref_contingency_mw[cid]
-            net = _net_injections(p, topo.state, topo.boundary, refs, self._bus_pos)
+            check_balance(self._zone, topo.state, injections_mw, refs)
+            net = _net_injections(p, topo.boundary, refs)
             out.append((topo.flow_matrix @ net)[:, 0].tolist())
         return out

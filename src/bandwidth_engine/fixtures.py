@@ -34,10 +34,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dc_network import BalanceError, IslandingError
 from .grid_model import (
     BALANCE_TOL_MW,
+    BalanceError,
     ForecastSeries,
+    IslandingError,
     Season,
     TimestepForecast,
     ZoneModel,
@@ -74,7 +75,7 @@ class FullNetwork:
             raise KeyError(line_id)
         return FullNetwork(self.buses, kept, self.slack)
 
-    def _components(self) -> list[set[str]]:
+    def _components(self) -> tuple[tuple[str, ...], ...]:
         return _connected_components(
             list(self.buses), [(l.from_bus, l.to_bus) for l in self.lines]
         )

@@ -19,6 +19,8 @@ PTDFs are sensitivities of that export to a 1 MW injection at a zone bus
 (balanced at the remote slack of the surrounding grid); for every bus they
 must sum to 1 over the outbound lines of its electrical island, which is what
 makes the zone-plus-boundary model a faithful reduction of the whole grid.
+:func:`check_sensitivities` and :func:`check_balance` hold these rules; a zone
+derives its topologies and their islands once (:class:`TopologyState`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -37,6 +39,15 @@ BALANCE_TOL_MW = 1e-6
 
 class ZoneValidationError(Exception):
     """Schema or invariant violation in a zone or forecast file."""
+
+
+class IslandingError(ZoneValidationError):
+    """A topology island cannot be solved (no boundary, sensitivities that do
+    not partition unity, singular matrix)."""
+
+
+class BalanceError(ZoneValidationError):
+    """Injections and boundary flows do not balance."""
 
 
 class Season(str, Enum):
@@ -114,6 +125,30 @@ class Contingency:
 
 
 @dataclass(frozen=True)
+class TopologyState:
+    """Active internal/outbound elements under an (optional) contingency.
+
+    ``islands`` are the electrical islands of the active lines, each a tuple
+    of its buses in zone bus order, ordered by their first bus. A zone derives
+    each of its topologies once, when it is made; :meth:`base` and
+    :meth:`for_contingency` return them.
+    """
+
+    active_lines: tuple[str, ...]
+    active_outbound: tuple[str, ...]
+    contingency_id: str | None
+    islands: tuple[tuple[str, ...], ...]
+
+    @staticmethod
+    def base(zone: ZoneModel) -> TopologyState:
+        return zone._topologies[None]
+
+    @staticmethod
+    def for_contingency(zone: ZoneModel, contingency: Contingency) -> TopologyState:
+        return zone._topologies[contingency.id]
+
+
+@dataclass(frozen=True)
 class ZoneModel:
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
@@ -125,13 +160,17 @@ class ZoneModel:
     timestep_hours: float
     curative_duration_hours: float
     base_mva: float = 100.0
+    # the islands of ``lines``, if the caller has found them already
+    base_islands: InitVar[tuple[tuple[str, ...], ...] | None] = None
     # id -> element lookups, derived from the tuples above
     _buses: dict[str, Bus] = field(init=False, repr=False, compare=False)
     _lines: dict[str, Line] = field(init=False, repr=False, compare=False)
     _outbound: dict[str, OutboundLine] = field(init=False, repr=False, compare=False)
     _contingencies: dict[str, Contingency] = field(init=False, repr=False, compare=False)
+    # the intact topology (key None) and each contingency's, derived from the tuples above
+    _topologies: dict[str | None, TopologyState] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, base_islands: tuple[tuple[str, ...], ...] | None) -> None:
         for name, elements in (
             ("_buses", self.buses),
             ("_lines", self.lines),
@@ -139,6 +178,20 @@ class ZoneModel:
             ("_contingencies", self.contingencies),
         ):
             object.__setattr__(self, name, {e.id: e for e in elements})
+
+        bus_ids = self.bus_ids()
+        if base_islands is None:
+            base_islands = _connected_components(bus_ids, [(l.from_bus, l.to_bus) for l in self.lines])
+        topologies: dict[str | None, TopologyState] = {}
+        for c in (None, *self.contingencies):
+            lines, islands = self.lines, base_islands  # the intact topology and an outbound outage
+            if c is not None and c.modifies_zone_topology:
+                lines = tuple(l for l in self.lines if l.id != c.outaged_element)
+                islands = _connected_components(bus_ids, [(l.from_bus, l.to_bus) for l in lines])
+            cid = None if c is None else c.id
+            olines = tuple(o.id for o in self.active_outbound(c))
+            topologies[cid] = TopologyState(tuple(l.id for l in lines), olines, cid, islands)
+        object.__setattr__(self, "_topologies", topologies)
 
     def bus_ids(self) -> list[str]:
         return [b.id for b in self.buses]
@@ -158,11 +211,6 @@ class ZoneModel:
     @property
     def battery(self) -> Bus:
         return self.bus(self.battery_bus)
-
-    def active_lines(self, contingency: Contingency | None) -> tuple[Line, ...]:
-        if contingency is None or not contingency.modifies_zone_topology:
-            return self.lines
-        return tuple(l for l in self.lines if l.id != contingency.outaged_element)
 
     def active_outbound(self, contingency: Contingency | None) -> tuple[OutboundLine, ...]:
         if contingency is None or contingency.modifies_zone_topology:
@@ -208,13 +256,15 @@ def select_ratings(line: Line, season: Season | str) -> RatingSet:
 # ---------------------------------------------------------------------------
 
 
-def _connected_components(nodes: list[str], edges: list[tuple[str, str]]) -> list[set[str]]:
+def _connected_components(nodes: list[str], edges: list[tuple[str, str]]) -> tuple[tuple[str, ...], ...]:
+    """The graph's components, each a tuple of its nodes in ``nodes`` order,
+    ordered by their first node."""
     adj: dict[str, list[str]] = {n: [] for n in nodes}
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     seen: set[str] = set()
-    comps: list[set[str]] = []
+    comps: list[tuple[str, ...]] = []
     for start in nodes:
         if start in seen:
             continue
@@ -228,8 +278,8 @@ def _connected_components(nodes: list[str], edges: list[tuple[str, str]]) -> lis
                     seen.add(y)
                     comp.add(y)
                     stack.append(y)
-        comps.append(comp)
-    return comps
+        comps.append(tuple(n for n in nodes if n in comp))
+    return tuple(comps)
 
 
 # what a JSON value is, as a message names it
@@ -382,10 +432,10 @@ def zone_from_dict(doc: dict) -> ZoneModel:
 
     if not lines:
         raise ZoneValidationError("zone has no internal lines (degenerate topology)")
-    comps = _connected_components(bus_ids, [(l.from_bus, l.to_bus) for l in lines])
-    if len(comps) != 1:
+    islands = _connected_components(bus_ids, [(l.from_bus, l.to_bus) for l in lines])
+    if len(islands) != 1:
         raise ZoneValidationError(
-            "zone base topology is disconnected; islands: " + "; ".join(",".join(sorted(c)) for c in comps)
+            "zone base topology is disconnected; islands: " + "; ".join(",".join(sorted(c)) for c in islands)
         )
 
     contingencies: list[Contingency] = []
@@ -460,66 +510,93 @@ def zone_from_dict(doc: dict) -> ZoneModel:
         timestep_hours=dt,
         curative_duration_hours=dt_cur,
         base_mva=base_mva,
+        base_islands=islands,
     )
-    _validate_topologies(zone, bus_ids, comps)
+    _validate_topologies(zone)
     return zone
 
 
-def _validate_topologies(zone: ZoneModel, bus_ids: list[str], base_islands: list[set[str]]) -> None:
-    """Per-contingency structural checks and PTDF partition-of-unity.
-    ``base_islands`` are the islands of the zone's lines."""
-    for contingency in [None, *zone.contingencies]:
-        lines = zone.active_lines(contingency)
-        olines = zone.active_outbound(contingency)
-        if lines is zone.lines:
-            islands = base_islands
-        else:
-            islands = _connected_components(bus_ids, [(l.from_bus, l.to_bus) for l in lines])
-
-        if contingency is not None:
-            battery_island = next(c for c in islands if zone.battery_bus in c)
-            if not any(l.from_bus in battery_island for l in lines):
+def _validate_topologies(zone: ZoneModel) -> None:
+    """Per-topology structural checks and the outbound sensitivities' rules."""
+    for topology in zone._topologies.values():
+        if topology.contingency_id is not None:
+            battery_island = next(c for c in topology.islands if zone.battery_bus in c)
+            if not any(zone.line(lid).from_bus in battery_island for lid in topology.active_lines):
                 raise ZoneValidationError(
-                    f"{_topology_name(contingency)} disconnects battery bus {zone.battery_bus!r} "
+                    f"{_topology_name(topology)} disconnects battery bus {zone.battery_bus!r} "
                     f"from every rated line"
                 )
+        check_sensitivities(zone, topology)
 
-        for island in islands:
-            if not any(o.boundary_bus in island for o in olines):
-                raise ZoneValidationError(
-                    f"{_topology_name(contingency)} leaves island {{{','.join(sorted(island))}}} "
-                    f"without any outbound line"
-                )
-        # partition-of-unity per island
-        for island in islands:
-            for k in sorted(island):
-                total = 0.0
-                for o in olines:
-                    if contingency is None:
-                        factors = o.ptdf_normal
-                    else:
-                        factors = o.ptdf_contingency.get(contingency.id)
-                        if factors is None:
-                            raise ZoneValidationError(
-                                f"outbound {o.id!r} has no ptdf_contingency entry for {contingency.id!r}"
-                            )
-                    f = factors[k]
-                    if o.boundary_bus in island:
-                        total += f
-                    elif not abs(f) <= PTDF_PARTITION_TOL:
-                        raise ZoneValidationError(
-                            f"{_topology_name(contingency)}: bus {k!r} has nonzero sensitivity {f} "
-                            f"on outbound {o.id!r} in a different island"
-                        )
-                if not abs(total - 1.0) <= PTDF_PARTITION_TOL:
-                    raise ZoneValidationError(
-                        f"{_topology_name(contingency)}: outbound sensitivities of bus {k!r} sum to {total}, "
-                        f"expected 1 (export-positive convention)"
+
+def _topology_name(topology: TopologyState) -> str:
+    cid = topology.contingency_id
+    return "base topology" if cid is None else f"contingency {cid!r}"
+
+
+# The two checks below hold the only rules that tie a topology's islands to
+# its boundary data: every island has an outbound line, sensitivities
+# partition unity, every island balances. The loaders run them, and the DC
+# model runs them again on each topology and hour it is given, so either
+# caller refuses the same input with the same error.
+
+
+def check_sensitivities(zone: ZoneModel, topology: TopologyState) -> None:
+    """Every island of ``topology`` has an outbound line, and each bus's
+    outbound sensitivities partition unity: they sum to 1 over its island's
+    outbound lines (in outbound-line order) and are 0 on every other one, each
+    to :data:`PTDF_PARTITION_TOL`."""
+    olines = [zone.outbound(oid) for oid in topology.active_outbound]
+    for island in topology.islands:
+        if not any(o.boundary_bus in island for o in olines):
+            raise IslandingError(
+                f"{_topology_name(topology)} leaves island {{{','.join(sorted(island))}}} "
+                f"without any outbound line"
+            )
+    cid = topology.contingency_id
+    factors = []
+    for o in olines:
+        f = o.ptdf_normal if cid is None else o.ptdf_contingency.get(cid)
+        if f is None:
+            raise ZoneValidationError(f"outbound {o.id!r} has no ptdf_contingency entry for {cid!r}")
+        factors.append((o, f))
+    for island in topology.islands:
+        for k in sorted(island):
+            total = 0.0
+            for o, f in factors:
+                if o.boundary_bus in island:
+                    total += f[k]
+                elif not abs(f[k]) <= PTDF_PARTITION_TOL:
+                    raise IslandingError(
+                        f"{_topology_name(topology)}: bus {k!r} has nonzero sensitivity {f[k]} "
+                        f"on outbound {o.id!r} in a different island"
                     )
+            if not abs(total - 1.0) <= PTDF_PARTITION_TOL:
+                raise IslandingError(
+                    f"{_topology_name(topology)}: outbound sensitivities of bus {k!r} sum to {total}, "
+                    f"expected 1 (export-positive convention)"
+                )
 
 
-def _topology_name(contingency: Contingency | None) -> str:
-    return "base topology" if contingency is None else f"contingency {contingency.id!r}"
+def check_balance(
+    zone: ZoneModel, topology: TopologyState, injections_mw: dict[str, float], flows_mw: dict[str, float]
+) -> None:
+    """Every island of ``topology`` balances to :data:`BALANCE_TOL_MW`: its
+    bus injections, summed in bus order, less the export-positive flows of its
+    active outbound lines, summed in outbound-line order."""
+    outbound = zone._outbound
+    for island in topology.islands:  # loops, not sum(): the DC model runs this every hour
+        injected = exported = 0.0
+        for b in island:
+            injected += injections_mw[b]
+        for oid in topology.active_outbound:
+            if outbound[oid].boundary_bus in island:
+                exported += flows_mw[oid]
+        if not abs(injected - exported) <= BALANCE_TOL_MW:  # NaN never balances
+            raise BalanceError(
+                f"island {{{','.join(sorted(island))}}} has {injected - exported:.3e} MW imbalance between "
+                f"injections and boundary flows ({_topology_name(topology)})"
+            )
 
 
 def load_zone(path: str | Path) -> ZoneModel:
@@ -602,9 +679,9 @@ def load_forecast(path: str | Path, zone: ZoneModel) -> ForecastSeries:
     """Load a forecast CSV and validate it against the zone.
 
     Checks the header naming convention, value sanity (every number finite,
-    curtailable >= 0) and MW balance of every row: injections must equal
-    total exports in the base case and, island by island, under every
-    contingency.
+    curtailable >= 0) and MW balance of every row: under the intact topology
+    and under every contingency, each island's injections must equal its
+    exports (:func:`check_balance`).
     """
     path = Path(path)
     try:
@@ -642,13 +719,6 @@ def load_forecast(path: str | Path, zone: ZoneModel) -> ForecastSeries:
             raise ZoneValidationError(f"forecast header has unknown column {name!r}")
 
     rows: list[TimestepForecast] = []
-    islands_by_cont = {
-        c.id: _connected_components(
-            bus_ids, [(l.from_bus, l.to_bus) for l in zone.active_lines(c)]
-        )
-        for c in zone.contingencies
-    }
-
     for idx, raw in enumerate(reader):
         if not raw or all(not cell.strip() for cell in raw):
             continue
@@ -682,26 +752,12 @@ def load_forecast(path: str | Path, zone: ZoneModel) -> ForecastSeries:
         for oid, cid in required_pairs:
             ref_cont[cid][oid] = num(f"ref:{oid}@{cid}")
 
-        imbalance = sum(injections.values()) - sum(ref_normal.values())
-        if abs(imbalance) > BALANCE_TOL_MW:
-            raise ZoneValidationError(
-                f"forecast row {idx}: base-case injections and exports do not balance "
-                f"(residual {imbalance:.3e} MW)"
-            )
-        for c in zone.contingencies:
-            active = {o.id for o in zone.active_outbound(c)}
-            for island in islands_by_cont[c.id]:
-                inj = sum(injections[b] for b in island)
-                exp = sum(
-                    ref_cont[c.id][o.id]
-                    for o in zone.outbound_lines
-                    if o.id in active and o.boundary_bus in island
-                )
-                if abs(inj - exp) > BALANCE_TOL_MW:
-                    raise ZoneValidationError(
-                        f"forecast row {idx}: contingency {c.id!r} island "
-                        f"{{{','.join(sorted(island))}}} does not balance (residual {inj - exp:.3e} MW)"
-                    )
+        for topology in zone._topologies.values():
+            cid = topology.contingency_id
+            try:
+                check_balance(zone, topology, injections, ref_normal if cid is None else ref_cont[cid])
+            except BalanceError as exc:
+                raise BalanceError(f"forecast row {idx}: {exc}") from None
 
         rows.append(
             TimestepForecast(

@@ -310,10 +310,6 @@ class BandwidthProblem:
         elastic.set_objective(dict.fromkeys(slacks, 1.0))
         return elastic
 
-    def curative_battery_value(self, solution: LpSolution, contingency_id: str) -> float:
-        plus, minus = self.curative_battery_vars[contingency_id]
-        return solution.value(plus) - solution.value(minus)
-
     def objective(self, direction: Direction, curtailment_bounded: bool = False) -> dict[str, float]:
         """Minimize +-B by direction, plus the curtailment and curative terms
         under the problem's weights.

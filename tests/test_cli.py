@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import bandwidth_engine
+from bandwidth_engine import grid_model
 from bandwidth_engine.cli import main
 from bandwidth_engine.fixtures import (
     day_forecast_rows,
@@ -514,27 +519,86 @@ def test_malformed_zone_is_an_error_line(zone_path, forecast_paths, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "outbound, topology, bus",
-    [(0, None, "beta"), (1, "gamma-delta-outage", "alpha")],
-    ids=["sum-of-a-bus-of-the-island", "factor-of-a-bus-of-another-island"],
+    "edits, day",
+    [
+        ([(0, None, "beta", 0.56 + 5e-7)], "summer_day"),
+        ([(1, "gamma-delta-outage", "alpha", 0.0 + 5e-7)], "summer_day"),
+        ([(0, None, "delta", 0.211199060279), (1, None, "delta", 0.788801939721)], "winter_day"),
+    ],
+    ids=["sum-of-a-bus-of-the-island", "factor-of-a-bus-of-another-island", "sum-at-the-tolerance-edge"],
 )
-def test_zone_within_the_partition_tolerance_computes(zone_path, forecast_paths, tmp_path, outbound, topology, bus):
-    """Sensitivities 5e-7 off the partition of unity, inside the zone
-    check's PTDF_PARTITION_TOL, pass the DC model's own check too: alpha-west's
-    intact-topology factor of beta (its sum is 1 + 5e-7), and delta-east's
-    factor of alpha after the gamma-delta outage, which leaves alpha in
-    another island. ``compute`` exits 0 with every hour's bandwidth."""
+def test_zone_within_the_partition_tolerance_computes(zone_path, forecast_paths, tmp_path, edits, day):
+    """Sensitivities off the partition of unity by up to PTDF_PARTITION_TOL
+    pass the zone check and the DC model alike: alpha-west's intact-topology
+    factor of beta 5e-7 high (its sum is 1 + 5e-7); delta-east's factor of
+    alpha 5e-7 off zero after the gamma-delta outage, which leaves alpha in
+    another island; and delta's intact-topology factors summing to
+    1 + 9.999999999e-07, which a second, differently summed check in the DC
+    model once refused. ``compute`` exits 0 with every hour's bandwidth."""
     doc = json.loads(zone_path.read_text())
-    line = doc["outbound_lines"][outbound]
-    factors = line["ptdf_normal"] if topology is None else line["ptdf_contingency"][topology]
-    factors[bus] += 5e-7
+    for outbound, topology, bus, value in edits:
+        line = doc["outbound_lines"][outbound]
+        factors = line["ptdf_normal"] if topology is None else line["ptdf_contingency"][topology]
+        factors[bus] = value
     edited = tmp_path / "zone.json"
     edited.write_text(json.dumps(doc))
     out = tmp_path / "run"
-    res = _run("compute", "--zone", edited, "--forecast", forecast_paths["summer_day"], "--out", out)
+    res = _run("compute", "--zone", edited, "--forecast", forecast_paths[day], "--out", out)
     assert res.exit_code == 0, res.output
     rows = (out / "power_bandwidth.csv").read_text().splitlines()
     assert len(rows) == 25 and not any(",infeasible," in r for r in rows)
+
+
+def _compute_in_subprocess(hash_seed: str, zone: Path, forecast: Path, out: Path) -> tuple[int, str, dict]:
+    """``compute`` in a fresh interpreter under ``PYTHONHASHSEED=hash_seed``:
+    its exit code, its output and every file it wrote, by name."""
+    src = str(Path(bandwidth_engine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("BANDWIDTH_ENGINE_LOG", None)
+    args = ["compute", "--zone", zone, "--forecast", forecast, "--out", out]
+    run = subprocess.run([sys.executable, "-m", "bandwidth_engine.cli", *map(str, args)],
+                         env=env, capture_output=True, text=True)
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+    return run.returncode, run.stdout + run.stderr, files
+
+
+@pytest.mark.parametrize("day", ["summer_day", "winter_day"])
+def test_compute_does_not_depend_on_the_hash_seed(zone_path, forecast_paths, tmp_path, day):
+    """A bundled day computed under two hash seeds writes the same bytes."""
+    runs = [_compute_in_subprocess(seed, zone_path, forecast_paths[day], tmp_path / seed) for seed in ("0", "1")]
+    assert runs[0][0] == 0, runs[0][1]
+    assert runs[0] == runs[1]
+
+
+def test_forecast_at_the_balance_edge_is_decided_once(zone_path, forecast_paths, tmp_path):
+    """A row whose intact-topology residual the loader reads as
+    9.99999997e-07 MW, inside BALANCE_TOL_MW: the DC model once summed the
+    same island in hash order and crashed under most hash seeds. Under seeds
+    0 and 11 ``compute`` gives the same exit code and output, without a
+    traceback."""
+    header = forecast_paths["winter_day"].read_text().splitlines()[0]
+    row = "2023-01-18T00:00,winter,88.616013,-108.495111,178.108278,160.570983,0,0,0,0,"
+    row += "-187.764007,506.564169,158.22918,160.570983"
+    forecast = tmp_path / "forecast.csv"
+    forecast.write_text(f"{header}\n{row}\n")
+    runs = [_compute_in_subprocess(seed, zone_path, forecast, tmp_path / seed) for seed in ("0", "11")]
+    assert "Traceback" not in runs[0][1] + runs[1][1]
+    assert runs[0] == runs[1]
+
+
+def test_each_topology_finds_its_islands_once(zone_path, forecast_paths, tmp_path, monkeypatch):
+    """Loading the bundled zone and its winter day and computing it finds
+    the islands of each of the zone's two topologies once."""
+    calls = []
+    find = grid_model._connected_components
+    for name, module in list(sys.modules.items()):  # every module that holds the name
+        if name.startswith("bandwidth_engine") and getattr(module, "_connected_components", None) is find:
+            monkeypatch.setattr(module, "_connected_components", lambda *args: calls.append(args) or find(*args))
+    res = _run("compute", "--zone", zone_path, "--forecast", forecast_paths["winter_day"], "--workers", 1,
+               "--out", tmp_path / "run")
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("column, value", [("inj:alpha", "nan"), ("curt_max:alpha", "inf"), ("ref:delta-east", "-inf")])

@@ -94,6 +94,17 @@ def test_island_imbalance_names_island(zone, winter_day):
         dc_flows(zone, topo, row.injections_mw, refs)
 
 
+def test_nan_injection_never_balances(zone, winter_day):
+    """A NaN injection, even at alpha, whose angle is the island's reference
+    and so never enters the solve, is refused, not read as zero flows."""
+    row = winter_day[0]
+    inj = dict(row.injections_mw, alpha=float("nan"))
+    with pytest.raises(BalanceError, match="nan MW imbalance"):
+        dc_flows(zone, TopologyState.base(zone), inj, row.ref_normal_mw)
+    with pytest.raises(BalanceError, match="nan MW imbalance"):
+        NetworkModel(zone, _topology_states(zone)).base_flows(inj, row.ref_normal_mw, row.ref_contingency_mw)
+
+
 def test_effective_sensitivity_base(zone):
     ptdf = compute_ptdf(zone, TopologyState.base(zone))
     assert ptdf["gamma-delta"]["gamma"] == pytest.approx(0.6, abs=1e-9)

@@ -18,6 +18,8 @@ from bandwidth_engine.fixtures import (
     write_forecast_csv,
 )
 from bandwidth_engine.grid_model import (
+    BALANCE_TOL_MW,
+    PTDF_PARTITION_TOL,
     Season,
     ZoneValidationError,
     load_forecast,
@@ -26,6 +28,7 @@ from bandwidth_engine.grid_model import (
     zone_from_dict,
     zone_to_dict,
 )
+from bandwidth_engine.power_bandwidth import network_model
 
 
 def test_bundled_zone_loads(zone):
@@ -461,20 +464,34 @@ _CELL = st.one_of(
 )
 
 
+def _computes_every_row(zone, forecast) -> None:
+    """The zone's DC model builds, and gives every row's base flows."""
+    model = network_model(zone)
+    for row in forecast:
+        model.base_flows(row.injections_mw, row.ref_normal_mw, row.ref_contingency_mw)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     edits=st.lists(
-        st.tuples(st.sampled_from(["replace", "add", "drop"]), st.integers(0, 24), st.integers(0, 15), _CELL),
+        st.one_of(
+            st.tuples(st.sampled_from(["replace", "add", "drop"]), st.integers(0, 24), st.integers(0, 15), _CELL),
+            # a number cell moved by up to twice the balance tolerance
+            st.tuples(st.just("nudge"), st.integers(1, 24), st.integers(2, 13),
+                      st.floats(-2 * BALANCE_TOL_MW, 2 * BALANCE_TOL_MW)),
+        ),
         min_size=1,
         max_size=3,
     )
 )
 @example(edits=[("add", 4, 14, "999"), ("add", 4, 15, "junk")])  # a row ending ",999,junk"
+@example(edits=[("nudge", 1, 4, 9.99e-7)])  # inj:gamma of the first hour, at the edge
 def test_mutated_forecast_loads_or_raises_zone_validation_error(zone, tmp_path_factory, edits):
-    """The bundled winter-day forecast with cells replaced, added or dropped
-    (in the header or a data row) either loads or raises
-    ``ZoneValidationError``, never another exception, and a non-blank row
-    whose cell count differs from the header's never loads."""
+    """The bundled winter-day forecast with cells replaced, added, dropped
+    or nudged (in the header or a data row) either loads or raises
+    ``ZoneValidationError``, never another exception; a non-blank row
+    whose cell count differs from the header's never loads, and a forecast
+    that loads computes every row's base flows."""
     lines = _WINTER_CSV.read_text().splitlines()
     for op, line, at, text in edits:
         cells = lines[line].split(",")
@@ -482,15 +499,98 @@ def test_mutated_forecast_loads_or_raises_zone_validation_error(zone, tmp_path_f
             cells[at % len(cells)] = text
         elif op == "add":
             cells.insert(at, text)
-        else:
+        elif op == "drop":
             del cells[at % len(cells)]
+        else:
+            try:
+                cells[at] = repr(float(cells[at]) + text)
+            except (IndexError, ValueError):
+                pass
         lines[line] = ",".join(cells)
     p = tmp_path_factory.mktemp("forecast") / "forecast.csv"
     p.write_text("\n".join(lines) + "\n")
     width = len(lines[0].split(","))
     ragged = any(len(cells) != width for cells in (l.split(",") for l in lines[1:]) if any(c.strip() for c in cells))
     try:
-        load_forecast(p, zone)
+        forecast = load_forecast(p, zone)
     except ZoneValidationError:
         return
     assert not ragged
+    _computes_every_row(zone, forecast)
+
+
+def _paths(node, path=()):
+    """The path to ``node`` and to every container and value inside it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+_ZONE_PATHS = list(_paths(_DOC))[1:]
+_PTDF_PATHS = [  # every sensitivity: outbound_lines, i, ptdf_normal, bus or ptdf_contingency, id, bus
+    path for path in _ZONE_PATHS if path[2:3] == ("ptdf_normal",) and len(path) == 4
+    or path[2:3] == ("ptdf_contingency",) and len(path) == 5
+]
+_JSON_VALUE = st.sampled_from(
+    [None, True, 0, -1.0, 0.5, 2.0, 1e9, "", "alpha", "delta", "omega", "gamma-delta", "alpha-west",
+     "gamma-delta-outage", [], {}, {"id": "omega"}]
+)
+_KEY = st.sampled_from(["omega", "delta", "short_term_mw", "soc_min_mwh", "modifies_zone_topology", "base_mva"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edits=st.lists(
+        st.one_of(
+            st.tuples(st.just("replace"), st.sampled_from(_ZONE_PATHS), _JSON_VALUE),
+            st.tuples(st.just("drop"), st.sampled_from(_ZONE_PATHS), st.none()),
+            st.tuples(st.just("add"), st.sampled_from([(), *_ZONE_PATHS]), st.tuples(_KEY, _JSON_VALUE)),
+            # a sensitivity moved by up to twice the partition tolerance
+            st.tuples(st.just("nudge"), st.sampled_from(_PTDF_PATHS),
+                      st.floats(-2 * PTDF_PARTITION_TOL, 2 * PTDF_PARTITION_TOL)),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+@example(edits=[  # delta's intact-topology sensitivities summing to 1 + 9.999999999e-07
+    ("replace", ("outbound_lines", 0, "ptdf_normal", "delta"), 0.211199060279),
+    ("replace", ("outbound_lines", 1, "ptdf_normal", "delta"), 0.788801939721),
+])
+def test_mutated_zone_loads_or_raises_zone_validation_error(edits):
+    """The bundled zone with fields and entries replaced, added or dropped,
+    and sensitivities nudged, either raises ``ZoneValidationError`` and
+    nothing else, or its DC model builds and computes the winter day's base
+    flows wherever the forecast loads."""
+    doc = copy.deepcopy(_DOC)
+    for op, path, value in edits:
+        try:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if op == "replace":
+                parent[path[-1]] = copy.deepcopy(value)
+            elif op == "drop":
+                del parent[path[-1]]
+            elif op == "add":
+                target = parent[path[-1]] if path else doc
+                key, new = value
+                if isinstance(target, list):
+                    target.append(copy.deepcopy(new))
+                else:
+                    target[key] = copy.deepcopy(new)
+            else:
+                parent[path[-1]] += value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or retyped the path
+    try:
+        zone = zone_from_dict(doc)
+    except ZoneValidationError:
+        return
+    network_model(zone)
+    try:
+        forecast = load_forecast(_WINTER_CSV, zone)
+    except ZoneValidationError:
+        return
+    _computes_every_row(zone, forecast)

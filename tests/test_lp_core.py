@@ -646,8 +646,12 @@ def test_extended_lp_and_its_base_keep_their_bounds_apart():
     assert ext.variables[-1] == lp_core.Variable("s", 0.0, INF)
     base_variables = base.variables
 
-    ext.set_bounds("x", 1.0, 3.0)  # keeps the extended LP's form
+    solve(ext)  # builds the extended LP's form
+    form = ext._form
+    ext.set_bounds("x", 1.0, 3.0)  # keeps it
+    assert form is not None and ext._form is form
     ext.set_bounds("y", -INF, 6.0)  # drops it
+    assert ext._form is None
     ext.set_bounds("s", 0.0, 0.5)
     assert base.variables == base_variables and len(base.variables) == 2
     assert _bits_of(solve(base)) == _bits_of(base_solution) == _bits_of(solve(_rebuilt(base)))

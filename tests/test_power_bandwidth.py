@@ -644,7 +644,8 @@ def _withdrawals(zone, problem, sol, stage, cid):
     out = {b: sol.value(problem.curtailment_vars[b]) for b in zone.bus_ids()}
     out[zone.battery_bus] += sol.value(problem.battery_var)
     if stage in ("fast_curative", "full_curative"):
-        out[zone.battery_bus] += problem.curative_battery_value(sol, cid)
+        plus, minus = problem.curative_battery_vars[cid]
+        out[zone.battery_bus] += sol.value(plus) - sol.value(minus)
     if stage == "full_curative":
         for b in zone.bus_ids():
             out[b] += sol.value(problem.curative_curtailment_vars[(b, cid)])
@@ -733,7 +734,7 @@ def _per_direction_reference(zone, row, lexicographic: bool) -> dict | None:
         sol = solve(lp, compute_duals=False)
         if sol.status != SolveStatus.OPTIMAL:
             return None
-        curative = [problem.curative_battery_value(sol, c) for c in problem.curative_battery_vars]
+        curative = [sol.value(plus) - sol.value(minus) for plus, minus in problem.curative_battery_vars.values()]
         curt = sum(sol.value(v) for v in problem.curtailment_vars.values())
         if direction == Direction.LOWER:
             out.update(lower_mw=sol.value(problem.battery_var), preventive_curtailment_lower_mw=curt,
