@@ -6,12 +6,15 @@ dump of one timestep problem).
 
 Each subcommand declares only the flags it reads, builds its run config with
 :func:`_load_config` and loads its zone and forecast with :func:`_load_inputs`.
-A flag given on the command line that the chosen mode cannot use is refused.
+A flag given on the command line that the chosen mode cannot use is refused,
+``--c1`` under the lexicographic objective included; config-file keys never
+are.
 
 Exit codes: 0 success; 1 error (a usage error and a numerically unstable or
 unbounded LP included); 2 infeasible timesteps or an empty state-of-charge
 corridor present (files are still written); 3 verification disagreement.
-``BANDWIDTH_ENGINE_LOG`` sets the log level (a standard level name, any case).
+``BANDWIDTH_ENGINE_LOG`` is the one log-level setting (a standard level name,
+any case; default ``warning``).
 """
 
 from __future__ import annotations
@@ -63,16 +66,13 @@ _KNOWN_ERRORS = (
 )
 
 
-def _setup_logging(verbosity: int) -> None:
-    env = os.environ.get("BANDWIDTH_ENGINE_LOG")
-    if env:
-        names = ("debug", "info", "warning", "error", "critical")
-        if env.lower() not in names:
-            raise click.ClickException(f"BANDWIDTH_ENGINE_LOG must be one of {', '.join(names)}, not {env!r}")
-        level = getattr(logging, env.upper())
-    else:
-        level = {0: logging.WARNING, 1: logging.INFO}.get(verbosity, logging.DEBUG)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+def _setup_logging() -> None:
+    """The log level from ``BANDWIDTH_ENGINE_LOG`` (default ``warning``)."""
+    env = os.environ.get("BANDWIDTH_ENGINE_LOG") or "warning"
+    names = ("debug", "info", "warning", "error", "critical")
+    if env.lower() not in names:
+        raise click.ClickException(f"BANDWIDTH_ENGINE_LOG must be one of {', '.join(names)}, not {env!r}")
+    logging.basicConfig(level=getattr(logging, env.upper()), format="%(levelname)s %(name)s: %(message)s")
 
 
 @dataclass
@@ -113,7 +113,9 @@ def _load_config(params: dict) -> RunConfig:
     """The run config: the ``--config`` file, overridden by every flag given.
 
     ``params`` is click's parameter dict; entries that are not config keys are
-    left to the subcommand.
+    left to the subcommand. A subcommand that takes ``--objective`` refuses
+    ``--c1`` under the lexicographic objective, which weighs no preventive
+    curtailment.
     """
     base = json.loads(Path(params["config"]).read_text()) if params.get("config") else {}
     if not isinstance(base, dict) or not set(base) <= _CONFIG_KEYS:
@@ -131,6 +133,8 @@ def _load_config(params: dict) -> RunConfig:
             )
     base.update({k: v for k, v in params.items() if k in _CONFIG_KEYS and v is not None})
     cfg = RunConfig(**base)
+    if "objective" in params and cfg.lexicographic:
+        _refuse(("c1",), "--objective lexicographic")
     cfg.validate()
     return cfg
 
@@ -212,10 +216,9 @@ def _sha256(path: str | Path) -> str:
 
 
 @click.group(cls=_Cli, no_args_is_help=False)
-@click.option("-v", "--verbose", count=True, help="Increase log verbosity.")
-def main(verbose: int) -> None:
+def main() -> None:
     """Day-ahead battery operating bandwidths for congestion management."""
-    _setup_logging(verbose)
+    _setup_logging()
 
 
 _OPTIONS = {

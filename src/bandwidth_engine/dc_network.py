@@ -34,10 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# re-exported: callers import BalanceError, IslandingError and TopologyState from here too
-from .grid_model import (
-    BalanceError, IslandingError, TopologyState, ZoneModel, check_balance, check_sensitivities,
-)
+from .grid_model import IslandingError, TopologyState, ZoneModel, check_balance, check_sensitivities
 
 
 def _outbound_ptdf(zone: ZoneModel, oline_id: str, contingency_id: str | None) -> dict[str, float]:

@@ -299,9 +299,10 @@ def _kind(raw: object) -> str:
 # arguments after it.
 
 
-def _fields(raw: object, keys: tuple[str, ...], what: str, *args: object) -> dict:
-    """``raw``, an object holding every key of ``keys``. A string or a list
-    is searched for the keys first."""
+def _fields(raw: object, keys: tuple[str, ...], what: str, *args: object, optional: tuple[str, ...] = ()) -> dict:
+    """``raw``, an object holding every key of ``keys`` and no key outside
+    ``keys`` and ``optional``. A string or a list is searched for the keys
+    first."""
     try:
         for key in keys:
             if key not in raw:  # type: ignore[operator]
@@ -310,6 +311,9 @@ def _fields(raw: object, keys: tuple[str, ...], what: str, *args: object) -> dic
         pass
     if not isinstance(raw, dict):
         raise ZoneValidationError(f"{what.format(*args)} must be an object, got {_kind(raw)}")
+    for key in raw:
+        if key not in keys and key not in optional:
+            raise ZoneValidationError(f"{what.format(*args)} has unknown field {key!r}")
     return raw
 
 
@@ -339,7 +343,8 @@ def _as_float(raw: object, what: str, *args: object) -> float:
 
 
 def _rating_set(raw: object, line_id: str, season: str) -> RatingSet:
-    raw = _fields(raw, ("permanent_mw", "long_term_mw", "immediate_mw"), "line {!r} ratings_{}", line_id, season)
+    raw = _fields(raw, ("permanent_mw", "long_term_mw", "immediate_mw"), "line {!r} ratings_{}", line_id, season,
+                  optional=("short_term_mw",))
     short_term = raw.get("short_term_mw")
     rs = RatingSet(
         permanent_mw=_as_float(raw["permanent_mw"], "line {!r} {} permanent_mw", line_id, season),
@@ -374,8 +379,10 @@ def _ptdf_map(raw_map: object, bus_ids: list[str], what: str, *args: object) -> 
 
 def zone_from_dict(doc: dict) -> ZoneModel:
     keys = ("buses", "lines", "outbound_lines", "contingencies", "battery", "timestep_hours", "curative_duration_hours")
-    doc = _fields(doc, keys, "zone file")
-    battery = _fields(doc["battery"], ("bus", "pmin_mw", "pmax_mw", "capacity_mwh"), "battery block")
+    doc = _fields(doc, keys, "zone file", optional=("base_mva",))
+    battery = _fields(
+        doc["battery"], ("bus", "pmin_mw", "pmax_mw", "capacity_mwh"), "battery block", optional=("soc_min_mwh",)
+    )
 
     bus_ids: list[str] = []
     for raw in _entries(doc, "buses"):
@@ -410,6 +417,10 @@ def zone_from_dict(doc: dict) -> ZoneModel:
         x = _as_float(raw["reactance_pu"], "line {!r} reactance_pu", lid)
         if not x > 0.0:
             raise ZoneValidationError(f"line {lid!r} reactance_pu must be > 0, got {x}")
+        if x == math.inf:
+            raise ZoneValidationError(f"line {lid!r} reactance_pu must be finite, got {x}")
+        if 1.0 / x == math.inf:
+            raise ZoneValidationError(f"line {lid!r} reactance_pu {x} has no finite susceptance 1/x")
         u = _id(raw["from_bus"], "line {!r} from_bus", lid)
         v = _id(raw["to_bus"], "line {!r} to_bus", lid)
         if u == v:
@@ -432,6 +443,13 @@ def zone_from_dict(doc: dict) -> ZoneModel:
 
     if not lines:
         raise ZoneValidationError("zone has no internal lines (degenerate topology)")
+    diagonal = dict.fromkeys(bus_ids, 0.0)  # the network matrix's, summed in line order as the DC model does
+    for line in lines:
+        diagonal[line.from_bus] += 1.0 / line.reactance_pu
+        diagonal[line.to_bus] += 1.0 / line.reactance_pu
+    for bus, total in diagonal.items():
+        if total == math.inf:
+            raise ZoneValidationError(f"bus {bus!r}: the susceptances 1/x of its lines sum to {total}")
     islands = _connected_components(bus_ids, [(l.from_bus, l.to_bus) for l in lines])
     if len(islands) != 1:
         raise ZoneValidationError(
@@ -440,10 +458,15 @@ def zone_from_dict(doc: dict) -> ZoneModel:
 
     contingencies: list[Contingency] = []
     raw_outbound = _entries(doc, "outbound_lines")
-    raw_outbound_ids = [str(_fields(o, (), "outbound line entry").get("id")) for o in raw_outbound]
+    outbound_keys, outbound_optional = ("id", "boundary_bus", "ptdf_normal"), ("ptdf_contingency",)
+    raw_outbound_ids = [
+        str(_fields(o, (), "outbound line entry", optional=outbound_keys + outbound_optional).get("id"))
+        for o in raw_outbound
+    ]
     for raw in _entries(doc, "contingencies"):
         if not (isinstance(raw, dict) and "id" in raw and "outaged_element" in raw):
             raise ZoneValidationError("contingency entry missing 'id' or 'outaged_element'")
+        _fields(raw, ("id", "outaged_element"), "contingency entry", optional=("modifies_zone_topology",))
         cid = _id(raw["id"], "contingency entry id")
         if any(c.id == cid for c in contingencies):
             raise ZoneValidationError(f"duplicate contingency id {cid!r}")
@@ -462,7 +485,7 @@ def zone_from_dict(doc: dict) -> ZoneModel:
     cont_ids = [c.id for c in contingencies]
     outbound: list[OutboundLine] = []
     for raw in raw_outbound:
-        raw = _fields(raw, ("id", "boundary_bus", "ptdf_normal"), "outbound line entry")
+        raw = _fields(raw, outbound_keys, "outbound line entry", optional=outbound_optional)
         oid = _id(raw["id"], "outbound line entry id")
         if any(o.id == oid for o in outbound):
             raise ZoneValidationError(f"duplicate outbound line id {oid!r}")

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dc_network import TopologyState, compute_ptdf, dc_flows
-from .grid_model import TimestepForecast, ZoneModel, select_ratings
+from .dc_network import compute_ptdf, dc_flows
+from .grid_model import TimestepForecast, TopologyState, ZoneModel, select_ratings
 from .lp_core import INF, LinearProgram, Relation
 from .power_bandwidth import PowerBandwidthResult
 

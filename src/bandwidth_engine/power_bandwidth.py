@@ -57,12 +57,13 @@ import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .dc_network import NetworkModel, TopologyState
+from .dc_network import NetworkModel
 from .grid_model import (
     ForecastSeries,
     Line,
     Season,
     TimestepForecast,
+    TopologyState,
     ZoneModel,
     select_ratings,
 )

@@ -352,12 +352,12 @@ def test_verify_seeds_honours_objective_and_weights(monkeypatch):
     seen = []
     real = cli.solve_timestep
     monkeypatch.setattr(cli, "solve_timestep", lambda *a, **kw: seen.append(kw) or real(*a, **kw))
-    res = _run("verify", "--seeds", 2, "--objective", "lexicographic", "--c1", 0.5)
+    res = _run("verify", "--seeds", 2, "--objective", "lexicographic", "--c2", 0.5)
     assert res.exit_code == 0, res.output
     assert len(seen) == 2
     for kw in seen:
         assert kw["lexicographic"] is True
-        assert kw["weights"].preventive_curtailment == 0.5
+        assert kw["weights"].curative_battery == 0.5
 
 
 def test_verify_seeds_honours_tolerance():
@@ -397,6 +397,57 @@ def test_flag_the_mode_cannot_use_is_refused(zone_path, forecast_paths, prior_ru
     res = _run(*(str(a).format(**values) for a in [*MODES[mode], flag, value]))
     assert res.exit_code == 1, res.output
     assert f"error: {flag} has no effect with {mode}" in res.output
+
+
+SHORT_RUNS = {  # each command that takes --objective, cut short
+    "compute": ["compute", "--zone", "{zone}", "--forecast", "{forecast}", "--horizon", 2, "--out", "{out}"],
+    "stats": ["stats", "--zone", "{zone}", "--forecast", "{forecast}", "--horizon", 2],
+    "verify": ["verify", "--seeds", 1],
+}
+
+
+def _lexicographic_run(command, source, flags, zone_path, forecast_paths, tmp_path):
+    """``command`` under the lexicographic objective, set by the flag or by a
+    config file (``source``), with ``flags`` added."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"objective": "lexicographic"}))
+    values = dict(zone=zone_path, forecast=forecast_paths["winter_day"], out=tmp_path / "o")
+    objective = ["--objective", "lexicographic"] if source == "flag" else ["--config", cfg]
+    return _run(*(str(a).format(**values) for a in [*SHORT_RUNS[command], *objective, *flags]))
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", list(SHORT_RUNS))
+def test_c1_is_refused_under_the_lexicographic_objective(zone_path, forecast_paths, tmp_path, command, source):
+    """The lexicographic objective weighs no preventive curtailment, so a
+    ``--c1`` given with it is refused, wherever the objective comes from."""
+    res = _lexicographic_run(command, source, ["--c1", 0.5], zone_path, forecast_paths, tmp_path)
+    assert res.exit_code == 1, res.output
+    assert res.output.splitlines() == ["error: --c1 has no effect with --objective lexicographic"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("objective, flag", [
+    ("lexicographic", "--c2"), ("lexicographic", "--c3"), ("lexicographic", "--config"), ("weighted", "--c1"),
+])
+@pytest.mark.parametrize("command", list(SHORT_RUNS))
+def test_weights_the_objective_uses_are_accepted(zone_path, forecast_paths, tmp_path, command, objective, flag):
+    """``--c2`` and ``--c3`` go with either objective and ``--c1`` with the
+    weighted one; a config file's ``c1`` is never refused."""
+    cfg = tmp_path / "weights.json"
+    cfg.write_text(json.dumps({"c1": 0.5}))
+    values = dict(zone=zone_path, forecast=forecast_paths["winter_day"], out=tmp_path / "o")
+    args = [*SHORT_RUNS[command], "--objective", objective, flag, cfg if flag == "--config" else 0.5]
+    res = _run(*(str(a).format(**values) for a in args))
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("flag, option", [("-v", "-v"), ("-vv", "-v"), ("--verbose", "--verbose")])
+def test_verbose_flag_is_gone(zone_path, forecast_paths, flag, option):
+    """``BANDWIDTH_ENGINE_LOG`` is the one log-level setting."""
+    res = _run(flag, "stats", "--zone", zone_path, "--forecast", forecast_paths["summer_day"], "--horizon", 1)
+    assert res.exit_code == 1, res.output
+    assert res.output.splitlines() == [f"error: No such option '{option}'."]
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -516,6 +567,48 @@ def test_malformed_zone_is_an_error_line(zone_path, forecast_paths, tmp_path):
     res = _run("compute", "--zone", bad, "--forecast", forecast_paths["summer_day"], "--out", tmp_path / "run")
     assert res.exit_code == 1
     assert res.output == "error: battery block must be an object, got null\n"
+
+
+def _with_reactances(zone_path, tmp_path, reactances: dict) -> Path:
+    """The bundled zone with the given lines' ``reactance_pu`` replaced."""
+    doc = json.loads(zone_path.read_text())
+    for line in doc["lines"]:
+        line["reactance_pu"] = reactances.get(line["id"], line["reactance_pu"])
+    edited = tmp_path / "zone.json"
+    edited.write_text(json.dumps(doc))
+    return edited
+
+
+@pytest.mark.parametrize(
+    "reactances, message",
+    [
+        ({"alpha-beta": 1e-320}, "line 'alpha-beta' reactance_pu 1e-320 has no finite susceptance 1/x"),
+        ({"alpha-beta": 5e-309}, "line 'alpha-beta' reactance_pu 5e-309 has no finite susceptance 1/x"),
+        ({"alpha-beta": 1e-308, "beta-gamma": 1e-308}, "bus 'beta': the susceptances 1/x of its lines sum to inf"),
+    ],
+    ids=["susceptance-infinite", "susceptance-overflows", "susceptances-sum-to-infinity"],
+)
+def test_reactance_without_a_finite_network_matrix_is_an_error_line(
+    zone_path, forecast_paths, tmp_path, reactances, message
+):
+    """A reactance whose susceptance, or whose bus's susceptance sum, is not
+    finite is refused at load, before any file is written."""
+    out = tmp_path / "run"
+    res = _run("compute", "--zone", _with_reactances(zone_path, tmp_path, reactances),
+               "--forecast", forecast_paths["winter_day"], "--out", out)
+    assert res.exit_code == 1, res.output
+    assert res.output.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_smallest_reactance_with_a_finite_network_matrix_computes(zone_path, forecast_paths, tmp_path):
+    out = tmp_path / "run"
+    res = _run("compute", "--zone", _with_reactances(zone_path, tmp_path, {"alpha-beta": 1e-308}),
+               "--forecast", forecast_paths["winter_day"], "--out", out)
+    assert res.exit_code == 0, res.output
+    hour0 = (out / "power_bandwidth.csv").read_text().splitlines()[1].split(",")
+    assert hour0[1:3] == ["9.000000", "12.000000"]
+    assert hour0[-1] == "alpha-beta:outage[gamma-delta-outage]:immediate"
 
 
 @pytest.mark.parametrize(

@@ -9,14 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandwidth_engine.dc_network import (
-    BalanceError,
-    IslandingError,
-    NetworkModel,
-    TopologyState,
-    compute_ptdf,
-    dc_flows,
-)
+from bandwidth_engine.dc_network import NetworkModel, compute_ptdf, dc_flows
 from bandwidth_engine.fixtures import (
     FullLine,
     FullNetwork,
@@ -24,7 +17,7 @@ from bandwidth_engine.fixtures import (
     reference_full_network,
     reference_zone_dict,
 )
-from bandwidth_engine.grid_model import zone_from_dict
+from bandwidth_engine.grid_model import BalanceError, IslandingError, TopologyState, zone_from_dict
 
 
 def _toy_zone_doc():

@@ -290,6 +290,14 @@ VALIDATION_MESSAGES = [
     ("reactance-nan", [(("lines", 0, "reactance_pu"), math.nan)], "line 'alpha-beta' reactance_pu is NaN"),
     ("reactance-negative", [(("lines", 0, "reactance_pu"), -0.04)],
      "line 'alpha-beta' reactance_pu must be > 0, got -0.04"),
+    ("reactance-infinite", [(("lines", 0, "reactance_pu"), math.inf)],
+     "line 'alpha-beta' reactance_pu must be finite, got inf"),
+    ("susceptance-infinite", [(("lines", 0, "reactance_pu"), 1e-320)],
+     "line 'alpha-beta' reactance_pu 1e-320 has no finite susceptance 1/x"),
+    ("susceptance-overflows", [(("lines", 0, "reactance_pu"), 5e-309)],
+     "line 'alpha-beta' reactance_pu 5e-309 has no finite susceptance 1/x"),
+    ("susceptances-sum-to-infinity", [(("lines", 0, "reactance_pu"), 1e-308), (("lines", 1, "reactance_pu"), 1e-308)],
+     "bus 'beta': the susceptances 1/x of its lines sum to inf"),
     ("line-self-loop", [(("lines", 1, "to_bus"), "beta")], "line 'beta-gamma' connects bus 'beta' to itself"),
     ("from-bus-unknown", [(("lines", 1, "from_bus"), "omega")],
      "line 'beta-gamma' from_bus 'omega' not among buses"),
@@ -387,6 +395,17 @@ VALIDATION_MESSAGES = [
         [(("outbound_lines", 0, "ptdf_contingency", "gamma-delta-outage", "delta"), 0.3)],
         "contingency 'gamma-delta-outage': bus 'delta' has nonzero sensitivity 0.3 on outbound 'alpha-west' in a different island",
     ),
+    # every object names the first field the format does not define
+    ("zone-unknown-field", [(("name",), "zone90kv")], "zone file has unknown field 'name'"),
+    ("battery-unknown-field", [(("battery", "soc_min_mw"), 4)], "battery block has unknown field 'soc_min_mw'"),
+    ("bus-unknown-field", [(("buses", 1, "voltage_kv"), 90)], "bus entry has unknown field 'voltage_kv'"),
+    ("line-unknown-field", [(("lines", 1, "resistance_pu"), 0.01)], "line entry has unknown field 'resistance_pu'"),
+    ("ratings-unknown-field", [(("lines", 2, "ratings_winter", "emergency_mw"), 120)],
+     "line 'gamma-delta' ratings_winter has unknown field 'emergency_mw'"),
+    ("outbound-unknown-field", [(("outbound_lines", 1, "ptdf_contingencies"), {})],
+     "outbound line entry has unknown field 'ptdf_contingencies'"),
+    ("contingency-unknown-field", [(("contingencies", 0, "probability"), 0.01)],
+     "contingency entry has unknown field 'probability'"),
     ("partition-base", [(("outbound_lines", 0, "ptdf_normal", "gamma"), 0.55)],
      "base topology: outbound sensitivities of bus 'gamma' sum to 1.15, expected 1 (export-positive convention)"),
     ("partition-contingency", [(("outbound_lines", 1, "ptdf_contingency", "gamma-delta-outage", "delta"), 0.9)],

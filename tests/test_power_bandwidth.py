@@ -23,13 +23,14 @@ import pytest
 from bandwidth_engine import lp_core
 from bandwidth_engine import power_bandwidth as pb
 
-from bandwidth_engine.dc_network import TopologyState, dc_flows
+from bandwidth_engine.dc_network import dc_flows
 from bandwidth_engine.fixtures import random_instance, reference_full_network, synthetic_year_rows
 from bandwidth_engine.grid_model import (
     ForecastSeries,
     RatingSet,
     Season,
     TimestepForecast,
+    TopologyState,
     load_zone,
     select_ratings,
 )
