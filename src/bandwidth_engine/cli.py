@@ -83,9 +83,9 @@ class RunConfig:
     horizon: int | None = None
     workers: int = 1
     objective: str = "weighted"  # or "lexicographic"
-    c1: float = 1.0e4
-    c2: float = 1.0e-3
-    c3: float = 1.0e-4
+    c1: float = ObjectiveWeights.preventive_curtailment
+    c2: float = ObjectiveWeights.curative_battery
+    c3: float = ObjectiveWeights.curative_curtailment
     season: str | None = None  # override every row's season tag
 
     def validate(self) -> None:

@@ -42,6 +42,7 @@ from .grid_model import (
     Season,
     TimestepForecast,
     ZoneModel,
+    ZoneValidationError,
     _connected_components,
     forecast_header,
     zone_from_dict,
@@ -319,9 +320,6 @@ SUMMER_DAY = [
     (43.0, 32.0, 3.1), (42.0, 31.0, 3.1), (41.0, 30.0, 3.0),
 ]
 
-SUMMER_RED_HOURS = [6, 7, 8, 9]
-SUMMER_YELLOW_HOURS = [10, 11, 12]
-
 # (P_alpha, P_beta, P_gamma, P_delta, wind, curt_max gamma) per hour. Hours
 # 0-1 combine a normal-state overload on gamma-delta with a severe
 # post-contingency overload on alpha-beta; hour 3 is a pure immediate-rating
@@ -396,10 +394,6 @@ def synthetic_year_rows(zone: ZoneModel, seed: int = 2023) -> ForecastSeries:
     p_b = 24.0 * wind_factor * np.clip(rng.normal(1.0, 0.15, size=hours), 0.2, 1.8) - 4.0
     p_g = 28.0 * wind_factor * np.clip(rng.normal(1.0, 0.15, size=hours), 0.2, 1.8) - 3.0
     p_d = 10.0 * wind_factor * np.clip(rng.normal(1.0, 0.15, size=hours), 0.2, 1.8) - 2.0
-
-    inj_matrix = np.stack([p_w, p_a, p_b, p_g, p_d])  # (5, hours)
-    base_refs = base_map @ inj_matrix
-    cont_refs = cont_map @ inj_matrix
 
     curt = {
         "alpha": np.maximum(p_a, 0.0),
@@ -604,8 +598,6 @@ def random_instance(seed: int) -> tuple[ZoneModel, TimestepForecast]:
             entry["ptdf_contingency"][f"out-{c}"] = {
                 b: round(reduced.injection_sensitivity(b)[entry["id"]], 12) for b in buses
             }
-
-    from .grid_model import ZoneValidationError
 
     try:
         zone = zone_from_dict(zone_doc)

@@ -4,26 +4,27 @@ Each timestep's LP is solved under two objectives that differ only in the
 sign on the preventive battery setpoint (minimize it for the lower bound,
 maximize it for the upper bound). The LP's variables, rows and coefficients
 depend only on the zone, so a :class:`BandwidthProblem` is built once per
-zone and weighting, with its objectives, and each timestep writes only its
-curtailment bounds and right-hand sides into it, in one call per LP; the LP
-layer keeps the standard form and runs phase one once for both objectives.
-The problem of the last zone and weighting that
-:func:`compute_power_bandwidths` solved is kept until a call on another zone
-or with other weights: its network model, its LP and capped copy, and their
-standard forms with their pivot-path trees (at most
+zone, weighting and objective mode, with the objectives of that mode, and
+:meth:`BandwidthProblem.set_hour` writes each timestep's curtailment bounds
+and right-hand sides into it, in one call per LP; the LP layer keeps the
+standard form and runs phase one once for both objectives. The problem of
+the last zone, weighting and mode that :func:`compute_power_bandwidths`
+solved is kept until a call on another zone, with other weights or in the
+other mode: its network model, its LP (and capped copy in lexicographic
+mode), and their standard forms with their pivot-path trees (at most
 ``lp_core.NODES_PER_FORM`` nodes each, about 2.6 kB per node; after the
 bundled zone's 8,760 h year the weighted LP's form holds about 1.5 MB).
 With workers, each worker process keeps its own for the jobs it runs. It is
-keyed by the zone's ``repr`` and the weights, so a zone edited in place, or
-one that differs only by a -0.0, gets a new problem.
+keyed by the zone's ``repr``, the weights and the mode, so a zone edited in
+place, or one that differs only by a -0.0, gets a new problem.
 :func:`solve_timestep`, :func:`check_safety` and the LP export build their
 own LP every time. A result's binding label is the first rating row, in row
 order, that the lower-bound solution meets with equality, else the
 upper-bound solution's first. An infeasible timestep's diagnostic solves the
 elastic LP (:meth:`BandwidthProblem.elastic_lp`), and lexicographic mode the
-capped copy (:meth:`BandwidthProblem.capped_lp`); both are made from the
-LP with :meth:`lp_core.LinearProgram.extended`, which adds their slack
-columns or row, and get a standard form of their own at their first solve.
+capped copy (``BandwidthProblem.capped``); both are made from the LP with
+:meth:`lp_core.LinearProgram.extended`, which adds their slack columns or
+row, and get a standard form of their own at their first solve.
 The LP carries four families of network states:
 
 * normal state — flows within permanent ratings,
@@ -135,13 +136,17 @@ class BandwidthProblem:
     variable names.
 
     The LP's variables, rows and coefficients depend only on the zone, so it
-    is built once, with one timestep's values under its row's season;
-    :meth:`set_hour` writes another timestep's curtailment bounds and
-    right-hand sides into it. Its objectives are those of one weighting
-    (:meth:`objective`).
+    is built once, with placeholder curtailment caps and right-hand sides, and
+    :meth:`set_hour` writes each timestep's values into it. In lexicographic
+    mode ``capped`` is the LP plus row ``curt_total_cap`` bounding the total
+    preventive curtailment (else ``None``), and ``total_curtailment`` the
+    first stage's objective. ``objectives[direction]`` minimizes +-B plus the
+    curtailment and curative terms under the weights, without the preventive
+    curtailment term in lexicographic mode, which the row bounds instead.
+    Callers must not change these dicts.
     """
 
-    def __init__(self, zone: ZoneModel, network: NetworkModel, row: TimestepForecast, weights: ObjectiveWeights):
+    def __init__(self, zone: ZoneModel, network: NetworkModel, weights: ObjectiveWeights, lexicographic: bool):
         weights.validate()
         self.network, self.weights = network, weights
         self.battery = battery = zone.battery
@@ -152,7 +157,7 @@ class BandwidthProblem:
 
         curt: dict[str, str] = {}
         for b in bus_ids:
-            curt[b] = lp.add_variable(f"curt:{b}", 0.0, row.curtailable_max_mw[b])
+            curt[b] = lp.add_variable(f"curt:{b}", 0.0, 0.0)
 
         cur_batt: dict[str, tuple[str, str]] = {}
         cur_curt: dict[tuple[str, str], str] = {}
@@ -179,7 +184,7 @@ class BandwidthProblem:
                 cap = lp.add_constraint(
                     {curt[b]: 1.0, v: 1.0},
                     Relation.LE,
-                    row.curtailable_max_mw[b],
+                    0.0,
                     name=f"cur_curt_cap:{b}@{c.id}",
                 )
                 self._curt_caps.append((cap, b))
@@ -219,14 +224,13 @@ class BandwidthProblem:
                     flows.append((f"{tag}:{lid}", (lid, stage, cid or "", _STAGE_RATING[stage]), flow))
 
         self._limits: dict[Season, list[float]] = {}
-        self._rating_rhs = self._rating_values(row)
+        self._rating_rhs: list[float] = []  # the hour's, written by set_hour
         self.rating_rows: dict[str, tuple[str, str, str, str]] = {}
         self._ratings: list[tuple[str, dict[str, float]]] = []  # (row, coefficients) per row
         self._labels: list[str] | None = None  # per rating row, formatted on first use
-        rhs = iter(self._rating_rhs)
         for suffix, rating_row, flow in flows:
             for side, coeffs in (("hi", flow), ("lo", {var: -c for var, c in flow.items()})):
-                name = lp.add_constraint(coeffs, Relation.LE, next(rhs), name=f"rating_{side}:{suffix}")
+                name = lp.add_constraint(coeffs, Relation.LE, 0.0, name=f"rating_{side}:{suffix}")
                 self.rating_rows[name] = rating_row
                 self._ratings.append((name, coeffs))
         # every row set_hour writes: the curtailment caps, then the ratings
@@ -238,9 +242,20 @@ class BandwidthProblem:
         self.curative_battery_vars = cur_batt
         self.curative_curtailment_vars = cur_curt
         self.total_curtailment = {v: 1.0 for v in curt.values()}
-        self._capped: LinearProgram | None = None
-        self._objectives: dict[tuple[Direction, bool], dict[str, float]] = {}
-        self._add_objectives(curtailment_bounded=False)
+        cap = (self.total_curtailment, Relation.LE, 0.0, "curt_total_cap")
+        self.capped = lp.extended(lp.name, rows=[cap]) if lexicographic else None
+        self.objectives: dict[Direction, dict[str, float]] = {}
+        for direction in Direction:
+            objective = {batt: 1.0 if direction == Direction.LOWER else -1.0}
+            if not lexicographic:
+                for v in curt.values():
+                    objective[v] = weights.preventive_curtailment
+            for plus, minus in cur_batt.values():
+                objective[plus] = weights.curative_battery
+                objective[minus] = weights.curative_battery
+            for v in cur_curt.values():
+                objective[v] = weights.curative_curtailment
+            self.objectives[direction] = objective
 
     def _rating_values(self, row: TimestepForecast) -> list[float]:
         """Each rating row's rhs under the row's season, in row order: limit -
@@ -260,11 +275,12 @@ class BandwidthProblem:
 
     def set_hour(self, row: TimestepForecast) -> None:
         """Write one timestep's curtailment bounds and right-hand sides, under
-        its own season's ratings."""
+        its own season's ratings, into the LP and, in lexicographic mode, its
+        capped copy."""
         caps = row.curtailable_max_mw
         self._rating_rhs = self._rating_values(row)
         values = [caps[b] for _, b in self._curt_caps] + self._rating_rhs
-        for lp in [self.lp] if self._capped is None else [self.lp, self._capped]:
+        for lp in [self.lp] if self.capped is None else [self.lp, self.capped]:
             for b, v in self.curtailment_vars.items():
                 lp.set_bounds(v, 0.0, caps[b])
             lp.set_rhs_many(self._rhs_rows, values)
@@ -289,17 +305,6 @@ class BandwidthProblem:
                 return self.rating_labels()[i]
         return None
 
-    def capped_lp(self) -> LinearProgram:
-        """The LP plus row ``curt_total_cap`` bounding the total preventive
-        curtailment (lexicographic mode), made from the LP on first use,
-        with its curtailment-bounded objectives, and written by every later
-        :meth:`set_hour`."""
-        if self._capped is None:
-            cap = (self.total_curtailment, Relation.LE, 0.0, "curt_total_cap")
-            self._capped = self.lp.extended(self.lp.name, rows=[cap])
-            self._add_objectives(curtailment_bounded=True)
-        return self._capped
-
     def elastic_lp(self) -> LinearProgram:
         """The elastic LP of the infeasibility diagnostic (Chinneck,
         "Feasibility and Infeasibility in Optimization", 2008): the LP plus a
@@ -310,34 +315,6 @@ class BandwidthProblem:
         elastic = self.lp.extended(self.lp.name + ":relaxed", slacks)
         elastic.set_objective(dict.fromkeys(slacks, 1.0))
         return elastic
-
-    def objective(self, direction: Direction, curtailment_bounded: bool = False) -> dict[str, float]:
-        """Minimize +-B by direction, plus the curtailment and curative terms
-        under the problem's weights.
-
-        ``curtailment_bounded`` drops the preventive curtailment term (the
-        lexicographic second stage bounds the total by a row of
-        :meth:`capped_lp` instead, which is built first). The same arguments
-        return the same dict, which callers must not change.
-        """
-        if curtailment_bounded:
-            self.capped_lp()
-        return self._objectives[direction, curtailment_bounded]
-
-    def _add_objectives(self, curtailment_bounded: bool) -> None:
-        """Build both directions' :meth:`objective` for ``curtailment_bounded``."""
-        weights = self.weights
-        for direction in Direction:
-            objective = {self.battery_var: 1.0 if direction == Direction.LOWER else -1.0}
-            if not curtailment_bounded:
-                for v in self.curtailment_vars.values():
-                    objective[v] = weights.preventive_curtailment
-            for plus, minus in self.curative_battery_vars.values():
-                objective[plus] = weights.curative_battery
-                objective[minus] = weights.curative_battery
-            for v in self.curative_curtailment_vars.values():
-                objective[v] = weights.curative_curtailment
-            self._objectives[direction, curtailment_bounded] = objective
 
 
 @dataclass(frozen=True, slots=True)
@@ -375,15 +352,17 @@ def build_lp(
     season: Season | str,
     direction: Direction | str,
     weights: ObjectiveWeights | None = None,
+    lexicographic: bool = False,
 ) -> BandwidthProblem:
-    """Build one direction's LP for one timestep, under ``season``'s ratings,
-    on the zone's :func:`network_model`."""
+    """Build one timestep's problem, under ``season``'s ratings, on the zone's
+    :func:`network_model`, with ``direction``'s band objective set on its LP."""
     direction, season = Direction(direction), Season(season)
     if season != row.season:
         row = replace(row, season=season)
-    problem = BandwidthProblem(zone, network_model(zone), row, weights or ObjectiveWeights())
+    problem = BandwidthProblem(zone, network_model(zone), weights or ObjectiveWeights(), lexicographic)
+    problem.set_hour(row)
     problem.lp.name = f"bandwidth[t={row.index},{direction.value}]"
-    problem.lp.set_objective(problem.objective(direction))
+    problem.lp.set_objective(problem.objectives[direction])
     return problem
 
 
@@ -392,11 +371,14 @@ def _solve(lp: LinearProgram, row: TimestepForecast, what: str) -> LpSolution:
     never a grid finding (every bandwidth LP has a bounded objective)."""
     sol = solve(lp, compute_duals=False)
     if sol.status not in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE):
-        raise UnstableLpError(
-            f"timestep {row.index} ({row.timestamp}): the {what} LP is "
-            f"{sol.status.value.replace('_', ' ')}"
-        )
+        raise _unstable(row, what, sol)
     return sol
+
+
+def _unstable(row: TimestepForecast, what: str, sol: LpSolution) -> UnstableLpError:
+    return UnstableLpError(
+        f"timestep {row.index} ({row.timestamp}): the {what} LP is {sol.status.value.replace('_', ' ')}"
+    )
 
 
 def _rating_label(problem: BandwidthProblem, row_name: str) -> str:
@@ -410,12 +392,10 @@ def _max_violation_diagnostic(problem: BandwidthProblem, row: TimestepForecast) 
     (:meth:`BandwidthProblem.elastic_lp`) and report the unavoidable
     overloads. The elastic LP is feasible (the battery at 0 MW, no
     curtailment or curative action, slacks covering every rating row) and
-    bounded below, so any status but optimal is a solver failure."""
-    sol = solve(problem.elastic_lp(), compute_duals=False)
-    if sol.status != SolveStatus.OPTIMAL:
-        raise UnstableLpError(
-            f"timestep {row.index} ({row.timestamp}): the relaxed LP is {sol.status.value.replace('_', ' ')}"
-        )
+    bounded below, so ``infeasible`` too is a solver failure here."""
+    sol = _solve(problem.elastic_lp(), row, "relaxed")
+    if sol.status == SolveStatus.INFEASIBLE:
+        raise _unstable(row, "relaxed", sol)
     worst: list[tuple[float, str]] = []
     for (name, _), label in zip(problem._ratings, problem.rating_labels(), strict=True):
         v = sol.value(f"relax:{name}")
@@ -439,27 +419,28 @@ def solve_timestep(
     One LP is solved for the lower bound, then for the upper bound. In
     lexicographic mode a first solve minimizes total preventive curtailment
     alone; the total is then bounded by that optimum (row ``curt_total_cap``
-    of :meth:`BandwidthProblem.capped_lp`) for both directions. Raises
+    of ``BandwidthProblem.capped``) for both directions. Raises
     :class:`UnstableLpError` if an LP is neither optimal nor infeasible.
     """
-    problem = build_lp(zone, row, row.season, Direction.LOWER, weights)
-    return _solve_written(problem, row, lexicographic)
+    problem = build_lp(zone, row, row.season, Direction.LOWER, weights, lexicographic)
+    return _solve_written(problem, row)
 
 
-def _solve_written(problem: BandwidthProblem, row: TimestepForecast, lexicographic: bool) -> PowerBandwidthResult:
-    """:func:`solve_timestep` for a problem that holds the timestep's values."""
+def _solve_written(problem: BandwidthProblem, row: TimestepForecast) -> PowerBandwidthResult:
+    """:func:`solve_timestep` for a problem that holds the timestep's values,
+    in the problem's objective mode."""
     lp = problem.lp
-    if lexicographic:
+    if problem.capped is not None:
         lp.set_objective(problem.total_curtailment)
         sol = _solve(lp, row, "least-curtailment")
         if sol.status != SolveStatus.OPTIMAL:
             return _infeasible_result(problem, row)
-        lp = problem.capped_lp()
+        lp = problem.capped
         lp.set_rhs("curt_total_cap", sol.objective)
 
     sols: dict[Direction, LpSolution] = {}
     for direction in Direction:
-        lp.set_objective(problem.objective(direction, curtailment_bounded=lexicographic))
+        lp.set_objective(problem.objectives[direction])
         sol = _solve(lp, row, f"{direction.value}-bound")
         if sol.status != SolveStatus.OPTIMAL:
             return _infeasible_result(problem, row)
@@ -522,12 +503,12 @@ def _infeasible_result(problem: BandwidthProblem, row: TimestepForecast) -> Powe
 
 
 # The last zone's problem, kept from one _solve_rows call to the next under
-# the zone's repr and the weights: OutboundLine's PTDF maps are dicts that can
-# be edited in place, and a repr tells every float apart (-0.0 from 0.0), so
-# an equal key means an equal zone. A call takes the problem out while it uses
-# it and puts it back when it finishes, so one that raises leaves none
-# half-written and two threads never share one.
-_kept: dict[tuple[str, ObjectiveWeights], BandwidthProblem] = {}
+# the zone's repr, the weights and the objective mode: OutboundLine's PTDF
+# maps are dicts that can be edited in place, and a repr tells every float
+# apart (-0.0 from 0.0), so an equal key means an equal zone. A call takes the
+# problem out while it uses it and puts it back when it finishes, so one that
+# raises leaves none half-written and two threads never share one.
+_kept: dict[tuple[str, ObjectiveWeights, bool], BandwidthProblem] = {}
 _kept_lock = threading.Lock()
 
 
@@ -535,19 +516,17 @@ def _solve_rows(args) -> list[PowerBandwidthResult]:
     zone, rows, weights, lexicographic = args
     if not rows:
         return []
-    key = (repr(zone), weights)
+    key = (repr(zone), weights, lexicographic)
     with _kept_lock:
         problem = _kept.pop(key, None)
-    fresh = problem is None
-    if fresh:
-        problem = build_lp(zone, rows[0], rows[0].season, Direction.LOWER, weights)
+    if problem is None:
+        problem = BandwidthProblem(zone, network_model(zone), weights, lexicographic)
     results = []
-    for i, row in enumerate(rows):
-        if i or not fresh:  # build_lp wrote the first timestep
-            problem.set_hour(row)
-        results.append(_solve_written(problem, row, lexicographic))
+    for row in rows:
+        problem.set_hour(row)
+        results.append(_solve_written(problem, row))
     with _kept_lock:
-        _kept.clear()  # a different zone's or weighting's problem is released
+        _kept.clear()  # a different zone's, weighting's or mode's problem is released
         _kept[key] = problem
     return results
 
@@ -566,8 +545,9 @@ def compute_power_bandwidths(
     (class ``infeasible`` with a ``failure`` diagnostic). Any exception raised
     while solving a timestep propagates to the caller: a crash is not a grid
     finding. The zone's network model and LP are built once and kept for
-    later calls on an equal zone (see the module docstring); with
-    ``workers`` > 1 each worker process keeps its own for its jobs.
+    later calls on an equal zone with equal weights in the same mode (see
+    the module docstring); with ``workers`` > 1 each worker process keeps
+    its own for its jobs.
     """
     rows = list(forecast)
     weights = weights or ObjectiveWeights()

@@ -10,6 +10,8 @@ their own.
 
 from __future__ import annotations
 
+import csv
+import io
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -80,10 +82,11 @@ class AvailabilityReport:
 
 def binding_lines_to_csv(report: AvailabilityReport) -> str:
     """Per-line binding-constraint histogram as CSV."""
-    lines = ["binding_constraint,timesteps"]
-    for label, n in sorted(report.binding_lines.items(), key=lambda kv: (-kv[1], kv[0])):
-        lines.append(f"{label},{n}")
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["binding_constraint", "timesteps"])
+    writer.writerows(sorted(report.binding_lines.items(), key=lambda kv: (-kv[1], kv[0])))
+    return buf.getvalue()
 
 
 def summarize(results: list[PowerBandwidthResult]) -> AvailabilityReport:

@@ -13,13 +13,14 @@ from click.testing import CliRunner
 
 import bandwidth_engine
 from bandwidth_engine import grid_model
-from bandwidth_engine.cli import main
+from bandwidth_engine.cli import RunConfig, main
 from bandwidth_engine.fixtures import (
     day_forecast_rows,
     reference_full_network,
     write_forecast_csv,
 )
 from bandwidth_engine.grid_model import ForecastSeries, Season, TimestepForecast
+from bandwidth_engine.power_bandwidth import ObjectiveWeights
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
@@ -723,3 +724,8 @@ def test_forecast_row_with_extra_cells_is_an_error_line(zone_path, forecast_path
     assert res.exit_code == 1
     assert res.output == f"error: forecast row 3 has {n + 2} cells, header has {n}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_run_config_weights_default_to_the_objective_weights():
+    """The CLI's default weights are the library's, decided in one place."""
+    assert RunConfig().weights() == ObjectiveWeights()

@@ -556,14 +556,18 @@ def _random_zones_csv() -> str:
 def _standard_form_digest(zone, summer_day) -> str:
     """The sha256 of the standard forms' matrix, right-hand side, phase-one
     root and column costs of the bandwidth LP and its capped copy, for the
-    summer day's hour 7 and ``random_instance`` 0-399."""
+    summer day's hour 7 and ``random_instance`` 0-399. The capped copy and the
+    curtailment-bounded objectives are a lexicographic problem's of the same
+    row."""
     h = hashlib.sha256()
     for z, row in [(zone, summer_day[7])] + [random_instance(seed) for seed in range(400)]:
         problem = build_lp(z, row, row.season, Direction.LOWER)
+        bounded = build_lp(z, row, row.season, Direction.LOWER, lexicographic=True)
+        assert problem.capped is None
         objectives = [problem.total_curtailment] + [
-            problem.objective(d, bounded) for d in Direction for bounded in (False, True)
+            p.objectives[d] for d in Direction for p in (problem, bounded)
         ]
-        for lp in (problem.lp, problem.capped_lp()):
+        for lp in (problem.lp, bounded.capped):
             sf = lp._standard_form()
             root = sf.pattern.root
             for a in (sf._A, sf.b, sf.row_sign, root.T, root.basis, root.zrow):
@@ -939,8 +943,8 @@ def test_many_weightings_keep_only_the_last_problem(zone, summer_day):
         got = compute_power_bandwidths(zone, summer_day[:3], weights=weights)
         if k % 10 == 9:
             assert repr(got) == repr(_cold(zone, summer_day[:3], weights=weights))
-    assert list(pb._kept) == [(repr(zone), weights)]
-    assert pb._kept[repr(zone), weights].weights is weights
+    assert list(pb._kept) == [(repr(zone), weights, False)]
+    assert pb._kept[repr(zone), weights, False].weights is weights
 
 
 def _solve_counters(sol) -> tuple:
@@ -961,7 +965,7 @@ def test_kept_problem_equals_a_cold_call(zone, monkeypatch, lexicographic):
     hits = 0
     for i, day in enumerate(days):
         rows = year[24 * day : 24 * (day + 1)]
-        hits += (repr(zone), ObjectiveWeights()) in pb._kept
+        hits += (repr(zone), ObjectiveWeights(), lexicographic) in pb._kept
         solves.clear()
         got = compute_power_bandwidths(zone, rows, lexicographic=lexicographic)
         warm = [_solve_counters(sol) for sol in solves]
@@ -1048,6 +1052,16 @@ def test_relaxed_lp_reported_infeasible_raises(monkeypatch):
         solve_timestep(zone, row)
 
 
+def test_relaxed_lp_reported_numerically_unstable_raises(monkeypatch):
+    """The relaxed LP fails with the message every LP of a problem fails with."""
+    _answer_when(monkeypatch, _relaxed, lambda lp: LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan))
+    zone, row = random_instance(0)  # infeasible: reaches the diagnostic
+    with pytest.raises(
+        UnstableLpError, match=r"^timestep 0 \(2023-06-01T12:00\): the relaxed LP is numerically unstable$"
+    ):
+        solve_timestep(zone, row)
+
+
 def test_relaxed_lp_without_overload_is_named_a_tolerance(monkeypatch):
     """An elastic optimum whose slacks are all within 1e-6 MW names no
     rating: the timestep's infeasibility is put down to numerical tolerance."""
@@ -1102,18 +1116,57 @@ def test_every_unclearable_hour_builds_its_elastic_lp_afresh(monkeypatch, lexico
         assert len(relaxed) == len({id(lp) for lp in relaxed}) == unclearable  # one form per elastic LP
 
 
-def test_first_timestep_is_written_once(zone, winter_day, monkeypatch):
-    """``build_lp`` writes the first timestep; ``set_hour`` writes each later
-    one, so an N-hour cold call makes N - 1 writes, with unchanged results."""
+def test_each_timestep_is_written_once(zone, winter_day, monkeypatch):
+    """``set_hour`` is the only writer of an hour, the first included: an
+    N-hour cold weighted call makes N writes, all into the one LP, with
+    unchanged results."""
     pb._kept.clear()
     writes = []
     real = LinearProgram.set_rhs_many
     monkeypatch.setattr(LinearProgram, "set_rhs_many", lambda lp, *a: writes.append(lp) or real(lp, *a))
     results = compute_power_bandwidths(zone, winter_day)
-    assert len(writes) == len(winter_day) - 1
+    assert len(writes) == len(winter_day)
+    assert {id(lp) for lp in writes} == {id(next(iter(pb._kept.values())).lp)}
     monkeypatch.undo()
     for row, got in zip(winter_day, results):
         assert _same_result(got, solve_timestep(zone, row)), row.timestamp
+
+
+@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+def test_capped_lp_exists_only_in_lexicographic_mode(zone, lexicographic):
+    """A lexicographic problem holds its ``curt_total_cap`` copy from
+    construction, and its band objectives leave the preventive curtailment to
+    that row; a weighted problem has no copy and weighs the curtailment."""
+    problem = pb.BandwidthProblem(zone, pb.network_model(zone), ObjectiveWeights(), lexicographic)
+    curt = set(problem.curtailment_vars.values())
+    for objective in problem.objectives.values():
+        assert curt.isdisjoint(objective) == lexicographic
+    if not lexicographic:
+        assert problem.capped is None
+        return
+    rows = [con.name for con in problem.capped.constraints]
+    assert rows == [con.name for con in problem.lp.constraints] + ["curt_total_cap"]
+    assert dict(problem.capped.constraints[-1].coeffs) == problem.total_curtailment
+
+
+def test_switching_the_objective_mode_rebuilds_the_problem(zone, winter_day, monkeypatch):
+    """A weighted call after a lexicographic one on the same zone, and the
+    reverse, each build a problem of their own mode and give a cold call's
+    results; the weighted call writes no capped LP."""
+    pb._kept.clear()
+    real = LinearProgram.set_rhs_many
+    for lexicographic in (True, False, True):
+        before = list(pb._kept.values())
+        writes = []
+        monkeypatch.setattr(LinearProgram, "set_rhs_many", lambda lp, *a: writes.append(lp) or real(lp, *a))
+        got = compute_power_bandwidths(zone, winter_day, lexicographic=lexicographic)
+        monkeypatch.undo()
+        assert list(pb._kept) == [(repr(zone), ObjectiveWeights(), lexicographic)]
+        (problem,) = pb._kept.values()
+        assert problem not in before
+        lps = [problem.lp, problem.capped] if lexicographic else [problem.lp]
+        assert {id(lp) for lp in writes} == {id(lp) for lp in lps}
+        assert repr(got) == repr(_cold(zone, winter_day, lexicographic=lexicographic))
 
 
 def test_bandwidth_lps_fire_no_solver_guard(zone, summer_day, winter_day):
@@ -1154,9 +1207,9 @@ def test_binding_labels_equal_the_row_sums(zone, monkeypatch, lexicographic):
             solved[what] = (sol, lp.constraints)
         return sol
 
-    def checked(problem, row, lexicographic):
+    def checked(problem, row):
         solved.clear()
-        result = real_written(problem, row, lexicographic)
+        result = real_written(problem, row)
         tag = f"t={row.index} {row.timestamp}"
         if result.congestion_class in (CongestionClass.FULLY_AVAILABLE, CongestionClass.INFEASIBLE):
             assert result.binding_constraint is None, tag

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import pytest
@@ -106,6 +108,7 @@ def test_binding_lines_csv():
             _res(0, CongestionClass.REDUCED, binding="a:normal:permanent"),
             _res(1, CongestionClass.REDUCED, binding="a:normal:permanent"),
             _res(2, CongestionClass.STRONG, binding="b:outage[n]:immediate"),
+            _res(3, CongestionClass.STRONG, binding="gamma,delta:normal:permanent"),
         ]
     )
     text = binding_lines_to_csv(report)
@@ -113,4 +116,11 @@ def test_binding_lines_csv():
         "binding_constraint,timesteps",
         "a:normal:permanent,2",
         "b:outage[n]:immediate,1",
+        '"gamma,delta:normal:permanent",1',
+    ]
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["binding_constraint", "timesteps"],
+        ["a:normal:permanent", "2"],
+        ["b:outage[n]:immediate", "1"],
+        ["gamma,delta:normal:permanent", "1"],
     ]

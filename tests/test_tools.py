@@ -49,7 +49,8 @@ def test_exactness_fixture_digests_are_pinned(capsys):
 
 
 def test_coldzone_times_five_zones(capsys):
-    """The cold-zone timer reaches into ``BandwidthProblem``, ``_solve_written``,
+    """The cold-zone timer reaches into ``BandwidthProblem`` (its
+    constructor, ``set_hour`` and ``objectives``), ``_solve_written``,
     ``network_model`` and ``_max_violation_diagnostic``; on five zones, one
     pass, it prints a JSON report of one tree, and again on a second call in
     the same process."""

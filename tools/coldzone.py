@@ -6,8 +6,9 @@ zone:
 
 * ``parse``: ``zone_from_dict`` on the zone's document;
 * ``network``: the zone's network model (``network_model``);
-* ``build``: the bandwidth LP built on it under the default weights
-  (``BandwidthProblem``), with its lower-bound objective set;
+* ``build``: the weighted bandwidth problem built on it under the default
+  weights (``BandwidthProblem``), with the zone's hour written
+  (``set_hour``) and its lower-bound objective set;
 * ``form``: the LP's standard form;
 * ``solves``: ``solve_timestep``'s solves on that problem, without the
   diagnostic;
@@ -19,8 +20,9 @@ in interleaved passes; each figure is the minimum over the passes of the
 mean per zone, in microseconds. Two copies of one tree can read a few per
 cent apart by import order, so compare two trees in both orders. The trees'
 results must be repr-equal; the tool says so. A tree must take the calls this
-tool makes: ``BandwidthProblem(zone, network, row, weights)`` and
-``_solve_written(problem, row, lexicographic)``. Run from anywhere:
+tool makes: ``BandwidthProblem(zone, network, weights, lexicographic)``,
+``set_hour(row)``, ``objectives[direction]`` and
+``_solve_written(problem, row)``. Run from anywhere:
 
     python3 tools/coldzone.py [--zones 600] [--first 9000000] [--passes 21] [--src DIR ...] [--json]
 """
@@ -78,12 +80,13 @@ def _pass(engine, docs, rows) -> tuple[dict[str, float], list[str]]:
             t1 = clock()
             network = pb.network_model(zone)
             t2 = clock()
-            problem = pb.BandwidthProblem(zone, network, row, pb.ObjectiveWeights())
-            problem.lp.set_objective(problem.objective(pb.Direction.LOWER))
+            problem = pb.BandwidthProblem(zone, network, pb.ObjectiveWeights(), False)
+            problem.set_hour(row)
+            problem.lp.set_objective(problem.objectives[pb.Direction.LOWER])
             t3 = clock()
             problem.lp._standard_form()
             t4 = clock()
-            result = pb._solve_written(problem, row, False)
+            result = pb._solve_written(problem, row)
             t5 = clock()
             totals["parse"] += t1 - t0
             totals["network"] += t2 - t1
