@@ -48,7 +48,7 @@ from .oracle import (
 )
 from .power_bandwidth import (
     CongestionClass, Direction, ObjectiveWeights, PowerBandwidthResult, UnstableLpError, build_lp,
-    compute_power_bandwidths, fmt6, power_results_to_csv, solve_timestep,
+    compute_power_bandwidths, fmt6, power_results_to_csv,
 )
 from .statistics import binding_lines_to_csv, summarize
 
@@ -89,8 +89,6 @@ class RunConfig:
     season: str | None = None  # override every row's season tag
 
     def validate(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.objective not in ("weighted", "lexicographic"):
             raise ValueError(f"unknown objective mode {self.objective!r}")
         self.weights().validate()
@@ -436,12 +434,11 @@ def _verify_fixture(cfg: RunConfig, timesteps, grid: GridSearchConfig, tol: floa
     zone, forecast = _load_inputs(cfg)
     if timesteps is not None:
         _check_timesteps(timesteps, forecast)
+    checked = timesteps if timesteps is not None else range(len(forecast))
+    rows = [forecast[t] for t in checked]
+    series = compute_power_bandwidths(zone, rows, weights=cfg.weights(), lexicographic=cfg.lexicographic)
     disagreements = 0
-    results = {}
-    for t in timesteps if timesteps is not None else range(len(forecast)):
-        row = forecast[t]
-        engine = solve_timestep(zone, row, weights=cfg.weights(), lexicographic=cfg.lexicographic)
-        results[t] = engine
+    for t, row, engine in zip(checked, rows, series):
         ok, verdict = _agreement(engine, brute_force_power_bandwidth(zone, row, config=grid), tol)
         click.echo(f"t={t}: {'OK ' if ok else 'DISAGREE '}{verdict}")
         if not ok:
@@ -449,10 +446,7 @@ def _verify_fixture(cfg: RunConfig, timesteps, grid: GridSearchConfig, tol: floa
 
     # energy recursion vs forward-accumulation oracle when the whole horizon
     # was verified and is feasible
-    if timesteps is None and all(
-        r.congestion_class != CongestionClass.INFEASIBLE for r in results.values()
-    ):
-        series = [results[t] for t in sorted(results)]
+    if timesteps is None and all(r.congestion_class != CongestionClass.INFEASIBLE for r in series):
         energy = compute_energy_bandwidths(series, zone)
         fwd_lo, fwd_hi = forward_soc_feasible_set(series, zone)
         worst = max(
@@ -475,7 +469,7 @@ def _verify_seeds(cfg: RunConfig, n: int, grid: GridSearchConfig, tol: float) ->
     disagreements = 0
     for seed in range(n):
         zone, row = random_instance(seed)
-        engine = solve_timestep(zone, row, weights=cfg.weights(), lexicographic=cfg.lexicographic)
+        [engine] = compute_power_bandwidths(zone, [row], weights=cfg.weights(), lexicographic=cfg.lexicographic)
         oracle = brute_force_power_bandwidth(zone, row, config=grid)
         if not _agreement(engine, oracle, tol)[0]:
             disagreements += 1

@@ -18,8 +18,11 @@ With workers, each worker process keeps its own for the jobs it runs. It is
 keyed by the zone's ``repr``, the weights and the mode, so a zone edited in
 place, or one that differs only by a -0.0, gets a new problem.
 :func:`solve_timestep`, :func:`check_safety` and the LP export build their
-own LP every time. A result's binding label is the first rating row, in row
-order, that the lower-bound solution meets with equality, else the
+own LP every time. Each rating limit is named by one string, its label
+``line:stage[contingency]:rating`` (``alpha-beta:fast_curative[c]:long_term``;
+the normal state has no contingency): its two LP rows are ``rating_hi:<label>``
+and ``rating_lo:<label>``. A result's binding label is the first rating row's,
+in row order, that the lower-bound solution meets with equality, else the
 upper-bound solution's first. An infeasible timestep's diagnostic solves the
 elastic LP (:meth:`BandwidthProblem.elastic_lp`), and lexicographic mode the
 capped copy (``BandwidthProblem.capped``); both are made from the LP with
@@ -137,7 +140,9 @@ class BandwidthProblem:
 
     The LP's variables, rows and coefficients depend only on the zone, so it
     is built once, with placeholder curtailment caps and right-hand sides, and
-    :meth:`set_hour` writes each timestep's values into it. In lexicographic
+    :meth:`set_hour` writes each timestep's values into it. Each rating
+    limit's label is formatted once; it names the limit's two rows and is the
+    string :meth:`first_binding` and the diagnostic report. In lexicographic
     mode ``capped`` is the LP plus row ``curt_total_cap`` bounding the total
     preventive curtailment (else ``None``), and ``total_curtailment`` the
     first stage's objective. ``objectives[direction]`` minimizes +-B plus the
@@ -148,7 +153,7 @@ class BandwidthProblem:
 
     def __init__(self, zone: ZoneModel, network: NetworkModel, weights: ObjectiveWeights, lexicographic: bool):
         weights.validate()
-        self.network, self.weights = network, weights
+        self.network = network
         self.battery = battery = zone.battery
         bus_ids = zone.bus_ids()
         lp = LinearProgram("bandwidth")
@@ -190,15 +195,17 @@ class BandwidthProblem:
                 self._curt_caps.append((cap, b))
 
         # one DC model per topology (intact, then each contingency): a stage's
-        # flow on an active line is base - sum_bus PTDF * control
-        # per (hi, lo) row pair: the topology's and the line's positions, the line, its rating
+        # flow on an active line is base - sum_bus PTDF * control, bounded by a
+        # (hi, lo) row pair named by its label, line:stage[contingency]:rating;
+        # per pair: the topology's and the line's positions, the line, its rating
         self._pairs: list[tuple[int, int, Line, str]] = []
-        flows: list[tuple[str, tuple, dict[str, float]]] = []  # (name suffix, rating row, flow - base) per pair
+        self._ratings: list[tuple[str, str, dict[str, float]]] = []  # (row, label, coefficients) per row
         for t, (cid, topo) in enumerate(network.topologies.items()):
             stages = (NORMAL,) if cid is None else (OUTAGE, FAST_CURATIVE, FULL_CURATIVE)
             ptdf = topo.line_factors
             for stage in stages:
-                tag = stage if cid is None else f"{stage}[{cid}]"
+                tag = f"{stage}[{cid}]" if cid else stage
+                rating = _STAGE_RATING[stage]
 
                 # controls acting in this stage, per bus: +1 MW of control
                 # withdraws 1 MW of net injection
@@ -220,21 +227,16 @@ class BandwidthProblem:
                             continue
                         for var, mult in controls[b].items():
                             flow[var] = flow.get(var, 0.0) - f * mult
-                    self._pairs.append((t, k, zone.line(lid), _STAGE_RATING[stage]))
-                    flows.append((f"{tag}:{lid}", (lid, stage, cid or "", _STAGE_RATING[stage]), flow))
+                    self._pairs.append((t, k, zone.line(lid), rating))
+                    label = f"{lid}:{tag}:{rating}"
+                    for side, coeffs in (("hi", flow), ("lo", {var: -c for var, c in flow.items()})):
+                        name = lp.add_constraint(coeffs, Relation.LE, 0.0, name=f"rating_{side}:{label}")
+                        self._ratings.append((name, label, coeffs))
 
         self._limits: dict[Season, list[float]] = {}
         self._rating_rhs: list[float] = []  # the hour's, written by set_hour
-        self.rating_rows: dict[str, tuple[str, str, str, str]] = {}
-        self._ratings: list[tuple[str, dict[str, float]]] = []  # (row, coefficients) per row
-        self._labels: list[str] | None = None  # per rating row, formatted on first use
-        for suffix, rating_row, flow in flows:
-            for side, coeffs in (("hi", flow), ("lo", {var: -c for var, c in flow.items()})):
-                name = lp.add_constraint(coeffs, Relation.LE, 0.0, name=f"rating_{side}:{suffix}")
-                self.rating_rows[name] = rating_row
-                self._ratings.append((name, coeffs))
         # every row set_hour writes: the curtailment caps, then the ratings
-        self._rhs_rows = [name for name, _ in self._curt_caps] + [name for name, _ in self._ratings]
+        self._rhs_rows = [name for name, _ in self._curt_caps] + [name for name, *_ in self._ratings]
 
         self.lp = lp
         self.battery_var = batt
@@ -285,24 +287,14 @@ class BandwidthProblem:
                 lp.set_bounds(v, 0.0, caps[b])
             lp.set_rhs_many(self._rhs_rows, values)
 
-    def rating_labels(self) -> list[str]:
-        """Each rating row's label (:func:`_rating_label`), one string shared
-        by the two rows of a pair; formatted on first use."""
-        if self._labels is None:
-            self._labels = []
-            for name, _ in self._ratings[::2]:
-                label = _rating_label(self, name)
-                self._labels += (label, label)
-        return self._labels
-
     def first_binding(self, solution: LpSolution) -> str | None:
         """The label of the first rating row, in row order, that a solution
         meets with equality: lhs >= rhs - 1e-6, the lhs summed over the row's
         coefficients in their order. None if no rating row binds."""
         values = solution.values
-        for i, ((_, coeffs), rhs) in enumerate(zip(self._ratings, self._rating_rhs)):
+        for (_, label, coeffs), rhs in zip(self._ratings, self._rating_rhs):
             if sum(c * values[v] for v, c in coeffs.items()) >= rhs - 1e-6:
-                return self.rating_labels()[i]
+                return label
         return None
 
     def elastic_lp(self) -> LinearProgram:
@@ -311,7 +303,7 @@ class BandwidthProblem:
         slack ``relax:<row>`` in [0, inf) entering every rating row with
         coefficient -1, and the slacks' sum, in row order, as its objective.
         Made from the LP, with the hour it holds, on every call."""
-        slacks = {f"relax:{name}": {name: -1.0} for name, _ in self._ratings}
+        slacks = {f"relax:{name}": {name: -1.0} for name, *_ in self._ratings}
         elastic = self.lp.extended(self.lp.name + ":relaxed", slacks)
         elastic.set_objective(dict.fromkeys(slacks, 1.0))
         return elastic
@@ -381,12 +373,6 @@ def _unstable(row: TimestepForecast, what: str, sol: LpSolution) -> UnstableLpEr
     )
 
 
-def _rating_label(problem: BandwidthProblem, row_name: str) -> str:
-    """``line:stage[contingency]:rating`` of a rating row."""
-    lid, stage, cid, rating = problem.rating_rows[row_name]
-    return f"{lid}:{stage}{'[' + cid + ']' if cid else ''}:{rating}"
-
-
 def _max_violation_diagnostic(problem: BandwidthProblem, row: TimestepForecast) -> str:
     """Relax every rating row of the timestep's LP elastically
     (:meth:`BandwidthProblem.elastic_lp`) and report the unavoidable
@@ -397,7 +383,7 @@ def _max_violation_diagnostic(problem: BandwidthProblem, row: TimestepForecast) 
     if sol.status == SolveStatus.INFEASIBLE:
         raise _unstable(row, "relaxed", sol)
     worst: list[tuple[float, str]] = []
-    for (name, _), label in zip(problem._ratings, problem.rating_labels(), strict=True):
+    for name, label, _ in problem._ratings:
         v = sol.value(f"relax:{name}")
         if v > 1e-6:
             worst.append((v, f"{label} by {v:.3f} MW"))
@@ -547,11 +533,13 @@ def compute_power_bandwidths(
     finding. The zone's network model and LP are built once and kept for
     later calls on an equal zone with equal weights in the same mode (see
     the module docstring); with ``workers`` > 1 each worker process keeps
-    its own for its jobs.
+    its own for its jobs. ``workers`` < 1 raises ``ValueError``.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     rows = list(forecast)
     weights = weights or ObjectiveWeights()
-    if workers <= 1 or len(rows) <= 1:
+    if workers == 1 or len(rows) <= 1:
         return _solve_rows((zone, rows, weights, lexicographic))
     from concurrent.futures import ProcessPoolExecutor  # imported only here: it costs every process ~10 ms
 

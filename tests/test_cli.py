@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -223,7 +224,13 @@ def test_export_lp(zone_path, forecast_paths, tmp_path):
                "--timestep", 7, "--direction", "lower", "--out", out)
     assert res.exit_code == 0, res.output
     text = out.read_text()
-    assert "Minimize" in text and "batt" in text and "rating_hi" in text
+    assert "Minimize" in text and "batt" in text
+    # a rating row is named by its binding label: this hour's, from the golden
+    rows = text.split("Subject To\n")[1].split("Bounds\n")[0].splitlines()
+    names = [line.strip().split(": ", 1)[0] for line in rows]
+    golden = list(csv.DictReader((GOLDENS / "summer_day_power.csv").read_text().splitlines()))[7]["binding_constraint"]
+    assert golden == "gamma-delta:normal:permanent"
+    assert f"rating_hi:{golden}" in names and f"rating_lo:{golden}" in names
 
 
 def test_export_lp_bad_timestep_exits_1(zone_path, forecast_paths):
@@ -293,16 +300,38 @@ def test_verify_fixture_honours_horizon(zone_path, forecast_paths):
     ]
 
 
+@pytest.mark.parametrize("timesteps", [[], [7, 3, 7]], ids=["all", "repeats"])
+def test_verify_fixture_solves_in_one_compute_call(zone_path, forecast_paths, monkeypatch, timesteps):
+    """Fixture mode checks the path ``compute`` runs: one
+    ``compute_power_bandwidths`` call over the checked rows (all of them, or
+    the ``--timestep`` ones in the given order, repeats kept)."""
+    from bandwidth_engine import cli
+
+    calls = []
+    real = cli.compute_power_bandwidths
+    monkeypatch.setattr(
+        cli, "compute_power_bandwidths",
+        lambda zone, rows, **kw: calls.append([r.index for r in rows]) or real(zone, rows, **kw),
+    )
+    args = [a for t in timesteps for a in ("--timestep", t)]
+    res = _run("verify", "--zone", zone_path, "--forecast", forecast_paths["summer_day"], *args,
+               "--curtailment-resolution", 0.5)
+    assert res.exit_code == 0, res.output
+    assert calls == [timesteps or list(range(24))]
+    assert [line.split(":")[0] for line in res.output.splitlines() if line.startswith("t=")] == [
+        f"t={t}" for t in calls[0]
+    ]
+
+
 @pytest.mark.parametrize("golden", [False, True], ids=["fixture", "golden"])
 def test_verify_honours_objective(zone_path, forecast_paths, monkeypatch, golden):
     from bandwidth_engine import cli
 
     seen = []
-    for name in ("solve_timestep", "compute_power_bandwidths"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(
-            cli, name, lambda *a, _real=real, **kw: seen.append(kw.get("lexicographic")) or _real(*a, **kw)
-        )
+    real = cli.compute_power_bandwidths
+    monkeypatch.setattr(
+        cli, "compute_power_bandwidths", lambda *a, **kw: seen.append(kw.get("lexicographic")) or real(*a, **kw)
+    )
     mode = (["--golden", GOLDENS / "summer_day_power.csv"] if golden
             else ["--timestep", 7, "--power-resolution", 0.05, "--curtailment-resolution", 0.5])
     res = _run("verify", "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
@@ -351,8 +380,8 @@ def test_verify_seeds_honours_objective_and_weights(monkeypatch):
     from bandwidth_engine import cli
 
     seen = []
-    real = cli.solve_timestep
-    monkeypatch.setattr(cli, "solve_timestep", lambda *a, **kw: seen.append(kw) or real(*a, **kw))
+    real = cli.compute_power_bandwidths
+    monkeypatch.setattr(cli, "compute_power_bandwidths", lambda *a, **kw: seen.append(kw) or real(*a, **kw))
     res = _run("verify", "--seeds", 2, "--objective", "lexicographic", "--c2", 0.5)
     assert res.exit_code == 0, res.output
     assert len(seen) == 2
@@ -496,8 +525,8 @@ def test_verify_seeds_takes_weights_from_config_and_ignores_its_input_keys(
     cfg.write_text(json.dumps({"zone": str(zone_path), "forecast": str(forecast_paths["winter_day"]),
                                "horizon": 3, "c1": 2.0e4}))
     seen = []
-    real = cli.solve_timestep
-    monkeypatch.setattr(cli, "solve_timestep", lambda *a, **kw: seen.append(kw) or real(*a, **kw))
+    real = cli.compute_power_bandwidths
+    monkeypatch.setattr(cli, "compute_power_bandwidths", lambda *a, **kw: seen.append(kw) or real(*a, **kw))
     res = _run("verify", "--seeds", 2, "--config", cfg)
     assert res.exit_code == 0, res.output
     assert "2 seeds, 0 disagreement(s)" in res.output
@@ -542,6 +571,14 @@ def test_non_finite_weight_is_an_error_line(zone_path, forecast_paths, tmp_path,
                "--out", tmp_path / "o")
     assert res.exit_code == 1, res.output
     assert "error: objective weights must be finite and positive" in res.output
+
+
+def test_zero_workers_is_an_error_line(zone_path, forecast_paths, tmp_path):
+    res = _run("compute", "--zone", zone_path, "--forecast", forecast_paths["summer_day"], "--workers", 0,
+               "--out", tmp_path / "o")
+    assert res.exit_code == 1, res.output
+    assert res.output == "error: workers must be >= 1\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("value", ["verbose", "basic_format", "Debug"])

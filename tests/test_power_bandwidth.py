@@ -442,6 +442,14 @@ def test_parallel_matches_serial(zone, summer_day):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_are_refused(zone, summer_day, workers):
+    """A worker count below one is refused, not run serially."""
+    for rows in (summer_day, summer_day[:1]):
+        with pytest.raises(ValueError, match=r"^workers must be >= 1$"):
+            compute_power_bandwidths(zone, rows, workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement (small sample; the acceptance suite runs 200)
 # ---------------------------------------------------------------------------
@@ -716,6 +724,13 @@ _FLOAT_FIELDS = (
 )
 
 
+def _rating_label(row_name: str) -> str | None:
+    """The label a rating row is named by (``rating_hi:<label>`` or
+    ``rating_lo:<label>``); None for any other row."""
+    side, _, label = row_name.partition(":")
+    return label if side in ("rating_hi", "rating_lo") else None
+
+
 def _per_direction_reference(zone, row, lexicographic: bool) -> dict | None:
     """The band from one freshly built LP per direction (None if infeasible)."""
     w = ObjectiveWeights()
@@ -748,10 +763,9 @@ def _per_direction_reference(zone, row, lexicographic: bool) -> dict | None:
             out.update(upper_mw=sol.value(problem.battery_var), preventive_curtailment_upper_mw=curt,
                        curative_discharge_worst_mw=min([0.0, *curative]))
         for con in lp.constraints:
-            if con.name in problem.rating_rows:
+            label = _rating_label(con.name)
+            if label is not None:
                 lhs = sum(c * sol.value(v) for v, c in con.coeffs.items())
-                lid, stage, cid, rating = problem.rating_rows[con.name]
-                label = f"{lid}:{stage}{'[' + cid + ']' if cid else ''}:{rating}"
                 if lhs >= con.rhs - 1e-6 and label not in out["binding"]:
                     out["binding"].append(label)
     b = zone.battery
@@ -944,7 +958,7 @@ def test_many_weightings_keep_only_the_last_problem(zone, summer_day):
         if k % 10 == 9:
             assert repr(got) == repr(_cold(zone, summer_day[:3], weights=weights))
     assert list(pb._kept) == [(repr(zone), weights, False)]
-    assert pb._kept[repr(zone), weights, False].weights is weights
+    assert next(iter(pb._kept))[1] is weights
 
 
 def _solve_counters(sol) -> tuple:
@@ -1183,10 +1197,9 @@ def _row_sum_labels(problem, solution, rows=None) -> list[str]:
     in order) >= rhs - 1e-6, labels in row order without repeats."""
     labels = []
     for con in rows if rows is not None else problem.lp.constraints:
-        if con.name in problem.rating_rows:
+        label = _rating_label(con.name)
+        if label is not None:
             lhs = sum(c * solution.values[v] for v, c in con.coeffs.items())
-            lid, stage, cid, rating = problem.rating_rows[con.name]
-            label = f"{lid}:{stage}{'[' + cid + ']' if cid else ''}:{rating}"
             if lhs >= con.rhs - 1e-6 and label not in labels:
                 labels.append(label)
     return labels
@@ -1258,7 +1271,7 @@ def test_binding_row_at_the_cut_follows_the_row_sum(zone, summer_day, winter_day
     for rows in (summer_day, winter_day):
         problem = build_lp(zone, rows[1], rows[1].season, Direction.LOWER)
         sol = solve(problem.lp, compute_duals=False)
-        ratings = [con for con in problem.lp.constraints if con.name in problem.rating_rows]
+        ratings = [con for con in problem.lp.constraints if _rating_label(con.name) is not None]
         for i, con in enumerate(ratings):
             coef = con.coeffs.get(problem.battery_var)
             if not coef:
@@ -1270,9 +1283,9 @@ def test_binding_row_at_the_cut_follows_the_row_sum(zone, summer_day, winter_day
                 return sum(c * values[v] for v, c in con.coeffs.items())
 
             guess = values[problem.battery_var] + (cut - lhs_of(values[problem.battery_var])) / coef
-            label = problem.rating_rows[con.name]
+            label = _rating_label(con.name)
             # the rows that could label the solution before this one does
-            others = ratings[:i] + [o for o in ratings[i + 1 :] if problem.rating_rows[o.name] == label]
+            others = ratings[:i] + [o for o in ratings[i + 1 :] if _rating_label(o.name) == label]
             for b in _crossing(lhs_of, guess, cut):  # one on each side of the cut
                 lhs = lhs_of(b)
                 assert abs(lhs - cut) <= 1e-12 * sum(abs(c * values[v]) for v, c in con.coeffs.items())
@@ -1280,7 +1293,7 @@ def test_binding_row_at_the_cut_follows_the_row_sum(zone, summer_day, winter_day
                 first = problem.first_binding(at_cut)
                 assert first == (_row_sum_labels(problem, at_cut) or [None])[0]
                 if not _row_sum_labels(problem, at_cut, others):
-                    assert (first == pb._rating_label(problem, con.name)) == (lhs >= cut)
+                    assert (first == label) == (lhs >= cut)
                     reached += 1
             checked += 1
     assert checked >= 8 and reached >= 20, (checked, reached)
@@ -1357,6 +1370,34 @@ def test_reused_problem_solves_as_fresh_lps_bit_for_bit(zone, monkeypatch, lexic
         compute_power_bandwidths(z, ForecastSeries(tuple(_hours_of(row, 6))), lexicographic=lexicographic)
     assert len(compared) > 1000
     assert SolveStatus.INFEASIBLE in compared
+
+
+def test_rating_rows_are_named_by_their_labels(zone, summer_day, winter_day):
+    """Every rating row is ``rating_hi:`` or ``rating_lo:`` plus its label
+    ``line:stage[contingency]:rating``, pair by pair in topology, stage and
+    line order; a pair's two rows share one label string, and every result's
+    binding label and every overload its diagnostic names is one of them."""
+    stages = (("outage", "immediate"), ("fast_curative", "long_term"), ("full_curative", "permanent"))
+    cases = [(zone, row) for row in (*summer_day, *winter_day)] + [random_instance(seed) for seed in range(40)]
+    labelled = diagnosed = 0
+    for z, row in cases:
+        want = [f"{lid}:normal:permanent" for lid in TopologyState.base(z).active_lines]
+        for c in z.contingencies:
+            lines = TopologyState.for_contingency(z, c).active_lines
+            want += [f"{lid}:{stage}[{c.id}]:{rating}" for stage, rating in stages for lid in lines]
+        problem = build_lp(z, row, row.season, Direction.LOWER)
+        names = [con.name for con in problem.lp.constraints if con.name.startswith("rating_")]
+        assert names == [f"rating_{side}:{label}" for label in want for side in ("hi", "lo")]
+        pairs = zip(problem._ratings[::2], problem._ratings[1::2], strict=True)
+        assert all(hi[1] is lo[1] for hi, lo in pairs)
+        result = solve_timestep(z, row)
+        assert result.binding_constraint is None or result.binding_constraint in want
+        labelled += result.binding_constraint is not None
+        if result.failure is not None and result.failure.startswith("unclearable overload: "):
+            overloads = result.failure.removeprefix("unclearable overload: ").split("; ")
+            assert all(o.split(" by ")[0] in want for o in overloads), result.failure
+            diagnosed += 1
+    assert labelled > 20 and diagnosed > 3, (labelled, diagnosed)
 
 
 def test_binding_labels_are_built_once_per_problem(zone, winter_day):

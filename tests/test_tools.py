@@ -1,5 +1,5 @@
 """The tools: the exactness tool's digests are stable from one run to the
-next, and the cold-zone and warm-hour timers run."""
+next and pinned, and the cold-zone and warm-hour timers run."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import importlib.util
 import json
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,12 +42,30 @@ FIXTURE_DIGESTS = (
     "fixture weighted 88db774385e166b113ec0bfe06e76d1d3244287d732d9da2335795bd94b77d0e\n"
     "fixture lexicographic b29dcbe86ffbf0858761dd1549499f948f41cc993721d86519dc17eaf0eaef83\n"
 )
+YEAR_DIGESTS = (
+    "year weighted dca1950b71d9536981f6ed3ed0e0be7bc18c44ed90689d1b8bb86821aea6d925\n"
+    "year lexicographic 4c0fbeaedaa1a29c0762b933a4412eb62660427f7e9fc563f0d9997a9bb5bdf3\n"
+)
+RANDOM_DIGESTS = (
+    "random weighted 1fb62171ffad4dc6119eb46c5fe0526eb30a0b2d373772adbdc3beb5f7f70cc3\n"
+    "random lexicographic 29e5be679c140c2b8e23c289950059d8a4a99b4557a1198f6c71b3f1924fd589\n"
+)
 
 
 def test_exactness_fixture_digests_are_pinned(capsys):
     """The fixture days' results and solver counters keep their bits."""
     assert _tool("exactness").main(["--part", "fixture"]) == 0
     assert capsys.readouterr().out == FIXTURE_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "part, digests", [("year", YEAR_DIGESTS), ("random", RANDOM_DIGESTS)], ids=["year", "random"]
+)
+def test_exactness_digests_are_pinned(capsys, part, digests):
+    """The synthetic year's and the random instances' results and solver
+    counters keep their bits."""
+    assert _tool("exactness").main(["--part", part]) == 0
+    assert capsys.readouterr().out == digests
 
 
 def test_coldzone_times_five_zones(capsys):
