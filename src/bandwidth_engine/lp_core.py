@@ -29,6 +29,16 @@ costs until a lower bound changes bit pattern; it keeps a copy of the lower
 bounds they were summed from. Both are summed in Python floats, in
 coefficient order, and converted to arrays once.
 
+An LP can also hold several hours: :meth:`LinearProgram.set_hours` writes k
+sets of right-hand sides and upper bounds at once, and
+:meth:`LinearProgram.select_hour` picks the one the LP holds, which its
+``variables`` and ``constraints`` show and :func:`solve` solves. The first
+solve loads the k hours into the form as one block, a k x m array of
+sign-normalized right-hand sides, each with its own row-flip pattern and
+infeasibility threshold; an LP that holds one right-hand side is a one-hour
+block. The next write (:meth:`LinearProgram.drop_hours`) keeps the held
+hour's values as the LP's own and drops the block with its walks.
+
 Every solve walks a pivot-path tree of its form. The matrix and the costs do
 not change with the right-hand side b, so neither does anything that picks a
 pivot's column or builds the next tableau. A node stands for what depends
@@ -50,28 +60,37 @@ is rebuilt by replaying the pivots from the nearest ancestor that holds one,
 or from the last tableau built; a pivot is a pure function of the matrix,
 so the rebuilt one has the bits the node was first built with.
 b takes part only in the ratio test, the degenerate streak, phase one's
-feasibility test and the final values, so each solve carries only its own b
-and streak down the tree. At each node it runs the ratio test on
-``b[pos] / colpos`` and applies the pivot's row operation to b,
-``b[row] = b[row] / pivot`` then ``b -= factors * b[row]`` (``factors`` is
-the pivot column with a zero in the pivot row): the elementwise operations
-the pivot applies to the tableau's b column. A child not yet in the tree is
-built by the full pivot. So a solve takes the same pivots as a fresh one,
-through the same floating-point operations, and gives the same bits.
+feasibility test and the final values, so a walk carries only the hours' b's
+and streaks down the tree. The hours of a block walk it together: those at
+one node form a group, whose b's are the rows of one array. At each node
+every hour runs its own ratio test, in Python floats, on
+``b[pos] / colpos``; hours that take the same pivot move on as one group,
+and the pivot's row operation runs once on the group's rows,
+``b[:, row] /= pivot`` then ``b -= b[:, row] * factors`` (``factors`` is the
+pivot column with a zero in the pivot row): per hour the elementwise
+operations the pivot applies to the tableau's b column. Where hours take
+different pivots the group parts, each part with a copy of its rows. A
+child not yet in the tree is built by the full pivot, once per group. So
+each hour takes the same pivots as a fresh one-hour solve, through the same
+floating-point operations, and gets the same bits.
 
 The tree's roots are phase one's initial tableaus, one per row-flip pattern
 (the rows whose shifted right-hand side is negative, and so are
-sign-normalized). Where phase one ends, a node keeps the pivots that drive
-basic artificials out of the basis, which depend only on its tableau; below
-them phase two has one root per cost vector. Phase one does not depend on
-the objective, so it runs once per right-hand side, and every objective
-starts phase two where it ended. Its feasibility test weighs b with the
-artificial costs kept on the node where it ends, against a tolerance scaled
-by the largest sign-normalized right-hand side, taken at the form's load.
+sign-normalized); a block's hours start from their patterns' roots. Where
+phase one ends, a node keeps the pivots that drive basic artificials out of
+the basis, which depend only on its tableau; below them phase two has one
+root per cost vector. Phase one does not depend on the objective, so it runs
+once per block, at its first solve, and every objective starts phase two
+where it ended; each objective's phase two runs once per block, at the
+first solve under its costs, for every hour phase one found feasible. A
+solve then reads its hour's end. Phase one's feasibility test weighs each
+hour's b with the artificial costs kept on the node where it ends (a 1-D dot
+per hour), against a tolerance scaled by that hour's largest sign-normalized
+right-hand side, taken at the load.
 
 A form keeps at most ``NODES_PER_FORM`` nodes, row-flip patterns and cost
 vectors together (a reused Klee-Minty cube would otherwise keep one node per
-pivot). Past that, and on a form solved for one right-hand side only, the
+pivot). Past that, and on a form loaded with one right-hand side only, the
 walk builds each node it visits and keeps none. A form lives as long as its
 :class:`LinearProgram` keeps the same matrix; the pipeline gives each LP the
 objectives of one weighting, so its form keeps the costs and phase-two
@@ -82,9 +101,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter, sub, truediv
 from types import MappingProxyType
 
 import numpy as np
@@ -157,7 +177,11 @@ class LinearProgram:
         self._var_index: dict[str, int] = {}
         self._row_index: dict[str, int] = {}
         self._form: _StandardForm | None = None  # dropped when the matrix changes
-        self._rhs_stale = False  # the form's right-hand side must be recomputed
+        self._rhs_stale = False  # the form's right-hand sides must be recomputed
+        # per hour written by set_hours: every row's right-hand side and every
+        # variable's upper bound; _rhs and _upper are the held hour's lists
+        self._hours: list[tuple[list[float], list[float]]] | None = None
+        self._hour = 0  # the hour held, the one solve solves
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -177,6 +201,8 @@ class LinearProgram:
         if name in self._var_index:
             raise LpError(f"duplicate variable {name!r}")
         lower, upper = _bounds(name, lower, upper)
+        if self._hours is not None:
+            self.drop_hours()
         self._var_index[name] = len(self._names)
         self._names.append(name)
         self._lower.append(lower)
@@ -189,9 +215,8 @@ class LinearProgram:
         if i is None:
             raise LpError(f"unknown variable {name!r}")
         lower, upper = _bounds(name, lower, upper)
-        if (self._lower[i] == -INF, self._upper[i] < INF) == (lower == -INF, upper < INF):
-            self._rhs_stale = True
-        else:
+        self.drop_hours()
+        if (self._lower[i] == -INF, self._upper[i] < INF) != (lower == -INF, upper < INF):
             self._form = None
         self._lower[i], self._upper[i] = lower, upper
 
@@ -214,6 +239,8 @@ class LinearProgram:
                 raise LpError(f"constraint {name!r} has non-finite coefficient on {var!r}")
         if not math.isfinite(rhs):
             raise LpError(f"constraint {name!r} has non-finite rhs")
+        if self._hours is not None:
+            self.drop_hours()
         self._row_index[name] = len(self._rows)
         self._rows.append((name, MappingProxyType(dict(coeffs)), relation))
         self._rhs.append(float(rhs))
@@ -226,17 +253,97 @@ class LinearProgram:
 
     def set_rhs_many(self, names: Sequence[str], values: Sequence[float]) -> None:
         """Write several rows' right-hand sides in one call, each checked as
-        :meth:`set_rhs` checks it."""
+        :meth:`set_rhs` checks it, all before any is written."""
+        at = self._positions(names, self._row_index, "constraint")
+        self._check_rhs(names, (values,))
+        self.drop_hours()
+        rhs = self._rhs
+        for i, value in zip(at, values):
+            rhs[i] = float(value)
+
+    def set_hours(
+        self,
+        rows: Sequence[str],
+        rhs: Sequence[Sequence[float]],
+        variables: Sequence[str],
+        uppers: Sequence[Sequence[float]],
+    ) -> None:
+        """Write k >= 1 hours at once: hour h has right-hand sides ``rhs[h]``
+        on ``rows`` and upper bounds ``uppers[h]`` on ``variables``, and the
+        LP's own everywhere else. Every name, value and length is checked as
+        :meth:`set_rhs_many` and :meth:`set_bounds` check them, before any is
+        written; an upper bound must also be finite in every hour or in none.
+        The LP then holds hour 0 (:meth:`select_hour` picks another): its
+        ``variables`` and ``constraints``, :meth:`extended` and
+        :meth:`to_lp_format` read the held hour, and :func:`solve` solves it.
+        The first solve loads every hour into the standard form, whose walks
+        take the hours down the tree together; the next write, or
+        :meth:`drop_hours`, drops the hours and the walks."""
+        row_at = self._positions(rows, self._row_index, "constraint")
+        var_at = self._positions(variables, self._var_index, "variable")
+        if len(rhs) == 0:
+            raise LpError("no hours to write")
+        if len(uppers) != len(rhs):
+            raise LpError(f"{len(rhs)} hours of right-hand sides but {len(uppers)} of upper bounds")
+        self._check_rhs(rows, rhs)
+        for hour in uppers:
+            if len(hour) != len(variables):
+                raise LpError(f"{len(variables)} variables but {len(hour)} upper bounds")
+        finite = [u < INF for u in uppers[0]]
+        for hour in uppers:
+            for name, j, upper, fin in zip(variables, var_at, hour, finite):
+                _bounds(name, self._lower[j], upper)
+                if (upper < INF) != fin:
+                    raise LpError(f"variable {name!r} has a finite upper bound in one hour and not in another")
+        k = len(rhs)
+        full_rhs = np.tile(np.array(self._rhs, dtype=float), (k, 1))
+        full_rhs[:, row_at] = np.array(rhs, dtype=float)
+        full_upper = np.tile(np.array(self._upper, dtype=float), (k, 1))
+        full_upper[:, var_at] = np.array(uppers, dtype=float)
+        self.drop_hours()
+        if any((self._upper[j] < INF) != fin for j, fin in zip(var_at, finite)):
+            self._form = None  # as set_bounds drops it: the matrix changes
+        self._hours = list(zip(full_rhs.tolist(), full_upper.tolist()))
+        self.select_hour(0)
+
+    def select_hour(self, hour: int) -> None:
+        """Hold hour ``hour`` of those :meth:`set_hours` wrote."""
+        if self._hours is None or not 0 <= hour < len(self._hours):
+            raise LpError(f"the LP holds no hour {hour}")
+        self._rhs, self._upper = self._hours[hour]
+        self._hour = hour
+        self._constraints = None
+
+    def drop_hours(self) -> None:
+        """Keep the held hour's right-hand sides and bounds as the LP's own and
+        drop the other hours and the form's walks over them; every write
+        starts with this. The form's right-hand sides are recomputed at the
+        next solve."""
+        if self._hours is not None:
+            self._rhs, self._upper = list(self._rhs), list(self._upper)
+            self._hours, self._hour = None, 0
+        if self._form is not None:
+            self._form.unload()
         self._constraints = None
         self._rhs_stale = True
-        index, rhs = self._row_index, self._rhs
-        for name, value in zip(names, values, strict=True):
-            i = index.get(name)
-            if i is None:
-                raise LpError(f"unknown constraint {name!r}")
-            if not math.isfinite(value):
+
+    @staticmethod
+    def _positions(names: Sequence[str], index: dict[str, int], kind: str) -> list[int]:
+        """Each name's position, or :class:`LpError` for the first unknown one."""
+        try:
+            return [index[name] for name in names]
+        except KeyError as unknown:
+            raise LpError(f"unknown {kind} {unknown.args[0]!r}") from None
+
+    @staticmethod
+    def _check_rhs(names: Sequence[str], hours: Sequence[Sequence[float]]) -> None:
+        """:class:`LpError` unless every hour has one finite value per name."""
+        for values in hours:
+            if len(values) != len(names):
+                raise LpError(f"{len(names)} constraints but {len(values)} right-hand sides")
+            if not all(map(math.isfinite, values)):
+                name = next(name for name, value in zip(names, values) if not math.isfinite(value))
                 raise LpError(f"constraint {name!r} has non-finite rhs")
-            rhs[i] = float(value)
 
     def set_objective(self, coeffs: dict[str, float], constant: float = 0.0) -> None:
         """Set the objective to a checked copy of ``coeffs``."""
@@ -424,10 +531,16 @@ class _Pattern:
         self.root = _Node(T, basis, zrow, total, (), ())
 
 
+# a node's entering column under one rule: the column, its positive rows,
+# their values and basis columns, and a getter of those rows' entries of b
+_Entering = tuple[int, list[int], list[float], list[int], Callable[[list[float]], Sequence[float]]]
+
+
 class _StandardForm:
-    """The unnormalized matrix is built once; :meth:`load` writes the
-    right-hand side and picks its row-flip pattern. The row shifts, costs,
-    patterns and tree nodes are kept as the module docstring describes."""
+    """The unnormalized matrix is built once; :meth:`load` writes each
+    hour's right-hand side and picks its row-flip pattern. The row shifts,
+    costs, patterns and tree nodes are kept as the module docstring
+    describes."""
 
     def __init__(self, lp: LinearProgram):
         names, lower, upper, rows = lp._names, lp._lower, lp._upper, lp._rows
@@ -463,7 +576,7 @@ class _StandardForm:
         self._rel = [rel for _, _, rel in rows] + [Relation.LE] * len(self._ranged)
         self.ncols = ncols
         self.nrows = nrows
-        self._loads = 0
+        self._loads = 0  # right-hand sides loaded
         self._kept = 0  # nodes, patterns and costs kept
         self._lower_bits: bytes | None = None
         self._costs: dict[tuple, tuple[np.ndarray, float]] = {}
@@ -471,33 +584,49 @@ class _StandardForm:
         self._last: tuple[_Node | None, np.ndarray | None] = (None, None)  # the last tableau built
 
     def load(self, lp: LinearProgram) -> None:
-        """Write the LP's current right-hand sides and lower bounds."""
-        lower, upper = lp._lower, lp._upper
-        self._loads += 1
+        """Write the LP's hours (one, unless :meth:`LinearProgram.set_hours`
+        wrote several) and lower bounds: per hour its sign-normalized
+        right-hand side, a row of ``b``, and its infeasibility threshold, and
+        per row-flip pattern its hours (``starts``)."""
+        hours = lp._hours or [(lp._rhs, lp._upper)]
+        lower = lp._lower
+        self._loads += len(hours)
         bits = _bits(lower)
         if bits != self._lower_bits:  # the shifts and costs depend on the lower bounds
             self._lower, self._lower_bits = list(lower), bits  # a copy: the LP's list changes with its bounds
             self._row_shifts = [self._shift(terms, 0.0) for terms in self._row_terms]
             self._kept -= len(self._costs)
             self._costs.clear()
-        rhs = [b - shift for b, shift in zip(lp._rhs, self._row_shifts)]
-        for j in self._ranged:
-            rhs.append(upper[j] if lower[j] == -INF else upper[j] - lower[j])
+        # this load's patterns, kept by the form or not, with their hours
+        starts: dict[tuple[int, ...], tuple[_Pattern, list[int]]] = {}
+        self.infeasible_above, rows = [], []
+        for hour, (hour_rhs, upper) in enumerate(hours):
+            rhs = list(map(sub, hour_rhs, self._row_shifts))  # b - shift, row by row
+            for j in self._ranged:
+                rhs.append(upper[j] if lower[j] == -INF else upper[j] - lower[j])
+            # normalize rhs >= 0
+            flip = tuple([i for i, x in enumerate(rhs) if x < 0])
+            for i in flip:
+                rhs[i] *= -1.0
+            start = starts.get(flip)
+            if start is None:
+                start = starts[flip] = (self._patterns.get(flip) or self._pattern(flip), [])
+            start[1].append(hour)
+            # phase one's objective above this is infeasible: b is
+            # sign-normalized, so its largest entry is max|b|
+            self.infeasible_above.append(FEASIBILITY_TOL * max(1.0, max(rhs, default=1.0)))
+            rows.append(rhs)
+        b = np.array(rows, dtype=float)  # k x nrows, for any nrows: the rows are lists
+        b.flags.writeable = False  # shared by every walk until the next load
+        self.b, self.starts = b, list(starts.values())
+        self._phase_one: list[tuple[str, _Group, int]] | None = None
+        self._feasible: list[_Group] | None = None  # where phase one ends feasible
+        self._phase_two: dict[bytes, list[tuple[str, _Group, int]]] = {}
 
-        # normalize rhs >= 0
-        flip = tuple(i for i, x in enumerate(rhs) if x < 0)
-        for i in flip:
-            rhs[i] *= -1.0
-        pattern = self._patterns.get(flip)
-        if pattern is None:
-            pattern = self._pattern(flip)
-        b = np.array(rhs, dtype=float)
-        b.flags.writeable = False  # shared by every solve until the next load
-        self.pattern, self.row_sign, self.b = pattern, pattern.row_sign, b
-        # phase one's objective above this is infeasible: b is sign-normalized,
-        # so its largest entry is max|b|
-        self.infeasible_above = FEASIBILITY_TOL * max(1.0, max(rhs, default=1.0))
-        self._after_phase_one: tuple[str, _Walk] | None = None
+    def unload(self) -> None:
+        """Drop the loaded hours and the walks' ends over them."""
+        self.infeasible_above = self.b = self.starts = None
+        self._phase_one = self._feasible = self._phase_two = None
 
     def _pattern(self, flip: tuple[int, ...]) -> _Pattern:
         """The pattern with the ``flip`` rows negated."""
@@ -518,7 +647,8 @@ class _StandardForm:
 
     def _keep(self) -> bool:
         """Whether the form keeps one more node, pattern or cost vector (from
-        its second load on, up to NODES_PER_FORM), counting it if so."""
+        its second right-hand side loaded on, up to NODES_PER_FORM), counting
+        it if so."""
         if self._loads > 1 and self._kept < NODES_PER_FORM:
             self._kept += 1
             return True
@@ -564,14 +694,14 @@ class _StandardForm:
             child = self._adopt(node, (col, row), child)
         return child
 
-    def drive_out(self, node: _Node) -> _Node:
+    def drive_out(self, node: _Node, pattern: _Pattern) -> _Node:
         """Where phase two starts from phase one's final tableau ``node``: past
         the pivots that drive basic artificials out of the basis. Any
         artificial still basic sits on a redundant zero row and simply stays
         there; it can never re-enter once blocked in phase two."""
         after = node.children.get(None)
         if after is None:
-            art = self.pattern.art_start
+            art = pattern.art_start
             T, basis, steps, pivots = self.tableau(node), node.basis.copy(), [], []
             # a pivot changes only its own row's basis entry, so the
             # artificials basic now are the rows to visit
@@ -586,7 +716,7 @@ class _StandardForm:
             after = self._adopt(node, None, _Node(T, basis, None, 0, tuple(steps), tuple(pivots)))
         return after
 
-    def phase_two_root(self, after: _Node, c: np.ndarray) -> _Node:
+    def phase_two_root(self, after: _Node, c: np.ndarray, pattern: _Pattern) -> _Node:
         """Phase two's first node for column costs ``c`` below ``after``."""
         key = c.tobytes()
         root = after.children.get(key)
@@ -595,13 +725,14 @@ class _StandardForm:
             cost2 = np.zeros(after.width)
             cost2[: self.ncols] = c
             zrow = cost2 - cost2[after.basis] @ T[:, :-1]
-            root = self._adopt(after, key, _Node(T, after.basis, zrow, self.pattern.art_start, (), ()))
+            root = self._adopt(after, key, _Node(T, after.basis, zrow, pattern.art_start, (), ()))
         return root
 
-    def entering(self, node: _Node, bland: bool) -> tuple[int, list[tuple[int, float, int]]]:
+    def entering(self, node: _Node, bland: bool) -> _Entering:
         """The node's entering column under Dantzig's rule (the most negative
         reduced cost, the first among ties) or Bland's (the lowest index with
-        a negative one), and its positive rows: (row, value, basis column)."""
+        a negative one), with its positive rows, their values and basis
+        columns, and a getter of those rows' entries of a b list."""
         hit = node.entering.get(bland)
         if hit is None:
             col = node.col
@@ -609,7 +740,10 @@ class _StandardForm:
                 col = int((node.zrow[: node.n_allowed] < -PIVOT_TOL).nonzero()[0][0])
             colvals = self.tableau(node)[:, col]
             pos = (colvals > PIVOT_TOL).nonzero()[0]
-            hit = node.entering[bland] = (col, list(zip(pos.tolist(), colvals[pos].tolist(), node.basis[pos].tolist())))
+            rows = pos.tolist()
+            # itemgetter of one index returns the item itself, not a 1-tuple
+            get = itemgetter(*rows) if len(rows) > 1 else lambda b: [b[r] for r in rows]
+            hit = node.entering[bland] = (col, rows, colvals[pos].tolist(), node.basis[pos].tolist(), get)
         return hit
 
     def _place(self, coeffs: Mapping[str, float], out: list[float], at: int) -> list[tuple[float, int]]:
@@ -647,12 +781,21 @@ class _StandardForm:
                 self._costs[key] = hit
         return hit
 
-    def phase_one(self) -> tuple[str, _Walk]:
-        """Phase one's status ('feasible', 'infeasible' or 'stalled') and
-        walk, computed once per :meth:`load`."""
-        if self._after_phase_one is None:
-            self._after_phase_one = _phase_one(self)
-        return self._after_phase_one
+    def end(self, hour: int, c: np.ndarray) -> tuple[str, _Group, int]:
+        """Where the loaded ``hour``'s walk under column costs ``c`` ends: its
+        status, its group and its row in the group's b. Phase one walks every
+        hour at the first solve after a load, and phase two every feasible
+        hour at the first solve with these costs."""
+        if self._phase_one is None:
+            self._phase_one, self._feasible = _phase_one(self)
+        end = self._phase_one[hour]
+        if end[0] != "feasible":
+            return end
+        key = c.tobytes()
+        ends = self._phase_two.get(key)
+        if ends is None:
+            ends = self._phase_two[key] = _phase_two(self, c)
+        return ends[hour]
 
     def recover(self, x_std: np.ndarray) -> dict[str, float]:
         x, lower = x_std.tolist(), self._lower  # Python floats: the same IEEE sums
@@ -712,7 +855,7 @@ class _Node:
         self.width = T.shape[1] - 1  # columns, without b's place
         self.children: dict = {}
         # per rule (Bland's or not): :meth:`_StandardForm.entering`
-        self.entering: dict[bool, tuple[int, list[tuple[int, float, int]]]] = {}
+        self.entering: dict[bool, _Entering] = {}
         self.col: int | None = None  # Dantzig's entering column; None at an optimum
         # where phase one ends here: its costs per basic column, built on first use
         self.art_costs: np.ndarray | None = None
@@ -723,102 +866,166 @@ class _Node:
                 self.col = col
 
 
-class _Walk:
-    """One right-hand side on its way down a form's tree: the node it has
-    reached, its own b and its counters."""
+class _Group:
+    """Hours of a load at one node of a tree, with their b's as the rows of
+    one array (row i is ``hours[i]``'s) and their own degenerate streaks and
+    Bland flags. The pivots that reached the node are counted once for all of
+    them. A group that ends is not changed again; its hours' ends refer to it."""
 
-    __slots__ = ("node", "b", "iterations", "phase_one_iterations", "bland")
+    __slots__ = ("node", "pattern", "hours", "b", "one", "streaks", "bland", "iterations", "phase_one_iterations")
 
-    def __init__(self, node: _Node, b: np.ndarray):
-        self.node, self.b = node, b
-        self.iterations = 0
-        self.phase_one_iterations = 0
-        self.bland = False  # the switch to Bland's rule fired
+    def __init__(self, node: _Node, pattern: _Pattern, hours: list[int], b: np.ndarray, bland: list[bool],
+                 iterations: int = 0, phase_one_iterations: int = 0):
+        self.node, self.pattern, self.hours, self.b, self.bland = node, pattern, hours, b, bland
+        self.one = b[0] if len(hours) == 1 else None  # a one-hour group's b, 1-D
+        self.streaks = [0] * len(hours)  # degenerate pivots in a row, per hour
+        self.iterations, self.phase_one_iterations = iterations, phase_one_iterations
 
-    def copy(self) -> _Walk:
-        """A copy, with its own b."""
-        out = _Walk(self.node, self.b.copy())
-        out.iterations, out.phase_one_iterations, out.bland = self.iterations, self.phase_one_iterations, self.bland
+    def part(self, rows: list[int]) -> _Group:
+        """A group of the given rows' hours, with a copy of their b's."""
+        hours, bland = [self.hours[i] for i in rows], [self.bland[i] for i in rows]
+        out = _Group(self.node, self.pattern, hours, self.b[rows], bland, self.iterations, self.phase_one_iterations)
+        out.streaks = [self.streaks[i] for i in rows]
         return out
 
     def move(self, node: _Node) -> None:
-        """Go to ``node``, applying its pivots' row operations to b."""
-        b = self.b
+        """Go to ``node``, applying its pivots' row operations to every
+        hour's b: per hour the elementwise operations a 1-D b takes, on the
+        row itself for a one-hour group (NumPy's scalar indexing is faster)."""
+        b, one = self.b, self.one
         for row, pivot, factors in node.steps:
-            b[row] = b[row] / pivot
-            b -= factors * b[row]
+            if one is not None:
+                one[row] = one[row] / pivot
+                one -= factors * one[row]
+            else:
+                at = b[:, row]  # a view
+                at /= pivot
+                b -= at[:, None] * factors
         self.node = node
 
-    def run(self, sf: _StandardForm) -> str:
-        """Pivot down the tree until no column may enter; returns 'optimal',
-        'unbounded' or 'stalled'. This is the solver's one pivot loop.
 
-        Dantzig's entering column, or Bland's once DEGENERATE_STREAK
-        degenerate pivots ran in a row. Leaving row: the smallest basis
-        column among ratio ties. Beale's LP cycles under Dantzig's rule with
-        this tie-break; Bland's rule cannot.
-        """
-        node = self.node
-        streak = 0  # degenerate pivots in a row
+def _run(sf: _StandardForm, group: _Group) -> list[tuple[str, _Group]]:
+    """Pivot the group's hours down the tree until no column may enter; the
+    groups they end in, each with 'optimal', 'unbounded' or 'stalled'. This
+    is the solver's one pivot loop.
+
+    Per hour: Dantzig's entering column, or Bland's once DEGENERATE_STREAK
+    degenerate pivots ran in a row; leaving row: the smallest basis column
+    among ratio ties. Beale's LP cycles under Dantzig's rule with this
+    tie-break; Bland's rule cannot. Hours that take the same pivot move on
+    as one group, whose b takes the pivot's row operations once.
+    """
+    ended, todo = [], [group]
+    cap, streak_cap, entering, child = MAX_ITERATIONS, DEGENERATE_STREAK, sf.entering, sf.child
+    while todo:
+        g = todo.pop()
+        streaks, bland = g.streaks, g.bland
         while True:
-            if self.iterations >= MAX_ITERATIONS:
-                return "stalled"
-            self.iterations += 1
+            if g.iterations >= cap:
+                ended.append(("stalled", g))
+                break
+            g.iterations += 1
+            node = g.node
             if node.col is None:
-                return "optimal"
-            bland = streak >= DEGENERATE_STREAK
-            self.bland = self.bland or bland
-            col, positive = sf.entering(node, bland)
-            if not positive:
-                return "unbounded"
-            # the ratio test, in Python floats: the same IEEE divisions NumPy makes
-            b = self.b.tolist()
-            ratios = [b[i] / value for i, value, _ in positive]
-            best = min(ratios)
-            cut = best + 1e-12
-            # deterministic leave rule: smallest basis column among ratio ties
-            row = min((k, i) for (i, _, k), ratio in zip(positive, ratios) if ratio <= cut)[1]
-            streak = streak + 1 if best <= 1e-12 else 0
-            node = sf.child(node, col, row)
-            self.move(node)
+                ended.append(("optimal", g))
+                break
+            # per hour, the ratio test in Python floats: the same IEEE
+            # divisions NumPy makes; its pivot, or None if unbounded
+            parts = None  # the rows per pivot, once two hours' pivots differ
+            for i, b in enumerate(g.b.tolist()):
+                rule = streaks[i] >= streak_cap
+                if rule:
+                    bland[i] = True
+                col, rows, values, basis, get = node.entering.get(rule) or entering(node, rule)
+                if rows:
+                    ratios = list(map(truediv, get(b), values))
+                    best = min(ratios)
+                    cut = best + 1e-12
+                    # deterministic leave rule: smallest basis column among ratio ties
+                    pivot = col, min([(k, r) for k, r, ratio in zip(basis, rows, ratios) if ratio <= cut])[1]
+                    streaks[i] = streaks[i] + 1 if best <= 1e-12 else 0
+                else:
+                    pivot = None
+                if i == 0:
+                    first = pivot
+                elif parts is None and pivot != first:
+                    parts = {first: list(range(i))}
+                if parts is not None:
+                    parts.setdefault(pivot, []).append(i)
+            if parts is not None:  # the hours part: a group per pivot
+                for pivot, rows in parts.items():
+                    part = g.part(rows)
+                    if pivot is None:
+                        ended.append(("unbounded", part))
+                    else:
+                        part.move(child(node, *pivot))
+                        todo.append(part)
+                break
+            if first is None:
+                ended.append(("unbounded", g))
+                break
+            g.move(child(node, *first))
+    return ended
 
-    def primal(self, ncols: int) -> np.ndarray:
-        """The basic solution's first ``ncols`` columns."""
-        x = np.zeros(self.node.width)
-        x[self.node.basis] = self.b
-        return x[:ncols]
+
+def _phase_one(sf: _StandardForm) -> tuple[list[tuple[str, _Group, int]], list[_Group]]:
+    """Per loaded hour: phase one's status ('feasible', 'infeasible' or
+    'stalled'), its group and row; and the groups it ends feasible in. Phase
+    one drives the artificials to zero and, where possible, out of the basis;
+    the hours of a row-flip pattern start together from its root."""
+    ends: list = [None] * len(sf.b)
+    feasible_groups = []
+    for pattern, hours in sf.starts:
+        b = sf.b.copy() if len(hours) == len(ends) else sf.b[hours]
+        g = _Group(pattern.root, pattern, hours, b, [False] * len(hours))
+        if g.node.zrow is None:  # no artificial: nothing to drive to zero
+            groups = [("optimal", g)]
+        else:
+            groups = _run(sf, g)
+        for status, g in groups:
+            g.phase_one_iterations = g.iterations
+            if status == "stalled":
+                for i, hour in enumerate(g.hours):
+                    ends[hour] = ("stalled", g, i)
+                continue
+            node = g.node
+            if node.zrow is not None:
+                if node.art_costs is None:
+                    node.art_costs = (node.basis >= pattern.art_start).astype(float)
+                feasible = []
+                for i, (hour, b) in enumerate(zip(g.hours, g.b)):
+                    if float(node.art_costs @ b) > sf.infeasible_above[hour]:
+                        ends[hour] = ("infeasible", g, i)
+                    else:
+                        feasible.append(i)
+                if not feasible:
+                    continue
+                if len(feasible) < len(g.hours):
+                    g = g.part(feasible)
+            g.move(sf.drive_out(node, pattern))
+            feasible_groups.append(g)
+            for i, hour in enumerate(g.hours):
+                ends[hour] = ("feasible", g, i)
+    return ends, feasible_groups
 
 
-def _phase_one(sf: _StandardForm) -> tuple[str, _Walk]:
-    """Drive the artificials to zero and, where possible, out of the basis."""
-    walk = _Walk(sf.pattern.root, sf.b.copy())
-    if walk.node.zrow is not None:
-        status = walk.run(sf)
-        walk.phase_one_iterations = walk.iterations
-        if status == "stalled":
-            return status, walk
-        node = walk.node
-        if node.art_costs is None:
-            node.art_costs = (node.basis >= sf.pattern.art_start).astype(float)
-        if float(node.art_costs @ walk.b) > sf.infeasible_above:
-            return "infeasible", walk
-    walk.move(sf.drive_out(walk.node))
-    return "feasible", walk
-
-
-def _solve_standard(sf: _StandardForm, c: np.ndarray) -> tuple[str, _Walk]:
-    """Run phase two from a copy of the form's phase-one walk; returns the
-    status and the walk."""
-    status, walk = sf.phase_one()
-    if status != "feasible":
-        return status, walk
-    walk = walk.copy()
-    walk.move(sf.phase_two_root(walk.node, c))
-    return walk.run(sf), walk
+def _phase_two(sf: _StandardForm, c: np.ndarray) -> list[tuple[str, _Group, int]]:
+    """Per loaded hour: where phase two under column costs ``c`` ends, from
+    a copy of phase one's end; an hour phase one did not find feasible keeps
+    phase one's end."""
+    ends = list(sf._phase_one)
+    for g in sf._feasible:
+        walk = _Group(g.node, g.pattern, g.hours, g.b.copy(), list(g.bland), g.iterations, g.phase_one_iterations)
+        walk.move(sf.phase_two_root(g.node, c, g.pattern))
+        for status, done in _run(sf, walk):
+            for i, hour in enumerate(done.hours):
+                ends[hour] = (status, done, i)
+    return ends
 
 
 def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
-    """Solve a minimization LP exactly; deterministic for identical input.
+    """Solve a minimization LP exactly, at the hour it holds; deterministic
+    for identical input.
 
     Degenerate cycling is broken by the switch to Bland's rule. An LP that
     still reaches ``MAX_ITERATIONS`` pivots (the Klee-Minty cube, say) is
@@ -828,8 +1035,8 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     """
     sf = lp._standard_form()
     c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
-    status, walk = _solve_standard(sf, c)
-    counters = walk.iterations, walk.phase_one_iterations, walk.bland
+    status, g, i = sf.end(lp._hour, c)
+    counters = g.iterations, g.phase_one_iterations, g.bland[i]
 
     if status == "stalled":
         return LpSolution(SolveStatus.NUMERICALLY_UNSTABLE, math.nan, {}, None, *counters)
@@ -838,10 +1045,13 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     if status == "unbounded":
         return LpSolution(SolveStatus.UNBOUNDED, -math.inf, {}, None, *counters)
 
-    x = walk.primal(sf.ncols)
+    node = g.node
+    x = np.zeros(node.width)  # the basic solution
+    x[node.basis] = g.b[i]
+    x = x[: sf.ncols]
     duals = None
     if compute_duals:
-        y = -walk.node.zrow[sf.pattern.unit_cols][: len(sf.row_names)] * sf.row_sign
+        y = -node.zrow[g.pattern.unit_cols][: len(sf.row_names)] * g.pattern.row_sign
         duals = dict(zip(sf.row_names, y.tolist()))
     return LpSolution(SolveStatus.OPTIMAL, obj_shift + float(np.dot(c, x)), sf.recover(x), duals, *counters)
 

@@ -4,11 +4,21 @@ Each timestep's LP is solved under two objectives that differ only in the
 sign on the preventive battery setpoint (minimize it for the lower bound,
 maximize it for the upper bound). The LP's variables, rows and coefficients
 depend only on the zone, so a :class:`BandwidthProblem` is built once per
-zone, weighting and objective mode, with the objectives of that mode, and
-:meth:`BandwidthProblem.set_hour` writes each timestep's curtailment bounds
-and right-hand sides into it, in one call per LP; the LP layer keeps the
-standard form and runs phase one once for both objectives. The problem of
-the last zone, weighting and mode that :func:`compute_power_bandwidths`
+zone, weighting and objective mode, with the objectives of that mode.
+:func:`compute_power_bandwidths` writes all of a call's timesteps into its
+LP at once (:meth:`BandwidthProblem.set_hours`: one block of right-hand
+sides and curtailment caps, each timestep's base flows one matrix-vector
+product per topology), and :meth:`BandwidthProblem.select_hour` makes the LP
+hold each timestep in turn while the call solves it, one
+``power_bandwidth.solve`` per LP as before. The LP layer walks the block's
+hours down its pivot-path tree together: phase one runs once per block, and
+each objective's phase two once per block, at its first solve; a pivot's
+row operation runs once per group of hours that took it. In lexicographic
+mode the capped copy takes each timestep's values and cap on its own, as
+each needs that timestep's least curtailment.
+:meth:`BandwidthProblem.set_hour` writes one timestep into the LP itself,
+for :func:`solve_timestep`, :func:`check_safety` and the LP export. The
+problem of the last zone, weighting and mode that :func:`compute_power_bandwidths`
 solved is kept until a call on another zone, with other weights or in the
 other mode: its network model, its LP (and capped copy in lexicographic
 mode), and their standard forms with their pivot-path trees (at most
@@ -139,8 +149,9 @@ class BandwidthProblem:
     variable names.
 
     The LP's variables, rows and coefficients depend only on the zone, so it
-    is built once, with placeholder curtailment caps and right-hand sides, and
-    :meth:`set_hour` writes each timestep's values into it. Each rating
+    is built once, with placeholder curtailment caps and right-hand sides;
+    :meth:`set_hour` writes one timestep's values into it, and
+    :meth:`set_hours` many at once. Each rating
     limit's label is formatted once; it names the limit's two rows and is the
     string :meth:`first_binding` and the diagnostic report. In lexicographic
     mode ``capped`` is the LP plus row ``curt_total_cap`` bounding the total
@@ -234,7 +245,9 @@ class BandwidthProblem:
                         self._ratings.append((name, label, coeffs))
 
         self._limits: dict[Season, list[float]] = {}
-        self._rating_rhs: list[float] = []  # the hour's, written by set_hour
+        self._rating_rhs: list[float] = []  # the held hour's
+        # per timestep written: its curtailment caps, right-hand sides and rating rows' part
+        self._hours: list[tuple[list[float], list[float], list[float]]] | None = None
         # every row set_hour writes: the curtailment caps, then the ratings
         self._rhs_rows = [name for name, _ in self._curt_caps] + [name for name, *_ in self._ratings]
 
@@ -275,17 +288,48 @@ class BandwidthProblem:
             rhs += (limit - flow, limit + flow)
         return rhs
 
-    def set_hour(self, row: TimestepForecast) -> None:
-        """Write one timestep's curtailment bounds and right-hand sides, under
-        its own season's ratings, into the LP and, in lexicographic mode, its
-        capped copy."""
+    def _hour_values(self, row: TimestepForecast) -> tuple[list[float], list[float], list[float]]:
+        """One timestep's curtailment caps, per curtailment variable; its
+        right-hand sides of the rows :meth:`set_hour` writes; and their
+        rating rows' part, all under its own season's ratings."""
         caps = row.curtailable_max_mw
-        self._rating_rhs = self._rating_values(row)
-        values = [caps[b] for _, b in self._curt_caps] + self._rating_rhs
-        for lp in [self.lp] if self.capped is None else [self.lp, self.capped]:
-            for b, v in self.curtailment_vars.items():
-                lp.set_bounds(v, 0.0, caps[b])
+        ratings = self._rating_values(row)
+        values = [caps[b] for _, b in self._curt_caps] + ratings
+        return [caps[b] for b in self.curtailment_vars], values, ratings
+
+    def set_hour(self, row: TimestepForecast) -> None:
+        """Write one timestep's curtailment bounds and right-hand sides into
+        the LP and, in lexicographic mode, its capped copy."""
+        self._hours = [self._hour_values(row)]
+        self._write_hour(0, [self.lp] if self.capped is None else [self.lp, self.capped])
+
+    def _write_hour(self, hour: int, lps: list[LinearProgram]) -> None:
+        """Write timestep ``hour`` of ``_hours`` into each of ``lps`` by itself,
+        and keep its rating rows' right-hand sides for :meth:`first_binding`."""
+        caps, values, self._rating_rhs = self._hours[hour]
+        for lp in lps:
+            for v, cap in zip(self.curtailment_vars.values(), caps):
+                lp.set_bounds(v, 0.0, cap)
             lp.set_rhs_many(self._rhs_rows, values)
+
+    def set_hours(self, rows: list[TimestepForecast]) -> None:
+        """Write every timestep of ``rows`` into the LP at once
+        (:meth:`lp_core.LinearProgram.set_hours`); :meth:`select_hour` then
+        picks the one the LP holds."""
+        self._hours = [self._hour_values(row) for row in rows]
+        caps, values, _ = zip(*self._hours)
+        self.lp.set_hours(self._rhs_rows, values, list(self.curtailment_vars.values()), caps)
+
+    def select_hour(self, hour: int) -> None:
+        """Make the LP hold timestep ``hour`` of :meth:`set_hours`, and write it
+        into the capped copy in lexicographic mode."""
+        self.lp.select_hour(hour)
+        self._write_hour(hour, [] if self.capped is None else [self.capped])
+
+    def drop_hours(self) -> None:
+        """Drop the timesteps :meth:`set_hours` wrote, but the one held."""
+        self._hours = None
+        self.lp.drop_hours()
 
     def first_binding(self, solution: LpSolution) -> str | None:
         """The label of the first rating row, in row order, that a solution
@@ -507,10 +551,12 @@ def _solve_rows(args) -> list[PowerBandwidthResult]:
         problem = _kept.pop(key, None)
     if problem is None:
         problem = BandwidthProblem(zone, network_model(zone), weights, lexicographic)
+    problem.set_hours(rows)
     results = []
-    for row in rows:
-        problem.set_hour(row)
+    for hour, row in enumerate(rows):
+        problem.select_hour(hour)
         results.append(_solve_written(problem, row))
+    problem.drop_hours()
     with _kept_lock:
         _kept.clear()  # a different zone's, weighting's or mode's problem is released
         _kept[key] = problem

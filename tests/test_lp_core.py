@@ -314,14 +314,14 @@ def test_rewritten_lps_solve_exactly_as_fresh_ones(monkeypatch):
     for _ in range(150):
         lp = _random_bounded_lp(rng, int(rng.integers(1, 6)), int(rng.integers(1, 5)))
         solve(lp)
-        signs = np.sign(lp._standard_form().row_sign)
+        signs = np.sign(lp._standard_form().starts[0][0].row_sign)
         for con in lp.constraints:
             lp.set_rhs(con.name, float(np.round(rng.uniform(-4, 4), 3)))
         for v in lp.variables:
             lo = v.lower + rng.uniform(-1, 1)
             lp.set_bounds(v.name, lo, lo + rng.uniform(0, 6))
         got, want = solve(lp), solve(_rebuilt(lp))
-        flipped += int(np.any(np.sign(lp._standard_form().row_sign) != signs))
+        flipped += int(np.any(np.sign(lp._standard_form().starts[0][0].row_sign) != signs))
         _same_solve(got, want)
     assert flipped > 10
 
@@ -350,10 +350,8 @@ def test_phase_one_runs_once_per_right_hand_side(monkeypatch):
     """Objectives share phase one's walk from the pattern's root, whose pivots
     every solve still counts."""
     from_root = []
-    real = lp_core._Walk.run
-    monkeypatch.setattr(
-        lp_core._Walk, "run", lambda walk, sf: from_root.append(walk.node is sf.pattern.root) or real(walk, sf)
-    )
+    real = lp_core._run
+    monkeypatch.setattr(lp_core, "_run", lambda sf, g: from_root.append(g.node is g.pattern.root) or real(sf, g))
     lp = _reuse_lp()  # the >= row needs an artificial
     first = solve(lp)
     lp.set_objective({"x": 2.0, "y": -1.0})
@@ -858,3 +856,262 @@ def test_kept_nodes_hold_no_tableau_and_rebuild_it_bit_for_bit(monkeypatch):
             assert sf.tableau(node).tobytes() == built[id(node)][1]
             lean += node.T is None
     assert lean > 500
+
+
+# ---------------------------------------------------------------------------
+# hours written as one block: each hour solves as a fresh LP holding it
+# ---------------------------------------------------------------------------
+
+
+def _duals_bits(sol) -> dict | None:
+    return None if sol.duals is None else {name: struct.pack("<d", y) for name, y in sol.duals.items()}
+
+
+def _fresh_hour(lp: LinearProgram, rows, rhs, variables, uppers) -> LinearProgram:
+    """A fresh LP with ``lp``'s variables, rows and objective, and one hour's
+    right-hand sides and upper bounds written as a build writes them."""
+    rhs, uppers = dict(zip(rows, rhs)), dict(zip(variables, uppers))
+    out = LinearProgram(lp.name)
+    for v in lp.variables:
+        out.add_variable(v.name, v.lower, uppers.get(v.name, v.upper))
+    for con in lp.constraints:
+        out.add_constraint(dict(con.coeffs), con.relation, rhs.get(con.name, con.rhs), con.name)
+    out.set_objective(dict(lp.objective), lp.objective_constant)
+    return out
+
+
+def _assert_hours_solve_fresh(lp: LinearProgram, rows, rhs, variables, uppers, order=None) -> list:
+    """Write the hours as one block into ``lp``, then solve each hour (in
+    ``order``) under the LP's objective: its solve equals a fresh LP's with
+    that hour written, in status, counters and the bits of its objective,
+    values and duals. Returns the solutions, in hour order."""
+    fresh = [_fresh_hour(lp, rows, r, variables, u) for r, u in zip(rhs, uppers)]
+    lp.set_hours(rows, rhs, variables, uppers)
+    got = {}
+    for hour in order or range(len(rhs)):
+        lp.select_hour(hour)
+        got[hour] = solve(lp)
+        want = solve(fresh[hour])
+        assert _bits_of(got[hour]) == _bits_of(want), hour
+        assert got[hour].objective.hex() == want.objective.hex()
+        assert _duals_bits(got[hour]) == _duals_bits(want), hour
+    return [got[hour] for hour in sorted(got)]
+
+
+_COEF = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0])
+_RHS = st.sampled_from([-2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.5])
+
+
+@st.composite
+def _blocks(draw):
+    """An LP of 1-4 variables and 1-4 rows, and 2-6 hours of right-hand sides
+    (zeros make ratio ties, negatives flip rows) and upper bounds of the
+    variables bounded above, with two objectives; and the order the hours are
+    solved in, and the degenerate streak the Bland switch waits for."""
+    n, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    lp = LinearProgram("block")
+    ranged, uppers = [], [[] for _ in range(k)]
+    for j in range(n):
+        lower = draw(st.sampled_from([0.0, -1.0, -INF]))
+        bounded = draw(st.booleans())
+        lp.add_variable(f"x{j}", lower, (0.0 if lower == -INF else lower) if bounded else INF)
+        if bounded:
+            ranged.append(f"x{j}")
+            for hour in uppers:
+                hour.append((0.0 if lower == -INF else lower) + draw(st.sampled_from([0.0, 1.0, 2.5])))
+    rows = []
+    for i in range(m):
+        coeffs = {f"x{j}": draw(_COEF) for j in range(n)}
+        rows.append(lp.add_constraint(coeffs, draw(st.sampled_from(list(Relation))), 0.0, name=f"r{i}"))
+    rhs = [[draw(_RHS) for _ in range(m)] for _ in range(k)]
+    objectives = [{f"x{j}": draw(_COEF) for j in range(n)} for _ in range(2)]
+    order = draw(st.permutations(range(k)))
+    return lp, rows, rhs, ranged, uppers, objectives, order, draw(st.sampled_from([1, 2, DEFAULT_STREAK]))
+
+
+DEFAULT_STREAK = lp_core.DEGENERATE_STREAK
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks())
+def test_each_hour_of_a_block_solves_as_a_fresh_lp(block):
+    """Hours written as one block and solved in any order, under two
+    objectives in turn (the second without a new write), each give the fresh
+    one-hour LP's solve bit for bit: whether they meet at nodes or part,
+    tie in the ratio test, switch to Bland's rule alone (a short streak makes
+    the switch common), or end infeasible or unbounded beside each other."""
+    lp, rows, rhs, ranged, uppers, objectives, order, streak = block
+    lp_core.DEGENERATE_STREAK = streak
+    try:
+        for objective in objectives:
+            lp.set_objective(objective)
+            if objective is objectives[0]:
+                _assert_hours_solve_fresh(lp, rows, rhs, ranged, uppers, order)
+                continue
+            for hour in order:  # the same block: phase one is not walked again
+                lp.select_hour(hour)
+                want = solve(_fresh_hour(lp, rows, rhs[hour], ranged, uppers[hour]))
+                got = solve(lp)
+                assert _bits_of(got) == _bits_of(want) and _duals_bits(got) == _duals_bits(want)
+    finally:
+        lp_core.DEGENERATE_STREAK = DEFAULT_STREAK
+
+
+def test_a_block_mixes_optimal_infeasible_and_unbounded_hours():
+    """Feasibility depends on the hour; boundedness, given feasibility, on the
+    LP alone: a block ends some hours optimal and others infeasible, and
+    under a cost no row bounds, some unbounded and others infeasible."""
+    lp = LinearProgram("mixed")
+    lp.add_variable("x", 0.0, 2.0)
+    lp.add_variable("y", -1.0, INF)
+    lp.add_variable("z", 0.0, 1.0)
+    lp.add_constraint({"x": 1.0, "y": 1.0}, Relation.GE, 0.0, name="big")
+    lp.add_constraint({"x": 1.0, "y": -1.0}, Relation.LE, 0.0, name="gap")
+    lp.add_constraint({"z": 1.0}, Relation.GE, 0.0, name="least")  # infeasible above z's bound
+    rows = ["big", "gap", "least"]
+    rhs = [[10.0, 0.5, 0.5], [2.0, 0.5, 2.0], [1.0, -0.5, 0.0], [0.0, 0.0, 1.5], [0.0, 0.0, 0.0]]
+    uppers = [[2.0, 1.0], [2.0, 1.0], [1.5, 1.0], [2.0, 1.2], [0.5, 1.0]]
+    statuses = []
+    for objective in ({"x": 1.0, "y": 2.0, "z": 1.0}, {"x": 1.0, "y": -3.0}):  # y grows without bound
+        lp.set_objective(objective)
+        statuses.append([sol.status for sol in _assert_hours_solve_fresh(lp, rows, rhs, ["x", "z"], uppers)])
+    O, I, U = SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED
+    assert statuses == [[O, I, O, I, O], [U, I, U, I, U]]
+
+
+def test_each_hour_of_a_block_has_its_own_infeasibility_threshold():
+    """Phase one's tolerance scales with each hour's largest right-hand side:
+    x >= 1 + 5e-6 with x <= 1 is within it beside a row of 1,000, and
+    infeasible beside a row of 2, in the same block as in fresh LPs."""
+    lp = LinearProgram("tolerance")
+    lp.add_variable("x", 0.0, 1.0)
+    lp.add_constraint({"x": 1.0}, Relation.GE, 0.0, name="need")
+    lp.add_constraint({"x": 1.0}, Relation.LE, 0.0, name="big")
+    lp.set_objective({"x": 1.0})
+    rhs = [[1.0 + 5e-6, 1000.0], [1.0 + 5e-6, 2.0], [0.5, 2.0]]
+    sols = _assert_hours_solve_fresh(lp, ["need", "big"], rhs, [], [[]] * len(rhs))
+    assert [sol.status for sol in sols] == [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
+
+
+def test_a_block_of_beales_lp_switches_to_bland_in_one_hour_only(monkeypatch):
+    """Beale's LP cycles only where r1 and r2 are both zero: in a block, that
+    hour alone switches to Bland's rule and walks on apart from the others,
+    which share their pivots; every hour is the fresh LP's."""
+    built = _count_nodes(monkeypatch)
+    lp = _beale()
+    rhs = [[1.0, 1.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 2.0], [0.5, 2.0, 1.0], [1.0, 1.0, 1.0]]
+    sols = _assert_hours_solve_fresh(lp, ["r1", "r2", "r3"], rhs, [], [[]] * len(rhs))
+    assert [sol.bland for sol in sols] == [False, True, False, False, False]
+    assert sols[1].iterations > lp_core.DEGENERATE_STREAK > max(s.iterations for s in sols if not s.bland)
+    # a second block of the same hours walks the tree the first one kept
+    lp.set_hours(["r1", "r2", "r3"], rhs, [], [[]] * len(rhs))
+    before = len(built)
+    for hour in reversed(range(len(rhs))):
+        lp.select_hour(hour)
+        assert _bits_of(solve(lp)) == _bits_of(sols[hour])
+    assert len(built) == before
+
+
+def test_a_block_with_a_stalling_klee_minty_hour(monkeypatch):
+    """A Klee-Minty hour that reaches the iteration cap ends
+    ``numerically_unstable`` while the block's other hours end optimal, each
+    as the fresh LP does."""
+    monkeypatch.setattr(lp_core, "MAX_ITERATIONS", 100)
+    lp = _klee_minty(12)
+    rows = [con.name for con in lp.constraints]
+    cube = [4.0**i for i in range(12)]
+    rhs = [[1.0] * 12, cube, [0.0] * 11 + [4.0**11], [2.0**i for i in range(12)]]
+    sols = _assert_hours_solve_fresh(lp, rows, rhs, [], [[]] * len(rhs), order=[3, 1, 0, 2])
+    assert [sol.status for sol in sols] == [SolveStatus.OPTIMAL, SolveStatus.NUMERICALLY_UNSTABLE] + [
+        SolveStatus.OPTIMAL
+    ] * 2
+    assert sols[1].iterations == 100 and sols[1].values == {} and max(s.iterations for s in sols[2:]) < 100
+
+
+def test_an_lp_holding_hours_reads_the_held_hour():
+    """``constraints``, ``variables``, ``check_solution``, ``extended`` and
+    ``to_lp_format`` read the hour ``solve`` solves; a write keeps that hour
+    as the LP's own values and drops the others, with the form's walks."""
+    lp = _reuse_lp()
+    rhs, uppers = [[3.0], [5.0], [-1.0]], [[4.0], [1.5], [2.0]]
+    lp.set_hours(["sum"], rhs, ["x"], uppers)
+    for hour in (2, 0, 1):
+        lp.select_hour(hour)
+        fresh = _fresh_hour(lp, ["sum"], rhs[hour], ["x"], uppers[hour])
+        assert lp.constraints == fresh.constraints and lp.variables == fresh.variables
+        assert lp.to_lp_format() == fresh.to_lp_format()
+        sol = solve(lp)
+        assert _bits_of(sol) == _bits_of(solve(fresh))
+        assert check_solution(lp, sol.values) == check_solution(fresh, sol.values) == []
+        off = {**sol.values, "x": sol.values["x"] + 10.0}
+        assert [str(v) for v in check_solution(lp, off)] == [str(v) for v in check_solution(fresh, off)] != []
+        ext, fresh_ext = (a.extended("ext", {"s": {"sum": 1.0}}) for a in (lp, fresh))
+        assert ext.constraints == fresh_ext.constraints and ext.variables == fresh_ext.variables
+    form = lp._standard_form()
+    assert form._phase_one is not None
+    lp.set_rhs("sum", 7.0)  # the next write: hour 1's bound stays, and the block goes
+    assert form._phase_one is None and form.b is None
+    assert [v.upper for v in lp.variables] == [1.5, 6.0] and lp.constraints[0].rhs == 7.0
+    with pytest.raises(LpError, match="holds no hour 1"):
+        lp.select_hour(1)
+    assert _bits_of(solve(lp)) == _bits_of(solve(_rebuilt(lp)))
+
+
+def _two_row_lp() -> LinearProgram:
+    lp = LinearProgram("two")
+    lp.add_variable("x", 0.0, 5.0)
+    lp.add_constraint({"x": 1.0}, Relation.LE, 4.0, name="a")
+    lp.add_constraint({"x": 1.0}, Relation.GE, 1.0, name="b")
+    return lp
+
+
+@pytest.mark.parametrize(
+    "names, values, message",
+    [
+        (["a", "zz"], [1.0, 2.0], "unknown constraint 'zz'"),
+        (["a", "b"], [1.0, math.nan], "constraint 'b' has non-finite rhs"),
+        (["a", "b"], [1.0], "2 constraints but 1 right-hand sides"),
+        (["a"], [1.0, 2.0], "1 constraints but 2 right-hand sides"),
+    ],
+    ids=["unknown_name", "nan_value", "fewer_values", "more_values"],
+)
+def test_set_rhs_many_refuses_a_write_whole(names, values, message):
+    """A refused write changes no row, not even those before the bad entry."""
+    lp = _two_row_lp()
+    before = lp.constraints
+    with pytest.raises(LpError, match=message):
+        lp.set_rhs_many(names, values)
+    assert lp.constraints == before
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((["a", "zz"], [[1.0, 2.0]], ["x"], [[5.0]]), "unknown constraint 'zz'"),
+        ((["a"], [[1.0]], ["y"], [[5.0]]), "unknown variable 'y'"),
+        ((["a", "b"], [[1.0, 2.0], [1.0, math.inf]], ["x"], [[5.0], [5.0]]), "constraint 'b' has non-finite rhs"),
+        ((["a", "b"], [[1.0, 2.0], [1.0]], ["x"], [[5.0], [5.0]]), "2 constraints but 1 right-hand sides"),
+        ((["a"], [[1.0], [2.0]], ["x"], [[5.0]]), "2 hours of right-hand sides but 1 of upper bounds"),
+        ((["a"], [], ["x"], []), "no hours to write"),
+        ((["a"], [[1.0], [2.0]], ["x"], [[5.0], []]), "1 variables but 0 upper bounds"),
+        ((["a"], [[1.0], [2.0]], ["x"], [[5.0], [math.nan]]), "NaN bound"),
+        ((["a"], [[1.0], [2.0]], ["x"], [[5.0], [-1.0]]), "lower > upper"),
+        ((["a"], [[1.0], [2.0]], ["x"], [[5.0], [INF]]), "finite upper bound in one hour and not in another"),
+    ],
+    ids=[
+        "unknown_row", "unknown_variable", "inf_value", "short_hour", "hours_mismatch", "no_hours",
+        "short_bounds", "nan_bound", "bound_below_lower", "finite_and_not",
+    ],
+)
+def test_set_hours_refuses_a_write_whole(args, message):
+    """A refused block changes no row, bound or held hour: an LP holding
+    hours still holds them, at the hour it held."""
+    lp = _two_row_lp()
+    lp.set_hours(["a"], [[3.0], [2.0]], ["x"], [[5.0], [4.0]])
+    lp.select_hour(1)
+    before = lp.constraints, lp.variables
+    with pytest.raises(LpError, match=message):
+        lp.set_hours(*args)
+    assert (lp.constraints, lp.variables) == before
+    lp.select_hour(0)
+    assert lp.constraints[0].rhs == 3.0 and lp.variables[0].upper == 5.0

@@ -577,8 +577,9 @@ def _standard_form_digest(zone, summer_day) -> str:
         ]
         for lp in (problem.lp, bounded.capped):
             sf = lp._standard_form()
-            root = sf.pattern.root
-            for a in (sf._A, sf.b, sf.row_sign, root.T, root.basis, root.zrow):
+            pattern = sf.starts[0][0]
+            root = pattern.root
+            for a in (sf._A, sf.b[0], pattern.row_sign, root.T, root.basis, root.zrow):
                 h.update(repr(None if a is None else (a.dtype.str, a.shape)).encode())
                 h.update(b"" if a is None else a.tobytes())
             for objective in objectives:
@@ -606,8 +607,9 @@ def _elastic_digest() -> tuple[int, str]:
         if lp.name.endswith(":relaxed"):
             relaxed.append(lp.name)
             sf = lp._standard_form()
-            root = sf.pattern.root
-            for a in (sf._A, sf.b, sf.row_sign, root.T, root.basis, root.zrow):
+            pattern = sf.starts[0][0]
+            root = pattern.root
+            for a in (sf._A, sf.b[0], pattern.row_sign, root.T, root.basis, root.zrow):
                 h.update(repr(None if a is None else (a.dtype.str, a.shape)).encode())
                 h.update(b"" if a is None else a.tobytes())
             c, shift = sf.costs(lp.objective, lp.objective_constant)
@@ -1130,18 +1132,59 @@ def test_every_unclearable_hour_builds_its_elastic_lp_afresh(monkeypatch, lexico
         assert len(relaxed) == len({id(lp) for lp in relaxed}) == unclearable  # one form per elastic LP
 
 
-def test_each_timestep_is_written_once(zone, winter_day, monkeypatch):
-    """``set_hour`` is the only writer of an hour, the first included: an
-    N-hour cold weighted call makes N writes, all into the one LP, with
-    unchanged results."""
+@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+def test_an_unclearable_hour_mid_block_keeps_its_diagnostic_and_solve_order(monkeypatch, lexicographic):
+    """A call whose block holds unclearable hours between clearable ones
+    calls ``power_bandwidth.solve`` once per LP, in the order fresh
+    ``solve_timestep`` calls make, each solve with their counters and
+    objective bits (recorded as ``tools/exactness.py`` records them), and
+    reports each unclearable hour with their diagnostic text."""
+    zone, row = random_instance(3)
+    hours = _hours_of(row, 12)
+    solves = []
+    real_solve = pb.solve
+
+    def recording_solve(lp, compute_duals=True):
+        sol = real_solve(lp, compute_duals)
+        solves.append((lp.name.endswith(":relaxed"), sol.status.value, sol.iterations, sol.phase_one_iterations,
+                       sol.bland, sol.objective.hex()))
+        return sol
+
+    monkeypatch.setattr(pb, "solve", recording_solve)
+    expected = [solve_timestep(zone, h, lexicographic=lexicographic) for h in hours]
+    fresh = list(solves)
+    solves.clear()
     pb._kept.clear()
+    got = compute_power_bandwidths(zone, ForecastSeries(tuple(hours)), lexicographic=lexicographic)
+    assert solves == fresh
+    failures = [r.failure for r in got]
+    assert failures == [r.failure for r in expected]
+    # hours 4, 5, 8 and 9 are unclearable, between clearable ones
+    assert [f is None for f in failures] == [False, False, True, True] * 3
+    assert all(f.startswith("unclearable overload: ") for f in failures if f is not None)
+
+
+def _record_writes(monkeypatch) -> list[tuple[LinearProgram, int]]:
+    """Every write of right-hand sides into an LP: (the LP, its hours), one
+    entry per ``set_hours`` call and one per ``set_rhs_many`` call."""
     writes = []
-    real = LinearProgram.set_rhs_many
-    monkeypatch.setattr(LinearProgram, "set_rhs_many", lambda lp, *a: writes.append(lp) or real(lp, *a))
+    real_hours, real_many = LinearProgram.set_hours, LinearProgram.set_rhs_many
+    monkeypatch.setattr(
+        LinearProgram, "set_hours", lambda lp, rows, rhs, *a: writes.append((lp, len(rhs))) or real_hours(lp, rows, rhs, *a)
+    )
+    monkeypatch.setattr(LinearProgram, "set_rhs_many", lambda lp, *a: writes.append((lp, 1)) or real_many(lp, *a))
+    return writes
+
+
+def test_each_timestep_is_written_once(zone, winter_day, monkeypatch):
+    """An N-hour cold weighted call writes its N hours once, in one block
+    into the kept problem's LP and into no other LP, with results equal to
+    fresh ``solve_timestep`` calls."""
+    pb._kept.clear()
+    writes = _record_writes(monkeypatch)
     results = compute_power_bandwidths(zone, winter_day)
-    assert len(writes) == len(winter_day)
-    assert {id(lp) for lp in writes} == {id(next(iter(pb._kept.values())).lp)}
     monkeypatch.undo()
+    assert [(id(lp), hours) for lp, hours in writes] == [(id(next(iter(pb._kept.values())).lp), len(winter_day))]
     for row, got in zip(winter_day, results):
         assert _same_result(got, solve_timestep(zone, row)), row.timestamp
 
@@ -1168,18 +1211,19 @@ def test_switching_the_objective_mode_rebuilds_the_problem(zone, winter_day, mon
     reverse, each build a problem of their own mode and give a cold call's
     results; the weighted call writes no capped LP."""
     pb._kept.clear()
-    real = LinearProgram.set_rhs_many
     for lexicographic in (True, False, True):
         before = list(pb._kept.values())
-        writes = []
-        monkeypatch.setattr(LinearProgram, "set_rhs_many", lambda lp, *a: writes.append(lp) or real(lp, *a))
+        writes = _record_writes(monkeypatch)
         got = compute_power_bandwidths(zone, winter_day, lexicographic=lexicographic)
         monkeypatch.undo()
         assert list(pb._kept) == [(repr(zone), ObjectiveWeights(), lexicographic)]
         (problem,) = pb._kept.values()
         assert problem not in before
-        lps = [problem.lp, problem.capped] if lexicographic else [problem.lp]
-        assert {id(lp) for lp in writes} == {id(lp) for lp in lps}
+        # the LP takes the day in one block; the capped copy each hour's
+        # values and then its cap, as each needs that hour's optimum
+        assert [(id(lp), hours) for lp, hours in writes if lp is problem.lp] == [(id(problem.lp), len(winter_day))]
+        capped = [lp for lp, _ in writes if lp is not problem.lp]
+        assert [id(lp) for lp in capped] == [id(problem.capped)] * (2 * len(winter_day) if lexicographic else 0)
         assert repr(got) == repr(_cold(zone, winter_day, lexicographic=lexicographic))
 
 
