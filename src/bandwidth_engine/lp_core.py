@@ -30,14 +30,17 @@ bounds they were summed from. Both are summed in Python floats, in
 coefficient order, and converted to arrays once.
 
 An LP can also hold several hours: :meth:`LinearProgram.set_hours` writes k
-sets of right-hand sides and upper bounds at once, and
-:meth:`LinearProgram.select_hour` picks the one the LP holds, which its
-``variables`` and ``constraints`` show and :func:`solve` solves. The first
-solve loads the k hours into the form as one block, a k x m array of
-sign-normalized right-hand sides, each with its own row-flip pattern and
-infeasibility threshold; an LP that holds one right-hand side is a one-hour
-block. The next write (:meth:`LinearProgram.drop_hours`) keeps the held
-hour's values as the LP's own and drops the block with its walks.
+sets of right-hand sides and upper bounds at once, kept as one k x (rows +
+variables) float array, and :meth:`LinearProgram.select_hour` picks the one
+the LP holds, which its ``variables`` and ``constraints`` show (as lists,
+made at their first read) and :func:`solve` solves. The first solve loads
+the k hours into the form as one block, a k x m array of sign-normalized
+right-hand sides, each with its own row-flip pattern and infeasibility
+threshold, by array operations on the whole block: per entry the same
+subtraction and sign flip as a one-hour load, which runs them in Python
+floats. An LP that holds one right-hand side is a one-hour block. The next
+write (:meth:`LinearProgram.drop_hours`) keeps the held hour's values as the
+LP's own and drops the block with its walks.
 
 Every solve walks a pivot-path tree of its form. The matrix and the costs do
 not change with the right-hand side b, so neither does anything that picks a
@@ -62,14 +65,19 @@ so the rebuilt one has the bits the node was first built with.
 b takes part only in the ratio test, the degenerate streak, phase one's
 feasibility test and the final values, so a walk carries only the hours' b's
 and streaks down the tree. The hours of a block walk it together: those at
-one node form a group, whose b's are the rows of one array. At each node
-every hour runs its own ratio test, in Python floats, on
-``b[pos] / colpos``; hours that take the same pivot move on as one group,
-and the pivot's row operation runs once on the group's rows,
-``b[:, row] /= pivot`` then ``b -= b[:, row] * factors`` (``factors`` is the
-pivot column with a zero in the pivot row): per hour the elementwise
-operations the pivot applies to the tableau's b column. Where hours take
-different pivots the group parts, each part with a copy of its rows. A
+one node form a group, whose b's are the rows of one k x m array. At each
+node every hour takes its own ratio test on ``b[pos] / colpos`` over the
+entering column's positive rows. A one-hour group runs it in Python floats;
+a group of two or more runs it as one array step per rule its hours follow,
+over the positive rows ordered by basis column: the divisions, each hour's
+smallest ratio ``best`` and the first row whose ratio is within
+``best + 1e-12``, which is the smallest basis column among the ties. Hours
+that take the same pivot move on as one group, and the pivot's row
+operation runs once on the group's rows, ``b[:, row] /= pivot`` then
+``b -= b[:, row] * factors`` (``factors`` is the pivot column with a zero in
+the pivot row): per hour the elementwise operations the pivot applies to the
+tableau's b column. Where hours take different pivots the group parts, in
+the order its hours first take them, each part with a copy of its rows. A
 child not yet in the tree is built by the full pivot, once per group. So
 each hour takes the same pivots as a fresh one-hour solve, through the same
 floating-point operations, and gets the same bits.
@@ -83,10 +91,13 @@ root per cost vector. Phase one does not depend on the objective, so it runs
 once per block, at its first solve, and every objective starts phase two
 where it ended; each objective's phase two runs once per block, at the
 first solve under its costs, for every hour phase one found feasible. A
-solve then reads its hour's end. Phase one's feasibility test weighs each
-hour's b with the artificial costs kept on the node where it ends (a 1-D dot
-per hour), against a tolerance scaled by that hour's largest sign-normalized
-right-hand side, taken at the load.
+solve then reads its hour's end: the first solve that reads an optimal end
+group builds the basic solutions and variable values of all its hours at
+once (as arrays for two or more hours), and each solve takes its hour's
+row, with its objective a 1-D dot per hour. Phase one's feasibility test
+weighs each hour's b with the artificial costs kept on the node where it
+ends (a 1-D dot per hour), against a tolerance scaled by that hour's largest
+sign-normalized right-hand side, taken at the load.
 
 A form keeps at most ``NODES_PER_FORM`` nodes, row-flip patterns and cost
 vectors together (a reused Klee-Minty cube would otherwise keep one node per
@@ -101,10 +112,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter, sub, truediv
+from operator import sub, truediv
 from types import MappingProxyType
 
 import numpy as np
@@ -178,22 +189,24 @@ class LinearProgram:
         self._row_index: dict[str, int] = {}
         self._form: _StandardForm | None = None  # dropped when the matrix changes
         self._rhs_stale = False  # the form's right-hand sides must be recomputed
-        # per hour written by set_hours: every row's right-hand side and every
-        # variable's upper bound; _rhs and _upper are the held hour's lists
-        self._hours: list[tuple[list[float], list[float]]] | None = None
+        # the hours set_hours wrote, k x (rows + variables): per hour every
+        # row's right-hand side, then every variable's upper bound; _rhs and
+        # _upper are the held hour's, as lists made at their first read
+        # (_held), None until then
+        self._hours: np.ndarray | None = None
         self._hour = 0  # the hour held, the one solve solves
 
     @property
     def variables(self) -> tuple[Variable, ...]:
         """Every variable, with its current bounds."""
-        return tuple(map(Variable, self._names, self._lower, self._upper))
+        return tuple(map(Variable, self._names, self._lower, self._held()[1]))
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
         """Every row, with its current right-hand side."""
         if self._constraints is None:
             self._constraints = tuple(
-                Constraint(name, coeffs, rel, rhs) for (name, coeffs, rel), rhs in zip(self._rows, self._rhs)
+                Constraint(name, coeffs, rel, rhs) for (name, coeffs, rel), rhs in zip(self._rows, self._held()[0])
             )
         return self._constraints
 
@@ -264,64 +277,87 @@ class LinearProgram:
     def set_hours(
         self,
         rows: Sequence[str],
-        rhs: Sequence[Sequence[float]],
+        rhs: Sequence[Sequence[float]] | np.ndarray,
         variables: Sequence[str],
-        uppers: Sequence[Sequence[float]],
+        uppers: Sequence[Sequence[float]] | np.ndarray,
     ) -> None:
         """Write k >= 1 hours at once: hour h has right-hand sides ``rhs[h]``
         on ``rows`` and upper bounds ``uppers[h]`` on ``variables``, and the
-        LP's own everywhere else. Every name, value and length is checked as
-        :meth:`set_rhs_many` and :meth:`set_bounds` check them, before any is
-        written; an upper bound must also be finite in every hour or in none.
-        The LP then holds hour 0 (:meth:`select_hour` picks another): its
-        ``variables`` and ``constraints``, :meth:`extended` and
-        :meth:`to_lp_format` read the held hour, and :func:`solve` solves it.
-        The first solve loads every hour into the standard form, whose walks
-        take the hours down the tree together; the next write, or
-        :meth:`drop_hours`, drops the hours and the walks."""
+        LP's own everywhere else; ``rhs`` and ``uppers`` are k x len(rows) and
+        k x len(variables) blocks, nested sequences or arrays. Every name,
+        value and length is checked as :meth:`set_rhs_many` and
+        :meth:`set_bounds` check them, before any is written; an upper bound
+        must also be finite in every hour or in none. The LP keeps the hours
+        as one float array, every row's right-hand side and every variable's
+        upper bound per hour, and then holds hour 0 (:meth:`select_hour`
+        picks another): its ``variables`` and ``constraints``,
+        :meth:`extended` and :meth:`to_lp_format` read the held hour, and
+        :func:`solve` solves it. The first solve loads the arrays into the
+        standard form as one block, whose walks take the hours down the tree
+        together; the next write, or :meth:`drop_hours`, drops the hours and
+        the walks."""
         row_at = self._positions(rows, self._row_index, "constraint")
         var_at = self._positions(variables, self._var_index, "variable")
         if len(rhs) == 0:
             raise LpError("no hours to write")
         if len(uppers) != len(rhs):
             raise LpError(f"{len(rhs)} hours of right-hand sides but {len(uppers)} of upper bounds")
-        self._check_rhs(rows, rhs)
-        for hour in uppers:
-            if len(hour) != len(variables):
-                raise LpError(f"{len(variables)} variables but {len(hour)} upper bounds")
-        finite = [u < INF for u in uppers[0]]
-        for hour in uppers:
-            for name, j, upper, fin in zip(variables, var_at, hour, finite):
-                _bounds(name, self._lower[j], upper)
-                if (upper < INF) != fin:
-                    raise LpError(f"variable {name!r} has a finite upper bound in one hour and not in another")
-        k = len(rhs)
-        full_rhs = np.tile(np.array(self._rhs, dtype=float), (k, 1))
-        full_rhs[:, row_at] = np.array(rhs, dtype=float)
-        full_upper = np.tile(np.array(self._upper, dtype=float), (k, 1))
-        full_upper[:, var_at] = np.array(uppers, dtype=float)
+        values = _as_block(rhs, len(rows))
+        if values is None or not np.isfinite(values).all():
+            self._check_rhs(rows, rhs)  # raises for the first fault
+        bounds = _as_block(uppers, len(variables))
+        if bounds is None:
+            for hour in uppers:
+                if len(hour) != len(variables):
+                    raise LpError(f"{len(variables)} variables but {len(hour)} upper bounds")
+        finite = bounds[0] < INF
+        if np.isnan(bounds).any() or (bounds < [self._lower[j] for j in var_at]).any() or (
+            (bounds < INF) != finite
+        ).any():  # name the first fault, hour by hour
+            for hour in bounds.tolist():
+                for name, j, upper, fin in zip(variables, var_at, hour, finite.tolist()):
+                    _bounds(name, self._lower[j], upper)
+                    if (upper < INF) != fin:
+                        raise LpError(f"variable {name!r} has a finite upper bound in one hour and not in another")
+        rhs, upper = self._held()
+        m = len(rhs)
+        hours = np.tile(np.array(rhs + upper, dtype=float), (len(values), 1))
+        hours[:, row_at] = values
+        hours[:, [m + j for j in var_at]] = bounds
+        hours.flags.writeable = False
         self.drop_hours()
-        if any((self._upper[j] < INF) != fin for j, fin in zip(var_at, finite)):
+        if any((self._upper[j] < INF) != fin for j, fin in zip(var_at, finite.tolist())):
             self._form = None  # as set_bounds drops it: the matrix changes
-        self._hours = list(zip(full_rhs.tolist(), full_upper.tolist()))
+        self._hours = hours
         self.select_hour(0)
 
     def select_hour(self, hour: int) -> None:
-        """Hold hour ``hour`` of those :meth:`set_hours` wrote."""
+        """Hold hour ``hour`` of those :meth:`set_hours` wrote: its row of the
+        block is the LP's right-hand sides and upper bounds, which
+        :func:`solve` reads from the loaded block and the LP's other readers
+        as lists (:meth:`_held`)."""
         if self._hours is None or not 0 <= hour < len(self._hours):
             raise LpError(f"the LP holds no hour {hour}")
-        self._rhs, self._upper = self._hours[hour]
+        self._rhs = self._upper = None
         self._hour = hour
         self._constraints = None
+
+    def _held(self) -> tuple[list[float], list[float]]:
+        """The held hour's right-hand sides and upper bounds, the LP's lists;
+        made from its row of the block at their first read after
+        :meth:`select_hour`."""
+        if self._rhs is None:
+            values, m = self._hours[self._hour].tolist(), len(self._rows)
+            self._rhs, self._upper = values[:m], values[m:]
+        return self._rhs, self._upper
 
     def drop_hours(self) -> None:
         """Keep the held hour's right-hand sides and bounds as the LP's own and
         drop the other hours and the form's walks over them; every write
         starts with this. The form's right-hand sides are recomputed at the
         next solve."""
-        if self._hours is not None:
-            self._rhs, self._upper = list(self._rhs), list(self._upper)
-            self._hours, self._hour = None, 0
+        self._held()
+        self._hours, self._hour = None, 0
         if self._form is not None:
             self._form.unload()
         self._constraints = None
@@ -376,9 +412,10 @@ class LinearProgram:
         each), and no objective. Its standard form is built at its first
         solve, as any LP's is."""
         out = LinearProgram(name)
-        out._names, out._lower, out._upper = list(self._names), list(self._lower), list(self._upper)
+        rhs, upper = self._held()
+        out._names, out._lower, out._upper = list(self._names), list(self._lower), list(upper)
         out._var_index = dict(self._var_index)
-        out._rows, out._rhs, out._row_index = list(self._rows), list(self._rhs), dict(self._row_index)
+        out._rows, out._rhs, out._row_index = list(self._rows), list(rhs), dict(self._row_index)
         for var, coeffs in columns.items():
             out.add_variable(var)
             for row, c in coeffs.items():
@@ -440,6 +477,16 @@ def _bounds(name: str, lower: float, upper: float) -> tuple[float, float]:
     if lower > upper:
         raise LpError(f"variable {name!r} has lower > upper ({lower} > {upper})")
     return float(lower), float(upper)
+
+
+def _as_block(hours, width: int) -> np.ndarray | None:
+    """``hours`` as a k x ``width`` float array (``hours`` itself if it is
+    one), or None if they are not k rows of ``width`` numbers each."""
+    try:
+        out = np.asarray(hours, dtype=float)
+    except (TypeError, ValueError):  # rows of unequal length
+        return None
+    return out if out.shape == (len(hours), width) else None
 
 
 def _bits(values) -> bytes:
@@ -531,9 +578,29 @@ class _Pattern:
         self.root = _Node(T, basis, zrow, total, (), ())
 
 
-# a node's entering column under one rule: the column, its positive rows,
-# their values and basis columns, and a getter of those rows' entries of b
-_Entering = tuple[int, list[int], list[float], list[int], Callable[[list[float]], Sequence[float]]]
+class _Entering:
+    """A node's entering column under one rule: the column, its positive
+    rows (an array and a list), their values and basis columns; and, built
+    at the first array ratio test, those rows as a list and an array and
+    their values, ordered by basis column (:meth:`by_basis`)."""
+
+    __slots__ = ("col", "at", "rows", "values", "basis", "ordered")
+
+    def __init__(self, col: int, colvals: np.ndarray, basis: np.ndarray):
+        self.col = col
+        self.at = (colvals > PIVOT_TOL).nonzero()[0]
+        self.rows, self.values, self.basis = self.at.tolist(), colvals[self.at].tolist(), basis[self.at].tolist()
+        self.ordered: tuple[list[int], np.ndarray, np.ndarray] | None = None
+
+    def by_basis(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The positive rows ordered by basis column (distinct in a basis), as
+        a list and an array, and their values: among ratio ties the leave rule
+        takes the first in this order."""
+        if self.ordered is None:
+            order = sorted(range(len(self.rows)), key=self.basis.__getitem__)
+            rows = [self.rows[i] for i in order]
+            self.ordered = rows, np.array(rows, dtype=np.intp), np.array([self.values[i] for i in order])
+        return self.ordered
 
 
 class _StandardForm:
@@ -543,7 +610,7 @@ class _StandardForm:
     describes."""
 
     def __init__(self, lp: LinearProgram):
-        names, lower, upper, rows = lp._names, lp._lower, lp._upper, lp._rows
+        names, lower, upper, rows = lp._names, lp._lower, lp._held()[1], lp._rows
         self.row_names = [name for name, _, _ in rows]
         # per variable by name: its index and column, and the column of its
         # negative part if its lower bound is infinite (x = col - neg), else
@@ -576,64 +643,101 @@ class _StandardForm:
         self._rel = [rel for _, _, rel in rows] + [Relation.LE] * len(self._ranged)
         self.ncols = ncols
         self.nrows = nrows
+        self._block: tuple[np.ndarray, ...] | None = None  # :meth:`_block_arrays`
         self._loads = 0  # right-hand sides loaded
         self._kept = 0  # nodes, patterns and costs kept
         self._lower_bits: bytes | None = None
         self._costs: dict[tuple, tuple[np.ndarray, float]] = {}
-        self._patterns: dict[tuple[int, ...], _Pattern] = {}
+        self._patterns: dict[bytes, _Pattern] = {}  # by the flipped rows, a byte per row
         self._last: tuple[_Node | None, np.ndarray | None] = (None, None)  # the last tableau built
 
     def load(self, lp: LinearProgram) -> None:
         """Write the LP's hours (one, unless :meth:`LinearProgram.set_hours`
-        wrote several) and lower bounds: per hour its sign-normalized
-        right-hand side, a row of ``b``, and its infeasibility threshold, and
-        per row-flip pattern its hours (``starts``)."""
-        hours = lp._hours or [(lp._rhs, lp._upper)]
-        lower = lp._lower
-        self._loads += len(hours)
+        wrote several) and lower bounds as one k x m block ``b`` of
+        sign-normalized right-hand sides, with each hour's infeasibility
+        threshold and, per row-flip pattern in the order the hours first take
+        them, its hours (``starts``). Per entry: ``rhs - shift`` or ``upper -
+        lower``, then the flip ``* -1.0``; in Python floats for one hour, as
+        array operations for more. Both give the same bits; on one hour the
+        arrays' set-up costs more than the loop (every fresh LP is one)."""
+        lower, hours = lp._lower, lp._hours
+        k = 1 if hours is None else len(hours)
+        self._loads += k
         bits = _bits(lower)
         if bits != self._lower_bits:  # the shifts and costs depend on the lower bounds
             self._lower, self._lower_bits = list(lower), bits  # a copy: the LP's list changes with its bounds
-            self._row_shifts = [self._shift(terms, 0.0) for terms in self._row_terms]
+            # per row of b what an hour's entry is less: a row's shift, or a
+            # range row's lower bound (0.0 where it is -inf: upper - 0.0 is upper)
+            self._shifts = [self._shift(terms, 0.0) for terms in self._row_terms]
+            self._shifts += [0.0 if lower[j] == -INF else lower[j] for j in self._ranged]
+            self._block = None
             self._kept -= len(self._costs)
             self._costs.clear()
-        # this load's patterns, kept by the form or not, with their hours
-        starts: dict[tuple[int, ...], tuple[_Pattern, list[int]]] = {}
-        self.infeasible_above, rows = [], []
-        for hour, (hour_rhs, upper) in enumerate(hours):
-            rhs = list(map(sub, hour_rhs, self._row_shifts))  # b - shift, row by row
-            for j in self._ranged:
-                rhs.append(upper[j] if lower[j] == -INF else upper[j] - lower[j])
-            # normalize rhs >= 0
-            flip = tuple([i for i, x in enumerate(rhs) if x < 0])
-            for i in flip:
-                rhs[i] *= -1.0
-            start = starts.get(flip)
-            if start is None:
-                start = starts[flip] = (self._patterns.get(flip) or self._pattern(flip), [])
-            start[1].append(hour)
+        if k == 1:  # the held hour's right-hand sides and range rows' upper bounds
+            rhs, upper = lp._held()
+            b = list(map(sub, rhs + [upper[j] for j in self._ranged], self._shifts))
+            flipped = bytearray(self.nrows)
+            for i, x in enumerate(b):
+                if x < 0:  # normalize rhs >= 0
+                    b[i], flipped[i] = x * -1.0, 1
             # phase one's objective above this is infeasible: b is
             # sign-normalized, so its largest entry is max|b|
-            self.infeasible_above.append(FEASIBILITY_TOL * max(1.0, max(rhs, default=1.0)))
-            rows.append(rhs)
-        b = np.array(rows, dtype=float)  # k x nrows, for any nrows: the rows are lists
+            self.infeasible_above = [FEASIBILITY_TOL * max(1.0, max(b, default=1.0))]
+            b, by_key = np.array([b], dtype=float), {bytes(flipped): [0]}
+        else:
+            b_at, shifts = self._block_arrays()[:2]
+            b = np.subtract(hours.take(b_at, axis=1), shifts)
+            flipped = b < 0.0
+            np.multiply(b, -1.0, out=b, where=flipped)
+            self.infeasible_above = (FEASIBILITY_TOL * np.maximum.reduce(b, axis=1, initial=1.0)).tolist()
+            # the patterns in the order the hours first take them
+            keys, width, by_key = flipped.tobytes(), self.nrows, {}
+            for hour in range(k):
+                by_key.setdefault(keys[hour * width : hour * width + width], []).append(hour)
         b.flags.writeable = False  # shared by every walk until the next load
-        self.b, self.starts = b, list(starts.values())
+        # this load's patterns, kept by the form or not, with their hours
+        self.starts = [(self._patterns.get(key) or self._pattern(key), hours) for key, hours in by_key.items()]
+        self.b = b
         self._phase_one: list[tuple[str, _Group, int]] | None = None
         self._feasible: list[_Group] | None = None  # where phase one ends feasible
         self._phase_two: dict[bytes, list[tuple[str, _Group, int]]] = {}
+
+    def _block_arrays(self) -> tuple[np.ndarray, ...]:
+        """What a block of two or more hours takes as arrays, built at its
+        first use after a change of the lower bounds: per row of b, the
+        hour's entry it is taken from (a row's right-hand side, or a range
+        row's upper bound) and the shift subtracted; and the read-out's
+        ``plus`` and ``minus`` columns and ``-lower`` per shifted variable:
+        a variable's value is ``x[plus] - x[minus]`` on a basic solution x
+        followed by those, at negative indices (``lower + x[col]`` is
+        ``x[col] - (-lower)``, bit for bit)."""
+        if self._block is None:
+            columns, n_user, lower = self._columns.values(), len(self._row_terms), self._lower
+            shifted = iter(range(-sum(neg is None for _, _, neg in columns), 0))
+            index = np.array(
+                [
+                    *range(n_user), *(n_user + j for j in self._ranged), *(col for _, col, _ in columns),
+                    *(next(shifted) if neg is None else neg for _, _, neg in columns),
+                ],
+                dtype=np.intp,
+            )
+            floats = np.array(self._shifts + [-lower[j] for j, _, neg in columns if neg is None], dtype=float)
+            m, n = self.nrows, len(columns)
+            self._block = index[:m], floats[:m], index[m : m + n], index[m + n :], floats[m:]
+        return self._block
 
     def unload(self) -> None:
         """Drop the loaded hours and the walks' ends over them."""
         self.infeasible_above = self.b = self.starts = None
         self._phase_one = self._feasible = self._phase_two = None
 
-    def _pattern(self, flip: tuple[int, ...]) -> _Pattern:
-        """The pattern with the ``flip`` rows negated."""
+    def _pattern(self, key: bytes) -> _Pattern:
+        """The pattern with the rows negated whose byte in ``key`` is not 0."""
+        flip = [i for i, flipped in enumerate(key) if flipped]
         A, rel, row_sign = self._A, self._rel, [1.0] * len(self.row_names)
         if flip:
             A, rel = A.copy(), list(rel)
-            A[list(flip)] *= -1.0
+            A[flip] *= -1.0
             for i in flip:
                 rel[i] = _REVERSED[rel[i]]
                 if i < len(row_sign):
@@ -642,7 +746,7 @@ class _StandardForm:
         row_sign.flags.writeable = False
         pattern = _Pattern(A, rel, row_sign)
         if self._keep():
-            self._patterns[flip] = pattern
+            self._patterns[key] = pattern
         return pattern
 
     def _keep(self) -> bool:
@@ -731,19 +835,13 @@ class _StandardForm:
     def entering(self, node: _Node, bland: bool) -> _Entering:
         """The node's entering column under Dantzig's rule (the most negative
         reduced cost, the first among ties) or Bland's (the lowest index with
-        a negative one), with its positive rows, their values and basis
-        columns, and a getter of those rows' entries of a b list."""
+        a negative one)."""
         hit = node.entering.get(bland)
         if hit is None:
             col = node.col
             if bland:
                 col = int((node.zrow[: node.n_allowed] < -PIVOT_TOL).nonzero()[0][0])
-            colvals = self.tableau(node)[:, col]
-            pos = (colvals > PIVOT_TOL).nonzero()[0]
-            rows = pos.tolist()
-            # itemgetter of one index returns the item itself, not a 1-tuple
-            get = itemgetter(*rows) if len(rows) > 1 else lambda b: [b[r] for r in rows]
-            hit = node.entering[bland] = (col, rows, colvals[pos].tolist(), node.basis[pos].tolist(), get)
+            hit = node.entering[bland] = _Entering(col, self.tableau(node)[:, col], node.basis)
         return hit
 
     def _place(self, coeffs: Mapping[str, float], out: list[float], at: int) -> list[tuple[float, int]]:
@@ -797,12 +895,28 @@ class _StandardForm:
             ends = self._phase_two[key] = _phase_two(self, c)
         return ends[hour]
 
-    def recover(self, x_std: np.ndarray) -> dict[str, float]:
-        x, lower = x_std.tolist(), self._lower  # Python floats: the same IEEE sums
-        return {
-            name: lower[j] + x[col] if neg is None else x[col] - x[neg]
-            for name, (j, col, neg) in self._columns.items()
-        }
+    def read_out(self, g: _Group) -> tuple[Sequence[np.ndarray], list[list[float]]]:
+        """An optimal end group's basic solutions on the columns and its
+        variable values, an entry per hour, built at its first solve: per
+        value ``lower + x[col]``, or ``x[col] - x[neg]`` where the lower bound
+        is -inf; in Python floats for one hour, as array operations for more
+        (:meth:`_block_arrays`), with the same bits, as :meth:`load` does."""
+        if g.read is None:
+            node = g.node
+            if g.one is not None:
+                x = np.zeros(node.width)
+                x[node.basis] = g.one
+                x = x[: self.ncols]
+                xs, lower = x.tolist(), self._lower
+                values = [lower[j] + xs[col] if neg is None else xs[col] - xs[neg] for j, col, neg in self._columns.values()]
+                g.read = [x], [values]
+            else:
+                _, _, plus, minus, less_lower = self._block_arrays()
+                x = np.zeros((len(g.hours), node.width + len(less_lower)))
+                x[:, node.basis] = g.b
+                x[:, node.width :] = less_lower
+                g.read = x[:, : self.ncols], np.subtract(x.take(plus, axis=1), x.take(minus, axis=1)).tolist()
+        return g.read
 
 
 # ---------------------------------------------------------------------------
@@ -870,23 +984,27 @@ class _Group:
     """Hours of a load at one node of a tree, with their b's as the rows of
     one array (row i is ``hours[i]``'s) and their own degenerate streaks and
     Bland flags. The pivots that reached the node are counted once for all of
-    them. A group that ends is not changed again; its hours' ends refer to it."""
+    them. A group that ends is not changed again; its hours' ends refer to
+    it, and an optimal end keeps its read-out (:meth:`_StandardForm.read_out`)."""
 
-    __slots__ = ("node", "pattern", "hours", "b", "one", "streaks", "bland", "iterations", "phase_one_iterations")
+    __slots__ = (
+        "node", "pattern", "hours", "b", "one", "streaks", "bland", "iterations", "phase_one_iterations", "read",
+    )
 
     def __init__(self, node: _Node, pattern: _Pattern, hours: list[int], b: np.ndarray, bland: list[bool],
-                 iterations: int = 0, phase_one_iterations: int = 0):
+                 iterations: int = 0, phase_one_iterations: int = 0, streaks: list[int] | None = None):
         self.node, self.pattern, self.hours, self.b, self.bland = node, pattern, hours, b, bland
         self.one = b[0] if len(hours) == 1 else None  # a one-hour group's b, 1-D
-        self.streaks = [0] * len(hours)  # degenerate pivots in a row, per hour
+        self.streaks = streaks or [0] * len(hours)  # degenerate pivots in a row, per hour
         self.iterations, self.phase_one_iterations = iterations, phase_one_iterations
+        self.read: tuple[Sequence[np.ndarray], list[list[float]]] | None = None
 
     def part(self, rows: list[int]) -> _Group:
         """A group of the given rows' hours, with a copy of their b's."""
-        hours, bland = [self.hours[i] for i in rows], [self.bland[i] for i in rows]
-        out = _Group(self.node, self.pattern, hours, self.b[rows], bland, self.iterations, self.phase_one_iterations)
-        out.streaks = [self.streaks[i] for i in rows]
-        return out
+        return _Group(
+            self.node, self.pattern, [self.hours[i] for i in rows], self.b[rows], [self.bland[i] for i in rows],
+            self.iterations, self.phase_one_iterations, [self.streaks[i] for i in rows],
+        )
 
     def move(self, node: _Node) -> None:
         """Go to ``node``, applying its pivots' row operations to every
@@ -904,6 +1022,20 @@ class _Group:
         self.node = node
 
 
+def _leaving(b: np.ndarray, rows: np.ndarray, values: np.ndarray) -> tuple[list[int], list[float]]:
+    """The ratio test of every row of ``b`` as one array step, for an entering
+    column with positive ``rows`` (ordered by basis column) and ``values``:
+    per row of ``b``, the index in ``rows`` of the leaving row (the first
+    within 1e-12 of the smallest ratio) and the smallest ratio. The same
+    IEEE divisions, minimum, addition and comparisons as the Python-float
+    test of one hour."""
+    ratios = b.take(rows, axis=1)
+    ratios /= values
+    best = np.minimum.reduce(ratios, axis=1)
+    leave = (ratios <= (best + 1e-12)[:, None]).argmax(axis=1)
+    return leave.tolist(), best.tolist()
+
+
 def _run(sf: _StandardForm, group: _Group) -> list[tuple[str, _Group]]:
     """Pivot the group's hours down the tree until no column may enter; the
     groups they end in, each with 'optimal', 'unbounded' or 'stalled'. This
@@ -912,14 +1044,17 @@ def _run(sf: _StandardForm, group: _Group) -> list[tuple[str, _Group]]:
     Per hour: Dantzig's entering column, or Bland's once DEGENERATE_STREAK
     degenerate pivots ran in a row; leaving row: the smallest basis column
     among ratio ties. Beale's LP cycles under Dantzig's rule with this
-    tie-break; Bland's rule cannot. Hours that take the same pivot move on
-    as one group, whose b takes the pivot's row operations once.
+    tie-break; Bland's rule cannot. A one-hour group runs its ratio test in
+    Python floats; a larger one runs it as one array step per rule its hours
+    follow (:func:`_leaving`). Hours that take the same pivot move on as one
+    group, whose b takes the pivot's row operations once; where they take
+    different pivots the group parts, in the order the hours first take them.
     """
     ended, todo = [], [group]
     cap, streak_cap, entering, child = MAX_ITERATIONS, DEGENERATE_STREAK, sf.entering, sf.child
     while todo:
         g = todo.pop()
-        streaks, bland = g.streaks, g.bland
+        streaks, bland, one = g.streaks, g.bland, g.one
         while True:
             if g.iterations >= cap:
                 ended.append(("stalled", g))
@@ -929,30 +1064,44 @@ def _run(sf: _StandardForm, group: _Group) -> list[tuple[str, _Group]]:
             if node.col is None:
                 ended.append(("optimal", g))
                 break
-            # per hour, the ratio test in Python floats: the same IEEE
-            # divisions NumPy makes; its pivot, or None if unbounded
-            parts = None  # the rows per pivot, once two hours' pivots differ
-            for i, b in enumerate(g.b.tolist()):
-                rule = streaks[i] >= streak_cap
+            if one is not None:  # the ratio test in Python floats, on the positive rows
+                rule = streaks[0] >= streak_cap
                 if rule:
-                    bland[i] = True
-                col, rows, values, basis, get = node.entering.get(rule) or entering(node, rule)
-                if rows:
-                    ratios = list(map(truediv, get(b), values))
-                    best = min(ratios)
-                    cut = best + 1e-12
-                    # deterministic leave rule: smallest basis column among ratio ties
-                    pivot = col, min([(k, r) for k, r, ratio in zip(basis, rows, ratios) if ratio <= cut])[1]
-                    streaks[i] = streaks[i] + 1 if best <= 1e-12 else 0
-                else:
-                    pivot = None
-                if i == 0:
-                    first = pivot
-                elif parts is None and pivot != first:
-                    parts = {first: list(range(i))}
-                if parts is not None:
+                    bland[0] = True
+                hit = node.entering.get(rule) or entering(node, rule)
+                if not hit.rows:
+                    ended.append(("unbounded", g))
+                    break
+                ratios = list(map(truediv, one[hit.at].tolist(), hit.values))
+                best = min(ratios)
+                cut = best + 1e-12
+                # deterministic leave rule: smallest basis column among ratio ties
+                row = min([(k, r) for k, r, ratio in zip(hit.basis, hit.rows, ratios) if ratio <= cut])[1]
+                streaks[0] = streaks[0] + 1 if best <= 1e-12 else 0
+                g.move(child(node, hit.col, row))
+                continue
+            # per hour its pivot, or None if unbounded: one array step per rule
+            by_rule: dict[bool, list[int]] = {}
+            for i, streak in enumerate(streaks):
+                rule = streak >= streak_cap
+                bland[i] = bland[i] or rule
+                by_rule.setdefault(rule, []).append(i)
+            pivots: list = [None] * len(streaks)
+            for rule, hours in by_rule.items():
+                hit = node.entering.get(rule) or entering(node, rule)
+                if not hit.rows:
+                    continue
+                rows, at, values = hit.by_basis()
+                b = g.b if len(hours) == len(streaks) else g.b[hours]
+                leave, best = _leaving(b, at, values)
+                for i, k, ratio in zip(hours, leave, best):
+                    pivots[i] = hit.col, rows[k]
+                    streaks[i] = streaks[i] + 1 if ratio <= 1e-12 else 0
+            first = pivots[0]
+            if pivots.count(first) < len(pivots):  # the hours part: a group per pivot
+                parts: dict = {}
+                for i, pivot in enumerate(pivots):
                     parts.setdefault(pivot, []).append(i)
-            if parts is not None:  # the hours part: a group per pivot
                 for pivot, rows in parts.items():
                     part = g.part(rows)
                     if pivot is None:
@@ -1045,15 +1194,13 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     if status == "unbounded":
         return LpSolution(SolveStatus.UNBOUNDED, -math.inf, {}, None, *counters)
 
-    node = g.node
-    x = np.zeros(node.width)  # the basic solution
-    x[node.basis] = g.b[i]
-    x = x[: sf.ncols]
+    x, values = sf.read_out(g)  # the group's basic solutions and values
     duals = None
     if compute_duals:
-        y = -node.zrow[g.pattern.unit_cols][: len(sf.row_names)] * g.pattern.row_sign
+        y = -g.node.zrow[g.pattern.unit_cols][: len(sf.row_names)] * g.pattern.row_sign
         duals = dict(zip(sf.row_names, y.tolist()))
-    return LpSolution(SolveStatus.OPTIMAL, obj_shift + float(np.dot(c, x)), sf.recover(x), duals, *counters)
+    objective = obj_shift + float(np.dot(c, x[i]))
+    return LpSolution(SolveStatus.OPTIMAL, objective, dict(zip(sf._columns, values[i])), duals, *counters)
 
 
 def check_solution(lp: LinearProgram, values: dict[str, float]) -> list[Violation]:

@@ -6,18 +6,22 @@ maximize it for the upper bound). The LP's variables, rows and coefficients
 depend only on the zone, so a :class:`BandwidthProblem` is built once per
 zone, weighting and objective mode, with the objectives of that mode.
 :func:`compute_power_bandwidths` writes all of a call's timesteps into its
-LP at once (:meth:`BandwidthProblem.set_hours`: one block of right-hand
-sides and curtailment caps, each timestep's base flows one matrix-vector
-product per topology), and :meth:`BandwidthProblem.select_hour` makes the LP
-hold each timestep in turn while the call solves it, one
-``power_bandwidth.solve`` per LP as before. The LP layer walks the block's
-hours down its pivot-path tree together: phase one runs once per block, and
-each objective's phase two once per block, at its first solve; a pivot's
-row operation runs once per group of hours that took it. In lexicographic
-mode the capped copy takes each timestep's values and cap on its own, as
-each needs that timestep's least curtailment.
+LP at once (:meth:`BandwidthProblem.set_hours`: a k x rows array of
+right-hand sides, the rating rows' limit - base flow and limit + base flow
+taken on a k x pairs array, and a k x buses array of curtailment caps; each
+timestep's base flows one matrix-vector product per topology), and
+:meth:`BandwidthProblem.select_hour` makes the LP hold each timestep in turn
+while the call solves it, one ``power_bandwidth.solve`` per LP, in the same
+order as before. The LP layer keeps the block as arrays down to the
+read-out and walks its hours down the pivot-path tree together: phase one
+runs once per block, and each objective's phase two once per block, at its
+first solve; a group of two or more hours takes each ratio test as one
+array step, and a pivot's row operation runs once per group of hours that
+took it. In lexicographic mode the capped copy takes each timestep's values
+and cap on its own, as each needs that timestep's least curtailment.
 :meth:`BandwidthProblem.set_hour` writes one timestep into the LP itself,
-for :func:`solve_timestep`, :func:`check_safety` and the LP export. The
+in Python floats, for :func:`solve_timestep`, :func:`check_safety` and the
+LP export. The
 problem of the last zone, weighting and mode that :func:`compute_power_bandwidths`
 solved is kept until a call on another zone, with other weights or in the
 other mode: its network model, its LP (and capped copy in lexicographic
@@ -68,8 +72,12 @@ import csv
 import io
 import math
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import chain
+
+import numpy as np
 
 from .dc_network import NetworkModel
 from .grid_model import (
@@ -208,10 +216,13 @@ class BandwidthProblem:
         # one DC model per topology (intact, then each contingency): a stage's
         # flow on an active line is base - sum_bus PTDF * control, bounded by a
         # (hi, lo) row pair named by its label, line:stage[contingency]:rating;
-        # per pair: the topology's and the line's positions, the line, its rating
-        self._pairs: list[tuple[int, int, Line, str]] = []
+        # per pair: the line and its rating, and its flow's position among an
+        # hour's base flows, every topology's in turn
+        self._pairs: list[tuple[Line, str]] = []
+        flow_at: list[int] = []
         self._ratings: list[tuple[str, str, dict[str, float]]] = []  # (row, label, coefficients) per row
-        for t, (cid, topo) in enumerate(network.topologies.items()):
+        first = 0  # the topology's first flow's position
+        for cid, topo in network.topologies.items():
             stages = (NORMAL,) if cid is None else (OUTAGE, FAST_CURATIVE, FULL_CURATIVE)
             ptdf = topo.line_factors
             for stage in stages:
@@ -238,16 +249,20 @@ class BandwidthProblem:
                             continue
                         for var, mult in controls[b].items():
                             flow[var] = flow.get(var, 0.0) - f * mult
-                    self._pairs.append((t, k, zone.line(lid), rating))
+                    self._pairs.append((zone.line(lid), rating))
+                    flow_at.append(first + k)
                     label = f"{lid}:{tag}:{rating}"
                     for side, coeffs in (("hi", flow), ("lo", {var: -c for var, c in flow.items()})):
                         name = lp.add_constraint(coeffs, Relation.LE, 0.0, name=f"rating_{side}:{label}")
                         self._ratings.append((name, label, coeffs))
-
-        self._limits: dict[Season, list[float]] = {}
-        self._rating_rhs: list[float] = []  # the held hour's
-        # per timestep written: its curtailment caps, right-hand sides and rating rows' part
-        self._hours: list[tuple[list[float], list[float], list[float]]] | None = None
+            first += len(topo.state.active_lines)
+        self._flow_at = flow_at
+        self._cap_buses = [b for _, b in self._curt_caps]
+        self._limits: dict[Season, list[float]] = {}  # per season, each pair's rating
+        # the timesteps set_hours wrote: curtailment caps (k x buses) and the
+        # right-hand sides of the rows set_hour writes (k x rows)
+        self._hours: tuple[np.ndarray, np.ndarray] | None = None
+        self._rating_rhs: Sequence[float] = ()  # the held timestep's rating rows' part
         # every row set_hour writes: the curtailment caps, then the ratings
         self._rhs_rows = [name for name, _ in self._curt_caps] + [name for name, *_ in self._ratings]
 
@@ -272,63 +287,79 @@ class BandwidthProblem:
                 objective[v] = weights.curative_curtailment
             self.objectives[direction] = objective
 
-    def _rating_values(self, row: TimestepForecast) -> list[float]:
-        """Each rating row's rhs under the row's season, in row order: limit -
-        base flow for the upper row of a pair, limit + base flow for the lower
-        one."""
-        season = row.season
+    def _season_limits(self, season: Season) -> list[float]:
+        """Each pair's rating under ``season``."""
         if season not in self._limits:
-            self._limits[season] = [
-                select_ratings(line, season).for_state(rating) for *_, line, rating in self._pairs
-            ]
-        base = self.network.base_flows(row.injections_mw, row.ref_normal_mw, row.ref_contingency_mw)
-        rhs = []
-        for (t, k, _, _), limit in zip(self._pairs, self._limits[season]):
-            flow = base[t][k]
-            rhs += (limit - flow, limit + flow)
-        return rhs
+            self._limits[season] = [select_ratings(line, season).for_state(rating) for line, rating in self._pairs]
+        return self._limits[season]
 
-    def _hour_values(self, row: TimestepForecast) -> tuple[list[float], list[float], list[float]]:
-        """One timestep's curtailment caps, per curtailment variable; its
-        right-hand sides of the rows :meth:`set_hour` writes; and their
-        rating rows' part, all under its own season's ratings."""
-        caps = row.curtailable_max_mw
-        ratings = self._rating_values(row)
-        values = [caps[b] for _, b in self._curt_caps] + ratings
-        return [caps[b] for b in self.curtailment_vars], values, ratings
+    def _base_flows(self, row: TimestepForecast) -> list[float]:
+        """The timestep's base flows, every topology's in turn."""
+        return list(chain.from_iterable(self.network.base_flows(row.injections_mw, row.ref_normal_mw,
+                                                                row.ref_contingency_mw)))
 
     def set_hour(self, row: TimestepForecast) -> None:
         """Write one timestep's curtailment bounds and right-hand sides into
-        the LP and, in lexicographic mode, its capped copy."""
-        self._hours = [self._hour_values(row)]
-        self._write_hour(0, [self.lp] if self.capped is None else [self.lp, self.capped])
+        the LP and, in lexicographic mode, its capped copy: the curtailment
+        caps, then per rating pair limit - base flow for the upper row and
+        limit + base flow for the lower one, under its season's ratings, in
+        Python floats: per entry the operation :meth:`set_hours` runs on its
+        arrays, with the same bits, without the arrays' set-up, which costs
+        one timestep more than it saves."""
+        caps, flows = row.curtailable_max_mw, self._base_flows(row)
+        values = [caps[b] for b in self._cap_buses]
+        for limit, at in zip(self._season_limits(row.season), self._flow_at):
+            flow = flows[at]
+            values += (limit - flow, limit + flow)
+        self._hours, self._rating_rhs = None, values[len(self._cap_buses) :]
+        caps = [caps[b] for b in self.curtailment_vars]
+        for lp in [self.lp] if self.capped is None else [self.lp, self.capped]:
+            self._write(lp, caps, values)
 
-    def _write_hour(self, hour: int, lps: list[LinearProgram]) -> None:
-        """Write timestep ``hour`` of ``_hours`` into each of ``lps`` by itself,
-        and keep its rating rows' right-hand sides for :meth:`first_binding`."""
-        caps, values, self._rating_rhs = self._hours[hour]
-        for lp in lps:
-            for v, cap in zip(self.curtailment_vars.values(), caps):
-                lp.set_bounds(v, 0.0, cap)
-            lp.set_rhs_many(self._rhs_rows, values)
+    def _write(self, lp: LinearProgram, caps: Sequence[float], values: Sequence[float]) -> None:
+        """Write one timestep's curtailment caps and right-hand sides into ``lp``."""
+        for v, cap in zip(self.curtailment_vars.values(), caps):
+            lp.set_bounds(v, 0.0, cap)
+        lp.set_rhs_many(self._rhs_rows, values)
 
     def set_hours(self, rows: list[TimestepForecast]) -> None:
         """Write every timestep of ``rows`` into the LP at once
-        (:meth:`lp_core.LinearProgram.set_hours`); :meth:`select_hour` then
-        picks the one the LP holds."""
-        self._hours = [self._hour_values(row) for row in rows]
-        caps, values, _ = zip(*self._hours)
+        (:meth:`lp_core.LinearProgram.set_hours`), as two arrays of a row per
+        timestep: the curtailment caps and the right-hand sides
+        :meth:`set_hour` writes, each under its own season's ratings, with
+        the same elementwise subtractions and additions. The LP then holds
+        the first; :meth:`select_hour` picks another."""
+        seasons = list(dict.fromkeys(row.season for row in rows))
+        limits = np.array([self._season_limits(season) for season in seasons], dtype=float)
+        if len(seasons) > 1:  # a row of limits per timestep, else one row for all
+            limits = limits.take([seasons.index(row.season) for row in rows], axis=0)
+        flows = np.array([self._base_flows(row) for row in rows], dtype=float).take(self._flow_at, axis=1)
+        # per timestep: its caps per bus, then per curtailment-cap row
+        buses, n_caps = [*self.curtailment_vars], len(self._cap_buses)
+        at = [*buses, *self._cap_buses]
+        caps = np.array([[*map(row.curtailable_max_mw.__getitem__, at)] for row in rows], dtype=float)
+        values = np.empty((len(rows), n_caps + 2 * len(self._pairs)))
+        values[:, :n_caps] = caps[:, len(buses) :]
+        np.subtract(limits, flows, out=values[:, n_caps::2])
+        np.add(limits, flows, out=values[:, n_caps + 1 :: 2])
+        caps = caps[:, : len(buses)]
+        self._hours, self._rating_rhs = (caps, values), values[0, n_caps:]
         self.lp.set_hours(self._rhs_rows, values, list(self.curtailment_vars.values()), caps)
 
     def select_hour(self, hour: int) -> None:
-        """Make the LP hold timestep ``hour`` of :meth:`set_hours`, and write it
-        into the capped copy in lexicographic mode."""
+        """Make the LP hold timestep ``hour`` of :meth:`set_hours` (its rows of
+        the two arrays), and write it into the capped copy in lexicographic
+        mode."""
         self.lp.select_hour(hour)
-        self._write_hour(hour, [] if self.capped is None else [self.capped])
+        caps, values = self._hours
+        self._rating_rhs = values[hour, len(self._cap_buses) :]
+        if self.capped is not None:
+            self._write(self.capped, caps[hour].tolist(), values[hour].tolist())
 
     def drop_hours(self) -> None:
         """Drop the timesteps :meth:`set_hours` wrote, but the one held."""
-        self._hours = None
+        if self._hours is not None:
+            self._hours, self._rating_rhs = None, self._rating_rhs.tolist()  # not a view that keeps the block
         self.lp.drop_hours()
 
     def first_binding(self, solution: LpSolution) -> str | None:

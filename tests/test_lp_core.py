@@ -903,12 +903,13 @@ _RHS = st.sampled_from([-2.0, -1.0, 0.0, 0.0, 0.0, 1.0, 2.5])
 
 
 @st.composite
-def _blocks(draw):
-    """An LP of 1-4 variables and 1-4 rows, and 2-6 hours of right-hand sides
-    (zeros make ratio ties, negatives flip rows) and upper bounds of the
-    variables bounded above, with two objectives; and the order the hours are
-    solved in, and the degenerate streak the Bland switch waits for."""
-    n, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 6))
+def _blocks(draw, hours=(2, 6), streaks=None):
+    """An LP of 1-4 variables and 1-4 rows, and ``hours`` (2-6) hours of
+    right-hand sides (zeros make ratio ties, negatives flip rows) and upper
+    bounds of the variables bounded above, with two objectives; and the
+    order the hours are solved in, and the degenerate streak the Bland
+    switch waits for (one of ``streaks``: 1, 2 or the default)."""
+    n, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(*hours))
     lp = LinearProgram("block")
     ranged, uppers = [], [[] for _ in range(k)]
     for j in range(n):
@@ -926,7 +927,7 @@ def _blocks(draw):
     rhs = [[draw(_RHS) for _ in range(m)] for _ in range(k)]
     objectives = [{f"x{j}": draw(_COEF) for j in range(n)} for _ in range(2)]
     order = draw(st.permutations(range(k)))
-    return lp, rows, rhs, ranged, uppers, objectives, order, draw(st.sampled_from([1, 2, DEFAULT_STREAK]))
+    return lp, rows, rhs, ranged, uppers, objectives, order, draw(st.sampled_from(streaks or [1, 2, DEFAULT_STREAK]))
 
 
 DEFAULT_STREAK = lp_core.DEGENERATE_STREAK
@@ -955,6 +956,41 @@ def test_each_hour_of_a_block_solves_as_a_fresh_lp(block):
                 assert _bits_of(got) == _bits_of(want) and _duals_bits(got) == _duals_bits(want)
     finally:
         lp_core.DEGENERATE_STREAK = DEFAULT_STREAK
+
+
+@settings(max_examples=100, deadline=None)
+@given(_blocks(hours=(8, 40), streaks=[1, 2]))
+def test_each_hour_of_a_long_block_solves_as_a_fresh_lp(block):
+    """Blocks of 8-40 hours, the sizes a day's or a week's call gives, walk
+    the tree in groups of many hours, whose ratio tests run as one array
+    step: each hour gives the fresh one-hour LP's solve bit for bit, under
+    two objectives in turn, with ratio ties and flipped rows, Bland's rule
+    after 1 or 2 degenerate pivots in some hours of a group and not in
+    others, and infeasible and unbounded hours beside optimal ones."""
+    test_each_hour_of_a_block_solves_as_a_fresh_lp.hypothesis.inner_test(block)
+
+
+def test_a_block_lists_its_row_flip_patterns_in_first_appearance_order():
+    """``starts`` holds each row-flip pattern of a load once, in the order
+    its hours first take it, with its hours in order; the form keeps nodes
+    under NODES_PER_FORM in the order the walks build them, so this order
+    decides which it keeps."""
+    lp = LinearProgram("patterns")
+    lp.add_variable("x", 0.0, 4.0)
+    lp.add_variable("y", -1.0, INF)
+    # y's lower bound shifts a by -1 and b by +2: a flips below -1, b below 2
+    lp.add_constraint({"x": 1.0, "y": 1.0}, Relation.LE, 0.0, name="a")
+    lp.add_constraint({"x": 1.0, "y": -2.0}, Relation.GE, 0.0, name="b")
+    rhs = [[1.0, 3.0], [-3.0, 3.0], [-1.0, 2.0], [1.0, 0.0], [-2.0, 5.0], [-1.5, -2.5], [4.0, -9.0], [0.0, 2.5]]
+    lp.set_hours(["a", "b"], rhs, ["x"], [[4.0]] * len(rhs))
+    sf = lp._standard_form()
+    assert [hours for _, hours in sf.starts] == [[0, 2, 7], [1, 4], [3, 6], [5]]
+    signs = [pattern.row_sign.tolist() for pattern, _ in sf.starts]
+    assert signs == [[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]
+    lp.set_hours(["a", "b"], rhs[::-1], ["x"], [[4.0]] * len(rhs))  # reversed, a reload lists them reversed
+    sf = lp._standard_form()
+    assert [hours for _, hours in sf.starts] == [[0, 5, 7], [1, 4], [2], [3, 6]]
+    assert [pattern.row_sign.tolist() for pattern, _ in sf.starts] == [signs[0], signs[2], signs[3], signs[1]]
 
 
 def test_a_block_mixes_optimal_infeasible_and_unbounded_hours():
@@ -990,6 +1026,19 @@ def test_each_hour_of_a_block_has_its_own_infeasibility_threshold():
     lp.set_objective({"x": 1.0})
     rhs = [[1.0 + 5e-6, 1000.0], [1.0 + 5e-6, 2.0], [0.5, 2.0]]
     sols = _assert_hours_solve_fresh(lp, ["need", "big"], rhs, [], [[]] * len(rhs))
+    assert [sol.status for sol in sols] == [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
+
+
+def test_a_blocks_infeasibility_thresholds_scale_from_one():
+    """Where every right-hand side of an hour is below 1, its tolerance is
+    FEASIBILITY_TOL itself: x >= 0.1 + 5e-7 with x <= 0.1 is within it, in a
+    block as in fresh LPs, and x >= 0.1 + 5e-6 is not."""
+    lp = LinearProgram("small")
+    lp.add_variable("x", 0.0, 0.1)
+    lp.add_constraint({"x": 1.0}, Relation.GE, 0.0, name="need")
+    lp.set_objective({"x": 1.0})
+    rhs = [[0.1 + 5e-7], [0.1 + 5e-6], [0.05]]
+    sols = _assert_hours_solve_fresh(lp, ["need"], rhs, [], [[]] * len(rhs))
     assert [sol.status for sol in sols] == [SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL]
 
 

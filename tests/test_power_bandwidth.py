@@ -1416,6 +1416,36 @@ def test_reused_problem_solves_as_fresh_lps_bit_for_bit(zone, monkeypatch, lexic
     assert SolveStatus.INFEASIBLE in compared
 
 
+@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+def test_set_hour_writes_the_bits_set_hours_writes(zone, summer_day, winter_day, lexicographic):
+    """``set_hour`` writes a timestep in Python floats and ``set_hours`` a
+    block as arrays; per timestep both give the same bits: every right-hand
+    side and upper bound of the LP (and of the capped copy in lexicographic
+    mode) and the rating rows' right-hand sides that ``first_binding``
+    reads. The blocks mix seasons, so each timestep takes its own ratings."""
+
+    def written(problem) -> list[bytes]:
+        lps = [problem.lp] if problem.capped is None else [problem.lp, problem.capped]
+        out = [_floats_bits([c.rhs for c in lp.constraints] + [v.upper for v in lp.variables]) for lp in lps]
+        return out + [_floats_bits(list(problem._rating_rhs))]
+
+    cases = [(zone, [*summer_day.rows[::3], *winter_day.rows[1::3]])]
+    cases += [(z, _hours_of(row, 8)) for z, row in map(random_instance, range(0, 300, 15))]
+    for case, (z, rows) in enumerate(cases):
+        network = pb.network_model(z)
+        one = pb.BandwidthProblem(z, network, ObjectiveWeights(), lexicographic)
+        block = pb.BandwidthProblem(z, network, ObjectiveWeights(), lexicographic)
+        block.set_hours(rows)
+        for hour, row in enumerate(rows):
+            one.set_hour(row)
+            block.select_hour(hour)
+            assert written(one) == written(block), (case, hour)
+
+
+def _floats_bits(values: list[float]) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 def test_rating_rows_are_named_by_their_labels(zone, summer_day, winter_day):
     """Every rating row is ``rating_hi:`` or ``rating_lo:`` plus its label
     ``line:stage[contingency]:rating``, pair by pair in topology, stage and
