@@ -12,11 +12,16 @@ internal line to an injection therefore combines the zone network with the
 recorded boundary response — this is what :func:`compute_ptdf` evaluates.
 
 :class:`NetworkModel` holds, per topology of a zone, the PTDFs and a
-line-by-bus flow matrix, so that an hour's base flows are one call that
-sums the bus injections once and takes one matrix-vector product per
-topology, instead of a fresh network solve. Both come from one solve per
-island over the PTDFs' injection patterns and the unit injections side by
-side; :func:`compute_ptdf` is the one-topology case of the same solve.
+line-by-bus flow matrix, so that a block of hours takes its base flows in
+one call, instead of a fresh network solve per hour and topology: per hour
+it sums the bus injections once, and per topology it takes one stacked
+product over the block's net injections. A stacked product runs the
+matrix-vector product of each hour's column on its own, so every hour keeps
+the bits a one-hour call gives; a 2-D matrix product over the block would
+run a matrix-matrix kernel and give other last bits. Both come from one
+solve per island over the PTDFs' injection patterns and the unit injections
+side by side; :func:`compute_ptdf` is the one-topology case of the same
+solve.
 
 The topologies (:class:`TopologyState`, derived once per zone) and the rules
 that tie their islands to the boundary data live in :mod:`.grid_model`: every
@@ -29,12 +34,12 @@ accept is never refused here.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_model import IslandingError, TopologyState, ZoneModel, check_balance, check_sensitivities
+from .grid_model import IslandingError, TimestepForecast, TopologyState, ZoneModel, check_balance, check_sensitivities
 
 
 def _outbound_ptdf(zone: ZoneModel, oline_id: str, contingency_id: str | None) -> dict[str, float]:
@@ -96,9 +101,8 @@ def _boundary(zone: ZoneModel, topology: TopologyState, bus_pos: dict[str, int])
 
 def _net_injections(
     p: list[float], boundary: tuple[tuple[int, str], ...], boundary_flows_mw: dict[str, float]
-) -> np.ndarray:
-    """Net nodal injections as an (n_buses, 1) column, from the buses'
-    injections ``p``.
+) -> list[float]:
+    """Net nodal injections in bus order, from the buses' injections ``p``.
 
     Boundary flows (export-positive) enter as injections of the opposite sign
     at their boundary bus (``boundary``: :func:`_boundary`).
@@ -106,7 +110,7 @@ def _net_injections(
     p = p.copy()
     for at, oid in boundary:
         p[at] -= boundary_flows_mw[oid]
-    return np.array(p, dtype=float).reshape(-1, 1)
+    return p
 
 
 def _line_flows(
@@ -144,7 +148,7 @@ def dc_flows(
     bus_pos = _bus_positions(zone)
     boundary = _boundary(zone, topology, bus_pos)
     p = _net_injections(_bus_injections(injections_mw, bus_pos), boundary, boundary_flows_mw)
-    flows = _line_flows(zone, topology, p, bus_pos)
+    flows = _line_flows(zone, topology, np.array(p, dtype=float).reshape(-1, 1), bus_pos)
     return {lid: float(flows[i, 0]) for i, lid in enumerate(topology.active_lines)}
 
 
@@ -207,9 +211,10 @@ class NetworkModel:
     Built from the topology states it is given (keyed by their contingency id,
     ``None`` for the intact topology); it raises :class:`IslandingError` where
     :func:`compute_ptdf` would. :meth:`base_flows` gives every topology's
-    flows for one hour in one call: it sums the buses' injections once, then
-    per topology checks each island's balance as :func:`dc_flows` does,
-    subtracts its boundary flows and takes one matrix-vector product.
+    flows for a block of hours in one call: per hour it sums the buses'
+    injections once, then per topology checks each island's balance as
+    :func:`dc_flows` does and subtracts its boundary flows; per topology it
+    takes one stacked product over the block.
     """
 
     def __init__(self, zone: ZoneModel, topologies: Iterable[TopologyState]):
@@ -219,20 +224,26 @@ class NetworkModel:
             t.contingency_id: _topology_model(zone, t, self._bus_pos) for t in topologies
         }
 
-    def base_flows(
-        self,
-        injections_mw: dict[str, float],
-        ref_normal_mw: dict[str, float],
-        ref_contingency_mw: Mapping[str, dict[str, float]],
-    ) -> list[list[float]]:
-        """Each topology's DC flows (see :func:`dc_flows`) in MW, in
-        :attr:`topologies` and ``state.active_lines`` order: the intact one's
-        under ``ref_normal_mw``, a contingency's under its ``ref_contingency_mw``."""
-        p = _bus_injections(injections_mw, self._bus_pos)
-        out = []
-        for cid, topo in self.topologies.items():
-            refs = ref_normal_mw if cid is None else ref_contingency_mw[cid]
-            check_balance(self._zone, topo.state, injections_mw, refs)
-            net = _net_injections(p, topo.boundary, refs)
-            out.append((topo.flow_matrix @ net)[:, 0].tolist())
-        return out
+    def base_flows(self, rows: Sequence[TimestepForecast]) -> list[np.ndarray]:
+        """Each topology's DC flows (see :func:`dc_flows`) in MW for every
+        row, in :attr:`topologies` order: a k x active-lines array per
+        topology, the intact one's under each row's ``ref_normal_mw``, a
+        contingency's under its ``ref_contingency_mw``. Row by row it sums the
+        buses' injections once and runs each topology's balance check, so the
+        first fault raised is the one a call per row would raise. The net
+        injections, in Python floats, go into one k x topologies x buses x 1
+        array, and per topology one stacked product ``flow_matrix @ nets[:, t]``
+        runs, row by row, the matrix-vector product of that row's buses x 1
+        column, with its bits; a 2-D ``nets @ flow_matrix.T`` would run a
+        matrix-matrix product and give other bits."""
+        zone, bus_pos, topologies = self._zone, self._bus_pos, self.topologies.items()
+        net: list[float] = []  # per row, per topology, per bus
+        for row in rows:
+            injections = row.injections_mw
+            p = _bus_injections(injections, bus_pos)
+            for cid, topo in topologies:
+                refs = row.ref_normal_mw if cid is None else row.ref_contingency_mw[cid]
+                check_balance(zone, topo.state, injections, refs)
+                net += _net_injections(p, topo.boundary, refs)
+        nets = np.array(net, dtype=float).reshape(len(rows), len(topologies), len(bus_pos), 1)
+        return [(topo.flow_matrix @ nets[:, t])[:, :, 0] for t, topo in enumerate(self.topologies.values())]

@@ -27,7 +27,11 @@ form. A reloaded form also keeps its row shifts (each row's
 ``sum coef * lower``, in coefficient order) and every objective's column
 costs until a lower bound changes bit pattern; it keeps a copy of the lower
 bounds they were summed from. Both are summed in Python floats, in
-coefficient order, and converted to arrays once.
+coefficient order, and converted to arrays once. An objective is checked
+and copied once per content (:meth:`LinearProgram.set_objective`): an equal
+one, variable by variable in the same order and bit for bit, takes the kept
+copy, under which a form keeps its costs, so a solve neither checks nor
+keys its objective again.
 
 An LP can also hold several hours: :meth:`LinearProgram.set_hours` writes k
 sets of right-hand sides and upper bounds at once, kept as one k x (rows +
@@ -112,7 +116,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import sub, truediv
@@ -183,8 +187,8 @@ class LinearProgram:
         self._rows: list[tuple[str, Mapping[str, float], Relation]] = []
         self._rhs: list[float] = []  # every row's right-hand side, in row order
         self._constraints: tuple[Constraint, ...] | None = None  # built on demand
-        self.objective: dict[str, float] = {}
-        self.objective_constant = 0.0
+        self._objective = _NO_OBJECTIVE
+        self._objectives: list[_Objective] = []  # the last few set, oldest first
         self._var_index: dict[str, int] = {}
         self._row_index: dict[str, int] = {}
         self._form: _StandardForm | None = None  # dropped when the matrix changes
@@ -302,23 +306,22 @@ class LinearProgram:
             raise LpError("no hours to write")
         if len(uppers) != len(rhs):
             raise LpError(f"{len(rhs)} hours of right-hand sides but {len(uppers)} of upper bounds")
-        values = _as_block(rhs, len(rows))
+        values = _real_block(rhs, len(rows))
         if values is None or not np.isfinite(values).all():
             self._check_rhs(rows, rhs)  # raises for the first fault
-        bounds = _as_block(uppers, len(variables))
+            values = np.array(rhs, dtype=float)
+        bounds = _real_block(uppers, len(variables))
         if bounds is None:
             for hour in uppers:
                 if len(hour) != len(variables):
                     raise LpError(f"{len(variables)} variables but {len(hour)} upper bounds")
+        if bounds is None or np.isnan(bounds).any() or (bounds < [self._lower[j] for j in var_at]).any() or (
+            (bounds < INF) != (bounds[0] < INF)
+        ).any():
+            # raises for the first fault
+            self._check_uppers(variables, var_at, uppers if bounds is None else bounds.tolist())
+            bounds = np.array(uppers, dtype=float)
         finite = bounds[0] < INF
-        if np.isnan(bounds).any() or (bounds < [self._lower[j] for j in var_at]).any() or (
-            (bounds < INF) != finite
-        ).any():  # name the first fault, hour by hour
-            for hour in bounds.tolist():
-                for name, j, upper, fin in zip(variables, var_at, hour, finite.tolist()):
-                    _bounds(name, self._lower[j], upper)
-                    if (upper < INF) != fin:
-                        raise LpError(f"variable {name!r} has a finite upper bound in one hour and not in another")
         rhs, upper = self._held()
         m = len(rhs)
         hours = np.tile(np.array(rhs + upper, dtype=float), (len(values), 1))
@@ -381,15 +384,47 @@ class LinearProgram:
                 name = next(name for name, value in zip(names, values) if not math.isfinite(value))
                 raise LpError(f"constraint {name!r} has non-finite rhs")
 
-    def set_objective(self, coeffs: dict[str, float], constant: float = 0.0) -> None:
-        """Set the objective to a checked copy of ``coeffs``."""
+    def _check_uppers(self, names: Sequence[str], at: list[int], hours: Iterable[Sequence[float]]) -> None:
+        """:class:`LpError` (or ``TypeError``) for the first fault, hour by
+        hour: a bound :meth:`set_bounds` refuses, or one finite in this hour
+        and not in the first."""
+        finite = None
+        for hour in hours:
+            checked = []
+            for name, j, upper in zip(names, at, hour):
+                fin = _bounds(name, self._lower[j], upper)[1] < INF
+                if finite is not None and fin != finite[len(checked)]:
+                    raise LpError(f"variable {name!r} has a finite upper bound in one hour and not in another")
+                checked.append(fin)
+            finite = finite or checked
+
+    @property
+    def objective(self) -> Mapping[str, float]:
+        """The objective's coefficients, a read-only view of the checked copy."""
+        return MappingProxyType(self._objective.coeffs)
+
+    @property
+    def objective_constant(self) -> float:
+        return self._objective.constant
+
+    def set_objective(self, coeffs: Mapping[str, float], constant: float = 0.0) -> None:
+        """Set the objective to a checked copy of ``coeffs``. Each content is
+        checked and copied once: an objective equal to one of the last few
+        set, variable by variable in the same order and bit for bit
+        (:meth:`_Objective.same`), takes that one's copy, which keys its
+        column costs in the standard form. A dict changed in place is
+        compared with the copy, so it is checked again."""
+        for kept in self._objectives:
+            if kept.same(coeffs, constant):
+                self._objective = kept
+                return
         for var, c in coeffs.items():
             if var not in self._var_index:
                 raise LpError(f"objective references unknown variable {var!r}")
             if not math.isfinite(c):
                 raise LpError(f"objective has non-finite coefficient on {var!r}")
-        self.objective = dict(coeffs)
-        self.objective_constant = float(constant)
+        self._objective = _Objective(coeffs, constant)
+        self._objectives = [*self._objectives[1 - _OBJECTIVES_KEPT :], self._objective]
 
     def _standard_form(self) -> _StandardForm:
         """The standard form of the current variables, rows and right-hand sides."""
@@ -479,20 +514,53 @@ def _bounds(name: str, lower: float, upper: float) -> tuple[float, float]:
     return float(lower), float(upper)
 
 
-def _as_block(hours, width: int) -> np.ndarray | None:
-    """``hours`` as a k x ``width`` float array (``hours`` itself if it is
-    one), or None if they are not k rows of ``width`` numbers each."""
-    try:
-        out = np.asarray(hours, dtype=float)
-    except (TypeError, ValueError):  # rows of unequal length
-        return None
-    return out if out.shape == (len(hours), width) else None
+def _real_block(hours, width: int) -> np.ndarray | None:
+    """``hours`` as a k x ``width`` float array if it is a k x ``width``
+    array of real numbers (itself if its numbers are floats), else None:
+    nested sequences are checked value by value, as
+    :meth:`LinearProgram.set_rhs_many` and :meth:`LinearProgram.set_bounds`
+    check them."""
+    if isinstance(hours, np.ndarray) and hours.dtype.kind in "fiub" and hours.shape == (len(hours), width):
+        return hours.astype(float, copy=False)
+    return None
 
 
 def _bits(values) -> bytes:
     """The floats' IEEE-754 bit patterns: equal only for identical floats,
     so 0.0 and -0.0 differ."""
     return array("d", values).tobytes()
+
+
+class _Objective:
+    """A checked objective: a copy of its coefficients and its constant. A
+    standard form keeps its column costs under it, and the LP gives an equal
+    objective the same instance (:meth:`same`)."""
+
+    __slots__ = ("coeffs", "names", "constant", "zeros")
+
+    def __init__(self, coeffs: Mapping[str, float], constant: float):
+        self.coeffs = dict(coeffs)
+        self.names = list(self.coeffs)
+        self.constant = float(constant)
+        self.zeros = not all(self.coeffs.values())  # a 0.0 or -0.0, which == does not tell apart
+
+    def same(self, coeffs: Mapping[str, float], constant: float) -> bool:
+        """Whether ``coeffs`` and ``constant`` are this objective's: the same
+        variables in the same order, with values and constant equal to the
+        bit. ``==`` tells every two floats apart but NaN (never kept) and
+        zeros of opposite signs, which the signs or bits settle."""
+        return (
+            constant == self.constant
+            and coeffs == self.coeffs
+            and list(coeffs) == self.names
+            and (constant or math.copysign(1.0, constant) == math.copysign(1.0, self.constant))
+            and (not self.zeros or _bits(coeffs.values()) == _bits(self.coeffs.values()))
+        )
+
+
+_NO_OBJECTIVE = _Objective({}, 0.0)
+# the objectives an LP keeps checked (the pipeline sets at most two per LP)
+_OBJECTIVES_KEPT = 4
 
 
 @dataclass
@@ -647,7 +715,7 @@ class _StandardForm:
         self._loads = 0  # right-hand sides loaded
         self._kept = 0  # nodes, patterns and costs kept
         self._lower_bits: bytes | None = None
-        self._costs: dict[tuple, tuple[np.ndarray, float]] = {}
+        self._costs: dict[_Objective, tuple[np.ndarray, float]] = {}
         self._patterns: dict[bytes, _Pattern] = {}  # by the flipped rows, a byte per row
         self._last: tuple[_Node | None, np.ndarray | None] = (None, None)  # the last tableau built
 
@@ -865,17 +933,19 @@ class _StandardForm:
             shift += coef * self._lower[j]
         return shift
 
-    def costs(self, objective: dict[str, float], constant: float) -> tuple[np.ndarray, float]:
+    def costs(
+        self, objective: Mapping[str, float], constant: float, key: _Objective | None = None
+    ) -> tuple[np.ndarray, float]:
         """Column costs of an objective, and the constant the column shifts
-        add; a reloaded form keeps them per objective."""
-        key = (tuple(objective), _bits([*objective.values(), constant]))
+        add; a reloaded form keeps them under the LP's checked objective
+        ``key``, if one is given."""
         hit = self._costs.get(key)
         if hit is None:
             c = [0.0] * self.ncols
             shift = self._shift(self._place(objective, c, 0), constant)
             hit = np.array(c, dtype=float), shift
             hit[0].flags.writeable = False
-            if self._keep():
+            if key is not None and self._keep():
                 self._costs[key] = hit
         return hit
 
@@ -1183,7 +1253,8 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
     reduced costs on the rows' slack or artificial columns.
     """
     sf = lp._standard_form()
-    c, obj_shift = sf.costs(lp.objective, lp.objective_constant)
+    kept = lp._objective
+    c, obj_shift = sf.costs(kept.coeffs, kept.constant, kept)
     status, g, i = sf.end(lp._hour, c)
     counters = g.iterations, g.phase_one_iterations, g.bland[i]
 

@@ -8,16 +8,20 @@ zone, weighting and objective mode, with the objectives of that mode.
 :func:`compute_power_bandwidths` writes all of a call's timesteps into its
 LP at once (:meth:`BandwidthProblem.set_hours`: a k x rows array of
 right-hand sides, the rating rows' limit - base flow and limit + base flow
-taken on a k x pairs array, and a k x buses array of curtailment caps; each
-timestep's base flows one matrix-vector product per topology), and
+taken on a k x pairs array, and a k x buses array of curtailment caps; the
+block's base flows one stacked product per topology), and
 :meth:`BandwidthProblem.select_hour` makes the LP hold each timestep in turn
 while the call solves it, one ``power_bandwidth.solve`` per LP, in the same
-order as before. The LP layer keeps the block as arrays down to the
-read-out and walks its hours down the pivot-path tree together: phase one
-runs once per block, and each objective's phase two once per block, at its
-first solve; a group of two or more hours takes each ratio test as one
-array step, and a pivot's row operation runs once per group of hours that
-took it. In lexicographic mode the capped copy takes each timestep's values
+order as before: per timestep the lower bound's, then the upper bound's. A
+timestep's result is read through lists the problem builds once (the
+curtailment and curative variables and, per direction, its objective), and
+each objective is checked once per LP
+(:meth:`lp_core.LinearProgram.set_objective`). The LP layer keeps the block
+as arrays down to the read-out and walks its hours down the pivot-path tree
+together: phase one runs once per block, and each objective's phase two
+once per block, at its first solve; a group of two or more hours takes each
+ratio test as one array step, and a pivot's row operation runs once per
+group of hours that took it. In lexicographic mode the capped copy takes each timestep's values
 and cap on its own, as each needs that timestep's least curtailment.
 :meth:`BandwidthProblem.set_hour` writes one timestep into the LP itself,
 in Python floats, for :func:`solve_timestep`, :func:`check_safety` and the
@@ -75,7 +79,7 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain
+from operator import sub
 
 import numpy as np
 
@@ -137,6 +141,9 @@ class ObjectiveWeights:
         if not all(0 < w < math.inf for w in weights):
             raise ValueError("objective weights must be finite and positive")
 
+
+# per direction, in solve order: its LP's name in an error
+_BOUND_LPS = [(direction, f"{direction.value}-bound") for direction in (Direction.LOWER, Direction.UPPER)]
 
 #: LP states: the normal state plus three stages per contingency.
 NORMAL = "normal"
@@ -274,8 +281,15 @@ class BandwidthProblem:
         self.total_curtailment = {v: 1.0 for v in curt.values()}
         cap = (self.total_curtailment, Relation.LE, 0.0, "curt_total_cap")
         self.capped = lp.extended(lp.name, rows=[cap]) if lexicographic else None
+        # what an hour's result reads: the curtailment variables, the
+        # curative pairs' plus and minus variables, the battery's range less
+        # BOUND_TOL_MW at each end, and per direction, lower then upper, its
+        # objective and its LP's name in an error
+        self._readout = list(curt.values()), [p for p, _ in cur_batt.values()], [m for _, m in cur_batt.values()]
+        self._band_edges = battery.battery_min_mw + BOUND_TOL_MW, battery.battery_max_mw - BOUND_TOL_MW
+        self._directions: list[tuple[dict[str, float], str]] = []
         self.objectives: dict[Direction, dict[str, float]] = {}
-        for direction in Direction:
+        for direction, what in _BOUND_LPS:
             objective = {batt: 1.0 if direction == Direction.LOWER else -1.0}
             if not lexicographic:
                 for v in curt.values():
@@ -286,17 +300,13 @@ class BandwidthProblem:
             for v in cur_curt.values():
                 objective[v] = weights.curative_curtailment
             self.objectives[direction] = objective
+            self._directions.append((objective, what))
 
     def _season_limits(self, season: Season) -> list[float]:
         """Each pair's rating under ``season``."""
         if season not in self._limits:
             self._limits[season] = [select_ratings(line, season).for_state(rating) for line, rating in self._pairs]
         return self._limits[season]
-
-    def _base_flows(self, row: TimestepForecast) -> list[float]:
-        """The timestep's base flows, every topology's in turn."""
-        return list(chain.from_iterable(self.network.base_flows(row.injections_mw, row.ref_normal_mw,
-                                                                row.ref_contingency_mw)))
 
     def set_hour(self, row: TimestepForecast) -> None:
         """Write one timestep's curtailment bounds and right-hand sides into
@@ -306,7 +316,8 @@ class BandwidthProblem:
         Python floats: per entry the operation :meth:`set_hours` runs on its
         arrays, with the same bits, without the arrays' set-up, which costs
         one timestep more than it saves."""
-        caps, flows = row.curtailable_max_mw, self._base_flows(row)
+        caps = row.curtailable_max_mw
+        flows = [flow for block in self.network.base_flows([row]) for flow in block[0].tolist()]
         values = [caps[b] for b in self._cap_buses]
         for limit, at in zip(self._season_limits(row.season), self._flow_at):
             flow = flows[at]
@@ -333,7 +344,7 @@ class BandwidthProblem:
         limits = np.array([self._season_limits(season) for season in seasons], dtype=float)
         if len(seasons) > 1:  # a row of limits per timestep, else one row for all
             limits = limits.take([seasons.index(row.season) for row in rows], axis=0)
-        flows = np.array([self._base_flows(row) for row in rows], dtype=float).take(self._flow_at, axis=1)
+        flows = np.concatenate(self.network.base_flows(rows), axis=1).take(self._flow_at, axis=1)
         # per timestep: its caps per bus, then per curtailment-cap row
         buses, n_caps = [*self.curtailment_vars], len(self._cap_buses)
         at = [*buses, *self._cap_buses]
@@ -499,29 +510,29 @@ def _solve_written(problem: BandwidthProblem, row: TimestepForecast) -> PowerBan
         lp = problem.capped
         lp.set_rhs("curt_total_cap", sol.objective)
 
-    sols: dict[Direction, LpSolution] = {}
-    for direction in Direction:
-        lp.set_objective(problem.objectives[direction])
-        sol = _solve(lp, row, f"{direction.value}-bound")
+    sols = []
+    for objective, what in problem._directions:
+        lp.set_objective(objective)
+        sol = _solve(lp, row, what)
         if sol.status != SolveStatus.OPTIMAL:
             return _infeasible_result(problem, row)
-        sols[direction] = sol
-    lo, hi = sols[Direction.LOWER], sols[Direction.UPPER]
+        sols.append(sol)
+    lo, hi = sols
     lo_x, hi_x = lo.values, hi.values
 
-    battery = problem.battery
     lower = lo_x[problem.battery_var]
     upper = hi_x[problem.battery_var]
-    curt_lo = sum(lo_x[v] for v in problem.curtailment_vars.values())
-    curt_hi = sum(hi_x[v] for v in problem.curtailment_vars.values())
-    pairs = problem.curative_battery_vars.values()
-    charge_worst = max([0.0, *(lo_x[plus] - lo_x[minus] for plus, minus in pairs)])
-    discharge_worst = min([0.0, *(hi_x[plus] - hi_x[minus] for plus, minus in pairs)])
+    curt, plus, minus = problem._readout
+    curt_lo = sum(map(lo_x.__getitem__, curt))
+    curt_hi = sum(map(hi_x.__getitem__, curt))
+    charge_worst = max([0.0, *map(sub, map(lo_x.__getitem__, plus), map(lo_x.__getitem__, minus))])
+    discharge_worst = min([0.0, *map(sub, map(hi_x.__getitem__, plus), map(hi_x.__getitem__, minus))])
 
-    at_min = lower <= battery.battery_min_mw + BOUND_TOL_MW
-    at_max = upper >= battery.battery_max_mw - BOUND_TOL_MW
+    min_edge, max_edge = problem._band_edges
+    at_min = lower <= min_edge
+    at_max = upper >= max_edge
     no_curt = curt_lo <= BOUND_TOL_MW and curt_hi <= BOUND_TOL_MW
-    if lower >= battery.battery_max_mw - BOUND_TOL_MW or upper <= battery.battery_min_mw + BOUND_TOL_MW:
+    if lower >= max_edge or upper <= min_edge:
         cls = CongestionClass.STRONG
     elif at_min and at_max and no_curt:
         cls = CongestionClass.FULLY_AVAILABLE

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from bandwidth_engine.fixtures import (
     FullNetwork,
     random_instance,
     reference_full_network,
+    synthetic_year_rows,
     reference_zone_dict,
 )
 from bandwidth_engine.grid_model import BalanceError, IslandingError, TopologyState, zone_from_dict
+from bandwidth_engine.lp_core import _bits
+from bandwidth_engine.power_bandwidth import network_model
 
 
 def _toy_zone_doc():
@@ -95,7 +99,7 @@ def test_nan_injection_never_balances(zone, winter_day):
     with pytest.raises(BalanceError, match="nan MW imbalance"):
         dc_flows(zone, TopologyState.base(zone), inj, row.ref_normal_mw)
     with pytest.raises(BalanceError, match="nan MW imbalance"):
-        NetworkModel(zone, _topology_states(zone)).base_flows(inj, row.ref_normal_mw, row.ref_contingency_mw)
+        NetworkModel(zone, _topology_states(zone)).base_flows([replace(row, injections_mw=inj)])
 
 
 def test_effective_sensitivity_base(zone):
@@ -242,7 +246,7 @@ def _topology_states(zone):
 
 
 def test_network_model_matches_ptdf_and_dc_flows(zone, summer_day, winter_day):
-    """One ``base_flows`` call per hour gives every topology's flows, each
+    """A one-row ``base_flows`` call gives every topology's flows, each
     equal to a fresh ``dc_flows`` solve of that topology."""
     cases = [(zone, row) for row in (*summer_day, *winter_day)]
     cases += [random_instance(seed) for seed in range(40)]
@@ -250,7 +254,7 @@ def test_network_model_matches_ptdf_and_dc_flows(zone, summer_day, winter_day):
         states = _topology_states(z)
         model = NetworkModel(z, states)
         assert list(model.topologies) == [s.contingency_id for s in states]
-        base = model.base_flows(row.injections_mw, row.ref_normal_mw, row.ref_contingency_mw)
+        base = [flows[0].tolist() for flows in model.base_flows([row])]
         assert len(base) == len(states)
         for state, flows in zip(states, base):
             topo = model.topologies[state.contingency_id]
@@ -272,7 +276,7 @@ def test_network_model_keeps_balance_and_islanding_checks(zone, winter_day):
     refs = {cid: dict(flows) for cid, flows in row.ref_contingency_mw.items()}
     refs["gamma-delta-outage"]["delta-east"] += 3.0  # break only the delta island
     with pytest.raises(BalanceError, match=r"^island \{delta\} has"):
-        model.base_flows(row.injections_mw, row.ref_normal_mw, refs)
+        model.base_flows([replace(row, ref_contingency_mw=refs)])
 
     # no line in service: every bus is an island the outbound data cannot serve
     stranded = TopologyState(
@@ -325,3 +329,86 @@ def test_network_models_keep_their_bits():
     before ``compute_ptdf`` returned a dict gives the same digest, and its
     bits were pinned before the island solves were merged into one."""
     assert _network_digest() == "a1c01fff8de3ef084ea0946fa82f733aa611d923f280ed1089477003973664f7"
+
+
+def _one_hour_flows(model: NetworkModel, row) -> list[list[float]]:
+    """Each topology's flows for one row as a call per hour took them: the
+    net injections, summed and less the boundary flows in Python floats, as
+    an (n, 1) column, and one matrix-vector product."""
+    p = [0.0] * len(model._bus_pos)
+    for b, v in row.injections_mw.items():
+        p[model._bus_pos[b]] += v
+    out = []
+    for cid, topo in model.topologies.items():
+        refs = row.ref_normal_mw if cid is None else row.ref_contingency_mw[cid]
+        net = list(p)
+        for at, oid in topo.boundary:
+            net[at] -= refs[oid]
+        out.append((topo.flow_matrix @ np.array(net, dtype=float).reshape(-1, 1))[:, 0].tolist())
+    return out
+
+
+def _scaled_hours(row, n: int) -> list:
+    """``n`` balanced hours of a zone: the row's injections and boundary
+    flows scaled together."""
+    return [
+        replace(
+            row,
+            injections_mw={b: v * k for b, v in row.injections_mw.items()},
+            ref_normal_mw={o: v * k for o, v in row.ref_normal_mw.items()},
+            ref_contingency_mw={c: {o: v * k for o, v in refs.items()} for c, refs in row.ref_contingency_mw.items()},
+        )
+        for k in (1.0 - 0.15 * (h % 4) + 0.01 * h for h in range(n))
+    ]
+
+
+def _block_keeps_the_bits(model: NetworkModel, rows: list) -> None:
+    """Each row's flows from one block call have the bits of that row's
+    one-hour product."""
+    block = model.base_flows(rows)
+    widths = [len(topo.state.active_lines) for topo in model.topologies.values()]
+    assert [flows.shape for flows in block] == [(len(rows), width) for width in widths]
+    for hour, row in enumerate(rows):
+        want = _one_hour_flows(model, row)
+        assert [_bits(flows[hour].tolist()) for flows in block] == [_bits(flows) for flows in want], hour
+
+
+def test_block_base_flows_keep_the_bits_of_one_hour_calls(zone):
+    """One ``base_flows`` call on a block of rows gives, per row and
+    topology, the bits of a call per hour's matrix-vector product: on every
+    hour of the synthetic year, in days and as one block, and on blocks of
+    200 ``random_instance`` zones, islanding contingencies among them."""
+    model = network_model(zone)
+    year = list(synthetic_year_rows(zone).rows)
+    for day in range(0, len(year), 24):
+        _block_keeps_the_bits(model, year[day : day + 24])
+    block = model.base_flows(year)
+    for hour in range(0, len(year), 97):  # the whole year as one block
+        want = _one_hour_flows(model, year[hour])
+        assert [_bits(flows[hour].tolist()) for flows in block] == [_bits(flows) for flows in want]
+    islanding = 0
+    for seed in range(200):
+        z, row = random_instance(seed)
+        model = network_model(z)
+        islanding += any(len(t.state.islands) > 1 for t in model.topologies.values())
+        _block_keeps_the_bits(model, _scaled_hours(row, 7))
+        _block_keeps_the_bits(model, [row])
+    assert islanding >= 10
+
+
+def test_an_unbalanced_row_in_a_block_raises_as_its_own_call_does(zone, winter_day):
+    """The first unbalanced row of a block, in row order, raises the
+    ``BalanceError`` its topology's check raises on that row alone; a later
+    unbalanced row, even one whose intact topology fails, does not come
+    first."""
+    rows = list(winter_day.rows[:8])
+    refs = {cid: dict(flows) for cid, flows in rows[3].ref_contingency_mw.items()}
+    refs["gamma-delta-outage"]["delta-east"] += 3.0  # break only the delta island
+    rows[3] = replace(rows[3], ref_contingency_mw=refs)
+    rows[5] = replace(rows[5], ref_normal_mw={o: v + 5.0 for o, v in rows[5].ref_normal_mw.items()})
+    state = TopologyState.for_contingency(zone, zone.contingency("gamma-delta-outage"))
+    with pytest.raises(BalanceError) as alone:
+        dc_flows(zone, state, rows[3].injections_mw, refs["gamma-delta-outage"])
+    with pytest.raises(BalanceError) as block:
+        network_model(zone).base_flows(rows)
+    assert str(block.value) == str(alone.value) and str(alone.value).startswith("island {delta} has")

@@ -485,9 +485,7 @@ _CELL = st.one_of(
 
 def _computes_every_row(zone, forecast) -> None:
     """The zone's DC model builds, and gives every row's base flows."""
-    model = network_model(zone)
-    for row in forecast:
-        model.base_flows(row.injections_mw, row.ref_normal_mw, row.ref_contingency_mw)
+    network_model(zone).base_flows(list(forecast))
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -594,24 +595,89 @@ def test_reused_infeasible_form_matches_a_fresh_one():
     assert statuses.count(SolveStatus.INFEASIBLE) == 6 and statuses.count(SolveStatus.OPTIMAL) == 6
 
 
-def test_set_objective_checks_and_copies_every_call():
-    """Every call checks the objective and keeps a copy of it; a refused one
-    leaves the objective as it was."""
+def test_set_objective_checks_each_content_once():
+    """An objective is checked and copied once per content: an equal one,
+    the same dict or another, takes the kept copy, which keys its costs. A dict
+    changed in place (a coefficient, an added variable, a non-finite value)
+    is compared with the copy, so it is checked again; a refused one leaves
+    the objective as it was. Every solve is a fresh LP's, bit for bit."""
     lp = _reuse_lp()
     objective = {"x": 1.0, "y": 2.0}
     lp.set_objective(objective)
-    first = lp.objective
-    assert first == objective and first is not objective
+    checked = lp._objective
+    assert lp.objective == objective and checked.coeffs is not objective
+    with pytest.raises(TypeError):
+        lp.objective["x"] = 5.0  # a read-only view of the copy, which keys its costs
     lp.set_objective(objective)
-    assert lp.objective == objective and lp.objective is not first
-    kept = lp.objective
-    for bad, message in (({"z": 1.0}, "unknown variable"), ({"x": math.nan}, "non-finite")):
+    assert lp._objective is checked
+    lp.set_objective(dict(objective))  # distinct but equal
+    assert lp._objective is checked
+    assert _bits_of(solve(lp)) == _bits_of(solve(_rebuilt(lp)))
+
+    objective["x"] = 3.0  # one coefficient
+    lp.set_objective(objective)
+    assert lp.objective == {"x": 3.0, "y": 2.0} and checked.coeffs == {"x": 1.0, "y": 2.0}
+    assert lp._objective is not checked
+    assert _bits_of(solve(lp)) == _bits_of(solve(_rebuilt(lp)))
+    only_x = {"x": 1.0}
+    lp.set_objective(only_x)
+    only_x["y"] = 2.0  # an added variable: the content of the first, in its order
+    lp.set_objective(only_x)
+    assert lp._objective is checked
+    for bad, message in (({"z": 1.0}, "unknown variable 'z'"), ({"x": math.nan}, "non-finite coefficient on 'x'")):
         with pytest.raises(LpError, match=message):
             lp.set_objective(bad)
-    objective["x"] = math.inf  # the same dict, changed in place, is checked again
-    with pytest.raises(LpError, match="non-finite"):
+    objective["x"] = math.inf  # a non-finite value, in a dict set before
+    with pytest.raises(LpError, match="non-finite coefficient on 'x'"):
         lp.set_objective(objective)
-    assert lp.objective is kept and kept == {"x": 1.0, "y": 2.0}
+    assert lp._objective is checked and lp.objective == {"x": 1.0, "y": 2.0}
+    assert _bits_of(solve(lp)) == _bits_of(solve(_rebuilt(lp)))
+
+
+@pytest.mark.parametrize(
+    "first, other",
+    [
+        # the same values in another order: the shift sums in that order
+        (({"x": 1.0, "y": 2.0}, 0.0), ({"y": 2.0, "x": 1.0}, 0.0)),
+        (({"x": 0.0, "y": 2.0}, 0.0), ({"x": -0.0, "y": 2.0}, 0.0)),  # == does not tell the zeros apart
+        (({"x": 0.0, "y": 2.0}, 0.0), ({"x": 0.0, "y": 2.0}, -0.0)),
+        (({"x": 0.0, "y": 2.0}, 0.0), ({"x": 0.0, "y": 2.0}, 5.0)),
+    ],
+    ids=["order", "signed_zero_coefficient", "signed_zero_constant", "constant"],
+)
+def test_set_objective_tells_apart_what_equality_does_not(first, other):
+    """Contents that ``==`` (or dict ``==``) takes as equal but that differ in
+    order or to the bit are kept apart, each keying costs of its own, and
+    each solve is a fresh LP's; a changed constant is honoured."""
+    lp = _reuse_lp()
+    lp.set_objective(*first)
+    before = lp._objective
+    lp.set_objective(*other)
+    assert lp._objective is not before
+    assert list(lp.objective) == list(other[0])
+    assert _pack(*lp.objective.values(), lp.objective_constant) == _pack(*other[0].values(), other[1])
+    for objective in (before, lp._objective, before):
+        lp.set_objective(objective.coeffs, objective.constant)
+        assert lp._objective is objective
+        for rhs in (3.0, 5.0):  # the second load keeps the costs under the objective
+            lp.set_rhs("sum", rhs)
+            assert _bits_of(solve(lp)) == _bits_of(solve(_rebuilt(lp)))
+
+
+def test_equal_objectives_share_one_cost_vector():
+    """Two distinct but equal dicts take one kept objective, so a reloaded
+    form keeps one cost vector for both."""
+    lp = _reuse_lp()
+    lp.set_rhs("sum", 4.0)
+    solve(lp)
+    lp.set_rhs("sum", 5.0)  # a reloaded form keeps its costs
+    for objective in ({"x": 2.0, "y": 1.0}, {"x": 2.0, "y": 1.0}):
+        lp.set_objective(objective)
+        assert _bits_of(solve(lp)) == _bits_of(solve(_rebuilt(lp)))
+    sf = lp._standard_form()
+    [shared] = sf._costs.values()  # the first load's costs are not kept
+    kept = lp._objective
+    assert sf.costs(kept.coeffs, kept.constant, kept) is shared
 
 
 def _pack(*values: float) -> bytes:
@@ -1164,3 +1230,28 @@ def test_set_hours_refuses_a_write_whole(args, message):
     assert (lp.constraints, lp.variables) == before
     lp.select_hour(0)
     assert lp.constraints[0].rhs == 3.0 and lp.variables[0].upper == 5.0
+
+
+@pytest.mark.parametrize(
+    "args, one_value",
+    [
+        ((["a"], [["1"]], ["x"], [[5.0]]), lambda lp: lp.set_rhs_many(["a"], ["1"])),
+        ((["a"], np.array([["1"]]), ["x"], [[5.0]]), lambda lp: lp.set_rhs_many(["a"], np.array(["1"]))),
+        ((["a"], [[1.0], [None]], ["x"], [[5.0], [5.0]]), lambda lp: lp.set_rhs("a", None)),
+        ((["a"], [[1.0]], ["x"], [[None]]), lambda lp: lp.set_bounds("x", 0.0, None)),
+        ((["a"], [[1.0]], ["x"], [["abc"]]), lambda lp: lp.set_bounds("x", 0.0, "abc")),
+        ((["a"], [[1.0], [2.0]], ["x"], [[5.0], ["5"]]), lambda lp: lp.set_bounds("x", 0.0, "5")),
+    ],
+    ids=["str_rhs", "str_array_rhs", "none_rhs", "none_bound", "text_bound", "str_bound_in_hour_1"],
+)
+def test_set_hours_refuses_what_the_one_hour_writers_refuse(args, one_value):
+    """A value ``set_rhs_many``, ``set_rhs`` or ``set_bounds`` refuses is
+    refused by ``set_hours`` too, with the same exception and message, and
+    the write changes nothing."""
+    with pytest.raises(Exception) as want:
+        one_value(_two_row_lp())
+    lp = _two_row_lp()
+    before = lp.constraints, lp.variables
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        lp.set_hours(*args)
+    assert (lp.constraints, lp.variables) == before

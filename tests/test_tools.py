@@ -96,3 +96,16 @@ def test_warmhour_times_three_days(capsys):
     assert report["days"] == 3 and report["hours"] == 72 and len(report["trees"]) == 1
     tree = report["trees"][0]
     assert len(tree["by_import"]) == 2 and tree["us_per_hour"] == min(tree["by_import"]) > 0
+    split = tree["split_us_per_hour"]
+    assert list(split) == ["block preparation", "walk", "read-out"] and all(v > 0 for v in split.values())
+
+
+def test_warmhour_splits_na_for_a_missing_name(capsys, monkeypatch):
+    """A tree without one of the split's functions reads "n/a" for its part
+    and for the read-out, and the other parts still read."""
+    tool = _tool("warmhour")
+    monkeypatch.setattr(tool, "SPLIT", (*tool.SPLIT[:2], ("walk", "lp_core", "_no_such_walk")))
+    assert tool.main(["--days", "1", "--passes", "1"]) == 0
+    out = capsys.readouterr().out
+    split_row = out.splitlines()[-2].split()
+    assert split_row[-2:] == ["n/a", "n/a"] and float(split_row[-3]) > 0

@@ -13,8 +13,16 @@ order, since two copies of one tree can read a few per cent apart by import
 order. Every copy runs every pass, the copies' order alternating from pass
 to pass. A tree's figure is the minimum, over its copies and the passes, of
 the mean per hour, in microseconds; each copy's own minimum is reported
-too. The trees' results must be repr-equal; the tool says so. Run from
-anywhere:
+too. The trees' results must be repr-equal; the tool says so.
+
+After the timed passes, one more pass of each tree's first copy runs with
+``time.perf_counter`` wrappers around the engine functions in ``SPLIT`` and
+splits its warm hour three ways, in microseconds per hour: block preparation
+(``BandwidthProblem.set_hours``), the walk (``lp_core._phase_one`` and
+``_phase_two``) and the read-out, the rest of the call. A tree that lacks one
+of these names reads "n/a" for its part, and for the read-out. Each wrapper
+adds a few tenths of a microsecond per call, and a day makes a few such
+calls. Run from anywhere:
 
     python3 tools/warmhour.py [--days 120] [--passes 15] [--src DIR ...] [--json]
 """
@@ -31,6 +39,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from coldzone import import_engine  # noqa: E402
+
+# the parts of a warm hour the instrumented pass times: (part, module, function)
+SPLIT = (
+    ("block preparation", "power_bandwidth", "BandwidthProblem.set_hours"),
+    ("walk", "lp_core", "_phase_one"),
+    ("walk", "lp_core", "_phase_two"),
+)
+PARTS = ("block preparation", "walk", "read-out")
 
 
 def _days(engine, days: int) -> tuple[object, list[tuple]]:
@@ -53,6 +69,41 @@ def _pass(engine, zone, days) -> tuple[float, list[str]]:
         seconds += clock() - t0
         results += out
     return seconds, [repr(r) for r in results]
+
+
+def _split(engine, zone, days, hours: int) -> dict[str, float | None]:
+    """One pass with the ``SPLIT`` functions wrapped: microseconds per hour
+    in each part, None for a part whose function the tree lacks, and for the
+    read-out then too."""
+    spent = dict.fromkeys(PARTS, 0.0)
+    missing = set()
+    wrapped = []  # (owner, attribute, original) to put back
+    for part, module, path in SPLIT:
+        *outer, name = path.split(".")
+        owner = getattr(engine, module, None)
+        for attr in outer:
+            owner = getattr(owner, attr, None)
+        real = getattr(owner, name, None)
+        if real is None:
+            missing |= {part, "read-out"}
+            continue
+
+        def timed(*args, _real=real, _part=part, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                spent[_part] += time.perf_counter() - t0
+
+        setattr(owner, name, timed)
+        wrapped.append((owner, name, real))
+    try:
+        total = _pass(engine, zone, days)[0]
+    finally:
+        for owner, name, real in reversed(wrapped):
+            setattr(owner, name, real)
+    spent["read-out"] = total - spent["block preparation"] - spent["walk"]
+    return {part: None if part in missing else round(1e6 * s / hours, 2) for part, s in spent.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,8 +136,12 @@ def main(argv: list[str] | None = None) -> int:
     report = {"days": args.days, "hours": hours, "passes": args.passes, "trees": []}
     for t, src in enumerate(srcs):
         copies = [1e6 * best[i] / hours for i, tree in enumerate(trees) if tree == t]
+        copy = trees.index(t)  # the tree's first copy
         report["trees"].append(
-            {"src": str(src), "us_per_hour": round(min(copies), 2), "by_import": [round(c, 2) for c in copies]}
+            {
+                "src": str(src), "us_per_hour": round(min(copies), 2), "by_import": [round(c, 2) for c in copies],
+                "split_us_per_hour": _split(engines[copy], *inputs[copy], hours),
+            }
         )
     report["results_equal"] = repeat and all(r == reprs[0] for r in reprs)
     if args.json:
@@ -98,6 +153,12 @@ def main(argv: list[str] | None = None) -> int:
         first, second = tree["by_import"]
         print(f"{tree['src'][-48:]:<48}{tree['us_per_hour']:>10.1f}{first:>10.1f}{second:>10.1f}")
     print("first, second: the tree's copy imported in the given order, then in the reverse one")
+    print(f"split of one instrumented pass, us per warm hour: {', '.join(PARTS)}")
+    print(f"{'tree':<48}" + "".join(f"{part[:10]:>12}" for part in PARTS))
+    for tree in report["trees"]:
+        split = tree["split_us_per_hour"]
+        cells = ("n/a" if split[part] is None else f"{split[part]:.1f}" for part in PARTS)
+        print(f"{tree['src'][-48:]:<48}" + "".join(f"{cell:>12}" for cell in cells))
     print(f"results equal: {'yes' if report['results_equal'] else 'NO'}")
     return 0
 
