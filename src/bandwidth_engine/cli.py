@@ -81,7 +81,6 @@ class RunConfig:
     forecast: str | None = None
     out: str = "out"
     horizon: int | None = None
-    workers: int = 1
     objective: str = "weighted"  # or "lexicographic"
     c1: float = ObjectiveWeights.preventive_curtailment
     c2: float = ObjectiveWeights.curative_battery
@@ -165,10 +164,8 @@ def _check_timesteps(timesteps, forecast: ForecastSeries) -> None:
 
 def _power_bandwidths(cfg: RunConfig) -> tuple[ZoneModel, list[PowerBandwidthResult]]:
     zone, forecast = _load_inputs(cfg)
-    logger.info("computing %d timesteps with %d workers", len(forecast), cfg.workers)
-    return zone, compute_power_bandwidths(
-        zone, forecast, workers=cfg.workers, weights=cfg.weights(), lexicographic=cfg.lexicographic
-    )
+    logger.info("computing %d timesteps", len(forecast))
+    return zone, compute_power_bandwidths(zone, forecast, weights=cfg.weights(), lexicographic=cfg.lexicographic)
 
 
 def _refuse(names: tuple[str, ...], mode: str) -> None:
@@ -231,7 +228,6 @@ _OPTIONS = {
     "c1": click.option("--c1", type=float, help="Preventive curtailment weight."),
     "c2": click.option("--c2", type=float, help="Curative battery weight."),
     "c3": click.option("--c3", type=float, help="Curative curtailment weight."),
-    "workers": click.option("--workers", type=int, help="Parallel workers."),
 }
 _RUN_FLAGS = ("config", "zone", "forecast", "horizon", "season", "objective", "c1", "c2", "c3")
 
@@ -248,7 +244,7 @@ def _options(*names: str):
 
 
 @main.command()
-@_options(*_RUN_FLAGS, "workers")
+@_options(*_RUN_FLAGS)
 @click.option("--out", type=click.Path(), help="Output directory.")
 def compute(**params):
     """Compute power and energy bandwidths and write reports."""
@@ -336,7 +332,7 @@ def _merged_report(results, energy) -> str:
 
 
 @main.command()
-@_options(*_RUN_FLAGS, "workers")
+@_options(*_RUN_FLAGS)
 @click.option("--results", type=click.Path(exists=True),
               help="Directory of a prior compute run (reads merged_report.csv).")
 @click.option("--json", "as_json", is_flag=True, help="Emit the JSON report.")

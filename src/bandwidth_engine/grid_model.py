@@ -1,8 +1,8 @@
 """Static zone description, forecasts, ratings and contingency definitions.
 
-Everything here is immutable after load and safe to share across worker
-processes. Units are MW / MWh / hours externally; line reactances are
-per-unit on ``base_mva``.
+Everything here is immutable after load and safe to share across threads.
+Units are MW / MWh / hours externally; line reactances are per-unit on
+``base_mva``.
 
 File formats (documented in the README):
 

@@ -32,9 +32,8 @@ other mode: its network model, its LP (and capped copy in lexicographic
 mode), and their standard forms with their pivot-path trees (at most
 ``lp_core.NODES_PER_FORM`` nodes each, about 2.6 kB per node; after the
 bundled zone's 8,760 h year the weighted LP's form holds about 1.5 MB).
-With workers, each worker process keeps its own for the jobs it runs. It is
-keyed by the zone's ``repr``, the weights and the mode, so a zone edited in
-place, or one that differs only by a -0.0, gets a new problem.
+It is keyed by the zone's ``repr``, the weights and the mode, so a zone
+edited in place, or one that differs only by a -0.0, gets a new problem.
 :func:`solve_timestep`, :func:`check_safety` and the LP export build their
 own LP every time. Each rating limit is named by one string, its label
 ``line:stage[contingency]:rating`` (``alpha-beta:fast_curative[c]:long_term``;
@@ -574,9 +573,9 @@ def _infeasible_result(problem: BandwidthProblem, row: TimestepForecast) -> Powe
     )
 
 
-# The last zone's problem, kept from one _solve_rows call to the next under
-# the zone's repr, the weights and the objective mode: OutboundLine's PTDF
-# maps are dicts that can be edited in place, and a repr tells every float
+# The last zone's problem, kept from one compute_power_bandwidths call to the
+# next under the zone's repr, the weights and the objective mode: OutboundLine's
+# PTDF maps are dicts that can be edited in place, and a repr tells every float
 # apart (-0.0 from 0.0), so an equal key means an equal zone. A call takes the
 # problem out while it uses it and puts it back when it finishes, so one that
 # raises leaves none half-written and two threads never share one.
@@ -584,10 +583,27 @@ _kept: dict[tuple[str, ObjectiveWeights, bool], BandwidthProblem] = {}
 _kept_lock = threading.Lock()
 
 
-def _solve_rows(args) -> list[PowerBandwidthResult]:
-    zone, rows, weights, lexicographic = args
+def compute_power_bandwidths(
+    zone: ZoneModel,
+    forecast: ForecastSeries,
+    *,
+    weights: ObjectiveWeights | None = None,
+    lexicographic: bool = False,
+) -> list[PowerBandwidthResult]:
+    """Bandwidths for every row of the forecast, each under its own season's
+    ratings, in timestep order.
+
+    A timestep whose ratings cannot be met is reported in its result row
+    (class ``infeasible`` with a ``failure`` diagnostic). Any exception raised
+    while solving a timestep propagates to the caller: a crash is not a grid
+    finding. The zone's network model and LP are built once and kept for
+    later calls on an equal zone with equal weights in the same mode (see
+    the module docstring).
+    """
+    rows = list(forecast)
     if not rows:
         return []
+    weights = weights or ObjectiveWeights()
     key = (repr(zone), weights, lexicographic)
     with _kept_lock:
         problem = _kept.pop(key, None)
@@ -603,38 +619,6 @@ def _solve_rows(args) -> list[PowerBandwidthResult]:
         _kept.clear()  # a different zone's, weighting's or mode's problem is released
         _kept[key] = problem
     return results
-
-
-def compute_power_bandwidths(
-    zone: ZoneModel,
-    forecast: ForecastSeries,
-    workers: int = 1,
-    weights: ObjectiveWeights | None = None,
-    lexicographic: bool = False,
-) -> list[PowerBandwidthResult]:
-    """Bandwidths for every row of the forecast, each under its own season's
-    ratings; independent and parallelizable.
-
-    A timestep whose ratings cannot be met is reported in its result row
-    (class ``infeasible`` with a ``failure`` diagnostic). Any exception raised
-    while solving a timestep propagates to the caller: a crash is not a grid
-    finding. The zone's network model and LP are built once and kept for
-    later calls on an equal zone with equal weights in the same mode (see
-    the module docstring); with ``workers`` > 1 each worker process keeps
-    its own for its jobs. ``workers`` < 1 raises ``ValueError``.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    rows = list(forecast)
-    weights = weights or ObjectiveWeights()
-    if workers == 1 or len(rows) <= 1:
-        return _solve_rows((zone, rows, weights, lexicographic))
-    from concurrent.futures import ProcessPoolExecutor  # imported only here: it costs every process ~10 ms
-
-    chunk = max(1, len(rows) // (workers * 8))
-    jobs = [(zone, rows[i : i + chunk], weights, lexicographic) for i in range(0, len(rows), chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for part in pool.map(_solve_rows, jobs) for r in part]
 
 
 # ---------------------------------------------------------------------------

@@ -185,13 +185,13 @@ def test_criterion_4_energy_recursion_soundness(zone):
 
 
 def test_criterion_5_synthetic_year_statistics(zone):
-    """Full synthetic year in < 5 min with 4 workers; seasonal shape holds."""
+    """Full synthetic year in < 5 min in one serial call; seasonal shape holds."""
     from bandwidth_engine.fixtures import synthetic_year_rows
 
     year = synthetic_year_rows(zone)
     assert len(year) == 8760
     t0 = time.perf_counter()
-    results = compute_power_bandwidths(zone, year, workers=4)
+    results = compute_power_bandwidths(zone, year)
     elapsed = time.perf_counter() - t0
 
     report = summarize(results)
@@ -210,7 +210,7 @@ def test_criterion_5_synthetic_year_statistics(zone):
         f"summer {100*summer.fraction_congestion:.1f}% vs winter "
         f"{100*winter.fraction_congestion:.1f}% congestion, strong "
         f"{100*summer.fraction_strong:.1f}%/{100*winter.fraction_strong:.1f}%, "
-        f"runtime {elapsed:.0f}s with 4 workers (< 300s)",
+        f"runtime {elapsed:.0f}s serial (< 300s)",
     )
 
 

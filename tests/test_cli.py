@@ -404,7 +404,7 @@ MODES = {
 }
 REFUSED = [
     ("--results", "--zone", "{zone}"), ("--results", "--season", "summer"), ("--results", "--c1", 0.1),
-    ("--results", "--horizon", 2), ("--results", "--workers", 2),
+    ("--results", "--horizon", 2),
     ("--seeds", "--zone", "{zone}"), ("--seeds", "--forecast", "{forecast}"), ("--seeds", "--season", "winter"),
     ("--seeds", "--horizon", 3), ("--seeds", "--timestep", 1),
     ("--golden", "--timestep", 1), ("--golden", "--power-resolution", 0.25), ("--golden", "--tolerance", 0.1),
@@ -537,7 +537,6 @@ def test_verify_seeds_takes_weights_from_config_and_ignores_its_input_keys(
     "config, message",
     [
         ('{"horizon": "3"}', 'horizon must be int | None, not "3"'),
-        ('{"workers": "2"}', 'workers must be int, not "2"'),
         ('{"horizon": true}', "horizon must be int | None, not true"),  # a bool is not an int
     ],
 )
@@ -573,11 +572,30 @@ def test_non_finite_weight_is_an_error_line(zone_path, forecast_paths, tmp_path,
     assert "error: objective weights must be finite and positive" in res.output
 
 
-def test_zero_workers_is_an_error_line(zone_path, forecast_paths, tmp_path):
-    res = _run("compute", "--zone", zone_path, "--forecast", forecast_paths["summer_day"], "--workers", 0,
+@pytest.mark.parametrize("command, written", [("compute", "--out"), ("stats", "--binding-csv")],
+                         ids=["compute", "stats"])
+def test_workers_flag_is_refused(zone_path, forecast_paths, tmp_path, command, written):
+    """Every horizon runs serially: ``--workers`` is an unknown option, and
+    nothing is written."""
+    res = _run(command, "--zone", zone_path, "--forecast", forecast_paths["summer_day"], "--workers", 1,
+               written, tmp_path / "o")
+    assert res.exit_code == 1, res.output
+    [line] = res.output.splitlines()
+    assert line.startswith("error: No such option '--workers'.")
+    assert not (tmp_path / "o").exists()
+
+
+def test_workers_config_key_is_refused(zone_path, forecast_paths, tmp_path):
+    """A config file's ``workers`` is an unknown key, not one read and ignored."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"workers": 2}')
+    res = _run("compute", "--config", cfg, "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
                "--out", tmp_path / "o")
     assert res.exit_code == 1, res.output
-    assert res.output == "error: workers must be >= 1\n"
+    assert res.output.splitlines() == [
+        f"error: {cfg}: a config file is a JSON object with keys among "
+        "c1, c2, c3, forecast, horizon, objective, out, season, zone"
+    ]
     assert not (tmp_path / "o").exists()
 
 
@@ -726,8 +744,7 @@ def test_each_topology_finds_its_islands_once(zone_path, forecast_paths, tmp_pat
     for name, module in list(sys.modules.items()):  # every module that holds the name
         if name.startswith("bandwidth_engine") and getattr(module, "_connected_components", None) is find:
             monkeypatch.setattr(module, "_connected_components", lambda *args: calls.append(args) or find(*args))
-    res = _run("compute", "--zone", zone_path, "--forecast", forecast_paths["winter_day"], "--workers", 1,
-               "--out", tmp_path / "run")
+    res = _run("compute", "--zone", zone_path, "--forecast", forecast_paths["winter_day"], "--out", tmp_path / "run")
     assert res.exit_code == 0, res.output
     assert len(calls) == 2
 
