@@ -6,13 +6,13 @@ dump of one timestep problem).
 
 Each subcommand declares only the flags it reads, builds its run config with
 :func:`_load_config` and loads its zone and forecast with :func:`_load_inputs`.
-A flag given on the command line that the chosen mode cannot use is refused,
-``--c1`` under the lexicographic objective included; config-file keys never
-are.
+A flag given on the command line that the chosen mode cannot use is refused;
+config-file keys never are.
 
-Exit codes: 0 success; 1 error (a usage error and a numerically unstable or
-unbounded LP included); 2 infeasible timesteps or an empty state-of-charge
-corridor present (files are still written); 3 verification disagreement.
+Exit codes: 0 success; 1 error (a usage error, a numerically unstable or
+unbounded LP, and weights that do not make curtailment dominate included); 2
+infeasible timesteps or an empty state-of-charge corridor present (files are
+still written); 3 verification disagreement.
 ``BANDWIDTH_ENGINE_LOG`` is the one log-level setting (a standard level name,
 any case; default ``warning``).
 """
@@ -81,25 +81,18 @@ class RunConfig:
     forecast: str | None = None
     out: str = "out"
     horizon: int | None = None
-    objective: str = "weighted"  # or "lexicographic"
     c1: float = ObjectiveWeights.preventive_curtailment
     c2: float = ObjectiveWeights.curative_battery
     c3: float = ObjectiveWeights.curative_curtailment
     season: str | None = None  # override every row's season tag
 
     def validate(self) -> None:
-        if self.objective not in ("weighted", "lexicographic"):
-            raise ValueError(f"unknown objective mode {self.objective!r}")
         self.weights().validate()
         if self.season is not None:
             Season(self.season)
 
     def weights(self) -> ObjectiveWeights:
         return ObjectiveWeights(self.c1, self.c2, self.c3)
-
-    @property
-    def lexicographic(self) -> bool:
-        return self.objective == "lexicographic"
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -110,9 +103,7 @@ def _load_config(params: dict) -> RunConfig:
     """The run config: the ``--config`` file, overridden by every flag given.
 
     ``params`` is click's parameter dict; entries that are not config keys are
-    left to the subcommand. A subcommand that takes ``--objective`` refuses
-    ``--c1`` under the lexicographic objective, which weighs no preventive
-    curtailment.
+    left to the subcommand.
     """
     base = json.loads(Path(params["config"]).read_text()) if params.get("config") else {}
     if not isinstance(base, dict) or not set(base) <= _CONFIG_KEYS:
@@ -130,8 +121,6 @@ def _load_config(params: dict) -> RunConfig:
             )
     base.update({k: v for k, v in params.items() if k in _CONFIG_KEYS and v is not None})
     cfg = RunConfig(**base)
-    if "objective" in params and cfg.lexicographic:
-        _refuse(("c1",), "--objective lexicographic")
     cfg.validate()
     return cfg
 
@@ -165,7 +154,7 @@ def _check_timesteps(timesteps, forecast: ForecastSeries) -> None:
 def _power_bandwidths(cfg: RunConfig) -> tuple[ZoneModel, list[PowerBandwidthResult]]:
     zone, forecast = _load_inputs(cfg)
     logger.info("computing %d timesteps", len(forecast))
-    return zone, compute_power_bandwidths(zone, forecast, weights=cfg.weights(), lexicographic=cfg.lexicographic)
+    return zone, compute_power_bandwidths(zone, forecast, weights=cfg.weights())
 
 
 def _refuse(names: tuple[str, ...], mode: str) -> None:
@@ -224,12 +213,11 @@ _OPTIONS = {
     "horizon": click.option("--horizon", type=int, help="Number of timesteps (default: all)."),
     "season": click.option("--season", type=click.Choice(["summer", "winter"]),
                            help="Override every row's season."),
-    "objective": click.option("--objective", type=click.Choice(["weighted", "lexicographic"])),
     "c1": click.option("--c1", type=float, help="Preventive curtailment weight."),
     "c2": click.option("--c2", type=float, help="Curative battery weight."),
     "c3": click.option("--c3", type=float, help="Curative curtailment weight."),
 }
-_RUN_FLAGS = ("config", "zone", "forecast", "horizon", "season", "objective", "c1", "c2", "c3")
+_RUN_FLAGS = ("config", "zone", "forecast", "horizon", "season", "c1", "c2", "c3")
 
 
 def _options(*names: str):
@@ -295,7 +283,7 @@ def _run_compute(cfg: RunConfig) -> int:
             "forecast": {"path": str(cfg.forecast), "sha256": _sha256(cfg.forecast)},
         },
         "horizon": len(results),
-        "objective": cfg.objective,
+        "objective": "weighted",
         "weights": {"c1": cfg.c1, "c2": cfg.c2, "c3": cfg.c3},
         "season_override": cfg.season,
         "tolerances": {"lp_feasibility": FEASIBILITY_TOL, "lp_pivot": PIVOT_TOL},
@@ -432,7 +420,7 @@ def _verify_fixture(cfg: RunConfig, timesteps, grid: GridSearchConfig, tol: floa
         _check_timesteps(timesteps, forecast)
     checked = timesteps if timesteps is not None else range(len(forecast))
     rows = [forecast[t] for t in checked]
-    series = compute_power_bandwidths(zone, rows, weights=cfg.weights(), lexicographic=cfg.lexicographic)
+    series = compute_power_bandwidths(zone, rows, weights=cfg.weights())
     disagreements = 0
     for t, row, engine in zip(checked, rows, series):
         ok, verdict = _agreement(engine, brute_force_power_bandwidth(zone, row, config=grid), tol)
@@ -465,7 +453,7 @@ def _verify_seeds(cfg: RunConfig, n: int, grid: GridSearchConfig, tol: float) ->
     disagreements = 0
     for seed in range(n):
         zone, row = random_instance(seed)
-        [engine] = compute_power_bandwidths(zone, [row], weights=cfg.weights(), lexicographic=cfg.lexicographic)
+        [engine] = compute_power_bandwidths(zone, [row], weights=cfg.weights())
         oracle = brute_force_power_bandwidth(zone, row, config=grid)
         if not _agreement(engine, oracle, tol)[0]:
             disagreements += 1

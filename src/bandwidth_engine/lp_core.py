@@ -11,8 +11,9 @@ is ``numerically_unstable``, never ``infeasible``. Duals come from the final
 tableau's reduced costs. Every :class:`LpSolution` counts its pivots per
 phase and says whether the switch fired.
 
-Everything downstream reads only :class:`LpSolution`; the pipeline calls
-this module's :func:`solve` and has no hook for another solver.
+Everything downstream reads only :class:`LpSolution` and
+:func:`end_basis_optimal_for`; the pipeline calls this module's :func:`solve`
+and has no hook for another solver.
 
 A :class:`LinearProgram` holds its bounds and right-hand sides in float
 lists (``variables`` and ``constraints`` build their tuples on demand) and
@@ -199,6 +200,7 @@ class LinearProgram:
         # (_held), None until then
         self._hours: np.ndarray | None = None
         self._hour = 0  # the hour held, the one solve solves
+        self._end: tuple[_StandardForm, _Node] | None = None  # where the last optimal solve ended
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -1021,7 +1023,7 @@ class _Node:
 
     __slots__ = (
         "T", "parent", "pivots", "basis", "zrow", "width", "n_allowed", "steps", "children", "col", "entering",
-        "art_costs",
+        "art_costs", "optimal_for",
     )
 
     def __init__(
@@ -1043,6 +1045,7 @@ class _Node:
         self.col: int | None = None  # Dantzig's entering column; None at an optimum
         # where phase one ends here: its costs per basic column, built on first use
         self.art_costs: np.ndarray | None = None
+        self.optimal_for: dict[bytes, bool] = {}  # per cost vector: :func:`end_basis_optimal_for`
         if zrow is not None and n_allowed:  # only the first n_allowed columns may enter
             z = zrow[:n_allowed]
             col = int(z.argmin())
@@ -1266,12 +1269,35 @@ def solve(lp: LinearProgram, compute_duals: bool = True) -> LpSolution:
         return LpSolution(SolveStatus.UNBOUNDED, -math.inf, {}, None, *counters)
 
     x, values = sf.read_out(g)  # the group's basic solutions and values
+    lp._end = sf, g.node
     duals = None
     if compute_duals:
         y = -g.node.zrow[g.pattern.unit_cols][: len(sf.row_names)] * g.pattern.row_sign
         duals = dict(zip(sf.row_names, y.tolist()))
     objective = obj_shift + float(np.dot(c, x[i]))
     return LpSolution(SolveStatus.OPTIMAL, objective, dict(zip(sf._columns, values[i])), duals, *counters)
+
+
+def end_basis_optimal_for(lp: LinearProgram, objective: Mapping[str, float]) -> bool:
+    """Whether the basis the LP's last optimal solve (since its matrix last
+    changed) ended at is also optimal for ``objective``: no column that may
+    enter has a reduced cost below ``-PIVOT_TOL`` under it. The end node keeps
+    the answer per cost vector, as it does not depend on b."""
+    if lp._end is None or lp._end[0] is not lp._form:
+        raise LpError("the LP has no optimal solve since its matrix last changed")
+    sf, node = lp._end
+    for var in objective:
+        if var not in lp._var_index:
+            raise LpError(f"objective references unknown variable {var!r}")
+    c = sf.costs(objective, 0.0)[0]
+    key = c.tobytes()
+    hit = node.optimal_for.get(key)
+    if hit is None:
+        cost = np.zeros(node.width)
+        cost[: sf.ncols] = c
+        zrow = cost - cost[node.basis] @ sf.tableau(node)[:, :-1]
+        hit = node.optimal_for[key] = not (zrow[: node.n_allowed] < -PIVOT_TOL).any()
+    return hit
 
 
 def check_solution(lp: LinearProgram, values: dict[str, float]) -> list[Violation]:

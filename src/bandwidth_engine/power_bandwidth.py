@@ -4,7 +4,7 @@ Each timestep's LP is solved under two objectives that differ only in the
 sign on the preventive battery setpoint (minimize it for the lower bound,
 maximize it for the upper bound). The LP's variables, rows and coefficients
 depend only on the zone, so a :class:`BandwidthProblem` is built once per
-zone, weighting and objective mode, with the objectives of that mode.
+zone and weighting, with its two objectives.
 :func:`compute_power_bandwidths` writes all of a call's timesteps into its
 LP at once (:meth:`BandwidthProblem.set_hours`: a k x rows array of
 right-hand sides, the rating rows' limit - base flow and limit + base flow
@@ -12,27 +12,22 @@ taken on a k x pairs array, and a k x buses array of curtailment caps; the
 block's base flows one stacked product per topology), and
 :meth:`BandwidthProblem.select_hour` makes the LP hold each timestep in turn
 while the call solves it, one ``power_bandwidth.solve`` per LP, in the same
-order as before: per timestep the lower bound's, then the upper bound's. A
+order as before: per timestep the lower bound's, then the upper bound's
+(each with the check's solve below, where it needs one). A
 timestep's result is read through lists the problem builds once (the
 curtailment and curative variables and, per direction, its objective), and
 each objective is checked once per LP
-(:meth:`lp_core.LinearProgram.set_objective`). The LP layer keeps the block
-as arrays down to the read-out and walks its hours down the pivot-path tree
-together: phase one runs once per block, and each objective's phase two
-once per block, at its first solve; a group of two or more hours takes each
-ratio test as one array step, and a pivot's row operation runs once per
-group of hours that took it. In lexicographic mode the capped copy takes each timestep's values
-and cap on its own, as each needs that timestep's least curtailment.
+(:meth:`lp_core.LinearProgram.set_objective`). The LP layer walks the
+block's hours down its pivot-path tree together (see :mod:`.lp_core`).
 :meth:`BandwidthProblem.set_hour` writes one timestep into the LP itself,
 in Python floats, for :func:`solve_timestep`, :func:`check_safety` and the
 LP export. The
-problem of the last zone, weighting and mode that :func:`compute_power_bandwidths`
-solved is kept until a call on another zone, with other weights or in the
-other mode: its network model, its LP (and capped copy in lexicographic
-mode), and their standard forms with their pivot-path trees (at most
-``lp_core.NODES_PER_FORM`` nodes each, about 2.6 kB per node; after the
-bundled zone's 8,760 h year the weighted LP's form holds about 1.5 MB).
-It is keyed by the zone's ``repr``, the weights and the mode, so a zone
+problem of the last zone and weighting that :func:`compute_power_bandwidths`
+solved is kept until a call on another zone or with other weights: its
+network model, its LP and the LP's standard form with its pivot-path tree
+(at most ``lp_core.NODES_PER_FORM`` nodes, about 2.6 kB per node; after the
+bundled zone's 8,760 h year it holds about 1.5 MB).
+It is keyed by the zone's ``repr`` and the weights, so a zone
 edited in place, or one that differs only by a -0.0, gets a new problem.
 :func:`solve_timestep`, :func:`check_safety` and the LP export build their
 own LP every time. Each rating limit is named by one string, its label
@@ -41,10 +36,17 @@ the normal state has no contingency): its two LP rows are ``rating_hi:<label>``
 and ``rating_lo:<label>``. A result's binding label is the first rating row's,
 in row order, that the lower-bound solution meets with equality, else the
 upper-bound solution's first. An infeasible timestep's diagnostic solves the
-elastic LP (:meth:`BandwidthProblem.elastic_lp`), and lexicographic mode the
-capped copy (``BandwidthProblem.capped``); both are made from the LP with
-:meth:`lp_core.LinearProgram.extended`, which adds their slack columns or
-row, and get a standard form of their own at their first solve.
+elastic LP (:meth:`BandwidthProblem.elastic_lp`), made from the LP with
+:meth:`lp_core.LinearProgram.extended`, which adds its slack columns; it
+gets a standard form of its own at its first solve.
+
+Curtailment comes strictly before the battery, and each solve checks it: a
+direction that curtails more than ``BOUND_TOL_MW`` asks whether its end basis
+is also optimal for the total curtailment alone
+(:func:`lp_core.end_basis_optimal_for`); if not, one solve of that total
+gives the least curtailment c*, and curtailing more than c* +
+``BOUND_TOL_MW`` raises :class:`UnstableLpError`.
+
 The LP carries four families of network states:
 
 * normal state — flows within permanent ratings,
@@ -99,6 +101,7 @@ from .lp_core import (
     Relation,
     SolveStatus,
     check_solution,
+    end_basis_optimal_for,
     solve,
 )
 
@@ -125,10 +128,11 @@ class CongestionClass(str, Enum):
 class ObjectiveWeights:
     """Objective weights: curtailment dominates, curative terms only record.
 
-    ``preventive_curtailment`` is large enough that a MW of curtailment is
-    never traded against any admissible battery move; the curative weights are
-    small enough that they never shift the battery optimum beyond 1e-3 MW, and
-    curative curtailment is kept cheaper than curative battery energy.
+    ``preventive_curtailment`` must be large enough that a MW of curtailment
+    is never traded against any admissible battery move; each solve checks
+    it (see the module docstring). The curative weights are small enough
+    that they never shift the battery optimum beyond 1e-3 MW, and curative
+    curtailment is kept cheaper than curative battery energy.
     """
 
     preventive_curtailment: float = 1.0e4
@@ -167,16 +171,14 @@ class BandwidthProblem:
     :meth:`set_hour` writes one timestep's values into it, and
     :meth:`set_hours` many at once. Each rating
     limit's label is formatted once; it names the limit's two rows and is the
-    string :meth:`first_binding` and the diagnostic report. In lexicographic
-    mode ``capped`` is the LP plus row ``curt_total_cap`` bounding the total
-    preventive curtailment (else ``None``), and ``total_curtailment`` the
-    first stage's objective. ``objectives[direction]`` minimizes +-B plus the
-    curtailment and curative terms under the weights, without the preventive
-    curtailment term in lexicographic mode, which the row bounds instead.
-    Callers must not change these dicts.
+    string :meth:`first_binding` and the diagnostic report.
+    ``objectives[direction]`` minimizes +-B plus the curtailment and curative
+    terms under the weights, and ``total_curtailment`` is the total preventive
+    curtailment, the objective the least-curtailment check solves. Callers
+    must not change these dicts.
     """
 
-    def __init__(self, zone: ZoneModel, network: NetworkModel, weights: ObjectiveWeights, lexicographic: bool):
+    def __init__(self, zone: ZoneModel, network: NetworkModel, weights: ObjectiveWeights):
         weights.validate()
         self.network = network
         self.battery = battery = zone.battery
@@ -265,9 +267,9 @@ class BandwidthProblem:
         self._flow_at = flow_at
         self._cap_buses = [b for _, b in self._curt_caps]
         self._limits: dict[Season, list[float]] = {}  # per season, each pair's rating
-        # the timesteps set_hours wrote: curtailment caps (k x buses) and the
-        # right-hand sides of the rows set_hour writes (k x rows)
-        self._hours: tuple[np.ndarray, np.ndarray] | None = None
+        # the timesteps set_hours wrote: the right-hand sides of the rows
+        # set_hour writes (k x rows)
+        self._hours: np.ndarray | None = None
         self._rating_rhs: Sequence[float] = ()  # the held timestep's rating rows' part
         # every row set_hour writes: the curtailment caps, then the ratings
         self._rhs_rows = [name for name, _ in self._curt_caps] + [name for name, *_ in self._ratings]
@@ -278,8 +280,6 @@ class BandwidthProblem:
         self.curative_battery_vars = cur_batt
         self.curative_curtailment_vars = cur_curt
         self.total_curtailment = {v: 1.0 for v in curt.values()}
-        cap = (self.total_curtailment, Relation.LE, 0.0, "curt_total_cap")
-        self.capped = lp.extended(lp.name, rows=[cap]) if lexicographic else None
         # what an hour's result reads: the curtailment variables, the
         # curative pairs' plus and minus variables, the battery's range less
         # BOUND_TOL_MW at each end, and per direction, lower then upper, its
@@ -290,9 +290,8 @@ class BandwidthProblem:
         self.objectives: dict[Direction, dict[str, float]] = {}
         for direction, what in _BOUND_LPS:
             objective = {batt: 1.0 if direction == Direction.LOWER else -1.0}
-            if not lexicographic:
-                for v in curt.values():
-                    objective[v] = weights.preventive_curtailment
+            for v in curt.values():
+                objective[v] = weights.preventive_curtailment
             for plus, minus in cur_batt.values():
                 objective[plus] = weights.curative_battery
                 objective[minus] = weights.curative_battery
@@ -309,12 +308,11 @@ class BandwidthProblem:
 
     def set_hour(self, row: TimestepForecast) -> None:
         """Write one timestep's curtailment bounds and right-hand sides into
-        the LP and, in lexicographic mode, its capped copy: the curtailment
-        caps, then per rating pair limit - base flow for the upper row and
-        limit + base flow for the lower one, under its season's ratings, in
-        Python floats: per entry the operation :meth:`set_hours` runs on its
-        arrays, with the same bits, without the arrays' set-up, which costs
-        one timestep more than it saves."""
+        the LP: the curtailment caps, then per rating pair limit - base flow
+        for the upper row and limit + base flow for the lower one, under its
+        season's ratings, in Python floats: per entry the operation
+        :meth:`set_hours` runs on its arrays, with the same bits, without the
+        arrays' set-up, which costs one timestep more than it saves."""
         caps = row.curtailable_max_mw
         flows = [flow for block in self.network.base_flows([row]) for flow in block[0].tolist()]
         values = [caps[b] for b in self._cap_buses]
@@ -322,15 +320,9 @@ class BandwidthProblem:
             flow = flows[at]
             values += (limit - flow, limit + flow)
         self._hours, self._rating_rhs = None, values[len(self._cap_buses) :]
-        caps = [caps[b] for b in self.curtailment_vars]
-        for lp in [self.lp] if self.capped is None else [self.lp, self.capped]:
-            self._write(lp, caps, values)
-
-    def _write(self, lp: LinearProgram, caps: Sequence[float], values: Sequence[float]) -> None:
-        """Write one timestep's curtailment caps and right-hand sides into ``lp``."""
-        for v, cap in zip(self.curtailment_vars.values(), caps):
-            lp.set_bounds(v, 0.0, cap)
-        lp.set_rhs_many(self._rhs_rows, values)
+        for b, v in self.curtailment_vars.items():
+            self.lp.set_bounds(v, 0.0, caps[b])
+        self.lp.set_rhs_many(self._rhs_rows, values)
 
     def set_hours(self, rows: list[TimestepForecast]) -> None:
         """Write every timestep of ``rows`` into the LP at once
@@ -352,19 +344,13 @@ class BandwidthProblem:
         values[:, :n_caps] = caps[:, len(buses) :]
         np.subtract(limits, flows, out=values[:, n_caps::2])
         np.add(limits, flows, out=values[:, n_caps + 1 :: 2])
-        caps = caps[:, : len(buses)]
-        self._hours, self._rating_rhs = (caps, values), values[0, n_caps:]
-        self.lp.set_hours(self._rhs_rows, values, list(self.curtailment_vars.values()), caps)
+        self._hours, self._rating_rhs = values, values[0, n_caps:]
+        self.lp.set_hours(self._rhs_rows, values, list(self.curtailment_vars.values()), caps[:, : len(buses)])
 
     def select_hour(self, hour: int) -> None:
-        """Make the LP hold timestep ``hour`` of :meth:`set_hours` (its rows of
-        the two arrays), and write it into the capped copy in lexicographic
-        mode."""
+        """Make the LP hold timestep ``hour`` of :meth:`set_hours`."""
         self.lp.select_hour(hour)
-        caps, values = self._hours
-        self._rating_rhs = values[hour, len(self._cap_buses) :]
-        if self.capped is not None:
-            self._write(self.capped, caps[hour].tolist(), values[hour].tolist())
+        self._rating_rhs = self._hours[hour, len(self._cap_buses) :]
 
     def drop_hours(self) -> None:
         """Drop the timesteps :meth:`set_hours` wrote, but the one held."""
@@ -429,14 +415,13 @@ def build_lp(
     season: Season | str,
     direction: Direction | str,
     weights: ObjectiveWeights | None = None,
-    lexicographic: bool = False,
 ) -> BandwidthProblem:
     """Build one timestep's problem, under ``season``'s ratings, on the zone's
     :func:`network_model`, with ``direction``'s band objective set on its LP."""
     direction, season = Direction(direction), Season(season)
     if season != row.season:
         row = replace(row, season=season)
-    problem = BandwidthProblem(zone, network_model(zone), weights or ObjectiveWeights(), lexicographic)
+    problem = BandwidthProblem(zone, network_model(zone), weights or ObjectiveWeights())
     problem.set_hour(row)
     problem.lp.name = f"bandwidth[t={row.index},{direction.value}]"
     problem.lp.set_objective(problem.objectives[direction])
@@ -482,48 +467,48 @@ def solve_timestep(
     zone: ZoneModel,
     row: TimestepForecast,
     weights: ObjectiveWeights | None = None,
-    lexicographic: bool = False,
 ) -> PowerBandwidthResult:
     """Solve both directions for one timestep, under its own season's
     ratings, and classify the outcome.
 
-    One LP is solved for the lower bound, then for the upper bound. In
-    lexicographic mode a first solve minimizes total preventive curtailment
-    alone; the total is then bounded by that optimum (row ``curt_total_cap``
-    of ``BandwidthProblem.capped``) for both directions. Raises
-    :class:`UnstableLpError` if an LP is neither optimal nor infeasible.
+    One LP is solved for the lower bound, then for the upper bound. Raises
+    :class:`UnstableLpError` if an LP is neither optimal nor infeasible, or if
+    a direction curtails more than the timestep needs (see the module
+    docstring).
     """
-    problem = build_lp(zone, row, row.season, Direction.LOWER, weights, lexicographic)
+    problem = build_lp(zone, row, row.season, Direction.LOWER, weights)
     return _solve_written(problem, row)
 
 
 def _solve_written(problem: BandwidthProblem, row: TimestepForecast) -> PowerBandwidthResult:
-    """:func:`solve_timestep` for a problem that holds the timestep's values,
-    in the problem's objective mode."""
+    """:func:`solve_timestep` for a problem that holds the timestep's values."""
     lp = problem.lp
-    if problem.capped is not None:
-        lp.set_objective(problem.total_curtailment)
-        sol = _solve(lp, row, "least-curtailment")
-        if sol.status != SolveStatus.OPTIMAL:
-            return _infeasible_result(problem, row)
-        lp = problem.capped
-        lp.set_rhs("curt_total_cap", sol.objective)
-
-    sols = []
+    curt, plus, minus = problem._readout
+    sols, curts = [], []
     for objective, what in problem._directions:
         lp.set_objective(objective)
         sol = _solve(lp, row, what)
         if sol.status != SolveStatus.OPTIMAL:
             return _infeasible_result(problem, row)
+        total = sum(map(sol.values.__getitem__, curt))
+        if total > BOUND_TOL_MW and not end_basis_optimal_for(lp, problem.total_curtailment):
+            lp.set_objective(problem.total_curtailment)
+            least = _solve(lp, row, "least-curtailment")
+            if least.status != SolveStatus.OPTIMAL:
+                raise _unstable(row, "least-curtailment", least)
+            if total > least.objective + BOUND_TOL_MW:
+                raise UnstableLpError(
+                    f"timestep {row.index} ({row.timestamp}): the {what} LP curtails {total:.6f} MW where "
+                    f"{least.objective:.6f} MW would do: the weights do not make curtailment dominate (raise --c1)"
+                )
         sols.append(sol)
+        curts.append(total)
     lo, hi = sols
     lo_x, hi_x = lo.values, hi.values
+    curt_lo, curt_hi = curts
 
     lower = lo_x[problem.battery_var]
     upper = hi_x[problem.battery_var]
-    curt, plus, minus = problem._readout
-    curt_lo = sum(map(lo_x.__getitem__, curt))
-    curt_hi = sum(map(hi_x.__getitem__, curt))
     charge_worst = max([0.0, *map(sub, map(lo_x.__getitem__, plus), map(lo_x.__getitem__, minus))])
     discharge_worst = min([0.0, *map(sub, map(hi_x.__getitem__, plus), map(hi_x.__getitem__, minus))])
 
@@ -574,12 +559,12 @@ def _infeasible_result(problem: BandwidthProblem, row: TimestepForecast) -> Powe
 
 
 # The last zone's problem, kept from one compute_power_bandwidths call to the
-# next under the zone's repr, the weights and the objective mode: OutboundLine's
+# next under the zone's repr and the weights: OutboundLine's
 # PTDF maps are dicts that can be edited in place, and a repr tells every float
 # apart (-0.0 from 0.0), so an equal key means an equal zone. A call takes the
 # problem out while it uses it and puts it back when it finishes, so one that
 # raises leaves none half-written and two threads never share one.
-_kept: dict[tuple[str, ObjectiveWeights, bool], BandwidthProblem] = {}
+_kept: dict[tuple[str, ObjectiveWeights], BandwidthProblem] = {}
 _kept_lock = threading.Lock()
 
 
@@ -588,7 +573,6 @@ def compute_power_bandwidths(
     forecast: ForecastSeries,
     *,
     weights: ObjectiveWeights | None = None,
-    lexicographic: bool = False,
 ) -> list[PowerBandwidthResult]:
     """Bandwidths for every row of the forecast, each under its own season's
     ratings, in timestep order.
@@ -596,19 +580,19 @@ def compute_power_bandwidths(
     A timestep whose ratings cannot be met is reported in its result row
     (class ``infeasible`` with a ``failure`` diagnostic). Any exception raised
     while solving a timestep propagates to the caller: a crash is not a grid
-    finding. The zone's network model and LP are built once and kept for
-    later calls on an equal zone with equal weights in the same mode (see
-    the module docstring).
+    finding, nor is curtailing more than needed (:func:`solve_timestep`). The
+    zone's network model and LP are built once and kept for later calls on an
+    equal zone with equal weights (see the module docstring).
     """
     rows = list(forecast)
     if not rows:
         return []
     weights = weights or ObjectiveWeights()
-    key = (repr(zone), weights, lexicographic)
+    key = (repr(zone), weights)
     with _kept_lock:
         problem = _kept.pop(key, None)
     if problem is None:
-        problem = BandwidthProblem(zone, network_model(zone), weights, lexicographic)
+        problem = BandwidthProblem(zone, network_model(zone), weights)
     problem.set_hours(rows)
     results = []
     for hour, row in enumerate(rows):
@@ -616,7 +600,7 @@ def compute_power_bandwidths(
         results.append(_solve_written(problem, row))
     problem.drop_hours()
     with _kept_lock:
-        _kept.clear()  # a different zone's, weighting's or mode's problem is released
+        _kept.clear()  # a different zone's or weighting's problem is released
         _kept[key] = problem
     return results
 

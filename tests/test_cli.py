@@ -325,19 +325,22 @@ def test_verify_fixture_solves_in_one_compute_call(zone_path, forecast_paths, mo
 
 @pytest.mark.parametrize("golden", [False, True], ids=["fixture", "golden"])
 def test_verify_honours_objective(zone_path, forecast_paths, monkeypatch, golden):
+    """Both verify modes solve under the weights given and with the check that
+    curtailment comes first: at ``--c1 0.5`` the summer day's 06:00 curtails
+    more than it must, and verify exits 1 on the check's error line, as
+    ``compute`` does."""
     from bandwidth_engine import cli
 
     seen = []
     real = cli.compute_power_bandwidths
-    monkeypatch.setattr(
-        cli, "compute_power_bandwidths", lambda *a, **kw: seen.append(kw.get("lexicographic")) or real(*a, **kw)
-    )
+    monkeypatch.setattr(cli, "compute_power_bandwidths", lambda *a, **kw: seen.append(kw["weights"]) or real(*a, **kw))
     mode = (["--golden", GOLDENS / "summer_day_power.csv"] if golden
-            else ["--timestep", 7, "--power-resolution", 0.05, "--curtailment-resolution", 0.5])
-    res = _run("verify", "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
-               "--objective", "lexicographic", *mode)
-    assert res.exit_code == 0, res.output
-    assert seen and all(seen)
+            else ["--timestep", 6, "--power-resolution", 0.05, "--curtailment-resolution", 0.5])
+    res = _run("verify", "--zone", zone_path, "--forecast", forecast_paths["summer_day"], "--c1", 0.5, *mode)
+    assert res.exit_code == 1, res.output
+    [line] = res.output.splitlines()
+    assert line.startswith("error: timestep 6 (2023-06-14T06:00): the lower-bound LP curtails 10.000000 MW")
+    assert [w.preventive_curtailment for w in seen] == [0.5]
 
 
 @pytest.mark.parametrize("flag", ["config", "season", "weights"])
@@ -351,7 +354,7 @@ def test_verify_golden_honours_flag(zone_path, forecast_paths, tmp_path, flag):
         inputs = ["--config", cfg]
     else:
         inputs = ["--zone", zone_path, "--forecast", forecast_paths["winter_day"]]
-        inputs += {"season": ["--season", "summer"], "weights": ["--c1", 0.5]}[flag]
+        inputs += {"season": ["--season", "summer"], "weights": ["--c3", 0.5]}[flag]
     out = tmp_path / "run"
     assert _run("compute", *inputs, "--out", out).exit_code in (0, 2)
     golden = out / "power_bandwidth.csv"
@@ -382,11 +385,10 @@ def test_verify_seeds_honours_objective_and_weights(monkeypatch):
     seen = []
     real = cli.compute_power_bandwidths
     monkeypatch.setattr(cli, "compute_power_bandwidths", lambda *a, **kw: seen.append(kw) or real(*a, **kw))
-    res = _run("verify", "--seeds", 2, "--objective", "lexicographic", "--c2", 0.5)
+    res = _run("verify", "--seeds", 2, "--c2", 0.5)
     assert res.exit_code == 0, res.output
     assert len(seen) == 2
     for kw in seen:
-        assert kw["lexicographic"] is True
         assert kw["weights"].curative_battery == 0.5
 
 
@@ -429,47 +431,65 @@ def test_flag_the_mode_cannot_use_is_refused(zone_path, forecast_paths, prior_ru
     assert f"error: {flag} has no effect with {mode}" in res.output
 
 
-SHORT_RUNS = {  # each command that takes --objective, cut short
+SHORT_RUNS = {  # each command that takes the weights, cut short
     "compute": ["compute", "--zone", "{zone}", "--forecast", "{forecast}", "--horizon", 2, "--out", "{out}"],
     "stats": ["stats", "--zone", "{zone}", "--forecast", "{forecast}", "--horizon", 2],
     "verify": ["verify", "--seeds", 1],
 }
 
 
-def _lexicographic_run(command, source, flags, zone_path, forecast_paths, tmp_path):
-    """``command`` under the lexicographic objective, set by the flag or by a
-    config file (``source``), with ``flags`` added."""
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"objective": "lexicographic"}))
-    values = dict(zone=zone_path, forecast=forecast_paths["winter_day"], out=tmp_path / "o")
-    objective = ["--objective", "lexicographic"] if source == "flag" else ["--config", cfg]
-    return _run(*(str(a).format(**values) for a in [*SHORT_RUNS[command], *objective, *flags]))
+CONFIG_KEYS_MESSAGE = "a config file is a JSON object with keys among c1, c2, c3, forecast, horizon, out, season, zone"
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command", list(SHORT_RUNS))
 def test_c1_is_refused_under_the_lexicographic_objective(zone_path, forecast_paths, tmp_path, command, source):
-    """The lexicographic objective weighs no preventive curtailment, so a
-    ``--c1`` given with it is refused, wherever the objective comes from."""
-    res = _lexicographic_run(command, source, ["--c1", 0.5], zone_path, forecast_paths, tmp_path)
+    """There is no lexicographic objective: a run that asks for it, with
+    ``--c1``, is refused and writes nothing, whether it asks by
+    ``--objective`` (an unknown option, as on every command) or by a config
+    file's ``objective`` (an unknown key)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"objective": "lexicographic"}))
+    values = dict(zone=zone_path, forecast=forecast_paths["winter_day"], out=tmp_path / "o")
+    objective = ["--objective", "lexicographic"] if source == "flag" else ["--config", cfg]
+    res = _run(*(str(a).format(**values) for a in [*SHORT_RUNS[command], *objective, "--c1", 0.5]))
     assert res.exit_code == 1, res.output
-    assert res.output.splitlines() == ["error: --c1 has no effect with --objective lexicographic"]
+    [line] = res.output.splitlines()
+    if source == "flag":
+        assert line.startswith("error: No such option '--objective'.")
+    else:
+        assert line == f"error: {cfg}: {CONFIG_KEYS_MESSAGE}"
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("objective, flag", [
-    ("lexicographic", "--c2"), ("lexicographic", "--c3"), ("lexicographic", "--config"), ("weighted", "--c1"),
-])
+WEIGHT_FLAGS = {"--c1": 2.0e4, "--c2": 0.5, "--c3": 0.5, "--config": None}
+
+
+@pytest.mark.parametrize("flag", list(WEIGHT_FLAGS), ids=lambda flag: f"weighted-{flag}")
 @pytest.mark.parametrize("command", list(SHORT_RUNS))
-def test_weights_the_objective_uses_are_accepted(zone_path, forecast_paths, tmp_path, command, objective, flag):
-    """``--c2`` and ``--c3`` go with either objective and ``--c1`` with the
-    weighted one; a config file's ``c1`` is never refused."""
+def test_weights_the_objective_uses_are_accepted(zone_path, forecast_paths, tmp_path, command, flag):
+    """Each weight of the one, weighted, objective is taken from its flag or
+    from a config file, never refused."""
     cfg = tmp_path / "weights.json"
-    cfg.write_text(json.dumps({"c1": 0.5}))
+    cfg.write_text(json.dumps({"c1": 2.0e4}))
     values = dict(zone=zone_path, forecast=forecast_paths["winter_day"], out=tmp_path / "o")
-    args = [*SHORT_RUNS[command], "--objective", objective, flag, cfg if flag == "--config" else 0.5]
+    args = [*SHORT_RUNS[command], flag, cfg if flag == "--config" else WEIGHT_FLAGS[flag]]
     res = _run(*(str(a).format(**values) for a in args))
     assert res.exit_code == 0, res.output
+
+
+def test_c1_that_does_not_dominate_exits_1_and_writes_nothing(zone_path, forecast_paths, tmp_path):
+    """At ``--c1 0.5`` the summer day's 06:00 lower bound would curtail 10 MW
+    where none is needed: ``compute`` prints one ``error:`` line naming the
+    timestep, both figures and ``--c1``, exits 1 and writes no file."""
+    res = _run("compute", "--zone", zone_path, "--forecast", forecast_paths["summer_day"], "--c1", 0.5,
+               "--out", tmp_path / "o")
+    assert res.exit_code == 1, res.output
+    assert res.output.splitlines() == [
+        "error: timestep 6 (2023-06-14T06:00): the lower-bound LP curtails 10.000000 MW where 0.000000 MW "
+        "would do: the weights do not make curtailment dominate (raise --c1)"
+    ]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag, option", [("-v", "-v"), ("-vv", "-v"), ("--verbose", "--verbose")])
@@ -483,6 +503,7 @@ def test_verbose_flag_is_gone(zone_path, forecast_paths, flag, option):
 @pytest.mark.parametrize("command, flag", [
     ("compute", "--wrokers"), ("stats", "--wrokers"), ("verify", "--wrokers"), ("export-lp", "--wrokers"),
     ("stats", "--out"), ("export-lp", "--objective"), ("export-lp", "--horizon"),
+    ("compute", "--objective"), ("stats", "--objective"), ("verify", "--objective"),
 ])
 def test_unknown_or_removed_flag_exits_1(zone_path, forecast_paths, command, flag):
     res = _run(command, "--zone", zone_path, "--forecast", forecast_paths["summer_day"], flag, 2)
@@ -592,10 +613,7 @@ def test_workers_config_key_is_refused(zone_path, forecast_paths, tmp_path):
     res = _run("compute", "--config", cfg, "--zone", zone_path, "--forecast", forecast_paths["summer_day"],
                "--out", tmp_path / "o")
     assert res.exit_code == 1, res.output
-    assert res.output.splitlines() == [
-        f"error: {cfg}: a config file is a JSON object with keys among "
-        "c1, c2, c3, forecast, horizon, objective, out, season, zone"
-    ]
+    assert res.output.splitlines() == [f"error: {cfg}: {CONFIG_KEYS_MESSAGE}"]
     assert not (tmp_path / "o").exists()
 
 

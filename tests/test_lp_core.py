@@ -1255,3 +1255,38 @@ def test_set_hours_refuses_what_the_one_hour_writers_refuse(args, one_value):
     with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
         lp.set_hours(*args)
     assert (lp.constraints, lp.variables) == before
+
+
+def test_end_basis_optimal_for_one_objective_and_not_another():
+    """min x + 2y over x + y >= 1 ends with x basic. That basis is also
+    optimal for x + 3y and for x + y (a zero reduced cost is no improvement),
+    but not for 2x + y, whose optimum moves to y. The answer does not depend
+    on b, is kept on the end node per cost vector, and needs an optimal solve
+    since the matrix last changed."""
+    lp = LinearProgram("basis")
+    lp.add_variable("x", 0.0, 10.0)
+    lp.add_variable("y", 0.0, 10.0)
+    lp.add_constraint({"x": 1.0, "y": 1.0}, Relation.GE, 1.0, name="demand")
+    with pytest.raises(LpError, match="no optimal solve"):
+        lp_core.end_basis_optimal_for(lp, {"x": 1.0})
+    lp.set_objective({"x": 1.0, "y": 2.0})
+    sol = solve(lp)
+    assert (sol.value("x"), sol.value("y")) == (1.0, 0.0)
+    assert lp_core.end_basis_optimal_for(lp, {"x": 1.0, "y": 3.0})
+    assert lp_core.end_basis_optimal_for(lp, {"x": 1.0, "y": 1.0})
+    assert not lp_core.end_basis_optimal_for(lp, {"x": 2.0, "y": 1.0})
+    lp.set_objective({"x": 2.0, "y": 1.0})
+    assert solve(lp).value("y") == 1.0  # the optimum the basis test said it misses
+
+    lp.set_objective({"x": 1.0, "y": 2.0})
+    solve(lp)
+    node = lp._end[1]
+    assert sorted(node.optimal_for.values()) == [False, True, True]
+    lp.set_rhs("demand", 4.0)  # a new b, the same end basis
+    assert not lp_core.end_basis_optimal_for(lp, {"x": 2.0, "y": 1.0})
+    assert len(node.optimal_for) == 3
+    with pytest.raises(LpError, match="unknown variable 'z'"):
+        lp_core.end_basis_optimal_for(lp, {"z": 1.0})
+    lp.add_variable("z", 0.0, 1.0)  # the matrix changes
+    with pytest.raises(LpError, match="no optimal solve"):
+        lp_core.end_basis_optimal_for(lp, {"x": 1.0})

@@ -396,29 +396,149 @@ def test_battery_has_priority_over_curtailment(zone):
 
 
 def test_lexicographic_agrees_with_weighted(zone, summer_day, winter_day):
+    """The weighted band is the lexicographic one: that of the two-stage
+    reference, which bounds the total curtailment at its least before it
+    optimizes the battery (``_per_direction_reference``)."""
     for series in (summer_day, winter_day):
         for h in (0, 3, 7, 11):
             row = series[h]
             weighted = solve_timestep(zone, row)
-            lexi = solve_timestep(zone, row, lexicographic=True)
-            assert lexi.lower_mw == pytest.approx(weighted.lower_mw, abs=1e-5)
-            assert lexi.upper_mw == pytest.approx(weighted.upper_mw, abs=1e-5)
+            lexi = _per_direction_reference(zone, row, lexicographic=True)
+            assert lexi["lower_mw"] == pytest.approx(weighted.lower_mw, abs=1e-5)
+            assert lexi["upper_mw"] == pytest.approx(weighted.upper_mw, abs=1e-5)
 
 
 @pytest.mark.parametrize("seed, lower, upper", [(180, -6.793, 6.9), (476, 1.748, 3.489)])
 def test_lexicographic_bounds_total_curtailment_across_buses(seed, lower, upper):
-    """With curtailment at every bus, lexicographic mode bounds the total at
-    its stage-1 optimum and leaves the split free, so its band is the
-    weighted band."""
+    """With curtailment at every bus, the weighted band equals the two-stage
+    lexicographic band, which bounds the total at its least and leaves the
+    split free, and it keeps its pinned edges and passes the safety check."""
     zone, row = random_instance(seed)
     row = dataclasses.replace(row, curtailable_max_mw={b: 8.0 for b in zone.bus_ids()})
     weighted = solve_timestep(zone, row)
-    lexi = solve_timestep(zone, row, lexicographic=True)
-    assert lexi.lower_mw == pytest.approx(weighted.lower_mw, abs=1e-6)
-    assert lexi.upper_mw == pytest.approx(weighted.upper_mw, abs=1e-6)
-    assert lexi.lower_mw == pytest.approx(lower, abs=1e-3)
-    assert lexi.upper_mw == pytest.approx(upper, abs=1e-3)
-    assert check_safety(zone, row, lexi) == []
+    lexi = _per_direction_reference(zone, row, lexicographic=True)
+    assert weighted.lower_mw == pytest.approx(lexi["lower_mw"], abs=1e-6)
+    assert weighted.upper_mw == pytest.approx(lexi["upper_mw"], abs=1e-6)
+    assert weighted.lower_mw == pytest.approx(lower, abs=1e-3)
+    assert weighted.upper_mw == pytest.approx(upper, abs=1e-3)
+    assert check_safety(zone, row, weighted) == []
+
+
+def _multibus_row(zone, row, seed: int) -> TimestepForecast:
+    """``random_instance(seed)``'s row with curtailment at 2 to all of its
+    2-4 buses, the buses and each cap (0.5 to 8 MW) drawn from a rng seeded
+    with ``seed``; the zone and the rest of the row are unchanged."""
+    rng = random.Random(seed)
+    buses = zone.bus_ids()
+    chosen = rng.sample(buses, rng.randint(2, len(buses)))
+    caps = {b: round(rng.uniform(0.5, 8.0), 3) if b in chosen else 0.0 for b in buses}
+    return dataclasses.replace(row, curtailable_max_mw=caps)
+
+
+def _two_stage_highs_band(zone, row) -> tuple[float, float] | None:
+    """HiGHS on the engine's LP, per direction in two stages: the least total
+    preventive curtailment c*, then +-B alone with the total bounded by c*.
+    None if the first stage is infeasible."""
+    from tests.test_lp_core import _highs
+
+    edges = []
+    for direction in Direction:
+        problem = build_lp(zone, row, row.season, direction)
+        lp, total = problem.lp, problem.total_curtailment
+        lp.set_objective(total)
+        least, _ = _highs(lp)
+        if least.status == 2:
+            return None
+        assert least.status == 0, least.message
+        capped = lp.extended("capped", rows=[(total, Relation.LE, least.fun, "curt_total_cap")])
+        capped.set_objective({problem.battery_var: 1.0 if direction == Direction.LOWER else -1.0})
+        res, _ = _highs(capped)
+        assert res.status == 0, res.message
+        edges.append(res.x[[v.name for v in capped.variables].index(problem.battery_var)])
+    return edges[0], edges[1]
+
+
+def test_multibus_sweep_matches_a_two_stage_highs_reference():
+    """Over 300 seeds of ``random_instance`` with curtailment at 2-4 buses,
+    no timestep raises (no direction curtails more than its least
+    curtailment), each band equals the two-stage HiGHS reference to 1e-6
+    (skipped without scipy) and passes the safety check, and each infeasible
+    timestep is one the reference's first stage finds infeasible too."""
+    counts = {"band": 0, "curtailed": 0, "infeasible": 0}
+    for seed in range(300):
+        zone, row = random_instance(seed)
+        row = _multibus_row(zone, row, seed)
+        got = solve_timestep(zone, row)
+        want = _two_stage_highs_band(zone, row)
+        if got.congestion_class == CongestionClass.INFEASIBLE:
+            assert want is None, seed
+            counts["infeasible"] += 1
+            continue
+        assert want is not None, seed
+        assert (got.lower_mw, got.upper_mw) == pytest.approx(want, abs=1e-6), seed
+        assert check_safety(zone, row, got) == [], seed
+        counts["band"] += 1
+        counts["curtailed"] += got.preventive_curtailment_mw > pb.BOUND_TOL_MW
+    assert counts["band"] > 200 and counts["curtailed"] > 20 and counts["infeasible"] > 20, counts
+
+
+def test_weights_that_do_not_dominate_raise(zone, summer_day):
+    """At c1 = 0.5 the summer day's 06:00 lower bound curtails 10 MW where no
+    curtailment is needed: the check raises, through ``solve_timestep`` and
+    ``compute_power_bandwidths``, rather than report a band bought with
+    curtailment, and the call keeps no problem."""
+    weights = ObjectiveWeights(preventive_curtailment=0.5)
+    message = (
+        r"^timestep 6 \(2023-06-14T06:00\): the lower-bound LP curtails 10\.000000 MW where 0\.000000 MW would do: "
+        r"the weights do not make curtailment dominate \(raise --c1\)$"
+    )
+    with pytest.raises(UnstableLpError, match=message):
+        solve_timestep(zone, summer_day[6], weights)
+    pb._kept.clear()
+    with pytest.raises(UnstableLpError, match=message):
+        compute_power_bandwidths(zone, summer_day, weights=weights)
+    assert pb._kept == {}
+    assert solve_timestep(zone, summer_day[6]).preventive_curtailment_mw == 0.0
+
+
+def test_least_curtailment_solve_when_the_basis_test_says_no(zone, monkeypatch):
+    """With the basis test answering no everywhere, every direction that
+    curtails runs exactly one least-curtailment solve, right after its own,
+    and no other direction runs one; every result is repr-equal to the
+    engine's: synthetic-year days, and random zones with curtailment at one
+    bus and at 2-4 buses."""
+    year = synthetic_year_rows(zone)
+    calls = [(zone, year[24 * day : 24 * (day + 1)]) for day in (1, 8, 32, 41)]
+    for seed in range(150):
+        z, row = random_instance(seed)
+        calls += [(z, [row]), (z, [_multibus_row(z, row, seed)])]
+    expected = [repr(compute_power_bandwidths(z, rows)) for z, rows in calls]
+
+    solved = []
+    real_solve = pb._solve
+
+    def recording(lp, row, what):
+        sol = real_solve(lp, row, what)
+        solved.append((what, sol))
+        return sol
+
+    monkeypatch.setattr(pb, "_solve", recording)
+    monkeypatch.setattr(pb, "end_basis_optimal_for", lambda lp, objective: False)
+    pb._kept.clear()
+    curtailed = 0
+    for (z, rows), want in zip(calls, expected, strict=True):
+        solved.clear()
+        assert repr(compute_power_bandwidths(z, rows)) == want
+        whats = [what for what, _ in solved]
+        checked = 0
+        for i, (what, sol) in enumerate(solved):
+            if what in ("lower-bound", "upper-bound") and sol.status == SolveStatus.OPTIMAL:
+                curtails = sum(x for v, x in sol.values.items() if v.startswith("curt:")) > pb.BOUND_TOL_MW
+                assert (whats[i + 1 : i + 2] == ["least-curtailment"]) == curtails, (i, whats)
+                checked += curtails
+        assert whats.count("least-curtailment") == checked
+        curtailed += checked
+    assert curtailed > 60, curtailed
 
 
 def test_solver_error_propagates_instead_of_infeasible_row(zone, winter_day):
@@ -529,35 +649,37 @@ GOLDENS = Path(__file__).resolve().parent / "goldens"
 
 
 def _random_zones_csv() -> str:
-    """``random_instance`` 0-199 under both objectives: each zone's power-CSV
-    row, keyed by seed and objective, plus the infeasibility diagnostic."""
+    """``random_instance`` 0-199: each zone's power-CSV row, keyed by seed and
+    objective (always ``weighted``), plus the infeasibility diagnostic."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["seed", "objective", *pb.POWER_CSV_HEADER, "failure"])
     for seed in range(200):
         zone, row = random_instance(seed)
-        for objective in ("weighted", "lexicographic"):
-            result = solve_timestep(zone, row, lexicographic=objective == "lexicographic")
-            cells = next(csv.reader(power_results_to_csv([result]).splitlines()[1:]))
-            writer.writerow([seed, objective, *cells, result.failure or ""])
+        result = solve_timestep(zone, row)
+        cells = next(csv.reader(power_results_to_csv([result]).splitlines()[1:]))
+        writer.writerow([seed, "weighted", *cells, result.failure or ""])
     return buf.getvalue()
 
 
 def _standard_form_digest(zone, summer_day) -> str:
     """The sha256 of the standard forms' matrix, right-hand side, phase-one
-    root and column costs of the bandwidth LP and its capped copy, for the
-    summer day's hour 7 and ``random_instance`` 0-399. The capped copy and the
-    curtailment-bounded objectives are a lexicographic problem's of the same
-    row."""
+    root and column costs of the bandwidth LP and of a capped copy, for the
+    summer day's hour 7 and ``random_instance`` 0-399. The copy adds row
+    ``curt_total_cap`` (total preventive curtailment <= 0) and, per
+    direction, an objective without the preventive curtailment terms: the LP
+    and objectives of a two-stage lexicographic solve, which the digest
+    covered when the engine had that mode."""
     h = hashlib.sha256()
     for z, row in [(zone, summer_day[7])] + [random_instance(seed) for seed in range(400)]:
         problem = build_lp(z, row, row.season, Direction.LOWER)
-        bounded = build_lp(z, row, row.season, Direction.LOWER, lexicographic=True)
-        assert problem.capped is None
-        objectives = [problem.total_curtailment] + [
-            p.objectives[d] for d in Direction for p in (problem, bounded)
-        ]
-        for lp in (problem.lp, bounded.capped):
+        total = problem.total_curtailment
+        capped = problem.lp.extended(problem.lp.name, rows=[(total, Relation.LE, 0.0, "curt_total_cap")])
+        objectives = [total]
+        for d in Direction:
+            weighted = problem.objectives[d]
+            objectives += [weighted, {v: c for v, c in weighted.items() if v not in total}]
+        for lp in (problem.lp, capped):
             sf = lp._standard_form()
             pattern = sf.starts[0][0]
             root = pattern.root
@@ -576,11 +698,13 @@ def test_standard_forms_keep_their_bits(zone, summer_day):
 
 
 def _elastic_digest() -> tuple[int, str]:
-    """The unclearable zones among ``random_instance`` 0-399 (both objectives)
-    and the sha256 of their relaxed LPs: each one's standard form (matrix,
-    right-hand side, row signs, phase-one root, column costs) and its solve's
-    ``(status, iterations, phase_one_iterations, objective.hex())`` and value
-    bits."""
+    """The unclearable zones among ``random_instance`` 0-399, each solved
+    twice, and the sha256 of their relaxed LPs: each one's standard form
+    (matrix, right-hand side, row signs, phase-one root, column costs) and
+    its solve's ``(status, iterations, phase_one_iterations,
+    objective.hex())`` and value bits. (The second solve stood for the
+    lexicographic objective mode, whose relaxed LP was the weighted one's, so
+    the digest pinned then still holds.)"""
     h, relaxed = hashlib.sha256(), []
     real_solve = pb.solve
 
@@ -604,8 +728,8 @@ def _elastic_digest() -> tuple[int, str]:
     try:
         for seed in range(400):
             zone, row = random_instance(seed)
-            for lexicographic in (False, True):
-                solve_timestep(zone, row, lexicographic=lexicographic)
+            for _ in range(2):
+                solve_timestep(zone, row)
     finally:
         pb.solve = real_solve
     return len(relaxed), h.hexdigest()
@@ -766,10 +890,12 @@ def _per_direction_reference(zone, row, lexicographic: bool) -> dict | None:
 
 @pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
 def test_solve_timestep_equals_per_direction_lps(zone, summer_day, winter_day, lexicographic):
+    """Every field of a timestep's result equals that of one freshly built LP
+    per direction: the weighted one, or the two-stage lexicographic one."""
     cases = [(zone, row) for row in (*summer_day, *winter_day)]
     cases += [random_instance(seed) for seed in range(100)]
     for z, row in cases:
-        got = solve_timestep(z, row, lexicographic=lexicographic)
+        got = solve_timestep(z, row)
         want = _per_direction_reference(z, row, lexicographic)
         tag = f"t={row.index} {row.timestamp}"
         if want is None:
@@ -791,32 +917,56 @@ def _same_result(a, b) -> bool:
     )
 
 
-@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
-def test_reused_problem_equals_a_fresh_lp_per_timestep(zone, summer_day, winter_day, lexicographic):
+# The two ways a test below runs the check that curtailment comes first:
+# "weighted", as the engine runs it, the basis test answering; and
+# "lexicographic", with the basis test answering no everywhere, so that every
+# direction that curtails is checked against a least-curtailment solve, the
+# first stage of a lexicographic solve. No result may tell them apart.
+LEXICOGRAPHIC = pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+
+
+def _check_by_solve(monkeypatch, lexicographic: bool) -> None:
+    """In the ``lexicographic`` case, make the basis test answer no."""
+    if lexicographic:
+        monkeypatch.setattr(pb, "end_basis_optimal_for", lambda lp, objective: False)
+
+
+def _curtailed_directions(results) -> int:
+    """The directions whose solution curtails more than ``BOUND_TOL_MW``."""
+    return sum(
+        curt > pb.BOUND_TOL_MW
+        for r in results
+        for curt in (r.preventive_curtailment_lower_mw, r.preventive_curtailment_upper_mw)
+    )
+
+
+@LEXICOGRAPHIC
+def test_reused_problem_equals_a_fresh_lp_per_timestep(zone, summer_day, winter_day, monkeypatch, lexicographic):
     """One problem written hour after hour (one per ``compute_power_bandwidths``
     call) gives every field of a fresh per-hour build exactly, across the
     fixture days and both season changes of the synthetic year (the rating
     limits change with the season)."""
+    _check_by_solve(monkeypatch, lexicographic)
     year = synthetic_year_rows(zone)
     season_changes = [year[2148:2172], year[7284:7308]]
     assert all({r.season for r in rows} == set(Season) for rows in season_changes)
     for rows in (summer_day, winter_day, *season_changes):
-        reused = compute_power_bandwidths(zone, rows, lexicographic=lexicographic)
+        reused = compute_power_bandwidths(zone, rows)
         assert len(reused) == len(rows)
         for row, got in zip(rows, reused):
-            fresh = solve_timestep(zone, row, lexicographic=lexicographic)
+            fresh = solve_timestep(zone, row)
             assert _same_result(got, fresh), f"t={row.index} {row.timestamp}"
 
 
-@pytest.mark.parametrize(
-    "lexicographic, per_timestep, lps", [(False, 2, 1), (True, 3, 2)], ids=["weighted", "lexicographic"]
-)
-def test_one_lp_and_one_network_model_per_call(
-    zone_path, winter_day, monkeypatch, lexicographic, per_timestep, lps
-):
-    """A cold call builds one network model and one LP (plus its
-    ``curt_total_cap`` copy in lexicographic mode); a second call on the zone
-    loaded from file again builds neither and solves the same LPs."""
+@LEXICOGRAPHIC
+def test_one_lp_and_one_network_model_per_call(zone, zone_path, winter_day, monkeypatch, lexicographic):
+    """A cold call builds one network model and one LP and solves it twice per
+    timestep; a second call on the zone loaded from file again builds neither
+    and solves the same LP. In the lexicographic case the call runs a
+    synthetic-year day that curtails, and each direction that curtails adds
+    one least-curtailment solve of that LP."""
+    rows = synthetic_year_rows(zone)[24 * 8 : 24 * 9] if lexicographic else winter_day
+    _check_by_solve(monkeypatch, lexicographic)
     solved, networks, built = [], [], []
     real_solve, real_network, real_init = pb.solve, pb.network_model, LinearProgram.__init__
     monkeypatch.setattr(pb, "solve", lambda lp, **kw: solved.append(lp) or real_solve(lp, **kw))
@@ -824,15 +974,17 @@ def test_one_lp_and_one_network_model_per_call(
     # every LP built, in this module or in lp_core
     monkeypatch.setattr(LinearProgram, "__init__", lambda lp, name="lp": built.append(name) or real_init(lp, name))
     pb._kept.clear()
-    results = compute_power_bandwidths(load_zone(zone_path), winter_day, lexicographic=lexicographic)
+    results = compute_power_bandwidths(load_zone(zone_path), rows)
     assert all(r.congestion_class != CongestionClass.INFEASIBLE for r in results)
-    assert len(solved) == per_timestep * len(results)
-    assert len({id(lp) for lp in solved}) == len(built) == lps
+    curtailed = _curtailed_directions(results)
+    assert (curtailed > 0) == lexicographic
+    assert len(solved) == 2 * len(results) + curtailed
+    assert len({id(lp) for lp in solved}) == len(built) == 1
     assert len(networks) == 1
 
-    again = compute_power_bandwidths(load_zone(zone_path), winter_day, lexicographic=lexicographic)
-    assert len(networks) == 1 and len(built) == lps
-    assert len({id(lp) for lp in solved}) == lps
+    again = compute_power_bandwidths(load_zone(zone_path), rows)
+    assert len(networks) == 1 and len(built) == 1
+    assert len({id(lp) for lp in solved}) == 1
     assert repr(again) == repr(results)
 
 
@@ -941,7 +1093,7 @@ def test_many_weightings_keep_only_the_last_problem(zone, summer_day):
         got = compute_power_bandwidths(zone, summer_day[:3], weights=weights)
         if k % 10 == 9:
             assert repr(got) == repr(_cold(zone, summer_day[:3], weights=weights))
-    assert list(pb._kept) == [(repr(zone), weights, False)]
+    assert list(pb._kept) == [(repr(zone), weights)]
     assert next(iter(pb._kept))[1] is weights
 
 
@@ -949,11 +1101,12 @@ def _solve_counters(sol) -> tuple:
     return (sol.status, sol.iterations, sol.phase_one_iterations, sol.bland, struct.pack("<d", sol.objective))
 
 
-@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+@LEXICOGRAPHIC
 def test_kept_problem_equals_a_cold_call(zone, monkeypatch, lexicographic):
     """Shuffled synthetic-year days, with random zones between them that evict
     the kept problem: every call's results and every solve's counters and
     objective bits equal a cold call's."""
+    _check_by_solve(monkeypatch, lexicographic)
     solves = []
     real_solve = pb.solve
     monkeypatch.setattr(pb, "solve", lambda lp, **kw: solves.append(real_solve(lp, **kw)) or solves[-1])
@@ -963,16 +1116,16 @@ def test_kept_problem_equals_a_cold_call(zone, monkeypatch, lexicographic):
     hits = 0
     for i, day in enumerate(days):
         rows = year[24 * day : 24 * (day + 1)]
-        hits += (repr(zone), ObjectiveWeights(), lexicographic) in pb._kept
+        hits += (repr(zone), ObjectiveWeights()) in pb._kept
         solves.clear()
-        got = compute_power_bandwidths(zone, rows, lexicographic=lexicographic)
+        got = compute_power_bandwidths(zone, rows)
         warm = [_solve_counters(sol) for sol in solves]
         solves.clear()
-        assert repr(got) == repr(_cold(zone, rows, lexicographic=lexicographic)), day
+        assert repr(got) == repr(_cold(zone, rows)), day
         assert warm == [_solve_counters(sol) for sol in solves], day
         if i % 9 == 8:
             z, row = random_instance(i)
-            compute_power_bandwidths(z, _hours_of(row, 3), lexicographic=lexicographic)
+            compute_power_bandwidths(z, _hours_of(row, 3))
     assert 50 < hits < len(days)
 
 
@@ -1078,20 +1231,21 @@ def test_result_rows_hold_plain_floats_and_pickle(zone, winter_day):
     assert pickle.loads(pickle.dumps(row)) == row
 
 
-@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+@LEXICOGRAPHIC
 def test_infeasible_diagnostic_reuses_the_timesteps_lp(monkeypatch, lexicographic):
+    _check_by_solve(monkeypatch, lexicographic)
     built = []
     real_build = pb.build_lp
     monkeypatch.setattr(pb, "build_lp", lambda *a, **kw: built.append(a) or real_build(*a, **kw))
     for seed in (0, 3, 4):
         zone, row = random_instance(seed)
-        result = solve_timestep(zone, row, lexicographic=lexicographic)
+        result = solve_timestep(zone, row)
         assert result.congestion_class == CongestionClass.INFEASIBLE
         assert result.failure.startswith("unclearable overload: ")
     assert len(built) == 3
 
 
-@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+@LEXICOGRAPHIC
 def test_every_unclearable_hour_builds_its_elastic_lp_afresh(monkeypatch, lexicographic):
     """One call over hours of which several are unclearable builds each
     unclearable hour's elastic LP from the kept LP, as it holds that hour,
@@ -1100,12 +1254,13 @@ def test_every_unclearable_hour_builds_its_elastic_lp_afresh(monkeypatch, lexico
     for seed in (3, 12):  # unclearable hours between clearable ones; every hour unclearable
         zone, row = random_instance(seed)
         hours = _hours_of(row, 12)
-        expected = [solve_timestep(zone, h, lexicographic=lexicographic) for h in hours]
+        _check_by_solve(monkeypatch, lexicographic)
+        expected = [solve_timestep(zone, h) for h in hours]
         forms = []
         real_init = lp_core._StandardForm.__init__
         monkeypatch.setattr(lp_core._StandardForm, "__init__", lambda sf, lp: forms.append(lp) or real_init(sf, lp))
         pb._kept.clear()
-        got = compute_power_bandwidths(zone, ForecastSeries(tuple(hours)), lexicographic=lexicographic)
+        got = compute_power_bandwidths(zone, ForecastSeries(tuple(hours)))
         monkeypatch.undo()
         assert all(_same_result(a, b) for a, b in zip(got, expected, strict=True))
         unclearable = sum(r.failure is not None for r in got)
@@ -1114,7 +1269,7 @@ def test_every_unclearable_hour_builds_its_elastic_lp_afresh(monkeypatch, lexico
         assert len(relaxed) == len({id(lp) for lp in relaxed}) == unclearable  # one form per elastic LP
 
 
-@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+@LEXICOGRAPHIC
 def test_an_unclearable_hour_mid_block_keeps_its_diagnostic_and_solve_order(monkeypatch, lexicographic):
     """A call whose block holds unclearable hours between clearable ones
     calls ``power_bandwidth.solve`` once per LP, in the order fresh
@@ -1133,11 +1288,12 @@ def test_an_unclearable_hour_mid_block_keeps_its_diagnostic_and_solve_order(monk
         return sol
 
     monkeypatch.setattr(pb, "solve", recording_solve)
-    expected = [solve_timestep(zone, h, lexicographic=lexicographic) for h in hours]
+    _check_by_solve(monkeypatch, lexicographic)
+    expected = [solve_timestep(zone, h) for h in hours]
     fresh = list(solves)
     solves.clear()
     pb._kept.clear()
-    got = compute_power_bandwidths(zone, ForecastSeries(tuple(hours)), lexicographic=lexicographic)
+    got = compute_power_bandwidths(zone, ForecastSeries(tuple(hours)))
     assert solves == fresh
     failures = [r.failure for r in got]
     assert failures == [r.failure for r in expected]
@@ -1171,44 +1327,6 @@ def test_each_timestep_is_written_once(zone, winter_day, monkeypatch):
         assert _same_result(got, solve_timestep(zone, row)), row.timestamp
 
 
-@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
-def test_capped_lp_exists_only_in_lexicographic_mode(zone, lexicographic):
-    """A lexicographic problem holds its ``curt_total_cap`` copy from
-    construction, and its band objectives leave the preventive curtailment to
-    that row; a weighted problem has no copy and weighs the curtailment."""
-    problem = pb.BandwidthProblem(zone, pb.network_model(zone), ObjectiveWeights(), lexicographic)
-    curt = set(problem.curtailment_vars.values())
-    for objective in problem.objectives.values():
-        assert curt.isdisjoint(objective) == lexicographic
-    if not lexicographic:
-        assert problem.capped is None
-        return
-    rows = [con.name for con in problem.capped.constraints]
-    assert rows == [con.name for con in problem.lp.constraints] + ["curt_total_cap"]
-    assert dict(problem.capped.constraints[-1].coeffs) == problem.total_curtailment
-
-
-def test_switching_the_objective_mode_rebuilds_the_problem(zone, winter_day, monkeypatch):
-    """A weighted call after a lexicographic one on the same zone, and the
-    reverse, each build a problem of their own mode and give a cold call's
-    results; the weighted call writes no capped LP."""
-    pb._kept.clear()
-    for lexicographic in (True, False, True):
-        before = list(pb._kept.values())
-        writes = _record_writes(monkeypatch)
-        got = compute_power_bandwidths(zone, winter_day, lexicographic=lexicographic)
-        monkeypatch.undo()
-        assert list(pb._kept) == [(repr(zone), ObjectiveWeights(), lexicographic)]
-        (problem,) = pb._kept.values()
-        assert problem not in before
-        # the LP takes the day in one block; the capped copy each hour's
-        # values and then its cap, as each needs that hour's optimum
-        assert [(id(lp), hours) for lp, hours in writes if lp is problem.lp] == [(id(problem.lp), len(winter_day))]
-        capped = [lp for lp, _ in writes if lp is not problem.lp]
-        assert [id(lp) for lp in capped] == [id(problem.capped)] * (2 * len(winter_day) if lexicographic else 0)
-        assert repr(got) == repr(_cold(zone, winter_day, lexicographic=lexicographic))
-
-
 def test_bandwidth_lps_fire_no_solver_guard(zone, summer_day, winter_day):
     for row in (*summer_day, *winter_day):
         for direction in Direction:
@@ -1231,12 +1349,13 @@ def _row_sum_labels(problem, solution, rows=None) -> list[str]:
     return labels
 
 
-@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+@LEXICOGRAPHIC
 def test_binding_labels_equal_the_row_sums(zone, monkeypatch, lexicographic):
     """Every result's label is the first one the row-by-row rule finds in the
     rows of the LP as solved: the lower-bound solution's first, else the
     upper-bound solution's, and none for a fully available or infeasible
     hour. Reused problems (year days) and fresh ones (random zones)."""
+    _check_by_solve(monkeypatch, lexicographic)
     solved, counts = {}, {"labelled": 0, "from_upper": 0, "unlabelled": 0}
     real_solve, real_written = pb._solve, pb._solve_written
 
@@ -1265,9 +1384,9 @@ def test_binding_labels_equal_the_row_sums(zone, monkeypatch, lexicographic):
     monkeypatch.setattr(pb, "_solve_written", checked)
     year = synthetic_year_rows(zone)
     for day in range(0, 365, 12):
-        compute_power_bandwidths(zone, year[24 * day : 24 * (day + 1)], lexicographic=lexicographic)
+        compute_power_bandwidths(zone, year[24 * day : 24 * (day + 1)])
     for seed in range(400):
-        solve_timestep(*random_instance(seed), lexicographic=lexicographic)
+        solve_timestep(*random_instance(seed))
     assert counts["labelled"] > 200 and counts["unlabelled"] > 200 and counts["from_upper"] > 20, counts
 
 
@@ -1371,12 +1490,13 @@ def _hours_of(zone_row, n: int) -> list[TimestepForecast]:
     return hours
 
 
-@pytest.mark.parametrize("lexicographic", [False, True], ids=["weighted", "lexicographic"])
+@LEXICOGRAPHIC
 def test_reused_problem_solves_as_fresh_lps_bit_for_bit(zone, monkeypatch, lexicographic):
     """Solve by solve, a reused problem's LP gives a freshly built LP's
     counters and the bits of its objective and values: over a winter and a
     summer week of the synthetic year, and over random zones solved for
     several hours each."""
+    _check_by_solve(monkeypatch, lexicographic)
     compared = []
     real_solve = pb.solve
 
@@ -1390,10 +1510,10 @@ def test_reused_problem_solves_as_fresh_lps_bit_for_bit(zone, monkeypatch, lexic
     monkeypatch.setattr(pb, "solve", both)
     year = synthetic_year_rows(zone)
     for week in (2, 28):  # January, July
-        compute_power_bandwidths(zone, year[168 * week : 168 * (week + 1)], lexicographic=lexicographic)
+        compute_power_bandwidths(zone, year[168 * week : 168 * (week + 1)])
     for seed in range(0, 400, 10):
         z, row = random_instance(seed)
-        compute_power_bandwidths(z, ForecastSeries(tuple(_hours_of(row, 6))), lexicographic=lexicographic)
+        compute_power_bandwidths(z, ForecastSeries(tuple(_hours_of(row, 6))))
     assert len(compared) > 1000
     assert SolveStatus.INFEASIBLE in compared
 
@@ -1402,12 +1522,17 @@ def test_reused_problem_solves_as_fresh_lps_bit_for_bit(zone, monkeypatch, lexic
 def test_set_hour_writes_the_bits_set_hours_writes(zone, summer_day, winter_day, lexicographic):
     """``set_hour`` writes a timestep in Python floats and ``set_hours`` a
     block as arrays; per timestep both give the same bits: every right-hand
-    side and upper bound of the LP (and of the capped copy in lexicographic
-    mode) and the rating rows' right-hand sides that ``first_binding``
-    reads. The blocks mix seasons, so each timestep takes its own ratings."""
+    side and upper bound of the LP and the rating rows' right-hand sides that
+    ``first_binding`` reads. In the lexicographic case also those of the LP
+    a lexicographic second stage would solve, the LP plus row
+    ``curt_total_cap``, extended from the hour the LP holds. The blocks mix
+    seasons, so each timestep takes its own ratings."""
 
     def written(problem) -> list[bytes]:
-        lps = [problem.lp] if problem.capped is None else [problem.lp, problem.capped]
+        lps = [problem.lp]
+        if lexicographic:
+            cap = (problem.total_curtailment, Relation.LE, 0.0, "curt_total_cap")
+            lps.append(problem.lp.extended("capped", rows=[cap]))
         out = [_floats_bits([c.rhs for c in lp.constraints] + [v.upper for v in lp.variables]) for lp in lps]
         return out + [_floats_bits(list(problem._rating_rhs))]
 
@@ -1415,8 +1540,8 @@ def test_set_hour_writes_the_bits_set_hours_writes(zone, summer_day, winter_day,
     cases += [(z, _hours_of(row, 8)) for z, row in map(random_instance, range(0, 300, 15))]
     for case, (z, rows) in enumerate(cases):
         network = pb.network_model(z)
-        one = pb.BandwidthProblem(z, network, ObjectiveWeights(), lexicographic)
-        block = pb.BandwidthProblem(z, network, ObjectiveWeights(), lexicographic)
+        one = pb.BandwidthProblem(z, network, ObjectiveWeights())
+        block = pb.BandwidthProblem(z, network, ObjectiveWeights())
         block.set_hours(rows)
         for hour, row in enumerate(rows):
             one.set_hour(row)

@@ -21,7 +21,7 @@ def _tool(name: str):
 
 
 def test_exactness_digests_repeat(capsys):
-    """Two runs over the fixture days print equal digests, one per objective;
+    """Two runs over the fixture days print equal digests;
     the first starts cold, the second on the kept problem. A third run, with
     ``--src`` naming this checkout's ``src/``, prints them too."""
     tool = _tool("exactness")
@@ -30,7 +30,7 @@ def test_exactness_digests_repeat(capsys):
         assert tool.main(argv) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
-    assert re.fullmatch(r"fixture weighted [0-9a-f]{64}\nfixture lexicographic [0-9a-f]{64}\n", outputs[0])
+    assert re.fullmatch(r"fixture weighted [0-9a-f]{64}\n", outputs[0])
     engine = tool.engine()
     assert engine is tool.engine(ROOT / "src")
     assert engine.power_bandwidth.solve is engine.lp_core.solve  # the recording wrapper is gone
@@ -40,15 +40,12 @@ def test_exactness_digests_repeat(capsys):
 # re-pins them and says why, as it would for the goldens.
 FIXTURE_DIGESTS = (
     "fixture weighted 88db774385e166b113ec0bfe06e76d1d3244287d732d9da2335795bd94b77d0e\n"
-    "fixture lexicographic b29dcbe86ffbf0858761dd1549499f948f41cc993721d86519dc17eaf0eaef83\n"
 )
 YEAR_DIGESTS = (
     "year weighted dca1950b71d9536981f6ed3ed0e0be7bc18c44ed90689d1b8bb86821aea6d925\n"
-    "year lexicographic 4c0fbeaedaa1a29c0762b933a4412eb62660427f7e9fc563f0d9997a9bb5bdf3\n"
 )
 RANDOM_DIGESTS = (
     "random weighted 1fb62171ffad4dc6119eb46c5fe0526eb30a0b2d373772adbdc3beb5f7f70cc3\n"
-    "random lexicographic 29e5be679c140c2b8e23c289950059d8a4a99b4557a1198f6c71b3f1924fd589\n"
 )
 
 

@@ -20,7 +20,8 @@ in interleaved passes; each figure is the minimum over the passes of the
 mean per zone, in microseconds. Two copies of one tree can read a few per
 cent apart by import order, so compare two trees in both orders. The trees'
 results must be repr-equal; the tool says so. A tree must take the calls this
-tool makes: ``BandwidthProblem(zone, network, weights, lexicographic)``,
+tool makes: ``BandwidthProblem(zone, network, weights)`` (a tree that still
+has the lexicographic objective mode is passed ``False`` for it),
 ``set_hour(row)``, ``objectives[direction]`` and
 ``_solve_written(problem, row)``. Run from anywhere:
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import inspect
 import json
 import sys
 import time
@@ -62,6 +64,7 @@ def _pass(engine, docs, rows) -> tuple[dict[str, float], list[str]]:
     gm, pb = engine.grid_model, engine.power_bandwidth
     totals = dict.fromkeys(PIECES, 0.0)
     real = pb._max_violation_diagnostic
+    mode = (False,) if "lexicographic" in inspect.signature(pb.BandwidthProblem).parameters else ()
 
     def timed_diagnostic(*args):
         t0 = time.perf_counter()
@@ -80,7 +83,7 @@ def _pass(engine, docs, rows) -> tuple[dict[str, float], list[str]]:
             t1 = clock()
             network = pb.network_model(zone)
             t2 = clock()
-            problem = pb.BandwidthProblem(zone, network, pb.ObjectiveWeights(), False)
+            problem = pb.BandwidthProblem(zone, network, pb.ObjectiveWeights(), *mode)
             problem.set_hour(row)
             problem.lp.set_objective(problem.objectives[pb.Direction.LOWER])
             t3 = clock()

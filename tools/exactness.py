@@ -1,6 +1,6 @@
 """Digests of the engine's results and solver counters, for exactness checks.
 
-Prints one sha256 per part and objective (weighted, lexicographic):
+Prints one sha256 per part:
 
 * ``fixture``: the bundled summer and winter days, 48 hours, one call each;
 * ``year``: the 8,760 h synthetic year in one call;
@@ -44,19 +44,19 @@ def engine(src: Path = SRC):
     return _ENGINES[src]
 
 
-def _results(eng, part: str, lexicographic: bool) -> list:
+def _results(eng, part: str) -> list:
     pb, fx = eng.power_bandwidth, eng.fixtures
     if part == "random":
-        return [pb.solve_timestep(*fx.random_instance(s), lexicographic=lexicographic) for s in RANDOM_SEEDS]
+        return [pb.solve_timestep(*fx.random_instance(s)) for s in RANDOM_SEEDS]
     zone = fx.reference_zone()
     if part == "year":
         days = [fx.synthetic_year_rows(zone)]
     else:
         days = [fx.day_forecast_rows(zone, d) for d in ("summer_day", "winter_day")]
-    return [r for rows in days for r in pb.compute_power_bandwidths(zone, rows, lexicographic=lexicographic)]
+    return [r for rows in days for r in pb.compute_power_bandwidths(zone, rows)]
 
 
-def digest(part: str, lexicographic: bool, src: Path = SRC) -> str:
+def digest(part: str, src: Path = SRC) -> str:
     """The sha256 of one part's results and solver counters, from the engine under ``src``."""
     eng = engine(src)
     pb, solve = eng.power_bandwidth, eng.lp_core.solve
@@ -69,7 +69,7 @@ def digest(part: str, lexicographic: bool, src: Path = SRC) -> str:
 
     pb.solve = recording_solve
     try:
-        results = _results(eng, part, lexicographic)
+        results = _results(eng, part)
     finally:
         pb.solve = solve
     h = hashlib.sha256()
@@ -86,8 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--src", type=Path, default=SRC, help="the engine's source directory (default: %(default)s)")
     args = p.parse_args(argv)
     for part in args.part or PARTS:
-        for objective in ("weighted", "lexicographic"):
-            print(f"{part} {objective} {digest(part, objective == 'lexicographic', args.src)}")
+        print(f"{part} weighted {digest(part, args.src)}")
     return 0
 
 
